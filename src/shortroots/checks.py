@@ -228,7 +228,7 @@ def _check_dimension_ledger(rs: RootSystem, limits: Limits):
         "transition_factor": ledger.transition_factor,
     }
     ok = (
-        ledger.module_nullcone_dim * 1 == ledger.transition_factor * ledger.reduction_nullcone_dim
+        ledger.module_nullcone_dim == ledger.transition_factor * ledger.reduction_nullcone_dim
         and ledger.module_dim - ledger.module_nullcone_dim
         == ledger.reduction_dim - ledger.reduction_nullcone_dim
     )

@@ -20,14 +20,16 @@ class Limits:
     max_character_rank: int = 4     # nullcone characters refuse above this rank
     max_closure_size: int = 10 ** 6  # subgroup closure refusal bound
     max_poset_size: int = 64        # antichain brute force refusal bound
-    zarhin_coeff_bound: int = 3     # coefficient box for the zero-weight-ratio sweep
 
 
 def current_limits() -> Limits:
     """Default limits, with the two environment overrides applied."""
     limits = Limits()
-    if ENV_MAX_WEYL in os.environ:
-        limits = replace(limits, max_weyl_order=int(os.environ[ENV_MAX_WEYL]))
-    if ENV_MAX_DEGREE in os.environ:
-        limits = replace(limits, max_series_degree=int(os.environ[ENV_MAX_DEGREE]))
+    for name, field in ((ENV_MAX_WEYL, "max_weyl_order"), (ENV_MAX_DEGREE, "max_series_degree")):
+        if name in os.environ:
+            raw = os.environ[name]
+            try:
+                limits = replace(limits, **{field: int(raw)})
+            except ValueError:
+                raise ValueError(f"{name}={raw!r} is not an integer") from None
     return limits

@@ -131,13 +131,10 @@ def _dp_tables(rs: RootSystem, roots: str, degree: int):
     """Multiset-count tables T[k][v]: the number of k-element multisets of
     the chosen positive roots summing to the weight v (fundamental
     coordinates).  Built once per system and extended on demand."""
-    key = ("qdp", roots)
-    cached = rs._cache.get(key)
-    if cached is not None and cached[0] >= degree:
+    cached = rs.memo(("qdp", roots), lambda: [-1, None])
+    if cached[0] >= degree:
         return cached[1]
-    vectors = sorted(
-        tuple(int(c) for c in rs.weight_of(r).fund) for r in _subset_roots(rs, roots)
-    )
+    vectors = sorted(rs.weight_coords(r) for r in _subset_roots(rs, roots))
     zero = (0,) * rs.rank
     tables = [dict() for _ in range(degree + 1)]
     tables[0][zero] = 1
@@ -146,9 +143,9 @@ def _dp_tables(rs: RootSystem, roots: str, degree: int):
             prev = tables[k - 1]
             cur = tables[k]
             for v, count in prev.items():
-                key2 = tuple(a + b for a, b in zip(v, vec))
-                cur[key2] = cur.get(key2, 0) + count
-    rs._cache[key] = (degree, tables)
+                key = tuple(a + b for a, b in zip(v, vec))
+                cur[key] = cur.get(key, 0) + count
+    cached[:] = [degree, tables]
     return tables
 
 
@@ -162,7 +159,7 @@ def q_partition(rs: RootSystem, target, max_degree: int, roots: str = "short") -
             return QPoly.zero(max_degree)
         fund = tuple(int(c) for c in target.fund)
     elif hasattr(target, "coeffs"):
-        fund = tuple(int(c) for c in rs.weight_of(target).fund)
+        fund = rs.weight_coords(target)
     else:
         fund = tuple(int(c) for c in target)
     tables = _dp_tables(rs, roots, max_degree)
@@ -172,12 +169,10 @@ def q_partition(rs: RootSystem, target, max_degree: int, roots: str = "short") -
 def _signed_matrices(rs: RootSystem, bound: int | None):
     """All Weyl group elements as (sign, integer matrix on fundamental
     coordinates), cached on the system."""
-    if "signed_matrices" in rs._cache:
-        return rs._cache["signed_matrices"]
-    elements = enumerate_group(rs, bound)
-    data = tuple((w.sign(), w._fund_matrix()) for w in elements)
-    rs._cache["signed_matrices"] = data
-    return data
+    return rs.memo(
+        "signed_matrices",
+        lambda: tuple((w.sign(), w._fund_matrix()) for w in enumerate_group(rs, bound)),
+    )
 
 
 def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int,

@@ -68,24 +68,12 @@ def _fund_ints(rs: RootSystem, weight) -> tuple[int, ...]:
     return tuple(int(c) for c in w.fund)
 
 
-def _root_coords_int(rs: RootSystem, fund):
-    inv = rs._cartan_inverse
-    n = rs.rank
-    out = []
-    for i in range(n):
-        v = sum(inv[i][j] * fund[j] for j in range(n))
-        if v.denominator != 1:
-            return None
-        out.append(int(v))
-    return tuple(out)
-
-
 def _in_hull(rs: RootSystem, lam, fund) -> bool:
     # fund lies in the support iff its dominant conjugate sits below lam
     # in the root order
     dom, _ = rs.dominant_representative(fund)
     diff = tuple(a - b for a, b in zip(lam, dom))
-    rc = _root_coords_int(rs, diff)
+    rc = rs.lattice_coords(diff)
     return rc is not None and all(c >= 0 for c in rc)
 
 
@@ -94,7 +82,7 @@ def _support(rs: RootSystem, lam):
     coordinate tuples.  Walks down by simple roots; every weight of the
     module is reachable that way."""
     n = rs.rank
-    alpha_f = [tuple(rs.cartan[i][j] for i in range(n)) for j in range(n)]
+    alpha_f = [rs.weight_coords(rs.simple_root(j)) for j in range(n)]
     seen = {lam}
     layer = [lam]
     while layer:
@@ -122,15 +110,11 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
     dominant = []
     for mu in support:
         if all(x >= 0 for x in mu):
-            rc = _root_coords_int(rs, tuple(a - b for a, b in zip(lam, mu)))
+            rc = rs.lattice_coords(tuple(a - b for a, b in zip(lam, mu)))
             dominant.append((sum(rc), mu))
     dominant.sort()
 
-    pos_data = []
-    for r in rs.positive_roots():
-        fund = tuple(int(c) for c in rs.weight_of(r).fund)
-        weighted = tuple(d[j] * r.coeffs[j] for j in range(n))
-        pos_data.append((fund, weighted))
+    pos_data = [(rs.weight_coords(r), rs.form_coords(r)) for r in rs.positive_roots()]
 
     mults = {lam: 1}
     rep_memo: dict = {}
@@ -155,7 +139,7 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
                     break
                 # (nu | alpha) in the short-normalised form
                 total += mult_at(nu) * sum(w * f for w, f in zip(weighted, nu))
-        diff_rc = _root_coords_int(rs, tuple(a - b for a, b in zip(lam, mu)))
+        diff_rc = rs.lattice_coords(tuple(a - b for a, b in zip(lam, mu)))
         shifted = tuple(a + b + 2 for a, b in zip(lam, mu))
         den = sum(d[j] * diff_rc[j] * shifted[j] for j in range(n))
         q, rem = divmod(2 * total, den)
@@ -172,14 +156,11 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
 def weyl_dim(rs: RootSystem, highest) -> int:
     """Dimension of the simple module with the given highest weight, by the
     product formula over positive roots."""
-    lam = _fund_ints(rs, highest)
-    n = rs.rank
-    d = rs.symmetrizers
-    lam_rho = tuple(x + 1 for x in lam)
+    lam_rho = tuple(x + 1 for x in _fund_ints(rs, highest))
     num = 1
     den = 1
     for r in rs.positive_roots():
-        weighted = [d[j] * r.coeffs[j] for j in range(n)]
+        weighted = rs.form_coords(r)
         num *= sum(w * f for w, f in zip(weighted, lam_rho))
         den *= sum(weighted)
     q, rem = divmod(num, den)

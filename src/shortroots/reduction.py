@@ -49,8 +49,10 @@ def _require_two_lengths(rs: RootSystem):
 
 def simple_reduction(rs: RootSystem) -> SimpleReduction:
     _require_two_lengths(rs)
-    if "simple_reduction" in rs._cache:
-        return rs._cache["simple_reduction"]
+    return rs.memo("simple_reduction", lambda: _reduce(rs))
+
+
+def _reduce(rs: RootSystem) -> SimpleReduction:
     pis = rs.short_simple_indices
     pis_set = set(pis)
     subsystem = tuple(r for r in rs.roots if set(r.support) <= pis_set)
@@ -64,7 +66,7 @@ def simple_reduction(rs: RootSystem) -> SimpleReduction:
     factor, rem = divmod(rs.coxeter_number, sub.coxeter_number)
     if rem:
         raise AssertionError("the Coxeter number ratio must be an integer")
-    red = SimpleReduction(
+    return SimpleReduction(
         short_simple_indices=pis,
         subsystem=subsystem,
         sub_spec=sub.spec,
@@ -72,8 +74,6 @@ def simple_reduction(rs: RootSystem) -> SimpleReduction:
         sub_exponents=sub.exponents,
         transition_factor=factor,
     )
-    rs._cache["simple_reduction"] = red
-    return red
 
 
 def check_coxeter_power(rs: RootSystem, ordering=None) -> bool:

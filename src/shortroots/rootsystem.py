@@ -1,10 +1,13 @@
 """Exact root systems for the simple Lie types A..G.
 
 Roots are integer coefficient vectors over the simple roots; weights are
-rational coordinate vectors over the fundamental weights.  The invariant
-inner product is normalised so that short roots have squared length 2,
-which keeps every pairing against a coroot integral.  All arithmetic is
-rational; nothing here touches floating point.
+coordinate vectors over the fundamental weights.  The invariant inner
+product is normalised so that short roots have squared length 2, which
+keeps every pairing against a coroot integral.  :class:`RootSystem` owns
+all root arithmetic and does it on integer vectors; ``Fraction`` appears
+only at the API boundary (``Weight`` coordinates, ``root_coords``,
+``coroot``, and ``inner`` or ``pairing`` with a ``Weight`` argument).
+Floats are refused, never rounded.
 
 Simple roots follow the Bourbaki numbering: the short simple root of
 type B sits at the end of the chain, those of type C at the start, those
@@ -58,7 +61,7 @@ class RootSystemSpec:
         if bounds is None:
             raise ValueError(f"unknown family {self.family!r}, expected one of A..G")
         lo, hi = bounds
-        if not isinstance(self.rank, int) or self.rank < lo or (hi is not None and self.rank > hi):
+        if type(self.rank) is not int or self.rank < lo or (hi is not None and self.rank > hi):
             raise ValueError(f"rank {self.rank} is not valid for type {self.family}")
 
     def __str__(self):
@@ -95,6 +98,12 @@ class Root:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
+def _exact(value) -> Fraction:
+    if isinstance(value, float):
+        raise TypeError(f"weights take exact coordinates, not the float {value!r}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class Weight:
     """A weight, stored by rational coordinates over the fundamental weights."""
@@ -103,7 +112,7 @@ class Weight:
 
     @staticmethod
     def of(coords) -> "Weight":
-        return Weight(tuple(Fraction(c) for c in coords))
+        return Weight(tuple(_exact(c) for c in coords))
 
     @staticmethod
     def zero(rank: int) -> "Weight":
@@ -131,7 +140,7 @@ class Weight:
         return Weight(tuple(-a for a in self.fund))
 
     def __rmul__(self, scalar) -> "Weight":
-        s = Fraction(scalar)
+        s = _exact(scalar)
         return Weight(tuple(s * a for a in self.fund))
 
     def __str__(self):
@@ -204,29 +213,37 @@ def _symmetrizers(A, nodes=None) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _invert(rows):
-    """Exact inverse of a square Fraction matrix by Gauss-Jordan."""
-    n = len(rows)
-    m = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
+def _adjugate(A):
+    """det(A) and the integer adjugate of a Cartan matrix, by fraction-free
+    Gauss-Jordan elimination.  Every leading minor is positive, so no pivot
+    is ever zero, and Sylvester's identity makes each division exact."""
+    n = len(A)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    prev = 1
+    for k in range(n):
+        piv = m[k][k]
         for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return tuple(tuple(m[i][n:]) for i in range(n))
+            if r != k:
+                f = m[r][k]
+                m[r] = [(piv * x - f * y) // prev for x, y in zip(m[r], m[k])]
+        prev = piv
+    return prev, tuple(tuple(row[n:]) for row in m)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 class RootSystem:
-    """Everything derived from one Cartan matrix.
+    """Everything derived from one Cartan matrix, and the one owner of root
+    arithmetic.
 
-    Instances are immutable after construction and safe to share between
-    threads; use :func:`build` (which caches per spec) instead of calling
-    the constructor."""
+    Per root index the constructor stores three integer values: the fundamental
+    coordinates A.c, the form vector D.c (so that (x | root) is the plain
+    dot product of x's fundamental coordinates with D.c) and the squared
+    length.  Data that only some callers need is built lazily through
+    :meth:`memo`.  Use :func:`build` (which caches per spec) instead of
+    calling the constructor."""
 
     def __init__(self, spec: RootSystemSpec):
         self.spec = spec
@@ -235,28 +252,29 @@ class RootSystem:
         A = cartan_matrix(spec)
         self.cartan = A
         self.symmetrizers = _symmetrizers(A)
-        self.bilinear = tuple(
-            tuple(self.symmetrizers[i] * A[i][j] for j in range(n)) for i in range(n)
-        )
-        self._cartan_inverse = _invert(A)
-        self._cache: dict = {}
+        self._rows = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in A)
+        self._det, self._adj = _adjugate(A)
+        self._memo: dict = {}
 
-        coeff_set = self._close_under_reflections()
-        positives = sorted((c for c in coeff_set if sum(c) > 0), key=lambda c: (sum(c), c))
-        if 2 * len(positives) != len(coeff_set):
+        fund_of = self._close_under_reflections()
+        positives = sorted((c for c in fund_of if sum(c) > 0), key=lambda c: (sum(c), c))
+        if 2 * len(positives) != len(fund_of):
             raise NotFiniteType(f"root closure of {spec} is not symmetric")
-        for c in coeff_set:
+        for c in fund_of:
             signs = {x > 0 for x in c if x}
             if len(signs) != 1:
                 raise NotFiniteType(f"mixed-sign root {c} in closure of {spec}")
 
-        def classify(c):
-            return SHORT if self._sq_from_coeffs(c) == 2 else LONG
-
-        if min(self._sq_from_coeffs(c) for c in positives) != 2:
+        d = self.symmetrizers
+        forms = [tuple(x * y for x, y in zip(d, c)) for c in positives]
+        lengths = [_dot(f, fund_of[c]) for f, c in zip(forms, positives)]
+        if min(lengths) != 2:
             raise NotFiniteType(f"normalisation failure for {spec}")
-        pos_roots = [Root(c, classify(c)) for c in positives]
+        pos_roots = [Root(c, SHORT if sq == 2 else LONG) for c, sq in zip(positives, lengths)]
         self.roots: tuple[Root, ...] = tuple(pos_roots + [-r for r in pos_roots])
+        self._ac = tuple(fund_of[r.coeffs] for r in self.roots)
+        self._dc = tuple(forms + [tuple(-x for x in f) for f in forms])
+        self._sq = tuple(lengths + lengths)
         self.num_positive = len(pos_roots)
         self.root_index = {r.coeffs: i for i, r in enumerate(self.roots)}
         self.positives = tuple(range(self.num_positive))
@@ -271,7 +289,7 @@ class RootSystem:
             raise NotFiniteType(f"highest root of {spec} is not unique")
         self.theta = pos_roots[-1]
         dominant_short = [
-            r for r in pos_roots if r.is_short and self.weight_of(r).is_dominant
+            r for i, r in enumerate(pos_roots) if r.is_short and min(self._ac[i]) >= 0
         ]
         if len(dominant_short) != 1:
             raise NotFiniteType(f"{spec} has {len(dominant_short)} dominant short roots")
@@ -294,42 +312,38 @@ class RootSystem:
 
     # -- construction pieces -------------------------------------------------
 
-    def _close_under_reflections(self):
+    def _cartan_times(self, c) -> tuple[int, ...]:
+        """A.c by the sparse rows of the Cartan matrix: the fundamental
+        coordinates of the root-lattice vector c."""
+        return tuple(sum(a * c[j] for j, a in row) for row in self._rows)
+
+    def _close_under_reflections(self) -> dict:
+        """Every root, as a map from its coefficients to A.c."""
         n = self.rank
-        A = self.cartan
         simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        seen = set(simples)
-        frontier = list(simples)
+        seen = {c: self._cartan_times(c) for c in simples}
+        frontier = simples
         while frontier:
             fresh = []
             for c in frontier:
+                p = seen[c]
                 for i in range(n):
-                    p = sum(A[i][j] * c[j] for j in range(n))
-                    img = list(c)
-                    img[i] -= p
-                    t = tuple(img)
+                    t = c[:i] + (c[i] - p[i],) + c[i + 1:]
                     if t not in seen:
-                        seen.add(t)
+                        seen[t] = self._cartan_times(t)
                         fresh.append(t)
             frontier = fresh
         return seen
 
-    def _sq_from_coeffs(self, c) -> int:
-        B = self.bilinear
-        n = self.rank
-        return sum(c[i] * B[i][j] * c[j] for i in range(n) for j in range(n))
-
     def _half_sum_of_coroots(self) -> Weight:
-        n = self.rank
-        total = [Fraction(0)] * n
+        # the sum over positive roots of A.c / (c|c), over a common denominator
+        den = max(self._sq)
+        total = [0] * self.rank
         for i in self.positives:
-            r = self.roots[i]
-            sq = self._sq_from_coeffs(r.coeffs)
-            for j, c in enumerate(r.coeffs):
-                total[j] += Fraction(c, sq)
-        return Weight(tuple(
-            sum(self.cartan[i][j] * total[j] for j in range(n)) for i in range(n)
-        ))
+            scale = den // self._sq[i]
+            for j, f in enumerate(self._ac[i]):
+                total[j] += scale * f
+        return Weight(tuple(Fraction(t, den) for t in total))
 
     @staticmethod
     def _exponents_from_heights(heights) -> tuple[int, ...]:
@@ -346,6 +360,13 @@ class RootSystem:
             out.append(m)
             level += 1
         return tuple(sorted(out))
+
+    def memo(self, key, compute):
+        """The value cached on this system under key, computed by compute()
+        on first use."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- lookups -------------------------------------------------------------
 
@@ -388,50 +409,80 @@ class RootSystem:
         """Ratio of the two squared root lengths: 1, 2 or 3."""
         if not self.is_multiply_laced:
             return 1
-        return self._sq_from_coeffs(self.roots[self.long_positives[0]].coeffs) // 2
+        return self._sq[self.long_positives[0]] // 2
 
     # -- coordinates and the invariant form -----------------------------------
 
+    def weight_coords(self, root) -> tuple[int, ...]:
+        """Fundamental coordinates A.c of a root, as integers."""
+        return self._ac[self.index(root)]
+
+    def form_coords(self, root) -> tuple[int, ...]:
+        """The integer vector D.c: (x | root) is its dot product with the
+        fundamental coordinates of x."""
+        return self._dc[self.index(root)]
+
     def weight_of(self, root: Root) -> Weight:
-        A = self.cartan
-        n = self.rank
-        c = root.coeffs
-        return Weight.of([sum(A[i][j] * c[j] for j in range(n)) for i in range(n)])
+        return Weight.of(self.weight_coords(root))
+
+    def lattice_coords(self, fund):
+        """Integer root-lattice coordinates of the weight with the given
+        integer fundamental coordinates, or None when it lies outside the
+        root lattice."""
+        out = []
+        for row in self._adj:
+            q, rem = divmod(_dot(row, fund), self._det)
+            if rem:
+                return None
+            out.append(q)
+        return tuple(out)
 
     def root_coords(self, weight: Weight) -> tuple[Fraction, ...]:
-        inv = self._cartan_inverse
-        n = self.rank
-        f = weight.fund
-        return tuple(sum(inv[i][j] * f[j] for j in range(n)) for i in range(n))
+        return tuple(Fraction(_dot(row, weight.fund), self._det) for row in self._adj)
 
-    def _as_root_coords(self, x) -> tuple[Fraction, ...]:
-        if isinstance(x, Root):
-            return tuple(Fraction(c) for c in x.coeffs)
-        return self.root_coords(x)
-
-    def inner(self, x, y) -> Fraction:
-        """W-invariant inner product; arguments may be Root or Weight."""
-        a = self._as_root_coords(x)
-        b = self._as_root_coords(y)
-        B = self.bilinear
-        n = self.rank
-        return sum(a[i] * B[i][j] * b[j] for i in range(n) for j in range(n))
+    def inner(self, x, y):
+        """W-invariant inner product of two roots or weights: an int for two
+        roots, a Fraction once a Weight is involved."""
+        if isinstance(x, Weight) and isinstance(y, Weight):
+            d = self.symmetrizers
+            return sum(c * e * f for c, e, f in zip(self.root_coords(x), d, y.fund))
+        if isinstance(x, Weight):
+            x, y = y, x
+        other = y.fund if isinstance(y, Weight) else self.weight_coords(y)
+        return _dot(self.form_coords(x), other)
 
     def coroot(self, root: Root) -> Weight:
         """The coroot 2*root/(root|root), as a Weight."""
-        coeffs = root.coeffs if isinstance(root, Root) else tuple(root)
-        if not any(coeffs):
-            raise ValueError("the zero vector has no coroot")
-        if coeffs not in self.root_index:
-            raise ValueError(f"{coeffs} is not a root of {self.spec}")
-        sq = self._sq_from_coeffs(coeffs)
-        fund = self.weight_of(self.roots[self.root_index[coeffs]]).fund
-        return Weight(tuple(Fraction(2 * f, sq) for f in fund))
+        k = self.index(root)
+        return Weight(tuple(Fraction(2 * f, self._sq[k]) for f in self._ac[k]))
 
-    def pairing(self, x, root: Root) -> Fraction:
-        """Pairing of x against the coroot of the given root."""
-        sq = self._sq_from_coeffs(root.coeffs)
-        return 2 * self.inner(x, root) / sq
+    def pairing(self, x, root: Root):
+        """Pairing of x against the coroot of the given root: an int when x
+        is a root, a Fraction when it is a Weight."""
+        k = self.index(root)
+        if isinstance(x, Weight):
+            return Fraction(2 * self.inner(x, root), self._sq[k])
+        return self._pair(self.index(x), k)
+
+    def _pair(self, a: int, b: int) -> int:
+        """The pairing of root a against the coroot of root b."""
+        q, rem = divmod(2 * _dot(self._dc[b], self._ac[a]), self._sq[b])
+        if rem:
+            raise AssertionError("coroot pairing of two roots must be integral")
+        return q
+
+    def reflection_perm(self, k: int) -> tuple[int, ...]:
+        """The permutation of root indices induced by the reflection in the
+        root with index k, built on first use."""
+        def compute():
+            beta = self.roots[k].coeffs
+            perm = []
+            for a, r in enumerate(self.roots):
+                q = self._pair(a, k)
+                perm.append(self.root_index[tuple(c - q * b for c, b in zip(r.coeffs, beta))])
+            return tuple(perm)
+
+        return self.memo(("reflection", k), compute)
 
     def fundamental_weight(self, i: int) -> Weight:
         return Weight.of([int(i == j) for j in range(self.rank)])
@@ -478,7 +529,7 @@ def build(family, rank: int | None = None) -> RootSystem:
             raise ValueError(f"cannot parse root system type {family!r}")
         spec = RootSystemSpec(s[0].upper(), int(s[1:]))
     else:
-        spec = RootSystemSpec(str(family).upper(), int(rank))
+        spec = RootSystemSpec(str(family).upper(), rank)
     return _build_cached(spec)
 
 

@@ -59,10 +59,7 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         # (w*v)(x) = w(v(x))
         p = self.perm
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
-        return WeylElement(self.rs, tuple(p[j] for j in other.perm), word)
+        return WeylElement(self.rs, tuple(p[j] for j in other.perm))
 
     def __pow__(self, k: int) -> "WeylElement":
         out = identity(self.rs)
@@ -98,22 +95,19 @@ class WeylElement:
         return Weight.of(self.act_fund(weight.fund))
 
     def _fund_matrix(self):
+        # row i: the coroot coefficients 2*D.c/(c|c) of w^-1(alpha_i)
         if self._fund_rows is None:
             rs = self.rs
-            n = rs.rank
-            cols = [self.act_root(rs.simple_root(j)).coeffs for j in range(n)]
-            A = rs.cartan
-            inv = rs._cartan_inverse
-            am = [[sum(A[i][k] * cols[j][k] for k in range(n)) for j in range(n)]
-                  for i in range(n)]
             rows = []
-            for i in range(n):
+            for i in range(rs.rank):
+                root = rs.root_at(self.perm.index(rs.index(rs.simple_root(i))))
+                sq = rs.inner(root, root)
                 row = []
-                for j in range(n):
-                    v = sum(am[i][k] * inv[k][j] for k in range(n))
-                    if v.denominator != 1:
+                for x in rs.form_coords(root):
+                    q, rem = divmod(2 * x, sq)
+                    if rem:
                         raise AssertionError("weight action matrix must be integral")
-                    row.append(int(v))
+                    row.append(q)
                 rows.append(tuple(row))
             self._fund_rows = tuple(rows)
         return self._fund_rows
@@ -147,39 +141,15 @@ def identity(rs: RootSystem) -> WeylElement:
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    A = rs.cartan
-    n = rs.rank
-    perm = []
-    for r in rs.roots:
-        c = r.coeffs
-        p = sum(A[i][j] * c[j] for j in range(n))
-        img = list(c)
-        img[i] -= p
-        perm.append(rs.root_index[tuple(img)])
-    return WeylElement(rs, tuple(perm), (i,))
+    return WeylElement(rs, rs.reflection_perm(rs.index(rs.simple_root(i))), (i,))
 
 
 def reflection(rs: RootSystem, root: Root) -> WeylElement:
     """Reflection in the hyperplane orthogonal to an arbitrary root."""
-    coeffs = root.coeffs if isinstance(root, Root) else tuple(root)
-    if coeffs not in rs.root_index:
-        raise ValueError(f"{coeffs} is not a root of {rs.spec}")
-    n = rs.rank
-    B = rs.bilinear
-    sq = rs._sq_from_coeffs(coeffs)
-    word = None
-    if sum(abs(c) for c in coeffs) == 1 and sum(coeffs) == 1:
-        word = (coeffs.index(1),)
-    perm = []
-    for r in rs.roots:
-        c = r.coeffs
-        num = 2 * sum(c[a] * B[a][b] * coeffs[b] for a in range(n) for b in range(n))
-        q, rem = divmod(num, sq)
-        if rem:
-            raise AssertionError("coroot pairing of two roots must be integral")
-        img = tuple(c[a] - q * coeffs[a] for a in range(n))
-        perm.append(rs.root_index[img])
-    return WeylElement(rs, tuple(perm), word)
+    k = rs.index(root)
+    coeffs = rs.root_at(k).coeffs
+    word = (coeffs.index(1),) if sum(coeffs) == 1 else None
+    return WeylElement(rs, rs.reflection_perm(k), word)
 
 
 def enumerate_group(rs: RootSystem, bound: int | None = None, generator_order=None):
@@ -192,9 +162,10 @@ def enumerate_group(rs: RootSystem, bound: int | None = None, generator_order=No
             f"|W({rs.spec})| = {rs.weyl_order} exceeds the enumeration bound {limit}"
         )
     order = tuple(generator_order) if generator_order is not None else tuple(range(rs.rank))
-    key = ("weyl_elements", order)
-    if key in rs._cache:
-        return rs._cache[key]
+    return rs.memo(("weyl_elements", order), lambda: _breadth_first(rs, order))
+
+
+def _breadth_first(rs: RootSystem, order):
     gens = [(i, simple_reflection(rs, i)) for i in order]
     e = identity(rs)
     found = {e.perm: e}
@@ -213,9 +184,7 @@ def enumerate_group(rs: RootSystem, bound: int | None = None, generator_order=No
         layer = fresh
     if len(out) != rs.weyl_order:
         raise AssertionError(f"enumerated {len(out)} elements, expected {rs.weyl_order}")
-    result = tuple(out)
-    rs._cache[key] = result
-    return result
+    return tuple(out)
 
 
 def coxeter_element(rs: RootSystem, ordering=None) -> WeylElement:
@@ -256,8 +225,10 @@ def long_root_base(rs: RootSystem):
     subsystem determined by the ambient positive roots."""
     if not rs.is_multiply_laced:
         raise UnsupportedRootSystem(f"{rs.spec} has a single root length")
-    if "long_base" in rs._cache:
-        return rs._cache["long_base"]
+    return rs.memo("long_base", lambda: _indecomposable_longs(rs))
+
+
+def _indecomposable_longs(rs: RootSystem):
     longs = rs.long_positive_roots()
     long_set = {r.coeffs for r in longs}
     base = []
@@ -269,8 +240,7 @@ def long_root_base(rs: RootSystem):
         )
         if not decomposable:
             base.append(r)
-    rs._cache["long_base"] = tuple(base)
-    return rs._cache["long_base"]
+    return tuple(base)
 
 
 def decompose_semidirect(rs: RootSystem, w: WeylElement):
@@ -280,11 +250,8 @@ def decompose_semidirect(rs: RootSystem, w: WeylElement):
     Works by descent: while some member of the long-root base is sent
     negative, strip one long reflection off the right."""
     base = long_root_base(rs)  # raises on simply-laced input
-    refl_key = "long_base_reflections"
-    if refl_key not in rs._cache:
-        rs._cache[refl_key] = tuple(reflection(rs, b) for b in base)
+    refls = rs.memo("long_base_reflections", lambda: tuple(reflection(rs, b) for b in base))
     base_idx = [rs.index(b) for b in base]
-    refls = rs._cache[refl_key]
     p = rs.num_positive
     v = w
     while True:

@@ -6,7 +6,10 @@ library's derived values against these, never the other way round.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
+
+from shortroots import Root
 
 # (number of positive roots, Coxeter number, dual Coxeter number, exponents)
 _SPORADIC = {
@@ -89,20 +92,14 @@ def kostant_multiplicity(rs, lam, mu):
     independent of the Freudenthal recursion."""
     from shortroots import enumerate_group
 
-    n = rs.rank
-    inv = rs._cartan_inverse
-
     def partitions(fund):
-        rc = []
-        for i in range(n):
-            v = sum(inv[i][j] * fund[j] for j in range(n))
-            if v.denominator != 1 or v < 0:
-                return 0
-            rc.append(int(v))
+        rc = rs.lattice_coords(fund)
+        if rc is None or min(rc) < 0:
+            return 0
         height = sum(rc)
         if height == 0:
             return 1
-        vectors = [tuple(int(c) for c in rs.weight_of(r).fund) for r in rs.positive_roots()]
+        vectors = [rs.weight_coords(r) for r in rs.positive_roots()]
         return sum(multiset_partition_counts(vectors, tuple(fund), height))
 
     lam_rho = tuple(int(c) + 1 for c in lam.fund)
@@ -119,3 +116,56 @@ def fraction_product(pairs):
     for num, den in pairs:
         value *= Fraction(num, den)
     return value
+
+
+# The Fraction routes that the library's integer root kernel replaced, kept
+# as oracles for it: the bilinear double sum over root coordinates, and
+# weights moved into root coordinates by the inverse Cartan matrix.
+
+
+@lru_cache(maxsize=None)
+def inverse_matrix(rows):
+    """Exact inverse of a square integer matrix (a tuple of tuples), by
+    Gauss-Jordan elimination over Fraction."""
+    n = len(rows)
+    m = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return tuple(tuple(m[i][n:]) for i in range(n))
+
+
+def oracle_root_coords(rs, x):
+    """Root coordinates of a Root (its coefficients) or of a Weight."""
+    if isinstance(x, Root):
+        return x.coeffs
+    inv = inverse_matrix(rs.cartan)
+    return tuple(sum(a * f for a, f in zip(row, x.fund)) for row in inv)
+
+
+def oracle_inner(rs, x, y):
+    """sum_ij a_i d_i A_ij b_j over the root coordinates a, b of x and y."""
+    a = oracle_root_coords(rs, x)
+    b = oracle_root_coords(rs, y)
+    A, d, n = rs.cartan, rs.symmetrizers, rs.rank
+    return sum(a[i] * d[i] * A[i][j] * b[j] for i in range(n) for j in range(n))
+
+
+def oracle_weight_action(w):
+    """Matrix of w on fundamental coordinates: A times the root coordinates
+    of the images of the simple roots, times the inverse Cartan matrix."""
+    rs = w.rs
+    A, n = rs.cartan, rs.rank
+    inv = inverse_matrix(A)
+    cols = [w.act_root(rs.simple_root(j)).coeffs for j in range(n)]
+    am = [[sum(A[i][k] * cols[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    return tuple(
+        tuple(sum(am[i][k] * inv[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )

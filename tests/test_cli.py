@@ -9,7 +9,7 @@ import pytest
 
 import shortroots.checks as checks
 from shortroots.cli import main, parse_system
-from shortroots.config import ENV_MAX_WEYL
+from shortroots.config import ENV_MAX_DEGREE, ENV_MAX_WEYL
 
 
 def run(capsys, *argv):
@@ -68,6 +68,18 @@ def test_verify_skips_oversized_exhaustive_checks(capsys):
     assert code == 0  # a skip is not a failure
     assert "SKIP semidirect-product" in out
     assert "46080" in out
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [(ENV_MAX_WEYL, ["verify", "G2"]), (ENV_MAX_DEGREE, ["nullcone-char", "G2"])],
+)
+def test_bad_env_override_names_the_variable(capsys, monkeypatch, name, argv):
+    monkeypatch.setenv(name, "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert name in err and "'abc'" in err
 
 
 def test_verify_respects_env_cap(capsys, monkeypatch):

@@ -1,10 +1,19 @@
 """Root system construction against classical tables and hand-built
 epsilon-coordinate models."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from helpers import B3_POSITIVES, C3_POSITIVES, G2_POSITIVES, classical
+from helpers import (
+    B3_POSITIVES,
+    C3_POSITIVES,
+    G2_POSITIVES,
+    classical,
+    oracle_inner,
+    oracle_root_coords,
+)
 
 from shortroots import (
     NotFiniteType,
@@ -158,7 +167,7 @@ def test_dual_coxeter_of_dual_values():
 @pytest.mark.parametrize(
     "family,rank",
     [("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("F", 5),
-     ("G", 1), ("G", 3), ("Z", 2), ("A", 0)],
+     ("G", 1), ("G", 3), ("Z", 2), ("A", 0), ("A", True)],
 )
 def test_spec_validation(family, rank):
     with pytest.raises(ValueError):
@@ -252,3 +261,68 @@ def test_dominant_representative():
     # regular orbits keep the parity of the conjugating word
     w = rs.dominant_representative(tuple(int(c) for c in rs.rho.fund))
     assert w == ((1, 1), 1)
+
+
+KERNEL_SYSTEMS = (
+    [f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(2, 6)]
+    + [f"C{n}" for n in range(2, 6)] + ["D4", "D5", "E6", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", KERNEL_SYSTEMS)
+def test_integer_kernel_matches_fraction_oracle(name):
+    rs = build(name)
+    sq = {y: oracle_inner(rs, y, y) for y in rs.roots}
+    for x in rs.roots:
+        for y in rs.roots:
+            v = oracle_inner(rs, x, y)
+            assert rs.inner(x, y) == v
+            assert rs.pairing(x, y) == Fraction(2 * v, sq[y])
+    weights = [rs.rho, rs.sigma] + [rs.fundamental_weight(i) for i in range(rs.rank)]
+    for lam in weights:
+        assert rs.root_coords(lam) == oracle_root_coords(rs, lam)
+        for mu in weights:
+            assert rs.inner(lam, mu) == oracle_inner(rs, lam, mu)
+        for r in rs.roots:
+            v = oracle_inner(rs, lam, r)
+            assert rs.inner(lam, r) == rs.inner(r, lam) == v
+            assert rs.pairing(lam, r) == Fraction(2 * v, sq[r])
+
+
+@pytest.mark.parametrize("name", KERNEL_SYSTEMS)
+def test_lattice_coords(name):
+    rs = build(name)
+    for r in rs.roots:
+        assert rs.lattice_coords(rs.weight_coords(r)) == r.coeffs
+    for i in range(rs.rank):
+        coords = oracle_root_coords(rs, rs.fundamental_weight(i))
+        integral = all(c.denominator == 1 for c in coords)
+        got = rs.lattice_coords(rs.fundamental_weight(i).fund)
+        assert got == (coords if integral else None)
+
+
+def test_weight_rejects_floats():
+    with pytest.raises(TypeError):
+        Weight.of([0.1])
+    with pytest.raises(TypeError):
+        0.5 * Weight.of([1, 2])
+
+
+def test_build_rejects_non_integral_rank():
+    with pytest.raises(ValueError):
+        build("C", 3.5)
+
+
+def test_no_module_reaches_into_root_system_privates():
+    repo = Path(__file__).resolve().parents[1]
+    files = [p for p in sorted((repo / "src" / "shortroots").glob("*.py"))
+             if p.name != "rootsystem.py"]
+    files += sorted((repo / "tests").glob("*.py"))
+    private = re.compile(r"\brs\._\w+")
+    hits = [
+        f"{p.name}:{n}: {m.group()}"
+        for p in files
+        for n, line in enumerate(p.read_text().splitlines(), 1)
+        for m in private.finditer(line)
+    ]
+    assert hits == []

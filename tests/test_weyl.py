@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from helpers import oracle_weight_action
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -222,6 +223,19 @@ def test_weight_action_matches_root_action():
     w = coxeter_element(rs, (2, 0, 3, 1))
     for r in rs.positive_roots()[: 8]:
         assert w.act_weight(rs.weight_of(r)) == rs.weight_of(w.act_root(r))
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2"]
+)
+def test_weight_action_matches_fraction_oracle(name):
+    rs = build(name)
+    n = rs.rank
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for w in enumerate_group(rs):
+        columns = [w.act_fund(e) for e in unit]
+        matrix = tuple(tuple(col[i] for col in columns) for i in range(n))
+        assert matrix == oracle_weight_action(w)
 
 
 @settings(max_examples=60, deadline=None)
