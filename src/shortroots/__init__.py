@@ -11,7 +11,12 @@ from .antichains import (
     short_root_poset,
 )
 from .config import Limits, current_limits
-from .errors import NotFiniteType, SizeLimitExceeded, UnsupportedRootSystem
+from .errors import (
+    IdentityViolation,
+    NotFiniteType,
+    SizeLimitExceeded,
+    UnsupportedRootSystem,
+)
 from .gradedchar import (
     GradedCharacter,
     HilbertReport,

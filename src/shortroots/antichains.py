@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import current_limits
-from .errors import SizeLimitExceeded, UnsupportedRootSystem
+from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
 from .rootsystem import RootSystem
 
 __all__ = [
@@ -98,7 +98,7 @@ def count_antichains_formula(rs: RootSystem) -> int:
     for m in rs.exponents[:l]:
         value *= Fraction(h + m + 1, m + 1)
     if value.denominator != 1:
-        raise AssertionError("antichain product formula must be an integer")
+        raise IdentityViolation("antichain product formula must be an integer")
     return int(value)
 
 
@@ -116,7 +116,7 @@ def count_antichains_formula_alt(rs: RootSystem) -> int:
     for m in rs.exponents:
         value *= Fraction(g + m + 1, m + 1)
     if value.denominator != 1:
-        raise AssertionError("antichain product formula must be an integer")
+        raise IdentityViolation("antichain product formula must be an integer")
     return int(value)
 
 

@@ -1,9 +1,10 @@
 """Batch command line interface.
 
 Subcommands: info, verify, table1, antichains, nullcone-char.  All accept
---json; exit codes are 0 (all good), 1 (a verification check failed) and
-2 (usage or validation error).  Output is ASCII and byte-identical
-across runs; timings are opt-in because they would break that.
+--json; exit codes are 0 (all good), 1 (a verification check or a
+library self-check failed) and 2 (usage or validation error).  Output
+is ASCII and byte-identical across runs; timings are opt-in because
+they would break that.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from fractions import Fraction
 from . import checks
 from .antichains import antichain_report
 from .config import current_limits
-from .errors import NotFiniteType, SizeLimitExceeded, UnsupportedRootSystem
+from .errors import (
+    IdentityViolation,
+    NotFiniteType,
+    SizeLimitExceeded,
+    UnsupportedRootSystem,
+)
 from .gradedchar import QPoly, hilbert_check
 from .littleadjoint import little_adjoint_dims
 from .reduction import dimension_ledger, simple_reduction, summary_row
@@ -225,7 +231,7 @@ def cmd_nullcone_char(args) -> int:
     rs = parse_system(args.system)
     limits = current_limits()
     degree = args.max_degree if args.max_degree is not None else limits.max_series_degree
-    report = hilbert_check(rs, degree, limits.max_weyl_order)
+    report = hilbert_check(rs, degree)
     entries = [
         {"weight": [int(c) for c in w.fund], "multiplicity": jsonable(report.character.entries[w])}
         for w in report.character.weights()
@@ -238,6 +244,7 @@ def cmd_nullcone_char(args) -> int:
         "hilbert_ok": report.ok,
         "first_mismatch": report.first_mismatch,
         "dimension_series": [report.dimension_series.coeff(k) for k in range(degree + 1)],
+        **report.character.work,
     }
     lines = [f"graded nullcone character of {rs.spec} up to degree {degree}"]
     for w in report.character.weights():
@@ -301,6 +308,9 @@ def main(argv=None) -> int:
     except SizeLimitExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
+    except IdentityViolation as exc:
+        print(f"fail: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -1,6 +1,10 @@
 """Size caps for the exhaustive parts of the library.
 
-All caps live here.  Two of them can be overridden from the environment:
+All caps live here: the Weyl group order, the q-partition DP work
+(inner-loop updates while the nullcone character tables build), the
+subgroup closure size and the antichain poset size, plus the default
+truncation degree of graded characters.  Two of them can be overridden
+from the environment:
 
     SHORTROOTS_MAX_W        largest Weyl group order enumerated exhaustively
     SHORTROOTS_MAX_DEGREE   default truncation degree for graded characters
@@ -17,7 +21,7 @@ ENV_MAX_DEGREE = "SHORTROOTS_MAX_DEGREE"
 class Limits:
     max_weyl_order: int = 1152      # exhaustive Weyl group work refuses beyond this
     max_series_degree: int = 8      # default graded-character truncation
-    max_character_rank: int = 4     # nullcone characters refuse above this rank
+    max_character_work: int = 300_000  # q-partition DP updates per table build
     max_closure_size: int = 10 ** 6  # subgroup closure refusal bound
     max_poset_size: int = 64        # antichain brute force refusal bound
 

@@ -14,3 +14,11 @@ class SizeLimitExceeded(RuntimeError):
     """An exhaustive computation refused to run past its configured bound.
 
     This is a refusal, never a silent truncation."""
+
+
+class IdentityViolation(AssertionError):
+    """An internal self-check found two routes to the same identity in
+    disagreement.
+
+    ``verify`` reports it as a failed check; it subclasses AssertionError
+    so that callers expecting the old exception type still catch it."""

@@ -1,20 +1,23 @@
 """Graded characters of the nullcone of the short-dominant module.
 
 A q-analogue partition function counts multiset expressions of a weight
-as sums of short positive roots, graded by multiset size; an alternating
-Weyl sum turns it into graded multiplicities, and the full truncated
-character must reproduce the Hilbert series of a complete intersection
-cut out by the basic invariants.  Every polynomial carries an explicit
-truncation degree; mixing truncations takes the minimum.
+as sums of short positive roots, graded by multiset size.  One
+straightening pass over its tables gives the whole graded character; an
+alternating Weyl sum gives single graded multiplicities as a second,
+independent route.  The full truncated character must reproduce the
+Hilbert series of a complete intersection cut out by the basic
+invariants.  Every polynomial carries an explicit truncation degree;
+mixing truncations takes the minimum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .config import current_limits
-from .errors import SizeLimitExceeded, UnsupportedRootSystem
+from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
 from .littleadjoint import weyl_dim
 from .reduction import invariant_degrees
 from .rootsystem import RootSystem, Weight
@@ -127,26 +130,47 @@ def _subset_roots(rs: RootSystem, roots: str):
     raise ValueError("roots must be 'short' or 'all'")
 
 
-def _dp_tables(rs: RootSystem, roots: str, degree: int):
+def _dp_build(rs: RootSystem, roots: str, degree: int):
     """Multiset-count tables T[k][v]: the number of k-element multisets of
     the chosen positive roots summing to the weight v (fundamental
-    coordinates).  Built once per system and extended on demand."""
-    cached = rs.memo(("qdp", roots), lambda: [-1, None])
+    coordinates), with updates[k], the DP inner-loop updates level k took.
+
+    Memoised per system for the deepest degree built so far; a request
+    for a deeper degree builds both again from degree 0.  Level k's
+    updates do not depend on the degree built, so sum(updates[1:d + 1])
+    is the work of degree d whatever the cache holds.  Refuses before a
+    build would pass ``Limits.max_character_work`` updates."""
+    cached = rs.memo(("qdp", roots), lambda: [-1, None, None])
     if cached[0] >= degree:
-        return cached[1]
+        return cached[1], cached[2]
+    cap = current_limits().max_character_work
     vectors = sorted(rs.weight_coords(r) for r in _subset_roots(rs, roots))
     zero = (0,) * rs.rank
     tables = [dict() for _ in range(degree + 1)]
     tables[0][zero] = 1
+    updates = [0] * (degree + 1)
+    done = 0
     for vec in vectors:
         for k in range(1, degree + 1):
             prev = tables[k - 1]
+            done += len(prev)
+            if done > cap:
+                raise SizeLimitExceeded(
+                    f"the q-partition tables of {rs.spec} to degree {degree} need more "
+                    f"than the cap of {cap} DP updates (max_character_work)"
+                )
+            updates[k] += len(prev)
             cur = tables[k]
             for v, count in prev.items():
-                key = tuple(a + b for a, b in zip(v, vec))
+                key = tuple(map(add, v, vec))
                 cur[key] = cur.get(key, 0) + count
-    cached[:] = [degree, tables]
-    return tables
+    cached[:] = [degree, tables, updates]
+    return tables, updates
+
+
+def _dp_tables(rs: RootSystem, roots: str, degree: int):
+    """The multiset-count tables of :func:`_dp_build`, without the work."""
+    return _dp_build(rs, roots, degree)[0]
 
 
 def q_partition(rs: RootSystem, target, max_degree: int, roots: str = "short") -> QPoly:
@@ -212,10 +236,11 @@ class GradedCharacter:
     """Truncated graded character: dominant weights mapped to graded
     multiplicity polynomials, zero polynomials omitted."""
 
-    def __init__(self, rs: RootSystem, entries: dict, truncation: int):
+    def __init__(self, rs: RootSystem, entries: dict, truncation: int, work=None):
         self.rs = rs
         self.entries = entries
         self.truncation = truncation
+        self.work = work or {}
 
     def multiplicity(self, weight) -> QPoly:
         key = weight if isinstance(weight, Weight) else Weight.of(weight)
@@ -237,42 +262,37 @@ class GradedCharacter:
         return len(self.entries)
 
 
-def nullcone_character(rs: RootSystem, max_degree: int,
-                       bound: int | None = None) -> GradedCharacter:
+def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     """Graded character of the nullcone coordinate ring, truncated at the
     given degree.
 
-    Candidate highest weights are the strictly dominant conjugates of
-    (partition support + rho) shifted back by rho; this catches every
-    weight any Weyl summand can contribute to."""
-    limits = current_limits()
+    Kostant's multiplicity formula read backwards, in one pass over the
+    q-partition tables: a point v of degree k is straightened to the
+    dominant conjugate of v + rho, and sign * count is added at degree k
+    of that conjugate minus rho.  A point with v + rho singular adds
+    nothing, and weights whose sums cancel to zero are omitted.  No Weyl
+    group is enumerated; the work is capped by the DP tables.
+    ``work`` records the DP updates and the distinct dominant weights
+    reached (before cancellation)."""
     if not rs.is_multiply_laced:
         raise UnsupportedRootSystem(f"{rs.spec} has a single root length")
-    if rs.rank > limits.max_character_rank:
-        raise SizeLimitExceeded(
-            f"nullcone characters are capped at rank {limits.max_character_rank}, "
-            f"{rs.spec} has rank {rs.rank}"
-        )
-    tables = _dp_tables(rs, "short", max_degree)
-    ones = (1,) * rs.rank
-    candidates = set()
+    tables, updates = _dp_build(rs, "short", max_degree)
+    acc: dict[tuple, list] = {}
     for k in range(max_degree + 1):
-        for v in tables[k]:
-            shifted = tuple(a + b for a, b in zip(v, ones))
-            dom, sign = rs.dominant_representative(shifted)
-            if sign == 0:
-                continue
-            candidates.add(tuple(a - b for a, b in zip(dom, ones)))
-    zero = Weight.zero(rs.rank)
+        for v, count in tables[k].items():
+            dom, sign = rs.dominant_representative(tuple(a + 1 for a in v))
+            if sign:
+                lam = tuple(a - 1 for a in dom)
+                acc.setdefault(lam, [0] * (max_degree + 1))[k] += sign * count
     entries = {}
-    for fund in sorted(candidates):
-        lam = Weight.of(fund)
-        poly = graded_multiplicity(rs, lam, zero, max_degree, bound)
+    for lam in sorted(acc):
+        poly = QPoly(dict(enumerate(acc[lam])), max_degree)
         if not poly.is_zero:
-            entries[lam] = poly
-    if entries.get(zero) != QPoly.one(max_degree):
-        raise AssertionError("the trivial entry of the nullcone character must be 1")
-    return GradedCharacter(rs, entries, max_degree)
+            entries[Weight.of(lam)] = poly
+    if entries.get(Weight.zero(rs.rank)) != QPoly.one(max_degree):
+        raise IdentityViolation("the trivial entry of the nullcone character must be 1")
+    work = {"dp_updates": sum(updates[1:max_degree + 1]), "dominant_points": len(acc)}
+    return GradedCharacter(rs, entries, max_degree, work)
 
 
 @dataclass(frozen=True)
@@ -300,13 +320,12 @@ def complete_intersection_series(ambient_dim: int, degrees, max_degree: int) -> 
     return numerator * series
 
 
-def hilbert_check(rs: RootSystem, max_degree: int,
-                  bound: int | None = None) -> HilbertReport:
+def hilbert_check(rs: RootSystem, max_degree: int) -> HilbertReport:
     """Compare the dimension series of the nullcone character with the
     complete intersection Hilbert series determined by the basic invariant
     degrees.  The module dimension enters by weight count, independent of
     the character computation."""
-    char = nullcone_character(rs, max_degree, bound)
+    char = nullcone_character(rs, max_degree)
     total = QPoly.zero(max_degree)
     for w, poly in char.entries.items():
         total = total + weyl_dim(rs, w) * poly

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedRootSystem
+from .errors import IdentityViolation, UnsupportedRootSystem
 from .rootsystem import Root, RootSystem, Weight
 
 __all__ = [
@@ -144,7 +144,7 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
         den = sum(d[j] * diff_rc[j] * shifted[j] for j in range(n))
         q, rem = divmod(2 * total, den)
         if rem or q <= 0:
-            raise AssertionError("Freudenthal recursion produced a non-multiplicity")
+            raise IdentityViolation("Freudenthal recursion produced a non-multiplicity")
         mults[mu] = q
 
     entries = {}
@@ -165,7 +165,7 @@ def weyl_dim(rs: RootSystem, highest) -> int:
         den *= sum(weighted)
     q, rem = divmod(num, den)
     if rem:
-        raise AssertionError("Weyl dimension must be an integer")
+        raise IdentityViolation("Weyl dimension must be an integer")
     return q
 
 
@@ -189,9 +189,9 @@ def little_adjoint_dims(rs: RootSystem) -> LittleAdjointDims:
     short_count = 2 * len(rs.short_positives)
     dim = ws.dimension
     if dim != weyl_dim(rs, rs.weight_of(rs.theta_short)):
-        raise AssertionError("multiplicity sum disagrees with the dimension formula")
+        raise IdentityViolation("multiplicity sum disagrees with the dimension formula")
     if dim != short_count + zero_mult:
-        raise AssertionError("weight count disagrees with the dimension")
+        raise IdentityViolation("weight count disagrees with the dimension")
     return LittleAdjointDims(dim=dim, zero_mult=zero_mult, short_count=short_count)
 
 
@@ -224,7 +224,7 @@ def delta_partition(rs: RootSystem, mu: Root) -> DeltaPartition:
             (np_ if v > 0 else nn).append(r)
     part = DeltaPartition(tuple(pp), tuple(pn), tuple(np_), tuple(nn))
     if len(part.pos_pos) != len(part.neg_neg) or len(part.pos_neg) != len(part.neg_pos):
-        raise AssertionError("sign partition lost its negation symmetry")
+        raise IdentityViolation("sign partition lost its negation symmetry")
     return part
 
 
@@ -238,5 +238,5 @@ def hw_orbit_dim(rs: RootSystem) -> int:
     count = sum(1 for r in rs.positive_roots() if rs.inner(r, theta_s) > 0)
     dim = 1 + count
     if dim != 2 * theta_s.height:
-        raise AssertionError("orbit dimension disagrees with twice the height")
+        raise IdentityViolation("orbit dimension disagrees with twice the height")
     return dim

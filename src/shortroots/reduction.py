@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedRootSystem
+from .errors import IdentityViolation, UnsupportedRootSystem
 from .littleadjoint import little_adjoint_dims
 from .rootsystem import Root, RootSystem, RootSystemSpec, build, classify_cartan
 from .weyl import coxeter_element, is_in_long_subgroup
@@ -59,13 +59,13 @@ def _reduce(rs: RootSystem) -> SimpleReduction:
     submatrix = [[rs.cartan[i][j] for j in pis] for i in pis]
     components = classify_cartan(submatrix)
     if len(components) != 1:
-        raise AssertionError("short simple roots must form a connected diagram")
+        raise IdentityViolation("short simple roots must form a connected diagram")
     sub = build(components[0])
     if len(subsystem) != sub.rank * sub.coxeter_number:
-        raise AssertionError("subsystem root count disagrees with its type")
+        raise IdentityViolation("subsystem root count disagrees with its type")
     factor, rem = divmod(rs.coxeter_number, sub.coxeter_number)
     if rem:
-        raise AssertionError("the Coxeter number ratio must be an integer")
+        raise IdentityViolation("the Coxeter number ratio must be an integer")
     return SimpleReduction(
         short_simple_indices=pis,
         subsystem=subsystem,
@@ -102,7 +102,7 @@ def transition_identities(rs: RootSystem) -> TransitionIdentities:
         height_gap=rs.theta.height - rs.theta_short.height + 1,
     )
     if not (t.factor == t.coxeter_gap == t.height_gap):
-        raise AssertionError(f"transition identities disagree: {t}")
+        raise IdentityViolation(f"transition identities disagree: {t}")
     return t
 
 
@@ -160,12 +160,12 @@ def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
     for g in classes:
         inside = [r for r in g if r.coeffs in sub_pos]
         if len(inside) != 1:
-            raise AssertionError(
+            raise IdentityViolation(
                 f"class {g} holds {len(inside)} subsystem representatives"
             )
         reps.append(inside[0])
     if len(classes) != len(sub_pos):
-        raise AssertionError("class count disagrees with the subsystem positives")
+        raise IdentityViolation("class count disagrees with the subsystem positives")
     return HyperplaneClasses(classes=classes, representatives=tuple(reps))
 
 
@@ -229,14 +229,14 @@ def dimension_ledger(rs: RootSystem) -> DimensionLedger:
     k = dims.zero_mult
     module_null = dims.dim - k
     if module_null != rs.coxeter_number * len(rs.short_simple_indices):
-        raise AssertionError("module nullcone dimension disagrees with h * #shorts")
+        raise IdentityViolation("module nullcone dimension disagrees with h * #shorts")
     reduction_dim = len(red.short_simple_indices) + len(red.subsystem)
     if reduction_dim != (red.sub_coxeter_number + 1) * len(red.short_simple_indices):
-        raise AssertionError("reduction dimension disagrees with (h_s+1) * #shorts")
+        raise IdentityViolation("reduction dimension disagrees with (h_s+1) * #shorts")
     reduction_null = reduction_dim - len(red.short_simple_indices)
     ratio, rem = divmod(module_null, reduction_null)
     if rem or ratio != red.transition_factor:
-        raise AssertionError("nullcone dimension ratio disagrees with the factor")
+        raise IdentityViolation("nullcone dimension ratio disagrees with the factor")
     return DimensionLedger(
         module_dim=dims.dim,
         module_nullcone_dim=module_null,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotFiniteType
+from .errors import IdentityViolation, NotFiniteType
 
 __all__ = [
     "RootSystemSpec",
@@ -253,6 +253,9 @@ class RootSystem:
         self.cartan = A
         self.symmetrizers = _symmetrizers(A)
         self._rows = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in A)
+        self._cols = tuple(
+            tuple((j, A[j][i]) for j in range(n) if A[j][i]) for i in range(n)
+        )
         self._det, self._adj = _adjugate(A)
         self._memo: dict = {}
 
@@ -468,7 +471,7 @@ class RootSystem:
         """The pairing of root a against the coroot of root b."""
         q, rem = divmod(2 * _dot(self._dc[b], self._ac[a]), self._sq[b])
         if rem:
-            raise AssertionError("coroot pairing of two roots must be integral")
+            raise IdentityViolation("coroot pairing of two roots must be integral")
         return q
 
     def reflection_perm(self, k: int) -> tuple[int, ...]:
@@ -495,19 +498,21 @@ class RootSystem:
         Returns (coords, sign) where sign is the determinant (-1)^steps of
         the conjugating element, or 0 when the weight is singular (fixed by
         some reflection).  Accepts and returns plain tuples."""
-        A = self.cartan
+        cols = self._cols
         n = self.rank
         v = list(fund)
         sign = 1
-        while True:
-            i = next((k for k in range(n) if v[k] < 0), None)
-            if i is None:
-                break
+        i = 0
+        while i < n:   # reflect in the first simple root with a negative coordinate
             c = v[i]
-            for j in range(n):
-                v[j] -= c * A[j][i]
-            sign = -sign
-        if any(x == 0 for x in v):
+            if c < 0:
+                for j, a in cols[i]:
+                    v[j] -= c * a
+                sign = -sign
+                i = 0
+            else:
+                i += 1
+        if 0 in v:
             sign = 0
         return tuple(v), sign
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import current_limits
-from .errors import SizeLimitExceeded, UnsupportedRootSystem
+from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
 from .rootsystem import Root, RootSystem, Weight
 
 __all__ = [
@@ -106,7 +106,7 @@ class WeylElement:
                 for x in rs.form_coords(root):
                     q, rem = divmod(2 * x, sq)
                     if rem:
-                        raise AssertionError("weight action matrix must be integral")
+                        raise IdentityViolation("weight action matrix must be integral")
                     row.append(q)
                 rows.append(tuple(row))
             self._fund_rows = tuple(rows)
@@ -183,7 +183,7 @@ def _breadth_first(rs: RootSystem, order):
                     out.append(elem)
         layer = fresh
     if len(out) != rs.weyl_order:
-        raise AssertionError(f"enumerated {len(out)} elements, expected {rs.weyl_order}")
+        raise IdentityViolation(f"enumerated {len(out)} elements, expected {rs.weyl_order}")
     return tuple(out)
 
 

@@ -111,6 +111,22 @@ def kostant_multiplicity(rs, lam, mu):
     return total
 
 
+def nullcone_candidates(rs, tables, degree):
+    """Every dominant weight an alternating-sum summand can reach from the
+    q-partition tables: the dominant conjugates of (table point + rho)
+    that are not singular, shifted back by rho, in sorted order."""
+    ones = (1,) * rs.rank
+    candidates = set()
+    for k in range(degree + 1):
+        for v in tables[k]:
+            shifted = tuple(a + b for a, b in zip(v, ones))
+            dom, sign = rs.dominant_representative(shifted)
+            if sign == 0:
+                continue
+            candidates.add(tuple(a - b for a, b in zip(dom, ones)))
+    return sorted(candidates)
+
+
 def fraction_product(pairs):
     value = Fraction(1)
     for num, den in pairs:

@@ -162,9 +162,68 @@ def test_nullcone_char_command(capsys):
 
 
 def test_nullcone_char_refuses_large_rank(capsys):
-    code, _, err = run(capsys, "nullcone-char", "B5", "--max-degree", "2")
+    code, _, err = run(capsys, "nullcone-char", "C7", "--max-degree", "6")
     assert code == 2
-    assert "refused" in err
+    assert err.startswith("refused:")
+    assert "300000 DP updates" in err
+
+
+def test_nullcone_char_reports_work_counters(capsys):
+    code, out, _ = run(capsys, "nullcone-char", "C5", "--max-degree", "6", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["hilbert_ok"] is True
+    assert payload["dp_updates"] == 48831
+    assert payload["dominant_points"] >= len(payload["entries"])
+
+
+def test_nullcone_char_reports_a_failed_self_check(capsys, monkeypatch):
+    import shortroots.gradedchar as gc
+    from shortroots.errors import IdentityViolation
+
+    def violated(rs, degree):
+        raise IdentityViolation("doctored self-check")
+
+    monkeypatch.setattr(gc, "nullcone_character", violated)
+    code, out, err = run(capsys, "nullcone-char", "G2", "--max-degree", "2")
+    assert code == 1
+    assert err == "fail: doctored self-check\n"
+    assert out == ""
+
+
+def test_verify_reports_a_failed_self_check(capsys, monkeypatch):
+    import shortroots.littleadjoint as la
+
+    monkeypatch.setattr(la, "weyl_dim", lambda rs, highest: 0)
+    code, out, _ = run(capsys, "verify", "G2", "--check", "little-adjoint-dims")
+    assert code == 1
+    assert "FAIL little-adjoint-dims" in out
+    assert "multiplicity sum disagrees with the dimension formula" in out
+
+
+@pytest.mark.parametrize("name", ["B6", "C6"])
+def test_verify_runs_nullcone_hilbert_past_the_weyl_cap(capsys, name):
+    code, out, _ = run(capsys, "verify", name, "--check", "nullcone-hilbert", "--json")
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "pass"
+    assert "exceeds the bound 1152" in check["details"]["alternating_sum_skipped"]
+    assert "trivial_multiplicity_is_one" not in check["details"]
+    assert check["details"]["dp_updates"] > 0
+
+
+def test_verify_keeps_the_alternating_sum_under_the_weyl_cap(capsys):
+    code, out, _ = run(capsys, "verify", "C3", "--check", "nullcone-hilbert", "--json")
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["details"]["trivial_multiplicity_is_one"] is True
+    assert "alternating_sum_skipped" not in check["details"]
+
+
+def test_no_library_self_check_raises_a_bare_assertion_error():
+    src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
+    bare = [p.name for p in src.glob("*.py") if "raise AssertionError" in p.read_text()]
+    assert bare == []
 
 
 def test_readme_catalog_matches_check_registry():

@@ -4,13 +4,15 @@ character against its Hilbert series."""
 import math
 
 import pytest
-from helpers import multiset_partition_counts
+from helpers import multiset_partition_counts, nullcone_candidates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shortroots.gradedchar as gc
 from shortroots import (
+    Limits,
     QPoly,
+    RootSystem,
     SizeLimitExceeded,
     UnsupportedRootSystem,
     Weight,
@@ -177,8 +179,52 @@ def test_nullcone_character_b2_kills_the_quadratic_invariant():
 def test_nullcone_character_rejects_out_of_scope_systems():
     with pytest.raises(UnsupportedRootSystem):
         nullcone_character(build("A2"), 2)
-    with pytest.raises(SizeLimitExceeded):
-        nullcone_character(build("B5"), 2)
+    with pytest.raises(SizeLimitExceeded, match="C7 to degree 6.*300000"):
+        nullcone_character(build("C7"), 6)
+    assert nullcone_character(build("B5"), 2).multiplicity(Weight.zero(5)) == QPoly.one(2)
+
+
+def test_character_work_cap_counts_dp_updates():
+    assert Limits().max_character_work == 300_000
+    assert len(Limits.__dataclass_fields__) == 5
+    # the counter is a function of (system, degree), not of what is cached
+    rs = build("C3")
+    deep = nullcone_character(rs, 6).work
+    shallow = nullcone_character(rs, 4).work
+    fresh = nullcone_character(RootSystem(rs.spec), 4).work
+    assert shallow == fresh
+    assert deep["dp_updates"] > shallow["dp_updates"] > 0
+    assert nullcone_character(build("F4"), 8).work == {
+        "dp_updates": 27704, "dominant_points": 80,
+    }
+
+
+def test_character_path_enumerates_no_weyl_group(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the character path must not enumerate the Weyl group")
+
+    monkeypatch.setattr(gc, "enumerate_group", refuse)
+    monkeypatch.setattr(gc, "graded_multiplicity", refuse)
+    assert len(nullcone_character(build("F4"), 6)) > 0
+    assert hilbert_check(build("C5"), 4).ok
+
+
+_DIFFERENTIAL_SYSTEMS = ["B2", "B3", "C3", "G2", "B4", "C4", "F4"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(_DIFFERENTIAL_SYSTEMS), st.integers(0, 5))
+def test_straightening_agrees_with_alternating_sum(name, degree):
+    rs = build(name)
+    char = nullcone_character(rs, degree)
+    zero = Weight.zero(rs.rank)
+    for lam, poly in char.entries.items():
+        assert graded_multiplicity(rs, lam, zero, degree) == poly, (name, lam)
+    tables = gc._dp_tables(rs, "short", degree)
+    for fund in nullcone_candidates(rs, tables, degree):
+        lam = Weight.of(fund)
+        if lam not in char.entries:
+            assert graded_multiplicity(rs, lam, zero, degree).is_zero, (name, lam)
 
 
 def test_character_agrees_with_orbit_accumulation():
