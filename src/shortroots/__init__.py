@@ -66,7 +66,6 @@ from .rootsystem import (
     dual_coxeter_of_dual,
 )
 from .weyl import (
-    Subgroup,
     WeylElement,
     closure,
     coxeter_element,

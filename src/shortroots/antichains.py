@@ -58,13 +58,13 @@ def short_root_poset(rs: RootSystem) -> RootPoset:
     return RootPoset(elements, leq)
 
 
-def count_antichains(poset: RootPoset, bound: int | None = None) -> int:
+def count_antichains(poset: RootPoset) -> int:
     """Exact number of antichains (the empty one included), by depth-first
-    enumeration with pruning on comparability."""
-    limit = bound if bound is not None else current_limits().max_poset_size
+    enumeration with pruning on comparability.  Each node visited is one
+    antichain; the search refuses once it would visit more than
+    ``Limits.max_antichain_work`` nodes."""
+    cap = current_limits().max_antichain_work
     n = len(poset)
-    if n > limit:
-        raise SizeLimitExceeded(f"poset has {n} elements, brute force bound is {limit}")
     # incomp[i]: bitmask of j > i incomparable to i
     incomp = []
     for i in range(n):
@@ -74,17 +74,22 @@ def count_antichains(poset: RootPoset, bound: int | None = None) -> int:
                 mask |= 1 << j
         incomp.append(mask)
 
-    def rec(avail: int) -> int:
-        total = 1  # the antichain chosen so far
-        m = avail
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
-            total += rec(avail & incomp[j] & ~(low - 1) & ~low)
-        return total
-
-    return rec((1 << n) - 1)
+    # a node is an antichain, given by the mask of elements that may extend it
+    visited = 0
+    stack = [(1 << n) - 1]
+    while stack:
+        avail = stack.pop()
+        visited += 1
+        if visited > cap:
+            raise SizeLimitExceeded(
+                f"a poset of {n} elements has more than the cap of {cap} "
+                f"antichains to visit (max_antichain_work)"
+            )
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            stack.append(avail & incomp[low.bit_length() - 1])
+    return visited
 
 
 def count_antichains_formula(rs: RootSystem) -> int:
@@ -125,7 +130,6 @@ class AntichainReport:
     brute_force_count: int
     formula_count: int
     alt_formula_count: int | None
-    antichains: tuple | None = None
 
     @property
     def consistent(self) -> bool:
@@ -134,26 +138,9 @@ class AntichainReport:
         return self.alt_formula_count in (None, self.formula_count)
 
 
-def antichain_report(rs: RootSystem, include_sets: bool = False) -> AntichainReport:
-    poset = short_root_poset(rs)
-    brute = count_antichains(poset)
+def antichain_report(rs: RootSystem) -> AntichainReport:
+    brute = count_antichains(short_root_poset(rs))
     formula = count_antichains_formula(rs)
     alt = count_antichains_formula_alt(rs) if rs.length_ratio == 2 else None
-    sets = None
-    if include_sets:
-        sets = tuple(_all_antichains(poset))
-    return AntichainReport(brute, formula, alt, sets)
+    return AntichainReport(brute, formula, alt)
 
-
-def _all_antichains(poset: RootPoset):
-    n = len(poset)
-    out = [()]
-    stack = [((), 0)]
-    while stack:
-        chosen, start = stack.pop()
-        for j in range(start, n):
-            if all(not poset.comparable(i, j) for i in chosen):
-                nxt = chosen + (j,)
-                out.append(nxt)
-                stack.append((nxt, j + 1))
-    return [tuple(poset.elements[i] for i in ac) for ac in out]

@@ -16,7 +16,7 @@ from . import gradedchar as gc
 from . import littleadjoint as la
 from . import reduction as red
 from . import weyl
-from .config import Limits
+from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
 from .rootsystem import RootSystem, dual_coxeter_of_dual
 
@@ -47,7 +47,7 @@ def _fail(details, **values):
     return "fail", details
 
 
-def _check_root_counts(rs: RootSystem, limits: Limits):
+def _check_root_counts(rs: RootSystem):
     n = rs.rank
     details = {
         "roots": len(rs.roots),
@@ -66,10 +66,10 @@ def _check_root_counts(rs: RootSystem, limits: Limits):
     return ("pass" if ok else "fail"), details
 
 
-def _check_semidirect(rs: RootSystem, limits: Limits):
-    group = weyl.enumerate_group(rs, limits.max_weyl_order)
-    w_l = weyl.closure(rs, weyl.long_subgroup(rs).generators, limits.max_closure_size)
-    w_s = weyl.closure(rs, weyl.short_parabolic(rs).generators, limits.max_closure_size)
+def _check_semidirect(rs: RootSystem):
+    group = weyl.enumerate_group(rs)
+    w_l = weyl.closure(rs, weyl.long_subgroup(rs))
+    w_s = weyl.closure(rs, weyl.short_parabolic(rs))
     details = {
         "weyl_order": len(group),
         "long_subgroup_order": len(w_l),
@@ -109,7 +109,7 @@ def _check_semidirect(rs: RootSystem, limits: Limits):
     return "pass", details
 
 
-def _check_little_adjoint_dims(rs: RootSystem, limits: Limits):
+def _check_little_adjoint_dims(rs: RootSystem):
     dims = la.little_adjoint_dims(rs)
     h = rs.coxeter_number
     k = len(rs.short_simple_indices)
@@ -129,13 +129,11 @@ def _check_little_adjoint_dims(rs: RootSystem, limits: Limits):
     return ("pass" if ok else "fail"), details
 
 
-def _check_sign_partition(rs: RootSystem, limits: Limits):
+def _check_sign_partition(rs: RootSystem):
     ht = rs.theta_short.height
     details = {"short_dominant_height": ht}
     for mu in rs.roots:
-        part = la.delta_partition(rs, mu)
-        if len(part.pos_pos) + len(part.pos_neg) != len(part.pos_pos) + len(part.neg_pos):
-            return _fail(details, root=list(mu.coeffs))
+        la.delta_partition(rs, mu)  # raises IdentityViolation unless balanced
     theta_part = la.delta_partition(rs, rs.theta_short)
     details["short_dominant_negative_part"] = len(theta_part.pos_neg)
     if theta_part.pos_neg:
@@ -153,7 +151,7 @@ def _check_sign_partition(rs: RootSystem, limits: Limits):
     return "pass", details
 
 
-def _check_hw_orbit_dim(rs: RootSystem, limits: Limits):
+def _check_hw_orbit_dim(rs: RootSystem):
     dim = la.hw_orbit_dim(rs)
     details = {
         "orbit_dim": dim,
@@ -164,7 +162,7 @@ def _check_hw_orbit_dim(rs: RootSystem, limits: Limits):
     return ("pass" if ok else "fail"), details
 
 
-def _check_dual_coxeter_dual(rs: RootSystem, limits: Limits):
+def _check_dual_coxeter_dual(rs: RootSystem):
     value = dual_coxeter_of_dual(rs)
     details = {"value": value, "one_plus_short_dominant_height": 1 + rs.theta_short.height}
     ok = value == details["one_plus_short_dominant_height"]
@@ -174,7 +172,7 @@ def _check_dual_coxeter_dual(rs: RootSystem, limits: Limits):
     return ("pass" if ok else "fail"), details
 
 
-def _check_coxeter_orbits(rs: RootSystem, limits: Limits):
+def _check_coxeter_orbits(rs: RootSystem):
     h = rs.coxeter_number
     shorts = len(rs.short_simple_indices) or rs.rank
     orderings = _orderings(rs)
@@ -192,7 +190,7 @@ def _check_coxeter_orbits(rs: RootSystem, limits: Limits):
     return "pass", details
 
 
-def _check_coxeter_power(rs: RootSystem, limits: Limits):
+def _check_coxeter_power(rs: RootSystem):
     reduction = red.simple_reduction(rs)
     orderings = _orderings(rs)
     details = {
@@ -208,7 +206,7 @@ def _check_coxeter_power(rs: RootSystem, limits: Limits):
     return "pass", details
 
 
-def _check_transition_gap(rs: RootSystem, limits: Limits):
+def _check_transition_gap(rs: RootSystem):
     t = red.transition_identities(rs)
     details = {
         "factor": t.factor,
@@ -219,7 +217,7 @@ def _check_transition_gap(rs: RootSystem, limits: Limits):
     return ("pass" if ok else "fail"), details
 
 
-def _check_dimension_ledger(rs: RootSystem, limits: Limits):
+def _check_dimension_ledger(rs: RootSystem):
     ledger = red.dimension_ledger(rs)
     details = {
         "module_dim": ledger.module_dim,
@@ -236,7 +234,7 @@ def _check_dimension_ledger(rs: RootSystem, limits: Limits):
     return ("pass" if ok else "fail"), details
 
 
-def _check_hyperplane_classes(rs: RootSystem, limits: Limits):
+def _check_hyperplane_classes(rs: RootSystem):
     classes = red.hyperplane_classes(rs)
     reduction = red.simple_reduction(rs)
     sub_pos = sum(1 for r in reduction.subsystem if r.is_positive)
@@ -249,7 +247,7 @@ def _check_hyperplane_classes(rs: RootSystem, limits: Limits):
     return ("pass" if ok else "fail"), details
 
 
-def _check_one_step(rs: RootSystem, limits: Limits):
+def _check_one_step(rs: RootSystem):
     strings = red.one_step_strings(rs)
     details = {"roots_outside_subsystem": len(strings)}
     empty = [g for g, e in strings.items() if not e.pairs]
@@ -269,7 +267,7 @@ _REGISTRY_SUB = {"B": lambda n: "A1", "C": lambda n: f"A{n - 1}", "F": lambda n:
 _REGISTRY_HS = {"B": lambda n: 2, "C": lambda n: n, "F": lambda n: 3, "G": lambda n: 2}
 
 
-def _check_table_row(rs: RootSystem, limits: Limits):
+def _check_table_row(rs: RootSystem):
     row = red.summary_row(rs)
     f, n = rs.spec.family, rs.rank
     expected_orbits = red.partition_count(n) if f == "C" else {"B": 2, "F": 3, "G": 2}[f]
@@ -292,9 +290,9 @@ def _check_table_row(rs: RootSystem, limits: Limits):
     return ("pass" if computed == expected else "fail"), details
 
 
-def _check_antichains(rs: RootSystem, limits: Limits):
+def _check_antichains(rs: RootSystem):
     poset = ac.short_root_poset(rs)
-    brute = ac.count_antichains(poset, limits.max_poset_size)
+    brute = ac.count_antichains(poset)
     formula = ac.count_antichains_formula(rs)
     details = {"brute_force": brute, "formula": formula, "poset_size": len(poset)}
     if rs.length_ratio == 2:
@@ -304,8 +302,8 @@ def _check_antichains(rs: RootSystem, limits: Limits):
     return ("pass" if brute == formula else "fail"), details
 
 
-def _check_nullcone_hilbert(rs: RootSystem, limits: Limits):
-    degree = min(limits.max_series_degree, 4 if rs.rank >= 4 else 8)
+def _check_nullcone_hilbert(rs: RootSystem):
+    degree = min(current_limits().max_series_degree, 4 if rs.rank >= 4 else 8)
     report = gc.hilbert_check(rs, degree)
     details = {
         "degree": degree,
@@ -319,15 +317,12 @@ def _check_nullcone_hilbert(rs: RootSystem, limits: Limits):
         ],
         **report.character.work,
     }
-    # second route to the trivial entry, where the Weyl group is small enough
-    if rs.weyl_order > limits.max_weyl_order:
-        details["alternating_sum_skipped"] = (
-            f"|W({rs.spec})| = {rs.weyl_order} exceeds the bound {limits.max_weyl_order}"
-        )
+    # second route to the trivial entry, where the Weyl group is within its cap
+    try:
+        trivial = gc.graded_multiplicity(rs, [0] * rs.rank, [0] * rs.rank, degree)
+    except SizeLimitExceeded as exc:
+        details["alternating_sum_skipped"] = str(exc)
         return ("pass" if report.ok else "fail"), details
-    trivial = gc.graded_multiplicity(
-        rs, [0] * rs.rank, [0] * rs.rank, degree, limits.max_weyl_order
-    )
     details["trivial_multiplicity_is_one"] = trivial == gc.QPoly.one(degree)
     ok = report.ok and details["trivial_multiplicity_is_one"]
     return ("pass" if ok else "fail"), details
@@ -433,7 +428,7 @@ def check_summaries():
     return {cid: _CHECKS[cid][0] for cid in CHECK_IDS}
 
 
-def run_check(check_id: str, rs: RootSystem, limits: Limits):
+def run_check(check_id: str, rs: RootSystem):
     """Run one check; returns (status, details).  A library self-check
     that fails inside the runner becomes a "fail" with its message."""
     if check_id not in _CHECKS:
@@ -442,7 +437,7 @@ def run_check(check_id: str, rs: RootSystem, limits: Limits):
     if needs_two_lengths and not rs.is_multiply_laced:
         return "skipped", {"reason": f"{rs.spec} has a single root length"}
     try:
-        return runner(rs, limits)
+        return runner(rs)
     except SizeLimitExceeded as exc:
         return "skipped", {"reason": str(exc)}
     except UnsupportedRootSystem as exc:
@@ -451,7 +446,7 @@ def run_check(check_id: str, rs: RootSystem, limits: Limits):
         return "fail", {"violation": str(exc)}
 
 
-def run_all(rs: RootSystem, limits: Limits, only=None):
+def run_all(rs: RootSystem, only=None):
     """Run the catalog (or the given subset) against one system, in id
     order.  Unknown ids raise KeyError."""
     ids = CHECK_IDS if only is None else tuple(only)
@@ -460,6 +455,6 @@ def run_all(rs: RootSystem, limits: Limits, only=None):
             raise KeyError(cid)
     results = []
     for cid in ids:
-        status, details = run_check(cid, rs, limits)
+        status, details = run_check(cid, rs)
         results.append({"id": cid, "status": status, "details": details})
     return results

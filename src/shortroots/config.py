@@ -2,9 +2,11 @@
 
 All caps live here: the Weyl group order, the q-partition DP work
 (inner-loop updates while the nullcone character tables build), the
-subgroup closure size and the antichain poset size, plus the default
-truncation degree of graded characters.  Two of them can be overridden
-from the environment:
+subgroup closure size and the antichain counting work (depth-first
+nodes visited, one per antichain), plus the default truncation degree
+of graded characters.  Each engine reads its own cap from
+``current_limits()`` where the work happens; no call site passes one.
+Two of them can be overridden from the environment:
 
     SHORTROOTS_MAX_W        largest Weyl group order enumerated exhaustively
     SHORTROOTS_MAX_DEGREE   default truncation degree for graded characters
@@ -23,7 +25,7 @@ class Limits:
     max_series_degree: int = 8      # default graded-character truncation
     max_character_work: int = 300_000  # q-partition DP updates per table build
     max_closure_size: int = 10 ** 6  # subgroup closure refusal bound
-    max_poset_size: int = 64        # antichain brute force refusal bound
+    max_antichain_work: int = 500_000  # antichains visited by the brute-force count
 
 
 def current_limits() -> Limits:

@@ -168,11 +168,6 @@ def _dp_build(rs: RootSystem, roots: str, degree: int):
     return tables, updates
 
 
-def _dp_tables(rs: RootSystem, roots: str, degree: int):
-    """The multiset-count tables of :func:`_dp_build`, without the work."""
-    return _dp_build(rs, roots, degree)[0]
-
-
 def q_partition(rs: RootSystem, target, max_degree: int, roots: str = "short") -> QPoly:
     """Generating polynomial of the multiset expressions of a weight as sums
     of positive roots from the chosen subset, graded by multiset size."""
@@ -186,42 +181,39 @@ def q_partition(rs: RootSystem, target, max_degree: int, roots: str = "short") -
         fund = rs.weight_coords(target)
     else:
         fund = tuple(int(c) for c in target)
-    tables = _dp_tables(rs, roots, max_degree)
+    tables = _dp_build(rs, roots, max_degree)[0]
     return QPoly({k: tables[k].get(fund, 0) for k in range(max_degree + 1)}, max_degree)
 
 
-def _signed_matrices(rs: RootSystem, bound: int | None):
+def _signed_matrices(rs: RootSystem):
     """All Weyl group elements as (sign, integer matrix on fundamental
-    coordinates), cached on the system."""
+    coordinates), cached on the system.  Refuses as enumerate_group does,
+    on every call."""
+    group = enumerate_group(rs)
     return rs.memo(
-        "signed_matrices",
-        lambda: tuple((w.sign(), w._fund_matrix()) for w in enumerate_group(rs, bound)),
+        "signed_matrices", lambda: tuple((w.sign(), w._fund_matrix()) for w in group)
     )
 
 
-def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int,
-                        bound: int | None = None) -> QPoly:
+def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     """Alternating Weyl sum of the q-partition function: the graded
     multiplicity polynomial of the simple module with highest weight lam
     inside the coordinate ring slice selected by mu.
 
-    Refuses if the Weyl group order exceeds the enumeration bound."""
+    Refuses, before any DP work, if the Weyl group order exceeds
+    ``Limits.max_weyl_order``."""
     lam = lam if isinstance(lam, Weight) else Weight.of(lam)
     mu = mu if isinstance(mu, Weight) else Weight.of(mu)
     for w in (lam, mu):
         if not (w.is_dominant and w.is_integral):
             raise ValueError(f"{w} is not dominant integral")
-    limit = bound if bound is not None else current_limits().max_weyl_order
-    if rs.weyl_order > limit:
-        raise SizeLimitExceeded(
-            f"|W({rs.spec})| = {rs.weyl_order} exceeds the bound {limit}"
-        )
-    tables = _dp_tables(rs, "short", max_degree)
+    signed = _signed_matrices(rs)
+    tables = _dp_build(rs, "short", max_degree)[0]
     n = rs.rank
     lam_rho = tuple(int(c) + 1 for c in lam.fund)
     mu_rho = tuple(int(c) + 1 for c in mu.fund)
     acc = [0] * (max_degree + 1)
-    for sign, rows in _signed_matrices(rs, limit):
+    for sign, rows in signed:
         img = tuple(sum(rows[i][j] * lam_rho[j] for j in range(n)) for i in range(n))
         v = tuple(a - b for a, b in zip(img, mu_rho))
         # a miss in the table is exactly the outside-the-cone short circuit

@@ -9,8 +9,6 @@ long-root subsystem; nothing is materialised unless a test asks for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
 from .rootsystem import Root, RootSystem, Weight
@@ -26,7 +24,6 @@ __all__ = [
     "long_root_base",
     "decompose_semidirect",
     "is_in_long_subgroup",
-    "Subgroup",
     "closure",
     "long_subgroup",
     "short_parabolic",
@@ -152,21 +149,21 @@ def reflection(rs: RootSystem, root: Root) -> WeylElement:
     return WeylElement(rs, rs.reflection_perm(k), word)
 
 
-def enumerate_group(rs: RootSystem, bound: int | None = None, generator_order=None):
+def enumerate_group(rs: RootSystem):
     """All Weyl group elements, each with one reduced word, in breadth-first
-    order.  Refuses (SizeLimitExceeded) when the known order exceeds the
-    bound; never truncates silently."""
-    limit = bound if bound is not None else current_limits().max_weyl_order
-    if rs.weyl_order > limit:
+    order.  Refuses (SizeLimitExceeded) when the known order exceeds
+    ``Limits.max_weyl_order``; never truncates silently.  This is the one
+    place the Weyl-order cap is enforced."""
+    cap = current_limits().max_weyl_order
+    if rs.weyl_order > cap:
         raise SizeLimitExceeded(
-            f"|W({rs.spec})| = {rs.weyl_order} exceeds the enumeration bound {limit}"
+            f"|W({rs.spec})| = {rs.weyl_order} exceeds the bound {cap} (max_weyl_order)"
         )
-    order = tuple(generator_order) if generator_order is not None else tuple(range(rs.rank))
-    return rs.memo(("weyl_elements", order), lambda: _breadth_first(rs, order))
+    return rs.memo("weyl_elements", lambda: _breadth_first(rs))
 
 
-def _breadth_first(rs: RootSystem, order):
-    gens = [(i, simple_reflection(rs, i)) for i in order]
+def _breadth_first(rs: RootSystem):
+    gens = [(i, simple_reflection(rs, i)) for i in range(rs.rank)]
     e = identity(rs)
     found = {e.perm: e}
     layer = [e]
@@ -269,19 +266,13 @@ def is_in_long_subgroup(rs: RootSystem, w: WeylElement) -> bool:
     return ws.is_identity
 
 
-# -- subgroups (mostly used as test oracles) ------------------------------------
+# -- subgroups, materialised as the independent route of the catalog -----------
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    tag: str
-    generators: tuple[WeylElement, ...]
-
-
-def closure(rs: RootSystem, generators, bound: int | None = None) -> frozenset:
+def closure(rs: RootSystem, generators) -> frozenset:
     """Materialise the subgroup generated by the given elements, refusing
-    past the configured size bound."""
-    limit = bound if bound is not None else current_limits().max_closure_size
+    past ``Limits.max_closure_size`` elements."""
+    cap = current_limits().max_closure_size
     gens = tuple(generators)
     e = identity(rs)
     found = {e.perm: e}
@@ -292,9 +283,9 @@ def closure(rs: RootSystem, generators, bound: int | None = None) -> frozenset:
             for g in gens:
                 perm = tuple(w.perm[j] for j in g.perm)
                 if perm not in found:
-                    if len(found) >= limit:
+                    if len(found) >= cap:
                         raise SizeLimitExceeded(
-                            f"subgroup closure exceeded the bound {limit}"
+                            f"subgroup closure exceeded the bound {cap} (max_closure_size)"
                         )
                     elem = WeylElement(rs, perm)
                     found[perm] = elem
@@ -303,16 +294,15 @@ def closure(rs: RootSystem, generators, bound: int | None = None) -> frozenset:
     return frozenset(found.values())
 
 
-def long_subgroup(rs: RootSystem) -> Subgroup:
-    """The normal subgroup generated by reflections in long roots, presented
-    by reflections in the long-root base."""
-    return Subgroup("W_l", tuple(reflection(rs, b) for b in long_root_base(rs)))
+def long_subgroup(rs: RootSystem) -> tuple[WeylElement, ...]:
+    """Generators of the normal subgroup generated by reflections in long
+    roots: the reflections in the long-root base."""
+    return tuple(reflection(rs, b) for b in long_root_base(rs))
 
 
-def short_parabolic(rs: RootSystem) -> Subgroup:
-    """The parabolic subgroup generated by the short simple reflections."""
+def short_parabolic(rs: RootSystem) -> tuple[WeylElement, ...]:
+    """Generators of the parabolic subgroup of the short simple roots: their
+    simple reflections."""
     if not rs.is_multiply_laced:
         raise UnsupportedRootSystem(f"{rs.spec} has a single root length")
-    return Subgroup(
-        "W(Pi_s)", tuple(simple_reflection(rs, i) for i in rs.short_simple_indices)
-    )
+    return tuple(simple_reflection(rs, i) for i in rs.short_simple_indices)

@@ -127,6 +127,22 @@ def nullcone_candidates(rs, tables, degree):
     return sorted(candidates)
 
 
+def all_antichains(poset):
+    """Every antichain of the poset (the empty one included), as tuples of
+    its elements, listed one by one."""
+    n = len(poset)
+    out = [()]
+    stack = [((), 0)]
+    while stack:
+        chosen, start = stack.pop()
+        for j in range(start, n):
+            if all(not poset.comparable(i, j) for i in chosen):
+                nxt = chosen + (j,)
+                out.append(nxt)
+                stack.append((nxt, j + 1))
+    return [tuple(poset.elements[i] for i in ac) for ac in out]
+
+
 def fraction_product(pairs):
     value = Fraction(1)
     for num, den in pairs:

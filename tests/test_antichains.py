@@ -1,8 +1,11 @@
 """Antichain counting: brute force versus the closed product formulas."""
 
 import pytest
+from helpers import all_antichains
 
+import shortroots.antichains as antichains_module
 from shortroots import (
+    Limits,
     RootPoset,
     SizeLimitExceeded,
     UnsupportedRootSystem,
@@ -41,11 +44,17 @@ def test_disjoint_union_multiplies_counts():
         assert count_antichains(union(p, q)) == (p + 1) * (q + 1)
 
 
-def test_brute_force_refuses_large_posets():
+def test_brute_force_refuses_large_posets(monkeypatch):
+    # the cap counts antichains visited, not elements: a long chain is cheap
+    assert count_antichains(chain(70)) == 71
+    with pytest.raises(SizeLimitExceeded, match="20 elements.*500000.*max_antichain_work"):
+        count_antichains(antichain_poset(20))   # 2**20 antichains
     with pytest.raises(SizeLimitExceeded):
-        count_antichains(chain(70))
+        count_antichains(antichain_poset(1100))   # deeper than the recursion limit
+    monkeypatch.setattr(antichains_module, "current_limits",
+                        lambda: Limits(max_antichain_work=4))
     with pytest.raises(SizeLimitExceeded):
-        count_antichains(chain(5), bound=4)
+        count_antichains(chain(5))
 
 
 def test_short_poset_shapes():
@@ -100,11 +109,13 @@ def test_alt_formula_rejects_other_ratios():
 
 
 def test_report_and_explicit_antichains():
-    report = antichain_report(build("G2"), include_sets=True)
+    rs = build("G2")
+    report = antichain_report(rs)
     assert report.consistent
     assert report.brute_force_count == 4
-    assert len(report.antichains) == 4
-    sizes = sorted(len(a) for a in report.antichains)
+    sets = all_antichains(short_root_poset(rs))
+    assert len(sets) == 4
+    sizes = sorted(len(a) for a in sets)
     assert sizes == [0, 1, 1, 1]  # the empty set plus each element of a 3-chain
     report_c3 = antichain_report(build("C3"))
     assert report_c3.consistent and report_c3.alt_formula_count == 10

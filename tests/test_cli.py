@@ -72,7 +72,11 @@ def test_verify_skips_oversized_exhaustive_checks(capsys):
 
 @pytest.mark.parametrize(
     "name,argv",
-    [(ENV_MAX_WEYL, ["verify", "G2"]), (ENV_MAX_DEGREE, ["nullcone-char", "G2"])],
+    [
+        (ENV_MAX_WEYL, ["verify", "G2"]),
+        (ENV_MAX_DEGREE, ["nullcone-char", "G2"]),
+        (ENV_MAX_DEGREE, ["info", "G2"]),
+    ],
 )
 def test_bad_env_override_names_the_variable(capsys, monkeypatch, name, argv):
     monkeypatch.setenv(name, "abc")
@@ -98,7 +102,7 @@ def test_verify_unknown_check_id(capsys):
 
 
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
-    def broken(rs, limits):
+    def broken(rs):
         return "fail", {"expected": 1, "computed": 2}
 
     monkeypatch.setitem(checks._CHECKS, "root-counts",
@@ -148,6 +152,22 @@ def test_antichains_command(capsys):
     code, out, _ = run(capsys, "antichains", "G2")
     assert code == 0
     assert "brute force  4" in out
+
+
+def test_antichains_counts_c9_by_brute_force(capsys):
+    code, out, _ = run(capsys, "antichains", "C9", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["brute_force"] == payload["formula"] == 24310
+    assert payload["consistent"] is True
+
+
+def test_antichains_refuses_past_the_work_cap(capsys):
+    code, out, err = run(capsys, "antichains", "C12")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("refused:")
+    assert "max_antichain_work" in err
 
 
 def test_nullcone_char_command(capsys):
@@ -224,6 +244,28 @@ def test_no_library_self_check_raises_a_bare_assertion_error():
     src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
     bare = [p.name for p in src.glob("*.py") if "raise AssertionError" in p.read_text()]
     assert bare == []
+
+
+def test_caps_are_read_by_the_engines_not_passed_in():
+    import inspect
+
+    import shortroots
+
+    public = [getattr(mod, name) for mod in (shortroots, checks)
+              for name in dir(mod) if not name.startswith("_")]
+    public += [runner for _, _, runner in checks._CHECKS.values()]
+    knobs = []
+    for obj in public:
+        if callable(obj):
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):
+                continue
+            knobs += [f"{obj.__name__}({p})" for p in params if p in ("bound", "limits")]
+    assert knobs == []
+    src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
+    refusals = sum(p.read_text().count("|W({rs.spec})|") for p in src.glob("*.py"))
+    assert refusals == 1
 
 
 def test_readme_catalog_matches_check_registry():

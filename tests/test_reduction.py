@@ -172,7 +172,7 @@ def test_invariant_degrees_multiply_to_parabolic_order():
     for name in ["C3", "C4", "F4", "B3", "G2"]:
         rs = build(name)
         degrees = invariant_degrees(rs)
-        parabolic = closure(rs, short_parabolic(rs).generators)
+        parabolic = closure(rs, short_parabolic(rs))
         product = 1
         for dd in degrees:
             product *= dd

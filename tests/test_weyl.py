@@ -7,7 +7,9 @@ from helpers import oracle_weight_action
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shortroots.weyl as weyl_module
 from shortroots import (
+    Limits,
     SizeLimitExceeded,
     build,
     closure,
@@ -141,8 +143,8 @@ def test_decompose_rejects_simply_laced():
 def test_decompose_exhaustively(name):
     rs = build(name)
     group = enumerate_group(rs)
-    w_l = closure(rs, long_subgroup(rs).generators)
-    w_s = closure(rs, short_parabolic(rs).generators)
+    w_l = closure(rs, long_subgroup(rs))
+    w_s = closure(rs, short_parabolic(rs))
     assert len(w_s) * len(w_l) == len(group)
     assert len(w_l & w_s) == 1
     pairs = set()
@@ -160,7 +162,7 @@ def test_decompose_exhaustively(name):
 def test_long_subgroup_is_normal_in_small_groups():
     for name in ["G2", "B3"]:
         rs = build(name)
-        w_l = closure(rs, long_subgroup(rs).generators)
+        w_l = closure(rs, long_subgroup(rs))
         for i in range(rs.rank):
             g = simple_reflection(rs, i)
             gi = g.inverse()
@@ -171,7 +173,7 @@ def test_long_subgroup_is_normal_in_small_groups():
 def test_stability_characterises_the_short_parabolic():
     rs = build("B3")
     group = enumerate_group(rs)
-    w_s = closure(rs, short_parabolic(rs).generators)
+    w_s = closure(rs, short_parabolic(rs))
     p = rs.num_positive
     long_pos = [rs.index(r) for r in rs.long_positive_roots()]
     stable = {w for w in group if all(w.perm[i] < p for i in long_pos)}
@@ -186,9 +188,9 @@ def test_membership_in_long_subgroup():
 
 def test_decompose_sampled_large_rank():
     rs = build("B5")
-    w_l = closure(rs, long_subgroup(rs).generators)   # type D5, order 1920
+    w_l = closure(rs, long_subgroup(rs))   # type D5, order 1920
     assert len(w_l) == 1920
-    w_s = closure(rs, short_parabolic(rs).generators)
+    w_s = closure(rs, short_parabolic(rs))
     assert len(w_s) == 2
     rng = random.Random(20120523)
     p = rs.num_positive
@@ -203,11 +205,12 @@ def test_decompose_sampled_large_rank():
         assert all(ws.perm[i] < p for i in long_pos)
 
 
-def test_closure_refuses_past_the_bound():
+def test_closure_refuses_past_the_bound(monkeypatch):
     rs = build("B3")
     gens = [simple_reflection(rs, i) for i in range(3)]
-    with pytest.raises(SizeLimitExceeded):
-        closure(rs, gens, bound=10)
+    monkeypatch.setattr(weyl_module, "current_limits", lambda: Limits(max_closure_size=10))
+    with pytest.raises(SizeLimitExceeded, match="max_closure_size"):
+        closure(rs, gens)
 
 
 def test_inverse_and_identity():
