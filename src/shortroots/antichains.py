@@ -38,9 +38,6 @@ class RootPoset:
     def __len__(self):
         return len(self.elements)
 
-    def leq(self, i: int, j: int) -> bool:
-        return self.leq_matrix[i][j]
-
     def comparable(self, i: int, j: int) -> bool:
         return self.leq_matrix[i][j] or self.leq_matrix[j][i]
 
@@ -48,8 +45,7 @@ class RootPoset:
 def short_root_poset(rs: RootSystem) -> RootPoset:
     """Short positive roots ordered by componentwise comparison of the
     simple-root coefficients."""
-    if not rs.is_multiply_laced:
-        raise UnsupportedRootSystem(f"{rs.spec} has a single root length")
+    rs.require_two_lengths()
     elements = sorted(rs.short_positive_roots(), key=lambda r: (r.height, r.coeffs))
 
     def leq(a, b):
@@ -95,8 +91,7 @@ def count_antichains(poset: RootPoset) -> int:
 def count_antichains_formula(rs: RootSystem) -> int:
     """Product formula over the smallest exponents, one per short simple
     root.  The result is always an integer."""
-    if not rs.is_multiply_laced:
-        raise UnsupportedRootSystem(f"{rs.spec} has a single root length")
+    rs.require_two_lengths()
     h = rs.coxeter_number
     l = len(rs.short_simple_indices)
     value = Fraction(1)

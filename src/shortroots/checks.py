@@ -3,8 +3,8 @@ stable check id and runnable against any system.
 
 Each runner returns (status, details) with status one of "pass", "fail"
 or "skipped"; failures carry both computed values (or the violated
-self-check), skips carry the reason.  The README lists the same ids; a
-test keeps the two in sync.
+self-check), skips carry the reason.  The README catalog describes each
+id; a test keeps the two in sync.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
 from .rootsystem import RootSystem, dual_coxeter_of_dual
 
-__all__ = ["CHECK_IDS", "run_check", "run_all", "check_summaries"]
+__all__ = ["CHECK_IDS", "run_check", "run_all"]
 
 _ORDER_SAMPLE = 200
 _ORDER_SEED = 20120523
@@ -329,130 +329,57 @@ def _check_nullcone_hilbert(rs: RootSystem):
 
 
 _CHECKS = {
-    "root-counts": (
-        "root count equals rank times Coxeter number; short roots count h per "
-        "short simple root; exponents sum to the number of positive roots",
-        False,
-        _check_root_counts,
-    ),
-    "semidirect-product": (
-        "the long-reflection subgroup is normal, meets the short parabolic "
-        "trivially, and every element factors uniquely as (parabolic) * (long)",
-        True,
-        _check_semidirect,
-    ),
-    "little-adjoint-dims": (
-        "zero weight multiplicity equals the number of short simple roots and "
-        "the module dimension is (h+1) times that, by three independent routes",
-        True,
-        _check_little_adjoint_dims,
-    ),
-    "sign-partition": (
-        "for each root, the positive/negative split of non-orthogonal roots is "
-        "balanced; for short simple roots the counts are ht and ht-1",
-        True,
-        _check_sign_partition,
-    ),
-    "hw-orbit-dim": (
-        "the highest weight orbit closure has dimension twice the height of "
-        "the short dominant root",
-        True,
-        _check_hw_orbit_dim,
-    ),
-    "dual-coxeter-dual": (
-        "the dual system's dual Coxeter number is one plus the height of the "
-        "short dominant root",
-        False,
-        _check_dual_coxeter_dual,
-    ),
-    "coxeter-orbits": (
-        "every Coxeter element orbit on the roots has size h and the number "
-        "of short orbits equals the number of short simple roots",
-        False,
-        _check_coxeter_orbits,
-    ),
-    "coxeter-power": (
-        "the h_s-th power of every tested Coxeter element lies in the "
-        "long-reflection subgroup, and h_s divides h",
-        True,
-        _check_coxeter_power,
-    ),
-    "transition-gap": (
-        "h/h_s equals h minus the short dominant height and the height gap "
-        "plus one",
-        True,
-        _check_transition_gap,
-    ),
-    "dimension-ledger": (
-        "module and reduction dimensions, their nullcone counterparts, and "
-        "the transition-factor ratio between them",
-        True,
-        _check_dimension_ledger,
-    ),
-    "hyperplane-classes": (
-        "short positive roots fall into kernel classes counted by the "
-        "subsystem positives, one canonical representative each",
-        True,
-        _check_hyperplane_classes,
-    ),
-    "one-step-strings": (
-        "every short positive root outside the subsystem reaches it by a "
-        "single long-root step, with one target class up to sign",
-        True,
-        _check_one_step,
-    ),
-    "table-row": (
-        "dimension, Coxeter data, reduction type and orbit count reproduce "
-        "the registry row for the family",
-        True,
-        _check_table_row,
-    ),
-    "antichain-count": (
-        "brute-force antichain counts in the short positive root poset match "
-        "the exponent product formula (and its double-laced variant)",
-        True,
-        _check_antichains,
-    ),
-    "nullcone-hilbert": (
-        "the dimension series of the graded nullcone character equals the "
-        "complete intersection Hilbert series of the basic invariant degrees",
-        True,
-        _check_nullcone_hilbert,
-    ),
+    "root-counts": _check_root_counts,
+    "semidirect-product": _check_semidirect,
+    "little-adjoint-dims": _check_little_adjoint_dims,
+    "sign-partition": _check_sign_partition,
+    "hw-orbit-dim": _check_hw_orbit_dim,
+    "dual-coxeter-dual": _check_dual_coxeter_dual,
+    "coxeter-orbits": _check_coxeter_orbits,
+    "coxeter-power": _check_coxeter_power,
+    "transition-gap": _check_transition_gap,
+    "dimension-ledger": _check_dimension_ledger,
+    "hyperplane-classes": _check_hyperplane_classes,
+    "one-step-strings": _check_one_step,
+    "table-row": _check_table_row,
+    "antichain-count": _check_antichains,
+    "nullcone-hilbert": _check_nullcone_hilbert,
 }
 
+# the checks that also run on single-length systems; every other one needs two
+# root lengths and is skipped with the reason require_two_lengths() gives
+_ANY_LENGTHS = frozenset({"root-counts", "dual-coxeter-dual", "coxeter-orbits"})
+
 CHECK_IDS = tuple(sorted(_CHECKS))
-
-
-def check_summaries():
-    return {cid: _CHECKS[cid][0] for cid in CHECK_IDS}
 
 
 def run_check(check_id: str, rs: RootSystem):
     """Run one check; returns (status, details).  A library self-check
     that fails inside the runner becomes a "fail" with its message."""
-    if check_id not in _CHECKS:
-        raise KeyError(check_id)
-    _, needs_two_lengths, runner = _CHECKS[check_id]
-    if needs_two_lengths and not rs.is_multiply_laced:
-        return "skipped", {"reason": f"{rs.spec} has a single root length"}
+    runner = _CHECKS[check_id]
     try:
+        if check_id not in _ANY_LENGTHS:
+            rs.require_two_lengths()
         return runner(rs)
-    except SizeLimitExceeded as exc:
-        return "skipped", {"reason": str(exc)}
-    except UnsupportedRootSystem as exc:
+    except (SizeLimitExceeded, UnsupportedRootSystem) as exc:
         return "skipped", {"reason": str(exc)}
     except IdentityViolation as exc:
         return "fail", {"violation": str(exc)}
 
 
 def run_all(rs: RootSystem, only=None):
-    """Run the catalog (or the given subset) against one system, in id
-    order.  Unknown ids raise KeyError."""
-    ids = CHECK_IDS if only is None else tuple(only)
-    for cid in ids:
-        if cid not in _CHECKS:
-            raise KeyError(cid)
+    """Run the catalog (or the given ids, each once) against one system, in
+    id order.  Unknown ids raise ValueError before any check runs."""
+    if only is None:
+        ids = CHECK_IDS
+    else:
+        unknown = [cid for cid in only if cid not in _CHECKS]
+        if unknown:
+            raise ValueError(
+                f"unknown check id(s) {', '.join(unknown)}; valid ids: "
+                + ", ".join(CHECK_IDS)
+            )
+        ids = sorted(set(only))
     results = []
     for cid in ids:
         status, details = run_check(cid, rs)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import re
 import sys
 import time
 from fractions import Fraction
@@ -32,15 +31,6 @@ from .reduction import dimension_ledger, simple_reduction, summary_row
 from .rootsystem import RootSystem, Weight, build, dual_coxeter_of_dual
 
 SCHEMA_VERSION = 1
-
-_TYPE_RE = re.compile(r"^([A-Ga-g])(\d+)$")
-
-
-def parse_system(text: str) -> RootSystem:
-    m = _TYPE_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"cannot parse root system type {text!r} (expected e.g. C4, G2)")
-    return build(m.group(1).upper(), int(m.group(2)))
 
 
 def jsonable(value):
@@ -77,7 +67,7 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
 
 
 def cmd_info(args) -> int:
-    rs = parse_system(args.system)
+    rs = build(args.system)
     info = {
         "schemaVersion": SCHEMA_VERSION,
         "system": _system_block(rs),
@@ -134,18 +124,9 @@ def cmd_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rs = parse_system(args.system)
-    only = None
-    if args.check:
-        unknown = [c for c in args.check if c not in checks.CHECK_IDS]
-        if unknown:
-            raise ValueError(
-                f"unknown check id(s) {', '.join(unknown)}; valid ids: "
-                + ", ".join(checks.CHECK_IDS)
-            )
-        only = sorted(set(args.check))
+    rs = build(args.system)
     started = time.perf_counter()
-    results = checks.run_all(rs, only)
+    results = checks.run_all(rs, args.check)
     elapsed = time.perf_counter() - started
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for r in results:
@@ -182,7 +163,7 @@ _TABLE_SYSTEMS = [f"C{n}" for n in range(2, 7)] + [f"B{n}" for n in range(2, 7)]
 def cmd_table1(args) -> int:
     rows = []
     for name in _TABLE_SYSTEMS:
-        rs = parse_system(name)
+        rs = build(name)
         row = dataclasses.asdict(summary_row(rs))
         if name == "B2":
             row["isomorphic_to"] = "C2"
@@ -204,7 +185,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_antichains(args) -> int:
-    rs = parse_system(args.system)
+    rs = build(args.system)
     report = antichain_report(rs)
     payload = {
         "schemaVersion": SCHEMA_VERSION,
@@ -227,7 +208,7 @@ def cmd_antichains(args) -> int:
 
 
 def cmd_nullcone_char(args) -> int:
-    rs = parse_system(args.system)
+    rs = build(args.system)
     degree = args.max_degree if args.max_degree is not None else current_limits().max_series_degree
     report = hilbert_check(rs, degree)
     entries = [

@@ -10,6 +10,9 @@ Two of them can be overridden from the environment:
 
     SHORTROOTS_MAX_W        largest Weyl group order enumerated exhaustively
     SHORTROOTS_MAX_DEGREE   default truncation degree for graded characters
+
+Each must be a non-negative integer; ``current_limits()`` refuses any
+other value with a ``ValueError`` naming the variable.
 """
 
 import os
@@ -35,7 +38,10 @@ def current_limits() -> Limits:
         if name in os.environ:
             raw = os.environ[name]
             try:
-                limits = replace(limits, **{field: int(raw)})
+                value = int(raw)
             except ValueError:
                 raise ValueError(f"{name}={raw!r} is not an integer") from None
+            if value < 0:
+                raise ValueError(f"{name}={raw!r} must be non-negative")
+            limits = replace(limits, **{field: value})
     return limits

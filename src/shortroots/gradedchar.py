@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .config import current_limits
-from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
+from .errors import IdentityViolation, SizeLimitExceeded
 from .littleadjoint import weyl_dim
 from .reduction import invariant_degrees
 from .rootsystem import RootSystem, Weight
@@ -122,17 +122,9 @@ class QPoly:
         return f"{body} (mod q^{self.truncation + 1})"
 
 
-def _subset_roots(rs: RootSystem, roots: str):
-    if roots == "short":
-        return rs.short_positive_roots()
-    if roots == "all":
-        return rs.positive_roots()
-    raise ValueError("roots must be 'short' or 'all'")
-
-
-def _dp_build(rs: RootSystem, roots: str, degree: int):
+def _dp_build(rs: RootSystem, degree: int):
     """Multiset-count tables T[k][v]: the number of k-element multisets of
-    the chosen positive roots summing to the weight v (fundamental
+    short positive roots summing to the weight v (fundamental
     coordinates), with updates[k], the DP inner-loop updates level k took.
 
     Memoised per system for the deepest degree built so far; a request
@@ -140,11 +132,11 @@ def _dp_build(rs: RootSystem, roots: str, degree: int):
     updates do not depend on the degree built, so sum(updates[1:d + 1])
     is the work of degree d whatever the cache holds.  Refuses before a
     build would pass ``Limits.max_character_work`` updates."""
-    cached = rs.memo(("qdp", roots), lambda: [-1, None, None])
+    cached = rs.memo("qdp", lambda: [-1, None, None])
     if cached[0] >= degree:
         return cached[1], cached[2]
     cap = current_limits().max_character_work
-    vectors = sorted(rs.weight_coords(r) for r in _subset_roots(rs, roots))
+    vectors = sorted(rs.weight_coords(r) for r in rs.short_positive_roots())
     zero = (0,) * rs.rank
     tables = [dict() for _ in range(degree + 1)]
     tables[0][zero] = 1
@@ -168,9 +160,9 @@ def _dp_build(rs: RootSystem, roots: str, degree: int):
     return tables, updates
 
 
-def q_partition(rs: RootSystem, target, max_degree: int, roots: str = "short") -> QPoly:
+def q_partition(rs: RootSystem, target, max_degree: int) -> QPoly:
     """Generating polynomial of the multiset expressions of a weight as sums
-    of positive roots from the chosen subset, graded by multiset size."""
+    of short positive roots, graded by multiset size."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if isinstance(target, Weight):
@@ -181,7 +173,7 @@ def q_partition(rs: RootSystem, target, max_degree: int, roots: str = "short") -
         fund = rs.weight_coords(target)
     else:
         fund = tuple(int(c) for c in target)
-    tables = _dp_build(rs, roots, max_degree)[0]
+    tables = _dp_build(rs, max_degree)[0]
     return QPoly({k: tables[k].get(fund, 0) for k in range(max_degree + 1)}, max_degree)
 
 
@@ -208,7 +200,7 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
         if not (w.is_dominant and w.is_integral):
             raise ValueError(f"{w} is not dominant integral")
     signed = _signed_matrices(rs)
-    tables = _dp_build(rs, "short", max_degree)[0]
+    tables = _dp_build(rs, max_degree)[0]
     n = rs.rank
     lam_rho = tuple(int(c) + 1 for c in lam.fund)
     mu_rho = tuple(int(c) + 1 for c in mu.fund)
@@ -266,9 +258,8 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     group is enumerated; the work is capped by the DP tables.
     ``work`` records the DP updates and the distinct dominant weights
     reached (before cancellation)."""
-    if not rs.is_multiply_laced:
-        raise UnsupportedRootSystem(f"{rs.spec} has a single root length")
-    tables, updates = _dp_build(rs, "short", max_degree)
+    rs.require_two_lengths()
+    tables, updates = _dp_build(rs, max_degree)
     acc: dict[tuple, list] = {}
     for k in range(max_degree + 1):
         for v, count in tables[k].items():

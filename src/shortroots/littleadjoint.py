@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IdentityViolation, UnsupportedRootSystem
+from .errors import IdentityViolation
 from .rootsystem import Root, RootSystem, Weight
 
 __all__ = [
@@ -179,11 +179,7 @@ class LittleAdjointDims:
 def little_adjoint_dims(rs: RootSystem) -> LittleAdjointDims:
     """Dimension data of the module with highest weight the short dominant
     root, computed three independent ways and cross-checked."""
-    if not rs.is_multiply_laced:
-        raise UnsupportedRootSystem(
-            f"{rs.spec} is simply laced; its short-dominant module is the adjoint "
-            "module, use the adjoint conventions instead"
-        )
+    rs.require_two_lengths()
     ws = freudenthal(rs, rs.weight_of(rs.theta_short))
     zero_mult = ws.zero_multiplicity
     short_count = 2 * len(rs.short_positives)
@@ -232,8 +228,7 @@ def hw_orbit_dim(rs: RootSystem) -> int:
     """Dimension of the closure of the highest weight orbit in the
     short-dominant module: one plus the number of positive roots not
     orthogonal to the short dominant root."""
-    if not rs.is_multiply_laced:
-        raise UnsupportedRootSystem(f"{rs.spec} has a single root length")
+    rs.require_two_lengths()
     theta_s = rs.theta_short
     count = sum(1 for r in rs.positive_roots() if rs.inner(r, theta_s) > 0)
     dim = 1 + count

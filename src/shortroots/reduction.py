@@ -42,13 +42,8 @@ class SimpleReduction:
     transition_factor: int
 
 
-def _require_two_lengths(rs: RootSystem):
-    if not rs.is_multiply_laced:
-        raise UnsupportedRootSystem(f"{rs.spec} has a single root length")
-
-
 def simple_reduction(rs: RootSystem) -> SimpleReduction:
-    _require_two_lengths(rs)
+    rs.require_two_lengths()
     return rs.memo("simple_reduction", lambda: _reduce(rs))
 
 
@@ -94,7 +89,7 @@ class TransitionIdentities:
 
 
 def transition_identities(rs: RootSystem) -> TransitionIdentities:
-    _require_two_lengths(rs)
+    rs.require_two_lengths()
     red = simple_reduction(rs)
     t = TransitionIdentities(
         factor=red.transition_factor,
@@ -118,7 +113,7 @@ class HyperplaneClasses:
 
 
 def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
-    _require_two_lengths(rs)
+    rs.require_two_lengths()
     shorts = rs.short_positive_roots()
     pos = {r.coeffs: k for k, r in enumerate(shorts)}
     parent = list(range(len(shorts)))
@@ -183,7 +178,7 @@ class OneStepEntry:
 def one_step_strings(rs: RootSystem) -> dict:
     """For each short positive root outside the short-simple subsystem, all
     long roots beta with root - beta inside the subsystem (either sign)."""
-    _require_two_lengths(rs)
+    rs.require_two_lengths()
     red = simple_reduction(rs)
     sub = {r.coeffs: r for r in red.subsystem}
     out = {}
@@ -260,7 +255,7 @@ def partition_count(n: int) -> int:
 def orbit_count(rs: RootSystem) -> int:
     """Number of nilpotent orbits in the nullcone of the short-dominant
     module: partitions of n for type C, otherwise a small constant."""
-    _require_two_lengths(rs)
+    rs.require_two_lengths()
     family = rs.spec.family
     if family == "C":
         return partition_count(rs.rank)
@@ -301,7 +296,7 @@ class SummaryRow:
 
 
 def summary_row(rs: RootSystem) -> SummaryRow:
-    _require_two_lengths(rs)
+    rs.require_two_lengths()
     red = simple_reduction(rs)
     dims = little_adjoint_dims(rs)
     return SummaryRow(

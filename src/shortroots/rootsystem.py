@@ -18,11 +18,12 @@ dominant root coincides with the highest root.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import IdentityViolation, NotFiniteType
+from .errors import IdentityViolation, NotFiniteType, UnsupportedRootSystem
 
 __all__ = [
     "RootSystemSpec",
@@ -309,9 +310,6 @@ class RootSystem:
         for m in self.exponents:
             self.weyl_order *= m + 1
         self.dual_coxeter_number = 1 + int(self.pairing(self.rho, self.theta))
-        self.dynkin_adjacency = {
-            i: tuple(j for j in range(n) if j != i and A[i][j] != 0) for i in range(n)
-        }
 
     # -- construction pieces -------------------------------------------------
 
@@ -406,6 +404,11 @@ class RootSystem:
     @property
     def is_multiply_laced(self) -> bool:
         return bool(self.long_positives)
+
+    def require_two_lengths(self) -> None:
+        """Raise UnsupportedRootSystem unless the system has two root lengths."""
+        if not self.is_multiply_laced:
+            raise UnsupportedRootSystem(f"{self.spec} has a single root length")
 
     @property
     def length_ratio(self) -> int:
@@ -525,23 +528,29 @@ def _build_cached(spec: RootSystemSpec) -> RootSystem:
 def build(family, rank: int | None = None) -> RootSystem:
     """Construct (and cache) the root system of the given type.
 
-    Accepts build('C', 3), build(RootSystemSpec('C', 3)) or build('C3')."""
+    Accepts build('C', 3), build(RootSystemSpec('C', 3)) or build('C3').
+    A type name is a family letter and a decimal rank, nothing between
+    them, case-insensitive and stripped of surrounding whitespace."""
     if isinstance(family, RootSystemSpec):
         spec = family
     elif rank is None:
-        s = str(family).strip()
-        if len(s) < 2:
-            raise ValueError(f"cannot parse root system type {family!r}")
-        spec = RootSystemSpec(s[0].upper(), int(s[1:]))
+        m = re.fullmatch(r"([A-Ga-g])([0-9]+)", str(family).strip())
+        if not m:
+            raise ValueError(f"cannot parse root system type {family!r} (expected e.g. C4, G2)")
+        spec = RootSystemSpec(m.group(1).upper(), int(m.group(2)))
     else:
         spec = RootSystemSpec(str(family).upper(), rank)
     return _build_cached(spec)
 
 
 def dual_coxeter_of_dual(rs: RootSystem) -> int:
-    """Dual Coxeter number of the dual root system: 1 + height of the short
-    dominant root."""
-    return 1 + rs.theta_short.height
+    """Dual Coxeter number of the dual root system, 1 + (sigma | theta_s):
+    sigma, the half sum of positive coroots, is the dual system's rho, and
+    theta_s, being short, equals its coroot, the dual system's highest root."""
+    value = rs.inner(rs.sigma, rs.theta_short)
+    if value.denominator != 1:
+        raise IdentityViolation("(sigma | theta_s) must be an integer")
+    return 1 + int(value)
 
 
 # -- classification of Cartan matrices ----------------------------------------

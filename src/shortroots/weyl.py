@@ -10,7 +10,7 @@ long-root subsystem; nothing is materialised unless a test asks for it.
 from __future__ import annotations
 
 from .config import current_limits
-from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
+from .errors import IdentityViolation, SizeLimitExceeded
 from .rootsystem import Root, RootSystem, Weight
 
 __all__ = [
@@ -220,8 +220,7 @@ def coxeter_orbits(rs: RootSystem, c: WeylElement):
 def long_root_base(rs: RootSystem):
     """Indecomposable positive long roots: the simple system of the long
     subsystem determined by the ambient positive roots."""
-    if not rs.is_multiply_laced:
-        raise UnsupportedRootSystem(f"{rs.spec} has a single root length")
+    rs.require_two_lengths()
     return rs.memo("long_base", lambda: _indecomposable_longs(rs))
 
 
@@ -303,6 +302,5 @@ def long_subgroup(rs: RootSystem) -> tuple[WeylElement, ...]:
 def short_parabolic(rs: RootSystem) -> tuple[WeylElement, ...]:
     """Generators of the parabolic subgroup of the short simple roots: their
     simple reflections."""
-    if not rs.is_multiply_laced:
-        raise UnsupportedRootSystem(f"{rs.spec} has a single root length")
+    rs.require_two_lengths()
     return tuple(simple_reflection(rs, i) for i in rs.short_simple_indices)

@@ -92,15 +92,23 @@ def kostant_multiplicity(rs, lam, mu):
     independent of the Freudenthal recursion."""
     from shortroots import enumerate_group
 
+    roots = [r.coeffs for r in rs.positive_roots()]
+
+    @lru_cache(maxsize=None)
+    def count(i, rc):
+        # multisets of roots[i:] summing to the root-lattice vector rc
+        if not any(rc):
+            return 1
+        if i == len(roots):
+            return 0
+        rest = tuple(a - b for a, b in zip(rc, roots[i]))
+        return count(i + 1, rc) + (count(i, rest) if min(rest) >= 0 else 0)
+
     def partitions(fund):
         rc = rs.lattice_coords(fund)
         if rc is None or min(rc) < 0:
             return 0
-        height = sum(rc)
-        if height == 0:
-            return 1
-        vectors = [rs.weight_coords(r) for r in rs.positive_roots()]
-        return sum(multiset_partition_counts(vectors, tuple(fund), height))
+        return count(0, rc)
 
     lam_rho = tuple(int(c) + 1 for c in lam.fund)
     mu_rho = tuple(int(c) + 1 for c in mu.fund)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import shortroots.checks as checks
-from shortroots.cli import main, parse_system
+from shortroots.cli import main
 from shortroots.config import ENV_MAX_DEGREE, ENV_MAX_WEYL
 
 
@@ -16,13 +16,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_parse_system():
-    assert str(parse_system("c4").spec) == "C4"
-    for bad in ["Z9", "B", "12", "BB2", ""]:
-        with pytest.raises(ValueError):
-            parse_system(bad)
 
 
 def test_info_text(capsys):
@@ -76,14 +69,18 @@ def test_verify_skips_oversized_exhaustive_checks(capsys):
         (ENV_MAX_WEYL, ["verify", "G2"]),
         (ENV_MAX_DEGREE, ["nullcone-char", "G2"]),
         (ENV_MAX_DEGREE, ["info", "G2"]),
+        (ENV_MAX_DEGREE, ["verify", "G2"]),
+        (ENV_MAX_WEYL, ["verify", "G2", "--check", "semidirect-product"]),
     ],
 )
 def test_bad_env_override_names_the_variable(capsys, monkeypatch, name, argv):
-    monkeypatch.setenv(name, "abc")
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert name in err and "'abc'" in err
+    for raw, why in [("abc", "is not an integer"), ("-1", "must be non-negative"),
+                     ("-5", "must be non-negative")]:
+        monkeypatch.setenv(name, raw)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {name}={raw!r} {why}\n"
 
 
 def test_verify_respects_env_cap(capsys, monkeypatch):
@@ -95,9 +92,14 @@ def test_verify_respects_env_cap(capsys, monkeypatch):
     assert "10" in payload["checks"][0]["details"]["reason"]
 
 
-def test_verify_unknown_check_id(capsys):
-    code, _, err = run(capsys, "verify", "G2", "--check", "no-such-check")
+def test_verify_unknown_check_id(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(checks._CHECKS, "root-counts", lambda rs: ran.append(rs))
+    code, out, err = run(capsys, "verify", "G2", "--check", "root-counts",
+                         "--check", "no-such-check")
     assert code == 2
+    assert out == "" and ran == []  # refused before any check runs
+    assert err.startswith("error: unknown check id(s) no-such-check; valid ids: ")
     assert "semidirect-product" in err  # the valid ids are listed
 
 
@@ -105,8 +107,7 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     def broken(rs):
         return "fail", {"expected": 1, "computed": 2}
 
-    monkeypatch.setitem(checks._CHECKS, "root-counts",
-                        ("doctored", False, broken))
+    monkeypatch.setitem(checks._CHECKS, "root-counts", broken)
     code, out, _ = run(capsys, "verify", "G2", "--check", "root-counts")
     assert code == 1
     assert "FAIL root-counts" in out
@@ -253,7 +254,7 @@ def test_caps_are_read_by_the_engines_not_passed_in():
 
     public = [getattr(mod, name) for mod in (shortroots, checks)
               for name in dir(mod) if not name.startswith("_")]
-    public += [runner for _, _, runner in checks._CHECKS.values()]
+    public += list(checks._CHECKS.values())
     knobs = []
     for obj in public:
         if callable(obj):
@@ -274,7 +275,6 @@ def test_readme_catalog_matches_check_registry():
     block = re.search(r"<!-- check-catalog -->(.*?)<!-- /check-catalog -->",
                       text, re.DOTALL)
     assert block, "README must carry the check catalog between its markers"
-    documented = set(re.findall(r"`([a-z0-9-]+)`", block.group(1)))
-    assert documented == set(checks.CHECK_IDS)
-    for cid, summary in checks.check_summaries().items():
-        assert summary  # every id carries a one-line description
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \|$", block.group(1), re.MULTILINE)
+    assert sorted(cid for cid, _ in rows) == list(checks.CHECK_IDS)
+    assert all(text.strip() for _, text in rows)  # the README is the only description

@@ -89,12 +89,14 @@ def test_q_partition_g2_short_dominant():
 
 
 def test_q_partition_a2_all_positives():
+    # simply laced: every root is tagged short, so the sums run over all positives
     rs = build("A2")
     theta = rs.weight_of(rs.theta)
-    assert q_partition(rs, theta, 3, roots="all") == qp({1: 1, 2: 1}, 3)
+    assert q_partition(rs, theta, 3) == qp({1: 1, 2: 1}, 3)
 
 
-@pytest.mark.parametrize("name,roots", [("G2", "short"), ("C3", "short"), ("B2", "all")])
+# roots names the oracle's pool; A3 tags every root short, so there it is all of them
+@pytest.mark.parametrize("name,roots", [("G2", "short"), ("C3", "short"), ("A3", "all")])
 def test_q_partition_against_raw_enumeration(name, roots):
     rs = build(name)
     pool = rs.short_positive_roots() if roots == "short" else rs.positive_roots()
@@ -104,21 +106,19 @@ def test_q_partition_against_raw_enumeration(name, roots):
     for t in targets:
         fund = tuple(int(c) for c in t.fund)
         expected = multiset_partition_counts(vectors, fund, 4)
-        got = q_partition(rs, t, 4, roots=roots)
+        got = q_partition(rs, t, 4)
         assert [got.coeff(k) for k in range(5)] == expected
 
 
 def test_q_partition_rejects_bad_subset():
     rs = build("B2")
     with pytest.raises(ValueError):
-        q_partition(rs, Weight.zero(2), 3, roots="medium")
-    with pytest.raises(ValueError):
         q_partition(rs, Weight.zero(2), -1)
 
 
 def test_classical_partition_function_on_lattice_points():
     # summing the grading recovers the ungraded count of root multisets
-    for name in ["A2", "B2"]:
+    for name in ["A2", "A3"]:
         rs = build(name)
         vectors = [tuple(int(c) for c in rs.weight_of(r).fund) for r in rs.positive_roots()]
         n = rs.rank
@@ -128,7 +128,7 @@ def test_classical_partition_function_on_lattice_points():
         ]
         for fund in points:
             depth = 8
-            poly = q_partition(rs, fund, depth, roots="all")
+            poly = q_partition(rs, fund, depth)
             assert sum(poly.coeff(k) for k in range(depth + 1)) == sum(
                 multiset_partition_counts(vectors, fund, depth)
             )
@@ -221,7 +221,7 @@ def test_straightening_agrees_with_alternating_sum(name, degree):
     zero = Weight.zero(rs.rank)
     for lam, poly in char.entries.items():
         assert graded_multiplicity(rs, lam, zero, degree) == poly, (name, lam)
-    tables = gc._dp_build(rs, "short", degree)[0]
+    tables = gc._dp_build(rs, degree)[0]
     for fund in nullcone_candidates(rs, tables, degree):
         lam = Weight.of(fund)
         if lam not in char.entries:
@@ -234,7 +234,7 @@ def test_character_agrees_with_orbit_accumulation():
     for name, degree in [("G2", 5), ("C3", 4), ("B2", 6)]:
         rs = build(name)
         char = nullcone_character(rs, degree)
-        tables = gc._dp_build(rs, "short", degree)[0]
+        tables = gc._dp_build(rs, degree)[0]
         ones = (1,) * rs.rank
         acc: dict = {}
         for k in range(degree + 1):
@@ -259,7 +259,7 @@ def test_graded_multiplicity_is_generator_order_independent():
     degree = 4
     lam = rs.weight_of(rs.theta_short)
     expected = graded_multiplicity(rs, lam, Weight.zero(3), degree)
-    tables = gc._dp_build(rs, "short", degree)[0]
+    tables = gc._dp_build(rs, degree)[0]
     lam_rho = tuple(int(c) + 1 for c in lam.fund)
     acc = [0] * (degree + 1)
     # elements of a closure carry no word, so the signs come from length()

@@ -24,6 +24,7 @@ from shortroots import (
     classify_cartan,
     dual_coxeter_of_dual,
 )
+from shortroots.checks import run_check
 
 SYSTEMS = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 5),
@@ -164,6 +165,17 @@ def test_dual_coxeter_of_dual_values():
     assert dual_coxeter_of_dual(a3) == a3.dual_coxeter_number
 
 
+def test_dual_coxeter_dual_is_computed_from_sigma(monkeypatch):
+    # the check compares 1 + (sigma | theta_s) with 1 + ht(theta_s); with rho
+    # in place of sigma, (rho | theta_s) = 7 for C4 while ht(theta_s) = 6
+    rs = build("C4")
+    assert run_check("dual-coxeter-dual", rs)[0] == "pass"
+    monkeypatch.setattr(rs, "sigma", rs.rho)
+    status, details = run_check("dual-coxeter-dual", rs)
+    assert status == "fail"
+    assert details["value"] == 8 and details["one_plus_short_dominant_height"] == 7
+
+
 @pytest.mark.parametrize(
     "family,rank",
     [("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("F", 5),
@@ -176,8 +188,11 @@ def test_spec_validation(family, rank):
 
 def test_build_accepts_several_spellings():
     assert build("C3") is build("C", 3) is build(RootSystemSpec("C", 3))
-    with pytest.raises(ValueError):
-        build("Q")
+    assert build("c4") is build(" C4\n") is build("C", 4)
+    # the one type-name grammar, shared with the CLI: letter, digits, nothing else
+    for bad in ["Q", "Z9", "B", "12", "BB2", "", "C1_0", "C 3", "C+3", "C\u0663"]:
+        with pytest.raises(ValueError, match="cannot parse root system type"):
+            build(bad)
 
 
 def test_cartan_convention():
