@@ -18,6 +18,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_parse_system(capsys):
+    # the CLI reads the system argument with build's type-name grammar
+    code, out, _ = run(capsys, "info", "c4", "--json")
+    assert code == 0
+    assert json.loads(out)["system"] == {"family": "C", "rank": 4}
+    for bad in ["Z9", "B", "12", "BB2", ""]:
+        code, out, err = run(capsys, "info", bad)
+        assert code == 2 and out == ""
+        assert "cannot parse root system type" in err
+
+
 def test_info_text(capsys):
     code, out, _ = run(capsys, "info", "G2")
     assert code == 0
