@@ -18,7 +18,7 @@ from . import reduction as red
 from . import weyl
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
-from .rootsystem import RootSystem, dual_coxeter_of_dual
+from .rootsystem import RootSystem, Weight, dual_coxeter_of_dual
 
 __all__ = ["CHECK_IDS", "run_check", "run_all"]
 
@@ -317,14 +317,12 @@ def _check_nullcone_hilbert(rs: RootSystem):
         ],
         **report.character.work,
     }
-    # second route to the trivial entry, where the Weyl group is within its cap
-    try:
-        trivial = gc.graded_multiplicity(rs, [0] * rs.rank, [0] * rs.rank, degree)
-    except SizeLimitExceeded as exc:
-        details["alternating_sum_skipped"] = str(exc)
-        return ("pass" if report.ok else "fail"), details
-    details["trivial_multiplicity_is_one"] = trivial == gc.QPoly.one(degree)
-    ok = report.ok and details["trivial_multiplicity_is_one"]
+    # second route: every entry again by Kostant's alternating sum, as an orbit walk
+    zero = Weight.zero(rs.rank)
+    walked = {w: gc.graded_multiplicity(rs, w, zero, degree) for w in report.character.entries}
+    details["trivial_multiplicity_is_one"] = walked[zero] == gc.QPoly.one(degree)
+    details["alternating_sum_agrees"] = walked == report.character.entries
+    ok = report.ok and details["trivial_multiplicity_is_one"] and details["alternating_sum_agrees"]
     return ("pass" if ok else "fail"), details
 
 

@@ -1,10 +1,11 @@
 """Size caps for the exhaustive parts of the library.
 
-All caps live here: the Weyl group order, the q-partition DP work
-(inner-loop updates while the nullcone character tables build), the
-subgroup closure size and the antichain counting work (depth-first
-nodes visited, one per antichain), plus the default truncation degree
-of graded characters.  Each engine reads its own cap from
+All caps live here: the Weyl group order (it gates only the enumeration
+of W, which ``semidirect-product`` runs), the graded-character work (DP
+updates per q-partition table build, orbit points per Kostant walk), the
+subgroup closure size and the antichain counting work (depth-first nodes
+visited, one per antichain), plus the default truncation degree of
+graded characters.  Each engine reads its own cap from
 ``current_limits()`` where the work happens; no call site passes one.
 Two of them can be overridden from the environment:
 
@@ -24,9 +25,9 @@ ENV_MAX_DEGREE = "SHORTROOTS_MAX_DEGREE"
 
 @dataclass(frozen=True)
 class Limits:
-    max_weyl_order: int = 1152      # exhaustive Weyl group work refuses beyond this
+    max_weyl_order: int = 1152      # Weyl group enumeration refuses beyond this
     max_series_degree: int = 8      # default graded-character truncation
-    max_character_work: int = 300_000  # q-partition DP updates per table build
+    max_character_work: int = 300_000  # DP updates per table build, orbit points per walk
     max_closure_size: int = 10 ** 6  # subgroup closure refusal bound
     max_antichain_work: int = 500_000  # antichains visited by the brute-force count
 

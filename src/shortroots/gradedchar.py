@@ -2,12 +2,14 @@
 
 A q-analogue partition function counts multiset expressions of a weight
 as sums of short positive roots, graded by multiset size.  One
-straightening pass over its tables gives the whole graded character; an
-alternating Weyl sum gives single graded multiplicities as a second,
-independent route.  The full truncated character must reproduce the
-Hilbert series of a complete intersection cut out by the basic
-invariants.  Every polynomial carries an explicit truncation degree;
-mixing truncations takes the minimum.
+straightening pass over its tables gives the whole graded character;
+Kostant's alternating sum, walked over a Weyl orbit with no group
+element built, gives single graded multiplicities as a second,
+independent route.  ``Limits.max_character_work`` caps both: the DP
+updates of a table build and the orbit points of a walk.  The full
+truncated character must reproduce the Hilbert series of a complete
+intersection cut out by the basic invariants.  Every polynomial carries
+an explicit truncation degree; mixing truncations takes the minimum.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .errors import IdentityViolation, SizeLimitExceeded
 from .littleadjoint import weyl_dim
 from .reduction import invariant_degrees
 from .rootsystem import RootSystem, Weight
-from .weyl import enumerate_group
 
 __all__ = [
     "QPoly",
@@ -177,42 +178,53 @@ def q_partition(rs: RootSystem, target, max_degree: int) -> QPoly:
     return QPoly({k: tables[k].get(fund, 0) for k in range(max_degree + 1)}, max_degree)
 
 
-def _signed_matrices(rs: RootSystem):
-    """All Weyl group elements as (sign, integer matrix on fundamental
-    coordinates), cached on the system.  Refuses as enumerate_group does,
-    on every call."""
-    group = enumerate_group(rs)
-    return rs.memo(
-        "signed_matrices", lambda: tuple((w.sign(), w._fund_matrix()) for w in group)
-    )
-
-
 def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
-    """Alternating Weyl sum of the q-partition function: the graded
-    multiplicity polynomial of the simple module with highest weight lam
-    inside the coordinate ring slice selected by mu.
+    """Kostant's multiplicity formula, the sum over w in W of
+    sign(w) * P_q(w(lam + rho) - (mu + rho)): the graded multiplicity of
+    the simple module with highest weight lam in the slice selected by mu.
 
-    Refuses, before any DP work, if the Weyl group order exceeds
-    ``Limits.max_weyl_order``."""
+    No element of W is built: the sum walks the orbit of lam + rho down
+    from its dominant point, stepping from y to s_i(y) = y - y_i * alpha_i
+    whenever y_i > 0, so each layer is one length of W and the sign flips
+    between layers.  A point where y - (mu + rho) has a negative
+    simple-root coordinate is dropped, which is exact: P_q vanishes there
+    and at every point below it.  Refuses once the walk has visited more
+    than ``Limits.max_character_work`` orbit points."""
     lam = lam if isinstance(lam, Weight) else Weight.of(lam)
     mu = mu if isinstance(mu, Weight) else Weight.of(mu)
     for w in (lam, mu):
         if not (w.is_dominant and w.is_integral):
             raise ValueError(f"{w} is not dominant integral")
-    signed = _signed_matrices(rs)
     tables = _dp_build(rs, max_degree)[0]
-    n = rs.rank
-    lam_rho = tuple(int(c) + 1 for c in lam.fund)
+    start = tuple(int(a - b) for a, b in zip(lam.fund, mu.fund))
+    lattice = rs.lattice_coords(start)
+    if lattice is None or min(lattice) < 0:
+        return QPoly.zero(max_degree)
+    cap = current_limits().max_character_work
     mu_rho = tuple(int(c) + 1 for c in mu.fund)
+    cols = [rs.weight_coords(rs.simple_root(i)) for i in range(rs.rank)]
     acc = [0] * (max_degree + 1)
-    for sign, rows in signed:
-        img = tuple(sum(rows[i][j] * lam_rho[j] for j in range(n)) for i in range(n))
-        v = tuple(a - b for a, b in zip(img, mu_rho))
-        # a miss in the table is exactly the outside-the-cone short circuit
-        for k in range(max_degree + 1):
-            c = tables[k].get(v)
-            if c:
-                acc[k] += sign * c
+    # each point is keyed by v = y - (mu + rho) and carries v's root-lattice coordinates
+    layer = {start: lattice}
+    sign, visited = 1, 1
+    while layer:
+        if visited > cap:
+            raise SizeLimitExceeded(
+                f"the orbit walk of {rs.spec} from {lam} visits more than the cap of "
+                f"{cap} points (max_character_work)"
+            )
+        below = {}
+        for v, c in layer.items():
+            for k in range(max_degree + 1):
+                acc[k] += sign * tables[k].get(v, 0)
+            for i, col in enumerate(cols):
+                step = v[i] + mu_rho[i]
+                if 0 < step <= c[i]:
+                    z = tuple(a - step * b for a, b in zip(v, col))
+                    if z not in below:
+                        below[z] = c[:i] + (c[i] - step,) + c[i + 1:]
+        layer, sign = below, -sign
+        visited += len(layer)
     return QPoly(dict(enumerate(acc)), max_degree)
 
 

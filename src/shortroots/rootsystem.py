@@ -253,7 +253,6 @@ class RootSystem:
         A = cartan_matrix(spec)
         self.cartan = A
         self.symmetrizers = _symmetrizers(A)
-        self._rows = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in A)
         self._cols = tuple(
             tuple((j, A[j][i]) for j in range(n) if A[j][i]) for i in range(n)
         )
@@ -313,25 +312,26 @@ class RootSystem:
 
     # -- construction pieces -------------------------------------------------
 
-    def _cartan_times(self, c) -> tuple[int, ...]:
-        """A.c by the sparse rows of the Cartan matrix: the fundamental
-        coordinates of the root-lattice vector c."""
-        return tuple(sum(a * c[j] for j, a in row) for row in self._rows)
-
     def _close_under_reflections(self) -> dict:
-        """Every root, as a map from its coefficients to A.c."""
+        """Every root, as a map from its coefficients to A.c; a reflected root
+        t = c - p_i * alpha_i gets A.t = p - p_i * (column i of A) from p = A.c."""
         n = self.rank
         simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        seen = {c: self._cartan_times(c) for c in simples}
+        seen = {c: tuple(row[i] for row in self.cartan) for i, c in enumerate(simples)}
         frontier = simples
         while frontier:
             fresh = []
             for c in frontier:
                 p = seen[c]
-                for i in range(n):
-                    t = c[:i] + (c[i] - p[i],) + c[i + 1:]
+                for i, step in enumerate(p):
+                    if not step:
+                        continue
+                    t = c[:i] + (c[i] - step,) + c[i + 1:]
                     if t not in seen:
-                        seen[t] = self._cartan_times(t)
+                        fund = list(p)
+                        for j, a in self._cols[i]:
+                            fund[j] -= step * a
+                        seen[t] = tuple(fund)
                         fresh.append(t)
             frontier = fresh
         return seen

@@ -1,8 +1,8 @@
 """Weyl groups acting as permutations of the indexed root set.
 
 An element stores the permutation it induces on the roots and, when it
-came out of the breadth-first enumeration, one reduced word.  Membership
-in the subgroup generated by long-root reflections, and the matching
+was generated from simple reflections, one reduced word.  Membership in
+the subgroup generated by long-root reflections, and the matching
 factorisation of the whole group, are decided by a descent through the
 long-root subsystem; nothing is materialised unless a test asks for it.
 """
@@ -159,29 +159,37 @@ def enumerate_group(rs: RootSystem):
         raise SizeLimitExceeded(
             f"|W({rs.spec})| = {rs.weyl_order} exceeds the bound {cap} (max_weyl_order)"
         )
-    return rs.memo("weyl_elements", lambda: _breadth_first(rs))
+    gens = [simple_reflection(rs, i) for i in range(rs.rank)]
+    group = rs.memo("weyl_elements", lambda: _generate(rs, gens))
+    if len(group) != rs.weyl_order:
+        raise IdentityViolation(f"enumerated {len(group)} elements, expected {rs.weyl_order}")
+    return group
 
 
-def _breadth_first(rs: RootSystem):
-    gens = [(i, simple_reflection(rs, i)) for i in range(rs.rank)]
+def _generate(rs: RootSystem, gens):
+    """The subgroup generated by gens, breadth-first from the identity;
+    refuses past ``Limits.max_closure_size`` elements.  w * g gets the word
+    w.word + g.word when both exist, so simple-reflection closures carry reduced words."""
+    cap = current_limits().max_closure_size
     e = identity(rs)
     found = {e.perm: e}
     layer = [e]
-    out = [e]
     while layer:
         fresh = []
         for w in layer:
-            for i, g in gens:
+            for g in gens:
                 perm = tuple(w.perm[j] for j in g.perm)
                 if perm not in found:
-                    elem = WeylElement(rs, perm, w.word + (i,))
+                    if len(found) >= cap:
+                        raise SizeLimitExceeded(
+                            f"subgroup closure exceeded the bound {cap} (max_closure_size)"
+                        )
+                    word = w.word + g.word if w.word is not None and g.word is not None else None
+                    elem = WeylElement(rs, perm, word)
                     found[perm] = elem
                     fresh.append(elem)
-                    out.append(elem)
         layer = fresh
-    if len(out) != rs.weyl_order:
-        raise IdentityViolation(f"enumerated {len(out)} elements, expected {rs.weyl_order}")
-    return tuple(out)
+    return tuple(found.values())
 
 
 def coxeter_element(rs: RootSystem, ordering=None) -> WeylElement:
@@ -271,26 +279,7 @@ def is_in_long_subgroup(rs: RootSystem, w: WeylElement) -> bool:
 def closure(rs: RootSystem, generators) -> frozenset:
     """Materialise the subgroup generated by the given elements, refusing
     past ``Limits.max_closure_size`` elements."""
-    cap = current_limits().max_closure_size
-    gens = tuple(generators)
-    e = identity(rs)
-    found = {e.perm: e}
-    layer = [e]
-    while layer:
-        fresh = []
-        for w in layer:
-            for g in gens:
-                perm = tuple(w.perm[j] for j in g.perm)
-                if perm not in found:
-                    if len(found) >= cap:
-                        raise SizeLimitExceeded(
-                            f"subgroup closure exceeded the bound {cap} (max_closure_size)"
-                        )
-                    elem = WeylElement(rs, perm)
-                    found[perm] = elem
-                    fresh.append(elem)
-        layer = fresh
-    return frozenset(found.values())
+    return frozenset(_generate(rs, tuple(generators)))
 
 
 def long_subgroup(rs: RootSystem) -> tuple[WeylElement, ...]:

@@ -239,8 +239,9 @@ def test_verify_runs_nullcone_hilbert_past_the_weyl_cap(capsys, name):
     assert code == 0
     (check,) = json.loads(out)["checks"]
     assert check["status"] == "pass"
-    assert "exceeds the bound 1152" in check["details"]["alternating_sum_skipped"]
-    assert "trivial_multiplicity_is_one" not in check["details"]
+    assert check["details"]["alternating_sum_agrees"] is True
+    assert check["details"]["trivial_multiplicity_is_one"] is True
+    assert "alternating_sum_skipped" not in check["details"]
     assert check["details"]["dp_updates"] > 0
 
 
@@ -289,3 +290,15 @@ def test_readme_catalog_matches_check_registry():
     rows = re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \|$", block.group(1), re.MULTILINE)
     assert sorted(cid for cid, _ in rows) == list(checks.CHECK_IDS)
     assert all(text.strip() for _, text in rows)  # the README is the only description
+
+
+def test_readme_names_every_cap():
+    import dataclasses
+
+    import shortroots.config as config
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    names = [field.name for field in dataclasses.fields(config.Limits)]
+    names += [getattr(config, name) for name in dir(config) if name.startswith("ENV_")]
+    assert len(names) == 7
+    assert [name for name in names if name not in text] == []

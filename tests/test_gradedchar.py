@@ -150,12 +150,17 @@ def test_graded_multiplicity_g2_degree_one():
     assert graded_multiplicity(rs, lam, Weight.zero(2), 1) == qp({1: 1}, 1)
 
 
-def test_graded_multiplicity_validation_and_refusal():
+def test_graded_multiplicity_validation_and_refusal(monkeypatch):
     rs = build("B2")
     with pytest.raises(ValueError):
         graded_multiplicity(rs, Weight.of([-1, 0]), Weight.zero(2), 3)
-    with pytest.raises(SizeLimitExceeded, match="46080"):
-        graded_multiplicity(build("B6"), Weight.zero(6), Weight.zero(6), 2)
+    # no Weyl-order cap: |W(B6)| = 46080 is answered
+    assert graded_multiplicity(build("B6"), Weight.zero(6), Weight.zero(6), 2) == QPoly.one(2)
+    # the walk refuses once it has visited more than max_character_work orbit points
+    monkeypatch.setattr(gc, "current_limits", lambda: Limits(max_character_work=1000))
+    refusal = "orbit walk of C8 .* 1000 points .*max_character_work"
+    with pytest.raises(SizeLimitExceeded, match=refusal):
+        graded_multiplicity(build("C8"), Weight.of([2] * 8), Weight.zero(8), 1)
 
 
 def test_nullcone_character_g2_low_degrees():
@@ -201,16 +206,25 @@ def test_character_work_cap_counts_dp_updates():
 
 
 def test_character_path_enumerates_no_weyl_group(monkeypatch):
+    import shortroots.weyl as weyl
+
     def refuse(*args, **kwargs):
         raise RuntimeError("the character path must not enumerate the Weyl group")
 
-    monkeypatch.setattr(gc, "enumerate_group", refuse)
+    from_weyl = [name for name, obj in vars(gc).items()
+                 if obj is weyl or getattr(obj, "__module__", None) == weyl.__name__]
+    assert from_weyl == []
+    monkeypatch.setattr(weyl, "_generate", refuse)
+    f4 = build("F4")
+    lam = f4.weight_of(f4.theta_short)
+    expected = nullcone_character(f4, 6).multiplicity(lam)
+    assert graded_multiplicity(f4, lam, Weight.zero(4), 6) == expected
     monkeypatch.setattr(gc, "graded_multiplicity", refuse)
     assert len(nullcone_character(build("F4"), 6)) > 0
     assert hilbert_check(build("C5"), 4).ok
 
 
-_DIFFERENTIAL_SYSTEMS = ["B2", "B3", "C3", "G2", "B4", "C4", "F4"]
+_DIFFERENTIAL_SYSTEMS = ["B2", "B3", "C3", "G2", "B4", "C4", "F4", "B5", "C5"]
 
 
 @settings(max_examples=10, deadline=None)
@@ -262,7 +276,7 @@ def test_graded_multiplicity_is_generator_order_independent():
     tables = gc._dp_build(rs, degree)[0]
     lam_rho = tuple(int(c) + 1 for c in lam.fund)
     acc = [0] * (degree + 1)
-    # elements of a closure carry no word, so the signs come from length()
+    # a closure of simple reflections carries reduced words, so the signs come from them
     for w in closure(rs, [simple_reflection(rs, i) for i in (2, 1, 0)]):
         img = w.act_fund(lam_rho)
         v = tuple(a - 1 for a in img)

@@ -1,6 +1,7 @@
 """Weyl group elements, enumeration and the long/short factorisation."""
 
 import random
+from functools import lru_cache
 
 import pytest
 from helpers import oracle_weight_action
@@ -203,6 +204,26 @@ def test_decompose_sampled_large_rank():
         assert ws * wl == w
         assert wl in w_l and ws in w_s
         assert all(ws.perm[i] < p for i in long_pos)
+
+
+@lru_cache(maxsize=None)
+def _long_closure(name):
+    rs = build(name)
+    return closure(rs, long_subgroup(rs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["B5", "C5"]), st.lists(st.integers(0, 4), max_size=30))
+def test_decompose_semidirect_against_closure_membership(name, word):
+    rs = build(name)
+    w = identity(rs)
+    for i in word:
+        w = w * simple_reflection(rs, i)
+    ws, wl = decompose_semidirect(rs, w)
+    # ws keeps every positive long root positive
+    assert all(ws.perm[i] < rs.num_positive for i in rs.long_positives)
+    assert wl in _long_closure(name)
+    assert ws * wl == w
 
 
 def test_closure_refuses_past_the_bound(monkeypatch):
