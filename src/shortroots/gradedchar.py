@@ -10,6 +10,7 @@ updates of a table build and the orbit points of a walk.  The full
 truncated character must reproduce the Hilbert series of a complete
 intersection cut out by the basic invariants.  Every polynomial carries
 an explicit truncation degree; mixing truncations takes the minimum.
+The tables are built once per system and truncation degree.
 """
 
 from __future__ import annotations
@@ -124,24 +125,19 @@ class QPoly:
 
 
 def _dp_build(rs: RootSystem, degree: int):
-    """Multiset-count tables T[k][v]: the number of k-element multisets of
-    short positive roots summing to the weight v (fundamental
-    coordinates), with updates[k], the DP inner-loop updates level k took.
+    """Multiset-count tables T[k][v] for k up to degree: the number of
+    k-element multisets of short positive roots summing to the weight v
+    (fundamental coordinates), with the number of DP updates the build
+    made.  Memoised per system and degree.  Refuses before a build would
+    pass ``Limits.max_character_work`` updates."""
+    return rs.memo(("qdp", degree), lambda: _dp_tables(rs, degree))
 
-    Memoised per system for the deepest degree built so far; a request
-    for a deeper degree builds both again from degree 0.  Level k's
-    updates do not depend on the degree built, so sum(updates[1:d + 1])
-    is the work of degree d whatever the cache holds.  Refuses before a
-    build would pass ``Limits.max_character_work`` updates."""
-    cached = rs.memo("qdp", lambda: [-1, None, None])
-    if cached[0] >= degree:
-        return cached[1], cached[2]
+
+def _dp_tables(rs: RootSystem, degree: int):
     cap = current_limits().max_character_work
     vectors = sorted(rs.weight_coords(r) for r in rs.short_positive_roots())
-    zero = (0,) * rs.rank
     tables = [dict() for _ in range(degree + 1)]
-    tables[0][zero] = 1
-    updates = [0] * (degree + 1)
+    tables[0][(0,) * rs.rank] = 1
     done = 0
     for vec in vectors:
         for k in range(1, degree + 1):
@@ -152,13 +148,11 @@ def _dp_build(rs: RootSystem, degree: int):
                     f"the q-partition tables of {rs.spec} to degree {degree} need more "
                     f"than the cap of {cap} DP updates (max_character_work)"
                 )
-            updates[k] += len(prev)
             cur = tables[k]
             for v, count in prev.items():
                 key = tuple(map(add, v, vec))
                 cur[key] = cur.get(key, 0) + count
-    cached[:] = [degree, tables, updates]
-    return tables, updates
+    return tables, done
 
 
 def q_partition(rs: RootSystem, target, max_degree: int) -> QPoly:
@@ -166,14 +160,13 @@ def q_partition(rs: RootSystem, target, max_degree: int) -> QPoly:
     of short positive roots, graded by multiset size."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    if isinstance(target, Weight):
-        if not target.is_integral:
-            return QPoly.zero(max_degree)
-        fund = tuple(int(c) for c in target.fund)
-    elif hasattr(target, "coeffs"):
+    if hasattr(target, "coeffs"):
         fund = rs.weight_coords(target)
     else:
-        fund = tuple(int(c) for c in target)
+        weight = rs.as_weight(target)
+        if not weight.is_integral:
+            return QPoly.zero(max_degree)
+        fund = tuple(int(c) for c in weight.fund)
     tables = _dp_build(rs, max_degree)[0]
     return QPoly({k: tables[k].get(fund, 0) for k in range(max_degree + 1)}, max_degree)
 
@@ -190,18 +183,14 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     simple-root coordinate is dropped, which is exact: P_q vanishes there
     and at every point below it.  Refuses once the walk has visited more
     than ``Limits.max_character_work`` orbit points."""
-    lam = lam if isinstance(lam, Weight) else Weight.of(lam)
-    mu = mu if isinstance(mu, Weight) else Weight.of(mu)
-    for w in (lam, mu):
-        if not (w.is_dominant and w.is_integral):
-            raise ValueError(f"{w} is not dominant integral")
+    lam, mu = rs.dominant_integral(lam), rs.dominant_integral(mu)
     tables = _dp_build(rs, max_degree)[0]
-    start = tuple(int(a - b) for a, b in zip(lam.fund, mu.fund))
+    start = tuple(a - b for a, b in zip(lam, mu))
     lattice = rs.lattice_coords(start)
     if lattice is None or min(lattice) < 0:
         return QPoly.zero(max_degree)
     cap = current_limits().max_character_work
-    mu_rho = tuple(int(c) + 1 for c in mu.fund)
+    mu_rho = tuple(c + 1 for c in mu)
     cols = [rs.weight_coords(rs.simple_root(i)) for i in range(rs.rank)]
     acc = [0] * (max_degree + 1)
     # each point is keyed by v = y - (mu + rho) and carries v's root-lattice coordinates
@@ -210,7 +199,7 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     while layer:
         if visited > cap:
             raise SizeLimitExceeded(
-                f"the orbit walk of {rs.spec} from {lam} visits more than the cap of "
+                f"the orbit walk of {rs.spec} from {Weight.of(lam)} visits more than the cap of "
                 f"{cap} points (max_character_work)"
             )
         below = {}
@@ -239,8 +228,7 @@ class GradedCharacter:
         self.work = work or {}
 
     def multiplicity(self, weight) -> QPoly:
-        key = weight if isinstance(weight, Weight) else Weight.of(weight)
-        return self.entries.get(key, QPoly.zero(self.truncation))
+        return self.entries.get(self.rs.as_weight(weight), QPoly.zero(self.truncation))
 
     def weights(self):
         return sorted(self.entries, key=lambda w: w.fund)
@@ -271,7 +259,7 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     ``work`` records the DP updates and the distinct dominant weights
     reached (before cancellation)."""
     rs.require_two_lengths()
-    tables, updates = _dp_build(rs, max_degree)
+    tables, dp_updates = _dp_build(rs, max_degree)
     acc: dict[tuple, list] = {}
     for k in range(max_degree + 1):
         for v, count in tables[k].items():
@@ -286,7 +274,7 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
             entries[Weight.of(lam)] = poly
     if entries.get(Weight.zero(rs.rank)) != QPoly.one(max_degree):
         raise IdentityViolation("the trivial entry of the nullcone character must be 1")
-    work = {"dp_updates": sum(updates[1:max_degree + 1]), "dominant_points": len(acc)}
+    work = {"dp_updates": dp_updates, "dominant_points": len(acc)}
     return GradedCharacter(rs, entries, max_degree, work)
 
 

@@ -34,17 +34,11 @@ class WeightSystem:
         self.entries = entries
 
     def multiplicity(self, weight) -> int:
-        if isinstance(weight, Weight):
-            key = weight
-        elif weight == 0:
-            key = Weight.zero(self.rs.rank)
-        else:
-            key = Weight.of(weight)
-        return self.entries.get(key, 0)
+        return self.entries.get(self.rs.as_weight(weight), 0)
 
     @property
     def zero_multiplicity(self) -> int:
-        return self.multiplicity(0)
+        return self.multiplicity(Weight.zero(self.rs.rank))
 
     @property
     def dimension(self) -> int:
@@ -55,17 +49,6 @@ class WeightSystem:
 
     def __len__(self):
         return len(self.entries)
-
-
-def _fund_ints(rs: RootSystem, weight) -> tuple[int, ...]:
-    w = weight if isinstance(weight, Weight) else Weight.of(weight)
-    if len(w.fund) != rs.rank:
-        raise ValueError("weight has the wrong rank")
-    if not w.is_integral:
-        raise ValueError(f"{w} is not an integral weight")
-    if not w.is_dominant:
-        raise ValueError(f"{w} is not dominant")
-    return tuple(int(c) for c in w.fund)
 
 
 def _in_hull(rs: RootSystem, lam, fund) -> bool:
@@ -102,7 +85,7 @@ def _support(rs: RootSystem, lam):
 def freudenthal(rs: RootSystem, highest) -> WeightSystem:
     """Weight system of the simple module with the given dominant integral
     highest weight, multiplicities by the Freudenthal recursion."""
-    lam = _fund_ints(rs, highest)
+    lam = rs.dominant_integral(highest)
     n = rs.rank
     d = rs.symmetrizers
     support = _support(rs, lam)
@@ -156,7 +139,7 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
 def weyl_dim(rs: RootSystem, highest) -> int:
     """Dimension of the simple module with the given highest weight, by the
     product formula over positive roots."""
-    lam_rho = tuple(x + 1 for x in _fund_ints(rs, highest))
+    lam_rho = tuple(x + 1 for x in rs.dominant_integral(highest))
     num = 1
     den = 1
     for r in rs.positive_roots():

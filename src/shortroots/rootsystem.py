@@ -181,15 +181,13 @@ def cartan_matrix(spec: RootSystemSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in A)
 
 
-def _symmetrizers(A, nodes=None) -> tuple[int, ...]:
+def _symmetrizers(A) -> tuple[int, ...]:
     """Positive integers d_i with d_i*A[i][j] symmetric, normalised to min 1.
 
     d_i is half the squared length of alpha_i.  Works on any tree-shaped
     generalized Cartan matrix; raises NotFiniteType if the entries do not
     admit an integral symmetrization."""
-    n = len(A)
-    if nodes is None:
-        nodes = list(range(n))
+    nodes = range(len(A))
     d: dict[int, Fraction] = {}
     for start in nodes:
         if start in d:
@@ -431,10 +429,35 @@ class RootSystem:
     def weight_of(self, root: Root) -> Weight:
         return Weight.of(self.weight_coords(root))
 
+    def check_rank(self, fund):
+        """fund itself once it has one coordinate per simple root: the one
+        rank check of every weight entry point."""
+        if len(fund) != self.rank:
+            raise ValueError("weight has the wrong rank")
+        return fund
+
+    def as_weight(self, value) -> Weight:
+        """A Weight, or a sequence of fundamental coordinates, as a Weight
+        of this system's rank."""
+        w = value if isinstance(value, Weight) else Weight.of(value)
+        self.check_rank(w.fund)
+        return w
+
+    def dominant_integral(self, weight) -> tuple[int, ...]:
+        """The integer fundamental coordinates of a dominant integral weight
+        (see as_weight); ValueError for any other weight."""
+        w = self.as_weight(weight)
+        if not w.is_integral:
+            raise ValueError(f"{w} is not an integral weight")
+        if not w.is_dominant:
+            raise ValueError(f"{w} is not dominant")
+        return tuple(int(c) for c in w.fund)
+
     def lattice_coords(self, fund):
         """Integer root-lattice coordinates of the weight with the given
         integer fundamental coordinates, or None when it lies outside the
         root lattice."""
+        self.check_rank(fund)
         out = []
         for row in self._adj:
             q, rem = divmod(_dot(row, fund), self._det)
@@ -444,17 +467,19 @@ class RootSystem:
         return tuple(out)
 
     def root_coords(self, weight: Weight) -> tuple[Fraction, ...]:
-        return tuple(Fraction(_dot(row, weight.fund), self._det) for row in self._adj)
+        fund = self.check_rank(weight.fund)
+        return tuple(Fraction(_dot(row, fund), self._det) for row in self._adj)
 
     def inner(self, x, y):
         """W-invariant inner product of two roots or weights: an int for two
         roots, a Fraction once a Weight is involved."""
         if isinstance(x, Weight) and isinstance(y, Weight):
             d = self.symmetrizers
-            return sum(c * e * f for c, e, f in zip(self.root_coords(x), d, y.fund))
+            fund = self.check_rank(y.fund)
+            return sum(c * e * f for c, e, f in zip(self.root_coords(x), d, fund))
         if isinstance(x, Weight):
             x, y = y, x
-        other = y.fund if isinstance(y, Weight) else self.weight_coords(y)
+        other = self.check_rank(y.fund) if isinstance(y, Weight) else self.weight_coords(y)
         return _dot(self.form_coords(x), other)
 
     def coroot(self, root: Root) -> Weight:
@@ -503,7 +528,7 @@ class RootSystem:
         some reflection).  Accepts and returns plain tuples."""
         cols = self._cols
         n = self.rank
-        v = list(fund)
+        v = list(self.check_rank(fund))
         sign = 1
         i = 0
         while i < n:   # reflect in the first simple root with a negative coordinate

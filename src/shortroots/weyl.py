@@ -1,17 +1,19 @@
 """Weyl groups acting as permutations of the indexed root set.
 
 An element stores the permutation it induces on the roots and, when it
-was generated from simple reflections, one reduced word.  Membership in
-the subgroup generated by long-root reflections, and the matching
-factorisation of the whole group, are decided by a descent through the
-long-root subsystem; nothing is materialised unless a test asks for it.
+was generated from simple reflections, one reduced word.  W acts on the
+roots only; weights are moved by simple reflections on their coordinates
+(``RootSystem.dominant_representative``, Kostant's orbit walk), with no
+element built.  Membership in the subgroup generated by long-root
+reflections, and the matching factorisation of the whole group, are
+decided by a descent through the long-root subsystem.
 """
 
 from __future__ import annotations
 
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded
-from .rootsystem import Root, RootSystem, Weight
+from .rootsystem import Root, RootSystem
 
 __all__ = [
     "WeylElement",
@@ -33,13 +35,12 @@ __all__ = [
 class WeylElement:
     """A Weyl group element as a permutation of the root indices."""
 
-    __slots__ = ("rs", "perm", "word", "_fund_rows")
+    __slots__ = ("rs", "perm", "word")
 
     def __init__(self, rs: RootSystem, perm: tuple[int, ...], word=None):
         self.rs = rs
         self.perm = perm
         self.word = word
-        self._fund_rows = None
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.rs is other.rs and self.perm == other.perm
@@ -82,33 +83,6 @@ class WeylElement:
     def act_root(self, root: Root) -> Root:
         return self.rs.root_at(self.perm[self.rs.index(root)])
 
-    def act_fund(self, fund):
-        """Apply to a weight given by fundamental coordinates (tuple in,
-        tuple out).  Integral weights stay integral."""
-        rows = self._fund_matrix()
-        return tuple(sum(row[j] * fund[j] for j in range(len(fund))) for row in rows)
-
-    def act_weight(self, weight: Weight) -> Weight:
-        return Weight.of(self.act_fund(weight.fund))
-
-    def _fund_matrix(self):
-        # row i: the coroot coefficients 2*D.c/(c|c) of w^-1(alpha_i)
-        if self._fund_rows is None:
-            rs = self.rs
-            rows = []
-            for i in range(rs.rank):
-                root = rs.root_at(self.perm.index(rs.index(rs.simple_root(i))))
-                sq = rs.inner(root, root)
-                row = []
-                for x in rs.form_coords(root):
-                    q, rem = divmod(2 * x, sq)
-                    if rem:
-                        raise IdentityViolation("weight action matrix must be integral")
-                    row.append(q)
-                rows.append(tuple(row))
-            self._fund_rows = tuple(rows)
-        return self._fund_rows
-
     def length(self) -> int:
         p = self.rs.num_positive
         return sum(1 for i in range(p) if self.perm[i] >= p)
@@ -120,8 +94,7 @@ class WeylElement:
         return tuple(rs.roots[i] for i in range(p) if self.perm[i] >= p)
 
     def sign(self) -> int:
-        if self.word is not None:
-            return -1 if len(self.word) % 2 else 1
+        """The determinant (-1)^length."""
         return -1 if self.length() % 2 else 1
 
     def order(self) -> int:

@@ -114,7 +114,7 @@ def kostant_multiplicity(rs, lam, mu):
     mu_rho = tuple(int(c) + 1 for c in mu.fund)
     total = 0
     for w in enumerate_group(rs):
-        img = w.act_fund(lam_rho)
+        img = act_fund(w, lam_rho)
         total += w.sign() * partitions(tuple(a - b for a, b in zip(img, mu_rho)))
     return total
 
@@ -209,3 +209,11 @@ def oracle_weight_action(w):
     return tuple(
         tuple(sum(am[i][k] * inv[k][j] for k in range(n)) for j in range(n)) for i in range(n)
     )
+
+
+def act_fund(w, fund):
+    """w applied to a weight given by integer fundamental coordinates, by
+    the Fraction matrix of oracle_weight_action."""
+    image = [sum(a * f for a, f in zip(row, fund)) for row in oracle_weight_action(w)]
+    assert all(c.denominator == 1 for c in image)
+    return tuple(int(c) for c in image)

@@ -2,9 +2,10 @@
 character against its Hilbert series."""
 
 import math
+from fractions import Fraction
 
 import pytest
-from helpers import multiset_partition_counts, nullcone_candidates
+from helpers import act_fund, multiset_partition_counts, nullcone_candidates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +115,16 @@ def test_q_partition_rejects_bad_subset():
     rs = build("B2")
     with pytest.raises(ValueError):
         q_partition(rs, Weight.zero(2), -1)
+
+
+def test_q_partition_reads_a_sequence_as_a_weight():
+    # a coordinate sequence is parsed like a Weight: a non-integral point has
+    # no partitions, and floats are refused
+    rs = build("B2")
+    half = (Fraction(1, 2), 0)
+    assert q_partition(rs, half, 2) == q_partition(rs, Weight.of(half), 2) == QPoly.zero(2)
+    with pytest.raises(TypeError):
+        q_partition(rs, (0.5, 0), 2)
 
 
 def test_classical_partition_function_on_lattice_points():
@@ -276,9 +287,8 @@ def test_graded_multiplicity_is_generator_order_independent():
     tables = gc._dp_build(rs, degree)[0]
     lam_rho = tuple(int(c) + 1 for c in lam.fund)
     acc = [0] * (degree + 1)
-    # a closure of simple reflections carries reduced words, so the signs come from them
     for w in closure(rs, [simple_reflection(rs, i) for i in (2, 1, 0)]):
-        img = w.act_fund(lam_rho)
+        img = act_fund(w, lam_rho)
         v = tuple(a - 1 for a in img)
         for k in range(degree + 1):
             acc[k] += w.sign() * tables[k].get(v, 0)

@@ -23,6 +23,11 @@ from shortroots import (
     cartan_matrix,
     classify_cartan,
     dual_coxeter_of_dual,
+    freudenthal,
+    graded_multiplicity,
+    nullcone_character,
+    q_partition,
+    weyl_dim,
 )
 from shortroots.checks import run_check
 
@@ -132,8 +137,9 @@ def test_inner_is_reflection_invariant(name):
     rs = build(name)
     for i in range(rs.rank):
         w = simple_reflection(rs, i)
+        image = rs.rho - rs.weight_of(rs.simple_root(i))  # s_i(rho) = rho - alpha_i
         for r in rs.positive_roots()[: 6]:
-            assert rs.inner(w.act_weight(rs.rho), w.act_root(r)) == rs.inner(rs.rho, r)
+            assert rs.inner(image, w.act_root(r)) == rs.inner(rs.rho, r)
 
 
 def test_coroot_pairing_and_errors():
@@ -341,3 +347,41 @@ def test_no_module_reaches_into_root_system_privates():
         for m in private.finditer(line)
     ]
     assert hits == []
+
+
+_F4 = build("F4")
+_WRONG_RANK = {
+    "root_coords": lambda rs: rs.root_coords(Weight.of((1, 0, 0))),
+    "lattice_coords": lambda rs: rs.lattice_coords((1, 0, 0)),
+    "inner-weight-root": lambda rs: rs.inner(Weight.of((0, 0, 0, 1, 7)), rs.theta_short),
+    "inner-root-weight": lambda rs: rs.inner(rs.theta_short, Weight.of((0, 0, 0, 1, 7))),
+    "inner-weight-weight": lambda rs: rs.inner(rs.rho, Weight.of((1, 1, 1))),
+    "pairing": lambda rs: rs.pairing(Weight.of((0, 0, 0, 1, 7)), rs.theta_short),
+    "dominant_representative": lambda rs: rs.dominant_representative((0, 0, 0, -1, 7)),
+    "dominant_integral": lambda rs: rs.dominant_integral((1, 0, 0)),
+    "q_partition-tuple": lambda rs: q_partition(rs, (0, 0, 0, 1, 0), 3),
+    "q_partition-weight": lambda rs: q_partition(rs, Weight.of((0, 0, 1)), 3),
+    "graded_multiplicity-long": lambda rs: graded_multiplicity(
+        rs, (0, 0, 0, 1, 0), (0, 0, 0, 0, 0), 4),
+    "graded_multiplicity-short": lambda rs: graded_multiplicity(rs, (0, 0, 0, 1), (0, 0), 4),
+    "freudenthal": lambda rs: freudenthal(rs, (0, 0, 0, 1, 0)),
+    "weyl_dim": lambda rs: weyl_dim(rs, (0, 0, 1)),
+    "GradedCharacter.multiplicity": lambda rs: nullcone_character(rs, 2).multiplicity((0, 0, 1)),
+    "WeightSystem.multiplicity": lambda rs: freudenthal(
+        rs, rs.weight_of(rs.theta_short)).multiplicity((0, 0, 0, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_WRONG_RANK))
+def test_every_weight_entry_point_refuses_the_wrong_rank(entry):
+    with pytest.raises(ValueError, match="^weight has the wrong rank$"):
+        _WRONG_RANK[entry](_F4)
+
+
+def test_weights_are_parsed_by_the_root_system_only():
+    src = Path(__file__).resolve().parents[1] / "src" / "shortroots"
+    texts = {p.name: p.read_text() for p in sorted(src.glob("*.py"))}
+    readers = [name for name, text in texts.items()
+               if name != "rootsystem.py" and ".is_dominant" in text]
+    assert readers == []
+    assert sum(text.count("has the wrong rank") for text in texts.values()) == 1
