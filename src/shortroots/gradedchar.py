@@ -1,23 +1,25 @@
 """Graded characters of the nullcone of the short-dominant module.
 
 A q-analogue partition function counts multiset expressions of a weight
-as sums of short positive roots, graded by multiset size.  One
-straightening pass over its tables gives the whole graded character;
-Kostant's alternating sum, walked over a Weyl orbit with no group
-element built, gives single graded multiplicities as a second,
-independent route.  ``Limits.max_character_work`` caps both: the DP
-updates of a table build and the orbit points of a walk.  The full
-truncated character must reproduce the Hilbert series of a complete
-intersection cut out by the basic invariants.  Every polynomial carries
-an explicit truncation degree; mixing truncations takes the minimum.
-The tables are built once per system and truncation degree.
+as sums of short positive roots, graded by multiset size.  Its tables
+key each weight by one packed int, so adding a root is one int
+addition.  One straightening pass over the tables gives the whole
+graded character, and it straightens each distinct point once, however
+many degrees hold it.  Kostant's alternating sum, walked over a Weyl
+orbit with no group element built, gives single graded multiplicities
+as a second, independent route.  ``Limits.max_character_work`` caps
+both: the DP updates of a table build and the orbit points of a walk.
+The full truncated character must reproduce the Hilbert series of a
+complete intersection cut out by the basic invariants.  Every
+polynomial carries an explicit truncation degree; mixing truncations
+takes the minimum.  The tables are built once per system and truncation
+degree.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
 
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded
@@ -124,35 +126,71 @@ class QPoly:
         return f"{body} (mod q^{self.truncation + 1})"
 
 
-def _dp_build(rs: RootSystem, degree: int):
-    """Multiset-count tables T[k][v] for k up to degree: the number of
-    k-element multisets of short positive roots summing to the weight v
-    (fundamental coordinates), with the number of DP updates the build
-    made.  Memoised per system and degree.  Refuses before a build would
-    pass ``Limits.max_character_work`` updates."""
-    return rs.memo(("qdp", degree), lambda: _dp_tables(rs, degree))
+class _QTables:
+    """The q-partition tables of one system to one truncation degree:
+    levels[k] maps a packed weight to the number of k-element multisets of
+    short positive roots summing to it, and updates is the number of DP
+    updates the build made.  Refuses before the build would pass
+    ``Limits.max_character_work`` updates.
+
+    A weight v, in fundamental coordinates, is packed as the one int
+    sum (v_i + off) * base**i, with off = degree * m for m the largest
+    |coordinate| of a short positive root, and base = 2 * off + 1.  A sum
+    of k <= degree short roots has every |coordinate| <= k * m, so no digit
+    overflows and adding a root to a packed weight is one int addition."""
+
+    __slots__ = ("rank", "off", "base", "levels", "updates")
+
+    def __init__(self, rs: RootSystem, degree: int):
+        cap = current_limits().max_character_work
+        vectors = sorted(rs.weight_coords(r) for r in rs.short_positive_roots())
+        self.rank = rs.rank
+        self.off = degree * max(abs(c) for vec in vectors for c in vec)
+        self.base = 2 * self.off + 1
+        levels = [dict() for _ in range(degree + 1)]
+        levels[0][self.encode((0,) * rs.rank)] = 1
+        done = 0
+        for vec in vectors:
+            step = sum(c * self.base**i for i, c in enumerate(vec))
+            for k in range(1, degree + 1):
+                prev = levels[k - 1]
+                done += len(prev)
+                if done > cap:
+                    raise SizeLimitExceeded(
+                        f"the q-partition tables of {rs.spec} to degree {degree} need more "
+                        f"than the cap of {cap} DP updates (max_character_work)"
+                    )
+                cur = levels[k]
+                get = cur.get
+                for v, count in prev.items():
+                    v += step
+                    cur[v] = get(v, 0) + count
+        self.levels, self.updates = levels, done
+
+    def encode(self, fund):
+        """The packed key of a weight, or None when a coordinate lies outside
+        [-off, off]: no table holds such a weight."""
+        off, base = self.off, self.base
+        key = 0
+        for c in reversed(fund):
+            if not -off <= c <= off:
+                return None
+            key = key * base + c + off
+        return key
+
+    def decode(self, key: int, shift: int = 0) -> tuple[int, ...]:
+        """The fundamental coordinates of a packed key, each plus shift."""
+        out = []
+        for _ in range(self.rank):
+            key, digit = divmod(key, self.base)
+            out.append(digit - self.off + shift)
+        return tuple(out)
 
 
-def _dp_tables(rs: RootSystem, degree: int):
-    cap = current_limits().max_character_work
-    vectors = sorted(rs.weight_coords(r) for r in rs.short_positive_roots())
-    tables = [dict() for _ in range(degree + 1)]
-    tables[0][(0,) * rs.rank] = 1
-    done = 0
-    for vec in vectors:
-        for k in range(1, degree + 1):
-            prev = tables[k - 1]
-            done += len(prev)
-            if done > cap:
-                raise SizeLimitExceeded(
-                    f"the q-partition tables of {rs.spec} to degree {degree} need more "
-                    f"than the cap of {cap} DP updates (max_character_work)"
-                )
-            cur = tables[k]
-            for v, count in prev.items():
-                key = tuple(map(add, v, vec))
-                cur[key] = cur.get(key, 0) + count
-    return tables, done
+def _dp_build(rs: RootSystem, degree: int) -> _QTables:
+    """The q-partition tables of a system to a degree, keyed by packed
+    weights (see _QTables), memoised per system and degree."""
+    return rs.memo(("qdp", degree), lambda: _QTables(rs, degree))
 
 
 def q_partition(rs: RootSystem, target, max_degree: int) -> QPoly:
@@ -167,8 +205,11 @@ def q_partition(rs: RootSystem, target, max_degree: int) -> QPoly:
         if not weight.is_integral:
             return QPoly.zero(max_degree)
         fund = tuple(int(c) for c in weight.fund)
-    tables = _dp_build(rs, max_degree)[0]
-    return QPoly({k: tables[k].get(fund, 0) for k in range(max_degree + 1)}, max_degree)
+    qt = _dp_build(rs, max_degree)
+    key = qt.encode(fund)
+    if key is None:
+        return QPoly.zero(max_degree)
+    return QPoly({k: level.get(key, 0) for k, level in enumerate(qt.levels)}, max_degree)
 
 
 def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
@@ -184,7 +225,7 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     and at every point below it.  Refuses once the walk has visited more
     than ``Limits.max_character_work`` orbit points."""
     lam, mu = rs.dominant_integral(lam), rs.dominant_integral(mu)
-    tables = _dp_build(rs, max_degree)[0]
+    qt = _dp_build(rs, max_degree)
     start = tuple(a - b for a, b in zip(lam, mu))
     lattice = rs.lattice_coords(start)
     if lattice is None or min(lattice) < 0:
@@ -204,8 +245,10 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
             )
         below = {}
         for v, c in layer.items():
-            for k in range(max_degree + 1):
-                acc[k] += sign * tables[k].get(v, 0)
+            key = qt.encode(v)   # a point out of range is in no table, but its orbit goes on
+            if key is not None:
+                for k, level in enumerate(qt.levels):
+                    acc[k] += sign * level.get(key, 0)
             for i, col in enumerate(cols):
                 step = v[i] + mu_rho[i]
                 if 0 < step <= c[i]:
@@ -251,30 +294,44 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     given degree.
 
     Kostant's multiplicity formula read backwards, in one pass over the
-    q-partition tables: a point v of degree k is straightened to the
-    dominant conjugate of v + rho, and sign * count is added at degree k
-    of that conjugate minus rho.  A point with v + rho singular adds
-    nothing, and weights whose sums cancel to zero are omitted.  No Weyl
-    group is enumerated; the work is capped by the DP tables.
+    q-partition tables: each distinct point v is straightened once, to the
+    dominant conjugate of v + rho, and for every degree k whose table
+    holds v, sign * count is added at degree k of that conjugate minus
+    rho.  A point with v + rho singular adds nothing, and weights whose
+    sums cancel to zero are omitted.  No Weyl group is enumerated; the
+    work is capped by the DP tables.
     ``work`` records the DP updates and the distinct dominant weights
     reached (before cancellation)."""
     rs.require_two_lengths()
-    tables, dp_updates = _dp_build(rs, max_degree)
-    acc: dict[tuple, list] = {}
-    for k in range(max_degree + 1):
-        for v, count in tables[k].items():
-            dom, sign = rs.dominant_representative(tuple(a + 1 for a in v))
-            if sign:
-                lam = tuple(a - 1 for a in dom)
-                acc.setdefault(lam, [0] * (max_degree + 1))[k] += sign * count
+    qt = _dp_build(rs, max_degree)
+    # slots[key] is 0 for a point that adds nothing, else sign * (1 + the
+    # index in rows of the accumulation row of its dominant weight)
+    rows, row_of, slots = [], {}, {}
+    for k, level in enumerate(qt.levels):
+        for key, count in level.items():
+            slot = slots.get(key)
+            if slot is None:
+                shifted = qt.decode(key, 1)
+                slot = 0
+                if 0 not in shifted:   # else v + rho lies on a wall
+                    dom, sign = rs.dominant_representative(shifted)
+                    if sign:
+                        lam = tuple(a - 1 for a in dom)
+                        if lam not in row_of:
+                            rows.append([0] * (max_degree + 1))
+                            row_of[lam] = len(rows)
+                        slot = sign * row_of[lam]
+                slots[key] = slot
+            if slot:
+                rows[abs(slot) - 1][k] += count if slot > 0 else -count
     entries = {}
-    for lam in sorted(acc):
-        poly = QPoly(dict(enumerate(acc[lam])), max_degree)
+    for lam in sorted(row_of):
+        poly = QPoly(dict(enumerate(rows[row_of[lam] - 1])), max_degree)
         if not poly.is_zero:
             entries[Weight.of(lam)] = poly
     if entries.get(Weight.zero(rs.rank)) != QPoly.one(max_degree):
         raise IdentityViolation("the trivial entry of the nullcone character must be 1")
-    work = {"dp_updates": dp_updates, "dominant_points": len(acc)}
+    work = {"dp_updates": qt.updates, "dominant_points": len(rows)}
     return GradedCharacter(rs, entries, max_degree, work)
 
 

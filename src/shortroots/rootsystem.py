@@ -99,6 +99,14 @@ class Root:
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
 
 
+def _of_rank(fund, rank: int):
+    """fund itself once it has rank coordinates: the one rank check of
+    every weight entry point."""
+    if len(fund) != rank:
+        raise ValueError("weight has the wrong rank")
+    return fund
+
+
 def _exact(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"weights take exact coordinates, not the float {value!r}")
@@ -132,10 +140,12 @@ class Weight:
         return all(c.denominator == 1 for c in self.fund)
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.fund, other.fund)))
+        rhs = _of_rank(other.fund, len(self.fund))
+        return Weight(tuple(a + b for a, b in zip(self.fund, rhs)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.fund, other.fund)))
+        rhs = _of_rank(other.fund, len(self.fund))
+        return Weight(tuple(a - b for a, b in zip(self.fund, rhs)))
 
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.fund))
@@ -430,11 +440,8 @@ class RootSystem:
         return Weight.of(self.weight_coords(root))
 
     def check_rank(self, fund):
-        """fund itself once it has one coordinate per simple root: the one
-        rank check of every weight entry point."""
-        if len(fund) != self.rank:
-            raise ValueError("weight has the wrong rank")
-        return fund
+        """fund itself once it has one coordinate per simple root."""
+        return _of_rank(fund, self.rank)
 
     def as_weight(self, value) -> Weight:
         """A Weight, or a sequence of fundamental coordinates, as a Weight

@@ -119,15 +119,35 @@ def kostant_multiplicity(rs, lam, mu):
     return total
 
 
-def nullcone_candidates(rs, tables, degree):
+def tuple_dp_tables(rs, degree):
+    """The q-partition tables keyed by fundamental-coordinate tuples:
+    tables[k][v] is the number of k-element multisets of short positive
+    roots summing to v, with the number of DP updates made, one per entry
+    of the previous level per root and level, in the library's order."""
+    vectors = sorted(rs.weight_coords(r) for r in rs.short_positive_roots())
+    tables = [dict() for _ in range(degree + 1)]
+    tables[0][(0,) * rs.rank] = 1
+    done = 0
+    for vec in vectors:
+        for k in range(1, degree + 1):
+            prev = tables[k - 1]
+            done += len(prev)
+            cur = tables[k]
+            for v, count in prev.items():
+                key = tuple(a + b for a, b in zip(v, vec))
+                cur[key] = cur.get(key, 0) + count
+    return tables, done
+
+
+def nullcone_candidates(rs, qt, degree):
     """Every dominant weight an alternating-sum summand can reach from the
-    q-partition tables: the dominant conjugates of (table point + rho)
-    that are not singular, shifted back by rho, in sorted order."""
+    packed q-partition tables qt: the dominant conjugates of (table point +
+    rho) that are not singular, shifted back by rho, in sorted order."""
     ones = (1,) * rs.rank
     candidates = set()
     for k in range(degree + 1):
-        for v in tables[k]:
-            shifted = tuple(a + b for a, b in zip(v, ones))
+        for key in qt.levels[k]:
+            shifted = tuple(a + b for a, b in zip(qt.decode(key), ones))
             dom, sign = rs.dominant_representative(shifted)
             if sign == 0:
                 continue

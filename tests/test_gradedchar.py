@@ -5,7 +5,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from helpers import act_fund, multiset_partition_counts, nullcone_candidates
+from helpers import (
+    act_fund,
+    multiset_partition_counts,
+    nullcone_candidates,
+    tuple_dp_tables,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +25,7 @@ from shortroots import (
     build,
     complete_intersection_series,
     closure,
+    enumerate_group,
     graded_multiplicity,
     hilbert_check,
     nullcone_character,
@@ -211,9 +217,78 @@ def test_character_work_cap_counts_dp_updates():
     fresh = nullcone_character(RootSystem(rs.spec), 4).work
     assert shallow == fresh
     assert deep["dp_updates"] > shallow["dp_updates"] > 0
-    assert nullcone_character(build("F4"), 8).work == {
-        "dp_updates": 27704, "dominant_points": 80,
-    }
+
+
+# deterministic work counters: an algorithmic change moves them even where
+# timings are too noisy to show it
+@pytest.mark.parametrize("name,degree,dp_updates,dominant_points,entries", [
+    ("F4", 8, 27704, 80, 18),
+    ("C4", 8, 27578, 144, 49),
+    ("C5", 6, 48831, 86, 31),
+    ("C6", 6, 246962, 104, 39),
+])
+def test_character_work_counters_are_pinned(name, degree, dp_updates, dominant_points, entries):
+    char = nullcone_character(build(name), degree)
+    assert char.work == {"dp_updates": dp_updates, "dominant_points": dominant_points}
+    assert len(char.entries) == entries
+
+
+@pytest.mark.parametrize("name,degree", [
+    ("G2", 12), ("B3", 8), ("C3", 8), ("F4", 6), ("C5", 4),
+])
+def test_packed_tables_match_tuple_oracle(name, degree):
+    rs = build(name)
+    qt = gc._dp_build(rs, degree)
+    tables, updates = tuple_dp_tables(rs, degree)
+    assert qt.updates == updates
+    assert [len(level) for level in qt.levels] == [len(t) for t in tables]
+    assert [{qt.decode(key): c for key, c in level.items()} for level in qt.levels] == tables
+
+
+def test_packing_range_edges():
+    rs = build("G2")
+    degree = 3
+    qt = gc._dp_build(rs, degree)
+    off = qt.off
+    assert off == degree * max(abs(c) for r in rs.short_positive_roots()
+                               for c in rs.weight_coords(r))
+    for fund in [(off, -off), (-off, off), (off, off), (-off, -off), (0, 0)]:
+        assert qt.decode(qt.encode(fund)) == fund
+        assert qt.decode(qt.encode(fund), 1) == (fund[0] + 1, fund[1] + 1)
+    for fund in [(off + 1, 0), (0, -off - 1)]:
+        assert qt.encode(fund) is None
+        assert q_partition(rs, fund, degree) == QPoly.zero(degree)
+
+
+# each walk visits a point with a coordinate past the packing range
+@pytest.mark.parametrize("name,lam,mu,degree", [
+    ("G2", (2, 1), (0, 1), 3),
+    ("C3", (0, 2, 1), (1, 1, 0), 2),
+])
+def test_orbit_walk_past_the_packing_range(monkeypatch, name, lam, mu, degree):
+    rs = build(name)
+    vectors = [rs.weight_coords(r) for r in rs.short_positive_roots()]
+    lam_rho = tuple(c + 1 for c in lam)
+    mu_rho = tuple(c + 1 for c in mu)
+    acc = [0] * (degree + 1)
+    for w in enumerate_group(rs):
+        v = tuple(a - b for a, b in zip(act_fund(w, lam_rho), mu_rho))
+        for k, n in enumerate(multiset_partition_counts(vectors, v, degree)):
+            acc[k] += w.sign() * n
+    expected = QPoly(dict(enumerate(acc)), degree)
+    assert not expected.is_zero
+    missed = []
+    encode = gc._QTables.encode
+
+    def recording(qt, fund):
+        key = encode(qt, fund)
+        if key is None:
+            missed.append(fund)
+        return key
+
+    monkeypatch.setattr(gc._QTables, "encode", recording)
+    assert graded_multiplicity(rs, lam, mu, degree) == expected
+    assert missed
 
 
 def test_character_path_enumerates_no_weyl_group(monkeypatch):
@@ -246,8 +321,8 @@ def test_straightening_agrees_with_alternating_sum(name, degree):
     zero = Weight.zero(rs.rank)
     for lam, poly in char.entries.items():
         assert graded_multiplicity(rs, lam, zero, degree) == poly, (name, lam)
-    tables = gc._dp_build(rs, degree)[0]
-    for fund in nullcone_candidates(rs, tables, degree):
+    qt = gc._dp_build(rs, degree)
+    for fund in nullcone_candidates(rs, qt, degree):
         lam = Weight.of(fund)
         if lam not in char.entries:
             assert graded_multiplicity(rs, lam, zero, degree).is_zero, (name, lam)
@@ -259,12 +334,12 @@ def test_character_agrees_with_orbit_accumulation():
     for name, degree in [("G2", 5), ("C3", 4), ("B2", 6)]:
         rs = build(name)
         char = nullcone_character(rs, degree)
-        tables = gc._dp_build(rs, degree)[0]
+        qt = gc._dp_build(rs, degree)
         ones = (1,) * rs.rank
         acc: dict = {}
         for k in range(degree + 1):
-            for v, count in tables[k].items():
-                shifted = tuple(a + b for a, b in zip(v, ones))
+            for key, count in qt.levels[k].items():
+                shifted = tuple(a + b for a, b in zip(qt.decode(key), ones))
                 dom, sign = rs.dominant_representative(shifted)
                 if sign == 0:
                     continue
@@ -284,14 +359,16 @@ def test_graded_multiplicity_is_generator_order_independent():
     degree = 4
     lam = rs.weight_of(rs.theta_short)
     expected = graded_multiplicity(rs, lam, Weight.zero(3), degree)
-    tables = gc._dp_build(rs, degree)[0]
+    qt = gc._dp_build(rs, degree)
     lam_rho = tuple(int(c) + 1 for c in lam.fund)
     acc = [0] * (degree + 1)
     for w in closure(rs, [simple_reflection(rs, i) for i in (2, 1, 0)]):
         img = act_fund(w, lam_rho)
-        v = tuple(a - 1 for a in img)
+        key = qt.encode(tuple(a - 1 for a in img))
+        if key is None:
+            continue
         for k in range(degree + 1):
-            acc[k] += w.sign() * tables[k].get(v, 0)
+            acc[k] += w.sign() * qt.levels[k].get(key, 0)
     assert QPoly(dict(enumerate(acc)), degree) == expected
 
 

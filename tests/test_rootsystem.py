@@ -369,6 +369,9 @@ _WRONG_RANK = {
     "GradedCharacter.multiplicity": lambda rs: nullcone_character(rs, 2).multiplicity((0, 0, 1)),
     "WeightSystem.multiplicity": lambda rs: freudenthal(
         rs, rs.weight_of(rs.theta_short)).multiplicity((0, 0, 0, 1, 0)),
+    # a Weight carries no system: its arithmetic compares the two ranks
+    "Weight.__add__": lambda rs: Weight.of((1, 0)) + Weight.of((1, 0, 0)),
+    "Weight.__sub__": lambda rs: Weight.of((1, 0, 5)) - Weight.of((1, 0)),
 }
 
 
