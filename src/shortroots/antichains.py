@@ -6,8 +6,8 @@ the exponents must agree with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
@@ -120,8 +120,7 @@ def count_antichains_formula_alt(rs: RootSystem) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class AntichainReport:
+class AntichainReport(NamedTuple):
     brute_force_count: int
     formula_count: int
     alt_formula_count: int | None

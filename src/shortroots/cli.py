@@ -10,7 +10,6 @@ they would break that.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -35,7 +34,8 @@ SCHEMA_VERSION = 1
 
 def jsonable(value):
     """Exactness-preserving JSON encoding: rationals become num/den pairs,
-    polynomials become degree maps with their truncation."""
+    polynomials become degree maps with their truncation, and result
+    records maps of their fields."""
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
     if isinstance(value, QPoly):
@@ -45,8 +45,8 @@ def jsonable(value):
         }
     if isinstance(value, Weight):
         return {"fund": [jsonable(c) for c in value.fund]}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: jsonable(v) for k, v in dataclasses.asdict(value).items()}
+    if hasattr(value, "_asdict"):   # a record is a tuple too: test it first
+        value = value._asdict()
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -111,7 +111,7 @@ def cmd_info(args) -> int:
             "sub_coxeter_number": red.sub_coxeter_number,
             "transition_factor": red.transition_factor,
         }
-        info["dimension_ledger"] = dataclasses.asdict(ledger)
+        info["dimension_ledger"] = ledger._asdict()
         lines += [
             f"dim V         {dims.dim}  (zero weight multiplicity {dims.zero_mult})",
             f"reduction     {red.sub_spec}  (h_s {red.sub_coxeter_number}, "
@@ -164,7 +164,7 @@ def cmd_table1(args) -> int:
     rows = []
     for name in _TABLE_SYSTEMS:
         rs = build(name)
-        row = dataclasses.asdict(summary_row(rs))
+        row = summary_row(rs)._asdict()
         if name == "B2":
             row["isomorphic_to"] = "C2"
         elif name == "C2":

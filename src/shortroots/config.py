@@ -17,14 +17,13 @@ other value with a ``ValueError`` naming the variable.
 """
 
 import os
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 ENV_MAX_WEYL = "SHORTROOTS_MAX_W"
 ENV_MAX_DEGREE = "SHORTROOTS_MAX_DEGREE"
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(NamedTuple):
     max_weyl_order: int = 1152      # Weyl group enumeration refuses beyond this
     max_series_degree: int = 8      # default graded-character truncation
     max_character_work: int = 300_000  # DP updates per table build, orbit points per walk
@@ -44,5 +43,5 @@ def current_limits() -> Limits:
                 raise ValueError(f"{name}={raw!r} is not an integer") from None
             if value < 0:
                 raise ValueError(f"{name}={raw!r} must be non-negative")
-            limits = replace(limits, **{field: value})
+            limits = limits._replace(**{field: value})
     return limits

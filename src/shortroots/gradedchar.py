@@ -19,7 +19,7 @@ degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded
@@ -335,8 +335,7 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     return GradedCharacter(rs, entries, max_degree, work)
 
 
-@dataclass(frozen=True)
-class HilbertReport:
+class HilbertReport(NamedTuple):
     ok: bool
     dimension_series: QPoly      # sum over entries of dim * multiplicity
     expected_series: QPoly       # complete intersection Hilbert series

@@ -8,7 +8,7 @@ formula provides an independent route to the dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IdentityViolation
 from .rootsystem import Root, RootSystem, Weight
@@ -152,8 +152,7 @@ def weyl_dim(rs: RootSystem, highest) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class LittleAdjointDims:
+class LittleAdjointDims(NamedTuple):
     dim: int
     zero_mult: int
     short_count: int
@@ -161,8 +160,13 @@ class LittleAdjointDims:
 
 def little_adjoint_dims(rs: RootSystem) -> LittleAdjointDims:
     """Dimension data of the module with highest weight the short dominant
-    root, computed three independent ways and cross-checked."""
+    root, computed three independent ways and cross-checked, once per
+    system."""
     rs.require_two_lengths()
+    return rs.memo("little_adjoint_dims", lambda: _dims(rs))
+
+
+def _dims(rs: RootSystem) -> LittleAdjointDims:
     ws = freudenthal(rs, rs.weight_of(rs.theta_short))
     zero_mult = ws.zero_multiplicity
     short_count = 2 * len(rs.short_positives)
@@ -174,8 +178,7 @@ def little_adjoint_dims(rs: RootSystem) -> LittleAdjointDims:
     return LittleAdjointDims(dim=dim, zero_mult=zero_mult, short_count=short_count)
 
 
-@dataclass(frozen=True)
-class DeltaPartition:
+class DeltaPartition(NamedTuple):
     """Roots not orthogonal to a fixed root, split by the sign of the root
     and the sign of the inner product."""
 

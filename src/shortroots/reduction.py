@@ -5,7 +5,7 @@ registry for all four multiply-laced families."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IdentityViolation, UnsupportedRootSystem
 from .littleadjoint import little_adjoint_dims
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SimpleReduction:
+class SimpleReduction(NamedTuple):
     short_simple_indices: tuple[int, ...]
     subsystem: tuple[Root, ...]          # roots supported on the short simples
     sub_spec: RootSystemSpec
@@ -79,8 +78,7 @@ def check_coxeter_power(rs: RootSystem, ordering=None) -> bool:
     return is_in_long_subgroup(rs, c ** red.sub_coxeter_number)
 
 
-@dataclass(frozen=True)
-class TransitionIdentities:
+class TransitionIdentities(NamedTuple):
     """Three independent computations of the same integer."""
 
     factor: int            # h / h_s
@@ -101,8 +99,7 @@ def transition_identities(rs: RootSystem) -> TransitionIdentities:
     return t
 
 
-@dataclass(frozen=True)
-class HyperplaneClasses:
+class HyperplaneClasses(NamedTuple):
     """Short positive roots grouped by the kernel hyperplane they induce on
     the zero weight space: two short roots agree when they differ, up to
     sign, by a long root; the classes carry exactly one representative
@@ -164,8 +161,7 @@ def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
     return HyperplaneClasses(classes=classes, representatives=tuple(reps))
 
 
-@dataclass(frozen=True)
-class OneStepEntry:
+class OneStepEntry(NamedTuple):
     """Ways of reaching the short-simple subsystem from one short positive
     root in a single long-root step."""
 
@@ -207,8 +203,7 @@ def one_step_strings(rs: RootSystem) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class DimensionLedger:
+class DimensionLedger(NamedTuple):
     module_dim: int             # (h+1) * number of short simples
     module_nullcone_dim: int    # h * number of short simples
     reduction_dim: int          # (h_s+1) * number of short simples
@@ -283,8 +278,7 @@ _AMBIENT = {
 }
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     system: str
     module_dim: int
     theta_short_coeffs: tuple[int, ...]

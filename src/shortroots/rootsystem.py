@@ -18,8 +18,8 @@ dominant root coincides with the highest root.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,31 +50,79 @@ SHORT = "short"
 LONG = "long"
 
 
-@dataclass(frozen=True, order=True)
-class RootSystemSpec:
-    """A simple type: family letter plus rank, e.g. ('C', 4)."""
+def _by_fields(op):
+    """A comparison of two values of one class by their field tuples; any
+    other operand gets NotImplemented."""
+    def compare(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return op(self._astuple(), other._astuple())
+    return compare
 
-    family: str
-    rank: int
 
-    def __post_init__(self):
-        bounds = _RANK_BOUNDS.get(self.family)
+class _Value:
+    """Base of the immutable value types: a subclass lists its fields in
+    __slots__ and sets each once, in __init__.  A value equals only values
+    of its own class, hashes as its field tuple, refuses assignment, and is
+    copied and pickled through __init__."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    __eq__ = _by_fields(operator.eq)
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class RootSystemSpec(_Value):
+    """A simple type: family letter plus rank, e.g. ('C', 4).  Specs are
+    ordered by (family, rank)."""
+
+    __slots__ = ("family", "rank")
+
+    def __init__(self, family: str, rank: int):
+        bounds = _RANK_BOUNDS.get(family)
         if bounds is None:
-            raise ValueError(f"unknown family {self.family!r}, expected one of A..G")
+            raise ValueError(f"unknown family {family!r}, expected one of A..G")
         lo, hi = bounds
-        if type(self.rank) is not int or self.rank < lo or (hi is not None and self.rank > hi):
-            raise ValueError(f"rank {self.rank} is not valid for type {self.family}")
+        if type(rank) is not int or rank < lo or (hi is not None and rank > hi):
+            raise ValueError(f"rank {rank} is not valid for type {family}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+
+    __lt__ = _by_fields(operator.lt)
+    __le__ = _by_fields(operator.le)
+    __gt__ = _by_fields(operator.gt)
+    __ge__ = _by_fields(operator.ge)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(_Value):
     """A root, stored by its integer coefficients over the simple roots."""
 
-    coeffs: tuple[int, ...]
-    length_class: str
+    __slots__ = ("coeffs", "length_class")
+
+    def __init__(self, coeffs: tuple[int, ...], length_class: str):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "length_class", length_class)
 
     @property
     def height(self) -> int:
@@ -113,11 +161,13 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Value):
     """A weight, stored by rational coordinates over the fundamental weights."""
 
-    fund: tuple[Fraction, ...]
+    __slots__ = ("fund",)
+
+    def __init__(self, fund: tuple[Fraction, ...]):
+        object.__setattr__(self, "fund", fund)
 
     @staticmethod
     def of(coords) -> "Weight":

@@ -2,13 +2,17 @@
 doc/catalog coverage contract."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import shortroots.checks as checks
-from shortroots.cli import main
+from shortroots import DimensionLedger, build, dimension_ledger
+from shortroots.cli import jsonable, main
 from shortroots.config import ENV_MAX_DEGREE, ENV_MAX_WEYL
 
 
@@ -223,7 +227,18 @@ def test_nullcone_char_reports_a_failed_self_check(capsys, monkeypatch):
     assert out == ""
 
 
-def test_verify_reports_a_failed_self_check(capsys, monkeypatch):
+@pytest.fixture
+def fresh_systems():
+    """Clear build's cache before and after the test, so that memoised
+    results of earlier tests are not reused and none of this test's leak."""
+    from shortroots.rootsystem import _build_cached
+
+    _build_cached.cache_clear()
+    yield
+    _build_cached.cache_clear()
+
+
+def test_verify_reports_a_failed_self_check(capsys, monkeypatch, fresh_systems):
     import shortroots.littleadjoint as la
 
     monkeypatch.setattr(la, "weyl_dim", lambda rs, highest: 0)
@@ -251,6 +266,32 @@ def test_verify_keeps_the_alternating_sum_under_the_weyl_cap(capsys):
     (check,) = json.loads(out)["checks"]
     assert check["details"]["trivial_multiplicity_is_one"] is True
     assert "alternating_sum_skipped" not in check["details"]
+
+
+def test_jsonable_writes_a_record_as_a_dict_of_its_fields():
+    ledger = dimension_ledger(build("C4"))
+    out = jsonable(ledger)
+    assert isinstance(out, dict)
+    assert list(out) == list(DimensionLedger._fields)
+    assert out == {"module_dim": 27, "module_nullcone_dim": 24, "reduction_dim": 15,
+                   "reduction_nullcone_dim": 12, "transition_factor": 2}
+    assert jsonable([ledger, (1, 2)]) == [out, [1, 2]]
+
+
+def test_no_module_imports_dataclasses():
+    src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
+    importing = re.compile(r"^\s*(import|from)\s+dataclasses\b", re.MULTILINE)
+    assert [p.name for p in sorted(src.glob("*.py")) if importing.search(p.read_text())] == []
+
+
+def test_cli_start_up_does_not_load_dataclasses():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", "import shortroots.cli, sys; print('dataclasses' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
 
 
 def test_no_library_self_check_raises_a_bare_assertion_error():
@@ -293,12 +334,10 @@ def test_readme_catalog_matches_check_registry():
 
 
 def test_readme_names_every_cap():
-    import dataclasses
-
     import shortroots.config as config
 
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    names = [field.name for field in dataclasses.fields(config.Limits)]
+    names = list(config.Limits._fields)
     names += [getattr(config, name) for name in dir(config) if name.startswith("ENV_")]
     assert len(names) == 7
     assert [name for name in names if name not in text] == []

@@ -1,6 +1,8 @@
 """Root system construction against classical tables and hand-built
 epsilon-coordinate models."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -190,6 +192,61 @@ def test_dual_coxeter_dual_is_computed_from_sigma(monkeypatch):
 def test_spec_validation(family, rank):
     with pytest.raises(ValueError):
         RootSystemSpec(family, rank)
+
+
+def _value_fields():
+    """One value of each value type, with its field tuple."""
+    theta_s = build("B2").theta_short
+    return [
+        (theta_s, ((1, 1), "short")),
+        (Weight.of((1, 0)), ((Fraction(1), Fraction(0)),)),
+        (RootSystemSpec("C", 4), ("C", 4)),
+    ]
+
+
+def test_values_are_immutable_and_compare_by_fields_within_one_class():
+    for value, fields in _value_fields():
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        twin = type(value)(*fields)
+        assert twin == value and not twin != value
+        assert hash(twin) == hash(value) == hash(fields)
+        # never equal to a plain tuple, neither the field tuple nor its first field
+        assert value != fields and fields != value
+        assert value != fields[0] and fields[0] != value
+        assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    root, weight, spec = (value for value, _ in _value_fields())
+    assert root != weight != spec != root
+
+
+def test_values_keep_their_repr():
+    reprs = [repr(value) for value, _ in _value_fields()]
+    assert reprs == [
+        "Root(coeffs=(1, 1), length_class='short')",
+        "Weight(fund=(Fraction(1, 1), Fraction(0, 1)))",
+        "RootSystemSpec(family='C', rank=4)",
+    ]
+
+
+def test_values_refuse_tuple_arithmetic():
+    root = build("B2").theta_short
+    with pytest.raises(TypeError):
+        Weight.of((1, 0)) * 2
+    with pytest.raises(TypeError):
+        root + root
+    with pytest.raises(TypeError):
+        RootSystemSpec("C", 4) < ("C", 5)
+
+
+def test_specs_order_by_family_then_rank():
+    specs = [RootSystemSpec(f, n) for f, n in [("C", 4), ("B", 6), ("C", 2), ("A", 9), ("G", 2)]]
+    assert [str(s) for s in sorted(specs)] == ["A9", "B6", "C2", "C4", "G2"]
+    c2, c4 = RootSystemSpec("C", 2), RootSystemSpec("C", 4)
+    assert c2 < c4 and c2 <= c4 and c4 > c2 and c4 >= c2 and c4 <= c4 and c4 >= c4
+    assert not (c4 < c4 or c4 > c4)
 
 
 def test_build_accepts_several_spellings():
