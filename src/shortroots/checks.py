@@ -113,7 +113,7 @@ def _check_little_adjoint_dims(rs: RootSystem):
     dims = la.little_adjoint_dims(rs)
     h = rs.coxeter_number
     k = len(rs.short_simple_indices)
-    ws = la.freudenthal(rs, rs.weight_of(rs.theta_short))
+    ws = dims.weights
     support_ok = len(ws) == dims.short_count + 1 and all(
         ws.multiplicity(rs.weight_of(r)) == 1 for r in rs.short_positive_roots()
     )

@@ -19,6 +19,8 @@ other value with a ``ValueError`` naming the variable.
 import os
 from typing import NamedTuple
 
+__all__ = ["Limits", "current_limits"]
+
 ENV_MAX_WEYL = "SHORTROOTS_MAX_W"
 ENV_MAX_DEGREE = "SHORTROOTS_MAX_DEGREE"
 

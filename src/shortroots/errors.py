@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["NotFiniteType", "UnsupportedRootSystem", "SizeLimitExceeded", "IdentityViolation"]
+
 
 class NotFiniteType(ValueError):
     """A Cartan matrix that is not of finite type (or not a Cartan matrix)."""

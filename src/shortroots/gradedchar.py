@@ -34,6 +34,7 @@ __all__ = [
     "GradedCharacter",
     "nullcone_character",
     "HilbertReport",
+    "complete_intersection_series",
     "hilbert_check",
 ]
 

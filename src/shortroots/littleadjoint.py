@@ -2,7 +2,12 @@
 module with short-dominant highest weight.
 
 The multiplicity engine is the Freudenthal recursion, run entirely in
-integer arithmetic on fundamental coordinates.  The Weyl dimension
+integer arithmetic on fundamental coordinates and on the dominant
+chamber only.  The dominant weights below the highest weight are found
+by positive-root steps that never leave the chamber (Stembridge, The
+partial order of dominant weights, 1998); each multiplicity reads only
+dominant weights strictly above it, and the whole weight system is the
+union of the Weyl orbits of the dominant weights.  The Weyl dimension
 formula provides an independent route to the dimension.
 """
 
@@ -51,66 +56,55 @@ class WeightSystem:
         return len(self.entries)
 
 
-def _in_hull(rs: RootSystem, lam, fund) -> bool:
-    # fund lies in the support iff its dominant conjugate sits below lam
-    # in the root order
-    dom, _ = rs.dominant_representative(fund)
-    diff = tuple(a - b for a, b in zip(lam, dom))
-    rc = rs.lattice_coords(diff)
-    return rc is not None and all(c >= 0 for c in rc)
-
-
-def _support(rs: RootSystem, lam):
-    """All weights of the module with highest weight lam, as fundamental
-    coordinate tuples.  Walks down by simple roots; every weight of the
-    module is reachable that way."""
-    n = rs.rank
-    alpha_f = [rs.weight_coords(rs.simple_root(j)) for j in range(n)]
-    seen = {lam}
+def _dominant_below(rs: RootSystem, lam):
+    """The dominant weights mu <= lam, each mapped to the root-lattice
+    coordinates of lam - mu.  Each is reached from lam by subtracting
+    positive roots without leaving the dominant chamber (Stembridge 1998)."""
+    steps = [(rs.weight_coords(r), r.coeffs) for r in rs.positive_roots()]
+    below = {lam: (0,) * rs.rank}
     layer = [lam]
     while layer:
-        nxt = []
+        fresh = []
         for mu in layer:
-            for j in range(n):
-                nu = tuple(a - b for a, b in zip(mu, alpha_f[j]))
-                if nu in seen:
-                    continue
-                if _in_hull(rs, lam, nu):
-                    seen.add(nu)
-                    nxt.append(nu)
-        layer = nxt
+            diff = below[mu]
+            for alpha_f, coeffs in steps:
+                nu = tuple(a - b for a, b in zip(mu, alpha_f))
+                if nu not in below and min(nu) >= 0:
+                    below[nu] = tuple(a + b for a, b in zip(diff, coeffs))
+                    fresh.append(nu)
+        layer = fresh
+    return below
+
+
+def _orbit(rs: RootSystem, mu):
+    """The Weyl orbit of a dominant weight, walked down from it by s_i
+    wherever the i-th coordinate is positive."""
+    cols = [rs.weight_coords(rs.simple_root(i)) for i in range(rs.rank)]
+    seen = {mu}
+    layer = [mu]
+    while layer:
+        fresh = []
+        for y in layer:
+            for i, col in enumerate(cols):
+                if y[i] > 0:
+                    z = tuple(a - y[i] * b for a, b in zip(y, col))
+                    if z not in seen:
+                        seen.add(z)
+                        fresh.append(z)
+        layer = fresh
     return seen
 
 
 def freudenthal(rs: RootSystem, highest) -> WeightSystem:
     """Weight system of the simple module with the given dominant integral
-    highest weight, multiplicities by the Freudenthal recursion."""
+    highest weight.  The Freudenthal recursion runs on the dominant weights
+    alone, from lam downwards; the other weights are their Weyl conjugates."""
     lam = rs.dominant_integral(highest)
-    n = rs.rank
     d = rs.symmetrizers
-    support = _support(rs, lam)
-
-    dominant = []
-    for mu in support:
-        if all(x >= 0 for x in mu):
-            rc = rs.lattice_coords(tuple(a - b for a, b in zip(lam, mu)))
-            dominant.append((sum(rc), mu))
-    dominant.sort()
-
+    below = _dominant_below(rs, lam)
     pos_data = [(rs.weight_coords(r), rs.form_coords(r)) for r in rs.positive_roots()]
-
     mults = {lam: 1}
-    rep_memo: dict = {}
-
-    def mult_at(nu):
-        m = rep_memo.get(nu)
-        if m is None:
-            dom, _ = rs.dominant_representative(nu)
-            m = mults[dom]
-            rep_memo[nu] = m
-        return m
-
-    for level, mu in dominant:
+    for level, mu in sorted((sum(c), mu) for mu, c in below.items()):
         if level == 0:
             continue
         total = 0
@@ -118,21 +112,20 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
             nu = mu
             while True:
                 nu = tuple(a + b for a, b in zip(nu, alpha_f))
-                if nu not in support:
+                # nu's dominant conjugate lies strictly above mu, so a weight
+                # there already has its multiplicity
+                m = mults.get(rs.dominant_representative(nu)[0])
+                if m is None:
                     break
                 # (nu | alpha) in the short-normalised form
-                total += mult_at(nu) * sum(w * f for w, f in zip(weighted, nu))
-        diff_rc = rs.lattice_coords(tuple(a - b for a, b in zip(lam, mu)))
-        shifted = tuple(a + b + 2 for a, b in zip(lam, mu))
-        den = sum(d[j] * diff_rc[j] * shifted[j] for j in range(n))
+                total += m * sum(w * f for w, f in zip(weighted, nu))
+        # (lam - mu | lam + mu + 2 rho)
+        den = sum(dj * cj * (a + b + 2) for dj, cj, a, b in zip(d, below[mu], lam, mu))
         q, rem = divmod(2 * total, den)
         if rem or q <= 0:
             raise IdentityViolation("Freudenthal recursion produced a non-multiplicity")
         mults[mu] = q
-
-    entries = {}
-    for mu in support:
-        entries[Weight.of(mu)] = mult_at(mu)
+    entries = {Weight.of(nu): m for mu, m in mults.items() for nu in _orbit(rs, mu)}
     return WeightSystem(rs, Weight.of(lam), entries)
 
 
@@ -156,12 +149,13 @@ class LittleAdjointDims(NamedTuple):
     dim: int
     zero_mult: int
     short_count: int
+    weights: WeightSystem   # the Freudenthal weight system the counts came from
 
 
 def little_adjoint_dims(rs: RootSystem) -> LittleAdjointDims:
     """Dimension data of the module with highest weight the short dominant
     root, computed three independent ways and cross-checked, once per
-    system."""
+    system, with the weight system it was read from."""
     rs.require_two_lengths()
     return rs.memo("little_adjoint_dims", lambda: _dims(rs))
 
@@ -175,7 +169,7 @@ def _dims(rs: RootSystem) -> LittleAdjointDims:
         raise IdentityViolation("multiplicity sum disagrees with the dimension formula")
     if dim != short_count + zero_mult:
         raise IdentityViolation("weight count disagrees with the dimension")
-    return LittleAdjointDims(dim=dim, zero_mult=zero_mult, short_count=short_count)
+    return LittleAdjointDims(dim=dim, zero_mult=zero_mult, short_count=short_count, weights=ws)
 
 
 class DeltaPartition(NamedTuple):

@@ -87,7 +87,6 @@ class TransitionIdentities(NamedTuple):
 
 
 def transition_identities(rs: RootSystem) -> TransitionIdentities:
-    rs.require_two_lengths()
     red = simple_reduction(rs)
     t = TransitionIdentities(
         factor=red.transition_factor,
@@ -174,7 +173,6 @@ class OneStepEntry(NamedTuple):
 def one_step_strings(rs: RootSystem) -> dict:
     """For each short positive root outside the short-simple subsystem, all
     long roots beta with root - beta inside the subsystem (either sign)."""
-    rs.require_two_lengths()
     red = simple_reduction(rs)
     sub = {r.coeffs: r for r in red.subsystem}
     out = {}
@@ -290,7 +288,6 @@ class SummaryRow(NamedTuple):
 
 
 def summary_row(rs: RootSystem) -> SummaryRow:
-    rs.require_two_lengths()
     red = simple_reduction(rs)
     dims = little_adjoint_dims(rs)
     return SummaryRow(

@@ -226,9 +226,8 @@ def decompose_semidirect(rs: RootSystem, w: WeylElement):
 
     Works by descent: while some member of the long-root base is sent
     negative, strip one long reflection off the right."""
-    base = long_root_base(rs)  # raises on simply-laced input
-    refls = rs.memo("long_base_reflections", lambda: tuple(reflection(rs, b) for b in base))
-    base_idx = [rs.index(b) for b in base]
+    refls = long_subgroup(rs)  # raises on simply-laced input
+    base_idx = [rs.index(b) for b in long_root_base(rs)]
     p = rs.num_positive
     v = w
     while True:
@@ -257,8 +256,11 @@ def closure(rs: RootSystem, generators) -> frozenset:
 
 def long_subgroup(rs: RootSystem) -> tuple[WeylElement, ...]:
     """Generators of the normal subgroup generated by reflections in long
-    roots: the reflections in the long-root base."""
-    return tuple(reflection(rs, b) for b in long_root_base(rs))
+    roots: the reflections in the long-root base, in its order, built once
+    per system."""
+    return rs.memo(
+        "long_base_reflections", lambda: tuple(reflection(rs, b) for b in long_root_base(rs))
+    )
 
 
 def short_parabolic(rs: RootSystem) -> tuple[WeylElement, ...]:

@@ -90,8 +90,6 @@ def kostant_multiplicity(rs, lam, mu):
     """Weight multiplicity by the alternating sum over the Weyl group of the
     classical partition function (all positive roots, ungraded).  Completely
     independent of the Freudenthal recursion."""
-    from shortroots import enumerate_group
-
     roots = [r.coeffs for r in rs.positive_roots()]
 
     @lru_cache(maxsize=None)
@@ -113,10 +111,43 @@ def kostant_multiplicity(rs, lam, mu):
     lam_rho = tuple(int(c) + 1 for c in lam.fund)
     mu_rho = tuple(int(c) + 1 for c in mu.fund)
     total = 0
-    for w in enumerate_group(rs):
-        img = act_fund(w, lam_rho)
-        total += w.sign() * partitions(tuple(a - b for a, b in zip(img, mu_rho)))
+    for sign, img in _signed_images(rs, lam_rho):
+        total += sign * partitions(tuple(a - b for a, b in zip(img, mu_rho)))
     return total
+
+
+@lru_cache(maxsize=None)
+def _signed_images(rs, fund):
+    """(sign(w), w(fund)) for every w in W, by the Fraction matrices."""
+    from shortroots import enumerate_group
+
+    return tuple((w.sign(), act_fund(w, fund)) for w in enumerate_group(rs))
+
+
+def oracle_support(rs, lam):
+    """All weights of the simple module with highest weight lam, as
+    fundamental coordinate tuples, by the hull rule: walk down from lam by
+    simple roots, keeping a point exactly when its dominant conjugate lies
+    below lam in the root order."""
+
+    def in_hull(fund):
+        dom, _ = rs.dominant_representative(fund)
+        rc = rs.lattice_coords(tuple(a - b for a, b in zip(lam, dom)))
+        return rc is not None and all(c >= 0 for c in rc)
+
+    alpha_f = [rs.weight_coords(rs.simple_root(j)) for j in range(rs.rank)]
+    seen = {lam}
+    layer = [lam]
+    while layer:
+        nxt = []
+        for mu in layer:
+            for col in alpha_f:
+                nu = tuple(a - b for a, b in zip(mu, col))
+                if nu not in seen and in_hull(nu):
+                    seen.add(nu)
+                    nxt.append(nu)
+        layer = nxt
+    return seen
 
 
 def tuple_dp_tables(rs, degree):

@@ -248,6 +248,37 @@ def test_verify_reports_a_failed_self_check(capsys, monkeypatch, fresh_systems):
     assert "multiplicity sum disagrees with the dimension formula" in out
 
 
+def test_verify_runs_freudenthal_once_per_system(capsys, monkeypatch, fresh_systems):
+    import shortroots.littleadjoint as la
+
+    calls = []
+    engine = la.freudenthal
+
+    def counted(rs, highest):
+        calls.append(highest)
+        return engine(rs, highest)
+
+    monkeypatch.setattr(la, "freudenthal", counted)
+    code, out, _ = run(capsys, "verify", "F4", "--json")
+    assert code == 0
+    assert json.loads(out)["summary"]["fail"] == 0
+    assert len(calls) == 1
+
+
+def test_verify_timings_are_opt_in(capsys):
+    code, out, _ = run(capsys, "verify", "G2", "--timings", "--json")
+    assert code == 0
+    elapsed = json.loads(out)["elapsed_seconds"]
+    assert isinstance(elapsed, float) and elapsed >= 0
+    code, out, _ = run(capsys, "verify", "G2", "--timings")
+    assert code == 0
+    assert re.search(r"\nelapsed \d+\.\d{3}s\n$", out)
+    code, out, _ = run(capsys, "verify", "G2", "--json")
+    assert "elapsed_seconds" not in json.loads(out)
+    code, out, _ = run(capsys, "verify", "G2")
+    assert "elapsed" not in out
+
+
 @pytest.mark.parametrize("name", ["B6", "C6"])
 def test_verify_runs_nullcone_hilbert_past_the_weyl_cap(capsys, name):
     code, out, _ = run(capsys, "verify", name, "--check", "nullcone-hilbert", "--json")
@@ -276,6 +307,22 @@ def test_jsonable_writes_a_record_as_a_dict_of_its_fields():
     assert out == {"module_dim": 27, "module_nullcone_dim": 24, "reduction_dim": 15,
                    "reduction_nullcone_dim": 12, "transition_factor": 2}
     assert jsonable([ledger, (1, 2)]) == [out, [1, 2]]
+
+
+def test_package_exports_exactly_the_module_lists():
+    import importlib
+    from types import ModuleType
+
+    import shortroots
+
+    library = ["antichains", "config", "errors", "gradedchar", "littleadjoint", "reduction",
+               "rootsystem", "weyl"]
+    declared = [name for mod in library
+                for name in importlib.import_module(f"shortroots.{mod}").__all__]
+    public = {name for name, obj in vars(shortroots).items()
+              if not name.startswith("_") and not isinstance(obj, ModuleType)}
+    assert len(declared) == len(set(declared))
+    assert public == set(declared)
 
 
 def test_no_module_imports_dataclasses():

@@ -1,9 +1,10 @@
 """Weight multiplicities, dimension formulas and sign-partition counts."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from helpers import kostant_multiplicity
+from helpers import kostant_multiplicity, oracle_support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,13 +195,47 @@ def test_random_weights_of_b2(lam):
         assert ws.multiplicity(Weight.of(dom)) == m
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["A2", "B2", "B3", "C3", "G2"]), st.tuples(*[st.integers(0, 2)] * 3))
-def test_freudenthal_agrees_with_kostant_and_weyl(name, coords):
-    rs = build(name)
-    lam = Weight.of(coords[: rs.rank])
+def _agrees_with_kostant_and_weyl(rs, lam):
     ws = freudenthal(rs, lam)
     assert ws.dimension == weyl_dim(rs, lam)
     for mu in ws.weights():
         if mu.is_dominant:
-            assert ws.multiplicity(mu) == kostant_multiplicity(rs, lam, mu), (name, coords, mu)
+            assert ws.multiplicity(mu) == kostant_multiplicity(rs, lam, mu), (rs.spec, lam, mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A2", "B2", "B3", "C3", "G2"]), st.tuples(*[st.integers(0, 2)] * 3))
+def test_freudenthal_agrees_with_kostant_and_weyl(name, coords):
+    rs = build(name)
+    _agrees_with_kostant_and_weyl(rs, Weight.of(coords[: rs.rank]))
+
+
+# rank-4 two-length types, at highest weights with four to seven dominant
+# weights: a dominant weight the chamber walk missed would show here
+@pytest.mark.parametrize(
+    "name,lam",
+    [
+        ("B4", (1, 1, 0, 0)),
+        ("B4", (0, 0, 1, 1)),
+        ("C4", (0, 0, 1, 1)),
+        ("C4", (1, 0, 0, 1)),
+        ("F4", (0, 0, 1, 0)),
+        ("F4", (1, 0, 0, 1)),
+        ("F4", (0, 1, 0, 0)),
+    ],
+)
+def test_freudenthal_agrees_with_kostant_in_rank_four(name, lam):
+    _agrees_with_kostant_and_weyl(build(name), Weight.of(lam))
+
+
+@pytest.mark.parametrize(
+    "name,bound",
+    [("A3", 2), ("B3", 2), ("C3", 2), ("G2", 3), ("D4", 1), ("B4", 1), ("C4", 1), ("F4", 1)],
+)
+def test_freudenthal_support_is_the_hull(name, bound):
+    # the weights are exactly the points whose dominant conjugate lies below
+    # the highest weight, found by an independent walk
+    rs = build(name)
+    for lam in itertools.product(range(bound + 1), repeat=rs.rank):
+        ws = freudenthal(rs, Weight.of(lam))
+        assert {tuple(int(c) for c in w.fund) for w in ws.entries} == oracle_support(rs, lam)

@@ -20,15 +20,37 @@ from helpers import (
 from shortroots import (
     NotFiniteType,
     RootSystemSpec,
+    UnsupportedRootSystem,
     Weight,
+    antichain_report,
     build,
     cartan_matrix,
+    check_coxeter_power,
     classify_cartan,
+    count_antichains_formula,
+    decompose_semidirect,
+    dimension_ledger,
     dual_coxeter_of_dual,
     freudenthal,
     graded_multiplicity,
+    hilbert_check,
+    hw_orbit_dim,
+    hyperplane_classes,
+    identity,
+    invariant_degrees,
+    is_in_long_subgroup,
+    little_adjoint_dims,
+    long_root_base,
+    long_subgroup,
     nullcone_character,
+    one_step_strings,
+    orbit_count,
     q_partition,
+    short_parabolic,
+    short_root_poset,
+    simple_reduction,
+    summary_row,
+    transition_identities,
     weyl_dim,
 )
 from shortroots.checks import run_check
@@ -436,6 +458,37 @@ _WRONG_RANK = {
 def test_every_weight_entry_point_refuses_the_wrong_rank(entry):
     with pytest.raises(ValueError, match="^weight has the wrong rank$"):
         _WRONG_RANK[entry](_F4)
+
+
+_TWO_LENGTH_ENTRY_POINTS = {
+    "little_adjoint_dims": little_adjoint_dims,
+    "hw_orbit_dim": hw_orbit_dim,
+    "simple_reduction": simple_reduction,
+    "check_coxeter_power": check_coxeter_power,
+    "transition_identities": transition_identities,
+    "hyperplane_classes": hyperplane_classes,
+    "one_step_strings": one_step_strings,
+    "dimension_ledger": dimension_ledger,
+    "orbit_count": orbit_count,
+    "invariant_degrees": invariant_degrees,
+    "summary_row": summary_row,
+    "nullcone_character": lambda rs: nullcone_character(rs, 2),
+    "hilbert_check": lambda rs: hilbert_check(rs, 2),
+    "short_root_poset": short_root_poset,
+    "count_antichains_formula": count_antichains_formula,
+    "antichain_report": antichain_report,
+    "long_root_base": long_root_base,
+    "long_subgroup": long_subgroup,
+    "short_parabolic": short_parabolic,
+    "decompose_semidirect": lambda rs: decompose_semidirect(rs, identity(rs)),
+    "is_in_long_subgroup": lambda rs: is_in_long_subgroup(rs, identity(rs)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TWO_LENGTH_ENTRY_POINTS))
+def test_every_two_length_entry_point_refuses_a_single_length(entry):
+    with pytest.raises(UnsupportedRootSystem, match="^E8 has a single root length$"):
+        _TWO_LENGTH_ENTRY_POINTS[entry](build("E8"))
 
 
 def test_weights_are_parsed_by_the_root_system_only():
