@@ -6,7 +6,6 @@ the exponents must agree with it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .config import current_limits
@@ -88,18 +87,24 @@ def count_antichains(poset: RootPoset) -> int:
     return visited
 
 
+def _exponent_product(shift: int, exponents) -> int:
+    """The product of (shift + m + 1) / (m + 1) over the exponents m, which
+    the antichain formulas assert to be an integer."""
+    num = den = 1
+    for m in exponents:
+        num *= shift + m + 1
+        den *= m + 1
+    q, rem = divmod(num, den)
+    if rem:
+        raise IdentityViolation("antichain product formula must be an integer")
+    return q
+
+
 def count_antichains_formula(rs: RootSystem) -> int:
     """Product formula over the smallest exponents, one per short simple
     root.  The result is always an integer."""
     rs.require_two_lengths()
-    h = rs.coxeter_number
-    l = len(rs.short_simple_indices)
-    value = Fraction(1)
-    for m in rs.exponents[:l]:
-        value *= Fraction(h + m + 1, m + 1)
-    if value.denominator != 1:
-        raise IdentityViolation("antichain product formula must be an integer")
-    return int(value)
+    return _exponent_product(rs.coxeter_number, rs.exponents[: len(rs.short_simple_indices)])
 
 
 def count_antichains_formula_alt(rs: RootSystem) -> int:
@@ -111,13 +116,7 @@ def count_antichains_formula_alt(rs: RootSystem) -> int:
             f"the alternative product formula needs length ratio 2, "
             f"{rs.spec} has ratio {rs.length_ratio}"
         )
-    g = 2 * len(rs.short_positives) // rs.rank
-    value = Fraction(1)
-    for m in rs.exponents:
-        value *= Fraction(g + m + 1, m + 1)
-    if value.denominator != 1:
-        raise IdentityViolation("antichain product formula must be an integer")
-    return int(value)
+    return _exponent_product(2 * len(rs.short_positives) // rs.rank, rs.exponents)
 
 
 class AntichainReport(NamedTuple):

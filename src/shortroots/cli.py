@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import checks
 from .antichains import antichain_report
@@ -27,24 +26,19 @@ from .errors import (
 from .gradedchar import QPoly, hilbert_check
 from .littleadjoint import little_adjoint_dims
 from .reduction import dimension_ledger, simple_reduction, summary_row
-from .rootsystem import RootSystem, Weight, build, dual_coxeter_of_dual
+from .rootsystem import RootSystem, build, dual_coxeter_of_dual
 
 SCHEMA_VERSION = 1
 
 
 def jsonable(value):
-    """Exactness-preserving JSON encoding: rationals become num/den pairs,
-    polynomials become degree maps with their truncation, and result
-    records maps of their fields."""
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
+    """Exactness-preserving JSON encoding: polynomials become degree maps
+    with their truncation, and result records maps of their fields."""
     if isinstance(value, QPoly):
         return {
             "truncation": value.truncation,
             "coeffs": {str(k): v for k, v in value.terms()},
         }
-    if isinstance(value, Weight):
-        return {"fund": [jsonable(c) for c in value.fund]}
     if hasattr(value, "_asdict"):   # a record is a tuple too: test it first
         value = value._asdict()
     if isinstance(value, dict):
@@ -211,10 +205,8 @@ def cmd_nullcone_char(args) -> int:
     rs = build(args.system)
     degree = args.max_degree if args.max_degree is not None else current_limits().max_series_degree
     report = hilbert_check(rs, degree)
-    entries = [
-        {"weight": [int(c) for c in w.fund], "multiplicity": jsonable(report.character.entries[w])}
-        for w in report.character.weights()
-    ]
+    char = sorted(report.character.entries.items())
+    entries = [{"weight": list(w), "multiplicity": jsonable(poly)} for w, poly in char]
     payload = {
         "schemaVersion": SCHEMA_VERSION,
         "system": _system_block(rs),
@@ -226,9 +218,8 @@ def cmd_nullcone_char(args) -> int:
         **report.character.work,
     }
     lines = [f"graded nullcone character of {rs.spec} up to degree {degree}"]
-    for w in report.character.weights():
-        label = ",".join(str(int(c)) for c in w.fund)
-        lines.append(f"  [{label}]  {report.character.entries[w]}")
+    for w, poly in char:
+        lines.append(f"  [{','.join(map(str, w))}]  {poly}")
     lines.append(f"hilbert check  {'pass' if report.ok else 'FAIL at degree ' + str(report.first_mismatch)}")
     _emit(payload, args.json, lines)
     return 0 if report.ok else 1

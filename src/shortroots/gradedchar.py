@@ -199,13 +199,7 @@ def q_partition(rs: RootSystem, target, max_degree: int) -> QPoly:
     of short positive roots, graded by multiset size."""
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    if hasattr(target, "coeffs"):
-        fund = rs.weight_coords(target)
-    else:
-        weight = rs.as_weight(target)
-        if not weight.is_integral:
-            return QPoly.zero(max_degree)
-        fund = tuple(int(c) for c in weight.fund)
+    fund = rs.weight_coords(target) if hasattr(target, "coeffs") else rs.as_weight(target).fund
     qt = _dp_build(rs, max_degree)
     key = qt.encode(fund)
     if key is None:
@@ -241,7 +235,7 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     while layer:
         if visited > cap:
             raise SizeLimitExceeded(
-                f"the orbit walk of {rs.spec} from {Weight.of(lam)} visits more than the cap of "
+                f"the orbit walk of {rs.spec} from {Weight(lam)} visits more than the cap of "
                 f"{cap} points (max_character_work)"
             )
         below = {}
@@ -262,8 +256,9 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
 
 
 class GradedCharacter:
-    """Truncated graded character: dominant weights mapped to graded
-    multiplicity polynomials, zero polynomials omitted."""
+    """Truncated graded character: entries maps the int tuple of a dominant
+    weight's fundamental coordinates to its graded multiplicity polynomial,
+    zero polynomials omitted."""
 
     def __init__(self, rs: RootSystem, entries: dict, truncation: int, work=None):
         self.rs = rs
@@ -272,13 +267,15 @@ class GradedCharacter:
         self.work = work or {}
 
     def multiplicity(self, weight) -> QPoly:
-        return self.entries.get(self.rs.as_weight(weight), QPoly.zero(self.truncation))
+        return self.entries.get(self.rs.as_weight(weight).fund, QPoly.zero(self.truncation))
 
     def weights(self):
-        return sorted(self.entries, key=lambda w: w.fund)
+        """The weights, as Weights, in the order of their coordinates."""
+        return [Weight(fund) for fund in sorted(self.entries)]
 
     def negative_terms(self):
-        """Observed negative coefficients, reported rather than asserted."""
+        """Observed negative coefficients, as (weight coordinates, degree,
+        coefficient) triples, reported rather than asserted."""
         bad = []
         for w, p in self.entries.items():
             for k, v in p.terms():
@@ -329,8 +326,8 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     for lam in sorted(row_of):
         poly = QPoly(dict(enumerate(rows[row_of[lam] - 1])), max_degree)
         if not poly.is_zero:
-            entries[Weight.of(lam)] = poly
-    if entries.get(Weight.zero(rs.rank)) != QPoly.one(max_degree):
+            entries[lam] = poly
+    if entries.get((0,) * rs.rank) != QPoly.one(max_degree):
         raise IdentityViolation("the trivial entry of the nullcone character must be 1")
     work = {"dp_updates": qt.updates, "dominant_points": len(rows)}
     return GradedCharacter(rs, entries, max_degree, work)

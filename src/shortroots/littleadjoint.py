@@ -31,26 +31,29 @@ __all__ = [
 
 
 class WeightSystem:
-    """All weights of a simple module with their multiplicities."""
+    """All weights of a simple module with their multiplicities: entries
+    maps the int tuple of a weight's fundamental coordinates to its
+    multiplicity."""
 
-    def __init__(self, rs: RootSystem, highest: Weight, entries: dict):
+    def __init__(self, rs: RootSystem, highest: tuple[int, ...], entries: dict):
         self.rs = rs
-        self.highest = highest
+        self.highest = Weight(highest)
         self.entries = entries
 
     def multiplicity(self, weight) -> int:
-        return self.entries.get(self.rs.as_weight(weight), 0)
+        return self.entries.get(self.rs.as_weight(weight).fund, 0)
 
     @property
     def zero_multiplicity(self) -> int:
-        return self.multiplicity(Weight.zero(self.rs.rank))
+        return self.entries.get((0,) * self.rs.rank, 0)
 
     @property
     def dimension(self) -> int:
         return sum(self.entries.values())
 
     def weights(self):
-        return sorted(self.entries, key=lambda w: w.fund)
+        """The weights, as Weights, in the order of their coordinates."""
+        return [Weight(fund) for fund in sorted(self.entries)]
 
     def __len__(self):
         return len(self.entries)
@@ -125,8 +128,8 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
         if rem or q <= 0:
             raise IdentityViolation("Freudenthal recursion produced a non-multiplicity")
         mults[mu] = q
-    entries = {Weight.of(nu): m for mu, m in mults.items() for nu in _orbit(rs, mu)}
-    return WeightSystem(rs, Weight.of(lam), entries)
+    entries = {nu: m for mu, m in mults.items() for nu in _orbit(rs, mu)}
+    return WeightSystem(rs, lam, entries)
 
 
 def weyl_dim(rs: RootSystem, highest) -> int:

@@ -4,10 +4,11 @@ Roots are integer coefficient vectors over the simple roots; weights are
 coordinate vectors over the fundamental weights.  The invariant inner
 product is normalised so that short roots have squared length 2, which
 keeps every pairing against a coroot integral.  :class:`RootSystem` owns
-all root arithmetic and does it on integer vectors; ``Fraction`` appears
-only at the API boundary (``Weight`` coordinates, ``root_coords``,
-``coroot``, and ``inner`` or ``pairing`` with a ``Weight`` argument).
-Floats are refused, never rounded.
+all root arithmetic and does it on integer vectors.  Weights are
+integral, so a ``Weight`` holds int coordinates and pairs integrally
+with every coroot; ``Fraction`` appears only where an answer is
+genuinely rational: ``root_coords`` and the inner product of two
+weights.  Floats and non-integral coordinates are refused, never rounded.
 
 Simple roots follow the Bourbaki numbering: the short simple root of
 type B sits at the end of the chain, those of type C at the start, those
@@ -18,6 +19,7 @@ dominant root coincides with the highest root.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import re
 from fractions import Fraction
@@ -155,27 +157,34 @@ def _of_rank(fund, rank: int):
     return fund
 
 
-def _exact(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(f"weights take exact coordinates, not the float {value!r}")
-    return Fraction(value)
-
-
 class Weight(_Value):
-    """A weight, stored by rational coordinates over the fundamental weights."""
+    """An integral weight, stored by integer coordinates over the
+    fundamental weights."""
 
     __slots__ = ("fund",)
 
-    def __init__(self, fund: tuple[Fraction, ...]):
+    def __init__(self, fund: tuple[int, ...]):
         object.__setattr__(self, "fund", fund)
 
     @staticmethod
     def of(coords) -> "Weight":
-        return Weight(tuple(_exact(c) for c in coords))
+        """The one coordinate parser: ints, or rationals with denominator 1.
+        TypeError for a float or any other non-rational, ValueError for a
+        rational that is not an integer."""
+        fund = []
+        for c in coords:
+            if not isinstance(c, numbers.Rational):
+                raise TypeError(
+                    f"weights take exact coordinates, not the {type(c).__name__} {c!r}"
+                )
+            if c.denominator != 1:
+                raise ValueError(f"weights take integral coordinates, not {c}")
+            fund.append(int(c))
+        return Weight(tuple(fund))
 
     @staticmethod
     def zero(rank: int) -> "Weight":
-        return Weight((Fraction(0),) * rank)
+        return Weight((0,) * rank)
 
     @property
     def is_zero(self) -> bool:
@@ -184,10 +193,6 @@ class Weight(_Value):
     @property
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.fund)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.fund)
 
     def __add__(self, other: "Weight") -> "Weight":
         rhs = _of_rank(other.fund, len(self.fund))
@@ -201,8 +206,7 @@ class Weight(_Value):
         return Weight(tuple(-a for a in self.fund))
 
     def __rmul__(self, scalar) -> "Weight":
-        s = _exact(scalar)
-        return Weight(tuple(s * a for a in self.fund))
+        return Weight.of([scalar * a for a in self.fund])
 
     def __str__(self):
         return "[" + ",".join(str(c) for c in self.fund) + "]"
@@ -360,13 +364,12 @@ class RootSystem:
         if len(self.roots) != n * self.coxeter_number:
             raise NotFiniteType(f"{spec}: {len(self.roots)} roots != rank * h")
 
-        self.rho = Weight.of([1] * n)
-        self.sigma = self._half_sum_of_coroots()
+        self.rho = Weight((1,) * n)
         self.exponents = self._exponents_from_heights(heights)
         self.weyl_order = 1
         for m in self.exponents:
             self.weyl_order *= m + 1
-        self.dual_coxeter_number = 1 + int(self.pairing(self.rho, self.theta))
+        self.dual_coxeter_number = 1 + self.pairing(self.rho, self.theta)
 
     # -- construction pieces -------------------------------------------------
 
@@ -393,16 +396,6 @@ class RootSystem:
                         fresh.append(t)
             frontier = fresh
         return seen
-
-    def _half_sum_of_coroots(self) -> Weight:
-        # the sum over positive roots of A.c / (c|c), over a common denominator
-        den = max(self._sq)
-        total = [0] * self.rank
-        for i in self.positives:
-            scale = den // self._sq[i]
-            for j, f in enumerate(self._ac[i]):
-                total[j] += scale * f
-        return Weight(tuple(Fraction(t, den) for t in total))
 
     @staticmethod
     def _exponents_from_heights(heights) -> tuple[int, ...]:
@@ -487,7 +480,7 @@ class RootSystem:
         return self._dc[self.index(root)]
 
     def weight_of(self, root: Root) -> Weight:
-        return Weight.of(self.weight_coords(root))
+        return Weight(self.weight_coords(root))
 
     def check_rank(self, fund):
         """fund itself once it has one coordinate per simple root."""
@@ -501,20 +494,17 @@ class RootSystem:
         return w
 
     def dominant_integral(self, weight) -> tuple[int, ...]:
-        """The integer fundamental coordinates of a dominant integral weight
-        (see as_weight); ValueError for any other weight."""
+        """The fundamental coordinates of a dominant weight (see as_weight);
+        ValueError for any other weight."""
         w = self.as_weight(weight)
-        if not w.is_integral:
-            raise ValueError(f"{w} is not an integral weight")
         if not w.is_dominant:
             raise ValueError(f"{w} is not dominant")
-        return tuple(int(c) for c in w.fund)
+        return w.fund
 
-    def lattice_coords(self, fund):
-        """Integer root-lattice coordinates of the weight with the given
-        integer fundamental coordinates, or None when it lies outside the
-        root lattice."""
-        self.check_rank(fund)
+    def lattice_coords(self, weight):
+        """Integer root-lattice coordinates of a weight (see as_weight), or
+        None when it lies outside the root lattice."""
+        fund = self.as_weight(weight).fund
         out = []
         for row in self._adj:
             q, rem = divmod(_dot(row, fund), self._det)
@@ -528,8 +518,8 @@ class RootSystem:
         return tuple(Fraction(_dot(row, fund), self._det) for row in self._adj)
 
     def inner(self, x, y):
-        """W-invariant inner product of two roots or weights: an int for two
-        roots, a Fraction once a Weight is involved."""
+        """W-invariant inner product of two roots or weights: a Fraction for
+        two weights, an int once a root is involved."""
         if isinstance(x, Weight) and isinstance(y, Weight):
             d = self.symmetrizers
             fund = self.check_rank(y.fund)
@@ -539,24 +529,18 @@ class RootSystem:
         other = self.check_rank(y.fund) if isinstance(y, Weight) else self.weight_coords(y)
         return _dot(self.form_coords(x), other)
 
-    def coroot(self, root: Root) -> Weight:
-        """The coroot 2*root/(root|root), as a Weight."""
-        k = self.index(root)
-        return Weight(tuple(Fraction(2 * f, self._sq[k]) for f in self._ac[k]))
+    def pairing(self, x, root: Root) -> int:
+        """Pairing of a root or a Weight x against the coroot of the given
+        root: an int, since x is integral."""
+        fund = self.check_rank(x.fund) if isinstance(x, Weight) else self.weight_coords(x)
+        return self._pair(fund, self.index(root))
 
-    def pairing(self, x, root: Root):
-        """Pairing of x against the coroot of the given root: an int when x
-        is a root, a Fraction when it is a Weight."""
-        k = self.index(root)
-        if isinstance(x, Weight):
-            return Fraction(2 * self.inner(x, root), self._sq[k])
-        return self._pair(self.index(x), k)
-
-    def _pair(self, a: int, b: int) -> int:
-        """The pairing of root a against the coroot of root b."""
-        q, rem = divmod(2 * _dot(self._dc[b], self._ac[a]), self._sq[b])
+    def _pair(self, fund, b: int) -> int:
+        """The pairing of the weight with fundamental coordinates fund
+        against the coroot of root b."""
+        q, rem = divmod(2 * _dot(self._dc[b], fund), self._sq[b])
         if rem:
-            raise IdentityViolation("coroot pairing of two roots must be integral")
+            raise IdentityViolation("coroot pairing of an integral weight must be integral")
         return q
 
     def reflection_perm(self, k: int) -> tuple[int, ...]:
@@ -566,14 +550,14 @@ class RootSystem:
             beta = self.roots[k].coeffs
             perm = []
             for a, r in enumerate(self.roots):
-                q = self._pair(a, k)
+                q = self._pair(self._ac[a], k)
                 perm.append(self.root_index[tuple(c - q * b for c, b in zip(r.coeffs, beta))])
             return tuple(perm)
 
         return self.memo(("reflection", k), compute)
 
     def fundamental_weight(self, i: int) -> Weight:
-        return Weight.of([int(i == j) for j in range(self.rank)])
+        return Weight(tuple(int(i == j) for j in range(self.rank)))
 
     # -- dominance ------------------------------------------------------------
 
@@ -628,11 +612,13 @@ def build(family, rank: int | None = None) -> RootSystem:
 def dual_coxeter_of_dual(rs: RootSystem) -> int:
     """Dual Coxeter number of the dual root system, 1 + (sigma | theta_s):
     sigma, the half sum of positive coroots, is the dual system's rho, and
-    theta_s, being short, equals its coroot, the dual system's highest root."""
-    value = rs.inner(rs.sigma, rs.theta_short)
-    if value.denominator != 1:
+    theta_s, being short, equals its coroot, the dual system's highest root.
+    (sigma | theta_s) is half the sum of the pairings of theta_s against
+    the positive coroots."""
+    value, rem = divmod(sum(rs.pairing(rs.theta_short, r) for r in rs.positive_roots()), 2)
+    if rem:
         raise IdentityViolation("(sigma | theta_s) must be an integer")
-    return 1 + int(value)
+    return 1 + value
 
 
 # -- classification of Cartan matrices ----------------------------------------

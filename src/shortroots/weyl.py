@@ -80,30 +80,13 @@ class WeylElement:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.perm))
 
-    def act_root(self, root: Root) -> Root:
-        return self.rs.root_at(self.perm[self.rs.index(root)])
-
     def length(self) -> int:
         p = self.rs.num_positive
         return sum(1 for i in range(p) if self.perm[i] >= p)
 
-    def inversions(self) -> tuple[Root, ...]:
-        """Positive roots sent to negative ones."""
-        rs = self.rs
-        p = rs.num_positive
-        return tuple(rs.roots[i] for i in range(p) if self.perm[i] >= p)
-
     def sign(self) -> int:
         """The determinant (-1)^length."""
         return -1 if self.length() % 2 else 1
-
-    def order(self) -> int:
-        k = 1
-        w = self
-        while not w.is_identity:
-            w = w * self
-            k += 1
-        return k
 
 
 def identity(rs: RootSystem) -> WeylElement:

@@ -255,7 +255,7 @@ def oracle_weight_action(w):
     rs = w.rs
     A, n = rs.cartan, rs.rank
     inv = inverse_matrix(A)
-    cols = [w.act_root(rs.simple_root(j)).coeffs for j in range(n)]
+    cols = [act_root(w, rs.simple_root(j)).coeffs for j in range(n)]
     am = [[sum(A[i][k] * cols[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
     return tuple(
         tuple(sum(am[i][k] * inv[k][j] for k in range(n)) for j in range(n)) for i in range(n)
@@ -268,3 +268,33 @@ def act_fund(w, fund):
     image = [sum(a * f for a, f in zip(row, fund)) for row in oracle_weight_action(w)]
     assert all(c.denominator == 1 for c in image)
     return tuple(int(c) for c in image)
+
+
+# Weyl element and coroot views that only tests read: the library's Weyl
+# elements act on root indices, and an integral weight never needs a coroot.
+
+
+def act_root(w, root):
+    """The image of a root under the Weyl element w."""
+    return w.rs.root_at(w(w.rs.index(root)))
+
+
+def inversions(w):
+    """The positive roots that w sends to negative ones."""
+    p = w.rs.num_positive
+    return tuple(w.rs.roots[i] for i in range(p) if w(i) >= p)
+
+
+def order(w):
+    """The order of w in the Weyl group."""
+    k, power = 1, w
+    while not power.is_identity:
+        power, k = power * w, k + 1
+    return k
+
+
+def coroot(rs, root):
+    """The coroot 2*root/(root|root) in fundamental coordinates, as a tuple
+    of Fractions: non-integral for a long root."""
+    sq = rs.inner(root, root)
+    return tuple(Fraction(2 * f, sq) for f in rs.weight_coords(root))

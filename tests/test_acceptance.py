@@ -246,8 +246,8 @@ def test_criterion_9_property_sweeps():
         for name, lam in [("B2", (1, 1)), ("G2", (1, 0)), ("C3", (1, 0, 1))]:
             rs = build(name)
             ws = freudenthal(rs, Weight.of(lam))
-            for mu, m in ws.entries.items():
-                assert ws.entries[-mu] == m
+            for mu in ws.weights():
+                assert ws.multiplicity(-mu) == ws.multiplicity(mu)
 
         # dimension formula versus multiplicity sums on random dominant weights
         rng = random.Random(20120523)

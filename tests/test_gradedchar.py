@@ -124,11 +124,13 @@ def test_q_partition_rejects_bad_subset():
 
 
 def test_q_partition_reads_a_sequence_as_a_weight():
-    # a coordinate sequence is parsed like a Weight: a non-integral point has
-    # no partitions, and floats are refused
+    # a coordinate sequence is parsed like a Weight: a non-integral point is
+    # refused, as is a float
     rs = build("B2")
-    half = (Fraction(1, 2), 0)
-    assert q_partition(rs, half, 2) == q_partition(rs, Weight.of(half), 2) == QPoly.zero(2)
+    theta_s = rs.weight_of(rs.theta_short)
+    assert q_partition(rs, theta_s.fund, 2) == q_partition(rs, theta_s, 2) == QPoly({1: 1}, 2)
+    with pytest.raises(ValueError, match="integral coordinates"):
+        q_partition(rs, (Fraction(1, 2), 0), 2)
     with pytest.raises(TypeError):
         q_partition(rs, (0.5, 0), 2)
 
@@ -322,8 +324,7 @@ def test_straightening_agrees_with_alternating_sum(name, degree):
     for lam, poly in char.entries.items():
         assert graded_multiplicity(rs, lam, zero, degree) == poly, (name, lam)
     qt = gc._dp_build(rs, degree)
-    for fund in nullcone_candidates(rs, qt, degree):
-        lam = Weight.of(fund)
+    for lam in nullcone_candidates(rs, qt, degree):
         if lam not in char.entries:
             assert graded_multiplicity(rs, lam, zero, degree).is_zero, (name, lam)
 
@@ -347,7 +348,7 @@ def test_character_agrees_with_orbit_accumulation():
                 acc.setdefault(lam, {})
                 acc[lam][k] = acc[lam].get(k, 0) + sign * count
         rebuilt = {
-            Weight.of(lam): QPoly(coeffs, degree)
+            lam: QPoly(coeffs, degree)
             for lam, coeffs in acc.items()
             if any(coeffs.values())
         }

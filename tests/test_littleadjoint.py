@@ -24,7 +24,7 @@ def test_smallest_adjoint_module():
     rs = build("A1")
     ws = freudenthal(rs, Weight.of([2]))
     assert ws.dimension == 3
-    assert sorted(tuple(w.fund) for w in ws.entries) == [(-2,), (0,), (2,)]
+    assert sorted(ws.entries) == [(-2,), (0,), (2,)]
     assert all(m == 1 for m in ws.entries.values())
 
 
@@ -33,7 +33,7 @@ def test_short_dominant_module_of_g2():
     ws = freudenthal(rs, rs.weight_of(rs.theta_short))
     assert ws.zero_multiplicity == 1
     assert ws.dimension == 7
-    support = {w for w in ws.entries if not w.is_zero}
+    support = {w for w in ws.weights() if not w.is_zero}
     short_roots = {rs.weight_of(r) for r in rs.roots if r.is_short}
     assert support == short_roots
     assert all(ws.multiplicity(w) == 1 for w in support)
@@ -78,7 +78,7 @@ def test_freudenthal_input_validation():
     with pytest.raises(ValueError):
         freudenthal(rs, Weight.of([-1, 0]))
     with pytest.raises(ValueError):
-        freudenthal(rs, Weight.of([Fraction(1, 2), 0]))
+        freudenthal(rs, (Fraction(1, 2), 0))
     with pytest.raises(ValueError):
         weyl_dim(rs, Weight.of([-1, 0]))
 
@@ -112,8 +112,8 @@ def test_multiplicities_against_alternating_sum(name, lam):
 def test_weight_system_negation_symmetry(name, lam):
     rs = build(name)
     ws = freudenthal(rs, Weight.of(lam))
-    for mu, m in ws.entries.items():
-        assert ws.entries[-mu] == m
+    for mu in ws.weights():
+        assert ws.multiplicity(-mu) == ws.multiplicity(mu)
 
 
 def test_delta_partition_of_short_dominant_root():
@@ -189,10 +189,11 @@ def test_random_weights_of_b2(lam):
         return
     ws = freudenthal(rs, Weight.of(lam))
     assert ws.dimension == weyl_dim(rs, Weight.of(lam))
-    for mu, m in ws.entries.items():
-        assert ws.entries[-mu] == m
-        dom, _ = rs.dominant_representative(tuple(int(c) for c in mu.fund))
-        assert ws.multiplicity(Weight.of(dom)) == m
+    for mu in ws.weights():
+        m = ws.multiplicity(mu)
+        assert ws.multiplicity(-mu) == m
+        dom, _ = rs.dominant_representative(mu.fund)
+        assert ws.multiplicity(dom) == m
 
 
 def _agrees_with_kostant_and_weyl(rs, lam):
@@ -238,4 +239,4 @@ def test_freudenthal_support_is_the_hull(name, bound):
     rs = build(name)
     for lam in itertools.product(range(bound + 1), repeat=rs.rank):
         ws = freudenthal(rs, Weight.of(lam))
-        assert {tuple(int(c) for c in w.fund) for w in ws.entries} == oracle_support(rs, lam)
+        assert set(ws.entries) == oracle_support(rs, lam)

@@ -12,7 +12,9 @@ from helpers import (
     B3_POSITIVES,
     C3_POSITIVES,
     G2_POSITIVES,
+    act_root,
     classical,
+    coroot,
     oracle_inner,
     oracle_root_coords,
 )
@@ -109,17 +111,28 @@ def test_reflection_closure(name):
             assert rs.is_root(image)
 
 
+def _against_sigma(rs, x):
+    """(sigma | x) for sigma the half sum of the positive coroots: half the
+    sum of the pairings of x against them."""
+    value, rem = divmod(sum(rs.pairing(x, a) for a in rs.positive_roots()), 2)
+    assert rem == 0
+    return value
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "B3", "C3", "D4", "F4", "G2", "C6", "B6"])
 def test_half_coroot_sum_measures_height(name):
     rs = build(name)
     for r in rs.roots:
-        assert rs.inner(rs.sigma, r) == r.height
+        assert _against_sigma(rs, r) == r.height
 
 
 @pytest.mark.parametrize("name", ["B2", "B5", "C3", "C5", "F4", "G2"])
 def test_rho_against_short_dominant_coroot(name):
     rs = build(name)
-    assert rs.inner(rs.rho, rs.coroot(rs.theta_short)) == rs.coxeter_number - 1
+    assert rs.pairing(rs.rho, rs.theta_short) == rs.coxeter_number - 1
+    # second route: (rho | coroot) by the Fraction coroot oracle
+    terms = zip(rs.root_coords(rs.rho), rs.symmetrizers, coroot(rs, rs.theta_short))
+    assert sum(c * d * f for c, d, f in terms) == rs.coxeter_number - 1
 
 
 def test_theta_short_is_the_unique_short_dominant_root():
@@ -139,15 +152,15 @@ def test_inner_product_examples():
     g2 = build("G2")
     assert g2.inner(g2.theta_short, g2.theta_short) == 2
     assert g2.inner(g2.theta, g2.theta) == 6
-    assert g2.inner(g2.sigma, g2.theta) == 5
+    assert _against_sigma(g2, g2.theta) == 5
     f4 = build("F4")
-    assert f4.inner(f4.rho, f4.coroot(f4.theta_short)) == 11
-    assert f4.inner(f4.sigma, f4.theta_short) == 8
+    assert f4.pairing(f4.rho, f4.theta_short) == 11
+    assert _against_sigma(f4, f4.theta_short) == 8
 
 
 def test_inner_is_symmetric_and_positive():
     rs = build("F4")
-    xs = [rs.rho, rs.sigma, rs.weight_of(rs.theta), rs.fundamental_weight(2)]
+    xs = [rs.rho, rs.weight_of(rs.theta_short), rs.weight_of(rs.theta), rs.fundamental_weight(2)]
     for x in xs:
         assert rs.inner(x, x) > 0
         for y in xs:
@@ -163,17 +176,18 @@ def test_inner_is_reflection_invariant(name):
         w = simple_reflection(rs, i)
         image = rs.rho - rs.weight_of(rs.simple_root(i))  # s_i(rho) = rho - alpha_i
         for r in rs.positive_roots()[: 6]:
-            assert rs.inner(image, w.act_root(r)) == rs.inner(rs.rho, r)
+            assert rs.inner(image, act_root(w, r)) == rs.inner(rs.rho, r)
 
 
 def test_coroot_pairing_and_errors():
     rs = build("C4")
     for r in [rs.theta, rs.theta_short, rs.simple_root(0)]:
-        assert rs.inner(rs.coroot(r), r) == 2
+        assert sum(a * b for a, b in zip(rs.form_coords(r), coroot(rs, r))) == 2
+        assert rs.pairing(r, r) == 2
     with pytest.raises(ValueError):
-        rs.coroot((0, 0, 0, 0))
+        coroot(rs, (0, 0, 0, 0))
     with pytest.raises(ValueError):
-        rs.coroot((1, 1, 1, 2))  # not a root of C4
+        rs.pairing(rs.rho, (1, 1, 1, 2))  # not a root of C4
 
 
 @pytest.mark.parametrize("family,rank", SYSTEMS)
@@ -196,11 +210,13 @@ def test_dual_coxeter_of_dual_values():
 
 
 def test_dual_coxeter_dual_is_computed_from_sigma(monkeypatch):
-    # the check compares 1 + (sigma | theta_s) with 1 + ht(theta_s); with rho
-    # in place of sigma, (rho | theta_s) = 7 for C4 while ht(theta_s) = 6
+    # the check compares 1 + (sigma | theta_s) with 1 + ht(theta_s), where
+    # (sigma | theta_s) is half the sum of the pairings of theta_s against the
+    # positive coroots; pairing against the roots instead puts rho in place
+    # of sigma, and (rho | theta_s) = 7 for C4 while ht(theta_s) = 6
     rs = build("C4")
     assert run_check("dual-coxeter-dual", rs)[0] == "pass"
-    monkeypatch.setattr(rs, "sigma", rs.rho)
+    monkeypatch.setattr(rs, "pairing", rs.inner)
     status, details = run_check("dual-coxeter-dual", rs)
     assert status == "fail"
     assert details["value"] == 8 and details["one_plus_short_dominant_height"] == 7
@@ -221,7 +237,7 @@ def _value_fields():
     theta_s = build("B2").theta_short
     return [
         (theta_s, ((1, 1), "short")),
-        (Weight.of((1, 0)), ((Fraction(1), Fraction(0)),)),
+        (Weight.of((1, 0)), ((1, 0),)),
         (RootSystemSpec("C", 4), ("C", 4)),
     ]
 
@@ -248,7 +264,7 @@ def test_values_keep_their_repr():
     reprs = [repr(value) for value, _ in _value_fields()]
     assert reprs == [
         "Root(coeffs=(1, 1), length_class='short')",
-        "Weight(fund=(Fraction(1, 1), Fraction(0, 1)))",
+        "Weight(fund=(1, 0))",
         "RootSystemSpec(family='C', rank=4)",
     ]
 
@@ -341,12 +357,19 @@ def test_classify_rejects_non_finite_type(matrix):
 def test_weight_arithmetic():
     a = Weight.of([1, 0])
     b = Weight.of([0, 2])
-    assert (a + b).fund == (Fraction(1), Fraction(2))
-    assert (a - b).fund == (Fraction(1), Fraction(-2))
-    assert (2 * a).fund == (Fraction(2), Fraction(0))
-    assert (-a).fund == (Fraction(-1), Fraction(0))
-    assert Weight.of([Fraction(1, 2), 0]).is_integral is False
+    assert (a + b).fund == (1, 2)
+    assert (a - b).fund == (1, -2)
+    assert (2 * a).fund == (2, 0)
+    assert (Fraction(1, 2) * b).fund == (0, 1)
+    assert (-a).fund == (-1, 0)
     assert Weight.zero(2).is_zero
+    # coordinates are ints, whatever exact integral values they were given as
+    for w in [a + b, a - b, 2 * a, Fraction(1, 2) * b, Weight.of([Fraction(4, 2), -3])]:
+        assert all(type(c) is int for c in w.fund)
+    with pytest.raises(ValueError, match="integral coordinates"):
+        Weight.of([Fraction(1, 2), 0])
+    with pytest.raises(ValueError, match="integral coordinates"):
+        Fraction(1, 2) * a
 
 
 def test_dominant_representative():
@@ -359,7 +382,7 @@ def test_dominant_representative():
     assert sign0 == 0
     assert dom0 == (1, 0)
     # regular orbits keep the parity of the conjugating word
-    w = rs.dominant_representative(tuple(int(c) for c in rs.rho.fund))
+    w = rs.dominant_representative(rs.rho.fund)
     assert w == ((1, 1), 1)
 
 
@@ -378,7 +401,7 @@ def test_integer_kernel_matches_fraction_oracle(name):
             v = oracle_inner(rs, x, y)
             assert rs.inner(x, y) == v
             assert rs.pairing(x, y) == Fraction(2 * v, sq[y])
-    weights = [rs.rho, rs.sigma] + [rs.fundamental_weight(i) for i in range(rs.rank)]
+    weights = [rs.rho, rs.weight_of(rs.theta)] + [rs.fundamental_weight(i) for i in range(rs.rank)]
     for lam in weights:
         assert rs.root_coords(lam) == oracle_root_coords(rs, lam)
         for mu in weights:
@@ -413,6 +436,24 @@ def test_build_rejects_non_integral_rank():
         build("C", 3.5)
 
 
+def test_only_the_root_system_imports_fractions():
+    src = Path(__file__).resolve().parents[1] / "src" / "shortroots"
+    importers = [p.name for p in sorted(src.glob("*.py"))
+                 if re.search(r"^(from|import) fractions\b", p.read_text(), re.M)]
+    assert importers == ["rootsystem.py"]
+
+
+@pytest.mark.parametrize("name", ["B3", "C4", "F4", "G2"])
+def test_engine_entries_are_keyed_by_int_tuples(name):
+    rs = build(name)
+    for entries in [freudenthal(rs, rs.weight_of(rs.theta_short)).entries,
+                    nullcone_character(rs, 4).entries]:
+        assert entries
+        for key in entries:
+            assert type(key) is tuple and len(key) == rs.rank
+            assert all(type(c) is int for c in key)
+
+
 def test_no_module_reaches_into_root_system_privates():
     repo = Path(__file__).resolve().parents[1]
     files = [p for p in sorted((repo / "src" / "shortroots").glob("*.py"))
@@ -429,35 +470,54 @@ def test_no_module_reaches_into_root_system_privates():
 
 
 _F4 = build("F4")
+# every weight entry point, as a call on F4 with one weight slot w; the
+# default w has the wrong rank
 _WRONG_RANK = {
-    "root_coords": lambda rs: rs.root_coords(Weight.of((1, 0, 0))),
-    "lattice_coords": lambda rs: rs.lattice_coords((1, 0, 0)),
-    "inner-weight-root": lambda rs: rs.inner(Weight.of((0, 0, 0, 1, 7)), rs.theta_short),
-    "inner-root-weight": lambda rs: rs.inner(rs.theta_short, Weight.of((0, 0, 0, 1, 7))),
-    "inner-weight-weight": lambda rs: rs.inner(rs.rho, Weight.of((1, 1, 1))),
-    "pairing": lambda rs: rs.pairing(Weight.of((0, 0, 0, 1, 7)), rs.theta_short),
-    "dominant_representative": lambda rs: rs.dominant_representative((0, 0, 0, -1, 7)),
-    "dominant_integral": lambda rs: rs.dominant_integral((1, 0, 0)),
-    "q_partition-tuple": lambda rs: q_partition(rs, (0, 0, 0, 1, 0), 3),
-    "q_partition-weight": lambda rs: q_partition(rs, Weight.of((0, 0, 1)), 3),
-    "graded_multiplicity-long": lambda rs: graded_multiplicity(
-        rs, (0, 0, 0, 1, 0), (0, 0, 0, 0, 0), 4),
-    "graded_multiplicity-short": lambda rs: graded_multiplicity(rs, (0, 0, 0, 1), (0, 0), 4),
-    "freudenthal": lambda rs: freudenthal(rs, (0, 0, 0, 1, 0)),
-    "weyl_dim": lambda rs: weyl_dim(rs, (0, 0, 1)),
-    "GradedCharacter.multiplicity": lambda rs: nullcone_character(rs, 2).multiplicity((0, 0, 1)),
-    "WeightSystem.multiplicity": lambda rs: freudenthal(
-        rs, rs.weight_of(rs.theta_short)).multiplicity((0, 0, 0, 1, 0)),
+    "root_coords": lambda rs, w=(1, 0, 0): rs.root_coords(Weight.of(w)),
+    "lattice_coords": lambda rs, w=(1, 0, 0): rs.lattice_coords(w),
+    "inner-weight-root": lambda rs, w=(0, 0, 0, 1, 7): rs.inner(Weight.of(w), rs.theta_short),
+    "inner-root-weight": lambda rs, w=(0, 0, 0, 1, 7): rs.inner(rs.theta_short, Weight.of(w)),
+    "inner-weight-weight": lambda rs, w=(1, 1, 1): rs.inner(rs.rho, Weight.of(w)),
+    "pairing": lambda rs, w=(0, 0, 0, 1, 7): rs.pairing(Weight.of(w), rs.theta_short),
+    "dominant_representative": lambda rs, w=(0, 0, 0, -1, 7): rs.dominant_representative(w),
+    "dominant_integral": lambda rs, w=(1, 0, 0): rs.dominant_integral(w),
+    "q_partition-tuple": lambda rs, w=(0, 0, 0, 1, 0): q_partition(rs, w, 3),
+    "q_partition-weight": lambda rs, w=(0, 0, 1): q_partition(rs, Weight.of(w), 3),
+    "graded_multiplicity-long": lambda rs, w=(0, 0, 0, 1, 0): graded_multiplicity(
+        rs, w, (0,) * len(w), 4),
+    "graded_multiplicity-short": lambda rs, w=(0, 0): graded_multiplicity(
+        rs, (0, 0, 0, 1), w, 4),
+    "freudenthal": lambda rs, w=(0, 0, 0, 1, 0): freudenthal(rs, w),
+    "weyl_dim": lambda rs, w=(0, 0, 1): weyl_dim(rs, w),
+    "GradedCharacter.multiplicity": lambda rs, w=(0, 0, 1): nullcone_character(
+        rs, 2).multiplicity(w),
+    "WeightSystem.multiplicity": lambda rs, w=(0, 0, 0, 1, 0): freudenthal(
+        rs, rs.weight_of(rs.theta_short)).multiplicity(w),
     # a Weight carries no system: its arithmetic compares the two ranks
-    "Weight.__add__": lambda rs: Weight.of((1, 0)) + Weight.of((1, 0, 0)),
-    "Weight.__sub__": lambda rs: Weight.of((1, 0, 5)) - Weight.of((1, 0)),
+    "Weight.__add__": lambda rs, w=(1, 0, 0): Weight.of((1, 0)) + Weight.of(w),
+    "Weight.__sub__": lambda rs, w=(1, 0): Weight.of((1, 0, 5)) - Weight.of(w),
 }
+# the engines' integer kernel: it takes their int tuples as they are and
+# checks only the rank
+_PARSED = sorted(set(_WRONG_RANK) - {"dominant_representative"})
 
 
 @pytest.mark.parametrize("entry", sorted(_WRONG_RANK))
 def test_every_weight_entry_point_refuses_the_wrong_rank(entry):
     with pytest.raises(ValueError, match="^weight has the wrong rank$"):
         _WRONG_RANK[entry](_F4)
+
+
+@pytest.mark.parametrize("entry", _PARSED)
+def test_every_weight_entry_point_refuses_a_non_integral_weight(entry):
+    with pytest.raises(ValueError, match="^weights take integral coordinates, not 1/2$"):
+        _WRONG_RANK[entry](_F4, (Fraction(1, 2), 0, 0, 0))
+
+
+@pytest.mark.parametrize("entry", _PARSED)
+def test_every_weight_entry_point_refuses_a_float(entry):
+    with pytest.raises(TypeError, match="^weights take exact coordinates, not the float 0.5$"):
+        _WRONG_RANK[entry](_F4, (0.5, 0, 0, 0))
 
 
 _TWO_LENGTH_ENTRY_POINTS = {
