@@ -20,7 +20,7 @@ from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
 from .rootsystem import RootSystem, dual_coxeter_of_dual
 
-__all__ = ["CHECK_IDS", "run_check", "run_all"]
+__all__ = ["CHECK_IDS", "run_check", "selected_ids"]
 
 _ORDER_SAMPLE = 200
 _ORDER_SEED = 20120523
@@ -97,12 +97,16 @@ def _check_semidirect(rs: RootSystem):
     if stable != w_s:
         return _fail(details, stable_set_order=len(stable))
     details["stable_set_matches_parabolic"] = True
+    s_index = {w.perm: k for k, w in enumerate(w_s)}
+    l_index = {w.perm: k for k, w in enumerate(w_l)}
     pairs = set()
     for w in group:
         ws, wl = weyl.decompose_semidirect(rs, w)
-        if ws * wl != w or ws not in w_s or wl not in w_l:
+        ks = s_index.get(ws.perm)
+        kl = l_index.get(wl.perm)
+        if ks is None or kl is None or ws * wl != w:
             return _fail(details, roundtrip="violated")
-        pairs.add((ws.perm, wl.perm))
+        pairs.add((ks, kl))
     details["distinct_factor_pairs"] = len(pairs)
     if len(pairs) != len(group):
         return "fail", details
@@ -362,21 +366,14 @@ def run_check(check_id: str, rs: RootSystem):
         return "fail", {"violation": str(exc)}
 
 
-def run_all(rs: RootSystem, only=None):
-    """Run the catalog (or the given ids, each once) against one system, in
-    id order.  Unknown ids raise ValueError before any check runs."""
+def selected_ids(only=None):
+    """The catalog's ids, or the given ids each once, in id order.  Unknown
+    ids raise ValueError."""
     if only is None:
-        ids = CHECK_IDS
-    else:
-        unknown = [cid for cid in only if cid not in _CHECKS]
-        if unknown:
-            raise ValueError(
-                f"unknown check id(s) {', '.join(unknown)}; valid ids: "
-                + ", ".join(CHECK_IDS)
-            )
-        ids = sorted(set(only))
-    results = []
-    for cid in ids:
-        status, details = run_check(cid, rs)
-        results.append({"id": cid, "status": status, "details": details})
-    return results
+        return CHECK_IDS
+    unknown = [cid for cid in only if cid not in _CHECKS]
+    if unknown:
+        raise ValueError(
+            f"unknown check id(s) {', '.join(unknown)}; valid ids: " + ", ".join(CHECK_IDS)
+        )
+    return tuple(sorted(set(only)))

@@ -120,7 +120,14 @@ def cmd_info(args) -> int:
 def cmd_verify(args) -> int:
     rs = build(args.system)
     started = time.perf_counter()
-    results = checks.run_all(rs, args.check)
+    results = []
+    for cid in checks.selected_ids(args.check):
+        check_started = time.perf_counter()
+        status, details = checks.run_check(cid, rs)
+        result = {"id": cid, "status": status, "details": details}
+        if args.timings:
+            result["elapsed_seconds"] = round(time.perf_counter() - check_started, 3)
+        results.append(result)
     elapsed = time.perf_counter() - started
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for r in results:
@@ -141,6 +148,8 @@ def cmd_verify(args) -> int:
             extra = "  (" + r["details"].get("reason", "") + ")"
         elif r["status"] == "fail":
             extra = "  " + json.dumps(jsonable(r["details"]), sort_keys=True)
+        if args.timings:
+            extra += f"  {r['elapsed_seconds']:.3f}s"
         lines.append(f"{mark} {r['id']}{extra}")
     lines.append(
         f"{counts['pass']} passed, {counts['fail']} failed, {counts['skipped']} skipped"

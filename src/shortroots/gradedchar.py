@@ -312,7 +312,7 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
                 shifted = qt.decode(key, 1)
                 slot = 0
                 if 0 not in shifted:   # else v + rho lies on a wall
-                    dom, sign = rs.dominant_representative(shifted)
+                    dom, sign = rs.straighten(shifted)
                     if sign:
                         lam = tuple(a - 1 for a in dom)
                         if lam not in row_of:

@@ -117,7 +117,7 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
                 nu = tuple(a + b for a, b in zip(nu, alpha_f))
                 # nu's dominant conjugate lies strictly above mu, so a weight
                 # there already has its multiplicity
-                m = mults.get(rs.dominant_representative(nu)[0])
+                m = mults.get(rs.straighten(nu)[0])
                 if m is None:
                     break
                 # (nu | alpha) in the short-normalised form
@@ -192,16 +192,16 @@ class DeltaPartition(NamedTuple):
 def delta_partition(rs: RootSystem, mu: Root) -> DeltaPartition:
     if not isinstance(mu, Root) or mu.coeffs not in rs.root_index:
         raise ValueError("expected a root of the system")
-    pp, pn, np_, nn = [], [], [], []
-    for r in rs.roots:
-        v = rs.inner(r, mu)
-        if v == 0:
-            continue
-        if r.is_positive:
-            (pp if v > 0 else pn).append(r)
-        else:
-            (np_ if v > 0 else nn).append(r)
-    part = DeltaPartition(tuple(pp), tuple(pn), tuple(np_), tuple(nn))
+    row = rs.inner_row(mu)
+    p = rs.num_positive
+    pos = tuple(zip(row[:p], rs.roots[:p]))
+    neg = tuple(zip(row[p:], rs.roots[p:]))
+    part = DeltaPartition(
+        tuple([r for v, r in pos if v > 0]),
+        tuple([r for v, r in pos if v < 0]),
+        tuple([r for v, r in neg if v > 0]),
+        tuple([r for v, r in neg if v < 0]),
+    )
     if len(part.pos_pos) != len(part.neg_neg) or len(part.pos_neg) != len(part.neg_pos):
         raise IdentityViolation("sign partition lost its negation symmetry")
     return part
@@ -213,7 +213,7 @@ def hw_orbit_dim(rs: RootSystem) -> int:
     orthogonal to the short dominant root."""
     rs.require_two_lengths()
     theta_s = rs.theta_short
-    count = sum(1 for r in rs.positive_roots() if rs.inner(r, theta_s) > 0)
+    count = sum(1 for v in rs.inner_row(theta_s)[:rs.num_positive] if v > 0)
     dim = 1 + count
     if dim != 2 * theta_s.height:
         raise IdentityViolation("orbit dimension disagrees with twice the height")

@@ -529,6 +529,13 @@ class RootSystem:
         other = self.check_rank(y.fund) if isinstance(y, Weight) else self.weight_coords(y)
         return _dot(self.form_coords(x), other)
 
+    def inner_row(self, root) -> tuple[int, ...]:
+        """(r | root) for every root r, in index order: one row of the
+        integer Gram matrix of the roots."""
+        form = self.form_coords(root)
+        mul = operator.mul
+        return tuple([sum(map(mul, form, ac)) for ac in self._ac])
+
     def pairing(self, x, root: Root) -> int:
         """Pairing of a root or a Weight x against the coroot of the given
         root: an int, since x is integral."""
@@ -548,10 +555,15 @@ class RootSystem:
         root with index k, built on first use."""
         def compute():
             beta = self.roots[k].coeffs
+            sq = self._sq[k]
             perm = []
-            for a, r in enumerate(self.roots):
-                q = self._pair(self._ac[a], k)
-                perm.append(self.root_index[tuple(c - q * b for c, b in zip(r.coeffs, beta))])
+            for a, (r, v) in enumerate(zip(self.roots, self.inner_row(self.roots[k]))):
+                q, rem = divmod(2 * v, sq)   # the pairing of root a against the coroot
+                if rem:
+                    raise IdentityViolation("coroot pairing of a root must be integral")
+                perm.append(
+                    self.root_index[tuple([c - q * b for c, b in zip(r.coeffs, beta)])] if q else a
+                )
             return tuple(perm)
 
         return self.memo(("reflection", k), compute)
@@ -561,15 +573,21 @@ class RootSystem:
 
     # -- dominance ------------------------------------------------------------
 
-    def dominant_representative(self, fund):
-        """Dominant Weyl conjugate of a weight given by fundamental coords.
+    def dominant_representative(self, weight):
+        """Dominant Weyl conjugate of a weight (see as_weight), as
+        straighten returns it."""
+        return self.straighten(self.as_weight(weight).fund)
+
+    def straighten(self, fund):
+        """Dominant Weyl conjugate of an int tuple of fundamental coords,
+        taken unchecked: the engines' kernel.
 
         Returns (coords, sign) where sign is the determinant (-1)^steps of
         the conjugating element, or 0 when the weight is singular (fixed by
-        some reflection).  Accepts and returns plain tuples."""
+        some reflection)."""
         cols = self._cols
         n = self.rank
-        v = list(self.check_rank(fund))
+        v = list(fund)
         sign = 1
         i = 0
         while i < n:   # reflect in the first simple root with a negative coordinate

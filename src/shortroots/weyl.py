@@ -3,13 +3,17 @@
 An element stores the permutation it induces on the roots and, when it
 was generated from simple reflections, one reduced word.  W acts on the
 roots only; weights are moved by simple reflections on their coordinates
-(``RootSystem.dominant_representative``, Kostant's orbit walk), with no
-element built.  Membership in the subgroup generated by long-root
-reflections, and the matching factorisation of the whole group, are
-decided by a descent through the long-root subsystem.
+(``RootSystem.straighten``, Kostant's orbit walk), with no element built.
+Membership in the subgroup generated by long-root reflections, and the
+matching factorisation of the whole group, are decided by a descent
+through the long-root subsystem.  Every product is an index gather
+through a prebuilt ``operator.itemgetter``, so it runs in C; the getters
+of the simple and long-base reflections are built once per system.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded
@@ -55,30 +59,30 @@ class WeylElement:
         return f"<WeylElement on {len(self.perm)} roots>"
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        # (w*v)(x) = w(v(x))
-        p = self.perm
-        return WeylElement(self.rs, tuple(p[j] for j in other.perm))
+        # (w*v)(x) = w(v(x)); with two roots or more the getter gives a tuple
+        return WeylElement(self.rs, itemgetter(*other.perm)(self.perm))
 
     def __pow__(self, k: int) -> "WeylElement":
-        out = identity(self.rs)
-        base = self if k >= 0 else self.inverse()
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        if k == 0:
+            return identity(self.rs)
+        base = self if k > 0 else self.inverse()
+        step = itemgetter(*base.perm)
+        perm = base.perm
+        for _ in range(abs(k) - 1):
+            perm = step(perm)
+        return WeylElement(self.rs, perm)
 
     def inverse(self) -> "WeylElement":
-        inv = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            inv[j] = i
+        perm = self.perm
         word = tuple(reversed(self.word)) if self.word is not None else None
-        return WeylElement(self.rs, tuple(inv), word)
+        return WeylElement(self.rs, tuple(sorted(range(len(perm)), key=perm.__getitem__)), word)
 
     def __call__(self, index: int) -> int:
         return self.perm[index]
 
     @property
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.perm))
+        return self.perm == tuple(range(len(self.perm)))
 
     def length(self) -> int:
         p = self.rs.num_positive
@@ -127,20 +131,21 @@ def _generate(rs: RootSystem, gens):
     refuses past ``Limits.max_closure_size`` elements.  w * g gets the word
     w.word + g.word when both exist, so simple-reflection closures carry reduced words."""
     cap = current_limits().max_closure_size
+    steps = [(itemgetter(*g.perm), g.word) for g in gens]
     e = identity(rs)
     found = {e.perm: e}
     layer = [e]
     while layer:
         fresh = []
         for w in layer:
-            for g in gens:
-                perm = tuple(w.perm[j] for j in g.perm)
+            for step, gword in steps:
+                perm = step(w.perm)   # w * g
                 if perm not in found:
                     if len(found) >= cap:
                         raise SizeLimitExceeded(
                             f"subgroup closure exceeded the bound {cap} (max_closure_size)"
                         )
-                    word = w.word + g.word if w.word is not None and g.word is not None else None
+                    word = w.word + gword if w.word is not None and gword is not None else None
                     elem = WeylElement(rs, perm, word)
                     found[perm] = elem
                     fresh.append(elem)
@@ -154,26 +159,31 @@ def coxeter_element(rs: RootSystem, ordering=None) -> WeylElement:
     order = tuple(ordering) if ordering is not None else tuple(range(rs.rank))
     if sorted(order) != list(range(rs.rank)):
         raise ValueError(f"{order} is not an ordering of the {rs.rank} simple roots")
-    w = identity(rs)
+    steps = rs.memo(
+        "simple_steps", lambda: tuple(itemgetter(*simple_reflection(rs, i).perm)
+                                      for i in range(rs.rank))
+    )
+    perm = tuple(range(len(rs.roots)))
     for i in order:
-        w = w * simple_reflection(rs, i)
-    return w
+        perm = steps[i](perm)   # w * s_i
+    return WeylElement(rs, perm)
 
 
 def coxeter_orbits(rs: RootSystem, c: WeylElement):
     """Orbits of the cyclic group generated by c on the root indices,
     ordered by smallest member."""
-    seen = [False] * len(rs.roots)
+    perm = c.perm
+    seen = set()
     orbits = []
-    for start in range(len(rs.roots)):
-        if seen[start]:
+    for start in range(len(perm)):
+        if start in seen:
             continue
-        orbit = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
+        orbit = [start]
+        i = perm[start]
+        while i != start:
             orbit.append(i)
-            i = c.perm[i]
+            i = perm[i]
+        seen.update(orbit)
         orbits.append(tuple(orbit))
     return orbits
 
@@ -209,16 +219,21 @@ def decompose_semidirect(rs: RootSystem, w: WeylElement):
 
     Works by descent: while some member of the long-root base is sent
     negative, strip one long reflection off the right."""
-    refls = long_subgroup(rs)  # raises on simply-laced input
-    base_idx = [rs.index(b) for b in long_root_base(rs)]
+    descent = rs.memo(  # raises on simply-laced input
+        "long_descent",
+        lambda: tuple((rs.index(b), itemgetter(*r.perm))
+                      for b, r in zip(long_root_base(rs), long_subgroup(rs))),
+    )
     p = rs.num_positive
-    v = w
+    perm = w.perm
     while True:
-        neg = next((k for k, i in enumerate(base_idx) if v.perm[i] >= p), None)
-        if neg is None:
+        for i, step in descent:
+            if perm[i] >= p:
+                perm = step(perm)   # v * r_b for the first base root b sent negative
+                break
+        else:
             break
-        v = v * refls[neg]
-    ws = WeylElement(rs, v.perm)
+    ws = WeylElement(rs, perm)
     wl = ws.inverse() * w
     return ws, wl
 

@@ -274,6 +274,12 @@ def act_fund(w, fund):
 # elements act on root indices, and an integral weight never needs a coroot.
 
 
+def compose(p, q):
+    """The permutation x -> p[q[x]], one index at a time: the product of
+    two Weyl elements given by their root permutations."""
+    return tuple(p[j] for j in q)
+
+
 def act_root(w, root):
     """The image of a root under the Weyl element w."""
     return w.rs.root_at(w(w.rs.index(root)))

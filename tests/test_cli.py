@@ -268,15 +268,32 @@ def test_verify_runs_freudenthal_once_per_system(capsys, monkeypatch, fresh_syst
 def test_verify_timings_are_opt_in(capsys):
     code, out, _ = run(capsys, "verify", "G2", "--timings", "--json")
     assert code == 0
-    elapsed = json.loads(out)["elapsed_seconds"]
+    payload = json.loads(out)
+    elapsed = payload["elapsed_seconds"]
     assert isinstance(elapsed, float) and elapsed >= 0
+    per_check = [r["elapsed_seconds"] for r in payload["checks"]]
+    assert len(per_check) == len(checks.CHECK_IDS)
+    assert all(isinstance(t, float) and t >= 0 for t in per_check)
+    assert sum(per_check) <= elapsed + 0.0005 * len(per_check)   # each rounded to 1 ms
+    timed_json = out
     code, out, _ = run(capsys, "verify", "G2", "--timings")
     assert code == 0
     assert re.search(r"\nelapsed \d+\.\d{3}s\n$", out)
+    check_lines = out.splitlines()[: len(checks.CHECK_IDS)]
+    assert all(re.fullmatch(r"PASS [a-z-]+  \d+\.\d{3}s", line) for line in check_lines)
+    # without the flag, the output is the timed one with every elapsed figure taken out
     code, out, _ = run(capsys, "verify", "G2", "--json")
-    assert "elapsed_seconds" not in json.loads(out)
+    plain = json.loads(out)
+    assert "elapsed_seconds" not in plain
+    assert all("elapsed_seconds" not in r for r in plain["checks"])
+    timed = json.loads(timed_json)
+    del timed["elapsed_seconds"]
+    for r in timed["checks"]:
+        del r["elapsed_seconds"]
+    assert timed == plain
     code, out, _ = run(capsys, "verify", "G2")
     assert "elapsed" not in out
+    assert not re.search(r"\d\.\d{3}s", out)
 
 
 @pytest.mark.parametrize("name", ["B6", "C6"])

@@ -384,6 +384,18 @@ def test_dominant_representative():
     # regular orbits keep the parity of the conjugating word
     w = rs.dominant_representative(rs.rho.fund)
     assert w == ((1, 1), 1)
+    # a Weight is read like a tuple, and the unparsed kernel agrees
+    assert rs.dominant_representative(Weight.of((-1, 2))) == (dom, sign)
+    assert rs.straighten((-1, 2)) == (dom, sign)
+    assert rs.straighten((-1, 1)) == (dom0, sign0)
+
+
+@pytest.mark.parametrize("name", ["A3", "B4", "C3", "D4", "F4", "G2"])
+def test_inner_row_is_one_inner_product_per_root(name):
+    rs = build(name)
+    for mu in rs.roots:
+        row = rs.inner_row(mu)
+        assert row == tuple(rs.inner(rs.root_at(k), mu) for k in range(len(rs.roots)))
 
 
 KERNEL_SYSTEMS = (
@@ -497,24 +509,19 @@ _WRONG_RANK = {
     "Weight.__add__": lambda rs, w=(1, 0, 0): Weight.of((1, 0)) + Weight.of(w),
     "Weight.__sub__": lambda rs, w=(1, 0): Weight.of((1, 0, 5)) - Weight.of(w),
 }
-# the engines' integer kernel: it takes their int tuples as they are and
-# checks only the rank
-_PARSED = sorted(set(_WRONG_RANK) - {"dominant_representative"})
-
-
 @pytest.mark.parametrize("entry", sorted(_WRONG_RANK))
 def test_every_weight_entry_point_refuses_the_wrong_rank(entry):
     with pytest.raises(ValueError, match="^weight has the wrong rank$"):
         _WRONG_RANK[entry](_F4)
 
 
-@pytest.mark.parametrize("entry", _PARSED)
+@pytest.mark.parametrize("entry", sorted(_WRONG_RANK))
 def test_every_weight_entry_point_refuses_a_non_integral_weight(entry):
     with pytest.raises(ValueError, match="^weights take integral coordinates, not 1/2$"):
         _WRONG_RANK[entry](_F4, (Fraction(1, 2), 0, 0, 0))
 
 
-@pytest.mark.parametrize("entry", _PARSED)
+@pytest.mark.parametrize("entry", sorted(_WRONG_RANK))
 def test_every_weight_entry_point_refuses_a_float(entry):
     with pytest.raises(TypeError, match="^weights take exact coordinates, not the float 0.5$"):
         _WRONG_RANK[entry](_F4, (0.5, 0, 0, 0))

@@ -1,10 +1,11 @@
 """Weyl group elements, enumeration and the long/short factorisation."""
 
+import itertools
 import random
 from functools import lru_cache
 
 import pytest
-from helpers import act_fund, act_root, inversions, order
+from helpers import act_fund, act_root, compose, inversions, order
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from shortroots import (
     short_parabolic,
     simple_reflection,
 )
+from shortroots.checks import run_check
 
 
 def test_reflection_is_an_involution():
@@ -275,3 +277,66 @@ def test_word_length_properties(word):
     assert (length - len(word)) % 2 == 0
     assert length == len(inversions(w))
     assert w.sign() == (-1) ** len(word)
+
+
+# -- the permutation kernels against one-index-at-a-time composition ----------
+
+ORACLE_SYSTEMS = ["B3", "C4", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_coxeter_element_is_the_oracle_product(name):
+    rs = build(name)
+    for ordering in itertools.permutations(range(rs.rank)):
+        perm = identity(rs).perm
+        for i in ordering:
+            perm = compose(perm, simple_reflection(rs, i).perm)
+        assert coxeter_element(rs, ordering).perm == perm
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_powers_inverse_and_identity_agree_with_the_oracle(name):
+    rs = build(name)
+    h = rs.coxeter_number
+    group = enumerate_group(rs)
+    sample = list(group[:: max(1, len(group) // 40)])
+    sample += [coxeter_element(rs, o) for o in itertools.permutations(range(rs.rank))]
+    for w in sample:
+        inv = [0] * len(w.perm)
+        for i, j in enumerate(w.perm):
+            inv[j] = i
+        inv = tuple(inv)
+        assert w.inverse().perm == inv
+        for base, sign in ((w.perm, 1), (inv, -1)):
+            power = identity(rs).perm
+            for k in range(h + 1):
+                assert (w ** (sign * k)).perm == power
+                assert (w ** (sign * k)).is_identity == all(i == j for i, j in enumerate(power))
+                power = compose(power, base)
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_decompose_round_trips_on_every_element(name):
+    rs = build(name)
+    w_l = {w.perm for w in closure(rs, long_subgroup(rs))}
+    p = rs.num_positive
+    for w in enumerate_group(rs):
+        ws, wl = decompose_semidirect(rs, w)
+        assert compose(ws.perm, wl.perm) == w.perm
+        assert all(ws.perm[i] < p for i in rs.long_positives)
+        assert wl.perm in w_l
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [lambda rs, w: (w, identity(rs)), lambda rs, w: tuple(reversed(decompose_semidirect(rs, w)))],
+    ids=["all-in-short-factor", "swapped-factors"],
+)
+def test_semidirect_check_rejects_wrong_factors(monkeypatch, wrong):
+    rs = build("C4")
+    assert run_check("semidirect-product", rs)[0] == "pass"
+    monkeypatch.setattr(weyl_module, "decompose_semidirect", wrong)
+    status, details = run_check("semidirect-product", rs)
+    assert status == "fail"
+    assert details["roundtrip"] == "violated"
+
