@@ -6,14 +6,15 @@ key each weight by one packed int, so adding a root is one int
 addition.  One straightening pass over the tables gives the whole
 graded character, and it straightens each distinct point once, however
 many degrees hold it.  Kostant's alternating sum, walked over a Weyl
-orbit with no group element built, gives single graded multiplicities
-as a second, independent route.  ``Limits.max_character_work`` caps
-both: the DP updates of a table build and the orbit points of a walk.
+orbit by ``RootSystem.descend`` with no group element built, gives
+single graded multiplicities as a second, independent route.
+``Limits.max_character_work`` caps both: the DP updates of a table
+build and the orbit points of a walk.
 The full truncated character must reproduce the Hilbert series of a
 complete intersection cut out by the basic invariants.  Every
 polynomial carries an explicit truncation degree; mixing truncations
 takes the minimum.  The tables are built once per system and truncation
-degree.
+degree, which must be non-negative.
 """
 
 from __future__ import annotations
@@ -190,16 +191,20 @@ class _QTables:
 
 def _dp_build(rs: RootSystem, degree: int) -> _QTables:
     """The q-partition tables of a system to a degree, keyed by packed
-    weights (see _QTables), memoised per system and degree."""
+    weights (see _QTables), memoised per system and degree: the one check
+    of a truncation degree."""
+    if degree < 0:
+        raise ValueError("max_degree must be non-negative")
     return rs.memo(("qdp", degree), lambda: _QTables(rs, degree))
 
 
 def q_partition(rs: RootSystem, target, max_degree: int) -> QPoly:
     """Generating polynomial of the multiset expressions of a weight as sums
     of short positive roots, graded by multiset size."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
     fund = rs.weight_coords(target) if hasattr(target, "coeffs") else rs.as_weight(target).fund
+    lattice = rs.lattice_coords(fund)
+    if lattice is None or min(lattice) < 0:   # no sum of positive roots
+        return QPoly.zero(max_degree)
     qt = _dp_build(rs, max_degree)
     key = qt.encode(fund)
     if key is None:
@@ -212,46 +217,34 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     sign(w) * P_q(w(lam + rho) - (mu + rho)): the graded multiplicity of
     the simple module with highest weight lam in the slice selected by mu.
 
-    No element of W is built: the sum walks the orbit of lam + rho down
-    from its dominant point, stepping from y to s_i(y) = y - y_i * alpha_i
-    whenever y_i > 0, so each layer is one length of W and the sign flips
-    between layers.  A point where y - (mu + rho) has a negative
-    simple-root coordinate is dropped, which is exact: P_q vanishes there
-    and at every point below it.  Refuses once the walk has visited more
-    than ``Limits.max_character_work`` orbit points."""
+    No element of W is built: the sum is one walk down the orbit of
+    lam + rho, ``RootSystem.descend`` with floor mu + rho, so each layer is
+    one length of W and the sign flips between layers.  The walk keeps only
+    the points y with y - (mu + rho) in the positive root cone, which is
+    exact: P_q vanishes everywhere else.  The tables are built only once
+    the walk has a point, so an answer that is zero because lam - mu lies
+    outside the cone costs no table.  Refuses once the walk has visited
+    more than ``Limits.max_character_work`` orbit points."""
     lam, mu = rs.dominant_integral(lam), rs.dominant_integral(mu)
-    qt = _dp_build(rs, max_degree)
-    start = tuple(a - b for a, b in zip(lam, mu))
-    lattice = rs.lattice_coords(start)
-    if lattice is None or min(lattice) < 0:
-        return QPoly.zero(max_degree)
     cap = current_limits().max_character_work
-    mu_rho = tuple(c + 1 for c in mu)
-    cols = [rs.weight_coords(rs.simple_root(i)) for i in range(rs.rank)]
-    acc = [0] * (max_degree + 1)
-    # each point is keyed by v = y - (mu + rho) and carries v's root-lattice coordinates
-    layer = {start: lattice}
-    sign, visited = 1, 1
-    while layer:
+    mu_rho = tuple([c + 1 for c in mu])
+    qt, acc = None, [0] * (max_degree + 1)
+    sign, visited = 1, 0
+    for layer in rs.descend(tuple([c + 1 for c in lam]), mu_rho):
+        if qt is None:   # built only once the sum has a term
+            qt = _dp_build(rs, max_degree)
+        visited += len(layer)
         if visited > cap:
             raise SizeLimitExceeded(
                 f"the orbit walk of {rs.spec} from {Weight(lam)} visits more than the cap of "
                 f"{cap} points (max_character_work)"
             )
-        below = {}
-        for v, c in layer.items():
-            key = qt.encode(v)   # a point out of range is in no table, but its orbit goes on
-            if key is not None:
+        for y in layer:
+            key = qt.encode(tuple([a - b for a, b in zip(y, mu_rho)]))
+            if key is not None:   # a point out of range is in no table
                 for k, level in enumerate(qt.levels):
                     acc[k] += sign * level.get(key, 0)
-            for i, col in enumerate(cols):
-                step = v[i] + mu_rho[i]
-                if 0 < step <= c[i]:
-                    z = tuple(a - step * b for a, b in zip(v, col))
-                    if z not in below:
-                        below[z] = c[:i] + (c[i] - step,) + c[i + 1:]
-        layer, sign = below, -sign
-        visited += len(layer)
+        sign = -sign
     return QPoly(dict(enumerate(acc)), max_degree)
 
 

@@ -7,7 +7,8 @@ chamber only.  The dominant weights below the highest weight are found
 by positive-root steps that never leave the chamber (Stembridge, The
 partial order of dominant weights, 1998); each multiplicity reads only
 dominant weights strictly above it, and the whole weight system is the
-union of the Weyl orbits of the dominant weights.  The Weyl dimension
+union of the Weyl orbits of the dominant weights, each walked down by
+``RootSystem.descend``.  The Weyl dimension
 formula provides an independent route to the dimension.
 """
 
@@ -79,25 +80,6 @@ def _dominant_below(rs: RootSystem, lam):
     return below
 
 
-def _orbit(rs: RootSystem, mu):
-    """The Weyl orbit of a dominant weight, walked down from it by s_i
-    wherever the i-th coordinate is positive."""
-    cols = [rs.weight_coords(rs.simple_root(i)) for i in range(rs.rank)]
-    seen = {mu}
-    layer = [mu]
-    while layer:
-        fresh = []
-        for y in layer:
-            for i, col in enumerate(cols):
-                if y[i] > 0:
-                    z = tuple(a - y[i] * b for a, b in zip(y, col))
-                    if z not in seen:
-                        seen.add(z)
-                        fresh.append(z)
-        layer = fresh
-    return seen
-
-
 def freudenthal(rs: RootSystem, highest) -> WeightSystem:
     """Weight system of the simple module with the given dominant integral
     highest weight.  The Freudenthal recursion runs on the dominant weights
@@ -128,7 +110,7 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
         if rem or q <= 0:
             raise IdentityViolation("Freudenthal recursion produced a non-multiplicity")
         mults[mu] = q
-    entries = {nu: m for mu, m in mults.items() for nu in _orbit(rs, mu)}
+    entries = {nu: m for mu, m in mults.items() for layer in rs.descend(mu) for nu in layer}
     return WeightSystem(rs, lam, entries)
 
 

@@ -4,7 +4,13 @@ Roots are integer coefficient vectors over the simple roots; weights are
 coordinate vectors over the fundamental weights.  The invariant inner
 product is normalised so that short roots have squared length 2, which
 keeps every pairing against a coroot integral.  :class:`RootSystem` owns
-all root arithmetic and does it on integer vectors.  Weights are
+all root arithmetic and does it on integer vectors.  It also owns the
+one Weyl-orbit walk, ``RootSystem.descend``: down from a dominant point
+by simple reflections, one length of W per layer, optionally kept above
+a floor.  The constructor finds the positive roots with it, Freudenthal
+expands dominant weights into orbits with it, and Kostant's alternating
+sum runs over it.  ``RootSystem.straighten`` walks the other way, up to
+the dominant conjugate.  Weights are
 integral, so a ``Weight`` holds int coordinates and pairs integrally
 with every coroot; ``Fraction`` appears only where an answer is
 genuinely rational: ``root_coords`` and the inner product of two
@@ -321,23 +327,25 @@ class RootSystem:
         self._det, self._adj = _adjugate(A)
         self._memo: dict = {}
 
-        fund_of = self._close_under_reflections()
-        positives = sorted((c for c in fund_of if sum(c) > 0), key=lambda c: (sum(c), c))
-        if 2 * len(positives) != len(fund_of):
-            raise NotFiniteType(f"root closure of {spec} is not symmetric")
-        for c in fund_of:
-            signs = {x > 0 for x in c if x}
-            if len(signs) != 1:
-                raise NotFiniteType(f"mixed-sign root {c} in closure of {spec}")
-
+        # the positive roots are the floor-0 descents from the dominant
+        # conjugates of the simple roots (the columns of A), one per length
         d = self.symmetrizers
+        dominant = {self.straighten(col)[0] for col in zip(*A)}
+        if len(dominant) != len(set(d)):
+            raise NotFiniteType(f"{spec} has {len(dominant)} dominant conjugates of simple roots")
+        fund_of = {
+            c: y for top in dominant for layer in self.descend(top, (0,) * n)
+            for y, c in layer.items()
+        }
+        positives = sorted(fund_of, key=lambda c: (sum(c), c))
+        pos_ac = [fund_of[c] for c in positives]
         forms = [tuple(x * y for x, y in zip(d, c)) for c in positives]
-        lengths = [_dot(f, fund_of[c]) for f, c in zip(forms, positives)]
+        lengths = [_dot(f, ac) for f, ac in zip(forms, pos_ac)]
         if min(lengths) != 2:
             raise NotFiniteType(f"normalisation failure for {spec}")
         pos_roots = [Root(c, SHORT if sq == 2 else LONG) for c, sq in zip(positives, lengths)]
         self.roots: tuple[Root, ...] = tuple(pos_roots + [-r for r in pos_roots])
-        self._ac = tuple(fund_of[r.coeffs] for r in self.roots)
+        self._ac = tuple(pos_ac + [tuple(-x for x in a) for a in pos_ac])
         self._dc = tuple(forms + [tuple(-x for x in f) for f in forms])
         self._sq = tuple(lengths + lengths)
         self.num_positive = len(pos_roots)
@@ -372,30 +380,6 @@ class RootSystem:
         self.dual_coxeter_number = 1 + self.pairing(self.rho, self.theta)
 
     # -- construction pieces -------------------------------------------------
-
-    def _close_under_reflections(self) -> dict:
-        """Every root, as a map from its coefficients to A.c; a reflected root
-        t = c - p_i * alpha_i gets A.t = p - p_i * (column i of A) from p = A.c."""
-        n = self.rank
-        simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        seen = {c: tuple(row[i] for row in self.cartan) for i, c in enumerate(simples)}
-        frontier = simples
-        while frontier:
-            fresh = []
-            for c in frontier:
-                p = seen[c]
-                for i, step in enumerate(p):
-                    if not step:
-                        continue
-                    t = c[:i] + (c[i] - step,) + c[i + 1:]
-                    if t not in seen:
-                        fund = list(p)
-                        for j, a in self._cols[i]:
-                            fund[j] -= step * a
-                        seen[t] = tuple(fund)
-                        fresh.append(t)
-            frontier = fresh
-        return seen
 
     @staticmethod
     def _exponents_from_heights(heights) -> tuple[int, ...]:
@@ -577,6 +561,42 @@ class RootSystem:
         """Dominant Weyl conjugate of a weight (see as_weight), as
         straighten returns it."""
         return self.straighten(self.as_weight(weight).fund)
+
+    def descend(self, fund, floor=None):
+        """The Weyl orbit of a dominant int tuple of fundamental coords,
+        walked down from it one layer per length of W: the one orbit walk
+        of the engines.
+
+        A point y steps to s_i(y) = y - y_i * alpha_i wherever y_i > 0, and
+        every orbit point is reached so, one length per step (Humphreys,
+        Reflection Groups and Coxeter Groups, ch. 1); layer k holds the
+        points whose shortest conjugating element has length k.  Each layer
+        is a dict from its points to None, or, given a floor, to the
+        root-lattice coordinates of y - floor: then only the points with
+        y - floor in the positive root cone are kept, and a point whose
+        step would make a coordinate negative is dropped with everything
+        below it, which is exact since every step goes down."""
+        cols = self._cols
+        if floor is None:
+            layer = {fund: None}
+        else:
+            c = self.lattice_coords(tuple([a - b for a, b in zip(fund, floor)]))
+            if c is None or min(c) < 0:
+                return
+            layer = {fund: c}
+        while layer:
+            yield layer
+            below = {}
+            for y, c in layer.items():
+                for i, step in enumerate(y):
+                    if step > 0 and (c is None or step <= c[i]):
+                        z = list(y)
+                        for j, a in cols[i]:
+                            z[j] -= step * a
+                        z = tuple(z)
+                        if z not in below:
+                            below[z] = None if c is None else c[:i] + (c[i] - step,) + c[i + 1:]
+            layer = below
 
     def straighten(self, fund):
         """Dominant Weyl conjugate of an int tuple of fundamental coords,

@@ -3,7 +3,8 @@
 An element stores the permutation it induces on the roots and, when it
 was generated from simple reflections, one reduced word.  W acts on the
 roots only; weights are moved by simple reflections on their coordinates
-(``RootSystem.straighten``, Kostant's orbit walk), with no element built.
+(``RootSystem.straighten`` up to the dominant chamber, ``RootSystem.descend``
+down a whole orbit), with no element built.
 Membership in the subgroup generated by long-root reflections, and the
 matching factorisation of the whole group, are decided by a descent
 through the long-root subsystem.  Every product is an index gather

@@ -249,9 +249,12 @@ def oracle_inner(rs, x, y):
     return sum(a[i] * d[i] * A[i][j] * b[j] for i in range(n) for j in range(n))
 
 
+@lru_cache(maxsize=None)
 def oracle_weight_action(w):
     """Matrix of w on fundamental coordinates: A times the root coordinates
-    of the images of the simple roots, times the inverse Cartan matrix."""
+    of the images of the simple roots, times the inverse Cartan matrix.
+    Cached per element, so acting with a whole group costs one matrix per
+    element."""
     rs = w.rs
     A, n = rs.cartan, rs.rank
     inv = inverse_matrix(A)

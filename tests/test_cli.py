@@ -204,6 +204,12 @@ def test_nullcone_char_refuses_large_rank(capsys):
     assert "300000 DP updates" in err
 
 
+def test_nullcone_char_refuses_a_negative_degree(capsys):
+    code, out, err = run(capsys, "nullcone-char", "B2", "--max-degree", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: max_degree must be non-negative\n"
+
+
 def test_nullcone_char_reports_work_counters(capsys):
     code, out, _ = run(capsys, "nullcone-char", "C5", "--max-degree", "6", "--json")
     assert code == 0
@@ -395,6 +401,23 @@ def test_readme_catalog_matches_check_registry():
     rows = re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \|$", block.group(1), re.MULTILINE)
     assert sorted(cid for cid, _ in rows) == list(checks.CHECK_IDS)
     assert all(text.strip() for _, text in rows)  # the README is the only description
+
+
+def test_readme_library_tour_prints_what_it_says():
+    # every `expr  # value` line of the tour evaluates to something whose
+    # str() is the comment; the other lines set the tour up
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Library tour\n\n```python\n(.*?)```", text, re.DOTALL)
+    assert block, "README must carry the library tour as a python block"
+    namespace, shown = {}, 0
+    for line in block.group(1).splitlines():
+        expr, sep, value = line.partition("  # ")
+        if sep:
+            assert str(eval(expr, namespace)) == value.strip(), expr
+            shown += 1
+        elif line.strip():
+            exec(line, namespace)
+    assert shown >= 5
 
 
 def test_readme_names_every_cap():

@@ -119,8 +119,27 @@ def test_q_partition_against_raw_enumeration(name, roots):
 
 def test_q_partition_rejects_bad_subset():
     rs = build("B2")
-    with pytest.raises(ValueError):
-        q_partition(rs, Weight.zero(2), -1)
+    zero = Weight.zero(2)
+    # every entry point that builds the tables refuses a negative degree
+    for compute in [lambda: q_partition(rs, zero, -1),
+                    lambda: graded_multiplicity(rs, zero, zero, -1),
+                    lambda: nullcone_character(rs, -1),
+                    lambda: hilbert_check(rs, -1)]:
+        with pytest.raises(ValueError, match="max_degree must be non-negative"):
+            compute()
+
+
+def test_zero_answers_outside_the_root_cone_build_no_tables():
+    # each weight lies outside the positive root cone, so the answer is 0
+    # although the C7 tables to degree 6 pass the DP cap
+    rs = build("C7")
+    zero, omega1, omega2 = (0,) * 7, (1,) + (0,) * 6, (0, 1) + (0,) * 5
+    assert graded_multiplicity(rs, omega1, zero, 6) == QPoly.zero(6)
+    assert graded_multiplicity(rs, zero, omega2, 6) == QPoly.zero(6)
+    assert q_partition(rs, (-2, 1) + (0,) * 5, 6) == QPoly.zero(6)
+    assert q_partition(rs, omega1, 6) == QPoly.zero(6)
+    with pytest.raises(SizeLimitExceeded, match="C7 to degree 6"):
+        q_partition(rs, zero, 6)
 
 
 def test_q_partition_reads_a_sequence_as_a_weight():

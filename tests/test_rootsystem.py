@@ -2,6 +2,7 @@
 epsilon-coordinate models."""
 
 import copy
+import itertools
 import pickle
 import re
 from fractions import Fraction
@@ -12,6 +13,7 @@ from helpers import (
     B3_POSITIVES,
     C3_POSITIVES,
     G2_POSITIVES,
+    act_fund,
     act_root,
     classical,
     coroot,
@@ -33,6 +35,7 @@ from shortroots import (
     decompose_semidirect,
     dimension_ledger,
     dual_coxeter_of_dual,
+    enumerate_group,
     freudenthal,
     graded_multiplicity,
     hilbert_check,
@@ -390,6 +393,63 @@ def test_dominant_representative():
     assert rs.straighten((-1, 1)) == (dom0, sign0)
 
 
+DESCEND_CASES = [
+    (name, lam)
+    for name in ["A3", "B3", "C4", "D4", "F4", "G2"]
+    for lam in itertools.product((0, 1), repeat=build(name).rank)
+]
+
+
+@pytest.mark.parametrize(
+    "name,lam", DESCEND_CASES, ids=[f"{n}-{''.join(map(str, lam))}" for n, lam in DESCEND_CASES]
+)
+def test_descend_is_the_weyl_orbit_by_length(name, lam):
+    # the oracle: every w(lam) over the enumerated group, with the length of
+    # the shortest such w; singular lam included
+    rs = build(name)
+    shortest = {}
+    for w in enumerate_group(rs):
+        y, k = act_fund(w, lam), w.length()
+        shortest[y] = min(shortest.get(y, k), k)
+    layers = list(rs.descend(lam))
+    assert [set(layer) for layer in layers] == [
+        {y for y, k in shortest.items() if k == length} for length in range(len(layers))
+    ]
+    assert sum(map(len, layers)) == len(shortest)
+    assert all(c is None for layer in layers for c in layer.values())
+    # with a floor the walk keeps exactly the points above it, each in the
+    # layer of its length and carrying the lattice coordinates of y - floor
+    for floor in [(0,) * rs.rank, lam, rs.fundamental_weight(0).fund]:
+        expected = {}
+        for y in shortest:
+            c = rs.lattice_coords(tuple(a - b for a, b in zip(y, floor)))
+            if c is not None and min(c) >= 0:
+                expected[y] = c
+        kept = list(rs.descend(lam, floor))
+        assert {y: c for layer in kept for y, c in layer.items()} == expected
+        assert all(shortest[y] == k for k, layer in enumerate(kept) for y in layer)
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A5", "B2", "B7", "C3", "C9", "D4", "D7", "E6", "E7", "E8", "F4", "G2"]
+)
+def test_simple_roots_have_one_dominant_conjugate_per_length(name):
+    rs = build(name)
+    tops = {rs.straighten(rs.weight_coords(rs.simple_root(i)))[0] for i in range(rs.rank)}
+    assert tops == {rs.weight_coords(rs.theta), rs.weight_coords(rs.theta_short)}
+    assert len(tops) == len(set(rs.symmetrizers))
+
+
+def test_constructor_refuses_a_length_count_the_walk_does_not_see(monkeypatch):
+    # with every symmetrizer 1, B3 claims one root length, but its simple
+    # roots straighten to two dominant roots
+    import shortroots.rootsystem as rootsystem
+
+    monkeypatch.setattr(rootsystem, "_symmetrizers", lambda A: (1,) * len(A))
+    with pytest.raises(NotFiniteType, match="B3 has 2 dominant conjugates"):
+        rootsystem.RootSystem(RootSystemSpec("B", 3))
+
+
 @pytest.mark.parametrize("name", ["A3", "B4", "C3", "D4", "F4", "G2"])
 def test_inner_row_is_one_inner_product_per_root(name):
     rs = build(name)
@@ -453,6 +513,14 @@ def test_only_the_root_system_imports_fractions():
     importers = [p.name for p in sorted(src.glob("*.py"))
                  if re.search(r"^(from|import) fractions\b", p.read_text(), re.M)]
     assert importers == ["rootsystem.py"]
+
+
+def test_only_the_root_system_builds_simple_root_columns():
+    # every Weyl-orbit walk goes through RootSystem.descend
+    src = Path(__file__).resolve().parents[1] / "src" / "shortroots"
+    builders = [p.name for p in sorted(src.glob("*.py"))
+                if "weight_coords(rs.simple_root(" in p.read_text()]
+    assert [name for name in builders if name != "rootsystem.py"] == []
 
 
 @pytest.mark.parametrize("name", ["B3", "C4", "F4", "G2"])
