@@ -133,7 +133,8 @@ class _QTables:
     levels[k] maps a packed weight to the number of k-element multisets of
     short positive roots summing to it, and updates is the number of DP
     updates the build made.  Refuses before the build would pass
-    ``Limits.max_character_work`` updates.
+    ``Limits.max_character_work`` updates, at once when every short root
+    making one update per level would already pass it.
 
     A weight v, in fundamental coordinates, is packed as the one int
     sum (v_i + off) * base**i, with off = degree * m for m the largest
@@ -146,6 +147,12 @@ class _QTables:
     def __init__(self, rs: RootSystem, degree: int):
         cap = current_limits().max_character_work
         vectors = sorted(rs.weight_coords(r) for r in rs.short_positive_roots())
+        refusal = SizeLimitExceeded(
+            f"the q-partition tables of {rs.spec} to degree {degree} need more "
+            f"than the cap of {cap} DP updates (max_character_work)"
+        )
+        if degree * len(vectors) > cap:
+            raise refusal
         self.rank = rs.rank
         self.off = degree * max(abs(c) for vec in vectors for c in vec)
         self.base = 2 * self.off + 1
@@ -158,10 +165,7 @@ class _QTables:
                 prev = levels[k - 1]
                 done += len(prev)
                 if done > cap:
-                    raise SizeLimitExceeded(
-                        f"the q-partition tables of {rs.spec} to degree {degree} need more "
-                        f"than the cap of {cap} DP updates (max_character_work)"
-                    )
+                    raise refusal
                 cur = levels[k]
                 get = cur.get
                 for v, count in prev.items():
@@ -189,18 +193,23 @@ class _QTables:
         return tuple(out)
 
 
-def _dp_build(rs: RootSystem, degree: int) -> _QTables:
-    """The q-partition tables of a system to a degree, keyed by packed
-    weights (see _QTables), memoised per system and degree: the one check
-    of a truncation degree."""
+def _require_degree(degree: int) -> None:
+    """The one check of a truncation degree, made before any answer."""
     if degree < 0:
         raise ValueError("max_degree must be non-negative")
+
+
+def _dp_build(rs: RootSystem, degree: int) -> _QTables:
+    """The q-partition tables of a system to a degree, keyed by packed
+    weights (see _QTables), memoised per system and degree."""
+    _require_degree(degree)
     return rs.memo(("qdp", degree), lambda: _QTables(rs, degree))
 
 
 def q_partition(rs: RootSystem, target, max_degree: int) -> QPoly:
     """Generating polynomial of the multiset expressions of a weight as sums
     of short positive roots, graded by multiset size."""
+    _require_degree(max_degree)
     fund = rs.weight_coords(target) if hasattr(target, "coeffs") else rs.as_weight(target).fund
     lattice = rs.lattice_coords(fund)
     if lattice is None or min(lattice) < 0:   # no sum of positive roots
@@ -225,14 +234,15 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     the walk has a point, so an answer that is zero because lam - mu lies
     outside the cone costs no table.  Refuses once the walk has visited
     more than ``Limits.max_character_work`` orbit points."""
+    _require_degree(max_degree)
     lam, mu = rs.dominant_integral(lam), rs.dominant_integral(mu)
     cap = current_limits().max_character_work
     mu_rho = tuple([c + 1 for c in mu])
-    qt, acc = None, [0] * (max_degree + 1)
+    qt = acc = None
     sign, visited = 1, 0
     for layer in rs.descend(tuple([c + 1 for c in lam]), mu_rho):
         if qt is None:   # built only once the sum has a term
-            qt = _dp_build(rs, max_degree)
+            qt, acc = _dp_build(rs, max_degree), [0] * (max_degree + 1)
         visited += len(layer)
         if visited > cap:
             raise SizeLimitExceeded(
@@ -245,7 +255,7 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
                 for k, level in enumerate(qt.levels):
                     acc[k] += sign * level.get(key, 0)
         sign = -sign
-    return QPoly(dict(enumerate(acc)), max_degree)
+    return QPoly(dict(enumerate(acc or ())), max_degree)
 
 
 class GradedCharacter:

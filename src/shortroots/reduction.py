@@ -1,13 +1,13 @@
 """The simple reduction of a multiply-laced system: the subsystem spanned
 by the short simple roots, its Coxeter data, the transition factor, the
-kernel-hyperplane combinatorics, dimension bookkeeping and the summary
-registry for all four multiply-laced families."""
+kernel-hyperplane combinatorics, dimension bookkeeping, the nilpotent
+orbit count read off the reduction's type and the summary rows."""
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import IdentityViolation, UnsupportedRootSystem
+from .errors import IdentityViolation
 from .littleadjoint import little_adjoint_dims
 from .rootsystem import Root, RootSystem, RootSystemSpec, build, classify_cartan
 from .weyl import coxeter_element, is_in_long_subgroup
@@ -109,7 +109,7 @@ class HyperplaneClasses(NamedTuple):
 
 
 def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
-    rs.require_two_lengths()
+    red = simple_reduction(rs)
     shorts = rs.short_positive_roots()
     pos = {r.coeffs: k for k, r in enumerate(shorts)}
     parent = list(range(len(shorts)))
@@ -145,7 +145,6 @@ def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
     )
     classes = tuple(sorted(classes, key=lambda g: (g[0].height, g[0].coeffs)))
 
-    red = simple_reduction(rs)
     sub_pos = {r.coeffs for r in red.subsystem if r.is_positive}
     reps = []
     for g in classes:
@@ -247,18 +246,12 @@ def partition_count(n: int) -> int:
 
 def orbit_count(rs: RootSystem) -> int:
     """Number of nilpotent orbits in the nullcone of the short-dominant
-    module: partitions of n for type C, otherwise a small constant."""
-    rs.require_two_lengths()
-    family = rs.spec.family
-    if family == "C":
-        return partition_count(rs.rank)
-    if family == "B":
-        return 2
-    if family == "F":
-        return 3
-    if family == "G":
-        return 2
-    raise UnsupportedRootSystem(f"no orbit registry for {rs.spec}")
+    module: those of the simple reduction's adjoint module, which for a
+    reduction of type A_m are the Jordan types, the partitions of m + 1."""
+    sub = simple_reduction(rs).sub_spec
+    if sub.family != "A":
+        raise IdentityViolation(f"the simple reduction {sub} is not of type A")
+    return partition_count(sub.rank + 1)
 
 
 def invariant_degrees(rs: RootSystem):

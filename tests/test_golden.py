@@ -1,0 +1,46 @@
+"""Every benchmark operation, run as a cold CLI child, still meets its
+golden output (``perfbench/golden.json``, by the rules of
+``perfbench/golden.py``), so that output drift shows in the test suite and
+not only when the benchmark runs.  The benchmark files are only read."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def _perfbench_modules():
+    """golden and workloads, imported without writing bytecode next to them."""
+    sys.path.insert(0, str(PERFBENCH))
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return importlib.import_module("golden"), importlib.import_module("workloads")
+    finally:
+        sys.dont_write_bytecode = saved
+        sys.path.remove(str(PERFBENCH))
+
+
+golden, workloads = _perfbench_modules()
+GOLDEN = golden.load()
+OPS = [argv for spec in workloads.WORKLOADS.values() for argv in spec["ops"]]
+
+
+def test_every_operation_has_a_golden():
+    assert len(OPS) == 21
+    assert sorted(workloads.op_id(argv) for argv in OPS) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("argv", OPS, ids=workloads.op_id)
+def test_operation_meets_its_golden(argv):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SHORTROOTS_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-m", "shortroots.cli", *argv, "--json"],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    op = workloads.op_id(argv)
+    assert golden.mismatch(argv, proc.returncode, proc.stdout, proc.stderr, GOLDEN[op]) is None

@@ -2,6 +2,7 @@
 character against its Hilbert series."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -120,13 +121,32 @@ def test_q_partition_against_raw_enumeration(name, roots):
 def test_q_partition_rejects_bad_subset():
     rs = build("B2")
     zero = Weight.zero(2)
-    # every entry point that builds the tables refuses a negative degree
+    # every entry point refuses a negative degree, also where the answer is
+    # zero before any table is built
     for compute in [lambda: q_partition(rs, zero, -1),
+                    lambda: q_partition(rs, (-1, 0), -1),
                     lambda: graded_multiplicity(rs, zero, zero, -1),
+                    lambda: graded_multiplicity(rs, (0, 0), (1, 0), -1),
                     lambda: nullcone_character(rs, -1),
                     lambda: hilbert_check(rs, -1)]:
         with pytest.raises(ValueError, match="max_degree must be non-negative"):
             compute()
+
+
+def test_a_huge_degree_is_refused_before_any_table_is_allocated():
+    # three short roots each make at least one update per level, so a million
+    # levels need three million updates and are refused before the first is built
+    rs = build("G2")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitExceeded, match="^the q-partition tables of G2 to degree "
+                           "1000000 need more than the cap of 300000 DP updates "
+                           r"\(max_character_work\)$"):
+            nullcone_character(rs, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_zero_answers_outside_the_root_cone_build_no_tables():

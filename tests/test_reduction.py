@@ -4,7 +4,11 @@ import itertools
 
 import pytest
 
+import shortroots.checks as checks
+import shortroots.reduction as reduction
 from shortroots import (
+    IdentityViolation,
+    RootSystem,
     RootSystemSpec,
     UnsupportedRootSystem,
     build,
@@ -158,6 +162,78 @@ def test_orbit_counts():
     assert orbit_count(build("F4")) == 3
     assert orbit_count(build("B5")) == 2
     assert orbit_count(build("G2")) == 2
+
+
+ORBIT_REGISTRY_SYSTEMS = ([f"B{n}" for n in range(2, 10)] + [f"C{n}" for n in range(2, 13)]
+                          + ["F4", "G2"])
+
+
+@pytest.mark.parametrize("name", ORBIT_REGISTRY_SYSTEMS)
+def test_orbit_count_is_derived_to_the_registry_value(name):
+    rs = build(name)
+    assert orbit_count(rs) == checks._REGISTRY_ORBITS[rs.spec.family](rs.rank)
+
+
+@pytest.mark.parametrize("name", ["B3", "F4", "G2"])
+def test_table_row_compares_the_derived_orbit_count(monkeypatch, name):
+    # C is left out: its registry formula is partition_count itself, so a
+    # fault in the helper reaches both routes; test_partition_count pins
+    # its values down
+    monkeypatch.setattr(reduction, "partition_count", lambda n: 0)
+    status, details = checks.run_check("table-row", build(name))
+    assert status == "fail"
+    assert details["computed"]["orbit_count"] == 0
+    assert details["registry"]["orbit_count"] > 0
+
+
+def _seed_reduction(rs, change):
+    """Seed a fresh system's memo with its true reduction, changed."""
+    true = simple_reduction(build(rs.spec))
+    rs.memo("simple_reduction", lambda: change(true))
+
+
+def _factor_off_by_one(rs):
+    _seed_reduction(rs, lambda red: red._replace(transition_factor=red.transition_factor + 1))
+
+
+def _one_subsystem_positive_fewer(rs):
+    def change(red):
+        first = next(r for r in red.subsystem if r.is_positive)
+        return red._replace(subsystem=tuple(r for r in red.subsystem if r != first))
+
+    _seed_reduction(rs, change)
+
+
+def _theta_set_to_theta_short(rs):
+    rs.theta = rs.theta_short
+
+
+def _theta_short_set_to_theta(rs):
+    rs.theta_short = rs.theta
+
+
+def test_orbit_count_refuses_a_reduction_not_of_type_a():
+    rs = RootSystem(RootSystemSpec("F", 4))
+    _seed_reduction(rs, lambda red: red._replace(sub_spec=RootSystemSpec("B", 2)))
+    with pytest.raises(IdentityViolation, match="^the simple reduction B2 is not of type A$"):
+        orbit_count(rs)
+
+
+# each library function raises on its doctored input; its runner must still fail
+@pytest.mark.parametrize("check_id,doctor,violation", [
+    ("transition-gap", _theta_set_to_theta_short, "transition identities disagree"),
+    ("dimension-ledger", _factor_off_by_one, "nullcone dimension ratio disagrees"),
+    ("hyperplane-classes", _one_subsystem_positive_fewer, "subsystem representatives"),
+    ("hw-orbit-dim", _theta_short_set_to_theta, "orbit dimension disagrees"),
+])
+@pytest.mark.parametrize("name", ["C4", "F4"])
+def test_a_library_violation_fails_its_check(check_id, doctor, violation, name):
+    assert checks.run_check(check_id, build(name))[0] == "pass"
+    rs = RootSystem(build(name).spec)
+    doctor(rs)
+    status, details = checks.run_check(check_id, rs)
+    assert status == "fail"
+    assert violation in details["violation"]
 
 
 def test_invariant_degrees():
