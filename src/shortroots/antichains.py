@@ -1,7 +1,8 @@
 """The poset of short positive roots and its antichain counts.
 
-Brute-force enumeration is the oracle; two closed product formulas over
-the exponents must agree with it.
+A poset is held as its incomparability masks, one int per element.
+Brute-force enumeration over those masks is the oracle; two closed
+product formulas over the exponents must agree with it.
 """
 
 from __future__ import annotations
@@ -24,21 +25,23 @@ __all__ = [
 
 
 class RootPoset:
-    """A finite poset given by an element list and a comparison callable."""
+    """A finite poset given by an element list and a comparison callable,
+    held as its incomparability masks: bit j of incomparable_after[i] is
+    set when j > i and elements i and j are incomparable."""
 
     def __init__(self, elements, leq):
-        self.elements = list(elements)
-        n = len(self.elements)
-        self.leq_matrix = [
-            [bool(leq(self.elements[i], self.elements[j])) for j in range(n)]
-            for i in range(n)
+        self.elements = els = list(elements)
+        self.incomparable_after = [
+            sum(1 << j for j in range(i + 1, len(els))
+                if not (leq(els[i], els[j]) or leq(els[j], els[i])))
+            for i in range(len(els))
         ]
 
     def __len__(self):
         return len(self.elements)
 
     def comparable(self, i: int, j: int) -> bool:
-        return self.leq_matrix[i][j] or self.leq_matrix[j][i]
+        return not self.incomparable_after[min(i, j)] >> max(i, j) & 1
 
 
 def short_root_poset(rs: RootSystem) -> RootPoset:
@@ -60,15 +63,7 @@ def count_antichains(poset: RootPoset) -> int:
     ``Limits.max_antichain_work`` nodes."""
     cap = current_limits().max_antichain_work
     n = len(poset)
-    # incomp[i]: bitmask of j > i incomparable to i
-    incomp = []
-    for i in range(n):
-        mask = 0
-        for j in range(i + 1, n):
-            if not poset.comparable(i, j):
-                mask |= 1 << j
-        incomp.append(mask)
-
+    incomp = poset.incomparable_after
     # a node is an antichain, given by the mask of elements that may extend it
     visited = 0
     stack = [(1 << n) - 1]

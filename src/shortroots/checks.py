@@ -230,34 +230,32 @@ def _check_one_step(rs: RootSystem):
     return ("pass" if ok else "fail"), details
 
 
-_REGISTRY_DIM = {"B": lambda n: 2 * n + 1, "C": lambda n: 2 * n * n - n - 1,
-                 "F": lambda n: 26, "G": lambda n: 7}
-_REGISTRY_H = {"B": lambda n: 2 * n, "C": lambda n: 2 * n, "F": lambda n: 12,
-               "G": lambda n: 6}
-_REGISTRY_SUB = {"B": lambda n: "A1", "C": lambda n: f"A{n - 1}", "F": lambda n: "A2",
-                 "G": lambda n: "A1"}
-_REGISTRY_HS = {"B": lambda n: 2, "C": lambda n: n, "F": lambda n: 3, "G": lambda n: 2}
-_REGISTRY_ORBITS = {"B": lambda n: 2, "C": red.partition_count, "F": lambda n: 3,
-                    "G": lambda n: 2}
+def _partitions(n: int) -> int:
+    """p(n) by Euler's pentagonal-number recurrence: the C orbit count by a
+    route independent of ``reduction.partition_count``."""
+    p = [1]
+    for m in range(1, n + 1):
+        pent = [(k * (3 * k - 1) // 2, k * (3 * k + 1) // 2, (-1) ** (k + 1))
+                for k in range(1, m + 1) if k * (3 * k - 1) // 2 <= m]
+        p.append(sum(s * (p[m - a] + (p[m - b] if b <= m else 0)) for a, b, s in pent))
+    return p[n]
+
+
+# one row per family, in SummaryRow field order
+_REGISTRY_FIELDS = ("module_dim", "coxeter_number", "sub_type", "sub_coxeter_number",
+                    "orbit_count")
+_REGISTRY = {
+    "B": lambda n: (2 * n + 1, 2 * n, "A1", 2, 2),
+    "C": lambda n: (2 * n * n - n - 1, 2 * n, f"A{n - 1}", n, _partitions(n)),
+    "F": lambda n: (26, 12, "A2", 3, 3),
+    "G": lambda n: (7, 6, "A1", 2, 2),
+}
 
 
 def _check_table_row(rs: RootSystem):
     row = red.summary_row(rs)
-    f, n = rs.spec.family, rs.rank
-    expected = {
-        "module_dim": _REGISTRY_DIM[f](n),
-        "coxeter_number": _REGISTRY_H[f](n),
-        "sub_type": _REGISTRY_SUB[f](n),
-        "sub_coxeter_number": _REGISTRY_HS[f](n),
-        "orbit_count": _REGISTRY_ORBITS[f](n),
-    }
-    computed = {
-        "module_dim": row.module_dim,
-        "coxeter_number": row.coxeter_number,
-        "sub_type": row.sub_type,
-        "sub_coxeter_number": row.sub_coxeter_number,
-        "orbit_count": row.orbit_count,
-    }
+    expected = dict(zip(_REGISTRY_FIELDS, _REGISTRY[rs.spec.family](rs.rank)))
+    computed = {field: getattr(row, field) for field in _REGISTRY_FIELDS}
     details = {"computed": computed, "registry": expected,
                "theta_short_coeffs": list(row.theta_short_coeffs)}
     return ("pass" if computed == expected else "fail"), details

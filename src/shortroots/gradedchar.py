@@ -74,14 +74,9 @@ class QPoly:
         return sorted(self.coeffs.items())
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = QPoly({0: other}, self.truncation)
         if not isinstance(other, QPoly):
             return NotImplemented
         return self.truncation == other.truncation and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.truncation, tuple(sorted(self.coeffs.items()))))
 
     def __add__(self, other: "QPoly") -> "QPoly":
         t = min(self.truncation, other.truncation)
@@ -132,9 +127,11 @@ class _QTables:
     """The q-partition tables of one system to one truncation degree:
     levels[k] maps a packed weight to the number of k-element multisets of
     short positive roots summing to it, and updates is the number of DP
-    updates the build made.  Refuses before the build would pass
-    ``Limits.max_character_work`` updates, at once when every short root
-    making one update per level would already pass it.
+    updates the build made.  Refuses past ``Limits.max_character_work``
+    updates, before any table when a loose lower bound passes it: of m
+    short roots the first makes one update per level and each other finds
+    k points on level k - 1, so a build to degree d makes at least
+    d + (m - 1) d (d + 1) / 2.
 
     A weight v, in fundamental coordinates, is packed as the one int
     sum (v_i + off) * base**i, with off = degree * m for m the largest
@@ -151,7 +148,7 @@ class _QTables:
             f"the q-partition tables of {rs.spec} to degree {degree} need more "
             f"than the cap of {cap} DP updates (max_character_work)"
         )
-        if degree * len(vectors) > cap:
+        if degree + (len(vectors) - 1) * degree * (degree + 1) // 2 > cap:
             raise refusal
         self.rank = rs.rank
         self.off = degree * max(abs(c) for vec in vectors for c in vec)
@@ -271,10 +268,6 @@ class GradedCharacter:
 
     def multiplicity(self, weight) -> QPoly:
         return self.entries.get(self.rs.as_weight(weight).fund, QPoly.zero(self.truncation))
-
-    def weights(self):
-        """The weights, as Weights, in the order of their coordinates."""
-        return [Weight(fund) for fund in sorted(self.entries)]
 
     def negative_terms(self):
         """Observed negative coefficients, as (weight coordinates, degree,

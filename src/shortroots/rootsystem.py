@@ -10,11 +10,12 @@ by simple reflections, one length of W per layer, optionally kept above
 a floor.  The constructor finds the positive roots with it, Freudenthal
 expands dominant weights into orbits with it, and Kostant's alternating
 sum runs over it.  ``RootSystem.straighten`` walks the other way, up to
-the dominant conjugate.  Weights are
-integral, so a ``Weight`` holds int coordinates and pairs integrally
-with every coroot; ``Fraction`` appears only where an answer is
-genuinely rational: ``root_coords`` and the inner product of two
-weights.  Floats and non-integral coordinates are refused, never rounded.
+the dominant conjugate.  Weights are integral, so a ``Weight`` holds int
+coordinates and pairs integrally with every coroot; ``Fraction`` appears
+only where an answer is genuinely rational (``root_coords`` and the
+inner product of two weights) and, at construction, in
+``_symmetrizers``.  Floats and non-integral coordinates are refused,
+never rounded.
 
 Simple roots follow the Bourbaki numbering: the short simple root of
 type B sits at the end of the chain, those of type C at the start, those

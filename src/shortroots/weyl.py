@@ -9,7 +9,8 @@ Membership in the subgroup generated by long-root reflections, and the
 matching factorisation of the whole group, are decided by a descent
 through the long-root subsystem.  Every product is an index gather
 through a prebuilt ``operator.itemgetter``, so it runs in C; the getters
-of the simple and long-base reflections are built once per system.
+that ``coxeter_element`` and ``decompose_semidirect`` apply are built once
+per system, and ``_generate`` builds one per generator on each call.
 """
 
 from __future__ import annotations

@@ -70,6 +70,29 @@ def test_short_poset_shapes():
         short_root_poset(build("A3"))
 
 
+@pytest.mark.parametrize("name", ["B4", "C5", "F4", "G2"])
+def test_short_poset_masks_are_the_incomparable_pairs(name):
+    poset = short_root_poset(build(name))
+    els = poset.elements
+    assert len(poset.incomparable_after) == len(els)
+
+    def dominates(a, b):
+        return all(x >= y for x, y in zip(a.coeffs, b.coeffs))
+
+    for i, a in enumerate(els):
+        for j, b in enumerate(els):
+            bit = poset.incomparable_after[i] >> j & 1
+            assert bit == (j > i and not dominates(a, b) and not dominates(b, a))
+
+
+def test_comparable_is_symmetric_and_reflexive():
+    for poset, related in [(chain(6), lambda i, j: True),
+                           (antichain_poset(6), lambda i, j: i == j)]:
+        for i in range(6):
+            for j in range(6):
+                assert poset.comparable(i, j) == poset.comparable(j, i) == related(i, j)
+
+
 def test_poset_sizes_match_half_the_short_roots():
     for name in ["B5", "C4", "F4", "G2"]:
         rs = build(name)

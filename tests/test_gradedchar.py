@@ -134,19 +134,33 @@ def test_q_partition_rejects_bad_subset():
 
 
 def test_a_huge_degree_is_refused_before_any_table_is_allocated():
-    # three short roots each make at least one update per level, so a million
-    # levels need three million updates and are refused before the first is built
+    # of three short roots the first makes one update per level and the
+    # others k on level k - 1, so degree d needs at least d(d + 2) updates:
+    # 10**10 at degree 10**5, although 3 * 10**5 is not past the cap
     rs = build("G2")
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeLimitExceeded, match="^the q-partition tables of G2 to degree "
-                           "1000000 need more than the cap of 300000 DP updates "
-                           r"\(max_character_work\)$"):
-            nullcone_character(rs, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    for degree in (10**6, 10**5):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitExceeded, match="^the q-partition tables of G2 to "
+                               f"degree {degree} need more than the cap of 300000 DP "
+                               r"updates \(max_character_work\)$"):
+                nullcone_character(rs, degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+@pytest.mark.parametrize("name, degree", [("B2", 30), ("B3", 10), ("C4", 6), ("F4", 8),
+                                          ("G2", 40)])
+def test_the_up_front_refusal_spares_a_build_within_the_cap(monkeypatch, name, degree):
+    # with the cap set to the updates a build makes, the lower bound that
+    # refuses before any table must not pass it; on B2 (two short roots) the
+    # bound is exact
+    rs = build(name)
+    updates = nullcone_character(rs, degree).work["dp_updates"]
+    monkeypatch.setattr(gc, "current_limits", lambda: Limits(max_character_work=updates))
+    assert nullcone_character(RootSystem(rs.spec), degree).work["dp_updates"] == updates
 
 
 def test_zero_answers_outside_the_root_cone_build_no_tables():

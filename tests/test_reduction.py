@@ -171,19 +171,35 @@ ORBIT_REGISTRY_SYSTEMS = ([f"B{n}" for n in range(2, 10)] + [f"C{n}" for n in ra
 @pytest.mark.parametrize("name", ORBIT_REGISTRY_SYSTEMS)
 def test_orbit_count_is_derived_to_the_registry_value(name):
     rs = build(name)
-    assert orbit_count(rs) == checks._REGISTRY_ORBITS[rs.spec.family](rs.rank)
+    assert orbit_count(rs) == checks._REGISTRY[rs.spec.family](rs.rank)[-1]
 
 
-@pytest.mark.parametrize("name", ["B3", "F4", "G2"])
+@pytest.mark.parametrize("name", ["B3", "C4", "F4", "G2"])
 def test_table_row_compares_the_derived_orbit_count(monkeypatch, name):
-    # C is left out: its registry formula is partition_count itself, so a
-    # fault in the helper reaches both routes; test_partition_count pins
-    # its values down
     monkeypatch.setattr(reduction, "partition_count", lambda n: 0)
     status, details = checks.run_check("table-row", build(name))
     assert status == "fail"
     assert details["computed"]["orbit_count"] == 0
     assert details["registry"]["orbit_count"] > 0
+
+
+@pytest.mark.parametrize("name, orbits", [("C2", 2), ("C4", 5), ("C6", 11)])
+def test_table_row_c_orbits_survive_a_broken_partition_helper(monkeypatch, name, orbits):
+    # the body, not the module attribute: a registry that held the helper
+    # itself would go wrong together with the derived count
+    monkeypatch.setattr(reduction.partition_count, "__code__", (lambda n: 0).__code__)
+    status, details = checks.run_check("table-row", build(name))
+    assert status == "fail"
+    assert details["computed"]["orbit_count"] == 0
+    assert details["registry"]["orbit_count"] == orbits
+
+
+def test_orderings_sample_above_rank_four():
+    rs = build("B6")
+    orderings = checks._orderings(rs)
+    assert len(orderings) == 200
+    assert all(sorted(o) == list(range(6)) for o in orderings)
+    assert checks._orderings(rs) == orderings
 
 
 def _seed_reduction(rs, change):

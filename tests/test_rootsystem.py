@@ -1,6 +1,7 @@
 """Root system construction against classical tables and hand-built
 epsilon-coordinate models."""
 
+import ast
 import copy
 import itertools
 import pickle
@@ -532,6 +533,27 @@ def test_engine_entries_are_keyed_by_int_tuples(name):
         for key in entries:
             assert type(key) is tuple and len(key) == rs.rank
             assert all(type(c) is int for c in key)
+
+
+def test_fraction_is_named_only_where_an_answer_is_rational():
+    # code (docstrings aside) names Fraction only in rootsystem.py: its
+    # import and the functions _symmetrizers, root_coords and inner
+    src = Path(__file__).resolve().parents[1] / "src" / "shortroots"
+    named = set()
+    for p in sorted(src.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        owner = {}
+        for fn in ast.walk(tree):   # breadth first, so the innermost function wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "Fraction"
+                    or isinstance(node, ast.Attribute) and node.attr == "Fraction"
+                    or isinstance(node, ast.alias) and node.name == "Fraction"):
+                named.add((p.name, owner.get(node, "<module>")))
+    allowed = {("rootsystem.py", f) for f in ("<module>", "_symmetrizers", "root_coords", "inner")}
+    assert ("rootsystem.py", "_symmetrizers") in named
+    assert named <= allowed
 
 
 def test_no_module_reaches_into_root_system_privates():
