@@ -40,9 +40,6 @@ class RootPoset:
     def __len__(self):
         return len(self.elements)
 
-    def comparable(self, i: int, j: int) -> bool:
-        return not self.incomparable_after[min(i, j)] >> max(i, j) & 1
-
 
 def short_root_poset(rs: RootSystem) -> RootPoset:
     """Short positive roots ordered by componentwise comparison of the

@@ -1,10 +1,10 @@
 """Size caps for the exhaustive parts of the library.
 
-All caps live here: the Weyl group order (it gates only the enumeration
-of W, which ``semidirect-product`` runs), the graded-character work (DP
-updates per q-partition table build, orbit points per Kostant walk), the
-subgroup closure size and the antichain counting work (depth-first nodes
-visited, one per antichain), plus the default truncation degree of
+All caps live here: the Weyl group order (it gates the enumeration of W
+and every subgroup closure, both of which ``semidirect-product`` runs),
+the graded-character work (DP updates per q-partition table build, orbit
+points per Kostant walk) and the antichain counting work (depth-first
+nodes visited, one per antichain), plus the default truncation degree of
 graded characters.  Each engine reads its own cap from
 ``current_limits()`` where the work happens; no call site passes one.
 Two of them can be overridden from the environment:
@@ -26,10 +26,9 @@ ENV_MAX_DEGREE = "SHORTROOTS_MAX_DEGREE"
 
 
 class Limits(NamedTuple):
-    max_weyl_order: int = 1152      # Weyl group enumeration refuses beyond this
+    max_weyl_order: int = 1152      # W and its subgroup closures are refused beyond this
     max_series_degree: int = 8      # default graded-character truncation
     max_character_work: int = 300_000  # DP updates per table build, orbit points per walk
-    max_closure_size: int = 10 ** 6  # subgroup closure refusal bound
     max_antichain_work: int = 500_000  # antichains visited by the brute-force count
 
 

@@ -166,10 +166,6 @@ class DeltaPartition(NamedTuple):
     neg_pos: tuple[Root, ...]
     neg_neg: tuple[Root, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.pos_pos) + len(self.pos_neg) + len(self.neg_pos) + len(self.neg_neg)
-
 
 def delta_partition(rs: RootSystem, mu: Root) -> DeltaPartition:
     if not isinstance(mu, Root) or mu.coeffs not in rs.root_index:

@@ -414,16 +414,6 @@ class RootSystem:
         except KeyError:
             raise ValueError(f"{coeffs} is not a root of {self.spec}") from None
 
-    def root_at(self, i: int) -> Root:
-        return self.roots[i]
-
-    def is_root(self, coeffs) -> bool:
-        return tuple(coeffs) in self.root_index
-
-    def negation(self, i: int) -> int:
-        p = self.num_positive
-        return i + p if i < p else i - p
-
     def simple_root(self, i: int) -> Root:
         coeffs = tuple(int(i == j) for j in range(self.rank))
         return self.roots[self.root_index[coeffs]]
@@ -552,9 +542,6 @@ class RootSystem:
             return tuple(perm)
 
         return self.memo(("reflection", k), compute)
-
-    def fundamental_weight(self, i: int) -> Weight:
-        return Weight(tuple(int(i == j) for j in range(self.rank)))
 
     # -- dominance ------------------------------------------------------------
 

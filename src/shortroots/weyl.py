@@ -1,8 +1,9 @@
 """Weyl groups acting as permutations of the indexed root set.
 
-An element stores the permutation it induces on the roots and, when it
-was generated from simple reflections, one reduced word.  W acts on the
-roots only; weights are moved by simple reflections on their coordinates
+An element is the permutation it induces on the roots and nothing more:
+its length (the inversion count), sign and reduced words all follow from
+that permutation, and no engine reads them.  W acts on the roots only;
+weights are moved by simple reflections on their coordinates
 (``RootSystem.straighten`` up to the dominant chamber, ``RootSystem.descend``
 down a whole orbit), with no element built.
 Membership in the subgroup generated by long-root reflections, and the
@@ -11,6 +12,8 @@ through the long-root subsystem.  Every product is an index gather
 through a prebuilt ``operator.itemgetter``, so it runs in C; the getters
 that ``coxeter_element`` and ``decompose_semidirect`` apply are built once
 per system, and ``_generate`` builds one per generator on each call.
+Subgroup closures are counted against ``Limits.max_weyl_order``, the
+one Weyl cap, since no subgroup of W is larger than W.
 """
 
 from __future__ import annotations
@@ -41,12 +44,11 @@ __all__ = [
 class WeylElement:
     """A Weyl group element as a permutation of the root indices."""
 
-    __slots__ = ("rs", "perm", "word")
+    __slots__ = ("rs", "perm")
 
-    def __init__(self, rs: RootSystem, perm: tuple[int, ...], word=None):
+    def __init__(self, rs: RootSystem, perm: tuple[int, ...]):
         self.rs = rs
         self.perm = perm
-        self.word = word
 
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.rs is other.rs and self.perm == other.perm
@@ -55,9 +57,6 @@ class WeylElement:
         return hash(self.perm)
 
     def __repr__(self):
-        if self.word is not None:
-            body = "*".join(f"r{i + 1}" for i in self.word) or "e"
-            return f"<WeylElement {body}>"
         return f"<WeylElement on {len(self.perm)} roots>"
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
@@ -76,8 +75,7 @@ class WeylElement:
 
     def inverse(self) -> "WeylElement":
         perm = self.perm
-        word = tuple(reversed(self.word)) if self.word is not None else None
-        return WeylElement(self.rs, tuple(sorted(range(len(perm)), key=perm.__getitem__)), word)
+        return WeylElement(self.rs, tuple(sorted(range(len(perm)), key=perm.__getitem__)))
 
     def __call__(self, index: int) -> int:
         return self.perm[index]
@@ -86,36 +84,24 @@ class WeylElement:
     def is_identity(self) -> bool:
         return self.perm == tuple(range(len(self.perm)))
 
-    def length(self) -> int:
-        p = self.rs.num_positive
-        return sum(1 for i in range(p) if self.perm[i] >= p)
-
-    def sign(self) -> int:
-        """The determinant (-1)^length."""
-        return -1 if self.length() % 2 else 1
-
 
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, tuple(range(len(rs.roots))), ())
+    return WeylElement(rs, tuple(range(len(rs.roots))))
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    return WeylElement(rs, rs.reflection_perm(rs.index(rs.simple_root(i))), (i,))
+    return WeylElement(rs, rs.reflection_perm(rs.index(rs.simple_root(i))))
 
 
 def reflection(rs: RootSystem, root: Root) -> WeylElement:
     """Reflection in the hyperplane orthogonal to an arbitrary root."""
-    k = rs.index(root)
-    coeffs = rs.root_at(k).coeffs
-    word = (coeffs.index(1),) if sum(coeffs) == 1 else None
-    return WeylElement(rs, rs.reflection_perm(k), word)
+    return WeylElement(rs, rs.reflection_perm(rs.index(root)))
 
 
 def enumerate_group(rs: RootSystem):
-    """All Weyl group elements, each with one reduced word, in breadth-first
-    order.  Refuses (SizeLimitExceeded) when the known order exceeds
-    ``Limits.max_weyl_order``; never truncates silently.  This is the one
-    place the Weyl-order cap is enforced."""
+    """All Weyl group elements in breadth-first order from the identity.
+    Refuses (SizeLimitExceeded) up front when the known order exceeds
+    ``Limits.max_weyl_order``; never truncates silently."""
     cap = current_limits().max_weyl_order
     if rs.weyl_order > cap:
         raise SizeLimitExceeded(
@@ -129,30 +115,28 @@ def enumerate_group(rs: RootSystem):
 
 
 def _generate(rs: RootSystem, gens):
-    """The subgroup generated by gens, breadth-first from the identity;
-    refuses past ``Limits.max_closure_size`` elements.  w * g gets the word
-    w.word + g.word when both exist, so simple-reflection closures carry reduced words."""
-    cap = current_limits().max_closure_size
-    steps = [(itemgetter(*g.perm), g.word) for g in gens]
-    e = identity(rs)
-    found = {e.perm: e}
+    """The subgroup generated by gens, breadth-first from the identity, as
+    bare permutations wrapped into elements once at the end; refuses past
+    ``Limits.max_weyl_order`` elements, which no subgroup of W exceeds."""
+    cap = current_limits().max_weyl_order
+    steps = [itemgetter(*g.perm) for g in gens]
+    e = tuple(range(len(rs.roots)))
+    found = {e: None}
     layer = [e]
     while layer:
         fresh = []
         for w in layer:
-            for step, gword in steps:
-                perm = step(w.perm)   # w * g
+            for step in steps:
+                perm = step(w)   # w * g
                 if perm not in found:
                     if len(found) >= cap:
                         raise SizeLimitExceeded(
-                            f"subgroup closure exceeded the bound {cap} (max_closure_size)"
+                            f"subgroup closure exceeded the bound {cap} (max_weyl_order)"
                         )
-                    word = w.word + gword if w.word is not None and gword is not None else None
-                    elem = WeylElement(rs, perm, word)
-                    found[perm] = elem
-                    fresh.append(elem)
+                    found[perm] = None
+                    fresh.append(perm)
         layer = fresh
-    return tuple(found.values())
+    return tuple(WeylElement(rs, perm) for perm in found)
 
 
 def coxeter_element(rs: RootSystem, ordering=None) -> WeylElement:
@@ -250,7 +234,7 @@ def is_in_long_subgroup(rs: RootSystem, w: WeylElement) -> bool:
 
 def closure(rs: RootSystem, generators) -> frozenset:
     """Materialise the subgroup generated by the given elements, refusing
-    past ``Limits.max_closure_size`` elements."""
+    past ``Limits.max_weyl_order`` elements."""
     return frozenset(_generate(rs, tuple(generators)))
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from shortroots import Root
+from shortroots import Root, Weight, simple_reflection
 
 # (number of positive roots, Coxeter number, dual Coxeter number, exponents)
 _SPORADIC = {
@@ -121,7 +121,7 @@ def _signed_images(rs, fund):
     """(sign(w), w(fund)) for every w in W, by the Fraction matrices."""
     from shortroots import enumerate_group
 
-    return tuple((w.sign(), act_fund(w, fund)) for w in enumerate_group(rs))
+    return tuple((sign(w), act_fund(w, fund)) for w in enumerate_group(rs))
 
 
 def oracle_support(rs, lam):
@@ -186,6 +186,12 @@ def nullcone_candidates(rs, qt, degree):
     return sorted(candidates)
 
 
+def comparable(poset, i, j):
+    """Whether elements i and j of the poset are comparable, read off its
+    incomparability masks."""
+    return not poset.incomparable_after[min(i, j)] >> max(i, j) & 1
+
+
 def all_antichains(poset):
     """Every antichain of the poset (the empty one included), as tuples of
     its elements, listed one by one."""
@@ -195,7 +201,7 @@ def all_antichains(poset):
     while stack:
         chosen, start = stack.pop()
         for j in range(start, n):
-            if all(not poset.comparable(i, j) for i in chosen):
+            if all(not comparable(poset, i, j) for i in chosen):
                 nxt = chosen + (j,)
                 out.append(nxt)
                 stack.append((nxt, j + 1))
@@ -273,8 +279,9 @@ def act_fund(w, fund):
     return tuple(int(c) for c in image)
 
 
-# Weyl element and coroot views that only tests read: the library's Weyl
-# elements act on root indices, and an integral weight never needs a coroot.
+# Weyl element, weight and coroot views that only tests read: the library's
+# Weyl elements are bare root permutations, and an integral weight never
+# needs a coroot.
 
 
 def compose(p, q):
@@ -285,7 +292,7 @@ def compose(p, q):
 
 def act_root(w, root):
     """The image of a root under the Weyl element w."""
-    return w.rs.root_at(w(w.rs.index(root)))
+    return w.rs.roots[w(w.rs.index(root))]
 
 
 def inversions(w):
@@ -294,12 +301,42 @@ def inversions(w):
     return tuple(w.rs.roots[i] for i in range(p) if w(i) >= p)
 
 
+def length(w):
+    """The length of w: its number of inversions (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.6-1.7)."""
+    return len(inversions(w))
+
+
+def sign(w):
+    """The determinant (-1)^length of w."""
+    return (-1) ** length(w)
+
+
+def reduced_word(w):
+    """One reduced word of w, as simple-root indices, by stripping right
+    descents: while w sends some simple root alpha_i negative, w = w' * s_i
+    with length(w') = length(w) - 1."""
+    rs = w.rs
+    simple = [rs.index(rs.simple_root(i)) for i in range(rs.rank)]
+    word = []
+    while not w.is_identity:
+        i = next(i for i, k in enumerate(simple) if w(k) >= rs.num_positive)
+        w = w * simple_reflection(rs, i)
+        word.append(i)
+    return tuple(reversed(word))
+
+
 def order(w):
     """The order of w in the Weyl group."""
     k, power = 1, w
     while not power.is_identity:
         power, k = power * w, k + 1
     return k
+
+
+def fundamental_weight(rs, i):
+    """The i-th fundamental weight of rs."""
+    return Weight(tuple(int(i == j) for j in range(rs.rank)))
 
 
 def coroot(rs, root):

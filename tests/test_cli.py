@@ -426,5 +426,5 @@ def test_readme_names_every_cap():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     names = list(config.Limits._fields)
     names += [getattr(config, name) for name in dir(config) if name.startswith("ENV_")]
-    assert len(names) == 7
+    assert len(names) == 6
     assert [name for name in names if name not in text] == []

@@ -144,7 +144,7 @@ def test_delta_partition_balance_everywhere():
         part = delta_partition(rs, mu)
         assert len(part.pos_pos) == len(part.neg_neg)
         assert len(part.pos_neg) == len(part.neg_pos)
-        assert part.size % 2 == 0
+        assert sum(map(len, part)) % 2 == 0
 
 
 def test_delta_partition_smallest_case():

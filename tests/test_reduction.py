@@ -95,7 +95,7 @@ def test_one_step_strings_in_type_c():
     rs = build("C3")
     strings = one_step_strings(rs)
     # e1 + e2 decomposes through 2 e2 only, among positive targets
-    gamma = rs.root_at(rs.index((1, 2, 1)))
+    gamma = rs.roots[rs.index((1, 2, 1))]
     entry = strings[gamma]
     assert [b.coeffs for b in entry.positive_target_steps] == [(0, 2, 1)]
     assert entry.sole
@@ -104,7 +104,7 @@ def test_one_step_strings_in_type_c():
 def test_one_step_strings_in_type_b():
     rs = build("B3")
     strings = one_step_strings(rs)
-    gamma = rs.root_at(rs.index((1, 1, 1)))  # e1
+    gamma = rs.roots[rs.index((1, 1, 1))]  # e1
     entry = strings[gamma]
     assert (1, 1, 0) in {b.coeffs for b, _ in entry.pairs}  # e1 - e3
     assert [b.coeffs for b in entry.positive_target_steps] == [(1, 1, 0)]

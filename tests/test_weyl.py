@@ -1,11 +1,13 @@
 """Weyl group elements, enumeration and the long/short factorisation."""
 
 import itertools
+import os
 import random
 from functools import lru_cache
+from unittest import mock
 
 import pytest
-from helpers import act_fund, act_root, compose, inversions, order
+from helpers import act_fund, act_root, compose, inversions, length, order, reduced_word, sign
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,8 +42,8 @@ def test_reflection_is_an_involution():
 
 def test_reflection_fixes_orthogonal_roots():
     rs = build("B2")
-    e1 = rs.root_at(rs.index((1, 1)))   # epsilon_1
-    e2 = rs.root_at(rs.index((0, 1)))   # epsilon_2
+    e1 = rs.roots[rs.index((1, 1))]   # epsilon_1
+    e2 = rs.roots[rs.index((0, 1))]   # epsilon_2
     assert rs.inner(e1, e2) == 0
     assert act_root(reflection(rs, e1), e2) == e2
 
@@ -55,13 +57,13 @@ def test_reflection_rejects_non_roots():
 def test_length_and_inversions():
     rs = build("G2")
     e = identity(rs)
-    assert e.length() == 0 and inversions(e) == ()
+    assert length(e) == 0 and inversions(e) == ()
     for i in range(rs.rank):
         s = simple_reflection(rs, i)
-        assert s.length() == 1
+        assert length(s) == 1
         assert inversions(s) == (rs.simple_root(i),)
-    longest = max(enumerate_group(rs), key=lambda w: w.length())
-    assert longest.length() == rs.num_positive == 6
+    longest = max(enumerate_group(rs), key=length)
+    assert length(longest) == rs.num_positive == 6
 
 
 @pytest.mark.parametrize("name,order", [("A1", 2), ("G2", 12), ("B3", 48), ("F4", 1152)])
@@ -69,10 +71,13 @@ def test_enumeration(name, order):
     rs = build(name)
     group = enumerate_group(rs)
     assert len(group) == len(set(group)) == order == rs.weyl_order
-    for w in group[: 200]:
-        assert len(w.word) == w.length()  # breadth-first words are reduced
+    lengths = [length(w) for w in group]
+    assert lengths == sorted(lengths)  # breadth-first order is by length
+    for w, k in zip(group, lengths):
+        word = reduced_word(w)
+        assert len(word) == k
         composed = identity(rs)
-        for i in w.word:
+        for i in word:
             composed = composed * simple_reflection(rs, i)
         assert composed == w
 
@@ -189,7 +194,8 @@ def test_membership_in_long_subgroup():
     assert not is_in_long_subgroup(rs, simple_reflection(rs, rs.short_simple_indices[0]))
 
 
-def test_decompose_sampled_large_rank():
+def test_decompose_sampled_large_rank(monkeypatch):
+    monkeypatch.setenv("SHORTROOTS_MAX_W", "1920")   # the closure below, past the default cap
     rs = build("B5")
     w_l = closure(rs, long_subgroup(rs))   # type D5, order 1920
     assert len(w_l) == 1920
@@ -211,7 +217,9 @@ def test_decompose_sampled_large_rank():
 @lru_cache(maxsize=None)
 def _long_closure(name):
     rs = build(name)
-    return closure(rs, long_subgroup(rs))
+    # B5's is type D5, of order 1920: past the default cap
+    with mock.patch.dict(os.environ, {"SHORTROOTS_MAX_W": "1920"}):
+        return closure(rs, long_subgroup(rs))
 
 
 @settings(max_examples=40, deadline=None)
@@ -231,9 +239,15 @@ def test_decompose_semidirect_against_closure_membership(name, word):
 def test_closure_refuses_past_the_bound(monkeypatch):
     rs = build("B3")
     gens = [simple_reflection(rs, i) for i in range(3)]
-    monkeypatch.setattr(weyl_module, "current_limits", lambda: Limits(max_closure_size=10))
-    with pytest.raises(SizeLimitExceeded, match="max_closure_size"):
+    monkeypatch.setattr(weyl_module, "current_limits", lambda: Limits(max_weyl_order=10))
+    with pytest.raises(SizeLimitExceeded, match="max_weyl_order"):
         closure(rs, gens)
+    # the cap counts elements found: |W(B3)| = 48 is refused at 47, answered at 48
+    monkeypatch.setattr(weyl_module, "current_limits", lambda: Limits(max_weyl_order=47))
+    with pytest.raises(SizeLimitExceeded, match="exceeded the bound 47 .max_weyl_order."):
+        closure(rs, gens)
+    monkeypatch.setattr(weyl_module, "current_limits", lambda: Limits(max_weyl_order=48))
+    assert len(closure(rs, gens)) == 48
 
 
 def test_inverse_and_identity():
@@ -262,7 +276,7 @@ def test_weight_action_matches_fraction_oracle(name):
     rs = build(name)
     rho = (1,) * rs.rank
     for w in enumerate_group(rs):
-        assert rs.dominant_representative(act_fund(w, rho)) == (rho, w.sign())
+        assert rs.dominant_representative(act_fund(w, rho)) == (rho, sign(w))
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,11 +286,11 @@ def test_word_length_properties(word):
     w = identity(rs)
     for i in word:
         w = w * simple_reflection(rs, i)
-    length = w.length()
-    assert length <= len(word)
-    assert (length - len(word)) % 2 == 0
-    assert length == len(inversions(w))
-    assert w.sign() == (-1) ** len(word)
+    k = length(w)
+    assert k <= len(word)
+    assert (k - len(word)) % 2 == 0
+    assert k == len(inversions(w))
+    assert sign(w) == (-1) ** len(word)
 
 
 # -- the permutation kernels against one-index-at-a-time composition ----------
