@@ -5,6 +5,13 @@ Subcommands: info, verify, table1, antichains, nullcone-char.  All accept
 library self-check failed) and 2 (usage or validation error).  Output
 is ASCII and byte-identical across runs; timings are opt-in because
 they would break that.
+
+Importing this module loads only ``rootsystem``, ``errors`` and ``config``.
+The engines are lazy modules of the package, reached through their module
+objects (``gc.hilbert_check``), so each subcommand compiles and runs only
+the modules it calls: ``antichains`` adds ``antichains`` alone, ``verify
+--check sign-partition`` adds ``checks`` and ``littleadjoint``, and a full
+``verify`` loads everything.
 """
 
 from __future__ import annotations
@@ -14,8 +21,11 @@ import json
 import sys
 import time
 
+from . import antichains as ac
 from . import checks
-from .antichains import antichain_report
+from . import gradedchar as gc
+from . import littleadjoint as la
+from . import reduction as red
 from .config import current_limits
 from .errors import (
     IdentityViolation,
@@ -23,22 +33,17 @@ from .errors import (
     SizeLimitExceeded,
     UnsupportedRootSystem,
 )
-from .gradedchar import QPoly, hilbert_check
-from .littleadjoint import little_adjoint_dims
-from .reduction import dimension_ledger, simple_reduction, summary_row
 from .rootsystem import RootSystem, build, dual_coxeter_of_dual
 
 SCHEMA_VERSION = 1
 
 
 def jsonable(value):
-    """Exactness-preserving JSON encoding: polynomials become degree maps
-    with their truncation, and result records maps of their fields."""
-    if isinstance(value, QPoly):
-        return {
-            "truncation": value.truncation,
-            "coeffs": {str(k): v for k, v in value.terms()},
-        }
+    """Exactness-preserving JSON encoding: a value with a ``to_json`` method
+    (a polynomial) encodes itself, and result records become maps of their
+    fields."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
     if hasattr(value, "_asdict"):   # a record is a tuple too: test it first
         value = value._asdict()
     if isinstance(value, dict):
@@ -92,24 +97,24 @@ def cmd_info(args) -> int:
         "numbering     Bourbaki",
     ]
     if rs.is_multiply_laced:
-        red = simple_reduction(rs)
-        ledger = dimension_ledger(rs)
-        dims = little_adjoint_dims(rs)
+        reduced = red.simple_reduction(rs)
+        ledger = red.dimension_ledger(rs)
+        dims = la.little_adjoint_dims(rs)
         info["little_adjoint"] = {
             "dim": dims.dim,
             "zero_multiplicity": dims.zero_mult,
             "short_root_count": dims.short_count,
         }
         info["reduction"] = {
-            "sub_type": str(red.sub_spec),
-            "sub_coxeter_number": red.sub_coxeter_number,
-            "transition_factor": red.transition_factor,
+            "sub_type": str(reduced.sub_spec),
+            "sub_coxeter_number": reduced.sub_coxeter_number,
+            "transition_factor": reduced.transition_factor,
         }
         info["dimension_ledger"] = ledger._asdict()
         lines += [
             f"dim V         {dims.dim}  (zero weight multiplicity {dims.zero_mult})",
-            f"reduction     {red.sub_spec}  (h_s {red.sub_coxeter_number}, "
-            f"factor {red.transition_factor})",
+            f"reduction     {reduced.sub_spec}  (h_s {reduced.sub_coxeter_number}, "
+            f"factor {reduced.transition_factor})",
             f"nullcone dims {ledger.module_nullcone_dim} vs "
             f"{ledger.reduction_nullcone_dim} (ratio {ledger.transition_factor})",
         ]
@@ -118,10 +123,11 @@ def cmd_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    ids = checks.selected_ids(args.check)   # refuse an unknown id before the build
     rs = build(args.system)
     started = time.perf_counter()
     results = []
-    for cid in checks.selected_ids(args.check):
+    for cid in ids:
         check_started = time.perf_counter()
         status, details = checks.run_check(cid, rs)
         result = {"id": cid, "status": status, "details": details}
@@ -167,7 +173,7 @@ def cmd_table1(args) -> int:
     rows = []
     for name in _TABLE_SYSTEMS:
         rs = build(name)
-        row = summary_row(rs)._asdict()
+        row = red.summary_row(rs)._asdict()
         if name == "B2":
             row["isomorphic_to"] = "C2"
         elif name == "C2":
@@ -189,7 +195,7 @@ def cmd_table1(args) -> int:
 
 def cmd_antichains(args) -> int:
     rs = build(args.system)
-    report = antichain_report(rs)
+    report = ac.antichain_report(rs)
     payload = {
         "schemaVersion": SCHEMA_VERSION,
         "system": _system_block(rs),
@@ -213,7 +219,7 @@ def cmd_antichains(args) -> int:
 def cmd_nullcone_char(args) -> int:
     rs = build(args.system)
     degree = args.max_degree if args.max_degree is not None else current_limits().max_series_degree
-    report = hilbert_check(rs, degree)
+    report = gc.hilbert_check(rs, degree)
     char = sorted(report.character.entries.items())
     entries = [{"weight": list(w), "multiplicity": jsonable(poly)} for w, poly in char]
     payload = {

@@ -73,6 +73,10 @@ class QPoly:
     def terms(self):
         return sorted(self.coeffs.items())
 
+    def to_json(self) -> dict:
+        """Exact JSON form: the truncation and a degree -> coefficient map."""
+        return {"truncation": self.truncation, "coeffs": {str(k): v for k, v in self.terms()}}
+
     def __eq__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented

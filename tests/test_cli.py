@@ -118,6 +118,16 @@ def test_verify_unknown_check_id(capsys, monkeypatch):
     assert "semidirect-product" in err  # the valid ids are listed
 
 
+def test_verify_refuses_an_unknown_check_id_before_building(capsys, monkeypatch):
+    import shortroots.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "build", built.append)
+    code, out, err = run(capsys, "verify", "A100", "--check", "bogus")
+    assert (code, out, built) == (2, "", [])
+    assert err.startswith("error: unknown check id(s) bogus; valid ids: ")
+
+
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     def broken(rs):
         return "fail", {"expected": 1, "computed": 2}
@@ -334,18 +344,21 @@ def test_jsonable_writes_a_record_as_a_dict_of_its_fields():
 
 def test_package_exports_exactly_the_module_lists():
     import importlib
-    from types import ModuleType
 
     import shortroots
 
     library = ["antichains", "config", "errors", "gradedchar", "littleadjoint", "reduction",
                "rootsystem", "weyl"]
-    declared = [name for mod in library
-                for name in importlib.import_module(f"shortroots.{mod}").__all__]
-    public = {name for name, obj in vars(shortroots).items()
-              if not name.startswith("_") and not isinstance(obj, ModuleType)}
-    assert len(declared) == len(set(declared))
-    assert public == set(declared)
+    modules = [importlib.import_module(f"shortroots.{mod}") for mod in library]
+    owner = {name: mod for mod in modules for name in mod.__all__}
+    assert len(owner) == sum(len(mod.__all__) for mod in modules)   # no name declared twice
+    assert dir(shortroots) == sorted(owner)
+    star = {}
+    exec("from shortroots import *", star)
+    assert set(star) - {"__builtins__"} == set(owner)
+    assert all(getattr(shortroots, name) is getattr(mod, name) for name, mod in owner.items())
+    with pytest.raises(AttributeError):
+        shortroots.no_such_name
 
 
 def test_no_module_imports_dataclasses():
@@ -354,14 +367,65 @@ def test_no_module_imports_dataclasses():
     assert [p.name for p in sorted(src.glob("*.py")) if importing.search(p.read_text())] == []
 
 
+def python_child(*args):
+    """Run a fresh interpreter that imports the package from src."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-B", *args], env={**os.environ, "PYTHONPATH": path},
+                          cwd=root, capture_output=True, text=True, timeout=60)
+
+
 def test_cli_start_up_does_not_load_dataclasses():
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-c", "import shortroots.cli, sys; print('dataclasses' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
-    )
+    child = python_child("-c", "import shortroots.cli, sys; print('dataclasses' in sys.modules)")
     assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
+
+
+_LOADS = """
+import contextlib, io, sys, types
+import shortroots.cli
+names = [m for m in sys.modules if m.startswith("shortroots.") and m != "shortroots.cli"]
+stubs = [type(sys.modules[m]) for m in names if type(sys.modules[m]) is not types.ModuleType]
+assert len(set(stubs)) <= 1 and all(issubclass(t, types.ModuleType) for t in stubs)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = shortroots.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+loaded = [m[11:] for m in names if type(sys.modules[m]) is types.ModuleType]
+print(code, *sorted(m[11:] for m in names))
+print(*sorted(loaded))
+"""
+_LIBRARY_AND_CHECKS = "antichains checks config errors gradedchar littleadjoint reduction rootsystem weyl"
+_RUNS = {
+    "": "config errors rootsystem",
+    "info C9": "config errors littleadjoint reduction rootsystem weyl",
+    "antichains C8": "antichains config errors rootsystem",
+    "nullcone-char G2 --max-degree 4":
+        "config errors gradedchar littleadjoint reduction rootsystem weyl",
+    "verify B7 --check sign-partition": "checks config errors littleadjoint rootsystem",
+    "table1": "config errors littleadjoint reduction rootsystem weyl",
+    "verify G2": _LIBRARY_AND_CHECKS,
+}
+
+
+@pytest.mark.parametrize("command", list(_RUNS), ids=lambda c: c or "import")
+def test_each_subcommand_runs_only_the_modules_it_calls(command):
+    # every module is registered when the CLI is imported, but a module
+    # body runs on first use: a loaded module is a plain ModuleType, a stub
+    # keeps the lazy loader's subclass, and reading type() loads nothing
+    child = python_child("-c", _LOADS, *command.split())
+    assert child.stderr == ""
+    assert child.stdout == f"0 {_LIBRARY_AND_CHECKS}\n{_RUNS[command]}\n"
+
+
+def test_trace_harness_wraps_the_lazily_loaded_modules():
+    # perfbench/traced_cli.py reads vars() of every shortroots module in
+    # sys.modules, which loads a stub, so it still wraps every engine
+    child = python_child("perfbench/traced_cli.py", "info", "C9", "--json")
+    assert (child.returncode, child.stderr) == (0, "")
+    envelope = json.loads(child.stdout)
+    assert envelope["exit"] == 0
+    labels = {span[0] for span in envelope["spans"]}
+    assert {"reduction.simple_reduction", "littleadjoint.little_adjoint_dims",
+            "rootsystem.build"} <= labels
+    assert envelope["counters"]["rootsystem.roots"] > 0
 
 
 def test_no_library_self_check_raises_a_bare_assertion_error():
