@@ -53,7 +53,9 @@ def _exports():
 def __getattr__(name):
     if name == "__all__":
         return sorted(_exports())
-    owner = _exports().get(name)
+    # `from shortroots import cli` asks for the attribute before importing
+    # the submodule: answer without reading every module's __all__
+    owner = None if name == "cli" else _exports().get(name)
     if owner is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(globals()[owner], name)

@@ -209,13 +209,15 @@ def _dp_build(rs: RootSystem, degree: int) -> _QTables:
 
 def q_partition(rs: RootSystem, target, max_degree: int) -> QPoly:
     """Generating polynomial of the multiset expressions of a weight as sums
-    of short positive roots, graded by multiset size."""
+    of short positive roots, graded by multiset size.  A multiset of k
+    positive roots has height at least k, so the tables are built only to
+    the height of the weight when that is below max_degree."""
     _require_degree(max_degree)
     fund = rs.weight_coords(target) if hasattr(target, "coeffs") else rs.as_weight(target).fund
     lattice = rs.lattice_coords(fund)
     if lattice is None or min(lattice) < 0:   # no sum of positive roots
         return QPoly.zero(max_degree)
-    qt = _dp_build(rs, max_degree)
+    qt = _dp_build(rs, min(max_degree, sum(lattice)))
     key = qt.encode(fund)
     if key is None:
         return QPoly.zero(max_degree)
@@ -233,8 +235,11 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     the points y with y - (mu + rho) in the positive root cone, which is
     exact: P_q vanishes everywhere else.  The tables are built only once
     the walk has a point, so an answer that is zero because lam - mu lies
-    outside the cone costs no table.  Refuses once the walk has visited
-    more than ``Limits.max_character_work`` orbit points."""
+    outside the cone costs no table, and only to the height of lam - mu
+    when that is below max_degree: every point lies in lam - mu minus the
+    positive cone, so its expressions have at most that many roots.
+    Refuses once the walk has visited more than
+    ``Limits.max_character_work`` orbit points."""
     _require_degree(max_degree)
     lam, mu = rs.dominant_integral(lam), rs.dominant_integral(mu)
     cap = current_limits().max_character_work
@@ -243,7 +248,8 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     sign, visited = 1, 0
     for layer in rs.descend(tuple([c + 1 for c in lam]), mu_rho):
         if qt is None:   # built only once the sum has a term
-            qt, acc = _dp_build(rs, max_degree), [0] * (max_degree + 1)
+            degree = min(max_degree, sum(next(iter(layer.values()))))   # ht(lam - mu)
+            qt, acc = _dp_build(rs, degree), [0] * (degree + 1)
         visited += len(layer)
         if visited > cap:
             raise SizeLimitExceeded(

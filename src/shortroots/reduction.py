@@ -7,10 +7,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import weyl
 from .errors import IdentityViolation
 from .littleadjoint import little_adjoint_dims
 from .rootsystem import Root, RootSystem, RootSystemSpec, build, classify_cartan
-from .weyl import coxeter_element, is_in_long_subgroup
 
 __all__ = [
     "SimpleReduction",
@@ -74,8 +74,8 @@ def check_coxeter_power(rs: RootSystem, ordering=None) -> bool:
     """Whether the h_s-th power of the Coxeter element built from the given
     ordering lands in the subgroup generated by long-root reflections."""
     red = simple_reduction(rs)
-    c = coxeter_element(rs, ordering)
-    return is_in_long_subgroup(rs, c ** red.sub_coxeter_number)
+    c = weyl.coxeter_element(rs, ordering)
+    return weyl.is_in_long_subgroup(rs, c ** red.sub_coxeter_number)
 
 
 class TransitionIdentities(NamedTuple):

@@ -253,45 +253,45 @@ def cartan_matrix(spec: RootSystemSpec) -> tuple[tuple[int, ...], ...]:
 
 
 def _symmetrizers(A) -> tuple[int, ...]:
-    """Positive integers d_i with d_i*A[i][j] symmetric, normalised to min 1.
-
-    d_i is half the squared length of alpha_i.  Works on any tree-shaped
-    generalized Cartan matrix; raises NotFiniteType if the entries do not
-    admit an integral symmetrization."""
+    """Positive integers d_i with d_i*A[i][j] symmetric, normalised to min 1,
+    of a connected generalized Cartan matrix: d_i is half the squared length
+    of alpha_i.  The d_i are propagated along bonds, then checked on every
+    pair, cycles included; NotFiniteType if no integral d exists (a matrix
+    of finite type always has one)."""
     nodes = range(len(A))
-    d: dict[int, Fraction] = {}
-    for start in nodes:
-        if start in d:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in nodes:
-                if j == i or A[i][j] == 0 or j in d:
-                    continue
-                # d_j A[j][i] = d_i A[i][j]
-                d[j] = d[i] * A[i][j] / A[j][i]
+    d = [Fraction(1)] + [None] * (len(A) - 1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in nodes:
+            if A[i][j] and d[j] is None:
+                d[j] = d[i] * A[i][j] / A[j][i]   # d_j A[j][i] = d_i A[i][j]
                 stack.append(j)
-    lo = min(d.values())
-    out = []
-    for i in nodes:
-        v = d[i] / lo
-        if v.denominator != 1:
-            raise NotFiniteType("Cartan matrix is not symmetrizable over the integers")
-        out.append(int(v))
-    return tuple(out)
+    lo = min(d)
+    if any((v / lo).denominator != 1 for v in d):
+        raise NotFiniteType("Cartan matrix is not symmetrizable over the integers")
+    out = tuple(int(v / lo) for v in d)
+    if any(out[i] * A[i][j] != out[j] * A[j][i] for i in nodes for j in range(i)):
+        raise NotFiniteType("Cartan matrix is not symmetrizable")
+    return out
 
 
 def _adjugate(A):
-    """det(A) and the integer adjugate of a Cartan matrix, by fraction-free
-    Gauss-Jordan elimination.  Every leading minor is positive, so no pivot
-    is ever zero, and Sylvester's identity makes each division exact."""
+    """det(A) and the integer adjugate of a symmetrizable generalized Cartan
+    matrix, by fraction-free Gauss-Jordan elimination.
+
+    The k-th pivot is the k-th leading minor of A, and Sylvester's identity
+    makes each division exact.  A is of finite type exactly when every
+    leading minor is positive (its symmetrization D.A is then positive
+    definite; Kac, Infinite-dimensional Lie algebras, Prop. 4.9 and
+    Thm 4.3), so a pivot <= 0 raises NotFiniteType."""
     n = len(A)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
     prev = 1
     for k in range(n):
         piv = m[k][k]
+        if piv <= 0:
+            raise NotFiniteType(f"leading minor {k + 1} of the Cartan matrix is {piv} <= 0")
         for r in range(n):
             if r != k:
                 f = m[r][k]
@@ -655,9 +655,17 @@ def classify_cartan(matrix) -> list[RootSystemSpec]:
 
     Returns the list of irreducible component types, ordered by smallest
     participating index.  Raises NotFiniteType for anything that is not a
-    generalized Cartan matrix of finite type.  Isomorphic labels are
-    canonicalised: a rank-2 double bond reports as B2, a simply-laced
-    3-chain as A3."""
+    generalized Cartan matrix of finite type.
+
+    A connected component is of finite type exactly when it is
+    symmetrizable (_symmetrizers) and every leading minor is positive
+    (the pivots of _adjugate).  Its rank m, determinant and symmetrizers d
+    then name it: a simply-laced component is A_m (det m + 1), D_m (det 4)
+    or E_m (det 9 - m); otherwise the largest d_i is the squared length
+    ratio, 3 only in G2, and a double-laced component is B_m with one short
+    simple root, C_m with one long one, and F4 otherwise.  Isomorphic labels
+    are canonicalised by that order: a rank-2 double bond reports as B2, a
+    simply-laced 3-chain (det 4) as A3."""
     A = [list(row) for row in matrix]
     n = len(A)
     if n == 0 or any(len(row) != n for row in A):
@@ -693,79 +701,16 @@ def classify_cartan(matrix) -> list[RootSystemSpec]:
 
 
 def _classify_component(A, nodes) -> RootSystemSpec:
+    """The type of one connected component, by the rule of classify_cartan."""
+    sub = [[A[i][j] for j in nodes] for i in nodes]
+    d = _symmetrizers(sub)
+    det, _ = _adjugate(sub)
     m = len(nodes)
-    if m == 1:
-        return RootSystemSpec("A", 1)
-    edges = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            i, j = nodes[a], nodes[b]
-            if A[i][j] != 0:
-                p = A[i][j] * A[j][i]
-                if p not in (1, 2, 3):
-                    raise NotFiniteType(f"bond multiplicity {p} is not of finite type")
-                edges.append((a, b, p))
-    if len(edges) != m - 1:
-        raise NotFiniteType("diagram contains a cycle")
-    degree = [0] * m
-    for a, b, _ in edges:
-        degree[a] += 1
-        degree[b] += 1
-    if max(degree) > 3:
-        raise NotFiniteType("diagram has a vertex of degree > 3")
-    branches = [a for a in range(m) if degree[a] == 3]
-    multi = [(a, b, p) for a, b, p in edges if p > 1]
-    if len(multi) > 1:
-        raise NotFiniteType("diagram has more than one multiple bond")
-
-    if multi:
-        if branches:
-            raise NotFiniteType("multiple bond plus branch point is not of finite type")
-        a, b, p = multi[0]
-        if p == 3:
-            if m != 2:
-                raise NotFiniteType("a triple bond only occurs in rank 2")
-            return RootSystemSpec("G", 2)
-        if m == 2:
-            return RootSystemSpec("B", 2)  # canonical label for the B2=C2 diagram
-        sub = [[A[i][j] for j in nodes] for i in nodes]
-        d = _symmetrizers(sub)
-        shorts = [a for a in range(m) if d[a] == 1]
-        s = len(shorts)
-        if s == 1 and degree[shorts[0]] == 1 and shorts[0] in (a, b):
-            return RootSystemSpec("B", m)
-        longs = [a for a in range(m) if d[a] > 1]
-        if s == m - 1 and degree[longs[0]] == 1 and longs[0] in (a, b):
-            return RootSystemSpec("C", m)
-        if m == 4 and s == 2 and degree[a] == 2 and degree[b] == 2:
-            return RootSystemSpec("F", 4)
-        raise NotFiniteType("double-laced diagram is not of finite type")
-
-    if not branches:
-        return RootSystemSpec("A", m)
-    adj = {a: [] for a in range(m)}
-    for a, b, _ in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    centre = branches[0]
-    arms = []
-    for first in adj[centre]:
-        length = 1
-        prev, cur = centre, first
-        while degree[cur] == 2:
-            nxt = next(x for x in adj[cur] if x != prev)
-            prev, cur = cur, nxt
-            length += 1
-        if degree[cur] == 3:
-            raise NotFiniteType("diagram has two branch points")
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return RootSystemSpec("D", m)
-    if arms == [1, 2, 2]:
-        return RootSystemSpec("E", 6)
-    if arms == [1, 2, 3]:
-        return RootSystemSpec("E", 7)
-    if arms == [1, 2, 4]:
-        return RootSystemSpec("E", 8)
-    raise NotFiniteType("branched diagram is not of finite type")
+    if max(d) == 1:
+        family = "A" if det == m + 1 else "D" if det == 4 else "E"
+    elif max(d) == 3:
+        family = "G"
+    else:
+        shorts = d.count(1)
+        family = "B" if shorts == 1 else "C" if shorts == m - 1 else "F"
+    return RootSystemSpec(family, m)

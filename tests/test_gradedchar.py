@@ -173,8 +173,11 @@ def test_zero_answers_outside_the_root_cone_build_no_tables():
     assert graded_multiplicity(rs, zero, omega2, 6) == QPoly.zero(6)
     assert q_partition(rs, (-2, 1) + (0,) * 5, 6) == QPoly.zero(6)
     assert q_partition(rs, omega1, 6) == QPoly.zero(6)
+    # the zero weight needs tables only to its height, 0; theta_s has
+    # height 12 and needs the full tables, which pass the cap
+    assert q_partition(rs, zero, 6) == QPoly.one(6)
     with pytest.raises(SizeLimitExceeded, match="C7 to degree 6"):
-        q_partition(rs, zero, 6)
+        q_partition(rs, rs.weight_of(rs.theta_short), 6)
 
 
 def test_q_partition_reads_a_sequence_as_a_weight():
@@ -208,7 +211,8 @@ def test_classical_partition_function_on_lattice_points():
 
 
 def test_graded_multiplicity_trivial_cases():
-    for name in ["G2", "B2", "C3"]:
+    # C7's tables to degree 6 pass the DP cap, but lam - mu = 0 needs none
+    for name in ["G2", "B2", "C3", "C7"]:
         rs = build(name)
         zero = Weight.zero(rs.rank)
         assert graded_multiplicity(rs, zero, zero, 6) == QPoly.one(6)

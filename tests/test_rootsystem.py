@@ -313,13 +313,23 @@ def test_cartan_convention():
                 assert rs.cartan[i][j] == expected
 
 
-@pytest.mark.parametrize("family,rank", SYSTEMS)
+ROUNDTRIP_SYSTEMS = SYSTEMS + [
+    (f, r) for f, lo in [("A", 1), ("B", 2), ("C", 2), ("D", 3)] for r in range(lo, 13)
+    if (f, r) not in SYSTEMS
+]
+
+
+@pytest.mark.parametrize("family,rank", ROUNDTRIP_SYSTEMS)
 def test_classify_roundtrip(family, rank):
+    # each type under fixed node orders: as built, reversed, evens before
+    # odds, and rotated by one
     spec = RootSystemSpec(family, rank)
-    got = classify_cartan(cartan_matrix(spec))
+    A = cartan_matrix(spec)
+    nodes = list(range(rank))
     canonical = {("C", 2): ("B", 2), ("D", 3): ("A", 3)}
-    want = canonical.get((family, rank), (family, rank))
-    assert got == [RootSystemSpec(*want)]
+    want = [RootSystemSpec(*canonical.get((family, rank), (family, rank)))]
+    for order in [nodes, nodes[::-1], nodes[::2] + nodes[1::2], nodes[1:] + nodes[:1]]:
+        assert classify_cartan([[A[i][j] for j in order] for i in order]) == want, order
 
 
 def test_classify_reducible_and_permuted():
@@ -343,6 +353,28 @@ def test_classify_reducible_and_permuted():
     assert classify_cartan(mixed) == [RootSystemSpec("A", 2), RootSystemSpec("C", 3)]
 
 
+def _diagram(n, edges, double=None):
+    """The Cartan matrix on n nodes with a simple bond on each edge; the
+    edge (i, j) named by double gets A[i][j] = -2, so node i is short."""
+    A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        A[i][j] = A[j][i] = -1
+    if double:
+        A[double[0]][double[1]] = -2
+    return A
+
+
+def _star(*arms):
+    """The simply-laced tree with arms of these lengths from node 0."""
+    edges = []
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, len(edges) + 1))
+            prev = len(edges)
+    return _diagram(len(edges) + 1, edges)
+
+
 @pytest.mark.parametrize(
     "matrix",
     [
@@ -354,11 +386,27 @@ def test_classify_reducible_and_permuted():
         [[2, 0], [-1, 2]],                               # asymmetric zero pattern
         [[2, 1], [1, 2]],                                # positive off-diagonal
         [[2, -1], [-1, 3]],                              # bad diagonal
+        [[2, -3], [-3, 2]],                              # hyperbolic rank 2
+        [[2, -1, -2], [-1, 2, -1], [-1, -1, 2]],         # non-symmetrizable 3-cycle
+        _star(1, 2, 5),                                  # affine E8 = T(1,2,5)
+        _star(2, 2, 2),                                  # affine E6
+        _star(1, 3, 3),                                  # affine E7
+        _star(1, 1, 1, 1),                               # affine D4: a vertex of degree 4
+        _diagram(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]),   # affine D5: two branch points
+        _diagram(4, [(0, 2), (1, 2), (2, 3)], double=(3, 2)),    # affine B3: branch + double bond
+        _diagram(5, [(0, 1), (1, 2), (2, 3), (3, 4)], double=(3, 2)),  # affine F4
     ],
 )
 def test_classify_rejects_non_finite_type(matrix):
     with pytest.raises(NotFiniteType):
         classify_cartan(matrix)
+
+
+def test_symmetrizers_are_checked_on_every_pair():
+    # propagated along a spanning tree the d_i exist; the bond that closes
+    # the cycle breaks d_i A_ij = d_j A_ji
+    with pytest.raises(NotFiniteType, match="not symmetrizable"):
+        classify_cartan([[2, -1, -2], [-1, 2, -1], [-1, -1, 2]])
 
 
 def test_weight_arithmetic():
