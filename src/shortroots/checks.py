@@ -17,7 +17,6 @@ from . import gradedchar as gc
 from . import littleadjoint as la
 from . import reduction as red
 from . import weyl
-from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
 from .rootsystem import RootSystem, dual_coxeter_of_dual
 
@@ -271,7 +270,7 @@ def _check_antichains(rs: RootSystem):
 
 
 def _check_nullcone_hilbert(rs: RootSystem):
-    degree = min(current_limits().max_series_degree, 4 if rs.rank >= 4 else 8)
+    degree = 4 if rs.rank >= 4 else 8
     report = gc.hilbert_check(rs, degree)
     details = {
         "degree": degree,

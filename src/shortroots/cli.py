@@ -6,12 +6,12 @@ library self-check failed) and 2 (usage or validation error).  Output
 is ASCII and byte-identical across runs; timings are opt-in because
 they would break that.
 
-Importing this module loads only ``rootsystem``, ``errors`` and ``config``.
+Importing this module loads only ``rootsystem`` and ``errors``.
 The engines are lazy modules of the package, reached through their module
 objects (``gc.hilbert_check``), so each subcommand compiles and runs only
-the modules it calls: ``antichains`` adds ``antichains`` alone, ``verify
---check sign-partition`` adds ``checks`` and ``littleadjoint``, and a full
-``verify`` loads everything.
+the modules it calls: ``antichains`` adds ``antichains`` and ``config``,
+``verify --check sign-partition`` adds ``checks`` and ``littleadjoint``,
+and a full ``verify`` loads everything.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from . import checks
 from . import gradedchar as gc
 from . import littleadjoint as la
 from . import reduction as red
-from .config import current_limits
 from .errors import (
     IdentityViolation,
     NotFiniteType,
@@ -218,7 +217,7 @@ def cmd_antichains(args) -> int:
 
 def cmd_nullcone_char(args) -> int:
     rs = build(args.system)
-    degree = args.max_degree if args.max_degree is not None else current_limits().max_series_degree
+    degree = args.max_degree
     report = gc.hilbert_check(rs, degree)
     char = sorted(report.character.entries.items())
     entries = [{"weight": list(w), "multiplicity": jsonable(poly)} for w, poly in char]
@@ -272,7 +271,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_null = sub.add_parser("nullcone-char", help="graded nullcone character")
     p_null.add_argument("system")
-    p_null.add_argument("--max-degree", type=int, default=None)
+    p_null.add_argument("--max-degree", type=int, default=8)
     p_null.add_argument("--json", action="store_true")
     p_null.set_defaults(func=cmd_nullcone_char)
 
@@ -286,7 +285,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        current_limits()  # refuse a malformed SHORTROOTS_* value for every subcommand
         return args.func(args)
     except (ValueError, NotFiniteType, UnsupportedRootSystem) as exc:
         print(f"error: {exc}", file=sys.stderr)

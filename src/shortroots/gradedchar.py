@@ -270,11 +270,11 @@ class GradedCharacter:
     weight's fundamental coordinates to its graded multiplicity polynomial,
     zero polynomials omitted."""
 
-    def __init__(self, rs: RootSystem, entries: dict, truncation: int, work=None):
+    def __init__(self, rs: RootSystem, entries: dict, truncation: int, work: dict):
         self.rs = rs
         self.entries = entries
         self.truncation = truncation
-        self.work = work or {}
+        self.work = work
 
     def multiplicity(self, weight) -> QPoly:
         return self.entries.get(self.rs.as_weight(weight).fund, QPoly.zero(self.truncation))

@@ -351,9 +351,9 @@ class RootSystem:
         self._sq = tuple(lengths + lengths)
         self.num_positive = len(pos_roots)
         self.root_index = {r.coeffs: i for i, r in enumerate(self.roots)}
-        self.positives = tuple(range(self.num_positive))
-        self.short_positives = tuple(i for i in self.positives if self.roots[i].is_short)
-        self.long_positives = tuple(i for i in self.positives if not self.roots[i].is_short)
+        positive = range(self.num_positive)
+        self.short_positives = tuple(i for i in positive if self.roots[i].is_short)
+        self.long_positives = tuple(i for i in positive if not self.roots[i].is_short)
         self.short_simple_indices = tuple(
             i for i in range(n) if self.simple_root(i).is_short
         )
@@ -419,7 +419,7 @@ class RootSystem:
         return self.roots[self.root_index[coeffs]]
 
     def positive_roots(self):
-        return [self.roots[i] for i in self.positives]
+        return list(self.roots[: self.num_positive])
 
     def short_positive_roots(self):
         return [self.roots[i] for i in self.short_positives]

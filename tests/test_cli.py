@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import shortroots.checks as checks
-from shortroots import DimensionLedger, build, dimension_ledger
+import shortroots.weyl as weyl_module
+from shortroots import DimensionLedger, Limits, build, dimension_ledger
 from shortroots.cli import jsonable, main
-from shortroots.config import ENV_MAX_DEGREE, ENV_MAX_WEYL
 
 
 def run(capsys, *argv):
@@ -79,27 +79,22 @@ def test_verify_skips_oversized_exhaustive_checks(capsys):
 
 
 @pytest.mark.parametrize(
-    "name,argv",
-    [
-        (ENV_MAX_WEYL, ["verify", "G2"]),
-        (ENV_MAX_DEGREE, ["nullcone-char", "G2"]),
-        (ENV_MAX_DEGREE, ["info", "G2"]),
-        (ENV_MAX_DEGREE, ["verify", "G2"]),
-        (ENV_MAX_WEYL, ["verify", "G2", "--check", "semidirect-product"]),
-    ],
+    "argv",
+    [["verify", "G2", "--check", "semidirect-product", "--json"], ["nullcone-char", "G2", "--json"]],
+    ids=lambda argv: argv[0],
 )
-def test_bad_env_override_names_the_variable(capsys, monkeypatch, name, argv):
-    for raw, why in [("abc", "is not an integer"), ("-1", "must be non-negative"),
-                     ("-5", "must be non-negative")]:
+def test_environment_changes_no_output(capsys, monkeypatch, argv):
+    # the caps are constants: no environment variable lowers or breaks them
+    plain = run(capsys, *argv)
+    assert plain[0] == 0
+    for name, raw in [("SHORTROOTS_MAX_W", "0"), ("SHORTROOTS_MAX_DEGREE", "abc")]:
         monkeypatch.setenv(name, raw)
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {name}={raw!r} {why}\n"
+        assert run(capsys, *argv) == plain
+        monkeypatch.delenv(name)
 
 
 def test_verify_respects_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_MAX_WEYL, "10")
+    monkeypatch.setattr(weyl_module, "current_limits", lambda: Limits(max_weyl_order=10))
     code, out, _ = run(capsys, "verify", "G2", "--check", "semidirect-product", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -205,6 +200,11 @@ def test_nullcone_char_command(capsys):
     entries = {tuple(e["weight"]): e["multiplicity"] for e in payload["entries"]}
     assert entries[(0, 0)]["coeffs"] == {"0": 1}
     assert entries[(1, 0)]["coeffs"]["1"] == 1
+
+
+def test_nullcone_char_truncates_at_degree_8_by_default(capsys):
+    assert run(capsys, "nullcone-char", "G2", "--json") == \
+        run(capsys, "nullcone-char", "G2", "--max-degree", "8", "--json")
 
 
 def test_nullcone_char_refuses_large_rank(capsys):
@@ -394,13 +394,13 @@ print(*sorted(loaded))
 """
 _LIBRARY_AND_CHECKS = "antichains checks config errors gradedchar littleadjoint reduction rootsystem weyl"
 _RUNS = {
-    "": "config errors rootsystem",
-    "info C9": "config errors littleadjoint reduction rootsystem",
+    "": "errors rootsystem",
+    "info C9": "errors littleadjoint reduction rootsystem",
     "antichains C8": "antichains config errors rootsystem",
     "nullcone-char G2 --max-degree 4":
         "config errors gradedchar littleadjoint reduction rootsystem",
-    "verify B7 --check sign-partition": "checks config errors littleadjoint rootsystem",
-    "table1": "config errors littleadjoint reduction rootsystem",
+    "verify B7 --check sign-partition": "checks errors littleadjoint rootsystem",
+    "table1": "errors littleadjoint reduction rootsystem",
     "verify G2": _LIBRARY_AND_CHECKS,
 }
 
@@ -422,7 +422,7 @@ def test_from_import_of_the_cli_leaves_the_library_lazy():
             "print(*sorted(m[11:] for m in sys.modules if m.startswith('shortroots.')"
             " and type(sys.modules[m]) is types.ModuleType))")
     child = python_child("-c", code)
-    loaded = "cli config errors rootsystem\n"
+    loaded = "cli errors rootsystem\n"
     assert (child.returncode, child.stdout, child.stderr) == (0, loaded, "")
 
 
@@ -500,6 +500,5 @@ def test_readme_names_every_cap():
 
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     names = list(config.Limits._fields)
-    names += [getattr(config, name) for name in dir(config) if name.startswith("ENV_")]
-    assert len(names) == 6
+    assert len(names) == 3
     assert [name for name in names if name not in text] == []

@@ -38,8 +38,7 @@ def test_every_operation_has_a_golden():
 
 @pytest.mark.parametrize("argv", OPS, ids=workloads.op_id)
 def test_operation_meets_its_golden(argv):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("SHORTROOTS_")}
-    env["PYTHONPATH"] = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-m", "shortroots.cli", *argv, "--json"],
                           env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
     op = workloads.op_id(argv)

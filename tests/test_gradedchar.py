@@ -269,7 +269,7 @@ def test_nullcone_character_rejects_out_of_scope_systems():
 
 def test_character_work_cap_counts_dp_updates():
     assert Limits().max_character_work == 300_000
-    assert len(Limits._fields) == 4
+    assert len(Limits._fields) == 3
     # the counter is a function of (system, degree), not of what is cached
     rs = build("C3")
     deep = nullcone_character(rs, 6).work

@@ -660,6 +660,13 @@ def test_no_module_reaches_into_root_system_privates():
     assert hits == []
 
 
+def test_no_module_reads_the_environment():
+    # every cap is a constant of Limits: no setting reaches the library
+    src = Path(__file__).resolve().parents[1] / "src" / "shortroots"
+    reading = re.compile(r"\bos\.(environ|getenv)\b")
+    assert [p.name for p in sorted(src.glob("*.py")) if reading.search(p.read_text())] == []
+
+
 _F4 = build("F4")
 # every weight entry point, as a call on F4 with one weight slot w; the
 # default w has the wrong rank

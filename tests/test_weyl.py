@@ -1,7 +1,6 @@
 """Weyl group elements, enumeration and the long/short factorisation."""
 
 import itertools
-import os
 import random
 from functools import lru_cache
 from unittest import mock
@@ -195,7 +194,8 @@ def test_membership_in_long_subgroup():
 
 
 def test_decompose_sampled_large_rank(monkeypatch):
-    monkeypatch.setenv("SHORTROOTS_MAX_W", "1920")   # the closure below, past the default cap
+    # the closure below, past the default cap
+    monkeypatch.setattr(weyl_module, "current_limits", lambda: Limits(max_weyl_order=1920))
     rs = build("B5")
     w_l = closure(rs, long_subgroup(rs))   # type D5, order 1920
     assert len(w_l) == 1920
@@ -218,7 +218,7 @@ def test_decompose_sampled_large_rank(monkeypatch):
 def _long_closure(name):
     rs = build(name)
     # B5's is type D5, of order 1920: past the default cap
-    with mock.patch.dict(os.environ, {"SHORTROOTS_MAX_W": "1920"}):
+    with mock.patch.object(weyl_module, "current_limits", lambda: Limits(max_weyl_order=1920)):
         return closure(rs, long_subgroup(rs))
 
 
