@@ -4,8 +4,10 @@ A q-analogue partition function counts multiset expressions of a weight
 as sums of short positive roots, graded by multiset size.  Its tables
 key each weight by one packed int, so adding a root is one int
 addition.  One straightening pass over the tables gives the whole
-graded character, and it straightens each distinct point once, however
-many degrees hold it.  Kostant's alternating sum, walked over a Weyl
+graded character: it unpacks the distinct points of all degrees into
+coordinate columns, straightens each point once, however many degrees
+hold it, and sums each degree's counts over the keys that reach one
+dominant weight with one sign.  Kostant's alternating sum, walked over a Weyl
 orbit by ``RootSystem.descend`` with no group element built, gives
 single graded multiplicities as a second, independent route.
 ``Limits.max_character_work`` caps both: the DP updates of a table
@@ -20,6 +22,7 @@ degree, which must be non-negative.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 from .config import current_limits
@@ -143,7 +146,7 @@ class _QTables:
     of k <= degree short roots has every |coordinate| <= k * m, so no digit
     overflows and adding a root to a packed weight is one int addition."""
 
-    __slots__ = ("rank", "off", "base", "levels", "updates")
+    __slots__ = ("off", "base", "levels", "updates")
 
     def __init__(self, rs: RootSystem, degree: int):
         cap = current_limits().max_character_work
@@ -154,7 +157,6 @@ class _QTables:
         )
         if degree + (len(vectors) - 1) * degree * (degree + 1) // 2 > cap:
             raise refusal
-        self.rank = rs.rank
         self.off = degree * max(abs(c) for vec in vectors for c in vec)
         self.base = 2 * self.off + 1
         levels = [dict() for _ in range(degree + 1)]
@@ -184,14 +186,6 @@ class _QTables:
                 return None
             key = key * base + c + off
         return key
-
-    def decode(self, key: int, shift: int = 0) -> tuple[int, ...]:
-        """The fundamental coordinates of a packed key, each plus shift."""
-        out = []
-        for _ in range(self.rank):
-            key, digit = divmod(key, self.base)
-            out.append(digit - self.off + shift)
-        return tuple(out)
 
 
 def _require_degree(degree: int) -> None:
@@ -298,39 +292,39 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     given degree.
 
     Kostant's multiplicity formula read backwards, in one pass over the
-    q-partition tables: each distinct point v is straightened once, to the
-    dominant conjugate of v + rho, and for every degree k whose table
-    holds v, sign * count is added at degree k of that conjugate minus
-    rho.  A point with v + rho singular adds nothing, and weights whose
-    sums cancel to zero are omitted.  No Weyl group is enumerated; the
-    work is capped by the DP tables.
+    q-partition tables.  The distinct points of all degrees are unpacked
+    once into one coordinate column per simple root; each point v with
+    v + rho off every wall is straightened once, to the dominant conjugate
+    of v + rho, and its key is grouped by that conjugate minus rho and the
+    sign.  The coefficient at degree k of a dominant weight is then the
+    signed sum of the degree-k counts of its groups.  Weights whose sums
+    cancel to zero are omitted.  No Weyl group is enumerated; the work is
+    capped by the DP tables.
     ``work`` records the DP updates and the distinct dominant weights
     reached (before cancellation)."""
     rs.require_two_lengths()
     qt = _dp_build(rs, max_degree)
-    # slots[key] is 0 for a point that adds nothing, else sign * (1 + the
-    # index in rows of the accumulation row of its dominant weight)
-    rows, row_of, slots = [], {}, {}
-    for k, level in enumerate(qt.levels):
-        for key, count in level.items():
-            slot = slots.get(key)
-            if slot is None:
-                shifted = qt.decode(key, 1)
-                slot = 0
-                if 0 not in shifted:   # else v + rho lies on a wall
-                    dom, sign = rs.straighten(shifted)
-                    if sign:
-                        lam = tuple(a - 1 for a in dom)
-                        if lam not in row_of:
-                            rows.append([0] * (max_degree + 1))
-                            row_of[lam] = len(rows)
-                        slot = sign * row_of[lam]
-                slots[key] = slot
-            if slot:
-                rows[abs(slot) - 1][k] += count if slot > 0 else -count
+    levels = qt.levels
+    keys = list(set().union(*levels))
+    # digit i of a key, minus off, plus 1 for rho
+    low, base = qt.off - 1, qt.base
+    cols = [[key // p % base - low for key in keys]
+            for p in [base**i for i in range(rs.rank)]]
+    groups: dict = {}   # (dominant conjugate of v + rho, sign) -> keys of v
+    straighten = rs.straighten
+    for key, shifted in zip(keys, zip(*cols)):
+        if 0 not in shifted:   # else v + rho lies on a wall
+            dom, sign = straighten(shifted)
+            if sign:
+                groups.setdefault((dom, sign), []).append(key)
+    rows: dict = {}
+    for (dom, sign), group in groups.items():
+        row = rows.setdefault(tuple([a - 1 for a in dom]), [0] * (max_degree + 1))
+        for k, level in enumerate(levels):
+            row[k] += sign * sum(map(level.get, group, repeat(0)))
     entries = {}
-    for lam in sorted(row_of):
-        poly = QPoly(dict(enumerate(rows[row_of[lam] - 1])), max_degree)
+    for lam in sorted(rows):
+        poly = QPoly(dict(enumerate(rows[lam])), max_degree)
         if not poly.is_zero:
             entries[lam] = poly
     if entries.get((0,) * rs.rank) != QPoly.one(max_degree):

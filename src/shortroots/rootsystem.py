@@ -13,9 +13,11 @@ sum runs over it.  ``RootSystem.straighten`` walks the other way, up to
 the dominant conjugate.  Weights are integral, so a ``Weight`` holds int
 coordinates and pairs integrally with every coroot; ``Fraction`` appears
 only where an answer is genuinely rational (``root_coords`` and the
-inner product of two weights) and, at construction, in
-``_symmetrizers``.  Floats and non-integral coordinates are refused,
-never rounded.
+inner product of two weights), and is imported there, so a process that
+asks for no rational answer never loads ``fractions``.  The symmetrizers
+are found in integers, and ``Weight.of`` takes an int as it is and loads
+``numbers`` only to judge any other coordinate.  Floats and non-integral
+coordinates are refused, never rounded.
 
 Simple roots follow the Bourbaki numbering: the short simple root of
 type B sits at the end of the chain, those of type C at the start, those
@@ -26,10 +28,9 @@ dominant root coincides with the highest root.
 
 from __future__ import annotations
 
-import numbers
+import math
 import operator
 import re
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import IdentityViolation, NotFiniteType, UnsupportedRootSystem
@@ -177,16 +178,21 @@ class Weight(_Value):
     def of(coords) -> "Weight":
         """The one coordinate parser: ints, or rationals with denominator 1.
         TypeError for a float or any other non-rational, ValueError for a
-        rational that is not an integer."""
+        rational that is not an integer.  An int is taken as it is; only
+        another coordinate loads ``numbers`` to be judged."""
         fund = []
         for c in coords:
-            if not isinstance(c, numbers.Rational):
-                raise TypeError(
-                    f"weights take exact coordinates, not the {type(c).__name__} {c!r}"
-                )
-            if c.denominator != 1:
-                raise ValueError(f"weights take integral coordinates, not {c}")
-            fund.append(int(c))
+            if type(c) is not int:
+                import numbers
+
+                if not isinstance(c, numbers.Rational):
+                    raise TypeError(
+                        f"weights take exact coordinates, not the {type(c).__name__} {c!r}"
+                    )
+                if c.denominator != 1:
+                    raise ValueError(f"weights take integral coordinates, not {c}")
+                c = int(c)
+            fund.append(c)
         return Weight(tuple(fund))
 
     @staticmethod
@@ -257,20 +263,26 @@ def _symmetrizers(A) -> tuple[int, ...]:
     of a connected generalized Cartan matrix: d_i is half the squared length
     of alpha_i.  The d_i are propagated along bonds, then checked on every
     pair, cycles included; NotFiniteType if no integral d exists (a matrix
-    of finite type always has one)."""
+    of finite type always has one).  The arithmetic stays in ints: when a
+    ratio makes d_j fractional, every d found so far is scaled up first."""
     nodes = range(len(A))
-    d = [Fraction(1)] + [None] * (len(A) - 1)
+    d = [1] + [0] * (len(A) - 1)
     stack = [0]
     while stack:
         i = stack.pop()
         for j in nodes:
-            if A[i][j] and d[j] is None:
-                d[j] = d[i] * A[i][j] / A[j][i]   # d_j A[j][i] = d_i A[i][j]
+            if A[i][j] and not d[j]:
+                num, den = d[i] * A[i][j], A[j][i]   # d_j A[j][i] = d_i A[i][j]
+                if num % den:
+                    scale = abs(den) // math.gcd(num, den)
+                    d = [v * scale for v in d]
+                    num *= scale
+                d[j] = num // den
                 stack.append(j)
     lo = min(d)
-    if any((v / lo).denominator != 1 for v in d):
+    if any(v % lo for v in d):
         raise NotFiniteType("Cartan matrix is not symmetrizable over the integers")
-    out = tuple(int(v / lo) for v in d)
+    out = tuple(v // lo for v in d)
     if any(out[i] * A[i][j] != out[j] * A[j][i] for i in nodes for j in range(i)):
         raise NotFiniteType("Cartan matrix is not symmetrizable")
     return out
@@ -489,6 +501,8 @@ class RootSystem:
         return tuple(out)
 
     def root_coords(self, weight: Weight) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         fund = self.check_rank(weight.fund)
         return tuple(Fraction(_dot(row, fund), self._det) for row in self._adj)
 

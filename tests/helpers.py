@@ -1,13 +1,18 @@
-"""Shared oracle data and independent reference implementations.
+"""Shared oracle data and independent reference implementations, and
+``python_child``, which runs a fresh interpreter on the package.
 
 Everything here is deliberately dumb: lookup tables frozen from the
 classical literature and brute-force enumerations.  Tests compare the
 library's derived values against these, never the other way round.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 from shortroots import Root, Weight, simple_reflection
 
@@ -170,6 +175,16 @@ def tuple_dp_tables(rs, degree):
     return tables, done
 
 
+def decode(qt, rank, key, shift=0):
+    """The fundamental coordinates of a key packed by the q-partition
+    tables qt of a system of the given rank, each plus shift."""
+    out = []
+    for _ in range(rank):
+        key, digit = divmod(key, qt.base)
+        out.append(digit - qt.off + shift)
+    return tuple(out)
+
+
 def nullcone_candidates(rs, qt, degree):
     """Every dominant weight an alternating-sum summand can reach from the
     packed q-partition tables qt: the dominant conjugates of (table point +
@@ -178,7 +193,7 @@ def nullcone_candidates(rs, qt, degree):
     candidates = set()
     for k in range(degree + 1):
         for key in qt.levels[k]:
-            shifted = tuple(a + b for a, b in zip(qt.decode(key), ones))
+            shifted = decode(qt, rs.rank, key, 1)
             dom, sign = rs.dominant_representative(shifted)
             if sign == 0:
                 continue
@@ -344,3 +359,11 @@ def coroot(rs, root):
     of Fractions: non-integral for a long root."""
     sq = rs.inner(root, root)
     return tuple(Fraction(2 * f, sq) for f in rs.weight_coords(root))
+
+
+def python_child(*args):
+    """Run a fresh interpreter that imports the package from src."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-B", *args], env={**os.environ, "PYTHONPATH": path},
+                          cwd=root, capture_output=True, text=True, timeout=60)

@@ -2,13 +2,11 @@
 doc/catalog coverage contract."""
 
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from helpers import python_child
 
 import shortroots.checks as checks
 import shortroots.weyl as weyl_module
@@ -367,17 +365,27 @@ def test_no_module_imports_dataclasses():
     assert [p.name for p in sorted(src.glob("*.py")) if importing.search(p.read_text())] == []
 
 
-def python_child(*args):
-    """Run a fresh interpreter that imports the package from src."""
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-B", *args], env={**os.environ, "PYTHONPATH": path},
-                          cwd=root, capture_output=True, text=True, timeout=60)
-
-
 def test_cli_start_up_does_not_load_dataclasses():
     child = python_child("-c", "import shortroots.cli, sys; print('dataclasses' in sys.modules)")
     assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
+
+
+_RATIONAL_STACK = """
+import contextlib, io, sys
+import shortroots.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = shortroots.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *[m for m in ("fractions", "numbers", "decimal") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("command", ["", "nullcone-char C4 --max-degree 4 --json",
+                                     "verify G2 --json"], ids=lambda c: c or "import")
+def test_commands_leave_the_rational_stack_unloaded(command):
+    # no command asks for a rational answer, so none pays for loading
+    # fractions, numbers and decimal
+    child = python_child("-c", _RATIONAL_STACK, *command.split())
+    assert (child.returncode, child.stdout, child.stderr) == (0, "0\n", "")
 
 
 _LOADS = """

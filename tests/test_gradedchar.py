@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from helpers import (
     act_fund,
+    decode,
     multiset_partition_counts,
     nullcone_candidates,
     sign,
@@ -282,6 +283,10 @@ def test_character_work_cap_counts_dp_updates():
 # deterministic work counters: an algorithmic change moves them even where
 # timings are too noisy to show it
 @pytest.mark.parametrize("name,degree,dp_updates,dominant_points,entries", [
+    ("G2", 12, 454, 49, 13),
+    ("B3", 12, 454, 102, 13),
+    ("C3", 12, 8267, 193, 35),
+    ("B4", 8, 494, 53, 9),
     ("F4", 8, 27704, 80, 18),
     ("C4", 8, 27578, 144, 49),
     ("C5", 6, 48831, 86, 31),
@@ -302,7 +307,8 @@ def test_packed_tables_match_tuple_oracle(name, degree):
     tables, updates = tuple_dp_tables(rs, degree)
     assert qt.updates == updates
     assert [len(level) for level in qt.levels] == [len(t) for t in tables]
-    assert [{qt.decode(key): c for key, c in level.items()} for level in qt.levels] == tables
+    assert [{decode(qt, rs.rank, key): c for key, c in level.items()}
+            for level in qt.levels] == tables
 
 
 def test_packing_range_edges():
@@ -313,8 +319,8 @@ def test_packing_range_edges():
     assert off == degree * max(abs(c) for r in rs.short_positive_roots()
                                for c in rs.weight_coords(r))
     for fund in [(off, -off), (-off, off), (off, off), (-off, -off), (0, 0)]:
-        assert qt.decode(qt.encode(fund)) == fund
-        assert qt.decode(qt.encode(fund), 1) == (fund[0] + 1, fund[1] + 1)
+        assert decode(qt, 2, qt.encode(fund)) == fund
+        assert decode(qt, 2, qt.encode(fund), 1) == (fund[0] + 1, fund[1] + 1)
     for fund in [(off + 1, 0), (0, -off - 1)]:
         assert qt.encode(fund) is None
         assert q_partition(rs, fund, degree) == QPoly.zero(degree)
@@ -390,7 +396,9 @@ def test_straightening_agrees_with_alternating_sum(name, degree):
 def test_character_agrees_with_orbit_accumulation():
     # second route: push every partition-support point to its dominant
     # conjugate and accumulate signs, no per-weight alternating sum
-    for name, degree in [("G2", 5), ("C3", 4), ("B2", 6)]:
+    # the small cases, then every nullcone-char operation of the benchmark
+    for name, degree in [("G2", 5), ("C3", 4), ("B2", 6), ("F4", 8), ("C4", 8), ("B4", 8),
+                         ("C3", 12), ("B3", 12), ("G2", 12), ("C5", 6)]:
         rs = build(name)
         char = nullcone_character(rs, degree)
         qt = gc._dp_build(rs, degree)
@@ -398,8 +406,7 @@ def test_character_agrees_with_orbit_accumulation():
         acc: dict = {}
         for k in range(degree + 1):
             for key, count in qt.levels[k].items():
-                shifted = tuple(a + b for a, b in zip(qt.decode(key), ones))
-                dom, sign = rs.dominant_representative(shifted)
+                dom, sign = rs.dominant_representative(decode(qt, rs.rank, key, 1))
                 if sign == 0:
                     continue
                 lam = tuple(a - b for a, b in zip(dom, ones))

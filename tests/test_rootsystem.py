@@ -22,6 +22,7 @@ from helpers import (
     length,
     oracle_inner,
     oracle_root_coords,
+    python_child,
 )
 
 from shortroots import (
@@ -409,6 +410,60 @@ def test_symmetrizers_are_checked_on_every_pair():
         classify_cartan([[2, -1, -2], [-1, 2, -1], [-1, -1, 2]])
 
 
+@pytest.mark.parametrize("name,d", [
+    ("B2", (2, 1)), ("C2", (1, 2)), ("B3", (2, 2, 1)), ("C4", (1, 1, 1, 2)),
+    ("F4", (2, 2, 1, 1)), ("G2", (1, 3)),
+])
+def test_symmetrizers_are_half_the_squared_lengths(name, d):
+    rs = build(name)
+    assert rs.symmetrizers == d
+    assert all(type(v) is int for v in rs.symmetrizers)
+    # second route: (alpha_i | alpha_i) / 2, short roots having length 2
+    assert tuple(rs.inner(r, r) // 2 for r in map(rs.simple_root, range(rs.rank))) == d
+
+
+def test_symmetrizers_refuse_a_fractional_ratio():
+    # d_1 = 3/2 d_0: the ratio is positive but no integral normalisation by
+    # the smallest d exists
+    with pytest.raises(NotFiniteType, match="not symmetrizable over the integers"):
+        classify_cartan([[2, -3], [-2, 2]])
+
+
+_WEIGHT_OF = """
+import sys
+from shortroots.rootsystem import Weight
+print("numbers" in sys.modules)
+try:
+    Weight.of([0.5])
+except TypeError as e:
+    print(e)
+print("numbers" in sys.modules, "fractions" in sys.modules)
+w = Weight.of([True, 2])
+print(w.fund, [type(c).__name__ for c in w.fund])
+from fractions import Fraction
+w = Weight.of([Fraction(4, 2)])
+print(w.fund, type(w.fund[0]).__name__)
+try:
+    Weight.of([Fraction(1, 2)])
+except ValueError as e:
+    print(e)
+"""
+
+
+def test_weight_parser_in_a_fresh_process():
+    # numbers is loaded only to judge a coordinate that is not an int
+    child = python_child("-c", _WEIGHT_OF)
+    assert child.stderr == ""
+    assert child.stdout.splitlines() == [
+        "False",
+        "weights take exact coordinates, not the float 0.5",
+        "True False",
+        "(1, 2) ['int', 'int']",
+        "(2,) int",
+        "weights take integral coordinates, not 1/2",
+    ]
+
+
 def test_weight_arithmetic():
     a = Weight.of([1, 0])
     b = Weight.of([0, 2])
@@ -560,11 +615,27 @@ def test_build_rejects_non_integral_rank():
         build("C", 3.5)
 
 
-def test_only_the_root_system_imports_fractions():
+def test_no_module_imports_the_rational_stack_at_module_level():
+    # fractions (which loads numbers and decimal) and numbers are imported
+    # only inside the functions that need them, so a process that asks for
+    # no rational answer loads neither
     src = Path(__file__).resolve().parents[1] / "src" / "shortroots"
-    importers = [p.name for p in sorted(src.glob("*.py"))
-                 if re.search(r"^(from|import) fractions\b", p.read_text(), re.M)]
-    assert importers == ["rootsystem.py"]
+    found = []
+    for p in sorted(src.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(p.name, name) for name in names if id(node) not in inside
+                      and name.split(".")[0] in ("fractions", "numbers")]
+    assert found == []
 
 
 def test_only_the_root_system_builds_simple_root_columns():
@@ -587,8 +658,9 @@ def test_engine_entries_are_keyed_by_int_tuples(name):
 
 
 def test_fraction_is_named_only_where_an_answer_is_rational():
-    # code (docstrings aside) names Fraction only in rootsystem.py: its
-    # import and the functions _symmetrizers, root_coords and inner
+    # code (docstrings aside) names Fraction only in rootsystem.py, in the
+    # functions root_coords (its one import) and inner; never at module
+    # level and never in _symmetrizers, which works in ints
     src = Path(__file__).resolve().parents[1] / "src" / "shortroots"
     named = set()
     for p in sorted(src.glob("*.py")):
@@ -602,8 +674,8 @@ def test_fraction_is_named_only_where_an_answer_is_rational():
                     or isinstance(node, ast.Attribute) and node.attr == "Fraction"
                     or isinstance(node, ast.alias) and node.name == "Fraction"):
                 named.add((p.name, owner.get(node, "<module>")))
-    allowed = {("rootsystem.py", f) for f in ("<module>", "_symmetrizers", "root_coords", "inner")}
-    assert ("rootsystem.py", "_symmetrizers") in named
+    allowed = {("rootsystem.py", f) for f in ("root_coords", "inner")}
+    assert ("rootsystem.py", "root_coords") in named
     assert named <= allowed
 
 
