@@ -8,9 +8,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import weyl
-from .errors import IdentityViolation
+from .errors import IdentityViolation, NotFiniteType
 from .littleadjoint import little_adjoint_dims
-from .rootsystem import Root, RootSystem, RootSystemSpec, build, classify_cartan
+from .rootsystem import Root, RootSystem, RootSystemSpec, from_cartan
 
 __all__ = [
     "SimpleReduction",
@@ -50,11 +50,10 @@ def _reduce(rs: RootSystem) -> SimpleReduction:
     pis = rs.short_simple_indices
     pis_set = set(pis)
     subsystem = tuple(r for r in rs.roots if set(r.support) <= pis_set)
-    submatrix = [[rs.cartan[i][j] for j in pis] for i in pis]
-    components = classify_cartan(submatrix)
-    if len(components) != 1:
-        raise IdentityViolation("short simple roots must form a connected diagram")
-    sub = build(components[0])
+    try:
+        sub = from_cartan([[rs.cartan[i][j] for j in pis] for i in pis])
+    except NotFiniteType as exc:
+        raise IdentityViolation(f"short simple roots must form a connected diagram: {exc}")
     if len(subsystem) != sub.rank * sub.coxeter_number:
         raise IdentityViolation("subsystem root count disagrees with its type")
     factor, rem = divmod(rs.coxeter_number, sub.coxeter_number)

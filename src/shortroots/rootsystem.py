@@ -19,11 +19,14 @@ are found in integers, and ``Weight.of`` takes an int as it is and loads
 ``numbers`` only to judge any other coordinate.  Floats and non-integral
 coordinates are refused, never rounded.
 
-Simple roots follow the Bourbaki numbering: the short simple root of
-type B sits at the end of the chain, those of type C at the start, those
-of F4 at positions 3 and 4, and that of G2 at position 1.  In a
-simply-laced system every root is tagged "short", so that the short
-dominant root coincides with the highest root.
+Every system is built from its Cartan matrix, with the simple roots in
+the matrix's node order.  ``build`` takes a type name and passes Bourbaki's
+matrix, so its simple roots follow the Bourbaki numbering: the short simple
+root of type B sits at the end of the chain, those of type C at the start,
+those of F4 at positions 3 and 4, and that of G2 at position 1.
+``from_cartan`` takes a matrix and keeps its order.  In a simply-laced
+system every root is tagged "short", so that the short dominant root
+coincides with the highest root.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "Weight",
     "RootSystem",
     "build",
+    "from_cartan",
     "cartan_matrix",
     "classify_cartan",
     "dual_coxeter_of_dual",
@@ -288,28 +292,34 @@ def _symmetrizers(A) -> tuple[int, ...]:
     return out
 
 
-def _adjugate(A):
-    """det(A) and the integer adjugate of a symmetrizable generalized Cartan
-    matrix, by fraction-free Gauss-Jordan elimination.
+def _eliminate(m):
+    """Fraction-free Gauss-Jordan elimination, in place, of the rows m of a
+    symmetrizable generalized Cartan matrix A, augmented or not by further
+    columns; returns det(A).
 
     The k-th pivot is the k-th leading minor of A, and Sylvester's identity
     makes each division exact.  A is of finite type exactly when every
     leading minor is positive (its symmetrization D.A is then positive
     definite; Kac, Infinite-dimensional Lie algebras, Prop. 4.9 and
     Thm 4.3), so a pivot <= 0 raises NotFiniteType."""
-    n = len(A)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
     prev = 1
-    for k in range(n):
+    for k in range(len(m)):
         piv = m[k][k]
         if piv <= 0:
             raise NotFiniteType(f"leading minor {k + 1} of the Cartan matrix is {piv} <= 0")
-        for r in range(n):
+        for r in range(len(m)):
             if r != k:
                 f = m[r][k]
                 m[r] = [(piv * x - f * y) // prev for x, y in zip(m[r], m[k])]
         prev = piv
-    return prev, tuple(tuple(row[n:]) for row in m)
+    return prev
+
+
+def _adjugate(A):
+    """det(A) and the integer adjugate of A, by _eliminate on [A | I]."""
+    n = len(A)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    return _eliminate(m), tuple(tuple(row[n:]) for row in m)
 
 
 def _dot(u, v):
@@ -324,15 +334,14 @@ class RootSystem:
     coordinates A.c, the form vector D.c (so that (x | root) is the plain
     dot product of x's fundamental coordinates with D.c) and the squared
     length.  Data that only some callers need is built lazily through
-    :meth:`memo`.  Use :func:`build` (which caches per spec) instead of
-    calling the constructor."""
+    :meth:`memo`.  Use :func:`build` or :func:`from_cartan`, which share
+    one cache, instead of calling the constructor."""
 
-    def __init__(self, spec: RootSystemSpec):
+    def __init__(self, spec: RootSystemSpec, cartan: tuple[tuple[int, ...], ...]):
         self.spec = spec
         n = spec.rank
         self.rank = n
-        A = cartan_matrix(spec)
-        self.cartan = A
+        self.cartan = A = cartan
         self.symmetrizers = _symmetrizers(A)
         self._cols = tuple(
             tuple((j, A[j][i]) for j in range(n) if A[j][i]) for i in range(n)
@@ -627,8 +636,9 @@ class RootSystem:
 
 
 @lru_cache(maxsize=None)
-def _build_cached(spec: RootSystemSpec) -> RootSystem:
-    return RootSystem(spec)
+def _cached(spec: RootSystemSpec, cartan) -> RootSystem:
+    """The one cache of systems, keyed on (spec, Cartan matrix)."""
+    return RootSystem(spec, cartan)
 
 
 def build(family, rank: int | None = None) -> RootSystem:
@@ -646,7 +656,22 @@ def build(family, rank: int | None = None) -> RootSystem:
         spec = RootSystemSpec(m.group(1).upper(), int(m.group(2)))
     else:
         spec = RootSystemSpec(str(family).upper(), rank)
-    return _build_cached(spec)
+    return _cached(spec, cartan_matrix(spec))
+
+
+def from_cartan(matrix) -> RootSystem:
+    """Construct (and cache) the root system of an irreducible Cartan matrix
+    of finite type, with the simple roots in the matrix's node order.
+
+    The spec is classify_cartan's canonical label, so C2's Bourbaki matrix
+    yields a system of spec B2 with the short simple root first: an object
+    apart from build("C2") and build("B2").  A matrix that build also
+    constructs gives build's object.  NotFiniteType for a reducible or
+    non-finite matrix."""
+    specs = classify_cartan(matrix)
+    if len(specs) != 1:
+        raise NotFiniteType(f"Cartan matrix is reducible: {' + '.join(map(str, specs))}")
+    return _cached(specs[0], tuple(tuple(row) for row in matrix))
 
 
 def dual_coxeter_of_dual(rs: RootSystem) -> int:
@@ -673,7 +698,7 @@ def classify_cartan(matrix) -> list[RootSystemSpec]:
 
     A connected component is of finite type exactly when it is
     symmetrizable (_symmetrizers) and every leading minor is positive
-    (the pivots of _adjugate).  Its rank m, determinant and symmetrizers d
+    (the pivots of _eliminate).  Its rank m, determinant and symmetrizers d
     then name it: a simply-laced component is A_m (det m + 1), D_m (det 4)
     or E_m (det 9 - m); otherwise the largest d_i is the squared length
     ratio, 3 only in G2, and a double-laced component is B_m with one short
@@ -718,7 +743,7 @@ def _classify_component(A, nodes) -> RootSystemSpec:
     """The type of one connected component, by the rule of classify_cartan."""
     sub = [[A[i][j] for j in nodes] for i in nodes]
     d = _symmetrizers(sub)
-    det, _ = _adjugate(sub)
+    det = _eliminate(sub)
     m = len(nodes)
     if max(d) == 1:
         family = "A" if det == m + 1 else "D" if det == 4 else "E"

@@ -245,11 +245,20 @@ def test_nullcone_char_reports_a_failed_self_check(capsys, monkeypatch):
 def fresh_systems():
     """Clear build's cache before and after the test, so that memoised
     results of earlier tests are not reused and none of this test's leak."""
-    from shortroots.rootsystem import _build_cached
+    from shortroots.rootsystem import _cached
 
-    _build_cached.cache_clear()
+    _cached.cache_clear()
     yield
-    _build_cached.cache_clear()
+    _cached.cache_clear()
+
+
+def test_table1_builds_each_reduction_once(capsys, fresh_systems):
+    # 12 rows and their reductions A1..A5: a reduction reached through
+    # from_cartan is the object build names, not a second copy
+    from shortroots.rootsystem import _cached
+
+    assert run(capsys, "table1", "--json")[0] == 0
+    assert _cached.cache_info().currsize == 17
 
 
 def test_verify_reports_a_failed_self_check(capsys, monkeypatch, fresh_systems):

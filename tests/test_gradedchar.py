@@ -162,7 +162,7 @@ def test_the_up_front_refusal_spares_a_build_within_the_cap(monkeypatch, name, d
     rs = build(name)
     updates = nullcone_character(rs, degree).work["dp_updates"]
     monkeypatch.setattr(gc, "current_limits", lambda: Limits(max_character_work=updates))
-    assert nullcone_character(RootSystem(rs.spec), degree).work["dp_updates"] == updates
+    assert nullcone_character(RootSystem(rs.spec, rs.cartan), degree).work["dp_updates"] == updates
 
 
 def test_zero_answers_outside_the_root_cone_build_no_tables():
@@ -275,7 +275,7 @@ def test_character_work_cap_counts_dp_updates():
     rs = build("C3")
     deep = nullcone_character(rs, 6).work
     shallow = nullcone_character(rs, 4).work
-    fresh = nullcone_character(RootSystem(rs.spec), 4).work
+    fresh = nullcone_character(RootSystem(rs.spec, rs.cartan), 4).work
     assert shallow == fresh
     assert deep["dp_updates"] > shallow["dp_updates"] > 0
 

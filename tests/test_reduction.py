@@ -220,6 +220,10 @@ def _one_subsystem_positive_fewer(rs):
     _seed_reduction(rs, change)
 
 
+def _short_simples_disconnected(rs):
+    rs.short_simple_indices = (0, rs.rank - 1)
+
+
 def _theta_set_to_theta_short(rs):
     rs.theta = rs.theta_short
 
@@ -229,7 +233,7 @@ def _theta_short_set_to_theta(rs):
 
 
 def test_orbit_count_refuses_a_reduction_not_of_type_a():
-    rs = RootSystem(RootSystemSpec("F", 4))
+    rs = RootSystem(build("F4").spec, build("F4").cartan)
     _seed_reduction(rs, lambda red: red._replace(sub_spec=RootSystemSpec("B", 2)))
     with pytest.raises(IdentityViolation, match="^the simple reduction B2 is not of type A$"):
         orbit_count(rs)
@@ -238,6 +242,7 @@ def test_orbit_count_refuses_a_reduction_not_of_type_a():
 # each library function raises on its doctored input; its runner must still fail
 @pytest.mark.parametrize("check_id,doctor,violation", [
     ("transition-gap", _theta_set_to_theta_short, "transition identities disagree"),
+    ("transition-gap", _short_simples_disconnected, "must form a connected diagram"),
     ("dimension-ledger", _factor_off_by_one, "nullcone dimension ratio disagrees"),
     ("hyperplane-classes", _one_subsystem_positive_fewer, "subsystem representatives"),
     ("hw-orbit-dim", _theta_short_set_to_theta, "orbit dimension disagrees"),
@@ -245,7 +250,7 @@ def test_orbit_count_refuses_a_reduction_not_of_type_a():
 @pytest.mark.parametrize("name", ["C4", "F4"])
 def test_a_library_violation_fails_its_check(check_id, doctor, violation, name):
     assert checks.run_check(check_id, build(name))[0] == "pass"
-    rs = RootSystem(build(name).spec)
+    rs = RootSystem(build(name).spec, build(name).cartan)
     doctor(rs)
     status, details = checks.run_check(check_id, rs)
     assert status == "fail"

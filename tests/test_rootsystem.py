@@ -5,6 +5,7 @@ import ast
 import copy
 import itertools
 import pickle
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -41,6 +42,7 @@ from shortroots import (
     dual_coxeter_of_dual,
     enumerate_group,
     freudenthal,
+    from_cartan,
     graded_multiplicity,
     hilbert_check,
     hw_orbit_dim,
@@ -62,7 +64,7 @@ from shortroots import (
     transition_identities,
     weyl_dim,
 )
-from shortroots.checks import run_check
+from shortroots.checks import CHECK_IDS, run_check
 
 SYSTEMS = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 5),
@@ -403,6 +405,99 @@ def test_classify_rejects_non_finite_type(matrix):
         classify_cartan(matrix)
 
 
+@pytest.mark.parametrize("matrix", [
+    [[2, 0], [0, 2]],              # two blocks
+    [[2, -2], [-2, 2]],            # affine
+    [[2, -1, 0], [-1, 2, -1]],     # not square
+    [[2, -1], [-1.0, 2]],          # a float entry
+])
+def test_from_cartan_refuses_a_matrix_of_no_simple_type(matrix):
+    with pytest.raises(NotFiniteType):
+        from_cartan(matrix)
+
+
+def test_from_cartan_shares_the_cache_of_build():
+    for name in ["A1", "B3", "C4", "D4", "F4", "G2"]:
+        assert from_cartan(cartan_matrix(build(name).spec)) is build(name)
+    b3 = cartan_matrix(RootSystemSpec("B", 3))
+    assert from_cartan([list(row) for row in b3]) is build("B3")
+    # the caller's node order is kept: the short node 2 listed first
+    order = [2, 0, 1]
+    scrambled = from_cartan([[b3[i][j] for j in order] for i in order])
+    assert scrambled.spec == RootSystemSpec("B", 3) and scrambled is not build("B3")
+    assert scrambled.short_simple_indices == (0,)
+    # classify_cartan labels a rank-2 double bond B2, whichever node is short
+    c2 = from_cartan(cartan_matrix(RootSystemSpec("C", 2)))
+    assert c2.spec == RootSystemSpec("B", 2) and c2.cartan == build("C2").cartan
+    assert c2 is not build("C2") and c2 is not build("B2")
+
+
+def test_one_adjugate_per_system(monkeypatch):
+    # info C60 builds C60 and its simple reduction A59; classifying the
+    # short-simple submatrix reads the pivots, not an adjugate
+    import shortroots.rootsystem as rootsystem
+
+    sizes = []
+    adjugate = rootsystem._adjugate
+
+    def counted(A):
+        sizes.append(len(A))
+        return adjugate(A)
+
+    monkeypatch.setattr(rootsystem, "_adjugate", counted)
+    rootsystem._cached.cache_clear()
+    try:
+        rs = build("C60")
+        simple_reduction(rs)
+        dimension_ledger(rs)
+    finally:
+        rootsystem._cached.cache_clear()
+    assert sizes == [60, 59]
+
+
+# details that hold coefficient vectors over the simple roots: one vector,
+# or a list of them in an order that ties on height may break by node order
+_VECTOR = {"theta_short_coeffs"}
+_VECTORS = {"representatives", "empty", "multiple_target_classes"}
+# the q-partition DP adds the short roots in the order of their fundamental
+# coordinates, and the sizes of its partial tables, which it counts, depend
+# on that order; the finished tables do not
+_ORDER_DEPENDENT = {"dp_updates"}
+
+
+def _in_bourbaki_order(details, order):
+    """details with every coefficient vector taken back from the node order
+    `order` (node k is Bourbaki's node order[k]), and the order-dependent
+    counters dropped."""
+    def back(c):
+        return [c[order.index(i)] for i in range(len(order))]
+
+    out = {key: value for key, value in details.items() if key not in _ORDER_DEPENDENT}
+    for key in _VECTOR & out.keys():
+        out[key] = back(out[key])
+    for key in _VECTORS & out.keys():
+        out[key] = sorted(back(c) for c in out[key])
+    return out
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "C4", "F4", "B5", "C5", "B6", "C6"])
+def test_checks_do_not_depend_on_the_node_order(name):
+    rs = build(name)
+    A = rs.cartan
+    nodes = list(range(rs.rank))
+    want = {cid: run_check(cid, rs) for cid in CHECK_IDS}
+    rng = random.Random(name)
+    for _ in range(3):
+        order = rng.sample(nodes, len(nodes))
+        relabelled = from_cartan([[A[i][j] for j in order] for i in order])
+        assert relabelled.spec == rs.spec
+        for cid in CHECK_IDS:
+            status, details = run_check(cid, relabelled)
+            assert status == want[cid][0], (order, cid)
+            assert _in_bourbaki_order(details, order) == _in_bourbaki_order(
+                want[cid][1], nodes), (order, cid)
+
+
 def test_symmetrizers_are_checked_on_every_pair():
     # propagated along a spanning tree the d_i exist; the bond that closes
     # the cycle breaks d_i A_ij = d_j A_ji
@@ -554,7 +649,7 @@ def test_constructor_refuses_a_length_count_the_walk_does_not_see(monkeypatch):
 
     monkeypatch.setattr(rootsystem, "_symmetrizers", lambda A: (1,) * len(A))
     with pytest.raises(NotFiniteType, match="B3 has 2 dominant conjugates"):
-        rootsystem.RootSystem(RootSystemSpec("B", 3))
+        rootsystem.RootSystem(RootSystemSpec("B", 3), cartan_matrix(RootSystemSpec("B", 3)))
 
 
 @pytest.mark.parametrize("name", ["A3", "B4", "C3", "D4", "F4", "G2"])
