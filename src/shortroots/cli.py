@@ -10,6 +10,7 @@ Importing this module loads only ``rootsystem`` and ``errors``.
 The engines are lazy modules of the package, reached through their module
 objects (``gc.hilbert_check``), so each subcommand compiles and runs only
 the modules it calls: ``antichains`` adds ``antichains`` and ``config``,
+``nullcone-char`` adds ``gradedchar`` and ``config``,
 ``verify --check sign-partition`` adds ``checks`` and ``littleadjoint``,
 and a full ``verify`` loads everything.
 """

@@ -6,14 +6,18 @@ key each weight by one packed int, so adding a root is one int
 addition.  One straightening pass over the tables gives the whole
 graded character: it unpacks the distinct points of all degrees into
 coordinate columns, straightens each point once, however many degrees
-hold it, and sums each degree's counts over the keys that reach one
-dominant weight with one sign.  Kostant's alternating sum, walked over a Weyl
-orbit by ``RootSystem.descend`` with no group element built, gives
-single graded multiplicities as a second, independent route.
-``Limits.max_character_work`` caps both: the DP updates of a table
-build and the orbit points of a walk.
+hold it, stopping at the first wall, and adds each degree's counts into
+the rows of their keys' dominant conjugates and signs.  Kostant's
+alternating sum, walked over a Weyl orbit by ``RootSystem.descend`` with
+no group element built, gives single graded multiplicities as a second,
+independent route.  ``Limits.max_character_work`` caps both: the DP
+updates of a table build and the orbit points of a walk.
 The full truncated character must reproduce the Hilbert series of a
-complete intersection cut out by the basic invariants.  Every
+complete intersection cut out by the basic invariants, whose degrees
+``invariant_degrees`` reads off the heights of the short-simple
+subsystem's positive roots; the module dimensions come from
+``rootsystem.weyl_dim``.  So the module loads no engine but
+``rootsystem``, besides ``config`` and ``errors``.  Every
 polynomial carries an explicit truncation degree; mixing truncations
 takes the minimum.  The tables are built once per system and truncation
 degree, which must be non-negative.
@@ -22,14 +26,11 @@ degree, which must be non-negative.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import NamedTuple
 
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded
-from .littleadjoint import weyl_dim
-from .reduction import invariant_degrees
-from .rootsystem import RootSystem, Weight
+from .rootsystem import RootSystem, Weight, exponents_from_heights, weyl_dim
 
 __all__ = [
     "QPoly",
@@ -38,6 +39,7 @@ __all__ = [
     "GradedCharacter",
     "nullcone_character",
     "HilbertReport",
+    "invariant_degrees",
     "complete_intersection_series",
     "hilbert_check",
 ]
@@ -287,19 +289,59 @@ class GradedCharacter:
         return len(self.entries)
 
 
+def _regular_walk(rs: RootSystem):
+    """The walk of ``RootSystem.straighten`` from a point up to its dominant
+    conjugate, stopped at the first coordinate that is or becomes 0: such a
+    point meets a wall, so it is singular.  The function returned maps a
+    regular point to straighten's (coords, sign) and a singular one to
+    None.  It is built from the public Cartan matrix rather than kept as a
+    RootSystem method, so that ``rootsystem.py``, which every process
+    compiles, stays small; a test checks it against straighten on every
+    table point of the reference systems."""
+    A, n = rs.cartan, rs.rank
+    cols = [[(j, A[j][i]) for j in range(n) if A[j][i]] for i in range(n)]
+
+    def walk(fund):
+        if 0 in fund:
+            return None
+        v = list(fund)
+        sign = 1
+        i = 0
+        while i < n:   # reflect in the first simple root with a negative coordinate
+            c = v[i]
+            if c < 0:
+                for j, a in cols[i]:
+                    x = v[j] - c * a
+                    if not x:
+                        return None
+                    v[j] = x
+                sign = -sign
+                i = 0
+            else:
+                i += 1
+        return tuple(v), sign
+
+    return walk
+
+
 def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     """Graded character of the nullcone coordinate ring, truncated at the
     given degree.
 
     Kostant's multiplicity formula read backwards, in one pass over the
     q-partition tables.  The distinct points of all degrees are unpacked
-    once into one coordinate column per simple root; each point v with
-    v + rho off every wall is straightened once, to the dominant conjugate
-    of v + rho, and its key is grouped by that conjugate minus rho and the
-    sign.  The coefficient at degree k of a dominant weight is then the
-    signed sum of the degree-k counts of its groups.  Weights whose sums
-    cancel to zero are omitted.  No Weyl group is enumerated; the work is
-    capped by the DP tables.
+    once into one coordinate column per simple root, and each point v is
+    straightened once, however many degrees hold it, by ``_regular_walk``:
+    the walk of v + rho up to its dominant conjugate stops at the first
+    wall it meets, since such a point is singular and adds nothing.  A
+    regular point's key is owned by the row of that conjugate and the
+    sign of the walk.  Each entry of each degree's table is then added
+    into the row that owns its key, if any, so the sums cost one lookup
+    per table entry, however the keys fall into rows, and build no
+    temporary set; the coefficient at degree k of a dominant weight
+    lambda is the signed sum of the two rows of lambda + rho.  Weights
+    whose sums cancel to zero are omitted.  No Weyl group is enumerated;
+    the work is capped by the DP tables.
     ``work`` records the DP updates and the distinct dominant weights
     reached (before cancellation)."""
     rs.require_two_lengths()
@@ -310,26 +352,35 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     low, base = qt.off - 1, qt.base
     cols = [[key // p % base - low for key in keys]
             for p in [base**i for i in range(rs.rank)]]
-    groups: dict = {}   # (dominant conjugate of v + rho, sign) -> keys of v
-    straighten = rs.straighten
+    rows: dict = {}     # (dominant conjugate of v + rho, sign) -> counts of its keys
+    owners = {}         # key of a regular v -> its row
+    walk = _regular_walk(rs)
     for key, shifted in zip(keys, zip(*cols)):
-        if 0 not in shifted:   # else v + rho lies on a wall
-            dom, sign = straighten(shifted)
-            if sign:
-                groups.setdefault((dom, sign), []).append(key)
-    rows: dict = {}
-    for (dom, sign), group in groups.items():
-        row = rows.setdefault(tuple([a - 1 for a in dom]), [0] * (max_degree + 1))
-        for k, level in enumerate(levels):
-            row[k] += sign * sum(map(level.get, group, repeat(0)))
+        hit = walk(shifted)
+        if hit:
+            row = rows.get(hit)
+            if row is None:
+                row = rows[hit] = [0] * (max_degree + 1)
+            owners[key] = row
+    get = owners.get
+    for k, level in enumerate(levels):
+        for key, count in level.items():
+            row = get(key)
+            if row is not None:
+                row[k] += count
+    signed: dict = {}   # dominant conjugate of v + rho -> its coefficients
+    for (dom, sign), row in rows.items():
+        total = signed.setdefault(dom, [0] * (max_degree + 1))
+        for k, count in enumerate(row):
+            total[k] += sign * count
     entries = {}
-    for lam in sorted(rows):
-        poly = QPoly(dict(enumerate(rows[lam])), max_degree)
+    for dom in sorted(signed):
+        poly = QPoly(dict(enumerate(signed[dom])), max_degree)
         if not poly.is_zero:
-            entries[lam] = poly
+            entries[tuple([a - 1 for a in dom])] = poly
     if entries.get((0,) * rs.rank) != QPoly.one(max_degree):
         raise IdentityViolation("the trivial entry of the nullcone character must be 1")
-    work = {"dp_updates": qt.updates, "dominant_points": len(rows)}
+    work = {"dp_updates": qt.updates, "dominant_points": len(signed)}
     return GradedCharacter(rs, entries, max_degree, work)
 
 
@@ -342,6 +393,18 @@ class HilbertReport(NamedTuple):
 
     def __bool__(self):
         return self.ok
+
+
+def invariant_degrees(rs: RootSystem):
+    """Degrees of the basic invariants: the reflection degrees of the short
+    parabolic, the exponents of the subsystem spanned by the short simple
+    roots each plus one.  Those exponents are read off the heights of the
+    positive roots supported on the short simple roots, by the rule that
+    gives a root system its own (``exponents_from_heights``)."""
+    rs.require_two_lengths()
+    shorts = set(rs.short_simple_indices)
+    heights = [r.height for r in rs.positive_roots() if shorts.issuperset(r.support)]
+    return tuple(m + 1 for m in exponents_from_heights(heights))
 
 
 def complete_intersection_series(ambient_dim: int, degrees, max_degree: int) -> QPoly:

@@ -9,7 +9,8 @@ partial order of dominant weights, 1998); each multiplicity reads only
 dominant weights strictly above it, and the whole weight system is the
 union of the Weyl orbits of the dominant weights, each walked down by
 ``RootSystem.descend``.  The Weyl dimension
-formula provides an independent route to the dimension.
+formula, ``rootsystem.weyl_dim``, provides an independent route to the
+dimension.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import IdentityViolation
-from .rootsystem import Root, RootSystem, Weight
+from .rootsystem import Root, RootSystem, Weight, weyl_dim
 
 __all__ = [
     "WeightSystem",
     "freudenthal",
-    "weyl_dim",
     "LittleAdjointDims",
     "little_adjoint_dims",
     "DeltaPartition",
@@ -112,22 +112,6 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
         mults[mu] = q
     entries = {nu: m for mu, m in mults.items() for layer in rs.descend(mu) for nu in layer}
     return WeightSystem(rs, lam, entries)
-
-
-def weyl_dim(rs: RootSystem, highest) -> int:
-    """Dimension of the simple module with the given highest weight, by the
-    product formula over positive roots."""
-    lam_rho = tuple(x + 1 for x in rs.dominant_integral(highest))
-    num = 1
-    den = 1
-    for r in rs.positive_roots():
-        weighted = rs.form_coords(r)
-        num *= sum(w * f for w, f in zip(weighted, lam_rho))
-        den *= sum(weighted)
-    q, rem = divmod(num, den)
-    if rem:
-        raise IdentityViolation("Weyl dimension must be an integer")
-    return q
 
 
 class LittleAdjointDims(NamedTuple):

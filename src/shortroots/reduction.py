@@ -26,7 +26,6 @@ __all__ = [
     "dimension_ledger",
     "partition_count",
     "orbit_count",
-    "invariant_degrees",
     "SummaryRow",
     "summary_row",
 ]
@@ -251,13 +250,6 @@ def orbit_count(rs: RootSystem) -> int:
     if sub.family != "A":
         raise IdentityViolation(f"the simple reduction {sub} is not of type A")
     return partition_count(sub.rank + 1)
-
-
-def invariant_degrees(rs: RootSystem):
-    """Degrees of the basic invariants: the reflection degrees of the short
-    parabolic, i.e. the reduction's exponents each plus one."""
-    red = simple_reduction(rs)
-    return tuple(sorted(m + 1 for m in red.sub_exponents))
 
 
 _AMBIENT = {

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import Counter
 from functools import lru_cache
 
 from .errors import IdentityViolation, NotFiniteType, UnsupportedRootSystem
@@ -48,6 +49,8 @@ __all__ = [
     "cartan_matrix",
     "classify_cartan",
     "dual_coxeter_of_dual",
+    "exponents_from_heights",
+    "weyl_dim",
 ]
 
 _RANK_BOUNDS = {
@@ -395,29 +398,11 @@ class RootSystem:
             raise NotFiniteType(f"{spec}: {len(self.roots)} roots != rank * h")
 
         self.rho = Weight((1,) * n)
-        self.exponents = self._exponents_from_heights(heights)
+        self.exponents = exponents_from_heights(heights)
         self.weyl_order = 1
         for m in self.exponents:
             self.weyl_order *= m + 1
         self.dual_coxeter_number = 1 + self.pairing(self.rho, self.theta)
-
-    # -- construction pieces -------------------------------------------------
-
-    @staticmethod
-    def _exponents_from_heights(heights) -> tuple[int, ...]:
-        # conjugate partition of the height distribution of positive roots
-        dist: dict[int, int] = {}
-        for h in heights:
-            dist[h] = dist.get(h, 0) + 1
-        out = []
-        level = 1
-        while True:
-            m = sum(1 for k, v in dist.items() if v >= level)
-            if m == 0:
-                break
-            out.append(m)
-            level += 1
-        return tuple(sorted(out))
 
     def memo(self, key, compute):
         """The value cached on this system under key, computed by compute()
@@ -672,6 +657,24 @@ def from_cartan(matrix) -> RootSystem:
     if len(specs) != 1:
         raise NotFiniteType(f"Cartan matrix is reducible: {' + '.join(map(str, specs))}")
     return _cached(specs[0], tuple(tuple(row) for row in matrix))
+
+
+def exponents_from_heights(heights) -> tuple[int, ...]:
+    """The exponents of a root system, read off the heights of its positive
+    roots: the conjugate partition of their height distribution."""
+    counts = Counter(heights).values()
+    return tuple(sorted(sum(v >= level for v in counts) for level in range(1, max(counts) + 1)))
+
+
+def weyl_dim(rs: RootSystem, highest) -> int:
+    """Dimension of the simple module with the given highest weight, by the
+    product formula over positive roots."""
+    lam_rho = [x + 1 for x in rs.dominant_integral(highest)]
+    forms = rs._dc[:rs.num_positive]
+    q, rem = divmod(math.prod([_dot(f, lam_rho) for f in forms]), math.prod(map(sum, forms)))
+    if rem:
+        raise IdentityViolation("Weyl dimension must be an integer")
+    return q
 
 
 def dual_coxeter_of_dual(rs: RootSystem) -> int:

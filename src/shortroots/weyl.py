@@ -8,10 +8,12 @@ weights are moved by simple reflections on their coordinates
 down a whole orbit), with no element built.
 Membership in the subgroup generated by long-root reflections, and the
 matching factorisation of the whole group, are decided by a descent
-through the long-root subsystem.  Every product is an index gather
-through a prebuilt ``operator.itemgetter``, so it runs in C; the getters
-that ``coxeter_element`` and ``decompose_semidirect`` apply are built once
-per system, and ``_generate`` builds one per generator on each call.
+through the long-root subsystem; the long factor is rebuilt from the
+reflections the descent strips, and membership never builds it.  Every
+product is an index gather through a prebuilt ``operator.itemgetter``,
+so it runs in C; the getters that ``coxeter_element`` and
+``decompose_semidirect`` apply are built once per system, and
+``_generate`` builds one per generator on each call.
 Subgroup closures are counted against ``Limits.max_weyl_order``, the
 one Weyl cap, since no subgroup of W is larger than W.
 """
@@ -199,34 +201,47 @@ def _indecomposable_longs(rs: RootSystem):
     return tuple(base)
 
 
-def decompose_semidirect(rs: RootSystem, w: WeylElement):
-    """Factor w = ws * wl with ws preserving the positive long roots and wl
-    a product of long-root reflections.  The pair is unique.
-
-    Works by descent: while some member of the long-root base is sent
-    negative, strip one long reflection off the right."""
+def _strip_long_reflections(rs: RootSystem, perm):
+    """The descent of decompose_semidirect on a bare permutation: while some
+    member of the long-root base is sent negative, strip one long
+    reflection off the right.  Returns the permutation left, that of ws,
+    and the getters of the reflections stripped, in order."""
     descent = rs.memo(  # raises on simply-laced input
         "long_descent",
         lambda: tuple((rs.index(b), itemgetter(*r.perm))
                       for b, r in zip(long_root_base(rs), long_subgroup(rs))),
     )
     p = rs.num_positive
-    perm = w.perm
+    stripped = []
     while True:
         for i, step in descent:
             if perm[i] >= p:
                 perm = step(perm)   # v * r_b for the first base root b sent negative
+                stripped.append(step)
                 break
         else:
-            break
-    ws = WeylElement(rs, perm)
-    wl = ws.inverse() * w
-    return ws, wl
+            return perm, stripped
+
+
+def decompose_semidirect(rs: RootSystem, w: WeylElement):
+    """Factor w = ws * wl with ws preserving the positive long roots and wl
+    a product of long-root reflections.  The pair is unique.
+
+    Works by descent: while some member of the long-root base is sent
+    negative, strip one long reflection off the right.  If w * r_1 ... r_k
+    is ws, then wl is r_k ... r_1, since each r_i is an involution."""
+    perm, stripped = _strip_long_reflections(rs, w.perm)
+    wl = tuple(range(len(perm)))
+    for step in reversed(stripped):
+        wl = step(wl)   # wl * r
+    return WeylElement(rs, perm), WeylElement(rs, wl)
 
 
 def is_in_long_subgroup(rs: RootSystem, w: WeylElement) -> bool:
-    ws, _ = decompose_semidirect(rs, w)
-    return ws.is_identity
+    """Whether w lies in the subgroup generated by long-root reflections:
+    whether its short factor ws is the identity; wl is never built."""
+    perm, _ = _strip_long_reflections(rs, w.perm)
+    return WeylElement(rs, perm).is_identity
 
 
 # -- subgroups, materialised as the independent route of the catalog -----------

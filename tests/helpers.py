@@ -201,6 +201,23 @@ def nullcone_candidates(rs, qt, degree):
     return sorted(candidates)
 
 
+def orbit_accumulation(rs, qt, degree):
+    """The nullcone character rebuilt from the packed q-partition tables qt
+    by pushing every table point + rho to its dominant conjugate and adding
+    its count there with the sign, with no per-weight alternating sum:
+    dominant weight -> {degree: coefficient}, leaving out the weights whose
+    coefficients all cancel."""
+    ones = (1,) * rs.rank
+    acc = {}
+    for k in range(degree + 1):
+        for key, count in qt.levels[k].items():
+            dom, sign = rs.dominant_representative(decode(qt, rs.rank, key, 1))
+            if sign:
+                coeffs = acc.setdefault(tuple(a - b for a, b in zip(dom, ones)), {})
+                coeffs[k] = coeffs.get(k, 0) + sign * count
+    return {lam: coeffs for lam, coeffs in acc.items() if any(coeffs.values())}
+
+
 def comparable(poset, i, j):
     """Whether elements i and j of the poset are comparable, read off its
     incomparability masks."""

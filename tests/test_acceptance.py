@@ -37,8 +37,8 @@ from shortroots import (
     simple_reflection,
     summary_row,
     transition_identities,
-    weyl_dim,
 )
+from shortroots.rootsystem import weyl_dim
 
 ALL_TWELVE = (
     [("C", n) for n in range(2, 7)] + [("B", n) for n in range(2, 7)]

@@ -414,8 +414,7 @@ _RUNS = {
     "": "errors rootsystem",
     "info C9": "errors littleadjoint reduction rootsystem",
     "antichains C8": "antichains config errors rootsystem",
-    "nullcone-char G2 --max-degree 4":
-        "config errors gradedchar littleadjoint reduction rootsystem",
+    "nullcone-char G2 --max-degree 4": "config errors gradedchar rootsystem",
     "verify B7 --check sign-partition": "checks errors littleadjoint rootsystem",
     "table1": "errors littleadjoint reduction rootsystem",
     "verify G2": _LIBRARY_AND_CHECKS,

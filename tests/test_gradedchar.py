@@ -1,9 +1,11 @@
 """q-graded partition functions, graded multiplicities and the nullcone
 character against its Hilbert series."""
 
+import ast
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import (
@@ -11,6 +13,7 @@ from helpers import (
     decode,
     multiset_partition_counts,
     nullcone_candidates,
+    orbit_accumulation,
     sign,
     tuple_dp_tables,
 )
@@ -29,13 +32,14 @@ from shortroots import (
     complete_intersection_series,
     closure,
     enumerate_group,
+    from_cartan,
     graded_multiplicity,
     hilbert_check,
     nullcone_character,
     q_partition,
     simple_reflection,
-    weyl_dim,
 )
+from shortroots.rootsystem import weyl_dim
 
 
 def qp(coeffs, truncation):
@@ -401,23 +405,45 @@ def test_character_agrees_with_orbit_accumulation():
                          ("C3", 12), ("B3", 12), ("G2", 12), ("C5", 6)]:
         rs = build(name)
         char = nullcone_character(rs, degree)
-        qt = gc._dp_build(rs, degree)
-        ones = (1,) * rs.rank
-        acc: dict = {}
-        for k in range(degree + 1):
-            for key, count in qt.levels[k].items():
-                dom, sign = rs.dominant_representative(decode(qt, rs.rank, key, 1))
-                if sign == 0:
-                    continue
-                lam = tuple(a - b for a, b in zip(dom, ones))
-                acc.setdefault(lam, {})
-                acc[lam][k] = acc[lam].get(k, 0) + sign * count
-        rebuilt = {
-            lam: QPoly(coeffs, degree)
-            for lam, coeffs in acc.items()
-            if any(coeffs.values())
-        }
-        assert rebuilt == char.entries
+        rebuilt = orbit_accumulation(rs, gc._dp_build(rs, degree), degree)
+        assert {lam: QPoly(coeffs, degree) for lam, coeffs in rebuilt.items()} == char.entries
+
+
+@pytest.mark.parametrize("name,order,degree", [
+    ("G2", None, 12), ("B3", None, 12), ("C3", None, 12), ("F4", None, 8), ("C5", None, 6),
+    ("C4", (2, 0, 3, 1), 8),
+])
+def test_regular_straightening_agrees_with_straighten(name, order, degree):
+    # on every table point + rho that the pass straightens: the walk that
+    # stops at the first wall gives None exactly where straighten gives
+    # sign 0, and the same dominant coordinates and sign everywhere else
+    rs = build(name)
+    if order is not None:
+        rs = from_cartan([[rs.cartan[i][j] for j in order] for i in order])
+    qt = gc._dp_build(rs, degree)
+    points = [decode(qt, rs.rank, key, 1) for key in set().union(*qt.levels)]
+    walk = gc._regular_walk(rs)
+    singular = 0
+    for point in points:
+        dom, sign = rs.straighten(point)
+        got = walk(point)
+        assert got == (None if sign == 0 else (dom, sign)), point
+        singular += got is None
+    assert 0 < singular < len(points)
+
+
+def test_gradedchar_imports_only_the_root_system_config_and_errors():
+    # nullcone-char loads no engine module it does not run
+    imported = set()
+    for node in ast.walk(ast.parse(Path(gc.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("shortroots"):
+            imported.update(node.module.split(".")[1:2] or [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[1] for a in node.names
+                            if a.name.startswith("shortroots."))
+    assert imported == {"config", "errors", "rootsystem"}
 
 
 def test_graded_multiplicity_is_generator_order_independent():

@@ -16,8 +16,8 @@ from shortroots import (
     freudenthal,
     hw_orbit_dim,
     little_adjoint_dims,
-    weyl_dim,
 )
+from shortroots.rootsystem import weyl_dim
 
 
 def test_smallest_adjoint_module():

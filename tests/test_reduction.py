@@ -1,6 +1,7 @@
 """Simple reductions, kernel-class combinatorics and the summary registry."""
 
 import itertools
+import random
 
 import pytest
 
@@ -15,8 +16,8 @@ from shortroots import (
     check_coxeter_power,
     closure,
     dimension_ledger,
+    from_cartan,
     hyperplane_classes,
-    invariant_degrees,
     one_step_strings,
     orbit_count,
     partition_count,
@@ -25,6 +26,7 @@ from shortroots import (
     summary_row,
     transition_identities,
 )
+from shortroots.gradedchar import invariant_degrees
 
 
 @pytest.mark.parametrize(
@@ -275,6 +277,23 @@ def test_invariant_degrees_multiply_to_parabolic_order():
             product *= dd
         assert product == len(parabolic)
         assert len(degrees) == len(rs.short_simple_indices)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4"] + [f"{family}{rank}" for family in "BC"
+                                                 for rank in range(2, 11)])
+def test_invariant_degrees_by_two_routes(name):
+    # the heights of the positive roots on the short simples against the
+    # exponents of the reduction that from_cartan builds, in Bourbaki's
+    # node order and in two relabelled ones
+    rs = build(name)
+    A = rs.cartan
+    rng = random.Random(name)
+    orders = [list(range(rs.rank))] + [rng.sample(range(rs.rank), rs.rank) for _ in range(2)]
+    for order in orders:
+        relabelled = from_cartan([[A[i][j] for j in order] for i in order])
+        by_reduction = tuple(m + 1 for m in simple_reduction(relabelled).sub_exponents)
+        assert invariant_degrees(relabelled) == by_reduction, order
+        assert by_reduction == invariant_degrees(rs), order
 
 
 def test_summary_rows():

@@ -48,7 +48,6 @@ from shortroots import (
     hw_orbit_dim,
     hyperplane_classes,
     identity,
-    invariant_degrees,
     is_in_long_subgroup,
     little_adjoint_dims,
     long_root_base,
@@ -62,9 +61,10 @@ from shortroots import (
     simple_reduction,
     summary_row,
     transition_identities,
-    weyl_dim,
 )
 from shortroots.checks import CHECK_IDS, run_check
+from shortroots.gradedchar import invariant_degrees
+from shortroots.rootsystem import weyl_dim
 
 SYSTEMS = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 5),

@@ -146,7 +146,7 @@ def test_decompose_rejects_simply_laced():
         decompose_semidirect(rs, identity(rs))
 
 
-@pytest.mark.parametrize("name", ["G2", "B2", "B3", "C3"])
+@pytest.mark.parametrize("name", ["G2", "B2", "B3", "C3", "C4", "F4"])
 def test_decompose_exhaustively(name):
     rs = build(name)
     group = enumerate_group(rs)
@@ -162,6 +162,7 @@ def test_decompose_exhaustively(name):
         assert ws * wl == w
         assert ws in w_s and wl in w_l
         assert all(ws.perm[i] < p for i in long_pos)  # ws keeps long positives positive
+        assert is_in_long_subgroup(rs, w) == ws.is_identity
         pairs.add((ws.perm, wl.perm))
     assert len(pairs) == len(group)
 
