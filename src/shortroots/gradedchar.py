@@ -5,13 +5,14 @@ as sums of short positive roots, graded by multiset size.  Its tables
 key each weight by one packed int, so adding a root is one int
 addition.  One straightening pass over the tables gives the whole
 graded character: it unpacks the distinct points of all degrees into
-coordinate columns, straightens each point once, however many degrees
-hold it, stopping at the first wall, and adds each degree's counts into
-the rows of their keys' dominant conjugates and signs.  Kostant's
-alternating sum, walked over a Weyl orbit by ``RootSystem.descend`` with
-no group element built, gives single graded multiplicities as a second,
-independent route.  ``Limits.max_character_work`` caps both: the DP
-updates of a table build and the orbit points of a walk.
+coordinate columns, straightens each point off the walls once, however
+many degrees hold it, by ``RootSystem.straighten``, and adds each
+degree's counts into the rows of their keys' dominant conjugates and
+signs.  Kostant's alternating sum, walked over a Weyl orbit by
+``RootSystem.descend`` with no group element built, gives single graded
+multiplicities as a second, independent route.
+``Limits.max_character_work`` caps both: the DP updates of a table build
+and the orbit points of a walk.
 The full truncated character must reproduce the Hilbert series of a
 complete intersection cut out by the basic invariants, whose degrees
 ``invariant_degrees`` reads off the heights of the short-simple
@@ -137,10 +138,11 @@ class _QTables:
     levels[k] maps a packed weight to the number of k-element multisets of
     short positive roots summing to it, and updates is the number of DP
     updates the build made.  Refuses past ``Limits.max_character_work``
-    updates, before any table when a loose lower bound passes it: of m
-    short roots the first makes one update per level and each other finds
-    k points on level k - 1, so a build to degree d makes at least
-    d + (m - 1) d (d + 1) / 2.
+    updates, before any table when a lower bound passes it: while the
+    r-th of s short roots is added, level k - 1 holds the distinct sums of
+    (k - 1)-multisets of r distinct vectors, at least (k - 1)(r - 1) + 1
+    of them in a torsion-free group, so a build to degree d makes at least
+    s d + C(s, 2) C(d, 2) updates.
 
     A weight v, in fundamental coordinates, is packed as the one int
     sum (v_i + off) * base**i, with off = degree * m for m the largest
@@ -157,7 +159,8 @@ class _QTables:
             f"the q-partition tables of {rs.spec} to degree {degree} need more "
             f"than the cap of {cap} DP updates (max_character_work)"
         )
-        if degree + (len(vectors) - 1) * degree * (degree + 1) // 2 > cap:
+        s = len(vectors)
+        if s * degree + math.comb(s, 2) * math.comb(degree, 2) > cap:
             raise refusal
         self.off = degree * max(abs(c) for vec in vectors for c in vec)
         self.base = 2 * self.off + 1
@@ -289,41 +292,6 @@ class GradedCharacter:
         return len(self.entries)
 
 
-def _regular_walk(rs: RootSystem):
-    """The walk of ``RootSystem.straighten`` from a point up to its dominant
-    conjugate, stopped at the first coordinate that is or becomes 0: such a
-    point meets a wall, so it is singular.  The function returned maps a
-    regular point to straighten's (coords, sign) and a singular one to
-    None.  It is built from the public Cartan matrix rather than kept as a
-    RootSystem method, so that ``rootsystem.py``, which every process
-    compiles, stays small; a test checks it against straighten on every
-    table point of the reference systems."""
-    A, n = rs.cartan, rs.rank
-    cols = [[(j, A[j][i]) for j in range(n) if A[j][i]] for i in range(n)]
-
-    def walk(fund):
-        if 0 in fund:
-            return None
-        v = list(fund)
-        sign = 1
-        i = 0
-        while i < n:   # reflect in the first simple root with a negative coordinate
-            c = v[i]
-            if c < 0:
-                for j, a in cols[i]:
-                    x = v[j] - c * a
-                    if not x:
-                        return None
-                    v[j] = x
-                sign = -sign
-                i = 0
-            else:
-                i += 1
-        return tuple(v), sign
-
-    return walk
-
-
 def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     """Graded character of the nullcone coordinate ring, truncated at the
     given degree.
@@ -331,16 +299,16 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     Kostant's multiplicity formula read backwards, in one pass over the
     q-partition tables.  The distinct points of all degrees are unpacked
     once into one coordinate column per simple root, and each point v is
-    straightened once, however many degrees hold it, by ``_regular_walk``:
-    the walk of v + rho up to its dominant conjugate stops at the first
-    wall it meets, since such a point is singular and adds nothing.  A
-    regular point's key is owned by the row of that conjugate and the
-    sign of the walk.  Each entry of each degree's table is then added
-    into the row that owns its key, if any, so the sums cost one lookup
-    per table entry, however the keys fall into rows, and build no
-    temporary set; the coefficient at degree k of a dominant weight
-    lambda is the signed sum of the two rows of lambda + rho.  Weights
-    whose sums cancel to zero are omitted.  No Weyl group is enumerated;
+    straightened once, however many degrees hold it: a point v + rho
+    with a 0 coordinate lies on a wall, so it is singular and adds
+    nothing, and every other one goes to ``RootSystem.straighten``.  The
+    key of a point with a nonzero sign is owned by the row of its
+    dominant conjugate and that sign.  Each entry of each degree's table
+    is then added into the row that owns its key, if any, so the sums
+    cost one lookup per table entry, however the keys fall into rows, and
+    build no temporary set; the coefficient at degree k of a dominant
+    weight lambda is the signed sum of the two rows of lambda + rho.
+    Weights whose sums cancel to zero are omitted.  No Weyl group is enumerated;
     the work is capped by the DP tables.
     ``work`` records the DP updates and the distinct dominant weights
     reached (before cancellation)."""
@@ -354,10 +322,12 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
             for p in [base**i for i in range(rs.rank)]]
     rows: dict = {}     # (dominant conjugate of v + rho, sign) -> counts of its keys
     owners = {}         # key of a regular v -> its row
-    walk = _regular_walk(rs)
+    straighten = rs.straighten
     for key, shifted in zip(keys, zip(*cols)):
-        hit = walk(shifted)
-        if hit:
+        if 0 in shifted:   # on a wall, so singular
+            continue
+        hit = straighten(shifted)
+        if hit[1]:
             row = rows.get(hit)
             if row is None:
                 row = rows[hit] = [0] * (max_degree + 1)

@@ -9,12 +9,14 @@ one Weyl-orbit walk, ``RootSystem.descend``: down from a dominant point
 by simple reflections, one length of W per layer, optionally kept above
 a floor.  The constructor finds the positive roots with it, Freudenthal
 expands dominant weights into orbits with it, and Kostant's alternating
-sum runs over it.  ``RootSystem.straighten`` walks the other way, up to
-the dominant conjugate.  Weights are integral, so a ``Weight`` holds int
-coordinates and pairs integrally with every coroot; ``Fraction`` appears
-only where an answer is genuinely rational (``root_coords`` and the
-inner product of two weights), and is imported there, so a process that
-asks for no rational answer never loads ``fractions``.  The symmetrizers
+sum runs over it.  ``RootSystem.straighten``, the one chamber walk, goes
+the other way, up to the dominant conjugate with its sign; the nullcone
+character and Freudenthal straighten through it.  Weights are integral,
+so a ``Weight`` holds int coordinates and pairs integrally with every
+coroot; ``Fraction`` appears only where an answer is genuinely rational
+(``root_coords`` and the inner product of two weights), and is imported
+there, so a process that asks for no rational answer never loads
+``fractions``.  The symmetrizers
 are found in integers, and ``Weight.of`` takes an int as it is and loads
 ``numbers`` only to judge any other coordinate.  Floats and non-integral
 coordinates are refused, never rounded.
@@ -598,6 +600,12 @@ class RootSystem:
         """Dominant Weyl conjugate of an int tuple of fundamental coords,
         taken unchecked: the engines' kernel.
 
+        The scan reflects in the first simple root alpha_i whose coordinate
+        c is negative, then resumes at the first neighbour j < i that the
+        reflection turned negative, or else at i + 1.  That is exact: the
+        coordinates below i were >= 0, the reflection changes only the
+        neighbours of alpha_i, and coordinate i becomes -c > 0.
+
         Returns (coords, sign) where sign is the determinant (-1)^steps of
         the conjugating element, or 0 when the weight is singular (fixed by
         some reflection)."""
@@ -606,13 +614,17 @@ class RootSystem:
         v = list(fund)
         sign = 1
         i = 0
-        while i < n:   # reflect in the first simple root with a negative coordinate
+        while i < n:
             c = v[i]
             if c < 0:
+                resume = i + 1
                 for j, a in cols[i]:
-                    v[j] -= c * a
+                    x = v[j] - c * a
+                    v[j] = x
+                    if x < 0 and j < resume:
+                        resume = j
                 sign = -sign
-                i = 0
+                i = resume
             else:
                 i += 1
         if 0 in v:

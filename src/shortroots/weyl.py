@@ -255,11 +255,8 @@ def closure(rs: RootSystem, generators) -> frozenset:
 
 def long_subgroup(rs: RootSystem) -> tuple[WeylElement, ...]:
     """Generators of the normal subgroup generated by reflections in long
-    roots: the reflections in the long-root base, in its order, built once
-    per system."""
-    return rs.memo(
-        "long_base_reflections", lambda: tuple(reflection(rs, b) for b in long_root_base(rs))
-    )
+    roots: the reflections in the long-root base, in its order."""
+    return tuple(reflection(rs, b) for b in long_root_base(rs))
 
 
 def short_parabolic(rs: RootSystem) -> tuple[WeylElement, ...]:

@@ -140,11 +140,11 @@ def test_q_partition_rejects_bad_subset():
 
 
 def test_a_huge_degree_is_refused_before_any_table_is_allocated():
-    # of three short roots the first makes one update per level and the
-    # others k on level k - 1, so degree d needs at least d(d + 2) updates:
-    # 10**10 at degree 10**5, although 3 * 10**5 is not past the cap
+    # three short roots need at least 3d + 3 C(d, 2) updates: past the cap
+    # of 300 000 at degree 10**5 although 3 * 10**5 is not, and at degree
+    # 450 (304 425), where d + 2 d (d + 1) / 2 = 203 400 is not
     rs = build("G2")
-    for degree in (10**6, 10**5):
+    for degree in (10**6, 10**5, 450):
         tracemalloc.start()
         try:
             with pytest.raises(SizeLimitExceeded, match="^the q-partition tables of G2 to "
@@ -411,24 +411,29 @@ def test_character_agrees_with_orbit_accumulation():
 
 @pytest.mark.parametrize("name,order,degree", [
     ("G2", None, 12), ("B3", None, 12), ("C3", None, 12), ("F4", None, 8), ("C5", None, 6),
-    ("C4", (2, 0, 3, 1), 8),
+    ("C4", (2, 0, 3, 1), 8), ("F4", (3, 1, 0, 2), 8),
 ])
-def test_regular_straightening_agrees_with_straighten(name, order, degree):
-    # on every table point + rho that the pass straightens: the walk that
-    # stops at the first wall gives None exactly where straighten gives
-    # sign 0, and the same dominant coordinates and sign everywhere else
+def test_straighten_agrees_with_the_orbit_layers(name, order, degree):
+    # on every table point + rho that the pass straightens, against an
+    # oracle blind to the scan order: the walk down from each conjugate
+    # straighten returns must meet the point, in layer l, and the sign is
+    # (-1)^l off the walls and 0 on them
     rs = build(name)
     if order is not None:
         rs = from_cartan([[rs.cartan[i][j] for j in order] for i in order])
     qt = gc._dp_build(rs, degree)
     points = [decode(qt, rs.rank, key, 1) for key in set().union(*qt.levels)]
-    walk = gc._regular_walk(rs)
+    layers = {}   # dominant conjugate -> {orbit point: its layer}
     singular = 0
     for point in points:
         dom, sign = rs.straighten(point)
-        got = walk(point)
-        assert got == (None if sign == 0 else (dom, sign)), point
-        singular += got is None
+        assert min(dom) >= 0, point
+        if dom not in layers:
+            layers[dom] = {y: length for length, layer in enumerate(rs.descend(dom))
+                           for y in layer}
+        length = layers[dom][point]
+        assert sign == (0 if 0 in dom else (-1) ** length), point
+        singular += sign == 0
     assert 0 < singular < len(points)
 
 
@@ -444,6 +449,23 @@ def test_gradedchar_imports_only_the_root_system_config_and_errors():
             imported.update(a.name.split(".")[1] for a in node.names
                             if a.name.startswith("shortroots."))
     assert imported == {"config", "errors", "rootsystem"}
+
+
+def test_only_the_root_system_reads_the_cartan_matrix():
+    # a module that reads rs.cartan could rebuild the root system's walks
+    # from it; reduction's submatrix for from_cartan is the one exception
+    readers = []
+    for path in sorted(Path(gc.__file__).parent.glob("*.py")):
+        if path.stem == "rootsystem":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for call in ast.walk(tree) if isinstance(call, ast.Call)
+                   and getattr(call.func, "id", getattr(call.func, "attr", None)) == "from_cartan"
+                   for node in ast.walk(call)}
+        readers += [(path.stem, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "cartan"
+                    and id(node) not in allowed]
+    assert readers == []
 
 
 def test_graded_multiplicity_is_generator_order_independent():
