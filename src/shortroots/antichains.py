@@ -1,8 +1,8 @@
 """The poset of short positive roots and its antichain counts.
 
 A poset is held as its incomparability masks, one int per element.
-Brute-force enumeration over those masks is the oracle; two closed
-product formulas over the exponents must agree with it.
+One forward pass over those masks counts its antichains exactly; two
+closed product formulas over the exponents must agree with that count.
 """
 
 from __future__ import annotations
@@ -27,10 +27,16 @@ __all__ = [
 class RootPoset:
     """A finite poset given by an element list and a comparison callable,
     held as its incomparability masks: bit j of incomparable_after[i] is
-    set when j > i and elements i and j are incomparable."""
+    set when j > i and elements i and j are incomparable.  More than
+    ``Limits.max_antichain_work`` pairs to compare are refused up front."""
 
     def __init__(self, elements, leq):
         self.elements = els = list(elements)
+        cap = current_limits().max_antichain_work
+        pairs = len(els) * (len(els) - 1) // 2
+        if pairs > cap:
+            raise SizeLimitExceeded(f"a poset of {len(els)} elements has {pairs} pairs to "
+                                    f"compare, more than the cap of {cap} (max_antichain_work)")
         self.incomparable_after = [
             sum(1 << j for j in range(i + 1, len(els))
                 if not (leq(els[i], els[j]) or leq(els[j], els[i])))
@@ -42,41 +48,38 @@ class RootPoset:
 
 
 def short_root_poset(rs: RootSystem) -> RootPoset:
-    """Short positive roots ordered by componentwise comparison of the
-    simple-root coefficients."""
+    """Short positive roots under componentwise comparison of the simple-root
+    coefficients, listed in the system's order (height, then coefficients)."""
     rs.require_two_lengths()
-    elements = sorted(rs.short_positive_roots(), key=lambda r: (r.height, r.coeffs))
 
     def leq(a, b):
         return all(x <= y for x, y in zip(a.coeffs, b.coeffs))
 
-    return RootPoset(elements, leq)
+    return RootPoset(rs.short_positive_roots(), leq)
 
 
 def count_antichains(poset: RootPoset) -> int:
-    """Exact number of antichains (the empty one included), by depth-first
-    enumeration with pruning on comparability.  Each node visited is one
-    antichain; the search refuses once it would visit more than
-    ``Limits.max_antichain_work`` nodes."""
+    """Exact number of antichains (the empty one included), in one forward
+    pass: each state, the mask of elements still free to join, counts the
+    antichains that leave it free, and equal masks merge.  Refused once
+    the states held, summed over the elements, pass max_antichain_work."""
     cap = current_limits().max_antichain_work
-    n = len(poset)
-    incomp = poset.incomparable_after
-    # a node is an antichain, given by the mask of elements that may extend it
-    visited = 0
-    stack = [(1 << n) - 1]
-    while stack:
-        avail = stack.pop()
-        visited += 1
-        if visited > cap:
-            raise SizeLimitExceeded(
-                f"a poset of {n} elements has more than the cap of {cap} "
-                f"antichains to visit (max_antichain_work)"
-            )
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            stack.append(avail & incomp[low.bit_length() - 1])
-    return visited
+    states = {(1 << len(poset)) - 1: 1}
+    held = 0
+    for x, after in enumerate(poset.incomparable_after):
+        bit = 1 << x
+        nxt = {}
+        for free, count in states.items():
+            if free & bit:  # x taken: only the elements incomparable to x stay free
+                free ^= bit
+                nxt[free & after] = nxt.get(free & after, 0) + count
+            nxt[free] = nxt.get(free, 0) + count  # x left out, or not free to join
+        states = nxt
+        held += len(states)
+        if held > cap:
+            raise SizeLimitExceeded(f"a poset of {len(poset)} elements needs more than the cap "
+                                    f"of {cap} counting states (max_antichain_work)")
+    return sum(states.values())
 
 
 def _exponent_product(shift: int, exponents) -> int:

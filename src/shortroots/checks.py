@@ -178,7 +178,7 @@ def _check_dual_coxeter_dual(rs: RootSystem):
 
 def _check_coxeter_orbits(rs: RootSystem):
     h = rs.coxeter_number
-    shorts = len(rs.short_simple_indices) or rs.rank
+    shorts = len(rs.short_simple_indices)
     orderings = _orderings(rs)
     details = {"orderings_tested": len(orderings), "coxeter_number": h,
                "expected_short_orbits": shorts}

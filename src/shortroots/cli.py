@@ -207,7 +207,7 @@ def cmd_antichains(args) -> int:
     alt = "-" if report.alt_formula_count is None else str(report.alt_formula_count)
     lines = [
         f"antichains in the short positive root poset of {rs.spec}",
-        f"brute force  {report.brute_force_count}",
+        f"poset count  {report.brute_force_count}",
         f"formula      {report.formula_count}",
         f"alt formula  {alt}",
         f"consistent   {'yes' if report.consistent else 'NO'}",

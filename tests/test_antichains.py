@@ -1,7 +1,10 @@
-"""Antichain counting: brute force versus the closed product formulas."""
+"""Antichain counting: the forward pass over the poset versus the listing
+oracle and the closed product formulas."""
 
 import pytest
 from helpers import all_antichains, comparable
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shortroots.antichains as antichains_module
 from shortroots import (
@@ -44,17 +47,51 @@ def test_disjoint_union_multiplies_counts():
         assert count_antichains(union(p, q)) == (p + 1) * (q + 1)
 
 
-def test_brute_force_refuses_large_posets(monkeypatch):
-    # the cap counts antichains visited, not elements: a long chain is cheap
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), unique=True, max_size=12))
+def test_pass_matches_the_listing_oracle(vectors):
+    # componentwise order on vectors, elements in whatever order they were drawn
+    poset = RootPoset(vectors, lambda a, b: all(x <= y for x, y in zip(a, b)))
+    assert count_antichains(poset) == len(all_antichains(poset))
+
+
+def test_count_refuses_past_the_state_cap(monkeypatch):
+    # the cap counts the states the pass holds, not the antichains: equal
+    # masks merge, so 2**20 antichains take one state per element
     assert count_antichains(chain(70)) == 71
-    with pytest.raises(SizeLimitExceeded, match="20 elements.*500000.*max_antichain_work"):
-        count_antichains(antichain_poset(20))   # 2**20 antichains
-    with pytest.raises(SizeLimitExceeded):
-        count_antichains(antichain_poset(1100))   # deeper than the recursion limit
+    assert count_antichains(antichain_poset(20)) == 2 ** 20
+    with pytest.raises(SizeLimitExceeded, match="306 elements.*500000 counting states"):
+        count_antichains(short_root_poset(build("C18")))
+    five = chain(5)   # two states per element, ten in all
     monkeypatch.setattr(antichains_module, "current_limits",
                         lambda: Limits(max_antichain_work=4))
     with pytest.raises(SizeLimitExceeded):
-        count_antichains(chain(5))
+        count_antichains(five)
+
+
+def test_poset_refuses_too_many_pairs_before_comparing(monkeypatch):
+    calls = []
+
+    def leq(a, b):
+        calls.append((a, b))
+        return a <= b
+
+    with pytest.raises(SizeLimitExceeded, match="1100 elements has 604450 pairs.*500000"):
+        RootPoset(range(1100), leq)
+    assert calls == []
+    with pytest.raises(SizeLimitExceeded, match="557040 pairs"):
+        short_root_poset(build("C33"))
+    monkeypatch.setattr(antichains_module, "current_limits",
+                        lambda: Limits(max_antichain_work=10))
+    assert len(RootPoset(range(5), leq)) == 5   # ten pairs, at the cap
+    with pytest.raises(SizeLimitExceeded, match="15 pairs"):
+        RootPoset(range(6), leq)
+
+
+@pytest.mark.parametrize("name", ["B4", "C5", "F4", "G2"])
+def test_short_poset_keeps_the_system_order(name):
+    rs = build(name)
+    assert short_root_poset(rs).elements == rs.short_positive_roots()
 
 
 def test_short_poset_shapes():

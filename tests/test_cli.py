@@ -170,7 +170,7 @@ def test_antichains_command(capsys):
     assert payload["consistent"]
     code, out, _ = run(capsys, "antichains", "G2")
     assert code == 0
-    assert "brute force  4" in out
+    assert "poset count  4" in out
 
 
 def test_antichains_counts_c9_by_brute_force(capsys):
@@ -181,12 +181,23 @@ def test_antichains_counts_c9_by_brute_force(capsys):
     assert payload["consistent"] is True
 
 
+def test_antichains_counts_c12_over_the_poset(capsys):
+    code, out, _ = run(capsys, "antichains", "C12", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["brute_force"] == payload["formula"] == payload["alt_formula"] == 1352078
+    assert payload["consistent"] is True
+
+
 def test_antichains_refuses_past_the_work_cap(capsys):
-    code, out, err = run(capsys, "antichains", "C12")
+    code, out, err = run(capsys, "antichains", "C18")
     assert code == 2
     assert out == ""
     assert err.startswith("refused:")
-    assert "max_antichain_work" in err
+    assert "counting states (max_antichain_work)" in err
+    code, out, err = run(capsys, "antichains", "C40")
+    assert code == 2 and out == ""
+    assert "1216020 pairs to compare" in err   # refused before any comparison
 
 
 def test_nullcone_char_command(capsys):
