@@ -1,8 +1,9 @@
 """The poset of short positive roots and its antichain counts.
 
-A poset is held as its incomparability masks, one int per element.
-One forward pass over those masks counts its antichains exactly; two
-closed product formulas over the exponents must agree with that count.
+A poset is held as its elements and their comparison; one forward pass
+counts its antichains exactly, building each element's incomparability
+mask, one int, when it reaches that element.  Two closed product
+formulas over the exponents must agree with that count.
 """
 
 from __future__ import annotations
@@ -25,26 +26,28 @@ __all__ = [
 
 
 class RootPoset:
-    """A finite poset given by an element list and a comparison callable,
-    held as its incomparability masks: bit j of incomparable_after[i] is
-    set when j > i and elements i and j are incomparable.  More than
-    ``Limits.max_antichain_work`` pairs to compare are refused up front."""
+    """A finite poset given by an element list and a comparison callable.
+    More than ``Limits.max_antichain_work`` pairs to compare are refused
+    up front; no pair is compared until a mask is asked for."""
 
     def __init__(self, elements, leq):
         self.elements = els = list(elements)
+        self.leq = leq
         cap = current_limits().max_antichain_work
         pairs = len(els) * (len(els) - 1) // 2
         if pairs > cap:
             raise SizeLimitExceeded(f"a poset of {len(els)} elements has {pairs} pairs to "
                                     f"compare, more than the cap of {cap} (max_antichain_work)")
-        self.incomparable_after = [
-            sum(1 << j for j in range(i + 1, len(els))
-                if not (leq(els[i], els[j]) or leq(els[j], els[i])))
-            for i in range(len(els))
-        ]
 
     def __len__(self):
         return len(self.elements)
+
+    def incomparable_after(self, i: int) -> int:
+        """The mask of element i: bit j is set when j > i and elements i and
+        j are incomparable."""
+        els, leq, a = self.elements, self.leq, self.elements[i]
+        return sum(1 << j for j in range(i + 1, len(els))
+                   if not (leq(a, els[j]) or leq(els[j], a)))
 
 
 def short_root_poset(rs: RootSystem) -> RootPoset:
@@ -61,13 +64,15 @@ def short_root_poset(rs: RootSystem) -> RootPoset:
 def count_antichains(poset: RootPoset) -> int:
     """Exact number of antichains (the empty one included), in one forward
     pass: each state, the mask of elements still free to join, counts the
-    antichains that leave it free, and equal masks merge.  Refused once
-    the states held, summed over the elements, pass max_antichain_work."""
+    antichains that leave it free, and equal masks merge.  Element x is
+    compared with the elements after it when the pass reaches x, so a
+    refusal costs only the comparisons made so far.  Refused once the
+    states held, summed over the elements, pass max_antichain_work."""
     cap = current_limits().max_antichain_work
     states = {(1 << len(poset)) - 1: 1}
     held = 0
-    for x, after in enumerate(poset.incomparable_after):
-        bit = 1 << x
+    for x in range(len(poset)):
+        bit, after = 1 << x, poset.incomparable_after(x)
         nxt = {}
         for free, count in states.items():
             if free & bit:  # x taken: only the elements incomparable to x stay free

@@ -83,28 +83,27 @@ def _check_semidirect(rs: RootSystem):
         return "fail", details
     long_reflections = [weyl.reflection(rs, r) for r in rs.long_positive_roots()]
     for i in range(rs.rank):
-        g = weyl.simple_reflection(rs, i)
-        gi = g.inverse()
+        g = weyl.simple_reflection(rs, i)   # an involution: g r g is r conjugated by g
         for r in long_reflections:
-            if g * r * gi not in w_l:
+            if weyl.compose(weyl.compose(g, r), g) not in w_l:
                 return _fail(details, normality="violated", generator=i)
     details["normal"] = True
     p = rs.num_positive
     long_pos = [rs.index(r) for r in rs.long_positive_roots()]
-    stable = frozenset(
-        w for w in group if all(w.perm[i] < p for i in long_pos)
-    )
+    stable = frozenset(w for w in group if all(w[i] < p for i in long_pos))
     if stable != w_s:
         return _fail(details, stable_set_order=len(stable))
     details["stable_set_matches_parabolic"] = True
-    s_index = {w.perm: k for k, w in enumerate(w_s)}
-    l_index = {w.perm: k for k, w in enumerate(w_l)}
+    # factor pairs are counted by their places in w_s and w_l: a set of the
+    # factors themselves would keep two fresh tuples alive per element
+    s_index = {w: k for k, w in enumerate(w_s)}
+    l_index = {w: k for k, w in enumerate(w_l)}
     pairs = set()
     for w in group:
         ws, wl = weyl.decompose_semidirect(rs, w)
-        ks = s_index.get(ws.perm)
-        kl = l_index.get(wl.perm)
-        if ks is None or kl is None or ws * wl != w:
+        ks = s_index.get(ws)
+        kl = l_index.get(wl)
+        if ks is None or kl is None or weyl.compose(ws, wl) != w:
             return _fail(details, roundtrip="violated")
         pairs.add((ks, kl))
     details["distinct_factor_pairs"] = len(pairs)

@@ -73,7 +73,10 @@ def check_coxeter_power(rs: RootSystem, ordering=None) -> bool:
     ordering lands in the subgroup generated by long-root reflections."""
     red = simple_reduction(rs)
     c = weyl.coxeter_element(rs, ordering)
-    return weyl.is_in_long_subgroup(rs, c ** red.sub_coxeter_number)
+    power = c
+    for _ in range(red.sub_coxeter_number - 1):
+        power = weyl.compose(power, c)
+    return weyl.is_in_long_subgroup(rs, power)
 
 
 class TransitionIdentities(NamedTuple):

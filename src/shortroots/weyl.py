@@ -1,19 +1,20 @@
 """Weyl groups acting as permutations of the indexed root set.
 
 An element is the permutation it induces on the roots and nothing more:
-its length (the inversion count), sign and reduced words all follow from
-that permutation, and no engine reads them.  W acts on the roots only;
-weights are moved by simple reflections on their coordinates
-(``RootSystem.straighten`` up to the dominant chamber, ``RootSystem.descend``
-down a whole orbit), with no element built.
+a bare tuple ``w`` of root indices, ``w[k]`` the index of the image of
+root k, with no class around it.  Its length (the inversion count), sign
+and reduced words all follow from that tuple, and no engine reads them.
+W acts on the roots only; weights are moved by simple reflections on
+their coordinates (``RootSystem.straighten`` up to the dominant chamber,
+``RootSystem.descend`` down a whole orbit), with no element built.
 Membership in the subgroup generated by long-root reflections, and the
 matching factorisation of the whole group, are decided by a descent
 through the long-root subsystem; the long factor is rebuilt from the
 reflections the descent strips, and membership never builds it.  Every
-product is an index gather through a prebuilt ``operator.itemgetter``,
-so it runs in C; the getters that ``coxeter_element`` and
-``decompose_semidirect`` apply are built once per system, and
-``_generate`` builds one per generator on each call.
+product is an index gather through an ``operator.itemgetter``, so it
+runs in C: ``compose`` builds one for a single product, the getters that
+``coxeter_element`` and ``decompose_semidirect`` apply are built once
+per system, and ``_generate`` builds one per generator on each call.
 Subgroup closures are counted against ``Limits.max_weyl_order``, the
 one Weyl cap, since no subgroup of W is larger than W.
 """
@@ -27,7 +28,7 @@ from .errors import IdentityViolation, SizeLimitExceeded
 from .rootsystem import Root, RootSystem
 
 __all__ = [
-    "WeylElement",
+    "compose",
     "identity",
     "simple_reflection",
     "reflection",
@@ -43,61 +44,23 @@ __all__ = [
 ]
 
 
-class WeylElement:
-    """A Weyl group element as a permutation of the root indices."""
-
-    __slots__ = ("rs", "perm")
-
-    def __init__(self, rs: RootSystem, perm: tuple[int, ...]):
-        self.rs = rs
-        self.perm = perm
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.rs is other.rs and self.perm == other.perm
-
-    def __hash__(self):
-        return hash(self.perm)
-
-    def __repr__(self):
-        return f"<WeylElement on {len(self.perm)} roots>"
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        # (w*v)(x) = w(v(x)); with two roots or more the getter gives a tuple
-        return WeylElement(self.rs, itemgetter(*other.perm)(self.perm))
-
-    def __pow__(self, k: int) -> "WeylElement":
-        if k == 0:
-            return identity(self.rs)
-        base = self if k > 0 else self.inverse()
-        step = itemgetter(*base.perm)
-        perm = base.perm
-        for _ in range(abs(k) - 1):
-            perm = step(perm)
-        return WeylElement(self.rs, perm)
-
-    def inverse(self) -> "WeylElement":
-        perm = self.perm
-        return WeylElement(self.rs, tuple(sorted(range(len(perm)), key=perm.__getitem__)))
-
-    def __call__(self, index: int) -> int:
-        return self.perm[index]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.perm == tuple(range(len(self.perm)))
+def compose(w: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """The product w * v, the permutation x -> w[v[x]], as one index gather
+    (a root system has two roots or more, so the getter gives a tuple)."""
+    return itemgetter(*v)(w)
 
 
-def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, tuple(range(len(rs.roots))))
+def identity(rs: RootSystem) -> tuple[int, ...]:
+    return tuple(range(len(rs.roots)))
 
 
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    return WeylElement(rs, rs.reflection_perm(rs.index(rs.simple_root(i))))
+def simple_reflection(rs: RootSystem, i: int) -> tuple[int, ...]:
+    return rs.reflection_perm(rs.index(rs.simple_root(i)))
 
 
-def reflection(rs: RootSystem, root: Root) -> WeylElement:
+def reflection(rs: RootSystem, root: Root) -> tuple[int, ...]:
     """Reflection in the hyperplane orthogonal to an arbitrary root."""
-    return WeylElement(rs, rs.reflection_perm(rs.index(root)))
+    return rs.reflection_perm(rs.index(root))
 
 
 def enumerate_group(rs: RootSystem):
@@ -117,12 +80,12 @@ def enumerate_group(rs: RootSystem):
 
 
 def _generate(rs: RootSystem, gens):
-    """The subgroup generated by gens, breadth-first from the identity, as
-    bare permutations wrapped into elements once at the end; refuses past
-    ``Limits.max_weyl_order`` elements, which no subgroup of W exceeds."""
+    """The subgroup generated by gens, breadth-first from the identity;
+    refuses past ``Limits.max_weyl_order`` elements, which no subgroup of
+    W exceeds."""
     cap = current_limits().max_weyl_order
-    steps = [itemgetter(*g.perm) for g in gens]
-    e = tuple(range(len(rs.roots)))
+    steps = [itemgetter(*g) for g in gens]
+    e = identity(rs)
     found = {e: None}
     layer = [e]
     while layer:
@@ -138,39 +101,38 @@ def _generate(rs: RootSystem, gens):
                     found[perm] = None
                     fresh.append(perm)
         layer = fresh
-    return tuple(WeylElement(rs, perm) for perm in found)
+    return tuple(found)
 
 
-def coxeter_element(rs: RootSystem, ordering=None) -> WeylElement:
+def coxeter_element(rs: RootSystem, ordering=None) -> tuple[int, ...]:
     """Product of all simple reflections in the given order (natural order
     by default)."""
     order = tuple(ordering) if ordering is not None else tuple(range(rs.rank))
     if sorted(order) != list(range(rs.rank)):
         raise ValueError(f"{order} is not an ordering of the {rs.rank} simple roots")
     steps = rs.memo(
-        "simple_steps", lambda: tuple(itemgetter(*simple_reflection(rs, i).perm)
+        "simple_steps", lambda: tuple(itemgetter(*simple_reflection(rs, i))
                                       for i in range(rs.rank))
     )
-    perm = tuple(range(len(rs.roots)))
+    w = identity(rs)
     for i in order:
-        perm = steps[i](perm)   # w * s_i
-    return WeylElement(rs, perm)
+        w = steps[i](w)   # w * s_i
+    return w
 
 
-def coxeter_orbits(rs: RootSystem, c: WeylElement):
+def coxeter_orbits(rs: RootSystem, c: tuple[int, ...]):
     """Orbits of the cyclic group generated by c on the root indices,
     ordered by smallest member."""
-    perm = c.perm
     seen = set()
     orbits = []
-    for start in range(len(perm)):
+    for start in range(len(c)):
         if start in seen:
             continue
         orbit = [start]
-        i = perm[start]
+        i = c[start]
         while i != start:
             orbit.append(i)
-            i = perm[i]
+            i = c[i]
         seen.update(orbit)
         orbits.append(tuple(orbit))
     return orbits
@@ -202,13 +164,13 @@ def _indecomposable_longs(rs: RootSystem):
 
 
 def _strip_long_reflections(rs: RootSystem, perm):
-    """The descent of decompose_semidirect on a bare permutation: while some
-    member of the long-root base is sent negative, strip one long
-    reflection off the right.  Returns the permutation left, that of ws,
-    and the getters of the reflections stripped, in order."""
+    """The descent of decompose_semidirect: while some member of the
+    long-root base is sent negative, strip one long reflection off the
+    right.  Returns what is left, ws, and the getters of the reflections
+    stripped, in order."""
     descent = rs.memo(  # raises on simply-laced input
         "long_descent",
-        lambda: tuple((rs.index(b), itemgetter(*r.perm))
+        lambda: tuple((rs.index(b), itemgetter(*r))
                       for b, r in zip(long_root_base(rs), long_subgroup(rs))),
     )
     p = rs.num_positive
@@ -223,25 +185,25 @@ def _strip_long_reflections(rs: RootSystem, perm):
             return perm, stripped
 
 
-def decompose_semidirect(rs: RootSystem, w: WeylElement):
+def decompose_semidirect(rs: RootSystem, w: tuple[int, ...]):
     """Factor w = ws * wl with ws preserving the positive long roots and wl
     a product of long-root reflections.  The pair is unique.
 
     Works by descent: while some member of the long-root base is sent
     negative, strip one long reflection off the right.  If w * r_1 ... r_k
     is ws, then wl is r_k ... r_1, since each r_i is an involution."""
-    perm, stripped = _strip_long_reflections(rs, w.perm)
-    wl = tuple(range(len(perm)))
+    ws, stripped = _strip_long_reflections(rs, w)
+    wl = identity(rs)
     for step in reversed(stripped):
         wl = step(wl)   # wl * r
-    return WeylElement(rs, perm), WeylElement(rs, wl)
+    return ws, wl
 
 
-def is_in_long_subgroup(rs: RootSystem, w: WeylElement) -> bool:
+def is_in_long_subgroup(rs: RootSystem, w: tuple[int, ...]) -> bool:
     """Whether w lies in the subgroup generated by long-root reflections:
     whether its short factor ws is the identity; wl is never built."""
-    perm, _ = _strip_long_reflections(rs, w.perm)
-    return WeylElement(rs, perm).is_identity
+    ws, _ = _strip_long_reflections(rs, w)
+    return ws == identity(rs)
 
 
 # -- subgroups, materialised as the independent route of the catalog -----------
@@ -253,13 +215,13 @@ def closure(rs: RootSystem, generators) -> frozenset:
     return frozenset(_generate(rs, tuple(generators)))
 
 
-def long_subgroup(rs: RootSystem) -> tuple[WeylElement, ...]:
+def long_subgroup(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """Generators of the normal subgroup generated by reflections in long
     roots: the reflections in the long-root base, in its order."""
     return tuple(reflection(rs, b) for b in long_root_base(rs))
 
 
-def short_parabolic(rs: RootSystem) -> tuple[WeylElement, ...]:
+def short_parabolic(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """Generators of the parabolic subgroup of the short simple roots: their
     simple reflections."""
     rs.require_two_lengths()

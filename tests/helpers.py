@@ -126,7 +126,7 @@ def _signed_images(rs, fund):
     """(sign(w), w(fund)) for every w in W, by the Fraction matrices."""
     from shortroots import enumerate_group
 
-    return tuple((sign(w), act_fund(w, fund)) for w in enumerate_group(rs))
+    return tuple((sign(rs, w), act_fund(rs, w, fund)) for w in enumerate_group(rs))
 
 
 def oracle_support(rs, lam):
@@ -219,9 +219,9 @@ def orbit_accumulation(rs, qt, degree):
 
 
 def comparable(poset, i, j):
-    """Whether elements i and j of the poset are comparable, read off its
-    incomparability masks."""
-    return not poset.incomparable_after[min(i, j)] >> max(i, j) & 1
+    """Whether elements i and j of the poset are comparable, by its leq."""
+    a, b = poset.elements[i], poset.elements[j]
+    return bool(poset.leq(a, b) or poset.leq(b, a))
 
 
 def all_antichains(poset):
@@ -288,32 +288,31 @@ def oracle_inner(rs, x, y):
 
 
 @lru_cache(maxsize=None)
-def oracle_weight_action(w):
+def oracle_weight_action(rs, w):
     """Matrix of w on fundamental coordinates: A times the root coordinates
     of the images of the simple roots, times the inverse Cartan matrix.
     Cached per element, so acting with a whole group costs one matrix per
     element."""
-    rs = w.rs
     A, n = rs.cartan, rs.rank
     inv = inverse_matrix(A)
-    cols = [act_root(w, rs.simple_root(j)).coeffs for j in range(n)]
+    cols = [act_root(rs, w, rs.simple_root(j)).coeffs for j in range(n)]
     am = [[sum(A[i][k] * cols[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
     return tuple(
         tuple(sum(am[i][k] * inv[k][j] for k in range(n)) for j in range(n)) for i in range(n)
     )
 
 
-def act_fund(w, fund):
+def act_fund(rs, w, fund):
     """w applied to a weight given by integer fundamental coordinates, by
     the Fraction matrix of oracle_weight_action."""
-    image = [sum(a * f for a, f in zip(row, fund)) for row in oracle_weight_action(w)]
+    image = [sum(a * f for a, f in zip(row, fund)) for row in oracle_weight_action(rs, w)]
     assert all(c.denominator == 1 for c in image)
     return tuple(int(c) for c in image)
 
 
 # Weyl element, weight and coroot views that only tests read: the library's
-# Weyl elements are bare root permutations, and an integral weight never
-# needs a coroot.
+# Weyl elements are bare tuples of root indices, read here against the
+# system rs they permute, and an integral weight never needs a coroot.
 
 
 def compose(p, q):
@@ -322,47 +321,48 @@ def compose(p, q):
     return tuple(p[j] for j in q)
 
 
-def act_root(w, root):
+def act_root(rs, w, root):
     """The image of a root under the Weyl element w."""
-    return w.rs.roots[w(w.rs.index(root))]
+    return rs.roots[w[rs.index(root)]]
 
 
-def inversions(w):
+def inversions(rs, w):
     """The positive roots that w sends to negative ones."""
-    p = w.rs.num_positive
-    return tuple(w.rs.roots[i] for i in range(p) if w(i) >= p)
+    p = rs.num_positive
+    return tuple(rs.roots[i] for i in range(p) if w[i] >= p)
 
 
-def length(w):
+def length(rs, w):
     """The length of w: its number of inversions (Humphreys, Reflection
     Groups and Coxeter Groups, 1.6-1.7)."""
-    return len(inversions(w))
+    return len(inversions(rs, w))
 
 
-def sign(w):
+def sign(rs, w):
     """The determinant (-1)^length of w."""
-    return (-1) ** length(w)
+    return (-1) ** length(rs, w)
 
 
-def reduced_word(w):
+def reduced_word(rs, w):
     """One reduced word of w, as simple-root indices, by stripping right
     descents: while w sends some simple root alpha_i negative, w = w' * s_i
     with length(w') = length(w) - 1."""
-    rs = w.rs
     simple = [rs.index(rs.simple_root(i)) for i in range(rs.rank)]
+    e = tuple(range(len(rs.roots)))
     word = []
-    while not w.is_identity:
-        i = next(i for i, k in enumerate(simple) if w(k) >= rs.num_positive)
-        w = w * simple_reflection(rs, i)
+    while w != e:
+        i = next(i for i, k in enumerate(simple) if w[k] >= rs.num_positive)
+        w = compose(w, simple_reflection(rs, i))
         word.append(i)
     return tuple(reversed(word))
 
 
-def order(w):
+def order(rs, w):
     """The order of w in the Weyl group."""
+    e = tuple(range(len(rs.roots)))
     k, power = 1, w
-    while not power.is_identity:
-        power, k = power * w, k + 1
+    while power != e:
+        power, k = compose(power, w), k + 1
     return k
 
 

@@ -11,6 +11,7 @@ from shortroots import (
     build,
     check_coxeter_power,
     closure,
+    compose,
     count_antichains,
     count_antichains_formula,
     count_antichains_formula_alt,
@@ -25,6 +26,7 @@ from shortroots import (
     hilbert_check,
     hw_orbit_dim,
     hyperplane_classes,
+    identity,
     little_adjoint_dims,
     long_subgroup,
     one_step_strings,
@@ -111,19 +113,20 @@ def test_criterion_3_semidirect_structure_exhaustive():
             assert len(w_s) * len(w_l) == len(group)
             for i in range(rs.rank):
                 g = simple_reflection(rs, i)
-                gi = g.inverse()
+                gi = g   # a simple reflection is an involution
+                assert compose(g, gi) == identity(rs), name
                 for r in rs.long_positive_roots():
-                    assert g * reflection(rs, r) * gi in w_l, name
+                    assert compose(compose(g, reflection(rs, r)), gi) in w_l, name
             p = rs.num_positive
             long_pos = [rs.index(r) for r in rs.long_positive_roots()]
-            stable = {w for w in group if all(w.perm[i] < p for i in long_pos)}
+            stable = {w for w in group if all(w[i] < p for i in long_pos)}
             assert stable == set(w_s), name
             pairs = set()
             for w in group:
                 ws_part, wl_part = decompose_semidirect(rs, w)
-                assert ws_part * wl_part == w
+                assert compose(ws_part, wl_part) == w
                 assert ws_part in w_s and wl_part in w_l
-                pairs.add((ws_part.perm, wl_part.perm))
+                pairs.add((ws_part, wl_part))
             assert len(pairs) == len(group), name
 
     _run(3, 60.0, body)
@@ -235,8 +238,8 @@ def test_criterion_9_property_sweeps():
             rs = build(name)
             for i in range(rs.rank):
                 w = simple_reflection(rs, i)
-                assert sorted(w.perm) == list(range(len(rs.roots)))
-                assert {rs.roots[w.perm[k]].coeffs for k in range(len(rs.roots))} == {
+                assert sorted(w) == list(range(len(rs.roots)))
+                assert {rs.roots[w[k]].coeffs for k in range(len(rs.roots))} == {
                     r.coeffs for r in rs.roots
                 }
             if rs.weyl_order <= 1152:

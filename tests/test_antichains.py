@@ -88,6 +88,24 @@ def test_poset_refuses_too_many_pairs_before_comparing(monkeypatch):
         RootPoset(range(6), leq)
 
 
+def test_state_cap_refuses_before_comparing_every_pair():
+    # C32's 491 536 pairs pass the pair guard; the pass compares each
+    # element with the later ones only when it reaches it, so the state cap
+    # stops it long before the last pair
+    calls = 0
+
+    def leq(a, b):
+        nonlocal calls
+        calls += 1
+        return all(x <= y for x, y in zip(a.coeffs, b.coeffs))
+
+    poset = RootPoset(build("C32").short_positive_roots(), leq)
+    assert calls == 0
+    with pytest.raises(SizeLimitExceeded, match="992 elements.*500000 counting states"):
+        count_antichains(poset)
+    assert 0 < calls < 50_000
+
+
 @pytest.mark.parametrize("name", ["B4", "C5", "F4", "G2"])
 def test_short_poset_keeps_the_system_order(name):
     rs = build(name)
@@ -111,14 +129,15 @@ def test_short_poset_shapes():
 def test_short_poset_masks_are_the_incomparable_pairs(name):
     poset = short_root_poset(build(name))
     els = poset.elements
-    assert len(poset.incomparable_after) == len(els)
 
     def dominates(a, b):
         return all(x >= y for x, y in zip(a.coeffs, b.coeffs))
 
     for i, a in enumerate(els):
+        mask = poset.incomparable_after(i)
+        assert mask >> len(els) == 0
         for j, b in enumerate(els):
-            bit = poset.incomparable_after[i] >> j & 1
+            bit = mask >> j & 1
             assert bit == (j > i and not dominates(a, b) and not dominates(b, a))
 
 

@@ -342,9 +342,9 @@ def test_orbit_walk_past_the_packing_range(monkeypatch, name, lam, mu, degree):
     mu_rho = tuple(c + 1 for c in mu)
     acc = [0] * (degree + 1)
     for w in enumerate_group(rs):
-        v = tuple(a - b for a, b in zip(act_fund(w, lam_rho), mu_rho))
+        v = tuple(a - b for a, b in zip(act_fund(rs, w, lam_rho), mu_rho))
         for k, n in enumerate(multiset_partition_counts(vectors, v, degree)):
-            acc[k] += sign(w) * n
+            acc[k] += sign(rs, w) * n
     expected = QPoly(dict(enumerate(acc)), degree)
     assert not expected.is_zero
     missed = []
@@ -477,12 +477,12 @@ def test_graded_multiplicity_is_generator_order_independent():
     lam_rho = tuple(int(c) + 1 for c in lam.fund)
     acc = [0] * (degree + 1)
     for w in closure(rs, [simple_reflection(rs, i) for i in (2, 1, 0)]):
-        img = act_fund(w, lam_rho)
+        img = act_fund(rs, w, lam_rho)
         key = qt.encode(tuple(a - 1 for a in img))
         if key is None:
             continue
         for k in range(degree + 1):
-            acc[k] += sign(w) * qt.levels[k].get(key, 0)
+            acc[k] += sign(rs, w) * qt.levels[k].get(key, 0)
     assert QPoly(dict(enumerate(acc)), degree) == expected
 
 

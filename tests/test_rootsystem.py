@@ -186,7 +186,7 @@ def test_inner_is_reflection_invariant(name):
         w = simple_reflection(rs, i)
         image = rs.rho - rs.weight_of(rs.simple_root(i))  # s_i(rho) = rho - alpha_i
         for r in rs.positive_roots()[: 6]:
-            assert rs.inner(image, act_root(w, r)) == rs.inner(rs.rho, r)
+            assert rs.inner(image, act_root(rs, w, r)) == rs.inner(rs.rho, r)
 
 
 def test_coroot_pairing_and_errors():
@@ -611,7 +611,7 @@ def test_descend_is_the_weyl_orbit_by_length(name, lam):
     rs = build(name)
     shortest = {}
     for w in enumerate_group(rs):
-        y, k = act_fund(w, lam), length(w)
+        y, k = act_fund(rs, w, lam), length(rs, w)
         shortest[y] = min(shortest.get(y, k), k)
     layers = list(rs.descend(lam))
     assert [set(layer) for layer in layers] == [

@@ -6,7 +6,8 @@ from functools import lru_cache
 from unittest import mock
 
 import pytest
-from helpers import act_fund, act_root, compose, inversions, length, order, reduced_word, sign
+from helpers import act_fund, act_root, inversions, length, order, reduced_word, sign
+from helpers import compose as oracle_compose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from shortroots import (
     SizeLimitExceeded,
     build,
     closure,
+    compose,
     coxeter_element,
     coxeter_orbits,
     decompose_semidirect,
@@ -35,8 +37,24 @@ def test_reflection_is_an_involution():
     rs = build("F4")
     for r in [rs.theta, rs.theta_short, rs.simple_root(1)]:
         w = reflection(rs, r)
-        assert (w * w).is_identity
-        assert act_root(w, r) == -r
+        assert compose(w, w) == identity(rs)
+        assert act_root(rs, w, r) == -r
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C4"])
+def test_elements_are_bare_tuples(name):
+    # a Weyl element is its tuple of root indices, with no class around it
+    rs = build(name)
+    group = enumerate_group(rs)
+    returned = [group, *group, coxeter_element(rs), coxeter_element(rs, range(rs.rank)[::-1])]
+    for gens in (long_subgroup(rs), short_parabolic(rs), group[: rs.rank + 1]):
+        returned += closure(rs, gens)
+    for w in group:
+        factors = decompose_semidirect(rs, w)
+        returned += [factors, *factors]
+    assert all(type(w) is tuple for w in returned)
+    assert not [obj for obj in vars(weyl_module).values()
+                if isinstance(obj, type) and obj.__module__ == weyl_module.__name__]
 
 
 def test_reflection_fixes_orthogonal_roots():
@@ -44,7 +62,7 @@ def test_reflection_fixes_orthogonal_roots():
     e1 = rs.roots[rs.index((1, 1))]   # epsilon_1
     e2 = rs.roots[rs.index((0, 1))]   # epsilon_2
     assert rs.inner(e1, e2) == 0
-    assert act_root(reflection(rs, e1), e2) == e2
+    assert act_root(rs, reflection(rs, e1), e2) == e2
 
 
 def test_reflection_rejects_non_roots():
@@ -56,13 +74,13 @@ def test_reflection_rejects_non_roots():
 def test_length_and_inversions():
     rs = build("G2")
     e = identity(rs)
-    assert length(e) == 0 and inversions(e) == ()
+    assert length(rs, e) == 0 and inversions(rs, e) == ()
     for i in range(rs.rank):
         s = simple_reflection(rs, i)
-        assert length(s) == 1
-        assert inversions(s) == (rs.simple_root(i),)
-    longest = max(enumerate_group(rs), key=length)
-    assert length(longest) == rs.num_positive == 6
+        assert length(rs, s) == 1
+        assert inversions(rs, s) == (rs.simple_root(i),)
+    longest = max(enumerate_group(rs), key=lambda w: length(rs, w))
+    assert length(rs, longest) == rs.num_positive == 6
 
 
 @pytest.mark.parametrize("name,order", [("A1", 2), ("G2", 12), ("B3", 48), ("F4", 1152)])
@@ -70,14 +88,14 @@ def test_enumeration(name, order):
     rs = build(name)
     group = enumerate_group(rs)
     assert len(group) == len(set(group)) == order == rs.weyl_order
-    lengths = [length(w) for w in group]
+    lengths = [length(rs, w) for w in group]
     assert lengths == sorted(lengths)  # breadth-first order is by length
     for w, k in zip(group, lengths):
-        word = reduced_word(w)
+        word = reduced_word(rs, w)
         assert len(word) == k
         composed = identity(rs)
         for i in word:
-            composed = composed * simple_reflection(rs, i)
+            composed = compose(composed, simple_reflection(rs, i))
         assert composed == w
 
 
@@ -93,7 +111,7 @@ def test_coxeter_element_order_is_h(name):
     random.Random(7).shuffle(shuffled := list(range(rs.rank)))
     orderings.append(tuple(shuffled))
     for ordering in orderings:
-        assert order(coxeter_element(rs, ordering)) == rs.coxeter_number
+        assert order(rs, coxeter_element(rs, ordering)) == rs.coxeter_number
 
 
 def test_coxeter_element_rejects_bad_orderings():
@@ -129,13 +147,13 @@ def test_decompose_trivial_cases():
     rs = build("C3")
     e = identity(rs)
     ws, wl = decompose_semidirect(rs, e)
-    assert ws.is_identity and wl.is_identity
+    assert ws == e and wl == e
     r_long = reflection(rs, rs.theta)
     ws, wl = decompose_semidirect(rs, r_long)
-    assert ws.is_identity and wl == r_long
+    assert ws == e and wl == r_long
     r_short = simple_reflection(rs, 0)
     ws, wl = decompose_semidirect(rs, r_short)
-    assert ws == r_short and wl.is_identity
+    assert ws == r_short and wl == e
 
 
 def test_decompose_rejects_simply_laced():
@@ -159,11 +177,11 @@ def test_decompose_exhaustively(name):
     long_pos = [rs.index(r) for r in rs.long_positive_roots()]
     for w in group:
         ws, wl = decompose_semidirect(rs, w)
-        assert ws * wl == w
+        assert compose(ws, wl) == w
         assert ws in w_s and wl in w_l
-        assert all(ws.perm[i] < p for i in long_pos)  # ws keeps long positives positive
-        assert is_in_long_subgroup(rs, w) == ws.is_identity
-        pairs.add((ws.perm, wl.perm))
+        assert all(ws[i] < p for i in long_pos)  # ws keeps long positives positive
+        assert is_in_long_subgroup(rs, w) == (ws == identity(rs))
+        pairs.add((ws, wl))
     assert len(pairs) == len(group)
 
 
@@ -173,9 +191,10 @@ def test_long_subgroup_is_normal_in_small_groups():
         w_l = closure(rs, long_subgroup(rs))
         for i in range(rs.rank):
             g = simple_reflection(rs, i)
-            gi = g.inverse()
+            gi = g   # a simple reflection is an involution
+            assert compose(g, gi) == identity(rs)
             for r in rs.long_positive_roots():
-                assert g * reflection(rs, r) * gi in w_l
+                assert compose(compose(g, reflection(rs, r)), gi) in w_l
 
 
 def test_stability_characterises_the_short_parabolic():
@@ -184,7 +203,7 @@ def test_stability_characterises_the_short_parabolic():
     w_s = closure(rs, short_parabolic(rs))
     p = rs.num_positive
     long_pos = [rs.index(r) for r in rs.long_positive_roots()]
-    stable = {w for w in group if all(w.perm[i] < p for i in long_pos)}
+    stable = {w for w in group if all(w[i] < p for i in long_pos)}
     assert stable == set(w_s)
 
 
@@ -208,11 +227,11 @@ def test_decompose_sampled_large_rank(monkeypatch):
     for _ in range(60):
         w = identity(rs)
         for _ in range(rng.randrange(1, 25)):
-            w = w * simple_reflection(rs, rng.randrange(rs.rank))
+            w = compose(w, simple_reflection(rs, rng.randrange(rs.rank)))
         ws, wl = decompose_semidirect(rs, w)
-        assert ws * wl == w
+        assert compose(ws, wl) == w
         assert wl in w_l and ws in w_s
-        assert all(ws.perm[i] < p for i in long_pos)
+        assert all(ws[i] < p for i in long_pos)
 
 
 @lru_cache(maxsize=None)
@@ -229,12 +248,12 @@ def test_decompose_semidirect_against_closure_membership(name, word):
     rs = build(name)
     w = identity(rs)
     for i in word:
-        w = w * simple_reflection(rs, i)
+        w = compose(w, simple_reflection(rs, i))
     ws, wl = decompose_semidirect(rs, w)
     # ws keeps every positive long root positive
-    assert all(ws.perm[i] < rs.num_positive for i in rs.long_positives)
+    assert all(ws[i] < rs.num_positive for i in rs.long_positives)
     assert wl in _long_closure(name)
-    assert ws * wl == w
+    assert compose(ws, wl) == w
 
 
 def test_closure_refuses_past_the_bound(monkeypatch):
@@ -251,21 +270,13 @@ def test_closure_refuses_past_the_bound(monkeypatch):
     assert len(closure(rs, gens)) == 48
 
 
-def test_inverse_and_identity():
-    rs = build("C3")
-    w = coxeter_element(rs)
-    assert (w * w.inverse()).is_identity
-    assert (w.inverse() * w).is_identity
-    assert w ** rs.coxeter_number == identity(rs)
-
-
 def test_weight_action_matches_root_action():
     # W acts on roots only; the oracle's action on weights, built from the
     # images of the simple roots, is linear over the root permutation
     rs = build("F4")
     w = coxeter_element(rs, (2, 0, 3, 1))
     for r in rs.positive_roots()[: 8]:
-        assert act_fund(w, rs.weight_coords(r)) == rs.weight_coords(act_root(w, r))
+        assert act_fund(rs, w, rs.weight_coords(r)) == rs.weight_coords(act_root(rs, w, r))
 
 
 @pytest.mark.parametrize(
@@ -277,7 +288,7 @@ def test_weight_action_matches_fraction_oracle(name):
     rs = build(name)
     rho = (1,) * rs.rank
     for w in enumerate_group(rs):
-        assert rs.dominant_representative(act_fund(w, rho)) == (rho, sign(w))
+        assert rs.dominant_representative(act_fund(rs, w, rho)) == (rho, sign(rs, w))
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,12 +297,12 @@ def test_word_length_properties(word):
     rs = build("B3")
     w = identity(rs)
     for i in word:
-        w = w * simple_reflection(rs, i)
-    k = length(w)
+        w = compose(w, simple_reflection(rs, i))
+    k = length(rs, w)
     assert k <= len(word)
     assert (k - len(word)) % 2 == 0
-    assert k == len(inversions(w))
-    assert sign(w) == (-1) ** len(word)
+    assert k == len(inversions(rs, w))
+    assert sign(rs, w) == (-1) ** len(word)
 
 
 # -- the permutation kernels against one-index-at-a-time composition ----------
@@ -303,43 +314,46 @@ ORACLE_SYSTEMS = ["B3", "C4", "F4", "G2"]
 def test_coxeter_element_is_the_oracle_product(name):
     rs = build(name)
     for ordering in itertools.permutations(range(rs.rank)):
-        perm = identity(rs).perm
+        perm = identity(rs)
         for i in ordering:
-            perm = compose(perm, simple_reflection(rs, i).perm)
-        assert coxeter_element(rs, ordering).perm == perm
+            perm = oracle_compose(perm, simple_reflection(rs, i))
+        assert coxeter_element(rs, ordering) == perm
 
 
 @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
 def test_powers_inverse_and_identity_agree_with_the_oracle(name):
+    # weyl.compose against one-index-at-a-time composition: on powers of w
+    # and of its inverse, and on w times its inverse, which is the identity
     rs = build(name)
     h = rs.coxeter_number
+    e = tuple(range(len(rs.roots)))
+    assert identity(rs) == e
     group = enumerate_group(rs)
     sample = list(group[:: max(1, len(group) // 40)])
     sample += [coxeter_element(rs, o) for o in itertools.permutations(range(rs.rank))]
     for w in sample:
-        inv = [0] * len(w.perm)
-        for i, j in enumerate(w.perm):
+        inv = [0] * len(w)
+        for i, j in enumerate(w):
             inv[j] = i
         inv = tuple(inv)
-        assert w.inverse().perm == inv
-        for base, sign in ((w.perm, 1), (inv, -1)):
-            power = identity(rs).perm
-            for k in range(h + 1):
-                assert (w ** (sign * k)).perm == power
-                assert (w ** (sign * k)).is_identity == all(i == j for i, j in enumerate(power))
-                power = compose(power, base)
+        assert compose(w, inv) == compose(inv, w) == e
+        for base in (w, inv):
+            power = oracle = e
+            for _ in range(h + 1):
+                assert power == oracle
+                power, oracle = compose(power, base), oracle_compose(oracle, base)
 
 
 @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
 def test_decompose_round_trips_on_every_element(name):
     rs = build(name)
-    w_l = {w.perm for w in closure(rs, long_subgroup(rs))}
+    w_l = closure(rs, long_subgroup(rs))
     p = rs.num_positive
     for w in enumerate_group(rs):
         ws, wl = decompose_semidirect(rs, w)
-        assert compose(ws.perm, wl.perm) == w.perm
-        assert all(ws.perm[i] < p for i in rs.long_positives)
-        assert wl.perm in w_l
+        assert oracle_compose(ws, wl) == w
+        assert all(ws[i] < p for i in rs.long_positives)
+        assert wl in w_l
 
 
 @pytest.mark.parametrize(
