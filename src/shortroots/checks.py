@@ -181,8 +181,11 @@ def _check_coxeter_orbits(rs: RootSystem):
     orderings = _orderings(rs)
     details = {"orderings_tested": len(orderings), "coxeter_number": h,
                "expected_short_orbits": shorts}
+    passed = set()   # elements tested; a failure returns at its first ordering
     for ordering in orderings:
         c = weyl.coxeter_element(rs, ordering)
+        if c in passed:
+            continue
         orbits = weyl.coxeter_orbits(rs, c)
         if any(len(o) != h for o in orbits):
             return _fail(details, ordering=list(ordering),
@@ -190,6 +193,7 @@ def _check_coxeter_orbits(rs: RootSystem):
         short_orbits = sum(1 for o in orbits if rs.roots[o[0]].is_short)
         if short_orbits != shorts:
             return _fail(details, ordering=list(ordering), short_orbits=short_orbits)
+        passed.add(c)
     return "pass", details
 
 
@@ -201,9 +205,14 @@ def _check_coxeter_power(rs: RootSystem):
         "sub_coxeter_number": reduction.sub_coxeter_number,
         "transition_factor": reduction.transition_factor,
     }
+    passed = set()   # elements tested; a failure returns at its first ordering
     for ordering in orderings:
+        c = weyl.coxeter_element(rs, ordering)
+        if c in passed:
+            continue
         if not red.check_coxeter_power(rs, ordering):
             return _fail(details, ordering=list(ordering))
+        passed.add(c)
     return "pass", details
 
 

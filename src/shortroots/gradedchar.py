@@ -4,11 +4,12 @@ A q-analogue partition function counts multiset expressions of a weight
 as sums of short positive roots, graded by multiset size.  Its tables
 key each weight by one packed int, so adding a root is one int
 addition.  One straightening pass over the tables gives the whole
-graded character: it unpacks the distinct points of all degrees into
-coordinate columns, straightens each point off the walls once, however
-many degrees hold it, by ``RootSystem.straighten``, and adds each
-degree's counts into the rows of their keys' dominant conjugates and
-signs.  Kostant's alternating sum, walked over a Weyl orbit by
+graded character: it walks the deepest table's keys, then the few keys
+of shallower ones that it lacks, unpacks them into coordinate columns a
+fixed chunk at a time, straightens each point off the walls once,
+however many degrees hold it, by ``RootSystem.straighten``, and adds
+each degree's counts into the rows of their keys' dominant conjugates
+and signs.  Kostant's alternating sum, walked over a Weyl orbit by
 ``RootSystem.descend`` with no group element built, gives single graded
 multiplicities as a second, independent route.
 ``Limits.max_character_work`` caps both: the DP updates of a table build
@@ -27,6 +28,8 @@ degree, which must be non-negative.
 from __future__ import annotations
 
 import math
+from itertools import islice
+from operator import mul, sub
 from typing import NamedTuple
 
 from .config import current_limits
@@ -150,7 +153,7 @@ class _QTables:
     of k <= degree short roots has every |coordinate| <= k * m, so no digit
     overflows and adding a root to a packed weight is one int addition."""
 
-    __slots__ = ("off", "base", "levels", "updates")
+    __slots__ = ("off", "base", "powers", "levels", "updates")
 
     def __init__(self, rs: RootSystem, degree: int):
         cap = current_limits().max_character_work
@@ -164,11 +167,12 @@ class _QTables:
             raise refusal
         self.off = degree * max(abs(c) for vec in vectors for c in vec)
         self.base = 2 * self.off + 1
+        self.powers = tuple([self.base**i for i in range(rs.rank)])
         levels = [dict() for _ in range(degree + 1)]
         levels[0][self.encode((0,) * rs.rank)] = 1
         done = 0
         for vec in vectors:
-            step = sum(c * self.base**i for i, c in enumerate(vec))
+            step = sum(map(mul, vec, self.powers))
             for k in range(1, degree + 1):
                 prev = levels[k - 1]
                 done += len(prev)
@@ -256,7 +260,7 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
                 f"{cap} points (max_character_work)"
             )
         for y in layer:
-            key = qt.encode(tuple([a - b for a, b in zip(y, mu_rho)]))
+            key = qt.encode(tuple(map(sub, y, mu_rho)))
             if key is not None:   # a point out of range is in no table
                 for k, level in enumerate(qt.levels):
                     acc[k] += sign * level.get(key, 0)
@@ -292,21 +296,27 @@ class GradedCharacter:
         return len(self.entries)
 
 
+_CHUNK = 1024   # keys unpacked into coordinate columns at a time
+
+
 def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     """Graded character of the nullcone coordinate ring, truncated at the
     given degree.
 
     Kostant's multiplicity formula read backwards, in one pass over the
-    q-partition tables.  The distinct points of all degrees are unpacked
-    once into one coordinate column per simple root, and each point v is
-    straightened once, however many degrees hold it: a point v + rho
-    with a 0 coordinate lies on a wall, so it is singular and adds
-    nothing, and every other one goes to ``RootSystem.straighten``.  The
-    key of a point with a nonzero sign is owned by the row of its
-    dominant conjugate and that sign.  Each entry of each degree's table
-    is then added into the row that owns its key, if any, so the sums
-    cost one lookup per table entry, however the keys fall into rows, and
-    build no temporary set; the coefficient at degree k of a dominant
+    q-partition tables.  The deepest table holds almost every key, so its
+    keys are taken first, then each key of a shallower table that it
+    lacks, on first sight; no union of the keys is built.  They are
+    unpacked into coordinate columns ``_CHUNK`` keys at a time, and each
+    point v is straightened once, however many degrees hold it: a point
+    v + rho with a 0 coordinate lies on a wall, so it is singular and
+    adds nothing, and every other one goes to ``RootSystem.straighten``.
+    The key of a point with a nonzero sign is owned by the row of its
+    dominant conjugate and that sign; a singular key of a shallower
+    table is remembered too, so that it is not straightened again.  Each
+    entry of each degree's table is then added into the row that owns its
+    key, if any, so the sums cost one lookup per table entry, however the
+    keys fall into rows, and build no temporary set; the coefficient at degree k of a dominant
     weight lambda is the signed sum of the two rows of lambda + rho.
     Weights whose sums cancel to zero are omitted.  No Weyl group is enumerated;
     the work is capped by the DP tables.
@@ -315,23 +325,32 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     rs.require_two_lengths()
     qt = _dp_build(rs, max_degree)
     levels = qt.levels
-    keys = list(set().union(*levels))
+    top = levels[-1]
     # digit i of a key, minus off, plus 1 for rho
-    low, base = qt.off - 1, qt.base
-    cols = [[key // p % base - low for key in keys]
-            for p in [base**i for i in range(rs.rank)]]
+    low, base, powers = qt.off - 1, qt.base, qt.powers
     rows: dict = {}     # (dominant conjugate of v + rho, sign) -> counts of its keys
-    owners = {}         # key of a regular v -> its row
+    owners: dict = {}   # key of a regular v -> its row; of a singular one the
+                        # deepest table lacks -> None
     straighten = rs.straighten
-    for key, shifted in zip(keys, zip(*cols)):
-        if 0 in shifted:   # on a wall, so singular
-            continue
-        hit = straighten(shifted)
-        if hit[1]:
-            row = rows.get(hit)
-            if row is None:
-                row = rows[hit] = [0] * (max_degree + 1)
-            owners[key] = row
+
+    def own(keys, keep_singular):
+        """Straighten each point of keys, a chunk of keys unpacked at a time."""
+        while chunk := list(islice(keys, _CHUNK)):
+            cols = [[key // p % base - low for key in chunk] for p in powers]
+            for key, shifted in zip(chunk, zip(*cols)):
+                row = None
+                if 0 not in shifted:   # else on a wall, so singular
+                    hit = straighten(shifted)
+                    if hit[1]:
+                        row = rows.get(hit)
+                        if row is None:
+                            row = rows[hit] = [0] * (max_degree + 1)
+                if row is not None or keep_singular:
+                    owners[key] = row
+
+    own(iter(top), False)
+    for level in levels[:-1]:
+        own((key for key in level if key not in top and key not in owners), True)
     get = owners.get
     for k, level in enumerate(levels):
         for key, count in level.items():

@@ -302,6 +302,57 @@ def test_character_work_counters_are_pinned(name, degree, dp_updates, dominant_p
     assert len(char.entries) == entries
 
 
+def test_the_straightening_pass_stays_small_above_its_tables():
+    # the C6 tables to degree 6 hold 52 108 distinct keys in about 6.3 MB;
+    # unpacking them all into full-width columns took 5.2 MB more
+    rs = build("C6")
+    rs = RootSystem(rs.spec, rs.cartan)   # the tables die with the test
+    gc._dp_build(rs, 6)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        char = nullcone_character(rs, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert char.work == {"dp_updates": 246962, "dominant_points": 104}
+    assert peak - before < 2**20
+
+
+# the distinct keys of all degrees whose point v + rho has no 0 coordinate;
+# on B and G the degrees share few keys, on C and F the deepest holds most
+@pytest.mark.parametrize("name,degree,off_the_walls", [
+    ("C5", 6, 6401), ("B4", 8, 312), ("G2", 12, 151), ("C3", 12, 1572), ("F4", 8, 3960),
+])
+def test_each_key_off_the_walls_is_straightened_once(monkeypatch, name, degree, off_the_walls):
+    rs = build(name)
+    rs = RootSystem(rs.spec, rs.cartan)
+    qt = gc._dp_build(rs, degree)
+    keys = set().union(*qt.levels)
+    assert sum(1 for key in keys if 0 not in decode(qt, rs.rank, key, 1)) == off_the_walls
+    seen = []
+    straighten = rs.straighten
+
+    def recording(fund):
+        seen.append(fund)
+        return straighten(fund)
+
+    monkeypatch.setattr(rs, "straighten", recording)
+    expected = nullcone_character(build(name), degree).entries
+    assert nullcone_character(rs, degree).entries == expected
+    assert len(seen) == len(set(seen)) == off_the_walls
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])
+def test_the_character_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    rs = build("B4")
+    expected = nullcone_character(rs, 8)
+    monkeypatch.setattr(gc, "_CHUNK", chunk)
+    char = nullcone_character(RootSystem(rs.spec, rs.cartan), 8)
+    assert char.entries == expected.entries
+    assert char.work == expected.work
+
+
 @pytest.mark.parametrize("name,degree", [
     ("G2", 12), ("B3", 8), ("C3", 8), ("F4", 6), ("C5", 4),
 ])

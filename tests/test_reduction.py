@@ -7,6 +7,7 @@ import pytest
 
 import shortroots.checks as checks
 import shortroots.reduction as reduction
+import shortroots.weyl as weyl
 from shortroots import (
     IdentityViolation,
     RootSystem,
@@ -202,6 +203,79 @@ def test_orderings_sample_above_rank_four():
     assert len(orderings) == 200
     assert all(sorted(o) == list(range(6)) for o in orderings)
     assert checks._orderings(rs) == orderings
+
+
+@pytest.mark.parametrize("name,distinct", [("B6", 30), ("E8", 77)])
+def test_coxeter_orbits_are_walked_once_per_distinct_element(monkeypatch, name, distinct):
+    rs = build(name)
+    assert len({weyl.coxeter_element(rs, o) for o in checks._orderings(rs)}) == distinct
+    calls = []
+    walk = weyl.coxeter_orbits
+
+    def counting(rs, c):
+        calls.append(c)
+        return walk(rs, c)
+
+    monkeypatch.setattr(weyl, "coxeter_orbits", counting)
+    status, details = checks.run_check("coxeter-orbits", rs)
+    assert status == "pass"
+    assert details["orderings_tested"] == 200
+    assert len(calls) == len(set(calls)) == distinct
+
+
+def test_coxeter_power_is_tested_once_per_distinct_element(monkeypatch):
+    rs = build("C6")
+    tested = []
+    power = reduction.check_coxeter_power
+
+    def counting(rs, ordering):
+        tested.append(weyl.coxeter_element(rs, ordering))
+        return power(rs, ordering)
+
+    monkeypatch.setattr(reduction, "check_coxeter_power", counting)
+    assert checks.run_check("coxeter-power", rs)[0] == "pass"
+    assert len(tested) == len(set(tested)) == 30
+
+
+def _first_repeated_element(rs):
+    """A Coxeter element that the sample yields again after another one,
+    and the first ordering that yields it."""
+    orderings = checks._orderings(rs)
+    elements = [weyl.coxeter_element(rs, o) for o in orderings]
+    for i, c in enumerate(elements):
+        if i > 0 and c != elements[0] and elements.count(c) > 1:
+            return c, orderings[i]
+    raise AssertionError("every element of the sample is distinct")
+
+
+def test_coxeter_orbits_report_the_first_ordering_of_a_failing_element(monkeypatch):
+    rs = build("B6")
+    bad, first = _first_repeated_element(rs)
+    walk = weyl.coxeter_orbits
+    monkeypatch.setattr(weyl, "coxeter_orbits",
+                        lambda rs, c: walk(rs, c)[:-1] + [(0,)] if c == bad else walk(rs, c))
+    status, details = checks.run_check("coxeter-orbits", rs)
+    assert status == "fail"
+    assert details["ordering"] == list(first)
+    assert details["orbit_sizes"][0] == 1
+
+
+def test_coxeter_power_reports_the_first_ordering_of_a_failing_element(monkeypatch):
+    rs = build("C6")
+    bad, first = _first_repeated_element(rs)
+    tested = []
+    power = reduction.check_coxeter_power
+
+    def failing(rs, ordering):
+        tested.append(ordering)
+        return weyl.coxeter_element(rs, ordering) != bad and power(rs, ordering)
+
+    monkeypatch.setattr(reduction, "check_coxeter_power", failing)
+    status, details = checks.run_check("coxeter-power", rs)
+    assert status == "fail"
+    assert details["ordering"] == list(first)
+    assert tested[-1] == first
+    assert len({weyl.coxeter_element(rs, o) for o in tested}) == len(tested)
 
 
 def _seed_reduction(rs, change):
