@@ -1,21 +1,21 @@
 """The poset of short positive roots and its antichain counts.
 
-A poset is held as its elements and their comparison; one forward pass
-counts its antichains exactly, building each element's incomparability
-mask, one int, when it reaches that element.  Two closed product
-formulas over the exponents must agree with that count.
+A poset is held as one incomparability mask per element, built from the
+root covers with no pair of roots compared; one forward pass counts its
+antichains exactly.  Two closed product formulas over the exponents must
+agree with that count.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
-from .rootsystem import RootSystem
+from .rootsystem import RootSystem, bourbaki_nodes
 
 __all__ = [
-    "RootPoset",
     "short_root_poset",
     "count_antichains",
     "count_antichains_formula",
@@ -25,66 +25,58 @@ __all__ = [
 ]
 
 
-class RootPoset:
-    """A finite poset given by an element list and a comparison callable.
-    More than ``Limits.max_antichain_work`` pairs to compare are refused
-    up front; no pair is compared until a mask is asked for."""
-
-    def __init__(self, elements, leq):
-        self.elements = els = list(elements)
-        self.leq = leq
-        cap = current_limits().max_antichain_work
-        pairs = len(els) * (len(els) - 1) // 2
-        if pairs > cap:
-            raise SizeLimitExceeded(f"a poset of {len(els)} elements has {pairs} pairs to "
-                                    f"compare, more than the cap of {cap} (max_antichain_work)")
-
-    def __len__(self):
-        return len(self.elements)
-
-    def incomparable_after(self, i: int) -> int:
-        """The mask of element i: bit j is set when j > i and elements i and
-        j are incomparable."""
-        els, leq, a = self.elements, self.leq, self.elements[i]
-        return sum(1 << j for j in range(i + 1, len(els))
-                   if not (leq(a, els[j]) or leq(els[j], a)))
-
-
-def short_root_poset(rs: RootSystem) -> RootPoset:
-    """Short positive roots under componentwise comparison of the simple-root
-    coefficients, listed in the system's order (height, then coefficients)."""
+def short_root_poset(rs: RootSystem) -> tuple[int, ...]:
+    """The short positive roots under componentwise order, as incomparability
+    masks: bit j of mask i is set when j > i and elements i and j are
+    incomparable.  The elements are sorted by their coefficients read from
+    Bourbaki's last node to its first (``bourbaki_nodes``), an order that
+    extends the componentwise one and does not depend on the numbering, so
+    mask i is the bits above i outside the up-set of i.  Positive roots
+    a <= b are joined by positive roots one simple root apart, so the up-set
+    of a root x is x, if short, joined with those of its covers x + alpha_k,
+    taken down the positive roots packed into ints: a cover is one addition."""
     rs.require_two_lengths()
+    base = max(rs.theta.coeffs) + 2   # a cover adds 1 to a digit with no carry
+    place = [0] * rs.rank
+    for t, node in enumerate(bourbaki_nodes(rs)):
+        place[node] = base**t
+    roots = sorted((sum(map(mul, r.coeffs, place)), r.is_short) for r in rs.positive_roots())
+    full = (1 << len(rs.short_positives)) - 1
+    up, bit = {}, full + 1   # bit i: the i-th short root in the order
+    for key, short in reversed(roots):
+        bit >>= short
+        u = bit if short else 0
+        for cover in filter(None, map(up.get, [key + step for step in place])):
+            u |= cover
+        up[key] = u
+    shorts = (key for key, short in roots if short)
+    # up(i) holds bit i and none below it; popped, so one table is alive
+    return tuple([up.pop(key) ^ full >> i << i for i, key in enumerate(shorts)])
 
-    def leq(a, b):
-        return all(x <= y for x, y in zip(a.coeffs, b.coeffs))
 
-    return RootPoset(rs.short_positive_roots(), leq)
-
-
-def count_antichains(poset: RootPoset) -> int:
-    """Exact number of antichains (the empty one included), in one forward
+def count_antichains(masks) -> int:
+    """Exact number of antichains (the empty one included) of the poset of
+    the given incomparability masks (see short_root_poset), in one forward
     pass: each state, the mask of elements still free to join, counts the
-    antichains that leave it free, and equal masks merge.  Element x is
-    compared with the elements after it when the pass reaches x, so a
-    refusal costs only the comparisons made so far.  Refused once the
+    antichains that leave it free, and equal masks merge.  Refused once the
     states held, summed over the elements, pass max_antichain_work."""
     cap = current_limits().max_antichain_work
-    states = {(1 << len(poset)) - 1: 1}
-    held = 0
-    for x in range(len(poset)):
-        bit, after = 1 << x, poset.incomparable_after(x)
+    # each count sits in a one-item list, so adding to it hashes the state once
+    states, held = {(1 << len(masks)) - 1: [1]}, 0
+    for x, after in enumerate(masks):
+        after >>= x + 1
         nxt = {}
-        for free, count in states.items():
-            if free & bit:  # x taken: only the elements incomparable to x stay free
-                free ^= bit
-                nxt[free & after] = nxt.get(free & after, 0) + count
-            nxt[free] = nxt.get(free, 0) + count  # x left out, or not free to join
+        for free, (count,) in states.items():   # bit 0 is x: the bits below are gone
+            rest = free >> 1
+            if free & 1:  # x taken: only the elements incomparable to x stay free
+                nxt.setdefault(rest & after, [0])[0] += count
+            nxt.setdefault(rest, [0])[0] += count  # x left out, or not free to join
         states = nxt
         held += len(states)
         if held > cap:
-            raise SizeLimitExceeded(f"a poset of {len(poset)} elements needs more than the cap "
+            raise SizeLimitExceeded(f"a poset of {len(masks)} elements needs more than the cap "
                                     f"of {cap} counting states (max_antichain_work)")
-    return sum(states.values())
+    return sum(count for count, in states.values())
 
 
 def _exponent_product(shift: int, exponents) -> int:
@@ -126,9 +118,8 @@ class AntichainReport(NamedTuple):
 
     @property
     def consistent(self) -> bool:
-        if self.brute_force_count != self.formula_count:
-            return False
-        return self.alt_formula_count in (None, self.formula_count)
+        return (self.brute_force_count == self.formula_count
+                and self.alt_formula_count in (None, self.formula_count))
 
 
 def antichain_report(rs: RootSystem) -> AntichainReport:

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import NamedTuple
 
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded
-from .rootsystem import RootSystem, Weight, exponents_from_heights, weyl_dim
+from .rootsystem import RootSystem, Weight, bourbaki_nodes, exponents_from_heights, weyl_dim
 
 __all__ = [
     "QPoly",
@@ -157,7 +157,9 @@ class _QTables:
 
     def __init__(self, rs: RootSystem, degree: int):
         cap = current_limits().max_character_work
-        vectors = sorted(rs.weight_coords(r) for r in rs.short_positive_roots())
+        # read in Bourbaki's numbering: on a path diagram the updates do not depend on numbering
+        vectors = sorted(map(rs.weight_coords, rs.short_positive_roots()),
+                         key=itemgetter(*bourbaki_nodes(rs)))
         refusal = SizeLimitExceeded(
             f"the q-partition tables of {rs.spec} to degree {degree} need more "
             f"than the cap of {cap} DP updates (max_character_work)"
@@ -247,6 +249,7 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     lam, mu = rs.dominant_integral(lam), rs.dominant_integral(mu)
     cap = current_limits().max_character_work
     mu_rho = tuple([c + 1 for c in mu])
+    top = rs.theta_short.height   # the largest height of a short root
     qt = acc = None
     sign, visited = 1, 0
     for layer in rs.descend(tuple([c + 1 for c in lam]), mu_rho):
@@ -259,11 +262,12 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
                 f"the orbit walk of {rs.spec} from {Weight(lam)} visits more than the cap of "
                 f"{cap} points (max_character_work)"
             )
-        for y in layer:
+        for y, c in layer.items():
             key = qt.encode(tuple(map(sub, y, mu_rho)))
             if key is not None:   # a point out of range is in no table
-                for k, level in enumerate(qt.levels):
-                    acc[k] += sign * level.get(key, 0)
+                h = sum(c)   # only levels k with h / top <= k <= h hold a point of height h
+                for k in range(-(-h // top), min(h, degree) + 1):
+                    acc[k] += sign * qt.levels[k].get(key, 0)
         sign = -sign
     return QPoly(dict(enumerate(acc or ())), max_degree)
 

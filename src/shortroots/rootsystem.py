@@ -48,6 +48,7 @@ __all__ = [
     "RootSystem",
     "build",
     "from_cartan",
+    "bourbaki_nodes",
     "cartan_matrix",
     "classify_cartan",
     "dual_coxeter_of_dual",
@@ -669,6 +670,19 @@ def from_cartan(matrix) -> RootSystem:
     if len(specs) != 1:
         raise NotFiniteType(f"Cartan matrix is reducible: {' + '.join(map(str, specs))}")
     return _cached(specs[0], tuple(tuple(row) for row in matrix))
+
+
+def bourbaki_nodes(rs: RootSystem) -> tuple[int, ...]:
+    """The simple-root indices of rs in Bourbaki's numbering: the walk from
+    an end of the diagram whose permuted Cartan matrix is cartan_matrix(rs.spec),
+    unique on a two-length diagram.  A branched diagram keeps the matrix order."""
+    A, n = rs.cartan, rs.rank
+    for path in ([i] for i in range(n) if sum(map(bool, A[i])) <= 2):   # from an end
+        for _ in range(n - 1):   # a tree: the one node behind is path[-2]
+            path += [j for j in range(n) if A[path[-1]][j] and j not in path[-2:]][:1]
+        if tuple(tuple(A[i][j] for j in path) for i in path) == cartan_matrix(rs.spec):
+            return tuple(path)
+    return tuple(range(n))
 
 
 def exponents_from_heights(heights) -> tuple[int, ...]:

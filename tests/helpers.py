@@ -218,26 +218,34 @@ def orbit_accumulation(rs, qt, degree):
     return {lam: coeffs for lam, coeffs in acc.items() if any(coeffs.values())}
 
 
-def comparable(poset, i, j):
-    """Whether elements i and j of the poset are comparable, by its leq."""
-    a, b = poset.elements[i], poset.elements[j]
-    return bool(poset.leq(a, b) or poset.leq(b, a))
+def comparable(elements, leq, i, j):
+    """Whether elements i and j are comparable, by the pairwise oracle leq."""
+    a, b = elements[i], elements[j]
+    return bool(leq(a, b) or leq(b, a))
 
 
-def all_antichains(poset):
+def masks_of(elements, leq):
+    """The incomparability masks of a poset, pair by pair through leq: bit
+    j of mask i is set when j > i and elements i and j are incomparable."""
+    n = len(elements)
+    return tuple(sum(1 << j for j in range(i + 1, n) if not comparable(elements, leq, i, j))
+                 for i in range(n))
+
+
+def all_antichains(elements, leq):
     """Every antichain of the poset (the empty one included), as tuples of
-    its elements, listed one by one."""
-    n = len(poset)
+    its elements, listed one by one through leq."""
+    n = len(elements)
     out = [()]
     stack = [((), 0)]
     while stack:
         chosen, start = stack.pop()
         for j in range(start, n):
-            if all(not comparable(poset, i, j) for i in chosen):
+            if all(not comparable(elements, leq, i, j) for i in chosen):
                 nxt = chosen + (j,)
                 out.append(nxt)
                 stack.append((nxt, j + 1))
-    return [tuple(poset.elements[i] for i in ac) for ac in out]
+    return [tuple(elements[i] for i in ac) for ac in out]
 
 
 def fraction_product(pairs):

@@ -189,15 +189,21 @@ def test_antichains_counts_c12_over_the_poset(capsys):
     assert payload["consistent"] is True
 
 
+def test_antichains_answers_c18_by_the_formula(capsys):
+    code, out, _ = run(capsys, "antichains", "C18", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["brute_force"] == payload["formula"] == payload["alt_formula"] == 4537567650
+    assert payload["consistent"] is True
+
+
 def test_antichains_refuses_past_the_work_cap(capsys):
-    code, out, err = run(capsys, "antichains", "C18")
+    code, out, err = run(capsys, "antichains", "C92")
     assert code == 2
     assert out == ""
     assert err.startswith("refused:")
-    assert "counting states (max_antichain_work)" in err
-    code, out, err = run(capsys, "antichains", "C40")
-    assert code == 2 and out == ""
-    assert "1216020 pairs to compare" in err   # refused before any comparison
+    assert "8372 elements needs more than the cap of 500000 counting states " \
+           "(max_antichain_work)" in err
 
 
 def test_nullcone_char_command(capsys):

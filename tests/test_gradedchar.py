@@ -245,6 +245,36 @@ def test_graded_multiplicity_validation_and_refusal(monkeypatch):
         graded_multiplicity(build("C8"), Weight.of([2] * 8), Weight.zero(8), 1)
 
 
+# lookups of the walk points in the tables, over every entry of the
+# character; looking each point up in every level took 241, 1016 and 1026
+@pytest.mark.parametrize("name,degree,lookups", [("G2", 8, 112), ("C4", 4, 558), ("F4", 4, 552)])
+def test_the_walk_looks_a_point_up_only_in_the_levels_its_height_allows(
+        monkeypatch, name, degree, lookups):
+    rs = build(name)
+    rs = RootSystem(rs.spec, rs.cartan)   # the tables die with the test
+    seen = []
+
+    class Level(dict):
+        def get(self, key, default=None):
+            seen.append(key)
+            return dict.get(self, key, default)
+
+    build_tables = gc._QTables
+
+    def counted(rs, degree):
+        qt = build_tables(rs, degree)
+        qt.levels = [Level(level) for level in qt.levels]
+        return qt
+
+    monkeypatch.setattr(gc, "_QTables", counted)
+    char = nullcone_character(rs, degree)
+    seen.clear()
+    zero = (0,) * rs.rank
+    assert {lam: graded_multiplicity(rs, lam, zero, degree) for lam in char.entries} == \
+        char.entries
+    assert len(seen) == lookups
+
+
 def test_nullcone_character_g2_low_degrees():
     rs = build("G2")
     char0 = nullcone_character(rs, 0)

@@ -32,6 +32,7 @@ from shortroots import (
     UnsupportedRootSystem,
     Weight,
     antichain_report,
+    bourbaki_nodes,
     build,
     cartan_matrix,
     check_coxeter_power,
@@ -459,20 +460,15 @@ def test_one_adjugate_per_system(monkeypatch):
 # or a list of them in an order that ties on height may break by node order
 _VECTOR = {"theta_short_coeffs"}
 _VECTORS = {"representatives", "empty", "multiple_target_classes"}
-# the q-partition DP adds the short roots in the order of their fundamental
-# coordinates, and the sizes of its partial tables, which it counts, depend
-# on that order; the finished tables do not
-_ORDER_DEPENDENT = {"dp_updates"}
 
 
 def _in_bourbaki_order(details, order):
     """details with every coefficient vector taken back from the node order
-    `order` (node k is Bourbaki's node order[k]), and the order-dependent
-    counters dropped."""
+    `order` (node k is Bourbaki's node order[k])."""
     def back(c):
         return [c[order.index(i)] for i in range(len(order))]
 
-    out = {key: value for key, value in details.items() if key not in _ORDER_DEPENDENT}
+    out = dict(details)
     for key in _VECTOR & out.keys():
         out[key] = back(out[key])
     for key in _VECTORS & out.keys():
@@ -496,6 +492,26 @@ def test_checks_do_not_depend_on_the_node_order(name):
             assert status == want[cid][0], (order, cid)
             assert _in_bourbaki_order(details, order) == _in_bourbaki_order(
                 want[cid][1], nodes), (order, cid)
+
+
+@pytest.mark.parametrize("name", ["A1", "A4", "B2", "C2", "B3", "C4", "F4", "G2", "C9",
+                                  "D4", "D5", "E6", "E8"])
+def test_bourbaki_nodes_number_the_diagram_as_bourbaki_does(name):
+    rs = build(name)
+    A = rs.cartan
+    assert bourbaki_nodes(rs) == tuple(range(rs.rank))
+    rng = random.Random(name)
+    for _ in range(3):
+        order = rng.sample(range(rs.rank), rs.rank)
+        relabelled = from_cartan([[A[i][j] for j in order] for i in order])
+        nodes = bourbaki_nodes(relabelled)
+        if name[0] in "DE":   # branched: the matrix's own order
+            assert nodes == tuple(range(rs.rank))
+        else:
+            assert tuple(tuple(relabelled.cartan[i][j] for j in nodes)
+                         for i in nodes) == cartan_matrix(relabelled.spec)
+            if rs.is_multiply_laced and relabelled.spec == rs.spec:   # the walk is unique
+                assert [order[i] for i in nodes] == list(range(rs.rank))
 
 
 def test_symmetrizers_are_checked_on_every_pair():
