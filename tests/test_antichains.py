@@ -91,6 +91,24 @@ def test_count_refuses_past_the_state_cap(monkeypatch):
         count_antichains(five)
 
 
+@pytest.mark.parametrize("name", ["B4", "C5", "F4", "G2"])
+def test_short_poset_keeps_the_system_order(name):
+    # the masks hold the system's own short roots under the componentwise
+    # order: each pair of the system's listing, placed by the library's
+    # sort, is comparable exactly when its coefficients are
+    rs = build(name)
+    shorts = rs.short_positive_roots()
+    masks = short_root_poset(rs)
+    place = {r.coeffs: i for i, r in enumerate(library_order(rs))}
+    assert sorted(place.values()) == list(range(len(masks))) == sorted(place[r.coeffs] for r in shorts)
+    for a in shorts:
+        for b in shorts:
+            i, j = sorted((place[a.coeffs], place[b.coeffs]))
+            apart = i != j and masks[i] >> j & 1
+            assert apart == (not coeff_leq(a, b) and not coeff_leq(b, a))
+    assert count_antichains(masks) == count_antichains(masks_of(shorts, coeff_leq))
+
+
 def test_short_poset_shapes():
     assert short_root_poset(build("G2")) == (0, 0, 0)   # a chain
     assert short_root_poset(build("B4")) == (0, 0, 0, 0)
