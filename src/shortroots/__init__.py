@@ -1,10 +1,11 @@
 """shortroots: exact combinatorics of root systems, Weyl groups and the
 modules whose highest weight is the short dominant root.
 
-Importing the package runs ``rootsystem``, which every command needs, and
-registers every other library module and ``checks`` in ``sys.modules`` as a
-lazy module: its body is compiled and run on its first attribute access,
-so a command pays only for the modules it reaches.
+Importing the package runs ``rootsystem``, which every command needs, with
+the ``cartan`` layer and ``errors`` that it imports, and registers every
+other library module and ``checks`` in ``sys.modules`` as a lazy module:
+its body is compiled and run on its first attribute access, so a command
+pays only for the modules it reaches.
 
 The package exports exactly the names in each library module's
 ``__all__``; that list is the one place a public name is declared.  A
@@ -14,14 +15,14 @@ module."""
 import importlib.util
 import sys
 
-# Every command needs rootsystem: run it (and errors, which it imports)
-# before any other module is registered, while the heap is small.
+# Every command needs rootsystem: run it (and cartan and errors, which it
+# imports) before any other module is registered, while the heap is small.
 from . import rootsystem  # noqa: F401
 
 __version__ = "0.1.0"
 
-_LIBRARY = ("antichains", "config", "errors", "gradedchar", "littleadjoint", "reduction",
-            "rootsystem", "weyl")
+_LIBRARY = ("antichains", "cartan", "config", "errors", "gradedchar", "littleadjoint",
+            "reduction", "rootsystem", "weyl")
 _owners = {}   # exported name -> name of its module, filled on first use
 
 

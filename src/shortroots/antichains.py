@@ -11,9 +11,10 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
+from .cartan import bourbaki_nodes
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
-from .rootsystem import RootSystem, bourbaki_nodes
+from .rootsystem import RootSystem
 
 __all__ = [
     "short_root_poset",

@@ -6,7 +6,7 @@ library self-check failed) and 2 (usage or validation error).  Output
 is ASCII and byte-identical across runs; timings are opt-in because
 they would break that.
 
-Importing this module loads only ``rootsystem`` and ``errors``.
+Importing this module loads only ``rootsystem``, ``cartan`` and ``errors``.
 The engines are lazy modules of the package, reached through their module
 objects (``gc.hilbert_check``), so each subcommand compiles and runs only
 the modules it calls: ``antichains`` adds ``antichains`` and ``config``,

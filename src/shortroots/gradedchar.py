@@ -19,7 +19,8 @@ complete intersection cut out by the basic invariants, whose degrees
 ``invariant_degrees`` reads off the heights of the short-simple
 subsystem's positive roots; the module dimensions come from
 ``rootsystem.weyl_dim``.  So the module loads no engine but
-``rootsystem``, besides ``config`` and ``errors``.  Every
+``rootsystem`` and the ``cartan`` layer under it, besides ``config``
+and ``errors``.  Every
 polynomial carries an explicit truncation degree; mixing truncations
 takes the minimum.  The tables are built once per system and truncation
 degree, which must be non-negative.
@@ -32,9 +33,10 @@ from itertools import islice
 from operator import itemgetter, mul, sub
 from typing import NamedTuple
 
+from .cartan import Weight, bourbaki_nodes
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded
-from .rootsystem import RootSystem, Weight, bourbaki_nodes, exponents_from_heights, weyl_dim
+from .rootsystem import RootSystem, exponents_from_heights, weyl_dim
 
 __all__ = [
     "QPoly",

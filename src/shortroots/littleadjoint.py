@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .cartan import Root, Weight
 from .errors import IdentityViolation
-from .rootsystem import Root, RootSystem, Weight, weyl_dim
+from .rootsystem import RootSystem, weyl_dim
 
 __all__ = [
     "WeightSystem",

@@ -8,9 +8,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import weyl
+from .cartan import Root, RootSystemSpec
 from .errors import IdentityViolation, NotFiniteType
 from .littleadjoint import little_adjoint_dims
-from .rootsystem import Root, RootSystem, RootSystemSpec, from_cartan
+from .rootsystem import RootSystem, from_cartan
 
 __all__ = [
     "SimpleReduction",

@@ -1,25 +1,22 @@
 """Exact root systems for the simple Lie types A..G.
 
-Roots are integer coefficient vectors over the simple roots; weights are
-coordinate vectors over the fundamental weights.  The invariant inner
-product is normalised so that short roots have squared length 2, which
-keeps every pairing against a coroot integral.  :class:`RootSystem` owns
-all root arithmetic and does it on integer vectors.  It also owns the
-one Weyl-orbit walk, ``RootSystem.descend``: down from a dominant point
-by simple reflections, one length of W per layer, optionally kept above
-a floor.  The constructor finds the positive roots with it, Freudenthal
-expands dominant weights into orbits with it, and Kostant's alternating
-sum runs over it.  ``RootSystem.straighten``, the one chamber walk, goes
-the other way, up to the dominant conjugate with its sign; the nullcone
-character and Freudenthal straighten through it.  Weights are integral,
-so a ``Weight`` holds int coordinates and pairs integrally with every
-coroot; ``Fraction`` appears only where an answer is genuinely rational
+:class:`RootSystem` derives everything else from one Cartan matrix and owns
+all root arithmetic, on integer vectors: roots by their coefficients over
+the simple roots, weights by their coordinates over the fundamental
+weights (the value types and the Cartan-matrix layer are in ``cartan``).
+The invariant inner product is normalised so that short roots have
+squared length 2, which keeps every pairing against a coroot integral.
+``RootSystem`` also owns the one Weyl-orbit walk, ``RootSystem.descend``:
+down from a dominant point by simple reflections, one length of W per
+layer, optionally kept above a floor.  The constructor finds the positive
+roots with it, Freudenthal expands dominant weights into orbits with it,
+and Kostant's alternating sum runs over it.  ``RootSystem.straighten``,
+the one chamber walk, goes the other way, up to the dominant conjugate
+with its sign; the nullcone character and Freudenthal straighten through
+it.  ``Fraction`` appears only where an answer is genuinely rational
 (``root_coords`` and the inner product of two weights), and is imported
 there, so a process that asks for no rational answer never loads
-``fractions``.  The symmetrizers
-are found in integers, and ``Weight.of`` takes an int as it is and loads
-``numbers`` only to judge any other coordinate.  Floats and non-integral
-coordinates are refused, never rounded.
+``fractions``.
 
 Every system is built from its Cartan matrix, with the simple roots in
 the matrix's node order.  ``build`` takes a type name and passes Bourbaki's
@@ -39,297 +36,30 @@ import re
 from collections import Counter
 from functools import lru_cache
 
+# the constructor calls cm._symmetrizers and cm._adjugate through the
+# module, so that a test can substitute either
+from . import cartan as cm
+from .cartan import (
+    LONG,
+    SHORT,
+    Root,
+    RootSystemSpec,
+    Weight,
+    _dot,
+    _of_rank,
+    cartan_matrix,
+    classify_cartan,
+)
 from .errors import IdentityViolation, NotFiniteType, UnsupportedRootSystem
 
 __all__ = [
-    "RootSystemSpec",
-    "Root",
-    "Weight",
     "RootSystem",
     "build",
     "from_cartan",
-    "bourbaki_nodes",
-    "cartan_matrix",
-    "classify_cartan",
     "dual_coxeter_of_dual",
     "exponents_from_heights",
     "weyl_dim",
 ]
-
-_RANK_BOUNDS = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (3, None),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
-}
-
-SHORT = "short"
-LONG = "long"
-
-
-def _by_fields(op):
-    """A comparison of two values of one class by their field tuples; any
-    other operand gets NotImplemented."""
-    def compare(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return op(self._astuple(), other._astuple())
-    return compare
-
-
-class _Value:
-    """Base of the immutable value types: a subclass lists its fields in
-    __slots__ and sets each once, in __init__.  A value equals only values
-    of its own class, hashes as its field tuple, refuses assignment, and is
-    copied and pickled through __init__."""
-
-    __slots__ = ()
-
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    __eq__ = _by_fields(operator.eq)
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._astuple()
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class RootSystemSpec(_Value):
-    """A simple type: family letter plus rank, e.g. ('C', 4).  Specs are
-    ordered by (family, rank)."""
-
-    __slots__ = ("family", "rank")
-
-    def __init__(self, family: str, rank: int):
-        bounds = _RANK_BOUNDS.get(family)
-        if bounds is None:
-            raise ValueError(f"unknown family {family!r}, expected one of A..G")
-        lo, hi = bounds
-        if type(rank) is not int or rank < lo or (hi is not None and rank > hi):
-            raise ValueError(f"rank {rank} is not valid for type {family}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-
-    __lt__ = _by_fields(operator.lt)
-    __le__ = _by_fields(operator.le)
-    __gt__ = _by_fields(operator.gt)
-    __ge__ = _by_fields(operator.ge)
-
-    def __str__(self):
-        return f"{self.family}{self.rank}"
-
-
-class Root(_Value):
-    """A root, stored by its integer coefficients over the simple roots."""
-
-    __slots__ = ("coeffs", "length_class")
-
-    def __init__(self, coeffs: tuple[int, ...], length_class: str):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "length_class", length_class)
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
-
-    @property
-    def is_positive(self) -> bool:
-        return self.height > 0
-
-    @property
-    def is_short(self) -> bool:
-        return self.length_class == SHORT
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coeffs) if c)
-
-    def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs), self.length_class)
-
-    def __str__(self):
-        return "(" + ",".join(str(c) for c in self.coeffs) + ")"
-
-
-def _of_rank(fund, rank: int):
-    """fund itself once it has rank coordinates: the one rank check of
-    every weight entry point."""
-    if len(fund) != rank:
-        raise ValueError("weight has the wrong rank")
-    return fund
-
-
-class Weight(_Value):
-    """An integral weight, stored by integer coordinates over the
-    fundamental weights."""
-
-    __slots__ = ("fund",)
-
-    def __init__(self, fund: tuple[int, ...]):
-        object.__setattr__(self, "fund", fund)
-
-    @staticmethod
-    def of(coords) -> "Weight":
-        """The one coordinate parser: ints, or rationals with denominator 1.
-        TypeError for a float or any other non-rational, ValueError for a
-        rational that is not an integer.  An int is taken as it is; only
-        another coordinate loads ``numbers`` to be judged."""
-        fund = []
-        for c in coords:
-            if type(c) is not int:
-                import numbers
-
-                if not isinstance(c, numbers.Rational):
-                    raise TypeError(
-                        f"weights take exact coordinates, not the {type(c).__name__} {c!r}"
-                    )
-                if c.denominator != 1:
-                    raise ValueError(f"weights take integral coordinates, not {c}")
-                c = int(c)
-            fund.append(c)
-        return Weight(tuple(fund))
-
-    @staticmethod
-    def zero(rank: int) -> "Weight":
-        return Weight((0,) * rank)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.fund)
-
-    @property
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.fund)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        rhs = _of_rank(other.fund, len(self.fund))
-        return Weight(tuple(a + b for a, b in zip(self.fund, rhs)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        rhs = _of_rank(other.fund, len(self.fund))
-        return Weight(tuple(a - b for a, b in zip(self.fund, rhs)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.fund))
-
-    def __rmul__(self, scalar) -> "Weight":
-        return Weight.of([scalar * a for a in self.fund])
-
-    def __str__(self):
-        return "[" + ",".join(str(c) for c in self.fund) + "]"
-
-
-def cartan_matrix(spec: RootSystemSpec) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix with entry [i][j] the pairing of alpha_j against the
-    coroot of alpha_i."""
-    n = spec.rank
-    A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def bond(i, j):
-        A[i][j] = A[j][i] = -1
-
-    f = spec.family
-    if f in "ABCF":
-        for i in range(n - 1):
-            bond(i, i + 1)
-        if f == "B":
-            A[n - 1][n - 2] = -2  # last simple root is short
-        elif f == "C":
-            A[n - 2][n - 1] = -2  # last simple root is long
-        elif f == "F":
-            A[2][1] = -2  # third and fourth simple roots are short
-    elif f == "D":
-        for i in range(n - 2):
-            bond(i, i + 1)
-        bond(n - 3, n - 1)
-    elif f == "E":
-        for i, j in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)][: n - 2]:
-            bond(i, j)
-        bond(1, 3)
-    elif f == "G":
-        A[0][1] = -3  # first simple root is short
-        A[1][0] = -1
-    return tuple(tuple(row) for row in A)
-
-
-def _symmetrizers(A) -> tuple[int, ...]:
-    """Positive integers d_i with d_i*A[i][j] symmetric, normalised to min 1,
-    of a connected generalized Cartan matrix: d_i is half the squared length
-    of alpha_i.  The d_i are propagated along bonds, then checked on every
-    pair, cycles included; NotFiniteType if no integral d exists (a matrix
-    of finite type always has one).  The arithmetic stays in ints: when a
-    ratio makes d_j fractional, every d found so far is scaled up first."""
-    nodes = range(len(A))
-    d = [1] + [0] * (len(A) - 1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in nodes:
-            if A[i][j] and not d[j]:
-                num, den = d[i] * A[i][j], A[j][i]   # d_j A[j][i] = d_i A[i][j]
-                if num % den:
-                    scale = abs(den) // math.gcd(num, den)
-                    d = [v * scale for v in d]
-                    num *= scale
-                d[j] = num // den
-                stack.append(j)
-    lo = min(d)
-    if any(v % lo for v in d):
-        raise NotFiniteType("Cartan matrix is not symmetrizable over the integers")
-    out = tuple(v // lo for v in d)
-    if any(out[i] * A[i][j] != out[j] * A[j][i] for i in nodes for j in range(i)):
-        raise NotFiniteType("Cartan matrix is not symmetrizable")
-    return out
-
-
-def _eliminate(m):
-    """Fraction-free Gauss-Jordan elimination, in place, of the rows m of a
-    symmetrizable generalized Cartan matrix A, augmented or not by further
-    columns; returns det(A).
-
-    The k-th pivot is the k-th leading minor of A, and Sylvester's identity
-    makes each division exact.  A is of finite type exactly when every
-    leading minor is positive (its symmetrization D.A is then positive
-    definite; Kac, Infinite-dimensional Lie algebras, Prop. 4.9 and
-    Thm 4.3), so a pivot <= 0 raises NotFiniteType."""
-    prev = 1
-    for k in range(len(m)):
-        piv = m[k][k]
-        if piv <= 0:
-            raise NotFiniteType(f"leading minor {k + 1} of the Cartan matrix is {piv} <= 0")
-        for r in range(len(m)):
-            if r != k:
-                f = m[r][k]
-                m[r] = [(piv * x - f * y) // prev for x, y in zip(m[r], m[k])]
-        prev = piv
-    return prev
-
-
-def _adjugate(A):
-    """det(A) and the integer adjugate of A, by _eliminate on [A | I]."""
-    n = len(A)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
-    return _eliminate(m), tuple(tuple(row[n:]) for row in m)
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 class RootSystem:
@@ -348,11 +78,11 @@ class RootSystem:
         n = spec.rank
         self.rank = n
         self.cartan = A = cartan
-        self.symmetrizers = _symmetrizers(A)
+        self.symmetrizers = cm._symmetrizers(A)
         self._cols = tuple(
             tuple((j, A[j][i]) for j in range(n) if A[j][i]) for i in range(n)
         )
-        self._det, self._adj = _adjugate(A)
+        self._det, self._adj = cm._adjugate(A)
         self._memo: dict = {}
 
         # the positive roots are the floor-0 descents from the dominant
@@ -672,19 +402,6 @@ def from_cartan(matrix) -> RootSystem:
     return _cached(specs[0], tuple(tuple(row) for row in matrix))
 
 
-def bourbaki_nodes(rs: RootSystem) -> tuple[int, ...]:
-    """The simple-root indices of rs in Bourbaki's numbering: the walk from
-    an end of the diagram whose permuted Cartan matrix is cartan_matrix(rs.spec),
-    unique on a two-length diagram.  A branched diagram keeps the matrix order."""
-    A, n = rs.cartan, rs.rank
-    for path in ([i] for i in range(n) if sum(map(bool, A[i])) <= 2):   # from an end
-        for _ in range(n - 1):   # a tree: the one node behind is path[-2]
-            path += [j for j in range(n) if A[path[-1]][j] and j not in path[-2:]][:1]
-        if tuple(tuple(A[i][j] for j in path) for i in path) == cartan_matrix(rs.spec):
-            return tuple(path)
-    return tuple(range(n))
-
-
 def exponents_from_heights(heights) -> tuple[int, ...]:
     """The exponents of a root system, read off the heights of its positive
     roots: the conjugate partition of their height distribution."""
@@ -713,72 +430,3 @@ def dual_coxeter_of_dual(rs: RootSystem) -> int:
     if rem:
         raise IdentityViolation("(sigma | theta_s) must be an integer")
     return 1 + value
-
-
-# -- classification of Cartan matrices ----------------------------------------
-
-
-def classify_cartan(matrix) -> list[RootSystemSpec]:
-    """Classify a (possibly reducible) finite-type Cartan matrix.
-
-    Returns the list of irreducible component types, ordered by smallest
-    participating index.  Raises NotFiniteType for anything that is not a
-    generalized Cartan matrix of finite type.
-
-    A connected component is of finite type exactly when it is
-    symmetrizable (_symmetrizers) and every leading minor is positive
-    (the pivots of _eliminate).  Its rank m, determinant and symmetrizers d
-    then name it: a simply-laced component is A_m (det m + 1), D_m (det 4)
-    or E_m (det 9 - m); otherwise the largest d_i is the squared length
-    ratio, 3 only in G2, and a double-laced component is B_m with one short
-    simple root, C_m with one long one, and F4 otherwise.  Isomorphic labels
-    are canonicalised by that order: a rank-2 double bond reports as B2, a
-    simply-laced 3-chain (det 4) as A3."""
-    A = [list(row) for row in matrix]
-    n = len(A)
-    if n == 0 or any(len(row) != n for row in A):
-        raise NotFiniteType("matrix is not square")
-    for i in range(n):
-        if A[i][i] != 2:
-            raise NotFiniteType("diagonal entries must equal 2")
-        for j in range(n):
-            if not isinstance(A[i][j], int):
-                raise NotFiniteType("entries must be integers")
-            if i != j:
-                if A[i][j] > 0:
-                    raise NotFiniteType("off-diagonal entries must be non-positive")
-                if (A[i][j] == 0) != (A[j][i] == 0):
-                    raise NotFiniteType("zero pattern must be symmetric")
-
-    unvisited = set(range(n))
-    components = []
-    while unvisited:
-        start = min(unvisited)
-        comp = [start]
-        unvisited.discard(start)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in list(unvisited):
-                if A[i][j] != 0:
-                    unvisited.discard(j)
-                    comp.append(j)
-                    queue.append(j)
-        components.append(sorted(comp))
-    return [_classify_component(A, comp) for comp in components]
-
-
-def _classify_component(A, nodes) -> RootSystemSpec:
-    """The type of one connected component, by the rule of classify_cartan."""
-    sub = [[A[i][j] for j in nodes] for i in nodes]
-    d = _symmetrizers(sub)
-    det = _eliminate(sub)
-    m = len(nodes)
-    if max(d) == 1:
-        family = "A" if det == m + 1 else "D" if det == 4 else "E"
-    elif max(d) == 3:
-        family = "G"
-    else:
-        shorts = d.count(1)
-        family = "B" if shorts == 1 else "C" if shorts == m - 1 else "F"
-    return RootSystemSpec(family, m)

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from operator import itemgetter
 
+from .cartan import Root
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded
-from .rootsystem import Root, RootSystem
+from .rootsystem import RootSystem
 
 __all__ = [
     "compose",

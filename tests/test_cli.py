@@ -1,6 +1,7 @@
 """Command line interface: output shapes, exit codes, determinism and the
 doc/catalog coverage contract."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -371,8 +372,8 @@ def test_package_exports_exactly_the_module_lists():
 
     import shortroots
 
-    library = ["antichains", "config", "errors", "gradedchar", "littleadjoint", "reduction",
-               "rootsystem", "weyl"]
+    library = ["antichains", "cartan", "config", "errors", "gradedchar", "littleadjoint",
+               "reduction", "rootsystem", "weyl"]
     modules = [importlib.import_module(f"shortroots.{mod}") for mod in library]
     owner = {name: mod for mod in modules for name in mod.__all__}
     assert len(owner) == sum(len(mod.__all__) for mod in modules)   # no name declared twice
@@ -389,6 +390,17 @@ def test_no_module_imports_dataclasses():
     src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
     importing = re.compile(r"^\s*(import|from)\s+dataclasses\b", re.MULTILINE)
     assert [p.name for p in sorted(src.glob("*.py")) if importing.search(p.read_text())] == []
+
+
+def test_every_module_compiles_inside_the_start_up_heap():
+    # compiling a module from source (as every cold child without a bytecode
+    # cache does) peaks at about 400 B per AST node; 3 000 nodes keep that
+    # transient inside the heap interpreter start-up leaves free, so no
+    # module's compile raises a child's peak RSS
+    src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
+    sizes = {p.name: sum(1 for _ in ast.walk(ast.parse(p.read_text())))
+             for p in sorted(src.glob("*.py"))}
+    assert {name: n for name, n in sizes.items() if n > 3000} == {}
 
 
 def test_cli_start_up_does_not_load_dataclasses():
@@ -426,14 +438,15 @@ loaded = [m[11:] for m in names if type(sys.modules[m]) is types.ModuleType]
 print(code, *sorted(m[11:] for m in names))
 print(*sorted(loaded))
 """
-_LIBRARY_AND_CHECKS = "antichains checks config errors gradedchar littleadjoint reduction rootsystem weyl"
+_LIBRARY_AND_CHECKS = ("antichains cartan checks config errors gradedchar littleadjoint reduction"
+                       " rootsystem weyl")
 _RUNS = {
-    "": "errors rootsystem",
-    "info C9": "errors littleadjoint reduction rootsystem",
-    "antichains C8": "antichains config errors rootsystem",
-    "nullcone-char G2 --max-degree 4": "config errors gradedchar rootsystem",
-    "verify B7 --check sign-partition": "checks errors littleadjoint rootsystem",
-    "table1": "errors littleadjoint reduction rootsystem",
+    "": "cartan errors rootsystem",
+    "info C9": "cartan errors littleadjoint reduction rootsystem",
+    "antichains C8": "antichains cartan config errors rootsystem",
+    "nullcone-char G2 --max-degree 4": "cartan config errors gradedchar rootsystem",
+    "verify B7 --check sign-partition": "cartan checks errors littleadjoint rootsystem",
+    "table1": "cartan errors littleadjoint reduction rootsystem",
     "verify G2": _LIBRARY_AND_CHECKS,
 }
 
@@ -455,7 +468,7 @@ def test_from_import_of_the_cli_leaves_the_library_lazy():
             "print(*sorted(m[11:] for m in sys.modules if m.startswith('shortroots.')"
             " and type(sys.modules[m]) is types.ModuleType))")
     child = python_child("-c", code)
-    loaded = "cli errors rootsystem\n"
+    loaded = "cartan cli errors rootsystem\n"
     assert (child.returncode, child.stdout, child.stderr) == (0, loaded, "")
 
 

@@ -63,6 +63,7 @@ from shortroots import (
     summary_row,
     transition_identities,
 )
+from shortroots import gradedchar as gc
 from shortroots.checks import CHECK_IDS, run_check
 from shortroots.gradedchar import invariant_degrees
 from shortroots.rootsystem import weyl_dim
@@ -436,16 +437,17 @@ def test_from_cartan_shares_the_cache_of_build():
 def test_one_adjugate_per_system(monkeypatch):
     # info C60 builds C60 and its simple reduction A59; classifying the
     # short-simple submatrix reads the pivots, not an adjugate
+    import shortroots.cartan as cartan
     import shortroots.rootsystem as rootsystem
 
     sizes = []
-    adjugate = rootsystem._adjugate
+    adjugate = cartan._adjugate
 
     def counted(A):
         sizes.append(len(A))
         return adjugate(A)
 
-    monkeypatch.setattr(rootsystem, "_adjugate", counted)
+    monkeypatch.setattr(cartan, "_adjugate", counted)
     rootsystem._cached.cache_clear()
     try:
         rs = build("C60")
@@ -505,13 +507,25 @@ def test_bourbaki_nodes_number_the_diagram_as_bourbaki_does(name):
         order = rng.sample(range(rs.rank), rs.rank)
         relabelled = from_cartan([[A[i][j] for j in order] for i in order])
         nodes = bourbaki_nodes(relabelled)
-        if name[0] in "DE":   # branched: the matrix's own order
-            assert nodes == tuple(range(rs.rank))
-        else:
-            assert tuple(tuple(relabelled.cartan[i][j] for j in nodes)
-                         for i in nodes) == cartan_matrix(relabelled.spec)
-            if rs.is_multiply_laced and relabelled.spec == rs.spec:   # the walk is unique
-                assert [order[i] for i in nodes] == list(range(rs.rank))
+        assert tuple(tuple(relabelled.cartan[i][j] for j in nodes)
+                     for i in nodes) == cartan_matrix(relabelled.spec)
+        if rs.is_multiply_laced and relabelled.spec == rs.spec:   # the walk is unique
+            assert [order[i] for i in nodes] == list(range(rs.rank))
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "E6"])
+def test_dp_updates_do_not_depend_on_the_node_order(name):
+    # the q-partition tables add the short roots in Bourbaki's numbering, so
+    # a relabelled build of a branched diagram makes the same DP updates too
+    # (test_checks_do_not_depend_on_the_node_order compares them on paths)
+    rs = build(name)
+    A = rs.cartan
+    want = gc._QTables(rs, 4).updates
+    rng = random.Random(name)
+    for _ in range(4):
+        order = rng.sample(range(rs.rank), rs.rank)
+        relabelled = from_cartan([[A[i][j] for j in order] for i in order])
+        assert gc._QTables(relabelled, 4).updates == want, order
 
 
 def test_symmetrizers_are_checked_on_every_pair():
@@ -542,7 +556,7 @@ def test_symmetrizers_refuse_a_fractional_ratio():
 
 _WEIGHT_OF = """
 import sys
-from shortroots.rootsystem import Weight
+from shortroots.cartan import Weight
 print("numbers" in sys.modules)
 try:
     Weight.of([0.5])
@@ -661,9 +675,10 @@ def test_simple_roots_have_one_dominant_conjugate_per_length(name):
 def test_constructor_refuses_a_length_count_the_walk_does_not_see(monkeypatch):
     # with every symmetrizer 1, B3 claims one root length, but its simple
     # roots straighten to two dominant roots
+    import shortroots.cartan as cartan
     import shortroots.rootsystem as rootsystem
 
-    monkeypatch.setattr(rootsystem, "_symmetrizers", lambda A: (1,) * len(A))
+    monkeypatch.setattr(cartan, "_symmetrizers", lambda A: (1,) * len(A))
     with pytest.raises(NotFiniteType, match="B3 has 2 dominant conjugates"):
         rootsystem.RootSystem(RootSystemSpec("B", 3), cartan_matrix(RootSystemSpec("B", 3)))
 
