@@ -42,6 +42,17 @@ def _orderings(rs: RootSystem):
     return out
 
 
+def _coxeter_sample(rs: RootSystem):
+    """The number of orderings in the sample, and each distinct Coxeter
+    element they build with the first ordering that builds it, in sample
+    order; so a failure is reported at its first ordering."""
+    orderings = _orderings(rs)
+    first = {}
+    for ordering in orderings:
+        first.setdefault(weyl.coxeter_element(rs, ordering), ordering)
+    return len(orderings), tuple(first.items())
+
+
 def _fail(details, **values):
     details.update(values)
     return "fail", details
@@ -68,7 +79,8 @@ def _check_root_counts(rs: RootSystem):
 
 def _check_semidirect(rs: RootSystem):
     group = weyl.enumerate_group(rs)
-    w_l = weyl.closure(rs, weyl.long_subgroup(rs))
+    long_gens = weyl.long_subgroup(rs)
+    w_l = weyl.closure(rs, long_gens)
     w_s = weyl.closure(rs, weyl.short_parabolic(rs))
     details = {
         "weyl_order": len(group),
@@ -81,16 +93,14 @@ def _check_semidirect(rs: RootSystem):
     details["intersection_order"] = len(inter)
     if len(inter) != 1:
         return "fail", details
-    long_reflections = [weyl.reflection(rs, r) for r in rs.long_positive_roots()]
     for i in range(rs.rank):
         g = weyl.simple_reflection(rs, i)   # an involution: g r g is r conjugated by g
-        for r in long_reflections:
+        for r in long_gens:   # W_l is normal once g conjugates each generator into it
             if weyl.compose(weyl.compose(g, r), g) not in w_l:
                 return _fail(details, normality="violated", generator=i)
     details["normal"] = True
     p = rs.num_positive
-    long_pos = [rs.index(r) for r in rs.long_positive_roots()]
-    stable = frozenset(w for w in group if all(w[i] < p for i in long_pos))
+    stable = frozenset(w for w in group if all(w[i] < p for i in rs.long_positives))
     if stable != w_s:
         return _fail(details, stable_set_order=len(stable))
     details["stable_set_matches_parabolic"] = True
@@ -169,14 +179,10 @@ def _check_dual_coxeter_dual(rs: RootSystem):
 def _check_coxeter_orbits(rs: RootSystem):
     h = rs.coxeter_number
     shorts = len(rs.short_simple_indices)
-    orderings = _orderings(rs)
-    details = {"orderings_tested": len(orderings), "coxeter_number": h,
+    tested, sample = _coxeter_sample(rs)
+    details = {"orderings_tested": tested, "coxeter_number": h,
                "expected_short_orbits": shorts}
-    passed = set()   # elements tested; a failure returns at its first ordering
-    for ordering in orderings:
-        c = weyl.coxeter_element(rs, ordering)
-        if c in passed:
-            continue
+    for c, ordering in sample:
         orbits = weyl.coxeter_orbits(rs, c)
         if any(len(o) != h for o in orbits):
             return _fail(details, ordering=list(ordering),
@@ -184,26 +190,20 @@ def _check_coxeter_orbits(rs: RootSystem):
         short_orbits = sum(1 for o in orbits if rs.roots[o[0]].is_short)
         if short_orbits != shorts:
             return _fail(details, ordering=list(ordering), short_orbits=short_orbits)
-        passed.add(c)
     return "pass", details
 
 
 def _check_coxeter_power(rs: RootSystem):
     reduction = red.simple_reduction(rs)
-    orderings = _orderings(rs)
+    tested, sample = _coxeter_sample(rs)
     details = {
-        "orderings_tested": len(orderings),
+        "orderings_tested": tested,
         "sub_coxeter_number": reduction.sub_coxeter_number,
         "transition_factor": reduction.transition_factor,
     }
-    passed = set()   # elements tested; a failure returns at its first ordering
-    for ordering in orderings:
-        c = weyl.coxeter_element(rs, ordering)
-        if c in passed:
-            continue
+    for _, ordering in sample:
         if not red.check_coxeter_power(rs, ordering):
             return _fail(details, ordering=list(ordering))
-        passed.add(c)
     return "pass", details
 
 

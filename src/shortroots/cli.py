@@ -27,12 +27,7 @@ from . import checks
 from . import gradedchar as gc
 from . import littleadjoint as la
 from . import reduction as red
-from .errors import (
-    IdentityViolation,
-    NotFiniteType,
-    SizeLimitExceeded,
-    UnsupportedRootSystem,
-)
+from .errors import IdentityViolation, SizeLimitExceeded
 from .rootsystem import RootSystem, build, dual_coxeter_of_dual
 
 SCHEMA_VERSION = 1
@@ -287,7 +282,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, NotFiniteType, UnsupportedRootSystem) as exc:
+    except ValueError as exc:   # NotFiniteType and UnsupportedRootSystem among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeLimitExceeded as exc:

@@ -154,6 +154,9 @@ class RootSystem:
             raise ValueError(f"{coeffs} is not a root of {self.spec}") from None
 
     def simple_root(self, i: int) -> Root:
+        if not 0 <= i < self.rank:
+            raise ValueError(f"{self.spec} has no simple root {i}; "
+                             f"its indices run from 0 to {self.rank - 1}")
         coeffs = tuple(int(i == j) for j in range(self.rank))
         return self.roots[self.root_index[coeffs]]
 

@@ -7,10 +7,10 @@ and reduced words all follow from that tuple, and no engine reads them.
 W acts on the roots only; weights are moved by simple reflections on
 their coordinates (``RootSystem.straighten`` up to the dominant chamber,
 ``RootSystem.descend`` down a whole orbit), with no element built.
-Membership in the subgroup generated by long-root reflections, and the
-matching factorisation of the whole group, are decided by a descent
-through the long-root subsystem; the long factor is rebuilt from the
-reflections the descent strips, and membership never builds it.  Every
+The factorisation of the whole group over the subgroup generated by
+long-root reflections is one descent through the long-root subsystem,
+which rebuilds the long factor from the reflections it strips;
+membership in that subgroup reads the short factor it leaves.  Every
 product is an index gather through an ``operator.itemgetter``, so it
 runs in C: ``compose`` builds one for a single product, the getters that
 ``coxeter_element`` and ``decompose_semidirect`` apply are built once
@@ -164,28 +164,6 @@ def _indecomposable_longs(rs: RootSystem):
     return tuple(base)
 
 
-def _strip_long_reflections(rs: RootSystem, perm):
-    """The descent of decompose_semidirect: while some member of the
-    long-root base is sent negative, strip one long reflection off the
-    right.  Returns what is left, ws, and the getters of the reflections
-    stripped, in order."""
-    descent = rs.memo(  # raises on simply-laced input
-        "long_descent",
-        lambda: tuple((rs.index(b), itemgetter(*r))
-                      for b, r in zip(long_root_base(rs), long_subgroup(rs))),
-    )
-    p = rs.num_positive
-    stripped = []
-    while True:
-        for i, step in descent:
-            if perm[i] >= p:
-                perm = step(perm)   # v * r_b for the first base root b sent negative
-                stripped.append(step)
-                break
-        else:
-            return perm, stripped
-
-
 def decompose_semidirect(rs: RootSystem, w: tuple[int, ...]):
     """Factor w = ws * wl with ws preserving the positive long roots and wl
     a product of long-root reflections.  The pair is unique.
@@ -193,7 +171,16 @@ def decompose_semidirect(rs: RootSystem, w: tuple[int, ...]):
     Works by descent: while some member of the long-root base is sent
     negative, strip one long reflection off the right.  If w * r_1 ... r_k
     is ws, then wl is r_k ... r_1, since each r_i is an involution."""
-    ws, stripped = _strip_long_reflections(rs, w)
+    descent = rs.memo(  # raises on simply-laced input
+        "long_descent",
+        lambda: tuple((rs.index(b), itemgetter(*r))
+                      for b, r in zip(long_root_base(rs), long_subgroup(rs))),
+    )
+    p = rs.num_positive
+    ws, stripped = w, []
+    while (step := next((s for i, s in descent if ws[i] >= p), None)) is not None:
+        ws = step(ws)   # ws * r_b for the first base root b sent negative
+        stripped.append(step)
     wl = identity(rs)
     for step in reversed(stripped):
         wl = step(wl)   # wl * r
@@ -202,9 +189,8 @@ def decompose_semidirect(rs: RootSystem, w: tuple[int, ...]):
 
 def is_in_long_subgroup(rs: RootSystem, w: tuple[int, ...]) -> bool:
     """Whether w lies in the subgroup generated by long-root reflections:
-    whether its short factor ws is the identity; wl is never built."""
-    ws, _ = _strip_long_reflections(rs, w)
-    return ws == identity(rs)
+    whether the short factor of ``decompose_semidirect`` is the identity."""
+    return decompose_semidirect(rs, w)[0] == identity(rs)
 
 
 # -- subgroups, materialised as the independent route of the catalog -----------

@@ -236,6 +236,13 @@ def test_nullcone_char_refuses_a_negative_degree(capsys):
     assert err == "error: max_degree must be non-negative\n"
 
 
+@pytest.mark.parametrize("argv", [("antichains", "A3"), ("nullcone-char", "D4")])
+def test_single_length_systems_are_refused_outside_verify(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[1]} has a single root length\n"
+
+
 def test_nullcone_char_reports_work_counters(capsys):
     code, out, _ = run(capsys, "nullcone-char", "C5", "--max-degree", "6", "--json")
     assert code == 0

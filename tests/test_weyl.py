@@ -369,3 +369,33 @@ def test_semidirect_check_rejects_wrong_factors(monkeypatch, wrong):
     assert status == "fail"
     assert details["roundtrip"] == "violated"
 
+
+@pytest.mark.parametrize(
+    "patch, branch",
+    [
+        (lambda monkeypatch, rs: monkeypatch.setattr(weyl_module, "short_parabolic", lambda rs: ()),
+         {"product_order": 16}),
+        (lambda monkeypatch, rs: monkeypatch.setattr(weyl_module, "compose", lambda w, v: ()),
+         {"normality": "violated", "generator": 0}),
+        (lambda monkeypatch, rs: monkeypatch.setattr(rs, "num_positive", 0),
+         {"stable_set_order": 0}),
+    ],
+    ids=["product-order", "normality", "stable-set"],
+)
+def test_semidirect_check_fails_at_each_of_its_steps(monkeypatch, patch, branch):
+    rs = build("C4")
+    patch(monkeypatch, rs)
+    status, details = run_check("semidirect-product", rs)
+    assert status == "fail"
+    assert {k: details[k] for k in branch} == branch
+    assert "roundtrip" not in details
+
+
+@pytest.mark.parametrize("index", [-1, 4, 9])
+def test_simple_roots_refuse_an_index_outside_the_rank(index):
+    rs = build("C4")
+    message = f"^C4 has no simple root {index}; its indices run from 0 to 3$"
+    with pytest.raises(ValueError, match=message):
+        rs.simple_root(index)
+    with pytest.raises(ValueError, match=message):
+        simple_reflection(rs, index)
