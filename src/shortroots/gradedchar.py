@@ -23,7 +23,8 @@ subsystem's positive roots; the module dimensions come from
 and ``errors``.  Every
 polynomial carries an explicit truncation degree; mixing truncations
 takes the minimum.  The tables are built once per system and truncation
-degree, which must be non-negative.
+degree, which must be a non-negative int; so must every degree and
+coefficient of a polynomial.
 """
 
 from __future__ import annotations
@@ -57,12 +58,16 @@ class QPoly:
     __slots__ = ("coeffs", "truncation")
 
     def __init__(self, coeffs, truncation: int):
+        if type(truncation) is not int:
+            raise TypeError(f"truncation degree must be an int, not {truncation!r}")
         if truncation < 0:
             raise ValueError("truncation degree must be non-negative")
+        coeffs = dict(coeffs)
+        for k, v in coeffs.items():
+            if type(k) is not int or type(v) is not int:
+                raise TypeError(f"a term needs an int degree and coefficient, not {k!r}: {v!r}")
         self.truncation = truncation
-        self.coeffs = {
-            k: v for k, v in dict(coeffs).items() if v != 0 and 0 <= k <= truncation
-        }
+        self.coeffs = {k: v for k, v in coeffs.items() if v != 0 and 0 <= k <= truncation}
 
     @classmethod
     def zero(cls, truncation: int) -> "QPoly":
@@ -202,7 +207,10 @@ class _QTables:
 
 
 def _require_degree(degree: int) -> None:
-    """The one check of a truncation degree, made before any answer."""
+    """The one check of a truncation degree, made before any answer or
+    table: an int (no float or Fraction), non-negative."""
+    if type(degree) is not int:
+        raise TypeError(f"max_degree must be an int, not {degree!r}")
     if degree < 0:
         raise ValueError("max_degree must be non-negative")
 

@@ -1,7 +1,10 @@
 """The simple reduction of a multiply-laced system: the subsystem spanned
 by the short simple roots, its Coxeter data, the transition factor, the
 kernel-hyperplane combinatorics, dimension bookkeeping, the nilpotent
-orbit count read off the reduction's type and the summary rows."""
+orbit count read off the reduction's type and the summary rows.  The
+kernel-hyperplane classes are the orbits, up to sign, of the subgroup
+W_l generated by long reflections on the short positive roots, walked
+through W_l's generators ``weyl.long_subgroup``."""
 
 from __future__ import annotations
 
@@ -103,47 +106,45 @@ def transition_identities(rs: RootSystem) -> TransitionIdentities:
 class HyperplaneClasses(NamedTuple):
     """Short positive roots grouped by the kernel hyperplane they induce on
     the zero weight space: two short roots agree when they differ, up to
-    sign, by a long root; the classes carry exactly one representative
-    inside the short-simple subsystem."""
+    sign, by a long root, so the classes are the orbits of W_l up to sign;
+    they carry exactly one representative inside the short-simple
+    subsystem."""
 
     classes: tuple[tuple[Root, ...], ...]
     representatives: tuple[Root, ...]
 
 
 def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
+    """The classes are the orbits, up to sign, of W_l on the short positive
+    roots, walked through the generators ``weyl.long_subgroup``.  With
+    squared lengths 2 (short) and 2r (long), <gamma, b^v> is 0 or +-1 for
+    gamma short and b long, so s_b(gamma) is gamma or gamma -+ b: a long
+    reflection moves a short root by one long root at most.  Conversely,
+    if gamma - b is a root then |gamma - b|^2 = 2 + 2r - 2(gamma|b) forces
+    (gamma|b) = r, so gamma - b = s_b(gamma); likewise gamma + b is
+    s_{-b}(gamma).  W_l is generated by the reflections in the long-root
+    base, so closing under them joins exactly the pairs that differ, up
+    to sign, by a long root.  Root k >= p is -(root k - p), so the walk
+    folds it to k - p."""
     red = simple_reduction(rs)
-    shorts = rs.short_positive_roots()
-    pos = {r.coeffs: k for k, r in enumerate(shorts)}
-    parent = list(range(len(shorts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    def is_long(coeffs):
-        i = rs.root_index.get(coeffs)
-        return i is not None and not rs.roots[i].is_short
-
-    items = list(pos.items())
-    for a, (ca, ka) in enumerate(items):
-        for cb, kb in items[a + 1:]:
-            diff = tuple(x - y for x, y in zip(ca, cb))
-            summ = tuple(x + y for x, y in zip(ca, cb))
-            if is_long(diff) or is_long(summ):
-                union(ka, kb)
-
-    groups: dict[int, list[Root]] = {}
-    for k, r in enumerate(shorts):
-        groups.setdefault(find(k), []).append(r)
+    gens = weyl.long_subgroup(rs)
+    p = rs.num_positive
+    seen: set[int] = set()
+    groups = []
+    for start in rs.short_positives:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for k in orbit:   # the list grows while it is walked
+            for g in gens:
+                j = g[k] % p
+                if j not in seen:
+                    seen.add(j)
+                    orbit.append(j)
+        groups.append([rs.roots[k] for k in orbit])
     classes = tuple(
-        tuple(sorted(g, key=lambda r: (r.height, r.coeffs))) for g in groups.values()
+        tuple(sorted(g, key=lambda r: (r.height, r.coeffs))) for g in groups
     )
     classes = tuple(sorted(classes, key=lambda g: (g[0].height, g[0].coeffs)))
 
@@ -188,16 +189,12 @@ def one_step_strings(rs: RootSystem) -> dict:
                 pairs.append((rs.roots[k], mu))
         pairs.sort(key=lambda p: (p[0].height, p[0].coeffs))
         positive = tuple(b for b, m in pairs if m.is_positive)
-        seen = []
-        for _, m in pairs:
-            canon = m if m.is_positive else -m
-            if canon not in seen:
-                seen.append(canon)
+        targets = tuple(dict.fromkeys(m if m.is_positive else -m for _, m in pairs))
         out[gamma] = OneStepEntry(
             pairs=tuple(pairs),
             positive_target_steps=positive,
-            target_classes=tuple(seen),
-            sole=len(seen) == 1,
+            target_classes=targets,
+            sole=len(targets) == 1,
         )
     return out
 

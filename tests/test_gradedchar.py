@@ -3,6 +3,7 @@ character against its Hilbert series."""
 
 import ast
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -137,6 +138,38 @@ def test_q_partition_rejects_bad_subset():
                     lambda: hilbert_check(rs, -1)]:
         with pytest.raises(ValueError, match="max_degree must be non-negative"):
             compute()
+
+
+@pytest.mark.parametrize("degree", [2.0, Fraction(2)], ids=["float", "Fraction"])
+@pytest.mark.parametrize("entry", ["q_partition", "graded_multiplicity", "nullcone_character",
+                                   "hilbert_check"])
+def test_every_entry_point_refuses_a_degree_that_is_not_an_int(monkeypatch, entry, degree):
+    # refused with the value named, before any table is built
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(gc, "_QTables", no_table)
+    rs = RootSystem(build("C4").spec, build("C4").cartan)
+    zero = (0,) * 4
+    compute = {
+        "q_partition": lambda: q_partition(rs, zero, degree),
+        "graded_multiplicity": lambda: graded_multiplicity(rs, zero, zero, degree),
+        "nullcone_character": lambda: nullcone_character(rs, degree),
+        "hilbert_check": lambda: hilbert_check(rs, degree),
+    }[entry]
+    refusal = f"^max_degree must be an int, not {re.escape(repr(degree))}$"
+    with pytest.raises(TypeError, match=refusal):
+        compute()
+
+
+@pytest.mark.parametrize("coeffs, truncation, refused", [
+    ({0: 1}, 2.5, "truncation degree must be an int, not 2.5"),
+    ({0.0: 1}, 2, "int degree and coefficient, not 0.0: 1"),
+    ({0: 1.5}, 2, "int degree and coefficient, not 0: 1.5"),
+], ids=["truncation", "degree", "coefficient"])
+def test_qpoly_refuses_what_is_not_an_int(coeffs, truncation, refused):
+    with pytest.raises(TypeError, match=re.escape(refused)):
+        QPoly(coeffs, truncation)
 
 
 def test_a_huge_degree_is_refused_before_any_table_is_allocated():

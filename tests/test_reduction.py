@@ -94,6 +94,41 @@ def test_hyperplane_class_counts(name, count):
     assert {r.coeffs for r in classes.representatives} == sub_pos
 
 
+@pytest.mark.parametrize("name", [f"B{n}" for n in range(2, 9)]
+                         + [f"C{n}" for n in range(2, 11)] + ["F4", "G2"])
+def test_hyperplane_classes_join_the_roots_a_long_root_apart(name):
+    # the definition: two short positive roots share a class when their
+    # difference or their sum is a long root; closed here by merging
+    rs = build(name)
+    longs = {r.coeffs for r in rs.roots if not r.is_short}
+    groups = [{r.coeffs} for r in rs.short_positive_roots()]
+    merged = True
+    while merged:
+        merged = False
+        for a, b in itertools.combinations(range(len(groups)), 2):
+            if any(tuple(x - y for x, y in zip(u, v)) in longs
+                   or tuple(x + y for x, y in zip(u, v)) in longs
+                   for u in groups[a] for v in groups[b]):
+                groups[a] |= groups.pop(b)
+                merged = True
+                break
+    classes = hyperplane_classes(rs).classes
+    assert {frozenset(r.coeffs for r in g) for g in classes} == set(map(frozenset, groups))
+
+
+@pytest.mark.parametrize("name", ["F4", "G2"])
+def test_hyperplane_classes_need_every_long_generator(monkeypatch, name):
+    # W_l without any one of its generators splits a class of F4 and of G2,
+    # and a split class holds no subsystem representative
+    gens = weyl.long_subgroup(build(name))
+    for drop in range(len(gens)):
+        monkeypatch.setattr(weyl, "long_subgroup", lambda rs: gens[:drop] + gens[drop + 1:])
+        status, details = checks.run_check("hyperplane-classes",
+                                           RootSystem(build(name).spec, build(name).cartan))
+        assert status == "fail"
+        assert "holds 0 subsystem representatives" in details["violation"]
+
+
 def test_one_step_strings_in_type_c():
     rs = build("C3")
     strings = one_step_strings(rs)
