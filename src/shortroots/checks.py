@@ -45,12 +45,16 @@ def _orderings(rs: RootSystem):
 def _coxeter_sample(rs: RootSystem):
     """The number of orderings in the sample, and each distinct Coxeter
     element they build with the first ordering that builds it, in sample
-    order; so a failure is reported at its first ordering."""
-    orderings = _orderings(rs)
-    first = {}
-    for ordering in orderings:
-        first.setdefault(weyl.coxeter_element(rs, ordering), ordering)
-    return len(orderings), tuple(first.items())
+    order; so a failure is reported at its first ordering.  Built once per
+    system, for every check that reads it."""
+    def compute():
+        orderings = _orderings(rs)
+        first = {}
+        for ordering in orderings:
+            first.setdefault(weyl.coxeter_element(rs, ordering), ordering)
+        return len(orderings), tuple(first.items())
+
+    return rs.memo("coxeter_sample", compute)
 
 
 def _fail(details, **values):
@@ -77,39 +81,56 @@ def _check_root_counts(rs: RootSystem):
     return ("pass" if ok else "fail"), details
 
 
+def _in_reflection_subgroup(rs: RootSystem, w, base, gens) -> bool:
+    """Whether w lies in the subgroup generated by gens, the reflections in
+    base, a base of a root subsystem that is positive in rs (the short
+    simple roots, or ``long_root_base``): strip the reflection in a base
+    root that w sends negative off the right while there is one; w is in
+    that subgroup exactly when this ends at the identity."""
+    p = rs.num_positive
+    descent = [(rs.index(b), g) for b, g in zip(base, gens)]
+    while (g := next((g for k, g in descent if w[k] >= p), None)) is not None:
+        w = weyl.compose(w, g)
+    return w == weyl.identity(rs)
+
+
 def _check_semidirect(rs: RootSystem):
-    group = weyl.enumerate_group(rs)
+    short_base = [rs.simple_root(i) for i in rs.short_simple_indices]
+    short_gens = weyl.short_parabolic(rs)
+    long_base = weyl.long_root_base(rs)
     long_gens = weyl.long_subgroup(rs)
-    w_l = weyl.closure(rs, long_gens)
-    w_s = weyl.closure(rs, weyl.short_parabolic(rs))
+    long_order = weyl.reflection_subgroup_order(rs, long_base)
+    short_order = weyl.reflection_subgroup_order(rs, short_base)
     details = {
-        "weyl_order": len(group),
-        "long_subgroup_order": len(w_l),
-        "short_parabolic_order": len(w_s),
+        "weyl_order": rs.weyl_order,
+        "long_subgroup_order": long_order,
+        "short_parabolic_order": short_order,
     }
-    if len(w_s) * len(w_l) != len(group):
-        return _fail(details, product_order=len(w_s) * len(w_l))
-    inter = w_l & w_s
-    details["intersection_order"] = len(inter)
-    if len(inter) != 1:
-        return "fail", details
+    if short_order * long_order != rs.weyl_order:
+        return _fail(details, product_order=short_order * long_order)
+    # W_s keeps the positive long roots positive and only the identity of W_l
+    # does (Humphreys, Reflection Groups and Coxeter Groups, 1.8), so W_s
+    # meets W_l trivially and, of complementary order, is their stabiliser
+    p = rs.num_positive
+    for i, g in zip(rs.short_simple_indices, short_gens):
+        if any(g[k] >= p for k in rs.long_positives):
+            return _fail(details, stable_set="violated", generator=i)
+    details["intersection_order"] = 1
+    details["stable_set_matches_parabolic"] = True
     for i in range(rs.rank):
         g = weyl.simple_reflection(rs, i)   # an involution: g r g is r conjugated by g
         for r in long_gens:   # W_l is normal once g conjugates each generator into it
-            if weyl.compose(weyl.compose(g, r), g) not in w_l:
+            if not weyl.is_in_long_subgroup(rs, weyl.compose(weyl.compose(g, r), g)):
                 return _fail(details, normality="violated", generator=i)
     details["normal"] = True
-    p = rs.num_positive
-    stable = frozenset(w for w in group if all(w[i] < p for i in rs.long_positives))
-    if stable != w_s:
-        return _fail(details, stable_set_order=len(stable))
-    details["stable_set_matches_parabolic"] = True
-    for w in group:
+    for w, _ in _coxeter_sample(rs)[1]:   # each factor placed by a descent of its own
         ws, wl = weyl.decompose_semidirect(rs, w)
-        if not (ws in w_s and wl in w_l and weyl.compose(ws, wl) == w):
+        if not (_in_reflection_subgroup(rs, ws, short_base, short_gens)
+                and _in_reflection_subgroup(rs, wl, long_base, long_gens)
+                and weyl.compose(ws, wl) == w):
             return _fail(details, roundtrip="violated")
-    # every round trip held, so distinct elements gave distinct factor pairs
-    details["distinct_factor_pairs"] = len(group)
+    # W = W_s W_l with W_s and W_l meeting trivially: one factor pair per element
+    details["distinct_factor_pairs"] = short_order * long_order
     return "pass", details
 
 

@@ -78,6 +78,8 @@ class QPoly:
         return cls({0: 1}, truncation)
 
     def coeff(self, k: int) -> int:
+        if type(k) is not int:
+            raise TypeError(f"a degree must be an int, not {k!r}")
         if k > self.truncation:
             raise ValueError(f"degree {k} is beyond the truncation {self.truncation}")
         return self.coeffs.get(k, 0)
@@ -99,6 +101,8 @@ class QPoly:
         return self.truncation == other.truncation and self.coeffs == other.coeffs
 
     def __add__(self, other: "QPoly") -> "QPoly":
+        if not isinstance(other, QPoly):
+            return NotImplemented
         t = min(self.truncation, other.truncation)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
@@ -106,6 +110,8 @@ class QPoly:
         return QPoly(out, t)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
+        if not isinstance(other, QPoly):
+            return NotImplemented
         t = min(self.truncation, other.truncation)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
@@ -116,8 +122,10 @@ class QPoly:
         return QPoly({k: -v for k, v in self.coeffs.items()}, self.truncation)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return QPoly({k: other * v for k, v in self.coeffs.items()}, self.truncation)
+        if not isinstance(other, QPoly):
+            return NotImplemented
         t = min(self.truncation, other.truncation)
         out: dict[int, int] = {}
         for a, va in self.coeffs.items():

@@ -7,41 +7,38 @@ and reduced words all follow from that tuple, and no engine reads them.
 W acts on the roots only; weights are moved by simple reflections on
 their coordinates (``RootSystem.straighten`` up to the dominant chamber,
 ``RootSystem.descend`` down a whole orbit), with no element built.
+No group is listed element by element: the order of a reflection
+subgroup is read off the Cartan types its base names.
 The factorisation of the whole group over the subgroup generated by
 long-root reflections is one descent through the long-root subsystem,
 which rebuilds the long factor from the reflections it strips;
 membership in that subgroup reads the short factor it leaves.  Every
 product is an index gather through an ``operator.itemgetter``, so it
-runs in C: ``compose`` builds one for a single product, the getters that
-``coxeter_element`` and ``decompose_semidirect`` apply are built once
-per system, and ``_generate`` builds one per generator on each call.
-Subgroup closures are counted against ``Limits.max_weyl_order``, the
-one Weyl cap, since no subgroup of W is larger than W.
-"""
+runs in C: ``compose`` builds one for a single product, and the getters
+that ``coxeter_element`` and ``decompose_semidirect`` apply are built
+once per system."""
 
 from __future__ import annotations
 
+import math
 from operator import itemgetter
 
-from .cartan import Root
-from .config import current_limits
-from .errors import IdentityViolation, SizeLimitExceeded
-from .rootsystem import RootSystem
+from .cartan import Root, classify_cartan
+from .rootsystem import RootSystem, build
 
 __all__ = [
     "compose",
     "identity",
     "simple_reflection",
     "reflection",
-    "enumerate_group",
     "coxeter_element",
     "coxeter_orbits",
     "long_root_base",
     "decompose_semidirect",
     "is_in_long_subgroup",
-    "closure",
     "long_subgroup",
     "short_parabolic",
+    "reflection_subgroup_order",
 ]
 
 
@@ -62,47 +59,6 @@ def simple_reflection(rs: RootSystem, i: int) -> tuple[int, ...]:
 def reflection(rs: RootSystem, root: Root) -> tuple[int, ...]:
     """Reflection in the hyperplane orthogonal to an arbitrary root."""
     return rs.reflection_perm(rs.index(root))
-
-
-def enumerate_group(rs: RootSystem):
-    """All Weyl group elements in breadth-first order from the identity.
-    Refuses (SizeLimitExceeded) up front when the known order exceeds
-    ``Limits.max_weyl_order``; never truncates silently."""
-    cap = current_limits().max_weyl_order
-    if rs.weyl_order > cap:
-        raise SizeLimitExceeded(
-            f"|W({rs.spec})| = {rs.weyl_order} exceeds the bound {cap} (max_weyl_order)"
-        )
-    gens = [simple_reflection(rs, i) for i in range(rs.rank)]
-    group = rs.memo("weyl_elements", lambda: _generate(rs, gens))
-    if len(group) != rs.weyl_order:
-        raise IdentityViolation(f"enumerated {len(group)} elements, expected {rs.weyl_order}")
-    return group
-
-
-def _generate(rs: RootSystem, gens):
-    """The subgroup generated by gens, breadth-first from the identity;
-    refuses past ``Limits.max_weyl_order`` elements, which no subgroup of
-    W exceeds."""
-    cap = current_limits().max_weyl_order
-    steps = [itemgetter(*g) for g in gens]
-    e = identity(rs)
-    found = {e: None}
-    layer = [e]
-    while layer:
-        fresh = []
-        for w in layer:
-            for step in steps:
-                perm = step(w)   # w * g
-                if perm not in found:
-                    if len(found) >= cap:
-                        raise SizeLimitExceeded(
-                            f"subgroup closure exceeded the bound {cap} (max_weyl_order)"
-                        )
-                    found[perm] = None
-                    fresh.append(perm)
-        layer = fresh
-    return tuple(found)
 
 
 def coxeter_element(rs: RootSystem, ordering=None) -> tuple[int, ...]:
@@ -193,15 +149,6 @@ def is_in_long_subgroup(rs: RootSystem, w: tuple[int, ...]) -> bool:
     return decompose_semidirect(rs, w)[0] == identity(rs)
 
 
-# -- subgroups, materialised as the independent route of the catalog -----------
-
-
-def closure(rs: RootSystem, generators) -> frozenset:
-    """Materialise the subgroup generated by the given elements, refusing
-    past ``Limits.max_weyl_order`` elements."""
-    return frozenset(_generate(rs, tuple(generators)))
-
-
 def long_subgroup(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """Generators of the normal subgroup generated by reflections in long
     roots: the reflections in the long-root base, in its order."""
@@ -213,3 +160,12 @@ def short_parabolic(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     simple reflections."""
     rs.require_two_lengths()
     return tuple(simple_reflection(rs, i) for i in rs.short_simple_indices)
+
+
+def reflection_subgroup_order(rs: RootSystem, base) -> int:
+    """The order of the subgroup generated by the reflections in a base of
+    a root subsystem (the short simple roots, or ``long_root_base``): the
+    product of the Weyl orders of the components that ``classify_cartan``
+    names in the base's pairing matrix, with no element listed."""
+    pairings = [[rs.pairing(a, b) for a in base] for b in base]
+    return math.prod(build(spec).weyl_order for spec in classify_cartan(pairings))

@@ -124,8 +124,6 @@ def kostant_multiplicity(rs, lam, mu):
 @lru_cache(maxsize=None)
 def _signed_images(rs, fund):
     """(sign(w), w(fund)) for every w in W, by the Fraction matrices."""
-    from shortroots import enumerate_group
-
     return tuple((sign(rs, w), act_fund(rs, w, fund)) for w in enumerate_group(rs))
 
 
@@ -372,6 +370,39 @@ def order(rs, w):
     while power != e:
         power, k = compose(power, w), k + 1
     return k
+
+
+# The Weyl group listed element by element, which the library never does:
+# the oracle for its subgroup orders, its factorisation and every sum over W.
+
+
+def _generate(rs, gens):
+    """The subgroup generated by the elements gens, breadth-first from the
+    identity, each element w followed by every w * g."""
+    e = tuple(range(len(rs.roots)))
+    found = {e: None}
+    layer = [e]
+    while layer:
+        fresh = []
+        for w in layer:
+            for g in gens:
+                perm = compose(w, g)
+                if perm not in found:
+                    found[perm] = None
+                    fresh.append(perm)
+        layer = fresh
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def enumerate_group(rs):
+    """All Weyl group elements in breadth-first order from the identity."""
+    return _generate(rs, tuple(simple_reflection(rs, i) for i in range(rs.rank)))
+
+
+def closure(rs, generators):
+    """The subgroup generated by the given elements, as a set."""
+    return frozenset(_generate(rs, tuple(generators)))
 
 
 def fundamental_weight(rs, i):

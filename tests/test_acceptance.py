@@ -6,11 +6,12 @@ import itertools
 import random
 import time
 
+from helpers import closure, enumerate_group
+
 from shortroots import (
     Weight,
     build,
     check_coxeter_power,
-    closure,
     compose,
     count_antichains,
     count_antichains_formula,
@@ -20,7 +21,6 @@ from shortroots import (
     decompose_semidirect,
     dual_coxeter_of_dual,
     delta_partition,
-    enumerate_group,
     freudenthal,
     graded_multiplicity,
     hilbert_check,

@@ -10,7 +10,7 @@ import pytest
 from helpers import python_child
 
 import shortroots.checks as checks
-import shortroots.weyl as weyl_module
+import shortroots.gradedchar as gc
 from shortroots import DimensionLedger, Limits, build, dimension_ledger
 from shortroots.cli import jsonable, main
 
@@ -70,11 +70,39 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert ids == sorted(ids)
 
 
-def test_verify_skips_oversized_exhaustive_checks(capsys):
-    code, out, _ = run(capsys, "verify", "B6", "--check", "semidirect-product")
+def test_verify_skips_oversized_exhaustive_checks(capsys, monkeypatch):
+    # a cap of 0 refuses the first unit of work: the table build, or the
+    # first orbit walk if an earlier command left the tables cached
+    monkeypatch.setattr(gc, "current_limits", lambda: Limits(max_character_work=0))
+    code, out, _ = run(capsys, "verify", "B6", "--check", "nullcone-hilbert")
     assert code == 0  # a skip is not a failure
-    assert "SKIP semidirect-product" in out
-    assert "46080" in out
+    assert "SKIP nullcone-hilbert" in out
+    assert "the cap of 0 " in out and "(max_character_work)" in out
+
+
+_SEMIDIRECT_SPLITS = {"B6": (23040, 2), "C6": (64, 720), "C8": (256, 40320)}
+
+
+@pytest.mark.parametrize("name", [f"{family}{rank}" for family in "BC" for rank in range(2, 9)]
+                         + ["F4", "G2"])
+def test_semidirect_product_passes_on_every_two_length_system(capsys, name):
+    # W is never listed, so no cap can skip the check: the caps left bound work
+    assert Limits._fields == ("max_character_work", "max_antichain_work")
+    code, out, _ = run(capsys, "verify", name, "--check", "semidirect-product", "--json")
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "pass"
+    details = check["details"]
+    orders = (details["long_subgroup_order"], details["short_parabolic_order"])
+    assert details["weyl_order"] == details["distinct_factor_pairs"] == orders[0] * orders[1]
+    assert orders == _SEMIDIRECT_SPLITS.get(name, orders)
+
+
+@pytest.mark.parametrize("name", ["B6", "C6"])
+def test_verify_runs_the_whole_catalog_on_rank_six(capsys, name):
+    code, out, _ = run(capsys, "verify", name, "--json")
+    assert code == 0
+    assert json.loads(out)["summary"] == {"fail": 0, "pass": len(checks.CHECK_IDS), "skipped": 0}
 
 
 @pytest.mark.parametrize(
@@ -93,12 +121,12 @@ def test_environment_changes_no_output(capsys, monkeypatch, argv):
 
 
 def test_verify_respects_env_cap(capsys, monkeypatch):
-    monkeypatch.setattr(weyl_module, "current_limits", lambda: Limits(max_weyl_order=10))
-    code, out, _ = run(capsys, "verify", "G2", "--check", "semidirect-product", "--json")
+    monkeypatch.setattr(gc, "current_limits", lambda: Limits(max_character_work=0))
+    code, out, _ = run(capsys, "verify", "G2", "--check", "nullcone-hilbert", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["checks"][0]["status"] == "skipped"
-    assert "10" in payload["checks"][0]["details"]["reason"]
+    assert "the cap of 0 " in payload["checks"][0]["details"]["reason"]
 
 
 def test_verify_unknown_check_id(capsys, monkeypatch):
@@ -516,8 +544,9 @@ def test_caps_are_read_by_the_engines_not_passed_in():
             knobs += [f"{obj.__name__}({p})" for p in params if p in ("bound", "limits")]
     assert knobs == []
     src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
+    # no Weyl group is listed, so no refusal names |W|
     refusals = sum(p.read_text().count("|W({rs.spec})|") for p in src.glob("*.py"))
-    assert refusals == 1
+    assert refusals == 0
 
 
 def test_readme_catalog_matches_check_registry():
@@ -553,5 +582,5 @@ def test_readme_names_every_cap():
 
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     names = list(config.Limits._fields)
-    assert len(names) == 3
+    assert len(names) == 2
     assert [name for name in names if name not in text] == []

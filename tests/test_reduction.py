@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from helpers import closure
 
 import shortroots.checks as checks
 import shortroots.reduction as reduction
@@ -15,7 +16,6 @@ from shortroots import (
     UnsupportedRootSystem,
     build,
     check_coxeter_power,
-    closure,
     dimension_ledger,
     from_cartan,
     hyperplane_classes,

@@ -19,6 +19,7 @@ from helpers import (
     act_root,
     classical,
     coroot,
+    enumerate_group,
     fundamental_weight,
     length,
     oracle_inner,
@@ -41,7 +42,6 @@ from shortroots import (
     decompose_semidirect,
     dimension_ledger,
     dual_coxeter_of_dual,
-    enumerate_group,
     freudenthal,
     from_cartan,
     graded_multiplicity,

@@ -1,27 +1,33 @@
-"""Weyl group elements, enumeration and the long/short factorisation."""
+"""Weyl group elements, subgroup orders and the long/short factorisation."""
 
 import itertools
 import random
 from functools import lru_cache
-from unittest import mock
 
 import pytest
-from helpers import act_fund, act_root, inversions, length, order, reduced_word, sign
+from helpers import (
+    act_fund,
+    act_root,
+    closure,
+    enumerate_group,
+    inversions,
+    length,
+    order,
+    reduced_word,
+    sign,
+)
 from helpers import compose as oracle_compose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shortroots.checks as checks
 import shortroots.weyl as weyl_module
 from shortroots import (
-    Limits,
-    SizeLimitExceeded,
     build,
-    closure,
     compose,
     coxeter_element,
     coxeter_orbits,
     decompose_semidirect,
-    enumerate_group,
     identity,
     is_in_long_subgroup,
     long_root_base,
@@ -45,11 +51,9 @@ def test_reflection_is_an_involution():
 def test_elements_are_bare_tuples(name):
     # a Weyl element is its tuple of root indices, with no class around it
     rs = build(name)
-    group = enumerate_group(rs)
-    returned = [group, *group, coxeter_element(rs), coxeter_element(rs, range(rs.rank)[::-1])]
-    for gens in (long_subgroup(rs), short_parabolic(rs), group[: rs.rank + 1]):
-        returned += closure(rs, gens)
-    for w in group:
+    returned = [coxeter_element(rs), coxeter_element(rs, range(rs.rank)[::-1]),
+                *long_subgroup(rs), *short_parabolic(rs), reflection(rs, rs.theta)]
+    for w in enumerate_group(rs):
         factors = decompose_semidirect(rs, w)
         returned += [factors, *factors]
     assert all(type(w) is tuple for w in returned)
@@ -97,11 +101,6 @@ def test_enumeration(name, order):
         for i in word:
             composed = compose(composed, simple_reflection(rs, i))
         assert composed == w
-
-
-def test_enumeration_refuses_large_groups():
-    with pytest.raises(SizeLimitExceeded, match="46080"):
-        enumerate_group(build("B6"))
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4"])
@@ -213,9 +212,7 @@ def test_membership_in_long_subgroup():
     assert not is_in_long_subgroup(rs, simple_reflection(rs, rs.short_simple_indices[0]))
 
 
-def test_decompose_sampled_large_rank(monkeypatch):
-    # the closure below, past the default cap
-    monkeypatch.setattr(weyl_module, "current_limits", lambda: Limits(max_weyl_order=1920))
+def test_decompose_sampled_large_rank():
     rs = build("B5")
     w_l = closure(rs, long_subgroup(rs))   # type D5, order 1920
     assert len(w_l) == 1920
@@ -236,10 +233,7 @@ def test_decompose_sampled_large_rank(monkeypatch):
 
 @lru_cache(maxsize=None)
 def _long_closure(name):
-    rs = build(name)
-    # B5's is type D5, of order 1920: past the default cap
-    with mock.patch.object(weyl_module, "current_limits", lambda: Limits(max_weyl_order=1920)):
-        return closure(rs, long_subgroup(rs))
+    return closure(build(name), long_subgroup(build(name)))   # B5's is type D5, of order 1920
 
 
 @settings(max_examples=40, deadline=None)
@@ -254,20 +248,6 @@ def test_decompose_semidirect_against_closure_membership(name, word):
     assert all(ws[i] < rs.num_positive for i in rs.long_positives)
     assert wl in _long_closure(name)
     assert compose(ws, wl) == w
-
-
-def test_closure_refuses_past_the_bound(monkeypatch):
-    rs = build("B3")
-    gens = [simple_reflection(rs, i) for i in range(3)]
-    monkeypatch.setattr(weyl_module, "current_limits", lambda: Limits(max_weyl_order=10))
-    with pytest.raises(SizeLimitExceeded, match="max_weyl_order"):
-        closure(rs, gens)
-    # the cap counts elements found: |W(B3)| = 48 is refused at 47, answered at 48
-    monkeypatch.setattr(weyl_module, "current_limits", lambda: Limits(max_weyl_order=47))
-    with pytest.raises(SizeLimitExceeded, match="exceeded the bound 47 .max_weyl_order."):
-        closure(rs, gens)
-    monkeypatch.setattr(weyl_module, "current_limits", lambda: Limits(max_weyl_order=48))
-    assert len(closure(rs, gens)) == 48
 
 
 def test_weight_action_matches_root_action():
@@ -356,31 +336,95 @@ def test_decompose_round_trips_on_every_element(name):
         assert wl in w_l
 
 
+@pytest.mark.parametrize("name", ["G2", "B2", "B3", "B4", "C3", "C4", "F4"])
+def test_semidirect_orders_match_the_enumerated_groups(name):
+    # the runner reads the three orders off Cartan types; the oracle lists
+    # each group element by element
+    rs = build(name)
+    status, details = run_check("semidirect-product", rs)
+    assert status == "pass"
+    assert details["weyl_order"] == len(enumerate_group(rs))
+    assert details["long_subgroup_order"] == len(closure(rs, long_subgroup(rs)))
+    assert details["short_parabolic_order"] == len(closure(rs, short_parabolic(rs)))
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4"])
+def test_descent_decides_membership_in_each_factor(name):
+    rs = build(name)
+    short_base = [rs.simple_root(i) for i in rs.short_simple_indices]
+    factors = [(short_base, short_parabolic(rs)), (long_root_base(rs), long_subgroup(rs))]
+    for base, gens in factors:
+        members = closure(rs, gens)
+        assert [w for w in enumerate_group(rs) if
+                checks._in_reflection_subgroup(rs, w, base, gens) != (w in members)] == []
+
+
 @pytest.mark.parametrize(
     "wrong",
     [lambda rs, w: (w, identity(rs)), lambda rs, w: tuple(reversed(decompose_semidirect(rs, w)))],
     ids=["all-in-short-factor", "swapped-factors"],
 )
 def test_semidirect_check_rejects_wrong_factors(monkeypatch, wrong):
+    # membership in W_l reads the factorisation, so a wrong one fails the
+    # first step that reads it: normality
     rs = build("C4")
     assert run_check("semidirect-product", rs)[0] == "pass"
     monkeypatch.setattr(weyl_module, "decompose_semidirect", wrong)
     status, details = run_check("semidirect-product", rs)
     assert status == "fail"
-    assert details["roundtrip"] == "violated"
+    assert details["normality"] == "violated"
+    assert "roundtrip" not in details
+
+
+def _wrong_outside_the_long_subgroup(wrong):
+    """A factorisation that is right on W_l, where the normality step reads
+    it, and is wrong(rs, w, ws, wl) on every other w."""
+    def factors(rs, w):
+        ws, wl = decompose_semidirect(rs, w)
+        return (ws, wl) if ws == identity(rs) else wrong(rs, w, ws, wl)
+    return factors
+
+
+# outside W_l: the factors swapped; a long reflection r moved across, so
+# that only the short factor (ws r) leaves its subgroup; all of w in the
+# long factor, so that only that one does; the long factor dropped, so
+# that only the product is wrong
+_WRONG_ROUND_TRIPS = {
+    "swapped": lambda rs, w, ws, wl: (wl, ws),
+    "short-factor": lambda rs, w, ws, wl: (compose(ws, long_subgroup(rs)[0]),
+                                           compose(long_subgroup(rs)[0], wl)),
+    "long-factor": lambda rs, w, ws, wl: (identity(rs), w),
+    "product": lambda rs, w, ws, wl: (ws, identity(rs)),
+}
+
+
+# the keys each step of the check sets: its failure key and what it adds on passing
+_SEMIDIRECT_STEPS = [
+    {"product_order"},
+    {"stable_set", "intersection_order", "stable_set_matches_parabolic"},
+    {"normality", "normal"},
+    {"roundtrip", "distinct_factor_pairs"},
+]
 
 
 @pytest.mark.parametrize(
     "patch, branch",
     [
-        (lambda monkeypatch, rs: monkeypatch.setattr(weyl_module, "short_parabolic", lambda rs: ()),
-         {"product_order": 16}),
-        (lambda monkeypatch, rs: monkeypatch.setattr(weyl_module, "compose", lambda w, v: ()),
-         {"normality": "violated", "generator": 0}),
+        (lambda monkeypatch, rs: monkeypatch.setattr(rs, "weyl_order", 383),
+         {"product_order": 384}),
         (lambda monkeypatch, rs: monkeypatch.setattr(rs, "num_positive", 0),
-         {"stable_set_order": 0}),
+         {"stable_set": "violated", "generator": 0}),
+        (lambda monkeypatch, rs: monkeypatch.setattr(
+            weyl_module, "is_in_long_subgroup", lambda rs, w: False),
+         {"normality": "violated", "generator": 0}),
+    ] + [
+        (lambda monkeypatch, rs, wrong=wrong: monkeypatch.setattr(
+            weyl_module, "decompose_semidirect", _wrong_outside_the_long_subgroup(wrong)),
+         {"roundtrip": "violated"})
+        for wrong in _WRONG_ROUND_TRIPS.values()
     ],
-    ids=["product-order", "normality", "stable-set"],
+    ids=["product-order", "stable-set", "normality"]
+    + [f"roundtrip-{name}" for name in _WRONG_ROUND_TRIPS],
 )
 def test_semidirect_check_fails_at_each_of_its_steps(monkeypatch, patch, branch):
     rs = build("C4")
@@ -388,7 +432,8 @@ def test_semidirect_check_fails_at_each_of_its_steps(monkeypatch, patch, branch)
     status, details = run_check("semidirect-product", rs)
     assert status == "fail"
     assert {k: details[k] for k in branch} == branch
-    assert "roundtrip" not in details
+    step = next(n for n, keys in enumerate(_SEMIDIRECT_STEPS) if keys & set(branch))
+    assert set().union(*_SEMIDIRECT_STEPS[step + 1:]).isdisjoint(details)
 
 
 @pytest.mark.parametrize("index", [-1, 4, 9])
