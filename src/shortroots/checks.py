@@ -155,6 +155,7 @@ def _check_little_adjoint_dims(rs: RootSystem):
 
 
 def _check_sign_partition(rs: RootSystem):
+    rs.require_two_lengths()   # delta_partition itself takes every type
     ht = rs.theta_short.height
     details = {"short_dominant_height": ht}
     for mu in rs.roots:
@@ -332,20 +333,16 @@ _CHECKS = {
     "nullcone-hilbert": _check_nullcone_hilbert,
 }
 
-# the checks that also run on single-length systems; every other one needs two
-# root lengths and is skipped with the reason require_two_lengths() gives
-_ANY_LENGTHS = frozenset({"root-counts", "dual-coxeter-dual", "coxeter-orbits"})
-
 CHECK_IDS = tuple(sorted(_CHECKS))
 
 
 def run_check(check_id: str, rs: RootSystem):
     """Run one check; returns (status, details).  A library self-check
-    that fails inside the runner becomes a "fail" with its message."""
+    that fails inside the runner becomes a "fail" with its message, and an
+    engine's refusal (a cap, or a single-length system where it needs two
+    root lengths) a "skipped" with its reason."""
     runner = _CHECKS[check_id]
     try:
-        if check_id not in _ANY_LENGTHS:
-            rs.require_two_lengths()
         return runner(rs)
     except (SizeLimitExceeded, UnsupportedRootSystem) as exc:
         return "skipped", {"reason": str(exc)}

@@ -112,11 +112,7 @@ class QPoly:
     def __sub__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
-        t = min(self.truncation, other.truncation)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return QPoly(out, t)
+        return self + -other
 
     def __neg__(self) -> "QPoly":
         return QPoly({k: -v for k, v in self.coeffs.items()}, self.truncation)
@@ -260,14 +256,14 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     the walk has a point, so an answer that is zero because lam - mu lies
     outside the cone costs no table, and only to the height of lam - mu
     when that is below max_degree: every point lies in lam - mu minus the
-    positive cone, so its expressions have at most that many roots.
+    positive cone, so its expressions have at most that many roots.  Each
+    point is looked up in every level; one that cannot hold it gives 0.
     Refuses once the walk has visited more than
     ``Limits.max_character_work`` orbit points."""
     _require_degree(max_degree)
     lam, mu = rs.dominant_integral(lam), rs.dominant_integral(mu)
     cap = current_limits().max_character_work
     mu_rho = tuple([c + 1 for c in mu])
-    top = rs.theta_short.height   # the largest height of a short root
     qt = acc = None
     sign, visited = 1, 0
     for layer in rs.descend(tuple([c + 1 for c in lam]), mu_rho):
@@ -280,12 +276,11 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
                 f"the orbit walk of {rs.spec} from {Weight(lam)} visits more than the cap of "
                 f"{cap} points (max_character_work)"
             )
-        for y, c in layer.items():
+        for y in layer:
             key = qt.encode(tuple(map(sub, y, mu_rho)))
             if key is not None:   # a point out of range is in no table
-                h = sum(c)   # only levels k with h / top <= k <= h hold a point of height h
-                for k in range(-(-h // top), min(h, degree) + 1):
-                    acc[k] += sign * qt.levels[k].get(key, 0)
+                for k, level in enumerate(qt.levels):
+                    acc[k] += sign * level.get(key, 0)
         sign = -sign
     return QPoly(dict(enumerate(acc or ())), max_degree)
 

@@ -335,10 +335,12 @@ class RootSystem:
         taken unchecked: the engines' kernel.
 
         The scan reflects in the first simple root alpha_i whose coordinate
-        c is negative, then resumes at the first neighbour j < i that the
-        reflection turned negative, or else at i + 1.  That is exact: the
-        coordinates below i were >= 0, the reflection changes only the
-        neighbours of alpha_i, and coordinate i becomes -c > 0.
+        c is negative, then starts again from coordinate 0.  Each step adds
+        the positive multiple -c of alpha_i, so the scan ends, and it ends at
+        the unique dominant conjugate; any such scan takes one step per
+        positive coroot on which the point is negative (Humphreys, Reflection
+        Groups and Coxeter Groups, 1.6-1.7), so neither the sign nor the 0
+        of a singular point depends on the scan order.
 
         Returns (coords, sign) where sign is the determinant (-1)^steps of
         the conjugating element, or 0 when the weight is singular (fixed by
@@ -351,14 +353,10 @@ class RootSystem:
         while i < n:
             c = v[i]
             if c < 0:
-                resume = i + 1
                 for j, a in cols[i]:
-                    x = v[j] - c * a
-                    v[j] = x
-                    if x < 0 and j < resume:
-                        resume = j
+                    v[j] -= c * a
                 sign = -sign
-                i = resume
+                i = 0
             else:
                 i += 1
         if 0 in v:

@@ -162,13 +162,20 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
 
 
 def test_verify_simply_laced_skips_two_length_checks(capsys):
-    code, out, _ = run(capsys, "verify", "A3", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    by_id = {c["id"]: c for c in payload["checks"]}
-    assert by_id["root-counts"]["status"] == "pass"
-    assert by_id["table-row"]["status"] == "skipped"
-    assert "single root length" in by_id["table-row"]["details"]["reason"]
+    # each engine's own require_two_lengths decides the skip; no table names the set
+    two_lengths = {
+        "antichain-count", "coxeter-power", "dimension-ledger", "hw-orbit-dim",
+        "hyperplane-classes", "little-adjoint-dims", "nullcone-hilbert", "one-step-strings",
+        "semidirect-product", "sign-partition", "table-row", "transition-gap",
+    }
+    for name in ("A3", "E8"):
+        code, out, _ = run(capsys, "verify", name, "--json")
+        assert code == 0
+        by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+        assert {cid for cid, c in by_id.items() if c["status"] == "skipped"} == two_lengths
+        for cid in two_lengths:
+            assert by_id[cid]["details"] == {"reason": f"{name} has a single root length"}
+        assert by_id["root-counts"]["status"] == "pass"
 
 
 def test_table1(capsys):
