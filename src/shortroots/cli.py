@@ -10,9 +10,9 @@ Importing this module loads only ``rootsystem``, ``cartan`` and ``errors``.
 The engines are lazy modules of the package, reached through their module
 objects (``gc.hilbert_check``), so each subcommand compiles and runs only
 the modules it calls: ``antichains`` adds ``antichains`` and ``config``,
-``nullcone-char`` adds ``gradedchar`` and ``config``,
-``verify --check sign-partition`` adds ``checks`` and ``littleadjoint``,
-and a full ``verify`` loads everything.
+``nullcone-char`` adds ``gradedchar``, its table module ``qtables`` and
+``config``, ``verify --check sign-partition`` adds ``checks`` and
+``littleadjoint``, and a full ``verify`` loads everything.
 """
 
 from __future__ import annotations

@@ -1,42 +1,41 @@
 """Graded characters of the nullcone of the short-dominant module.
 
 A q-analogue partition function counts multiset expressions of a weight
-as sums of short positive roots, graded by multiset size.  Its tables
-key each weight by one packed int, so adding a root is one int
-addition.  One straightening pass over the tables gives the whole
-graded character: it walks the deepest table's keys, then the few keys
-of shallower ones that it lacks, unpacks them into coordinate columns a
-fixed chunk at a time, straightens each point off the walls once,
-however many degrees hold it, by ``RootSystem.straighten``, and adds
-each degree's counts into the rows of their keys' dominant conjugates
-and signs.  Kostant's alternating sum, walked over a Weyl orbit by
+as sums of short positive roots, graded by multiset size; its tables,
+and the packed keys that index them, belong to ``qtables``.  One
+straightening pass over the tables gives the whole graded character: it
+walks the deepest table's keys, then the few keys of shallower ones that
+it lacks, straightens each point off the walls once, however many
+degrees hold it, by ``RootSystem.straighten``, and adds each degree's
+counts into the rows of their keys' dominant conjugates and signs.
+Kostant's alternating sum, walked over a Weyl orbit by
 ``RootSystem.descend`` with no group element built, gives single graded
 multiplicities as a second, independent route.
 ``Limits.max_character_work`` caps both: the DP updates of a table build
-and the orbit points of a walk.
+(read in ``qtables``) and the orbit points of a walk (read here).
 The full truncated character must reproduce the Hilbert series of a
 complete intersection cut out by the basic invariants, whose degrees
 ``invariant_degrees`` reads off the heights of the short-simple
 subsystem's positive roots; the module dimensions come from
 ``rootsystem.weyl_dim``.  So the module loads no engine but
-``rootsystem`` and the ``cartan`` layer under it, besides ``config``
-and ``errors``.  Every
-polynomial carries an explicit truncation degree; mixing truncations
-takes the minimum.  The tables are built once per system and truncation
-degree, which must be a non-negative int; so must every degree and
-coefficient of a polynomial.
+``rootsystem`` and the ``cartan`` layer under it, besides ``qtables``,
+``config`` and ``errors``.  Every polynomial carries an explicit
+truncation degree; mixing truncations takes the minimum.  Each entry
+point checks its truncation degree once, before any table: a
+non-negative int, as must be every degree and coefficient of a
+polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
-from operator import itemgetter, mul, sub
+from operator import sub
 from typing import NamedTuple
 
-from .cartan import Weight, bourbaki_nodes
+from .cartan import Weight
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded
+from .qtables import _dp_build, _require_degree
 from .rootsystem import RootSystem, exponents_from_heights, weyl_dim
 
 __all__ = [
@@ -147,85 +146,6 @@ class QPoly:
         return f"{body} (mod q^{self.truncation + 1})"
 
 
-class _QTables:
-    """The q-partition tables of one system to one truncation degree:
-    levels[k] maps a packed weight to the number of k-element multisets of
-    short positive roots summing to it, and updates is the number of DP
-    updates the build made.  Refuses past ``Limits.max_character_work``
-    updates, before any table when a lower bound passes it: while the
-    r-th of s short roots is added, level k - 1 holds the distinct sums of
-    (k - 1)-multisets of r distinct vectors, at least (k - 1)(r - 1) + 1
-    of them in a torsion-free group, so a build to degree d makes at least
-    s d + C(s, 2) C(d, 2) updates.
-
-    A weight v, in fundamental coordinates, is packed as the one int
-    sum (v_i + off) * base**i, with off = degree * m for m the largest
-    |coordinate| of a short positive root, and base = 2 * off + 1.  A sum
-    of k <= degree short roots has every |coordinate| <= k * m, so no digit
-    overflows and adding a root to a packed weight is one int addition."""
-
-    __slots__ = ("off", "base", "powers", "levels", "updates")
-
-    def __init__(self, rs: RootSystem, degree: int):
-        cap = current_limits().max_character_work
-        # read in Bourbaki's numbering: on a path diagram the updates do not depend on numbering
-        vectors = sorted(map(rs.weight_coords, rs.short_positive_roots()),
-                         key=itemgetter(*bourbaki_nodes(rs)))
-        refusal = SizeLimitExceeded(
-            f"the q-partition tables of {rs.spec} to degree {degree} need more "
-            f"than the cap of {cap} DP updates (max_character_work)"
-        )
-        s = len(vectors)
-        if s * degree + math.comb(s, 2) * math.comb(degree, 2) > cap:
-            raise refusal
-        self.off = degree * max(abs(c) for vec in vectors for c in vec)
-        self.base = 2 * self.off + 1
-        self.powers = tuple([self.base**i for i in range(rs.rank)])
-        levels = [dict() for _ in range(degree + 1)]
-        levels[0][self.encode((0,) * rs.rank)] = 1
-        done = 0
-        for vec in vectors:
-            step = sum(map(mul, vec, self.powers))
-            for k in range(1, degree + 1):
-                prev = levels[k - 1]
-                done += len(prev)
-                if done > cap:
-                    raise refusal
-                cur = levels[k]
-                get = cur.get
-                for v, count in prev.items():
-                    v += step
-                    cur[v] = get(v, 0) + count
-        self.levels, self.updates = levels, done
-
-    def encode(self, fund):
-        """The packed key of a weight, or None when a coordinate lies outside
-        [-off, off]: no table holds such a weight."""
-        off, base = self.off, self.base
-        key = 0
-        for c in reversed(fund):
-            if not -off <= c <= off:
-                return None
-            key = key * base + c + off
-        return key
-
-
-def _require_degree(degree: int) -> None:
-    """The one check of a truncation degree, made before any answer or
-    table: an int (no float or Fraction), non-negative."""
-    if type(degree) is not int:
-        raise TypeError(f"max_degree must be an int, not {degree!r}")
-    if degree < 0:
-        raise ValueError("max_degree must be non-negative")
-
-
-def _dp_build(rs: RootSystem, degree: int) -> _QTables:
-    """The q-partition tables of a system to a degree, keyed by packed
-    weights (see _QTables), memoised per system and degree."""
-    _require_degree(degree)
-    return rs.memo(("qdp", degree), lambda: _QTables(rs, degree))
-
-
 def q_partition(rs: RootSystem, target, max_degree: int) -> QPoly:
     """Generating polynomial of the multiset expressions of a weight as sums
     of short positive roots, graded by multiset size.  A multiset of k
@@ -237,10 +157,7 @@ def q_partition(rs: RootSystem, target, max_degree: int) -> QPoly:
     if lattice is None or min(lattice) < 0:   # no sum of positive roots
         return QPoly.zero(max_degree)
     qt = _dp_build(rs, min(max_degree, sum(lattice)))
-    key = qt.encode(fund)
-    if key is None:
-        return QPoly.zero(max_degree)
-    return QPoly({k: level.get(key, 0) for k, level in enumerate(qt.levels)}, max_degree)
+    return QPoly(dict(enumerate(qt.series(fund))), max_degree)
 
 
 def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
@@ -277,10 +194,8 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
                 f"{cap} points (max_character_work)"
             )
         for y in layer:
-            key = qt.encode(tuple(map(sub, y, mu_rho)))
-            if key is not None:   # a point out of range is in no table
-                for k, level in enumerate(qt.levels):
-                    acc[k] += sign * level.get(key, 0)
+            for k, count in enumerate(qt.series(tuple(map(sub, y, mu_rho)))):
+                acc[k] += sign * count
         sign = -sign
     return QPoly(dict(enumerate(acc or ())), max_degree)
 
@@ -302,18 +217,10 @@ class GradedCharacter:
     def negative_terms(self):
         """Observed negative coefficients, as (weight coordinates, degree,
         coefficient) triples, reported rather than asserted."""
-        bad = []
-        for w, p in self.entries.items():
-            for k, v in p.terms():
-                if v < 0:
-                    bad.append((w, k, v))
-        return bad
+        return [(w, k, v) for w, p in self.entries.items() for k, v in p.terms() if v < 0]
 
     def __len__(self):
         return len(self.entries)
-
-
-_CHUNK = 1024   # keys unpacked into coordinate columns at a time
 
 
 def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
@@ -323,8 +230,8 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     Kostant's multiplicity formula read backwards, in one pass over the
     q-partition tables.  The deepest table holds almost every key, so its
     keys are taken first, then each key of a shallower table that it
-    lacks, on first sight; no union of the keys is built.  They are
-    unpacked into coordinate columns ``_CHUNK`` keys at a time, and each
+    lacks, on first sight; no union of the keys is built.  The tables'
+    ``points`` unpacks them a chunk at a time, and each
     point v is straightened once, however many degrees hold it: a point
     v + rho with a 0 coordinate lies on a wall, so it is singular and
     adds nothing, and every other one goes to ``RootSystem.straighten``.
@@ -340,32 +247,29 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     ``work`` records the DP updates and the distinct dominant weights
     reached (before cancellation)."""
     rs.require_two_lengths()
+    _require_degree(max_degree)
     qt = _dp_build(rs, max_degree)
     levels = qt.levels
     top = levels[-1]
-    # digit i of a key, minus off, plus 1 for rho
-    low, base, powers = qt.off - 1, qt.base, qt.powers
     rows: dict = {}     # (dominant conjugate of v + rho, sign) -> counts of its keys
     owners: dict = {}   # key of a regular v -> its row; of a singular one the
                         # deepest table lacks -> None
     straighten = rs.straighten
 
     def own(keys, keep_singular):
-        """Straighten each point of keys, a chunk of keys unpacked at a time."""
-        while chunk := list(islice(keys, _CHUNK)):
-            cols = [[key // p % base - low for key in chunk] for p in powers]
-            for key, shifted in zip(chunk, zip(*cols)):
-                row = None
-                if 0 not in shifted:   # else on a wall, so singular
-                    hit = straighten(shifted)
-                    if hit[1]:
-                        row = rows.get(hit)
-                        if row is None:
-                            row = rows[hit] = [0] * (max_degree + 1)
-                if row is not None or keep_singular:
-                    owners[key] = row
+        """Straighten the point v + rho of each key."""
+        for key, shifted in qt.points(keys):
+            row = None
+            if 0 not in shifted:   # else on a wall, so singular
+                hit = straighten(shifted)
+                if hit[1]:
+                    row = rows.get(hit)
+                    if row is None:
+                        row = rows[hit] = [0] * (max_degree + 1)
+            if row is not None or keep_singular:
+                owners[key] = row
 
-    own(iter(top), False)
+    own(top, False)
     for level in levels[:-1]:
         own((key for key in level if key not in top and key not in owners), True)
     get = owners.get
@@ -437,11 +341,8 @@ def hilbert_check(rs: RootSystem, max_degree: int) -> HilbertReport:
         total = total + weyl_dim(rs, w) * poly
     module_dim = 2 * len(rs.short_positives) + len(rs.short_simple_indices)
     expected = complete_intersection_series(module_dim, invariant_degrees(rs), max_degree)
-    first_bad = None
-    for k in range(max_degree + 1):
-        if total.coeff(k) != expected.coeff(k):
-            first_bad = k
-            break
+    first_bad = next((k for k in range(max_degree + 1) if total.coeff(k) != expected.coeff(k)),
+                     None)
     return HilbertReport(
         ok=first_bad is None,
         dimension_series=total,

@@ -77,9 +77,15 @@ def coxeter_element(rs: RootSystem, ordering=None) -> tuple[int, ...]:
     return w
 
 
+def _require_element(rs: RootSystem, w: tuple[int, ...]) -> None:
+    if len(w) != len(rs.roots):
+        raise ValueError(f"not in W({rs.spec}): {len(w)} entries for {len(rs.roots)} roots")
+
+
 def coxeter_orbits(rs: RootSystem, c: tuple[int, ...]):
     """Orbits of the cyclic group generated by c on the root indices,
-    ordered by smallest member."""
+    ordered by smallest member.  A cycle walk past len(c) steps is refused."""
+    _require_element(rs, c)
     seen = set()
     orbits = []
     for start in range(len(c)):
@@ -89,6 +95,8 @@ def coxeter_orbits(rs: RootSystem, c: tuple[int, ...]):
         i = c[start]
         while i != start:
             orbit.append(i)
+            if len(orbit) > len(c):
+                raise ValueError(f"not in W({rs.spec}): a cycle walk passes {len(c)} steps")
             i = c[i]
         seen.update(orbit)
         orbits.append(tuple(orbit))
@@ -126,17 +134,21 @@ def decompose_semidirect(rs: RootSystem, w: tuple[int, ...]):
 
     Works by descent: while some member of the long-root base is sent
     negative, strip one long reflection off the right.  If w * r_1 ... r_k
-    is ws, then wl is r_k ... r_1, since each r_i is an involution."""
+    is ws, then wl is r_k ... r_1, since each r_i is an involution.  Each
+    strip sends one fewer positive long root negative, which bounds them."""
     descent = rs.memo(  # raises on simply-laced input
         "long_descent",
         lambda: tuple((rs.index(b), itemgetter(*r))
                       for b, r in zip(long_root_base(rs), long_subgroup(rs))),
     )
+    _require_element(rs, w)
     p = rs.num_positive
     ws, stripped = w, []
     while (step := next((s for i, s in descent if ws[i] >= p), None)) is not None:
         ws = step(ws)   # ws * r_b for the first base root b sent negative
         stripped.append(step)
+        if len(stripped) > len(rs.long_positives):
+            raise ValueError(f"not in W({rs.spec}): more long-root strips than positive long roots")
     wl = identity(rs)
     for step in reversed(stripped):
         wl = step(wl)   # wl * r

@@ -11,6 +11,7 @@ from helpers import python_child
 
 import shortroots.checks as checks
 import shortroots.gradedchar as gc
+import shortroots.qtables as qtables
 from shortroots import DimensionLedger, Limits, build, dimension_ledger
 from shortroots.cli import jsonable, main
 
@@ -73,7 +74,8 @@ def test_verify_passes_and_is_deterministic(capsys):
 def test_verify_skips_oversized_exhaustive_checks(capsys, monkeypatch):
     # a cap of 0 refuses the first unit of work: the table build, or the
     # first orbit walk if an earlier command left the tables cached
-    monkeypatch.setattr(gc, "current_limits", lambda: Limits(max_character_work=0))
+    for module in (qtables, gc):
+        monkeypatch.setattr(module, "current_limits", lambda: Limits(max_character_work=0))
     code, out, _ = run(capsys, "verify", "B6", "--check", "nullcone-hilbert")
     assert code == 0  # a skip is not a failure
     assert "SKIP nullcone-hilbert" in out
@@ -121,7 +123,9 @@ def test_environment_changes_no_output(capsys, monkeypatch, argv):
 
 
 def test_verify_respects_env_cap(capsys, monkeypatch):
-    monkeypatch.setattr(gc, "current_limits", lambda: Limits(max_character_work=0))
+    # the check builds tables, then walks orbits: both read the cap
+    for module in (qtables, gc):
+        monkeypatch.setattr(module, "current_limits", lambda: Limits(max_character_work=0))
     code, out, _ = run(capsys, "verify", "G2", "--check", "nullcone-hilbert", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -434,6 +438,15 @@ def test_no_module_imports_dataclasses():
     assert [p.name for p in sorted(src.glob("*.py")) if importing.search(p.read_text())] == []
 
 
+def test_only_the_table_module_knows_the_packed_key_format():
+    # packing a weight, unpacking a key and the format's fields live in
+    # qtables; tests/helpers.decode stays an independent oracle of it
+    src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
+    knowing = re.compile(r"\.(off|base|powers)\b|\.encode\(")
+    assert [p.name for p in sorted(src.glob("*.py"))
+            if p.name != "qtables.py" and knowing.search(p.read_text())] == []
+
+
 def test_every_module_compiles_inside_the_start_up_heap():
     # compiling a module from source (as every cold child without a bytecode
     # cache does) peaks at about 400 B per AST node; 3 000 nodes keep that
@@ -476,7 +489,8 @@ stubs = [type(sys.modules[m]) for m in names if type(sys.modules[m]) is not type
 assert len(set(stubs)) <= 1 and all(issubclass(t, types.ModuleType) for t in stubs)
 with contextlib.redirect_stdout(io.StringIO()):
     code = shortroots.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-loaded = [m[11:] for m in names if type(sys.modules[m]) is types.ModuleType]
+loaded = [m[11:] for m in sys.modules if m.startswith("shortroots.") and m != "shortroots.cli"
+          and type(sys.modules[m]) is types.ModuleType]
 print(code, *sorted(m[11:] for m in names))
 print(*sorted(loaded))
 """
@@ -486,18 +500,20 @@ _RUNS = {
     "": "cartan errors rootsystem",
     "info C9": "cartan errors littleadjoint reduction rootsystem",
     "antichains C8": "antichains cartan config errors rootsystem",
-    "nullcone-char G2 --max-degree 4": "cartan config errors gradedchar rootsystem",
+    "nullcone-char G2 --max-degree 4": "cartan config errors gradedchar qtables rootsystem",
     "verify B7 --check sign-partition": "cartan checks errors littleadjoint rootsystem",
     "table1": "cartan errors littleadjoint reduction rootsystem",
-    "verify G2": _LIBRARY_AND_CHECKS,
+    "verify G2": ("antichains cartan checks config errors gradedchar littleadjoint qtables"
+                  " reduction rootsystem weyl"),
 }
 
 
 @pytest.mark.parametrize("command", list(_RUNS), ids=lambda c: c or "import")
 def test_each_subcommand_runs_only_the_modules_it_calls(command):
-    # every module is registered when the CLI is imported, but a module
-    # body runs on first use: a loaded module is a plain ModuleType, a stub
-    # keeps the lazy loader's subclass, and reading type() loads nothing
+    # every library module is registered when the CLI is imported, but a
+    # module body runs on first use: a loaded module is a plain ModuleType,
+    # a stub keeps the lazy loader's subclass, and reading type() loads
+    # nothing; gradedchar's private table module is imported, not registered
     child = python_child("-c", _LOADS, *command.split())
     assert child.stderr == ""
     assert child.stdout == f"0 {_LIBRARY_AND_CHECKS}\n{_RUNS[command]}\n"

@@ -24,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shortroots.gradedchar as gc
+import shortroots.qtables as qtables
 from shortroots import (
+    GradedCharacter,
     Limits,
     QPoly,
     RootSystem,
@@ -56,6 +58,16 @@ def test_qpoly_basics():
     assert qp({1: 0}, 4).is_zero
     assert QPoly.one(3) == qp({0: 1}, 3)
     assert repr(qp({1: 1, 2: 2}, 5)) == "q + 2*q^2 (mod q^6)"
+
+
+def test_qpoly_edges():
+    # a negative truncation is refused, zero prints as 0, and a QPoly leaves
+    # comparison with an int to the int, so it equals none
+    with pytest.raises(ValueError, match="^truncation degree must be non-negative$"):
+        QPoly({}, -1)
+    assert repr(QPoly.zero(3)) == "0 (mod q^4)"
+    assert QPoly.one(2).__eq__(1) is NotImplemented
+    assert (QPoly.one(2) == 1) is False
 
 
 def test_qpoly_arithmetic_takes_minimum_truncation():
@@ -148,7 +160,7 @@ def test_every_entry_point_refuses_a_degree_that_is_not_an_int(monkeypatch, entr
     def no_table(*args):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(gc, "_QTables", no_table)
+    monkeypatch.setattr(qtables, "_QTables", no_table)
     rs = RootSystem(build("C4").spec, build("C4").cartan)
     zero = (0,) * 4
     compute = {
@@ -213,7 +225,7 @@ def test_the_up_front_refusal_spares_a_build_within_the_cap(monkeypatch, name, d
     # bound is exact
     rs = build(name)
     updates = nullcone_character(rs, degree).work["dp_updates"]
-    monkeypatch.setattr(gc, "current_limits", lambda: Limits(max_character_work=updates))
+    monkeypatch.setattr(qtables, "current_limits", lambda: Limits(max_character_work=updates))
     assert nullcone_character(RootSystem(rs.spec, rs.cartan), degree).work["dp_updates"] == updates
 
 
@@ -313,6 +325,12 @@ def test_nullcone_character_g2_low_degrees():
     assert not char1.negative_terms()
 
 
+def test_negative_terms_lists_each_negative_coefficient():
+    entries = {(0, 0): QPoly.one(2), (1, 0): qp({1: 2, 2: -3}, 2), (0, 1): qp({0: -1}, 2)}
+    char = GradedCharacter(build("G2"), entries, 2, {})
+    assert char.negative_terms() == [((1, 0), 2, -3), ((0, 1), 0, -1)]
+
+
 def test_nullcone_character_b2_kills_the_quadratic_invariant():
     rs = build("B2")
     char = nullcone_character(rs, 2)
@@ -364,7 +382,7 @@ def test_the_straightening_pass_stays_small_above_its_tables():
     # unpacking them all into full-width columns took 5.2 MB more
     rs = build("C6")
     rs = RootSystem(rs.spec, rs.cartan)   # the tables die with the test
-    gc._dp_build(rs, 6)
+    qtables._dp_build(rs, 6)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -384,7 +402,7 @@ def test_the_straightening_pass_stays_small_above_its_tables():
 def test_each_key_off_the_walls_is_straightened_once(monkeypatch, name, degree, off_the_walls):
     rs = build(name)
     rs = RootSystem(rs.spec, rs.cartan)
-    qt = gc._dp_build(rs, degree)
+    qt = qtables._dp_build(rs, degree)
     keys = set().union(*qt.levels)
     assert sum(1 for key in keys if 0 not in decode(qt, rs.rank, key, 1)) == off_the_walls
     seen = []
@@ -404,7 +422,7 @@ def test_each_key_off_the_walls_is_straightened_once(monkeypatch, name, degree, 
 def test_the_character_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     rs = build("B4")
     expected = nullcone_character(rs, 8)
-    monkeypatch.setattr(gc, "_CHUNK", chunk)
+    monkeypatch.setattr(qtables, "_CHUNK", chunk)
     char = nullcone_character(RootSystem(rs.spec, rs.cartan), 8)
     assert char.entries == expected.entries
     assert char.work == expected.work
@@ -415,7 +433,7 @@ def test_the_character_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
 ])
 def test_packed_tables_match_tuple_oracle(name, degree):
     rs = build(name)
-    qt = gc._dp_build(rs, degree)
+    qt = qtables._dp_build(rs, degree)
     tables, updates = tuple_dp_tables(rs, degree)
     assert qt.updates == updates
     assert [len(level) for level in qt.levels] == [len(t) for t in tables]
@@ -426,7 +444,7 @@ def test_packed_tables_match_tuple_oracle(name, degree):
 def test_packing_range_edges():
     rs = build("G2")
     degree = 3
-    qt = gc._dp_build(rs, degree)
+    qt = qtables._dp_build(rs, degree)
     off = qt.off
     assert off == degree * max(abs(c) for r in rs.short_positive_roots()
                                for c in rs.weight_coords(r))
@@ -456,7 +474,7 @@ def test_orbit_walk_past_the_packing_range(monkeypatch, name, lam, mu, degree):
     expected = QPoly(dict(enumerate(acc)), degree)
     assert not expected.is_zero
     missed = []
-    encode = gc._QTables.encode
+    encode = qtables._QTables.encode
 
     def recording(qt, fund):
         key = encode(qt, fund)
@@ -464,7 +482,7 @@ def test_orbit_walk_past_the_packing_range(monkeypatch, name, lam, mu, degree):
             missed.append(fund)
         return key
 
-    monkeypatch.setattr(gc._QTables, "encode", recording)
+    monkeypatch.setattr(qtables._QTables, "encode", recording)
     assert graded_multiplicity(rs, lam, mu, degree) == expected
     assert missed
 
@@ -500,7 +518,7 @@ def test_straightening_agrees_with_alternating_sum(name, degree):
     zero = Weight.zero(rs.rank)
     for lam, poly in char.entries.items():
         assert graded_multiplicity(rs, lam, zero, degree) == poly, (name, lam)
-    qt = gc._dp_build(rs, degree)
+    qt = qtables._dp_build(rs, degree)
     for lam in nullcone_candidates(rs, qt, degree):
         if lam not in char.entries:
             assert graded_multiplicity(rs, lam, zero, degree).is_zero, (name, lam)
@@ -514,7 +532,7 @@ def test_character_agrees_with_orbit_accumulation():
                          ("C3", 12), ("B3", 12), ("G2", 12), ("C5", 6)]:
         rs = build(name)
         char = nullcone_character(rs, degree)
-        rebuilt = orbit_accumulation(rs, gc._dp_build(rs, degree), degree)
+        rebuilt = orbit_accumulation(rs, qtables._dp_build(rs, degree), degree)
         assert {lam: QPoly(coeffs, degree) for lam, coeffs in rebuilt.items()} == char.entries
 
 
@@ -531,7 +549,7 @@ def test_straighten_agrees_with_the_orbit_layers(name, order, degree):
     rs = build(name)
     if order is not None:
         rs = from_cartan([[rs.cartan[i][j] for j in order] for i in order])
-    qt = gc._dp_build(rs, degree)
+    qt = qtables._dp_build(rs, degree)
     points = [decode(qt, rs.rank, key, 1) for key in set().union(*qt.levels)]
     layers = {}   # dominant conjugate -> {orbit point: its layer}
     singular = 0
@@ -548,17 +566,22 @@ def test_straighten_agrees_with_the_orbit_layers(name, order, degree):
 
 
 def test_gradedchar_imports_only_the_root_system_config_and_errors():
-    # nullcone-char loads no engine module it does not run
-    imported = set()
-    for node in ast.walk(ast.parse(Path(gc.__file__).read_text())):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            imported.update([node.module] if node.module else [a.name for a in node.names])
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("shortroots"):
-            imported.update(node.module.split(".")[1:2] or [a.name for a in node.names])
-        elif isinstance(node, ast.Import):
-            imported.update(a.name.split(".")[1] for a in node.names
-                            if a.name.startswith("shortroots."))
-    assert imported == {"cartan", "config", "errors", "rootsystem"}
+    # nullcone-char loads no engine module it does not run: gradedchar adds
+    # its table module, and that imports nothing more
+    def imported(module):
+        names = set()
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names.update([node.module] if node.module else [a.name for a in node.names])
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("shortroots"):
+                names.update(node.module.split(".")[1:2] or [a.name for a in node.names])
+            elif isinstance(node, ast.Import):
+                names.update(a.name.split(".")[1] for a in node.names
+                             if a.name.startswith("shortroots."))
+        return names
+
+    assert imported(gc) == {"cartan", "config", "errors", "qtables", "rootsystem"}
+    assert imported(qtables) == {"cartan", "config", "errors", "rootsystem"}
 
 
 def test_only_the_root_system_reads_the_cartan_matrix():
@@ -584,7 +607,7 @@ def test_graded_multiplicity_is_generator_order_independent():
     degree = 4
     lam = rs.weight_of(rs.theta_short)
     expected = graded_multiplicity(rs, lam, Weight.zero(3), degree)
-    qt = gc._dp_build(rs, degree)
+    qt = qtables._dp_build(rs, degree)
     lam_rho = tuple(int(c) + 1 for c in lam.fund)
     acc = [0] * (degree + 1)
     for w in closure(rs, [simple_reflection(rs, i) for i in (2, 1, 0)]):

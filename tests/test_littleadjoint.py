@@ -8,6 +8,7 @@ from helpers import kostant_multiplicity, oracle_support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shortroots.littleadjoint as la_module
 from shortroots import (
     UnsupportedRootSystem,
     Weight,
@@ -17,6 +18,7 @@ from shortroots import (
     hw_orbit_dim,
     little_adjoint_dims,
 )
+from shortroots.checks import run_check
 from shortroots.rootsystem import weyl_dim
 
 
@@ -153,6 +155,36 @@ def test_delta_partition_smallest_case():
     assert [len(part.pos_pos), len(part.pos_neg), len(part.neg_pos), len(part.neg_neg)] == [1, 0, 0, 1]
     with pytest.raises(ValueError):
         delta_partition(rs, (2,))
+
+
+def _doctor_partitions(monkeypatch, roots, doctor):
+    """delta_partition with doctor applied to its answer at each of roots."""
+    partition = la_module.delta_partition
+    monkeypatch.setattr(la_module, "delta_partition", lambda rs, mu: (
+        doctor(partition(rs, mu)) if mu in roots else partition(rs, mu)))
+
+
+def test_sign_partition_fails_on_a_negative_part_at_theta_s(monkeypatch):
+    rs = build("C4")
+    _doctor_partitions(monkeypatch, {rs.theta_short},
+                       lambda part: part._replace(pos_neg=part.pos_pos[:1]))
+    status, details = run_check("sign-partition", rs)
+    assert status == "fail"
+    assert details == {"short_dominant_height": rs.theta_short.height,
+                       "short_dominant_negative_part": 1}
+
+
+def test_sign_partition_fails_on_a_count_at_a_short_simple_root(monkeypatch):
+    rs = build("C4")
+    first = rs.short_simple_indices[0]
+    ht = rs.theta_short.height
+    _doctor_partitions(monkeypatch, {rs.simple_root(first)},
+                       lambda part: part._replace(pos_pos=part.pos_pos[1:]))
+    status, details = run_check("sign-partition", rs)
+    assert status == "fail"
+    assert details == {"short_dominant_height": ht, "short_dominant_negative_part": 0,
+                       "simple_index": first, "positive_agreeing": ht - 1,
+                       "positive_opposing": ht - 1}
 
 
 def test_hw_orbit_dim():

@@ -295,6 +295,18 @@ def test_coxeter_orbits_report_the_first_ordering_of_a_failing_element(monkeypat
     assert details["orbit_sizes"][0] == 1
 
 
+def test_coxeter_orbits_report_a_wrong_count_of_short_orbits(monkeypatch):
+    # every orbit keeps the Coxeter number, so only the short-orbit count fails
+    rs = build("F4")
+    walk = weyl.coxeter_orbits
+    monkeypatch.setattr(weyl, "coxeter_orbits",
+                        lambda rs, c: [o for o in walk(rs, c) if not rs.roots[o[0]].is_short])
+    status, details = checks.run_check("coxeter-orbits", rs)
+    assert status == "fail"
+    assert details == {"orderings_tested": 24, "coxeter_number": 12, "expected_short_orbits": 2,
+                       "ordering": list(checks._orderings(rs)[0]), "short_orbits": 0}
+
+
 def test_coxeter_power_reports_the_first_ordering_of_a_failing_element(monkeypatch):
     rs = build("C6")
     bad, first = _first_repeated_element(rs)

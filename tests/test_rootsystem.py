@@ -63,7 +63,7 @@ from shortroots import (
     summary_row,
     transition_identities,
 )
-from shortroots import gradedchar as gc
+from shortroots import qtables
 from shortroots.checks import CHECK_IDS, run_check
 from shortroots.gradedchar import invariant_degrees
 from shortroots.rootsystem import weyl_dim
@@ -520,12 +520,12 @@ def test_dp_updates_do_not_depend_on_the_node_order(name):
     # (test_checks_do_not_depend_on_the_node_order compares them on paths)
     rs = build(name)
     A = rs.cartan
-    want = gc._QTables(rs, 4).updates
+    want = qtables._QTables(rs, 4).updates
     rng = random.Random(name)
     for _ in range(4):
         order = rng.sample(range(rs.rank), rs.rank)
         relabelled = from_cartan([[A[i][j] for j in order] for i in order])
-        assert gc._QTables(relabelled, 4).updates == want, order
+        assert qtables._QTables(relabelled, 4).updates == want, order
 
 
 def test_symmetrizers_are_checked_on_every_pair():

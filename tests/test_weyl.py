@@ -163,6 +163,33 @@ def test_decompose_rejects_simply_laced():
         decompose_semidirect(rs, identity(rs))
 
 
+def test_a_tuple_that_is_not_in_w_is_refused_by_the_long_descent():
+    # every root sent to the first negative one: each strip leaves the tuple
+    # as it was, so an uncounted descent would never end
+    rs = build("C4")
+    stuck = (rs.num_positive,) * len(rs.roots)
+    refusal = "^not in W\\(C4\\): more long-root strips than positive long roots$"
+    for call in (decompose_semidirect, is_in_long_subgroup):
+        with pytest.raises(ValueError, match=refusal):
+            call(rs, stuck)
+
+
+def test_a_cycle_walk_past_the_root_count_is_refused():
+    # root 0 maps into the fixed point 1 and is never met again
+    rs = build("B2")
+    with pytest.raises(ValueError, match=r"^not in W\(B2\): a cycle walk passes 8 steps$"):
+        coxeter_orbits(rs, (1,) * 8)
+
+
+@pytest.mark.parametrize("call", [decompose_semidirect, is_in_long_subgroup, coxeter_orbits],
+                         ids=lambda f: f.__name__)
+def test_a_tuple_of_the_wrong_length_is_refused(call):
+    rs = build("C4")
+    for w in (identity(rs)[:-1], identity(rs) + (0,)):
+        with pytest.raises(ValueError, match=f"^not in W\\(C4\\): {len(w)} entries for 32 roots$"):
+            call(rs, w)
+
+
 @pytest.mark.parametrize("name", ["G2", "B2", "B3", "C3", "C4", "F4"])
 def test_decompose_exhaustively(name):
     rs = build(name)
