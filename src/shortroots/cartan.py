@@ -117,6 +117,9 @@ class Root(_Value):
     __slots__ = ("coeffs", "length_class")
 
     def __init__(self, coeffs: tuple[int, ...], length_class: str):
+        if length_class not in (SHORT, LONG):
+            raise ValueError(f"a root's length class is {SHORT!r} or {LONG!r}, "
+                             f"not {length_class!r}")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "length_class", length_class)
 

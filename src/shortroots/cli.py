@@ -2,7 +2,8 @@
 
 Subcommands: info, verify, table1, antichains, nullcone-char.  All accept
 --json; exit codes are 0 (all good), 1 (a verification check or a
-library self-check failed) and 2 (usage or validation error).  Output
+library self-check failed) and 2 (usage or validation error, or output
+that cannot be written, such as a closed pipe or a full disk).  Output
 is ASCII and byte-identical across runs; timings are opt-in because
 they would break that.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -281,7 +283,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a buffered write fails here, not at shutdown
+        return code
+    except OSError as exc:
+        # point stdout at devnull, so that the flush at shutdown fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {exc.strerror}", file=sys.stderr)
+        return 2
     except ValueError as exc:   # NotFiniteType and UnsupportedRootSystem among them
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -153,9 +153,9 @@ class DeltaPartition(NamedTuple):
 
 
 def delta_partition(rs: RootSystem, mu: Root) -> DeltaPartition:
-    if not isinstance(mu, Root) or mu.coeffs not in rs.root_index:
+    if not isinstance(mu, Root):
         raise ValueError("expected a root of the system")
-    row = rs.inner_row(mu)
+    row = rs.inner_row(mu)   # rs.index refuses a root of another system or length
     p = rs.num_positive
     pos = tuple(zip(row[:p], rs.roots[:p]))
     neg = tuple(zip(row[p:], rs.roots[p:]))

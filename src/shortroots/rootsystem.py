@@ -66,12 +66,14 @@ class RootSystem:
     """Everything derived from one Cartan matrix, and the one owner of root
     arithmetic.
 
-    Per root index the constructor stores three integer values: the fundamental
-    coordinates A.c, the form vector D.c (so that (x | root) is the plain
-    dot product of x's fundamental coordinates with D.c) and the squared
-    length.  Data that only some callers need is built lazily through
-    :meth:`memo`.  Use :func:`build` or :func:`from_cartan`, which share
-    one cache, instead of calling the constructor."""
+    Per positive root the constructor stores two integer values, the
+    fundamental coordinates A.c and the squared length; with p positive
+    roots, root k + p is the negative of root k.  The form vector D.c (so
+    that (x | root) is the plain dot product of x's fundamental coordinates
+    with D.c) is computed from the coefficients where it is read.  Data
+    that only some callers need is built lazily through :meth:`memo`.  Use
+    :func:`build` or :func:`from_cartan`, which share one cache, instead
+    of calling the constructor."""
 
     def __init__(self, spec: RootSystemSpec, cartan: tuple[tuple[int, ...], ...]):
         self.spec = spec
@@ -96,16 +98,13 @@ class RootSystem:
             for y, c in layer.items()
         }
         positives = sorted(fund_of, key=lambda c: (sum(c), c))
-        pos_ac = [fund_of[c] for c in positives]
-        forms = [tuple(x * y for x, y in zip(d, c)) for c in positives]
-        lengths = [_dot(f, ac) for f, ac in zip(forms, pos_ac)]
+        self._ac = tuple([fund_of[c] for c in positives])
+        self._sq = lengths = tuple(
+            [_dot(map(operator.mul, d, c), ac) for c, ac in zip(positives, self._ac)])
         if min(lengths) != 2:
             raise NotFiniteType(f"normalisation failure for {spec}")
         pos_roots = [Root(c, SHORT if sq == 2 else LONG) for c, sq in zip(positives, lengths)]
         self.roots: tuple[Root, ...] = tuple(pos_roots + [-r for r in pos_roots])
-        self._ac = tuple(pos_ac + [tuple(-x for x in a) for a in pos_ac])
-        self._dc = tuple(forms + [tuple(-x for x in f) for f in forms])
-        self._sq = tuple(lengths + lengths)
         self.num_positive = len(pos_roots)
         self.root_index = {r.coeffs: i for i, r in enumerate(self.roots)}
         positive = range(self.num_positive)
@@ -148,10 +147,13 @@ class RootSystem:
 
     def index(self, root) -> int:
         coeffs = root.coeffs if isinstance(root, Root) else tuple(root)
-        try:
-            return self.root_index[coeffs]
-        except KeyError:
-            raise ValueError(f"{coeffs} is not a root of {self.spec}") from None
+        k = self.root_index.get(coeffs)
+        if k is None:
+            raise ValueError(f"{coeffs} is not a root of {self.spec}")
+        length = self.roots[k].length_class
+        if isinstance(root, Root) and root.length_class != length:
+            raise ValueError(f"{coeffs} is a {length} root of {self.spec}, not {root.length_class}")
+        return k
 
     def simple_root(self, i: int) -> Root:
         if not 0 <= i < self.rank:
@@ -189,12 +191,14 @@ class RootSystem:
 
     def weight_coords(self, root) -> tuple[int, ...]:
         """Fundamental coordinates A.c of a root, as integers."""
-        return self._ac[self.index(root)]
+        k = self.index(root)
+        p = len(self._ac)
+        return self._ac[k] if k < p else tuple([-x for x in self._ac[k - p]])
 
     def form_coords(self, root) -> tuple[int, ...]:
         """The integer vector D.c: (x | root) is its dot product with the
         fundamental coordinates of x."""
-        return self._dc[self.index(root)]
+        return tuple(map(operator.mul, self.roots[self.index(root)].coeffs, self.symmetrizers))
 
     def weight_of(self, root: Root) -> Weight:
         return Weight(self.weight_coords(root))
@@ -237,34 +241,28 @@ class RootSystem:
         return tuple(Fraction(_dot(row, fund), self._det) for row in self._adj)
 
     def inner(self, x, y):
-        """W-invariant inner product of two roots or weights: a Fraction for
-        two weights, an int once a root is involved."""
-        if isinstance(x, Weight) and isinstance(y, Weight):
-            d = self.symmetrizers
-            fund = self.check_rank(y.fund)
-            return sum(c * e * f for c, e, f in zip(self.root_coords(x), d, fund))
+        """W-invariant inner product of two roots or weights, the sum of
+        c_i d_i f_i over the root coordinates c of the one put first (a
+        root, if either is) and the fundamental coordinates f of the
+        other: an int once a root is involved, a Fraction for two weights."""
         if isinstance(x, Weight):
             x, y = y, x
-        other = self.check_rank(y.fund) if isinstance(y, Weight) else self.weight_coords(y)
-        return _dot(self.form_coords(x), other)
+        c = self.root_coords(x) if isinstance(x, Weight) else self.roots[self.index(x)].coeffs
+        f = self.check_rank(y.fund) if isinstance(y, Weight) else self.weight_coords(y)
+        return _dot(map(operator.mul, c, self.symmetrizers), f)
 
     def inner_row(self, root) -> tuple[int, ...]:
         """(r | root) for every root r, in index order: one row of the
-        integer Gram matrix of the roots."""
+        integer Gram matrix of the roots, its second half negating its first."""
         form = self.form_coords(root)
         mul = operator.mul
-        return tuple([sum(map(mul, form, ac)) for ac in self._ac])
+        half = [sum(map(mul, form, ac)) for ac in self._ac]
+        return tuple(half + [-v for v in half])
 
     def pairing(self, x, root: Root) -> int:
         """Pairing of a root or a Weight x against the coroot of the given
         root: an int, since x is integral."""
-        fund = self.check_rank(x.fund) if isinstance(x, Weight) else self.weight_coords(x)
-        return self._pair(fund, self.index(root))
-
-    def _pair(self, fund, b: int) -> int:
-        """The pairing of the weight with fundamental coordinates fund
-        against the coroot of root b."""
-        q, rem = divmod(2 * _dot(self._dc[b], fund), self._sq[b])
+        q, rem = divmod(2 * self.inner(root, x), self._sq[self.index(root) % len(self._sq)])
         if rem:
             raise IdentityViolation("coroot pairing of an integral weight must be integral")
         return q
@@ -274,7 +272,7 @@ class RootSystem:
         root with index k, built on first use."""
         def compute():
             beta = self.roots[k].coeffs
-            sq = self._sq[k]
+            sq = self._sq[k % len(self._sq)]
             perm = []
             for a, (r, v) in enumerate(zip(self.roots, self.inner_row(self.roots[k]))):
                 q, rem = divmod(2 * v, sq)   # the pairing of root a against the coroot
@@ -413,9 +411,10 @@ def exponents_from_heights(heights) -> tuple[int, ...]:
 def weyl_dim(rs: RootSystem, highest) -> int:
     """Dimension of the simple module with the given highest weight, by the
     product formula over positive roots."""
-    lam_rho = [x + 1 for x in rs.dominant_integral(highest)]
-    forms = rs._dc[:rs.num_positive]
-    q, rem = divmod(math.prod([_dot(f, lam_rho) for f in forms]), math.prod(map(sum, forms)))
+    lam_rho = [d * (x + 1) for d, x in zip(rs.symmetrizers, rs.dominant_integral(highest))]
+    coeffs = [r.coeffs for r in rs.positive_roots()]
+    q, rem = divmod(math.prod([_dot(c, lam_rho) for c in coeffs]),
+                    math.prod([_dot(c, rs.symmetrizers) for c in coeffs]))
     if rem:
         raise IdentityViolation("Weyl dimension must be an integer")
     return q

@@ -417,9 +417,12 @@ def coroot(rs, root):
     return tuple(Fraction(2 * f, sq) for f in rs.weight_coords(root))
 
 
-def python_child(*args):
-    """Run a fresh interpreter that imports the package from src."""
+def python_child(*args, stdout=subprocess.PIPE, env=()):
+    """Run a fresh interpreter that imports the package from src, with the
+    variables in env added to its environment; its stdout is captured
+    unless another file is given."""
     root = Path(__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-B", *args], env={**os.environ, "PYTHONPATH": path},
-                          cwd=root, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-B", *args],
+                          env={**os.environ, **dict(env), "PYTHONPATH": path}, cwd=root,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)

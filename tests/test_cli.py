@@ -3,6 +3,7 @@ doc/catalog coverage contract."""
 
 import ast
 import json
+import os
 import re
 from pathlib import Path
 
@@ -152,6 +153,35 @@ def test_verify_refuses_an_unknown_check_id_before_building(capsys, monkeypatch)
     code, out, err = run(capsys, "verify", "A100", "--check", "bogus")
     assert (code, out, built) == (2, "", [])
     assert err.startswith("error: unknown check id(s) bogus; valid ids: ")
+
+
+# a buffered stdout fails at the flush after the command, an unbuffered
+# one at the first print (PYTHONUNBUFFERED counts only when non-empty)
+_BUFFERING = pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+
+
+@_BUFFERING
+def test_a_closed_pipe_ends_the_cli_with_exit_code_2(unbuffered):
+    # the reader is gone before the child starts, and the output takes more
+    # than one 8 KB write
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = python_child("-m", "shortroots.cli", "nullcone-char", "C6", "--max-degree", "6",
+                             "--json", stdout=write, env={"PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (2, "error: cannot write the output: Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@_BUFFERING
+def test_a_full_device_ends_the_cli_with_exit_code_2(unbuffered):
+    with open("/dev/full", "w") as full:
+        child = python_child("-m", "shortroots.cli", "info", "C4", stdout=full,
+                             env={"PYTHONUNBUFFERED": unbuffered})
+    assert (child.returncode, child.stderr) == (
+        2, "error: cannot write the output: No space left on device\n")
 
 
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):

@@ -29,6 +29,7 @@ from helpers import (
 
 from shortroots import (
     NotFiniteType,
+    Root,
     RootSystemSpec,
     UnsupportedRootSystem,
     Weight,
@@ -40,6 +41,7 @@ from shortroots import (
     classify_cartan,
     count_antichains_formula,
     decompose_semidirect,
+    delta_partition,
     dimension_ledger,
     dual_coxeter_of_dual,
     freudenthal,
@@ -697,24 +699,91 @@ KERNEL_SYSTEMS = (
 )
 
 
-@pytest.mark.parametrize("name", KERNEL_SYSTEMS)
+def _kernel_system(name):
+    """build(name), or for a name like "F4/2031" the system from_cartan
+    builds with the nodes of build("F4") listed in the order 2, 0, 3, 1."""
+    name, _, order = name.partition("/")
+    if not order:
+        return build(name)
+    A = build(name).cartan
+    return from_cartan([[A[int(i)][int(j)] for j in order] for i in order])
+
+
+@pytest.mark.parametrize("name", KERNEL_SYSTEMS + ["F4/2031"])
 def test_integer_kernel_matches_fraction_oracle(name):
-    rs = build(name)
+    rs = _kernel_system(name)
     sq = {y: oracle_inner(rs, y, y) for y in rs.roots}
     for x in rs.roots:
         for y in rs.roots:
             v = oracle_inner(rs, x, y)
             assert rs.inner(x, y) == v
+            assert type(rs.inner(x, y)) is type(rs.inner(x.coeffs, y.coeffs)) is int
             assert rs.pairing(x, y) == Fraction(2 * v, sq[y])
     weights = [rs.rho, rs.weight_of(rs.theta)] + [fundamental_weight(rs, i) for i in range(rs.rank)]
     for lam in weights:
         assert rs.root_coords(lam) == oracle_root_coords(rs, lam)
         for mu in weights:
             assert rs.inner(lam, mu) == oracle_inner(rs, lam, mu)
+            assert type(rs.inner(lam, mu)) is Fraction
         for r in rs.roots:
             v = oracle_inner(rs, lam, r)
             assert rs.inner(lam, r) == rs.inner(r, lam) == v
+            assert type(rs.inner(lam, r.coeffs)) is type(rs.inner(r, lam)) is int
             assert rs.pairing(lam, r) == Fraction(2 * v, sq[r])
+    # root k + p is the negative of root k, and reads its values off it
+    p = rs.num_positive
+    for k in range(p, len(rs.roots)):
+        neg, pos = rs.roots[k], rs.roots[k - p]
+        assert rs.weight_coords(neg) == tuple(-x for x in rs.weight_coords(pos))
+        assert rs.form_coords(neg) == tuple(-x for x in rs.form_coords(pos))
+        assert rs.reflection_perm(k) == rs.reflection_perm(k - p)
+
+
+def test_the_root_system_stores_each_root_fact_once():
+    # per positive root, the fundamental coordinates and the squared length;
+    # the one test that reads the private tables (through vars()), since
+    # their layout is what it pins
+    import tracemalloc
+
+    import shortroots.rootsystem as rootsystem
+
+    rootsystem._cached.cache_clear()
+    tracemalloc.start()
+    try:
+        rs = build("A60")
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        rootsystem._cached.cache_clear()
+    # 16.5 bytes on CPython 3.11; storing both halves of each table and D.c
+    # takes 29.8
+    assert kept <= 24 * len(rs.roots) * rs.rank
+    tables = vars(rs)
+    assert len(tables["_ac"]) == len(tables["_sq"]) == rs.num_positive
+    assert "_dc" not in tables
+
+
+_LONG_100 = Root((1, 0, 0), "long")   # C3's short root (1, 0, 0), tagged long
+_NOT_LONG = r"^\(1, 0, 0\) is a short root of C3, not long$"
+# the Root constructor, and every entry point that takes a Root, on C3
+_WRONG_LENGTH_CLASS = {
+    "Root": (lambda rs: Root((1, 0, 0), "banana"),
+             "^a root's length class is 'short' or 'long', not 'banana'$"),
+    "index": (lambda rs: rs.index(_LONG_100), _NOT_LONG),
+    "weight_coords": (lambda rs: rs.weight_coords(_LONG_100), _NOT_LONG),
+    "form_coords": (lambda rs: rs.form_coords(_LONG_100), _NOT_LONG),
+    "inner": (lambda rs: rs.inner(rs.rho, _LONG_100), _NOT_LONG),
+    "inner_row": (lambda rs: rs.inner_row(_LONG_100), _NOT_LONG),
+    "pairing": (lambda rs: rs.pairing(rs.rho, _LONG_100), _NOT_LONG),
+    "delta_partition": (lambda rs: delta_partition(rs, _LONG_100), _NOT_LONG),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_WRONG_LENGTH_CLASS))
+def test_a_root_of_the_wrong_length_class_is_refused(entry):
+    call, message = _WRONG_LENGTH_CLASS[entry]
+    with pytest.raises(ValueError, match=message):
+        call(build("C3"))
 
 
 @pytest.mark.parametrize("name", KERNEL_SYSTEMS)
