@@ -3,10 +3,11 @@
 A simple type is a ``RootSystemSpec``; ``cartan_matrix`` gives its
 Bourbaki matrix, ``classify_cartan`` names the components of any
 finite-type matrix, and ``bourbaki_nodes`` reads a system's simple roots
-in Bourbaki's numbering.  The matrix arithmetic that ``RootSystem``
-builds on lives here too: the symmetrizers, found in integers, and the
-fraction-free elimination that yields the determinant and the integer
-adjugate.
+in Bourbaki's numbering.  The matrix arithmetic of ``RootSystem`` lives
+here too: the symmetrizers, found in integers, that it is built on, and
+the fraction-free elimination that yields the determinant and the integer
+adjugate, which it computes only when asked for a weight's root
+coordinates.
 
 Roots are integer coefficient vectors over the simple roots; weights are
 coordinate vectors over the fundamental weights.  Weights are integral,

@@ -310,7 +310,9 @@ def _check_nullcone_hilbert(rs: RootSystem):
     walked = {w: gc.graded_multiplicity(rs, w, zero, degree) for w in report.character.entries}
     details["trivial_multiplicity_is_one"] = walked[zero] == gc.QPoly.one(degree)
     details["alternating_sum_agrees"] = walked == report.character.entries
-    ok = report.ok and details["trivial_multiplicity_is_one"] and details["alternating_sum_agrees"]
+    # a character of k[N] has multiplicities, so no negative coefficient
+    ok = (report.ok and not details["negative_coefficients"]
+          and details["trivial_multiplicity_is_one"] and details["alternating_sum_agrees"])
     return ("pass" if ok else "fail"), details
 
 

@@ -216,7 +216,7 @@ class GradedCharacter:
 
     def negative_terms(self):
         """Observed negative coefficients, as (weight coordinates, degree,
-        coefficient) triples, reported rather than asserted."""
+        coefficient) triples; the nullcone-hilbert check fails on any."""
         return [(w, k, v) for w, p in self.entries.items() for k, v in p.terms() if v < 0]
 
     def __len__(self):

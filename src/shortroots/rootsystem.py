@@ -6,17 +6,23 @@ the simple roots, weights by their coordinates over the fundamental
 weights (the value types and the Cartan-matrix layer are in ``cartan``).
 The invariant inner product is normalised so that short roots have
 squared length 2, which keeps every pairing against a coroot integral.
+The constructor finds the positive roots by one upward closure from the
+simple roots: a positive root that is not simple has a simple reflection
+that lowers its height (Humphreys, Introduction to Lie Algebras and
+Representation Theory, section 10), so every positive root is reached from a
+simple root by reflections that raise it.  No inverse of the Cartan matrix
+is needed for that; the integer adjugate, which ``lattice_coords`` and
+``root_coords`` read, is computed on a system's first such call.
 ``RootSystem`` also owns the one Weyl-orbit walk, ``RootSystem.descend``:
 down from a dominant point by simple reflections, one length of W per
-layer, optionally kept above a floor.  The constructor finds the positive
-roots with it, Freudenthal expands dominant weights into orbits with it,
-and Kostant's alternating sum runs over it.  ``RootSystem.straighten``,
-the one chamber walk, goes the other way, up to the dominant conjugate
-with its sign; the nullcone character and Freudenthal straighten through
-it.  ``Fraction`` appears only where an answer is genuinely rational
-(``root_coords`` and the inner product of two weights), and is imported
-there, so a process that asks for no rational answer never loads
-``fractions``.
+layer, optionally kept above a floor.  Freudenthal expands dominant weights
+into orbits with it, and Kostant's alternating sum runs over it.
+``RootSystem.straighten``, the one chamber walk, goes the other way, up to
+the dominant conjugate with its sign; the nullcone character and
+Freudenthal straighten through it.  ``Fraction`` appears only where an
+answer is genuinely rational (``root_coords`` and the inner product of two
+weights), and is imported there, so a process that asks for no rational
+answer never loads ``fractions``.
 
 Every system is built from its Cartan matrix, with the simple roots in
 the matrix's node order.  ``build`` takes a type name and passes Bourbaki's
@@ -36,8 +42,9 @@ import re
 from collections import Counter
 from functools import lru_cache
 
-# the constructor calls cm._symmetrizers and cm._adjugate through the
-# module, so that a test can substitute either
+# the constructor calls cm._symmetrizers, and lattice_coords and
+# root_coords call cm._adjugate, through the module, so that a test can
+# substitute either
 from . import cartan as cm
 from .cartan import (
     LONG,
@@ -80,23 +87,26 @@ class RootSystem:
         n = spec.rank
         self.rank = n
         self.cartan = A = cartan
-        self.symmetrizers = cm._symmetrizers(A)
+        self.symmetrizers = d = cm._symmetrizers(A)
         self._cols = tuple(
             tuple((j, A[j][i]) for j in range(n) if A[j][i]) for i in range(n)
         )
-        self._det, self._adj = cm._adjugate(A)
         self._memo: dict = {}
 
-        # the positive roots are the floor-0 descents from the dominant
-        # conjugates of the simple roots (the columns of A), one per length
-        d = self.symmetrizers
-        dominant = {self.straighten(col)[0] for col in zip(*A)}
-        if len(dominant) != len(set(d)):
-            raise NotFiniteType(f"{spec} has {len(dominant)} dominant conjugates of simple roots")
-        fund_of = {
-            c: y for top in dominant for layer in self.descend(top, (0,) * n)
-            for y, c in layer.items()
-        }
+        # the positive roots are the upward closure of the simple roots (the
+        # columns of A): a root y with y_i < 0 gives the higher root s_i(y)
+        fund_of = {}
+        todo = [(tuple(int(i == j) for j in range(n)), col) for i, col in enumerate(zip(*A))]
+        while todo:
+            c, y = todo.pop()
+            if c not in fund_of:
+                fund_of[c] = y
+                for i, step in enumerate(y):
+                    if step < 0:
+                        z = list(y)
+                        for j, a in self._cols[i]:
+                            z[j] -= step * a
+                        todo.append((c[:i] + (c[i] - step,) + c[i + 1:], tuple(z)))
         positives = sorted(fund_of, key=lambda c: (sum(c), c))
         self._ac = tuple([fund_of[c] for c in positives])
         self._sq = lengths = tuple(
@@ -147,6 +157,8 @@ class RootSystem:
 
     def index(self, root) -> int:
         coeffs = root.coeffs if isinstance(root, Root) else tuple(root)
+        if type(coeffs) is not tuple or any(type(c) is not int for c in coeffs):
+            raise TypeError(f"a root takes a tuple of int coefficients, not {coeffs!r}")
         k = self.root_index.get(coeffs)
         if k is None:
             raise ValueError(f"{coeffs} is not a root of {self.spec}")
@@ -226,9 +238,10 @@ class RootSystem:
         """Integer root-lattice coordinates of a weight (see as_weight), or
         None when it lies outside the root lattice."""
         fund = self.as_weight(weight).fund
+        det, adj = self.memo("adjugate", lambda: cm._adjugate(self.cartan))
         out = []
-        for row in self._adj:
-            q, rem = divmod(_dot(row, fund), self._det)
+        for row in adj:
+            q, rem = divmod(_dot(row, fund), det)
             if rem:
                 return None
             out.append(q)
@@ -238,7 +251,8 @@ class RootSystem:
         from fractions import Fraction
 
         fund = self.check_rank(weight.fund)
-        return tuple(Fraction(_dot(row, fund), self._det) for row in self._adj)
+        det, adj = self.memo("adjugate", lambda: cm._adjugate(self.cartan))
+        return tuple(Fraction(_dot(row, fund), det) for row in adj)
 
     def inner(self, x, y):
         """W-invariant inner product of two roots or weights, the sum of
@@ -302,7 +316,8 @@ class RootSystem:
         Reflection Groups and Coxeter Groups, ch. 1); layer k holds the
         points whose shortest conjugating element has length k.  Each layer
         is a dict from its points to None, or, given a floor, to the
-        root-lattice coordinates of y - floor: then only the points with
+        root-lattice coordinates of y - floor (the start's through
+        lattice_coords, so through the adjugate): then only the points with
         y - floor in the positive root cone are kept, and a point whose
         step would make a coordinate negative is dropped with everything
         below it, which is exact since every step goes down."""
@@ -330,7 +345,8 @@ class RootSystem:
 
     def straighten(self, fund):
         """Dominant Weyl conjugate of an int tuple of fundamental coords,
-        taken unchecked: the engines' kernel.
+        taken unchecked: the kernel of Freudenthal and of the nullcone
+        character.
 
         The scan reflects in the first simple root alpha_i whose coordinate
         c is negative, then starts again from coordinate 0.  Each step adds

@@ -437,8 +437,9 @@ def test_from_cartan_shares_the_cache_of_build():
 
 
 def test_one_adjugate_per_system(monkeypatch):
-    # info C60 builds C60 and its simple reduction A59; classifying the
-    # short-simple submatrix reads the pivots, not an adjugate
+    # info C60 builds C60 and its simple reduction A59 and inverts neither
+    # matrix; the first lattice_coords or root_coords on a system inverts
+    # it, and later calls read the cached inverse
     import shortroots.cartan as cartan
     import shortroots.rootsystem as rootsystem
 
@@ -455,9 +456,42 @@ def test_one_adjugate_per_system(monkeypatch):
         rs = build("C60")
         simple_reduction(rs)
         dimension_ledger(rs)
+        assert sizes == []
+        rho = rs.rho.fund
+        rs.lattice_coords(rho)
+        assert sizes == [60]
+        rs.root_coords(rs.rho)
+        rs.lattice_coords(rho)
+        assert sizes == [60]
+        b3 = build("B3")
+        b3.root_coords(b3.rho)
+        b3.root_coords(b3.rho)
+        b3.lattice_coords(b3.rho)
+        assert sizes == [60, 3]
     finally:
         rootsystem._cached.cache_clear()
-    assert sizes == [60, 59]
+
+
+@pytest.mark.parametrize("name", ["B3", "C4", "D5", "E6", "F4", "G2"])
+def test_a_relabelled_system_has_the_relabelled_roots(name):
+    # from_cartan's closure from the simple roots of a permuted matrix
+    # finds the Bourbaki system's roots, with the coefficients permuted
+    rs = build(name)
+    A = rs.cartan
+    rng = random.Random(name)
+    for _ in range(3):
+        order = rng.sample(range(rs.rank), rs.rank)
+        relabelled = from_cartan([[A[i][j] for j in order] for i in order])
+
+        def back(root):
+            return tuple(root.coeffs[order.index(i)] for i in range(rs.rank)), root.length_class
+
+        assert {back(r) for r in relabelled.positive_roots()} == {
+            (r.coeffs, r.length_class) for r in rs.positive_roots()}
+        assert back(relabelled.theta) == (rs.theta.coeffs, rs.theta.length_class)
+        assert back(relabelled.theta_short) == (rs.theta_short.coeffs, "short")
+        assert relabelled.exponents == rs.exponents
+        assert relabelled.dual_coxeter_number == rs.dual_coxeter_number
 
 
 # details that hold coefficient vectors over the simple roots: one vector,
@@ -675,13 +709,14 @@ def test_simple_roots_have_one_dominant_conjugate_per_length(name):
 
 
 def test_constructor_refuses_a_length_count_the_walk_does_not_see(monkeypatch):
-    # with every symmetrizer 1, B3 claims one root length, but its simple
-    # roots straighten to two dominant roots
+    # with every symmetrizer 1, B3 claims one root length, but the closure
+    # finds its roots whatever the symmetrizers; their squared lengths under
+    # those symmetrizers do not have the minimum 2
     import shortroots.cartan as cartan
     import shortroots.rootsystem as rootsystem
 
     monkeypatch.setattr(cartan, "_symmetrizers", lambda A: (1,) * len(A))
-    with pytest.raises(NotFiniteType, match="B3 has 2 dominant conjugates"):
+    with pytest.raises(NotFiniteType, match="normalisation failure for B3"):
         rootsystem.RootSystem(RootSystemSpec("B", 3), cartan_matrix(RootSystemSpec("B", 3)))
 
 
@@ -783,6 +818,25 @@ _WRONG_LENGTH_CLASS = {
 def test_a_root_of_the_wrong_length_class_is_refused(entry):
     call, message = _WRONG_LENGTH_CLASS[entry]
     with pytest.raises(ValueError, match=message):
+        call(build("C3"))
+
+
+# entry points given coefficients that are not ints: 1.0 and True equal 1
+# and hash alike, so a dict lookup alone would take them for a root
+_NOT_INT_COEFFS = {
+    "index": (lambda rs: rs.index((1.0, 0, 0)), "(1.0, 0, 0)"),
+    "pairing": (lambda rs: rs.pairing(rs.rho, (1.0, 0, 0)), "(1.0, 0, 0)"),
+    "inner": (lambda rs: rs.inner((1.0, 0, 0), rs.rho), "(1.0, 0, 0)"),
+    "weight_coords": (lambda rs: rs.weight_coords((True, False, False)), "(True, False, False)"),
+    "Root of a list": (lambda rs: rs.index(Root([1, 0, 0], "short")), "[1, 0, 0]"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NOT_INT_COEFFS))
+def test_a_root_with_coefficients_that_are_not_ints_is_refused(entry):
+    call, shown = _NOT_INT_COEFFS[entry]
+    message = f"^a root takes a tuple of int coefficients, not {re.escape(shown)}$"
+    with pytest.raises(TypeError, match=message):
         call(build("C3"))
 
 
