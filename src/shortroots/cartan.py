@@ -251,10 +251,12 @@ def cartan_matrix(spec: RootSystemSpec) -> tuple[tuple[int, ...], ...]:
 def _symmetrizers(A) -> tuple[int, ...]:
     """Positive integers d_i with d_i*A[i][j] symmetric, normalised to min 1,
     of a connected generalized Cartan matrix: d_i is half the squared length
-    of alpha_i.  The d_i are propagated along bonds, then checked on every
-    pair, cycles included; NotFiniteType if no integral d exists (a matrix
-    of finite type always has one).  The arithmetic stays in ints: when a
-    ratio makes d_j fractional, every d found so far is scaled up first."""
+    of alpha_i.  The d_i are propagated along bonds from node 0, then
+    checked on every pair, cycles included; NotFiniteType if a bond has
+    one zero end, the walk leaves a node unreached (the matrix is
+    reducible) or no integral d exists (a matrix of finite type always has
+    one).  The arithmetic stays in ints: when a ratio makes d_j
+    fractional, every d found so far is scaled up first."""
     nodes = range(len(A))
     d = [1] + [0] * (len(A) - 1)
     stack = [0]
@@ -263,12 +265,16 @@ def _symmetrizers(A) -> tuple[int, ...]:
         for j in nodes:
             if A[i][j] and not d[j]:
                 num, den = d[i] * A[i][j], A[j][i]   # d_j A[j][i] = d_i A[i][j]
+                if not den:
+                    raise NotFiniteType("zero pattern must be symmetric")
                 if num % den:
                     scale = abs(den) // math.gcd(num, den)
                     d = [v * scale for v in d]
                     num *= scale
                 d[j] = num // den
                 stack.append(j)
+    if 0 in d:
+        raise NotFiniteType("Cartan matrix is reducible")
     lo = min(d)
     if any(v % lo for v in d):
         raise NotFiniteType("Cartan matrix is not symmetrizable over the integers")

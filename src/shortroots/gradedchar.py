@@ -3,11 +3,12 @@
 A q-analogue partition function counts multiset expressions of a weight
 as sums of short positive roots, graded by multiset size; its tables,
 and the packed keys that index them, belong to ``qtables``.  One
-straightening pass over the tables gives the whole graded character: it
+straightening loop over the tables gives the whole graded character: it
 walks the deepest table's keys, then the few keys of shallower ones that
-it lacks, straightens each point off the walls once, however many
-degrees hold it, by ``RootSystem.straighten``, and adds each degree's
-counts into the rows of their keys' dominant conjugates and signs.
+it lacks, gathered once, straightens each point off the walls once,
+however many degrees hold it, by ``RootSystem.straighten``, and adds each
+degree's counts into the rows of their keys' dominant conjugates and
+signs; ``QPoly`` arithmetic folds the signed rows into multiplicities.
 Kostant's alternating sum, walked over a Weyl orbit by
 ``RootSystem.descend`` with no group element built, gives single graded
 multiplicities as a second, independent route.
@@ -29,6 +30,8 @@ polynomial.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
+from itertools import chain
 from operator import sub
 from typing import NamedTuple
 
@@ -227,67 +230,51 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     """Graded character of the nullcone coordinate ring, truncated at the
     given degree.
 
-    Kostant's multiplicity formula read backwards, in one pass over the
-    q-partition tables.  The deepest table holds almost every key, so its
-    keys are taken first, then each key of a shallower table that it
-    lacks, on first sight; no union of the keys is built.  The tables'
-    ``points`` unpacks them a chunk at a time, and each
-    point v is straightened once, however many degrees hold it: a point
-    v + rho with a 0 coordinate lies on a wall, so it is singular and
-    adds nothing, and every other one goes to ``RootSystem.straighten``.
-    The key of a point with a nonzero sign is owned by the row of its
-    dominant conjugate and that sign; a singular key of a shallower
-    table is remembered too, so that it is not straightened again.  Each
-    entry of each degree's table is then added into the row that owns its
-    key, if any, so the sums cost one lookup per table entry, however the
-    keys fall into rows, and build no temporary set; the coefficient at degree k of a dominant
-    weight lambda is the signed sum of the two rows of lambda + rho.
-    Weights whose sums cancel to zero are omitted.  No Weyl group is enumerated;
-    the work is capped by the DP tables.
-    ``work`` records the DP updates and the distinct dominant weights
-    reached (before cancellation)."""
+    Kostant's multiplicity formula read backwards, in one loop over the
+    keys of the q-partition tables.  The deepest table holds almost every
+    key, so the keys of the shallower tables that it lacks are gathered
+    once, and the loop walks the deepest table's keys and then those; no
+    union of all the keys is built.  The tables' ``points`` unpacks them a
+    chunk at a time, and each point v is straightened once, however many
+    degrees hold it: a point v + rho with a 0 coordinate lies on a wall,
+    so it is singular and adds nothing, and every other one goes to
+    ``RootSystem.straighten``.  ``owners`` maps the key of each regular
+    point to the row of its dominant conjugate and sign.  Each entry of
+    each degree's table is then added into the row that owns its key, if
+    any, so the sums cost one lookup per table entry, however the keys
+    fall into rows.  The signed rows of each dominant conjugate
+    lambda + rho are summed as ``QPoly`` values into the graded
+    multiplicity of lambda, and weights whose sums cancel to zero are
+    omitted.  No Weyl group is enumerated; the work is capped by the DP
+    tables.  ``work`` records the DP updates and the distinct dominant
+    weights reached (before cancellation)."""
     rs.require_two_lengths()
     _require_degree(max_degree)
     qt = _dp_build(rs, max_degree)
     levels = qt.levels
     top = levels[-1]
-    rows: dict = {}     # (dominant conjugate of v + rho, sign) -> counts of its keys
-    owners: dict = {}   # key of a regular v -> its row; of a singular one the
-                        # deepest table lacks -> None
+    rest = dict.fromkeys(key for level in levels[:-1] for key in level if key not in top)
+    # (dominant conjugate of v + rho, sign) -> counts of its keys
+    rows = defaultdict(lambda: [0] * (max_degree + 1))
+    owners: dict = {}   # key of a regular v -> its row
     straighten = rs.straighten
-
-    def own(keys, keep_singular):
-        """Straighten the point v + rho of each key."""
-        for key, shifted in qt.points(keys):
-            row = None
-            if 0 not in shifted:   # else on a wall, so singular
-                hit = straighten(shifted)
-                if hit[1]:
-                    row = rows.get(hit)
-                    if row is None:
-                        row = rows[hit] = [0] * (max_degree + 1)
-            if row is not None or keep_singular:
-                owners[key] = row
-
-    own(top, False)
-    for level in levels[:-1]:
-        own((key for key in level if key not in top and key not in owners), True)
+    for key, shifted in qt.points(chain(top, rest)):
+        if 0 not in shifted:   # else on a wall, so singular
+            hit = straighten(shifted)
+            if hit[1]:
+                owners[key] = rows[hit]
     get = owners.get
     for k, level in enumerate(levels):
         for key, count in level.items():
             row = get(key)
             if row is not None:
                 row[k] += count
-    signed: dict = {}   # dominant conjugate of v + rho -> its coefficients
+    signed: dict = {}   # dominant conjugate of v + rho -> its graded multiplicity
     for (dom, sign), row in rows.items():
-        total = signed.setdefault(dom, [0] * (max_degree + 1))
-        for k, count in enumerate(row):
-            total[k] += sign * count
-    entries = {}
-    for dom in sorted(signed):
-        poly = QPoly(dict(enumerate(signed[dom])), max_degree)
-        if not poly.is_zero:
-            entries[tuple([a - 1 for a in dom])] = poly
+        poly = QPoly({k: sign * count for k, count in enumerate(row)}, max_degree)
+        signed[dom] = signed[dom] + poly if dom in signed else poly
+    entries = {tuple([a - 1 for a in dom]): poly
+               for dom, poly in sorted(signed.items()) if not poly.is_zero}
     if entries.get((0,) * rs.rank) != QPoly.one(max_degree):
         raise IdentityViolation("the trivial entry of the nullcone character must be 1")
     work = {"dp_updates": qt.updates, "dominant_points": len(signed)}

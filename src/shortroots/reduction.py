@@ -125,12 +125,15 @@ def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
     s_{-b}(gamma).  W_l is generated by the reflections in the long-root
     base, so closing under them joins exactly the pairs that differ, up
     to sign, by a long root.  Root k >= p is -(root k - p), so the walk
-    folds it to k - p."""
+    folds it to k - p.  The positive roots are indexed in (height, coeffs)
+    order and each walk starts at the smallest index left, so listing each
+    orbit by index, in the order found, sorts the classes and their roots
+    by height."""
     red = simple_reduction(rs)
     gens = weyl.long_subgroup(rs)
     p = rs.num_positive
     seen: set[int] = set()
-    groups = []
+    classes = []
     for start in rs.short_positives:
         if start in seen:
             continue
@@ -142,11 +145,7 @@ def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
                 if j not in seen:
                     seen.add(j)
                     orbit.append(j)
-        groups.append([rs.roots[k] for k in orbit])
-    classes = tuple(
-        tuple(sorted(g, key=lambda r: (r.height, r.coeffs))) for g in groups
-    )
-    classes = tuple(sorted(classes, key=lambda g: (g[0].height, g[0].coeffs)))
+        classes.append(tuple(rs.roots[k] for k in sorted(orbit)))
 
     sub_pos = {r.coeffs for r in red.subsystem if r.is_positive}
     reps = []
@@ -159,7 +158,7 @@ def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
         reps.append(inside[0])
     if len(classes) != len(sub_pos):
         raise IdentityViolation("class count disagrees with the subsystem positives")
-    return HyperplaneClasses(classes=classes, representatives=tuple(reps))
+    return HyperplaneClasses(classes=tuple(classes), representatives=tuple(reps))
 
 
 class OneStepEntry(NamedTuple):

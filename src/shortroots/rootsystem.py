@@ -78,7 +78,12 @@ class RootSystem:
     roots, root k + p is the negative of root k.  The form vector D.c (so
     that (x | root) is the plain dot product of x's fundamental coordinates
     with D.c) is computed from the coefficients where it is read.  Data
-    that only some callers need is built lazily through :meth:`memo`.  Use
+    that only some callers need is built lazily through :meth:`memo`.  The
+    constructor refuses a matrix that is not of finite type with
+    NotFiniteType: a reducible one, or one whose zero entries are not
+    symmetric, when it finds the symmetrizers, and one whose root closure
+    would never end once a root's coefficient passes 6, the largest in any
+    finite-type system (that of E8's highest root).  Use
     :func:`build` or :func:`from_cartan`, which share one cache, instead
     of calling the constructor."""
 
@@ -103,6 +108,9 @@ class RootSystem:
                 fund_of[c] = y
                 for i, step in enumerate(y):
                     if step < 0:
+                        if c[i] - step > 6:   # the largest coefficient of E8's highest root
+                            raise NotFiniteType(f"{spec}: a root coefficient passes 6, so the "
+                                                "matrix is not of finite type")
                         z = list(y)
                         for j, a in self._cols[i]:
                             z[j] -= step * a
@@ -141,9 +149,7 @@ class RootSystem:
 
         self.rho = Weight((1,) * n)
         self.exponents = exponents_from_heights(heights)
-        self.weyl_order = 1
-        for m in self.exponents:
-            self.weyl_order *= m + 1
+        self.weyl_order = math.prod(m + 1 for m in self.exponents)
         self.dual_coxeter_number = 1 + self.pairing(self.rho, self.theta)
 
     def memo(self, key, compute):

@@ -720,6 +720,41 @@ def test_constructor_refuses_a_length_count_the_walk_does_not_see(monkeypatch):
         rootsystem.RootSystem(RootSystemSpec("B", 3), cartan_matrix(RootSystemSpec("B", 3)))
 
 
+_CONSTRUCT = """
+import ast, resource, sys, time
+from shortroots.cartan import RootSystemSpec
+from shortroots.rootsystem import RootSystem
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 512 << 20 if hard == resource.RLIM_INFINITY else min(512 << 20, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+spec = RootSystemSpec(sys.argv[1], int(sys.argv[2]))
+start = time.perf_counter()
+try:
+    RootSystem(spec, ast.literal_eval(sys.argv[3]))
+except Exception as e:
+    print(type(e).__name__, time.perf_counter() - start < 1)
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("family,rank,cartan,reason", [
+    ("A", 3, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), "passes 6"),   # affine A2
+    ("G", 2, ((2, -3), (-3, 2)), "passes 6"),                        # hyperbolic
+    ("B", 2, ((2, -4), (-1, 2)), "passes 6"),                        # affine, twisted A2
+    ("A", 2, ((2, 0), (0, 2)), "reducible"),                         # A1 x A1
+    ("A", 2, ((2, -1), (0, 2)), "zero pattern"),                     # one zero end
+])
+def test_the_constructor_refuses_a_matrix_not_of_finite_type(family, rank, cartan, reason):
+    # the direct constructor, which classify_cartan does not guard: the
+    # closure of an infinite root system would never end, so the child caps
+    # its address space, and such a regression fails at once with MemoryError
+    child = python_child("-c", _CONSTRUCT, family, str(rank), repr(cartan))
+    assert child.stderr == ""
+    kind, message = child.stdout.splitlines()
+    assert kind == "NotFiniteType True"
+    assert reason in message
+
+
 @pytest.mark.parametrize("name", ["A3", "B4", "C3", "D4", "F4", "G2"])
 def test_inner_row_is_one_inner_product_per_root(name):
     rs = build(name)
