@@ -81,19 +81,6 @@ def _check_root_counts(rs: RootSystem):
     return ("pass" if ok else "fail"), details
 
 
-def _in_reflection_subgroup(rs: RootSystem, w, base, gens) -> bool:
-    """Whether w lies in the subgroup generated by gens, the reflections in
-    base, a base of a root subsystem that is positive in rs (the short
-    simple roots, or ``long_root_base``): strip the reflection in a base
-    root that w sends negative off the right while there is one; w is in
-    that subgroup exactly when this ends at the identity."""
-    p = rs.num_positive
-    descent = [(rs.index(b), g) for b, g in zip(base, gens)]
-    while (g := next((g for k, g in descent if w[k] >= p), None)) is not None:
-        w = weyl.compose(w, g)
-    return w == weyl.identity(rs)
-
-
 def _check_semidirect(rs: RootSystem):
     short_base = [rs.simple_root(i) for i in rs.short_simple_indices]
     short_gens = weyl.short_parabolic(rs)
@@ -123,10 +110,14 @@ def _check_semidirect(rs: RootSystem):
             if not weyl.is_in_long_subgroup(rs, weyl.compose(weyl.compose(g, r), g)):
                 return _fail(details, normality="violated", generator=i)
     details["normal"] = True
-    for w, _ in _coxeter_sample(rs)[1]:   # each factor placed by a descent of its own
+    # each factor placed in its subgroup by the descent through its base
+    short_ks = [rs.index(b) for b in short_base]
+    long_ks = [rs.index(b) for b in long_base]
+    e = weyl.identity(rs)
+    for w, _ in _coxeter_sample(rs)[1]:
         ws, wl = weyl.decompose_semidirect(rs, w)
-        if not (_in_reflection_subgroup(rs, ws, short_base, short_gens)
-                and _in_reflection_subgroup(rs, wl, long_base, long_gens)
+        if not (weyl.strip_reflections(rs, ws, short_ks)[0] == e
+                and weyl.strip_reflections(rs, wl, long_ks)[0] == e
                 and weyl.compose(ws, wl) == w):
             return _fail(details, roundtrip="violated")
     # W = W_s W_l with W_s and W_l meeting trivially: one factor pair per element

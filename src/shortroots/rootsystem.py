@@ -79,9 +79,10 @@ class RootSystem:
     that (x | root) is the plain dot product of x's fundamental coordinates
     with D.c) is computed from the coefficients where it is read.  Data
     that only some callers need is built lazily through :meth:`memo`.  The
-    constructor refuses a matrix that is not of finite type with
-    NotFiniteType: a reducible one, or one whose zero entries are not
-    symmetric, when it finds the symmetrizers, and one whose root closure
+    constructor refuses with NotFiniteType, before any work, a matrix that
+    is not ``spec.rank`` square, and one that is not of finite type: a
+    reducible one, or one whose zero entries are not symmetric, when it
+    finds the symmetrizers, and one whose root closure
     would never end once a root's coefficient passes 6, the largest in any
     finite-type system (that of E8's highest root).  Use
     :func:`build` or :func:`from_cartan`, which share one cache, instead
@@ -90,6 +91,8 @@ class RootSystem:
     def __init__(self, spec: RootSystemSpec, cartan: tuple[tuple[int, ...], ...]):
         self.spec = spec
         n = spec.rank
+        if len(cartan) != n or any(len(row) != n for row in cartan):
+            raise NotFiniteType(f"{spec} takes a {n} x {n} Cartan matrix")
         self.rank = n
         self.cartan = A = cartan
         self.symmetrizers = d = cm._symmetrizers(A)
@@ -174,11 +177,13 @@ class RootSystem:
         return k
 
     def simple_root(self, i: int) -> Root:
+        """Simple root i, the root of index rank - 1 - i: the positive roots
+        run by (height, coeffs), so the simple roots come first, in reverse
+        node order."""
         if not 0 <= i < self.rank:
             raise ValueError(f"{self.spec} has no simple root {i}; "
                              f"its indices run from 0 to {self.rank - 1}")
-        coeffs = tuple(int(i == j) for j in range(self.rank))
-        return self.roots[self.root_index[coeffs]]
+        return self.roots[self.rank - 1 - i]
 
     def positive_roots(self):
         return list(self.roots[: self.num_positive])
@@ -201,9 +206,7 @@ class RootSystem:
     @property
     def length_ratio(self) -> int:
         """Ratio of the two squared root lengths: 1, 2 or 3."""
-        if not self.is_multiply_laced:
-            return 1
-        return self._sq[self.long_positives[0]] // 2
+        return max(self._sq) // 2
 
     # -- coordinates and the invariant form -----------------------------------
 
@@ -286,24 +289,6 @@ class RootSystem:
         if rem:
             raise IdentityViolation("coroot pairing of an integral weight must be integral")
         return q
-
-    def reflection_perm(self, k: int) -> tuple[int, ...]:
-        """The permutation of root indices induced by the reflection in the
-        root with index k, built on first use."""
-        def compute():
-            beta = self.roots[k].coeffs
-            sq = self._sq[k % len(self._sq)]
-            perm = []
-            for a, (r, v) in enumerate(zip(self.roots, self.inner_row(self.roots[k]))):
-                q, rem = divmod(2 * v, sq)   # the pairing of root a against the coroot
-                if rem:
-                    raise IdentityViolation("coroot pairing of a root must be integral")
-                perm.append(
-                    self.root_index[tuple([c - q * b for c, b in zip(r.coeffs, beta)])] if q else a
-                )
-            return tuple(perm)
-
-        return self.memo(("reflection", k), compute)
 
     # -- dominance ------------------------------------------------------------
 

@@ -8,15 +8,15 @@ W acts on the roots only; weights are moved by simple reflections on
 their coordinates (``RootSystem.straighten`` up to the dominant chamber,
 ``RootSystem.descend`` down a whole orbit), with no element built.
 No group is listed element by element: the order of a reflection
-subgroup is read off the Cartan types its base names.
-The factorisation of the whole group over the subgroup generated by
-long-root reflections is one descent through the long-root subsystem,
-which rebuilds the long factor from the reflections it strips;
-membership in that subgroup reads the short factor it leaves.  Every
-product is an index gather through an ``operator.itemgetter``, so it
-runs in C: ``compose`` builds one for a single product, and the getters
-that ``coxeter_element`` and ``decompose_semidirect`` apply are built
-once per system."""
+subgroup is read off the Cartan types its base names.  Each reflection
+is built here on first use, from the inner products of the roots, and
+kept on its system as one entry, shared by a root and its negative: the
+permutation and an ``operator.itemgetter`` over it.  Every product is
+an index gather through such a getter (``compose`` builds one), so it
+runs in C.  One descent, ``strip_reflections``, strips the reflections
+in a base of a reflection subgroup off an element, which lies in that
+subgroup when the descent leaves the identity; through the long-root
+base it factors W over the subgroup of long reflections."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ import math
 from operator import itemgetter
 
 from .cartan import Root, classify_cartan
+from .errors import IdentityViolation
 from .rootsystem import RootSystem, build
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "reflection",
     "coxeter_element",
     "coxeter_orbits",
+    "strip_reflections",
     "long_root_base",
     "decompose_semidirect",
     "is_in_long_subgroup",
@@ -52,13 +54,34 @@ def identity(rs: RootSystem) -> tuple[int, ...]:
     return tuple(range(len(rs.roots)))
 
 
+def _reflection(rs: RootSystem, k: int):
+    """The entry of the reflection in root k, built on first use: its
+    permutation and an itemgetter over it.  Root k + p is the negative of
+    root k (p positive roots), so it folds onto root k's entry."""
+    k %= len(rs.roots) // 2
+
+    def compute():
+        root = rs.roots[k]
+        sq = rs.inner(root, root)
+        perm = []
+        for a, (r, v) in enumerate(zip(rs.roots, rs.inner_row(root))):
+            q, rem = divmod(2 * v, sq)   # the pairing of root a against the coroot
+            if rem:
+                raise IdentityViolation("coroot pairing of a root must be integral")
+            perm.append(rs.root_index[tuple([c - q * b for c, b in zip(r.coeffs, root.coeffs)])]
+                        if q else a)
+        return tuple(perm), itemgetter(*perm)
+
+    return rs.memo(("reflection", k), compute)
+
+
 def simple_reflection(rs: RootSystem, i: int) -> tuple[int, ...]:
-    return rs.reflection_perm(rs.index(rs.simple_root(i)))
+    return reflection(rs, rs.simple_root(i))
 
 
 def reflection(rs: RootSystem, root: Root) -> tuple[int, ...]:
     """Reflection in the hyperplane orthogonal to an arbitrary root."""
-    return rs.reflection_perm(rs.index(root))
+    return _reflection(rs, rs.index(root))[0]
 
 
 def coxeter_element(rs: RootSystem, ordering=None) -> tuple[int, ...]:
@@ -67,19 +90,18 @@ def coxeter_element(rs: RootSystem, ordering=None) -> tuple[int, ...]:
     order = tuple(ordering) if ordering is not None else tuple(range(rs.rank))
     if sorted(order) != list(range(rs.rank)):
         raise ValueError(f"{order} is not an ordering of the {rs.rank} simple roots")
-    steps = rs.memo(
-        "simple_steps", lambda: tuple(itemgetter(*simple_reflection(rs, i))
-                                      for i in range(rs.rank))
-    )
     w = identity(rs)
-    for i in order:
-        w = steps[i](w)   # w * s_i
+    for i in order:   # simple root i has index rank - 1 - i
+        w = _reflection(rs, rs.rank - 1 - i)[1](w)   # w * s_i
     return w
 
 
 def _require_element(rs: RootSystem, w: tuple[int, ...]) -> None:
-    if len(w) != len(rs.roots):
-        raise ValueError(f"not in W({rs.spec}): {len(w)} entries for {len(rs.roots)} roots")
+    n = len(rs.roots)
+    if len(w) != n:
+        raise ValueError(f"not in W({rs.spec}): {len(w)} entries for {n} roots")
+    if min(w) < 0 or max(w) >= n:
+        raise ValueError(f"not in W({rs.spec}): an entry outside 0 to {n - 1}")
 
 
 def coxeter_orbits(rs: RootSystem, c: tuple[int, ...]):
@@ -103,56 +125,58 @@ def coxeter_orbits(rs: RootSystem, c: tuple[int, ...]):
     return orbits
 
 
+def strip_reflections(rs: RootSystem, w: tuple[int, ...], base):
+    """(rest, product of the stripped reflections), whose product is w:
+    while w sends a root of base negative, strip the reflection in the
+    first such root off the right.  base holds the root indices of a base
+    of a positive root subsystem (the short simple roots, or
+    ``long_root_base``).  If w * r_1 ... r_k is the rest, the product is
+    r_k ... r_1, each r_i being an involution.  Each strip sends one fewer
+    positive root of the subsystem negative, and the rest sends none, so
+    w lies in the subgroup of the base's reflections exactly when the
+    rest is the identity."""
+    _require_element(rs, w)
+    p = rs.num_positive
+    steps = [(k, _reflection(rs, k)[1]) for k in base]
+    rest, stripped = w, []
+    while (step := next((s for k, s in steps if rest[k] >= p), None)) is not None:
+        rest = step(rest)   # rest * r_b for the first base root b sent negative
+        stripped.append(step)
+        if len(stripped) > p:
+            raise ValueError(f"not in W({rs.spec}): more reflection strips than positive roots")
+    product = identity(rs)
+    for step in reversed(stripped):
+        product = step(product)   # product * r
+    return rest, product
+
+
 # -- the long-root subsystem ---------------------------------------------------
 
 
 def long_root_base(rs: RootSystem):
     """Indecomposable positive long roots: the simple system of the long
     subsystem determined by the ambient positive roots."""
+    return tuple(rs.roots[k] for k in _long_base(rs))
+
+
+def _long_base(rs: RootSystem):
+    """The root indices of ``long_root_base``, found on first use."""
     rs.require_two_lengths()
-    return rs.memo("long_base", lambda: _indecomposable_longs(rs))
 
+    def compute():
+        longs = rs.long_positive_roots()
+        coeffs = {r.coeffs for r in longs}
+        return tuple(rs.index(r) for r in longs if not any(
+            tuple(a - b for a, b in zip(r.coeffs, s)) in coeffs for s in coeffs))
 
-def _indecomposable_longs(rs: RootSystem):
-    longs = rs.long_positive_roots()
-    long_set = {r.coeffs for r in longs}
-    base = []
-    for r in longs:
-        decomposable = any(
-            tuple(a - b for a, b in zip(r.coeffs, s)) in long_set
-            for s in long_set
-            if s != r.coeffs
-        )
-        if not decomposable:
-            base.append(r)
-    return tuple(base)
+    return rs.memo("long_base", compute)
 
 
 def decompose_semidirect(rs: RootSystem, w: tuple[int, ...]):
     """Factor w = ws * wl with ws preserving the positive long roots and wl
-    a product of long-root reflections.  The pair is unique.
-
-    Works by descent: while some member of the long-root base is sent
-    negative, strip one long reflection off the right.  If w * r_1 ... r_k
-    is ws, then wl is r_k ... r_1, since each r_i is an involution.  Each
-    strip sends one fewer positive long root negative, which bounds them."""
-    descent = rs.memo(  # raises on simply-laced input
-        "long_descent",
-        lambda: tuple((rs.index(b), itemgetter(*r))
-                      for b, r in zip(long_root_base(rs), long_subgroup(rs))),
-    )
-    _require_element(rs, w)
-    p = rs.num_positive
-    ws, stripped = w, []
-    while (step := next((s for i, s in descent if ws[i] >= p), None)) is not None:
-        ws = step(ws)   # ws * r_b for the first base root b sent negative
-        stripped.append(step)
-        if len(stripped) > len(rs.long_positives):
-            raise ValueError(f"not in W({rs.spec}): more long-root strips than positive long roots")
-    wl = identity(rs)
-    for step in reversed(stripped):
-        wl = step(wl)   # wl * r
-    return ws, wl
+    a product of long-root reflections: ``strip_reflections`` through the
+    long-root base.  The pair is unique."""
+    return strip_reflections(rs, w, _long_base(rs))
 
 
 def is_in_long_subgroup(rs: RootSystem, w: tuple[int, ...]) -> bool:
@@ -164,7 +188,7 @@ def is_in_long_subgroup(rs: RootSystem, w: tuple[int, ...]) -> bool:
 def long_subgroup(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """Generators of the normal subgroup generated by reflections in long
     roots: the reflections in the long-root base, in its order."""
-    return tuple(reflection(rs, b) for b in long_root_base(rs))
+    return tuple(_reflection(rs, k)[0] for k in _long_base(rs))
 
 
 def short_parabolic(rs: RootSystem) -> tuple[tuple[int, ...], ...]:

@@ -59,6 +59,7 @@ from shortroots import (
     one_step_strings,
     orbit_count,
     q_partition,
+    reflection,
     short_parabolic,
     short_root_poset,
     simple_reduction,
@@ -755,6 +756,23 @@ def test_the_constructor_refuses_a_matrix_not_of_finite_type(family, rank, carta
     assert reason in message
 
 
+@pytest.mark.parametrize("family,rank,cartan", [
+    ("A", 3, cartan_matrix(RootSystemSpec("A", 2))),   # too small: IndexError in the closure
+    ("A", 2, cartan_matrix(RootSystemSpec("A", 3))),   # too large
+    ("A", 2, ((2, -1), (-1, 2, 0))),                   # ragged: a 6-root A2
+    ("C", 4, cartan_matrix(RootSystemSpec("A", 5))),   # a normalisation failure
+], ids=["A2 as A3", "A3 as A2", "ragged A2", "A5 as C4"])
+def test_the_constructor_refuses_a_matrix_not_of_the_spec_rank(monkeypatch, family, rank, cartan):
+    # refused before any work: the symmetrizers are never sought
+    import shortroots.cartan as cm
+    import shortroots.rootsystem as rootsystem
+
+    monkeypatch.setattr(cm, "_symmetrizers", lambda A: pytest.fail("the matrix was read"))
+    message = f"^{family}{rank} takes a {rank} x {rank} Cartan matrix$"
+    with pytest.raises(NotFiniteType, match=message):
+        rootsystem.RootSystem(RootSystemSpec(family, rank), cartan)
+
+
 @pytest.mark.parametrize("name", ["A3", "B4", "C3", "D4", "F4", "G2"])
 def test_inner_row_is_one_inner_product_per_root(name):
     rs = build(name)
@@ -806,7 +824,7 @@ def test_integer_kernel_matches_fraction_oracle(name):
         neg, pos = rs.roots[k], rs.roots[k - p]
         assert rs.weight_coords(neg) == tuple(-x for x in rs.weight_coords(pos))
         assert rs.form_coords(neg) == tuple(-x for x in rs.form_coords(pos))
-        assert rs.reflection_perm(k) == rs.reflection_perm(k - p)
+        assert reflection(rs, neg) == reflection(rs, pos)
 
 
 def test_the_root_system_stores_each_root_fact_once():

@@ -20,7 +20,6 @@ from helpers import compose as oracle_compose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import shortroots.checks as checks
 import shortroots.weyl as weyl_module
 from shortroots import (
     build,
@@ -35,6 +34,7 @@ from shortroots import (
     reflection,
     short_parabolic,
     simple_reflection,
+    strip_reflections,
 )
 from shortroots.checks import run_check
 
@@ -168,7 +168,7 @@ def test_a_tuple_that_is_not_in_w_is_refused_by_the_long_descent():
     # as it was, so an uncounted descent would never end
     rs = build("C4")
     stuck = (rs.num_positive,) * len(rs.roots)
-    refusal = "^not in W\\(C4\\): more long-root strips than positive long roots$"
+    refusal = "^not in W\\(C4\\): more reflection strips than positive roots$"
     for call in (decompose_semidirect, is_in_long_subgroup):
         with pytest.raises(ValueError, match=refusal):
             call(rs, stuck)
@@ -187,6 +187,10 @@ def test_a_tuple_of_the_wrong_length_is_refused(call):
     rs = build("C4")
     for w in (identity(rs)[:-1], identity(rs) + (0,)):
         with pytest.raises(ValueError, match=f"^not in W\\(C4\\): {len(w)} entries for 32 roots$"):
+            call(rs, w)
+    # the right length, with an entry that is no root index
+    for w in ((32,) * 32, (-1,) * 32, identity(rs)[:-1] + (32,), (-1,) + identity(rs)[1:]):
+        with pytest.raises(ValueError, match="^not in W\\(C4\\): an entry outside 0 to 31$"):
             call(rs, w)
 
 
@@ -382,8 +386,18 @@ def test_descent_decides_membership_in_each_factor(name):
     factors = [(short_base, short_parabolic(rs)), (long_root_base(rs), long_subgroup(rs))]
     for base, gens in factors:
         members = closure(rs, gens)
-        assert [w for w in enumerate_group(rs) if
-                checks._in_reflection_subgroup(rs, w, base, gens) != (w in members)] == []
+        ks = [rs.index(b) for b in base]
+        for w in enumerate_group(rs):
+            rest, product = strip_reflections(rs, w, ks)
+            assert (rest == identity(rs)) == (w in members)
+            assert oracle_compose(rest, product) == w and product in members
+
+
+def test_a_root_and_its_negative_share_one_reflection():
+    rs = build("C4")
+    p = rs.num_positive
+    for k in range(p):
+        assert reflection(rs, rs.roots[k + p]) is reflection(rs, rs.roots[k])
 
 
 @pytest.mark.parametrize(
