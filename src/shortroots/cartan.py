@@ -215,6 +215,14 @@ class Weight(_Value):
         return "[" + ",".join(str(c) for c in self.fund) + "]"
 
 
+def _signature(spec: RootSystemSpec) -> tuple:
+    """(root count, length ratio, short simple roots) of the type spec names."""
+    n = spec.rank
+    return {"A": (n * (n + 1), 1, n), "B": (2 * n * n, 2, 1), "C": (2 * n * n, 2, n - 1),
+            "D": (2 * n * (n - 1), 1, n), "E": ({6: 72, 7: 126, 8: 240}.get(n), 1, n),
+            "F": (48, 2, 2), "G": (12, 3, 1)}[spec.family]
+
+
 def cartan_matrix(spec: RootSystemSpec) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix with entry [i][j] the pairing of alpha_j against the
     coroot of alpha_i."""

@@ -54,6 +54,7 @@ from .cartan import (
     Weight,
     _dot,
     _of_rank,
+    _signature,
     cartan_matrix,
     classify_cartan,
 )
@@ -84,7 +85,11 @@ class RootSystem:
     reducible one, or one whose zero entries are not symmetric, when it
     finds the symmetrizers, and one whose root closure
     would never end once a root's coefficient passes 6, the largest in any
-    finite-type system (that of E8's highest root).  Use
+    finite-type system (that of E8's highest root).  After the closure it
+    refuses a spec that the matrix contradicts (a B3 spec on C3's matrix):
+    one whose family has another root count, length ratio or number of
+    short simple roots, which tells every type of a rank apart but the
+    isomorphic labels B2/C2 and A3/D3.  Use
     :func:`build` or :func:`from_cartan`, which share one cache, instead
     of calling the constructor."""
 
@@ -134,6 +139,10 @@ class RootSystem:
         self.short_simple_indices = tuple(
             i for i in range(n) if self.simple_root(i).is_short
         )
+        found = (len(self.roots), self.length_ratio, len(self.short_simple_indices))
+        if found != (named := _signature(spec)):
+            raise NotFiniteType(f"{spec} does not fit its Cartan matrix: (roots, length ratio, "
+                                f"short simple roots) {found}, not {named}")
 
         heights = [r.height for r in pos_roots]
         if heights.count(heights[-1]) != 1:

@@ -102,11 +102,13 @@ def _require_element(rs: RootSystem, w: tuple[int, ...]) -> None:
         raise ValueError(f"not in W({rs.spec}): {len(w)} entries for {n} roots")
     if min(w) < 0 or max(w) >= n:
         raise ValueError(f"not in W({rs.spec}): an entry outside 0 to {n - 1}")
+    if len(set(w)) != n:
+        raise ValueError(f"not in W({rs.spec}): an entry repeats, so it is no permutation")
 
 
 def coxeter_orbits(rs: RootSystem, c: tuple[int, ...]):
     """Orbits of the cyclic group generated by c on the root indices,
-    ordered by smallest member.  A cycle walk past len(c) steps is refused."""
+    ordered by smallest member."""
     _require_element(rs, c)
     seen = set()
     orbits = []
@@ -117,8 +119,6 @@ def coxeter_orbits(rs: RootSystem, c: tuple[int, ...]):
         i = c[start]
         while i != start:
             orbit.append(i)
-            if len(orbit) > len(c):
-                raise ValueError(f"not in W({rs.spec}): a cycle walk passes {len(c)} steps")
             i = c[i]
         seen.update(orbit)
         orbits.append(tuple(orbit))

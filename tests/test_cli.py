@@ -162,26 +162,43 @@ _BUFFERING = pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "
 
 @_BUFFERING
 def test_a_closed_pipe_ends_the_cli_with_exit_code_2(unbuffered):
-    # the reader is gone before the child starts, and the output takes more
-    # than one 8 KB write
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        child = python_child("-m", "shortroots.cli", "nullcone-char", "C6", "--max-degree", "6",
-                             "--json", stdout=write, env={"PYTHONUNBUFFERED": unbuffered})
-    finally:
-        os.close(write)
-    assert (child.returncode, child.stderr) == (2, "error: cannot write the output: Broken pipe\n")
+    # the reader is gone before the child starts; the first output takes
+    # more than one 8 KB write, and argparse itself drops a failed write of
+    # the help
+    for argv in (["nullcone-char", "C6", "--max-degree", "6", "--json"], ["--help"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = python_child("-m", "shortroots.cli", *argv, stdout=write,
+                                 env={"PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write)
+        assert (child.returncode, child.stderr) == (
+            2, "error: cannot write the output: Broken pipe\n"), argv
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 @_BUFFERING
 def test_a_full_device_ends_the_cli_with_exit_code_2(unbuffered):
-    with open("/dev/full", "w") as full:
-        child = python_child("-m", "shortroots.cli", "info", "C4", stdout=full,
-                             env={"PYTHONUNBUFFERED": unbuffered})
-    assert (child.returncode, child.stderr) == (
-        2, "error: cannot write the output: No space left on device\n")
+    for argv in (["info", "C4"], ["--help"]):
+        with open("/dev/full", "w") as full:
+            child = python_child("-m", "shortroots.cli", *argv, stdout=full,
+                                 env={"PYTHONUNBUFFERED": unbuffered})
+        assert (child.returncode, child.stderr) == (
+            2, "error: cannot write the output: No space left on device\n"), argv
+
+
+@pytest.mark.parametrize("argv", [
+    "info C4", "verify G2 --check coxeter-orbits --json", "table1", "antichains C5 --json",
+    "nullcone-char G2 --max-degree 4", "--help", "verify", "info C1_0",
+])
+def test_a_cold_cli_child_writes_what_main_writes_in_process(capsys, monkeypatch, argv):
+    # the child ends by os._exit: with its stdout buffered into a pipe, any
+    # output main leaves unflushed would be lost there; argparse sizes the
+    # help to COLUMNS, which the child inherits
+    monkeypatch.setenv("COLUMNS", "80")
+    child = python_child("-m", "shortroots.cli", *argv.split(), env={"PYTHONUNBUFFERED": ""})
+    assert (child.returncode, child.stdout, child.stderr) == run(capsys, *argv.split())
 
 
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):

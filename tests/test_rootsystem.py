@@ -773,6 +773,25 @@ def test_the_constructor_refuses_a_matrix_not_of_the_spec_rank(monkeypatch, fami
         rootsystem.RootSystem(RootSystemSpec(family, rank), cartan)
 
 
+@pytest.mark.parametrize("label,matrix", [("B3", "C3"), ("C3", "B3"), ("B4", "F4"), ("A6", "E6"),
+                                          ("D4", "A4"), ("G2", "B2"), ("C7", "B7")])
+def test_the_constructor_refuses_a_spec_its_matrix_contradicts(label, matrix):
+    # B3 on C3's matrix built a system labelled B3 with C3's roots
+    import shortroots.rootsystem as rootsystem
+
+    with pytest.raises(NotFiniteType, match=f"^{label} does not fit its Cartan matrix: "):
+        rootsystem.RootSystem(build(label).spec, build(matrix).cartan)
+
+
+@pytest.mark.parametrize("label,matrix", [("B2", "C2"), ("C2", "B2"), ("A3", "D3"), ("D3", "A3")])
+def test_the_constructor_takes_an_isomorphic_label(label, matrix):
+    import shortroots.rootsystem as rootsystem
+
+    rs = rootsystem.RootSystem(build(label).spec, build(matrix).cartan)
+    assert rs.spec == build(label).spec
+    assert [r.coeffs for r in rs.roots] == [r.coeffs for r in build(matrix).roots]
+
+
 @pytest.mark.parametrize("name", ["A3", "B4", "C3", "D4", "F4", "G2"])
 def test_inner_row_is_one_inner_product_per_root(name):
     rs = build(name)

@@ -164,21 +164,19 @@ def test_decompose_rejects_simply_laced():
 
 
 def test_a_tuple_that_is_not_in_w_is_refused_by_the_long_descent():
-    # every root sent to the first negative one: each strip leaves the tuple
-    # as it was, so an uncounted descent would never end
+    # a permutation that swaps a long simple root b with the negative of a
+    # short root sends both b and -b negative: stripping r_b leaves b
+    # negative, and a second strip gives the tuple back, so an uncounted
+    # descent would never end
     rs = build("C4")
-    stuck = (rs.num_positive,) * len(rs.roots)
+    b = rs.index(long_root_base(rs)[0])
+    minus_c = rs.short_positives[0] + rs.num_positive
+    stuck = list(identity(rs))
+    stuck[b], stuck[minus_c] = minus_c, b
     refusal = "^not in W\\(C4\\): more reflection strips than positive roots$"
     for call in (decompose_semidirect, is_in_long_subgroup):
         with pytest.raises(ValueError, match=refusal):
-            call(rs, stuck)
-
-
-def test_a_cycle_walk_past_the_root_count_is_refused():
-    # root 0 maps into the fixed point 1 and is never met again
-    rs = build("B2")
-    with pytest.raises(ValueError, match=r"^not in W\(B2\): a cycle walk passes 8 steps$"):
-        coxeter_orbits(rs, (1,) * 8)
+            call(rs, tuple(stuck))
 
 
 @pytest.mark.parametrize("call", [decompose_semidirect, is_in_long_subgroup, coxeter_orbits],
@@ -191,6 +189,18 @@ def test_a_tuple_of_the_wrong_length_is_refused(call):
     # the right length, with an entry that is no root index
     for w in ((32,) * 32, (-1,) * 32, identity(rs)[:-1] + (32,), (-1,) + identity(rs)[1:]):
         with pytest.raises(ValueError, match="^not in W\\(C4\\): an entry outside 0 to 31$"):
+            call(rs, w)
+
+
+@pytest.mark.parametrize("call", [decompose_semidirect, is_in_long_subgroup, coxeter_orbits],
+                         ids=lambda f: f.__name__)
+def test_a_tuple_that_is_not_a_permutation_is_refused(call):
+    # every entry a root index, but one repeats: (0,) * 32 was answered as
+    # its own short factor, and a cycle walk from root 1 would never return
+    rs = build("C4")
+    for w in ((0,) * 32, (rs.num_positive,) * 32, identity(rs)[:-1] + (0,)):
+        with pytest.raises(ValueError, match="^not in W\\(C4\\): an entry repeats, so it is no "
+                                             "permutation$"):
             call(rs, w)
 
 
