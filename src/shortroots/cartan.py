@@ -1,13 +1,14 @@
 """The Cartan-matrix layer and the value types of the package.
 
 A simple type is a ``RootSystemSpec``; ``cartan_matrix`` gives its
-Bourbaki matrix, ``classify_cartan`` names the components of any
-finite-type matrix, and ``bourbaki_nodes`` reads a system's simple roots
-in Bourbaki's numbering.  The matrix arithmetic of ``RootSystem`` lives
-here too: the symmetrizers, found in integers, that it is built on, and
-the fraction-free elimination that yields the determinant and the integer
-adjugate, which it computes only when asked for a weight's root
-coordinates.
+Bourbaki matrix, which a ``RootSystem`` re-indexes by an order of its nodes
+(``_node_order`` checks one).  ``classify_cartan`` names the components of
+any finite-type matrix, ``_bourbaki_order`` finds the order in which one
+is Bourbaki's, and ``bourbaki_nodes`` reads a system's order.  The matrix
+arithmetic of ``RootSystem`` lives here too: the symmetrizers, found in
+integers, that it is built on, and the fraction-free elimination that
+yields the determinant and the integer adjugate, which it computes only
+when asked for a weight's root coordinates.
 
 Roots are integer coefficient vectors over the simple roots; weights are
 coordinate vectors over the fundamental weights.  Weights are integral,
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .errors import NotFiniteType
+from .errors import IdentityViolation, NotFiniteType
 
 __all__ = [
     "RootSystemSpec",
@@ -155,6 +156,17 @@ def _of_rank(fund, rank: int):
     return fund
 
 
+def _node_order(order, rank: int):
+    """order itself once it is a tuple of ints listing 0 to rank - 1 once
+    each: the one node-order check.  TypeError for any other type, a float
+    or a bool included; ValueError for another length or a repeat."""
+    if type(order) is not tuple or any(type(k) is not int for k in order):
+        raise TypeError(f"an order of the nodes is a tuple of ints, not {order!r}")
+    if sorted(order) != list(range(rank)):
+        raise ValueError(f"{order} is not an order of the {rank} nodes")
+    return order
+
+
 class Weight(_Value):
     """An integral weight, stored by integer coordinates over the
     fundamental weights."""
@@ -215,14 +227,6 @@ class Weight(_Value):
         return "[" + ",".join(str(c) for c in self.fund) + "]"
 
 
-def _signature(spec: RootSystemSpec) -> tuple:
-    """(root count, length ratio, short simple roots) of the type spec names."""
-    n = spec.rank
-    return {"A": (n * (n + 1), 1, n), "B": (2 * n * n, 2, 1), "C": (2 * n * n, 2, n - 1),
-            "D": (2 * n * (n - 1), 1, n), "E": ({6: 72, 7: 126, 8: 240}.get(n), 1, n),
-            "F": (48, 2, 2), "G": (12, 3, 1)}[spec.family]
-
-
 def cartan_matrix(spec: RootSystemSpec) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix with entry [i][j] the pairing of alpha_j against the
     coroot of alpha_i."""
@@ -258,13 +262,13 @@ def cartan_matrix(spec: RootSystemSpec) -> tuple[tuple[int, ...], ...]:
 
 def _symmetrizers(A) -> tuple[int, ...]:
     """Positive integers d_i with d_i*A[i][j] symmetric, normalised to min 1,
-    of a connected generalized Cartan matrix: d_i is half the squared length
+    of a connected generalized Cartan matrix with a symmetric zero pattern
+    (classify_cartan checks both first): d_i is half the squared length
     of alpha_i.  The d_i are propagated along bonds from node 0, then
-    checked on every pair, cycles included; NotFiniteType if a bond has
-    one zero end, the walk leaves a node unreached (the matrix is
-    reducible) or no integral d exists (a matrix of finite type always has
-    one).  The arithmetic stays in ints: when a ratio makes d_j
-    fractional, every d found so far is scaled up first."""
+    checked on every pair, cycles included; NotFiniteType if no integral
+    d exists (a matrix of finite type always has one).  The arithmetic
+    stays in ints: when a ratio makes d_j fractional, every d found so far
+    is scaled up first."""
     nodes = range(len(A))
     d = [1] + [0] * (len(A) - 1)
     stack = [0]
@@ -273,16 +277,12 @@ def _symmetrizers(A) -> tuple[int, ...]:
         for j in nodes:
             if A[i][j] and not d[j]:
                 num, den = d[i] * A[i][j], A[j][i]   # d_j A[j][i] = d_i A[i][j]
-                if not den:
-                    raise NotFiniteType("zero pattern must be symmetric")
                 if num % den:
                     scale = abs(den) // math.gcd(num, den)
                     d = [v * scale for v in d]
                     num *= scale
                 d[j] = num // den
                 stack.append(j)
-    if 0 in d:
-        raise NotFiniteType("Cartan matrix is reducible")
     lo = min(d)
     if any(v % lo for v in d):
         raise NotFiniteType("Cartan matrix is not symmetrizable over the integers")
@@ -339,22 +339,29 @@ def _arm(A, node, behind):
 
 def bourbaki_nodes(rs) -> tuple[int, ...]:
     """The simple-root indices of a root system rs in Bourbaki's numbering:
-    an order whose permuted Cartan matrix is cartan_matrix(rs.spec).  The
-    matrix's own order is kept when it qualifies.  A path is walked from an
-    end (on a two-length diagram only one end qualifies).  A branched
-    diagram (D_n, E_n) is read by its three arms, sorted by length: D_n
-    lists the long arm from its end, the branch node and the two arms of
-    length 1; E_n lists the end of the arm of length 2, the arm of length
-    1, the inner node of the arm of length 2, the branch node and the
-    longest arm outward."""
-    A, n = rs.cartan, rs.rank
-    want = cartan_matrix(rs.spec)
+    its node order, in which rs.cartan re-indexes to cartan_matrix(rs.spec)."""
+    return rs.nodes
+
+
+def _bourbaki_order(A, spec: RootSystemSpec) -> tuple[int, ...]:
+    """The order of the nodes of a connected Cartan matrix A of type spec
+    in Bourbaki's numbering: one whose re-indexed matrix is
+    cartan_matrix(spec).  The matrix's own order is kept when it
+    qualifies.  A path is walked from an end (on a two-length diagram only
+    one end qualifies).  A branched diagram (D_n, E_n) is read by its three
+    arms, sorted by length: D_n lists the long arm from its end, the branch
+    node and the two arms of length 1; E_n lists the end of the arm of
+    length 2, the arm of length 1, the inner node of the arm of length 2,
+    the branch node and the longest arm outward.  IdentityViolation if no
+    order so read fits."""
+    n = len(A)
+    want = cartan_matrix(spec)
     degree = [sum(map(bool, row)) - 1 for row in A]
     if 3 in degree:
         branch = degree.index(3)
         short, middle, long = sorted(
             (_arm(A, j, branch) for j in range(n) if j != branch and A[branch][j]), key=len)
-        if rs.spec.family == "D":
+        if spec.family == "D":
             orders = [long[::-1] + [branch] + short + middle]
         else:
             orders = [middle[1:] + short + middle[:1] + [branch] + long]
@@ -363,7 +370,7 @@ def bourbaki_nodes(rs) -> tuple[int, ...]:
     for order in [list(range(n))] + orders:
         if tuple(tuple(A[i][j] for j in order) for i in order) == want:
             return tuple(order)
-    return tuple(range(n))
+    raise IdentityViolation(f"no order of the nodes numbers the Cartan matrix as {spec}")
 
 
 # -- classification of Cartan matrices ----------------------------------------

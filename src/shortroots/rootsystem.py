@@ -24,14 +24,15 @@ answer is genuinely rational (``root_coords`` and the inner product of two
 weights), and is imported there, so a process that asks for no rational
 answer never loads ``fractions``.
 
-Every system is built from its Cartan matrix, with the simple roots in
-the matrix's node order.  ``build`` takes a type name and passes Bourbaki's
-matrix, so its simple roots follow the Bourbaki numbering: the short simple
-root of type B sits at the end of the chain, those of type C at the start,
-those of F4 at positions 3 and 4, and that of G2 at position 1.
-``from_cartan`` takes a matrix and keeps its order.  In a simply-laced
-system every root is tagged "short", so that the short dominant root
-coincides with the highest root.
+Every system is named by its type and an order of its nodes, and its
+Cartan matrix is Bourbaki's re-indexed by that order.  ``build`` takes a
+type name and Bourbaki's own order, so its simple roots follow the Bourbaki
+numbering: the short simple root of type B sits at the end of the chain,
+those of type C at the start, those of F4 at positions 3 and 4, and that
+of G2 at position 1.  ``from_cartan`` names a matrix's type and finds,
+once, the order in which it is Bourbaki's, so it keeps the matrix's node
+order.  In a simply-laced system every root is tagged "short", so that
+the short dominant root coincides with the highest root.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ from .cartan import (
     Root,
     RootSystemSpec,
     Weight,
+    _bourbaki_order,
     _dot,
+    _node_order,
     _of_rank,
-    _signature,
     cartan_matrix,
     classify_cartan,
 )
@@ -71,35 +73,29 @@ __all__ = [
 
 
 class RootSystem:
-    """Everything derived from one Cartan matrix, and the one owner of root
-    arithmetic.
+    """Everything derived from a simple type and an order of its nodes, and
+    the one owner of root arithmetic.
 
     Per positive root the constructor stores two integer values, the
     fundamental coordinates A.c and the squared length; with p positive
     roots, root k + p is the negative of root k.  The form vector D.c (so
     that (x | root) is the plain dot product of x's fundamental coordinates
     with D.c) is computed from the coefficients where it is read.  Data
-    that only some callers need is built lazily through :meth:`memo`.  The
-    constructor refuses with NotFiniteType, before any work, a matrix that
-    is not ``spec.rank`` square, and one that is not of finite type: a
-    reducible one, or one whose zero entries are not symmetric, when it
-    finds the symmetrizers, and one whose root closure
-    would never end once a root's coefficient passes 6, the largest in any
-    finite-type system (that of E8's highest root).  After the closure it
-    refuses a spec that the matrix contradicts (a B3 spec on C3's matrix):
-    one whose family has another root count, length ratio or number of
-    short simple roots, which tells every type of a rank apart but the
-    isomorphic labels B2/C2 and A3/D3.  Use
-    :func:`build` or :func:`from_cartan`, which share one cache, instead
-    of calling the constructor."""
+    that only some callers need is built lazily through :meth:`memo`.
+    ``nodes`` orders the nodes, Bourbaki's node k at node ``nodes[k]``, and
+    ``cartan`` is ``cartan_matrix(spec)`` re-indexed by it, so every system
+    is of finite type and of its named type; ``_node_order`` refuses any
+    other order before any work.  Use :func:`build` or :func:`from_cartan`,
+    which share one cache, instead of calling the constructor."""
 
-    def __init__(self, spec: RootSystemSpec, cartan: tuple[tuple[int, ...], ...]):
+    def __init__(self, spec: RootSystemSpec, nodes: tuple[int, ...]):
         self.spec = spec
         n = spec.rank
-        if len(cartan) != n or any(len(row) != n for row in cartan):
-            raise NotFiniteType(f"{spec} takes a {n} x {n} Cartan matrix")
+        self.nodes = _node_order(nodes, n)
         self.rank = n
-        self.cartan = A = cartan
+        bourbaki = cartan_matrix(spec)
+        at = sorted(range(n), key=nodes.__getitem__)   # Bourbaki's node at each node
+        self.cartan = A = tuple([tuple([bourbaki[i][j] for j in at]) for i in at])
         self.symmetrizers = d = cm._symmetrizers(A)
         self._cols = tuple(
             tuple((j, A[j][i]) for j in range(n) if A[j][i]) for i in range(n)
@@ -116,9 +112,6 @@ class RootSystem:
                 fund_of[c] = y
                 for i, step in enumerate(y):
                     if step < 0:
-                        if c[i] - step > 6:   # the largest coefficient of E8's highest root
-                            raise NotFiniteType(f"{spec}: a root coefficient passes 6, so the "
-                                                "matrix is not of finite type")
                         z = list(y)
                         for j, a in self._cols[i]:
                             z[j] -= step * a
@@ -139,10 +132,6 @@ class RootSystem:
         self.short_simple_indices = tuple(
             i for i in range(n) if self.simple_root(i).is_short
         )
-        found = (len(self.roots), self.length_ratio, len(self.short_simple_indices))
-        if found != (named := _signature(spec)):
-            raise NotFiniteType(f"{spec} does not fit its Cartan matrix: (roots, length ratio, "
-                                f"short simple roots) {found}, not {named}")
 
         heights = [r.height for r in pos_roots]
         if heights.count(heights[-1]) != 1:
@@ -189,6 +178,8 @@ class RootSystem:
         """Simple root i, the root of index rank - 1 - i: the positive roots
         run by (height, coeffs), so the simple roots come first, in reverse
         node order."""
+        if type(i) is not int:
+            raise TypeError(f"a simple root takes an int index, not {i!r}")
         if not 0 <= i < self.rank:
             raise ValueError(f"{self.spec} has no simple root {i}; "
                              f"its indices run from 0 to {self.rank - 1}")
@@ -379,9 +370,9 @@ class RootSystem:
 
 
 @lru_cache(maxsize=None)
-def _cached(spec: RootSystemSpec, cartan) -> RootSystem:
-    """The one cache of systems, keyed on (spec, Cartan matrix)."""
-    return RootSystem(spec, cartan)
+def _cached(spec: RootSystemSpec, nodes) -> RootSystem:
+    """The one cache of systems, keyed on (spec, node order)."""
+    return RootSystem(spec, nodes)
 
 
 def build(family, rank: int | None = None) -> RootSystem:
@@ -399,22 +390,24 @@ def build(family, rank: int | None = None) -> RootSystem:
         spec = RootSystemSpec(m.group(1).upper(), int(m.group(2)))
     else:
         spec = RootSystemSpec(str(family).upper(), rank)
-    return _cached(spec, cartan_matrix(spec))
+    return _cached(spec, tuple(range(spec.rank)))
 
 
 def from_cartan(matrix) -> RootSystem:
     """Construct (and cache) the root system of an irreducible Cartan matrix
     of finite type, with the simple roots in the matrix's node order.
 
-    The spec is classify_cartan's canonical label, so C2's Bourbaki matrix
-    yields a system of spec B2 with the short simple root first: an object
-    apart from build("C2") and build("B2").  A matrix that build also
-    constructs gives build's object.  NotFiniteType for a reducible or
-    non-finite matrix."""
+    The spec is classify_cartan's canonical label; the order in which the
+    matrix is that label's Bourbaki matrix is found once, here, and the
+    system derives the matrix from the two.  So C2's Bourbaki matrix yields
+    a system of spec B2 with the short simple root first: an object apart
+    from build("C2") and build("B2").  A matrix that build also constructs
+    gives build's object.  NotFiniteType for a reducible or non-finite
+    matrix."""
     specs = classify_cartan(matrix)
     if len(specs) != 1:
         raise NotFiniteType(f"Cartan matrix is reducible: {' + '.join(map(str, specs))}")
-    return _cached(specs[0], tuple(tuple(row) for row in matrix))
+    return _cached(specs[0], _bourbaki_order(matrix, specs[0]))
 
 
 def exponents_from_heights(heights) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
-from .cartan import Root, classify_cartan
+from .cartan import Root, _node_order, classify_cartan
 from .errors import IdentityViolation
 from .rootsystem import RootSystem, build
 
@@ -86,10 +86,8 @@ def reflection(rs: RootSystem, root: Root) -> tuple[int, ...]:
 
 def coxeter_element(rs: RootSystem, ordering=None) -> tuple[int, ...]:
     """Product of all simple reflections in the given order (natural order
-    by default)."""
-    order = tuple(ordering) if ordering is not None else tuple(range(rs.rank))
-    if sorted(order) != list(range(rs.rank)):
-        raise ValueError(f"{order} is not an ordering of the {rs.rank} simple roots")
+    by default), an order of the nodes as ``_node_order`` takes it."""
+    order = tuple(range(rs.rank)) if ordering is None else _node_order(tuple(ordering), rs.rank)
     w = identity(rs)
     for i in order:   # simple root i has index rank - 1 - i
         w = _reflection(rs, rs.rank - 1 - i)[1](w)   # w * s_i

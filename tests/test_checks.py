@@ -156,7 +156,7 @@ DOCTORS = {
 def test_a_doctored_input_fails_its_check(doctor, monkeypatch):
     check_id, change, key, value = DOCTORS[doctor]
     assert run_check(check_id, build("C4"))[0] == "pass"
-    rs = RootSystem(build("C4").spec, build("C4").cartan)   # the doctor's changes die with it
+    rs = RootSystem(build("C4").spec, build("C4").nodes)   # the doctor's changes die with it
     change(rs, monkeypatch)
     status, details = run_check(check_id, rs)
     assert status == "fail"

@@ -161,7 +161,7 @@ def test_every_entry_point_refuses_a_degree_that_is_not_an_int(monkeypatch, entr
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(qtables, "_QTables", no_table)
-    rs = RootSystem(build("C4").spec, build("C4").cartan)
+    rs = RootSystem(build("C4").spec, build("C4").nodes)
     zero = (0,) * 4
     compute = {
         "q_partition": lambda: q_partition(rs, zero, degree),
@@ -226,7 +226,7 @@ def test_the_up_front_refusal_spares_a_build_within_the_cap(monkeypatch, name, d
     rs = build(name)
     updates = nullcone_character(rs, degree).work["dp_updates"]
     monkeypatch.setattr(qtables, "current_limits", lambda: Limits(max_character_work=updates))
-    assert nullcone_character(RootSystem(rs.spec, rs.cartan), degree).work["dp_updates"] == updates
+    assert nullcone_character(RootSystem(rs.spec, rs.nodes), degree).work["dp_updates"] == updates
 
 
 def test_zero_answers_outside_the_root_cone_build_no_tables():
@@ -354,7 +354,7 @@ def test_character_work_cap_counts_dp_updates():
     rs = build("C3")
     deep = nullcone_character(rs, 6).work
     shallow = nullcone_character(rs, 4).work
-    fresh = nullcone_character(RootSystem(rs.spec, rs.cartan), 4).work
+    fresh = nullcone_character(RootSystem(rs.spec, rs.nodes), 4).work
     assert shallow == fresh
     assert deep["dp_updates"] > shallow["dp_updates"] > 0
 
@@ -381,7 +381,7 @@ def test_the_straightening_pass_stays_small_above_its_tables():
     # the C6 tables to degree 6 hold 52 108 distinct keys in about 6.3 MB;
     # unpacking them all into full-width columns took 5.2 MB more
     rs = build("C6")
-    rs = RootSystem(rs.spec, rs.cartan)   # the tables die with the test
+    rs = RootSystem(rs.spec, rs.nodes)   # the tables die with the test
     qtables._dp_build(rs, 6)
     tracemalloc.start()
     try:
@@ -401,7 +401,7 @@ def test_the_straightening_pass_stays_small_above_its_tables():
 ])
 def test_each_key_off_the_walls_is_straightened_once(monkeypatch, name, degree, off_the_walls):
     rs = build(name)
-    rs = RootSystem(rs.spec, rs.cartan)
+    rs = RootSystem(rs.spec, rs.nodes)
     qt = qtables._dp_build(rs, degree)
     keys = set().union(*qt.levels)
     assert sum(1 for key in keys if 0 not in decode(qt, rs.rank, key, 1)) == off_the_walls
@@ -423,7 +423,7 @@ def test_the_character_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     rs = build("B4")
     expected = nullcone_character(rs, 8)
     monkeypatch.setattr(qtables, "_CHUNK", chunk)
-    char = nullcone_character(RootSystem(rs.spec, rs.cartan), 8)
+    char = nullcone_character(RootSystem(rs.spec, rs.nodes), 8)
     assert char.entries == expected.entries
     assert char.work == expected.work
 
@@ -586,11 +586,10 @@ def test_gradedchar_imports_only_the_root_system_config_and_errors():
 
 def test_only_the_root_system_reads_the_cartan_matrix():
     # a module that reads rs.cartan could rebuild the root system's walks
-    # from it; reduction's submatrix for from_cartan is the one exception,
-    # and the cartan layer's bourbaki_nodes reads the matrix it numbers
+    # from it; reduction's submatrix for from_cartan is the one exception
     readers = []
     for path in sorted(Path(gc.__file__).parent.glob("*.py")):
-        if path.stem in ("cartan", "rootsystem"):
+        if path.stem == "rootsystem":
             continue
         tree = ast.parse(path.read_text())
         allowed = {id(node) for call in ast.walk(tree) if isinstance(call, ast.Call)

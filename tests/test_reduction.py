@@ -124,7 +124,7 @@ def test_hyperplane_classes_need_every_long_generator(monkeypatch, name):
     for drop in range(len(gens)):
         monkeypatch.setattr(weyl, "long_subgroup", lambda rs: gens[:drop] + gens[drop + 1:])
         status, details = checks.run_check("hyperplane-classes",
-                                           RootSystem(build(name).spec, build(name).cartan))
+                                           RootSystem(build(name).spec, build(name).nodes))
         assert status == "fail"
         assert "holds 0 subsystem representatives" in details["violation"]
 
@@ -356,7 +356,7 @@ def _theta_short_set_to_theta(rs):
 
 
 def test_orbit_count_refuses_a_reduction_not_of_type_a():
-    rs = RootSystem(build("F4").spec, build("F4").cartan)
+    rs = RootSystem(build("F4").spec, build("F4").nodes)
     _seed_reduction(rs, lambda red: red._replace(sub_spec=RootSystemSpec("B", 2)))
     with pytest.raises(IdentityViolation, match="^the simple reduction B2 is not of type A$"):
         orbit_count(rs)
@@ -373,7 +373,7 @@ def test_orbit_count_refuses_a_reduction_not_of_type_a():
 @pytest.mark.parametrize("name", ["C4", "F4"])
 def test_a_library_violation_fails_its_check(check_id, doctor, violation, name):
     assert checks.run_check(check_id, build(name))[0] == "pass"
-    rs = RootSystem(build(name).spec, build(name).cartan)
+    rs = RootSystem(build(name).spec, build(name).nodes)
     doctor(rs)
     status, details = checks.run_check(check_id, rs)
     assert status == "fail"

@@ -550,6 +550,38 @@ def test_bourbaki_nodes_number_the_diagram_as_bourbaki_does(name):
             assert [order[i] for i in nodes] == list(range(rs.rank))
 
 
+ROUND_TRIP_SYSTEMS = (
+    [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(2, 7)] + ["D4", "D5", "D6", "E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_SYSTEMS)
+def test_from_cartan_derives_the_matrix_it_was_given(name):
+    # from_cartan stores a type and an order of the nodes, not the matrix:
+    # the matrix it derives is the one given, and the order it found
+    # re-indexes that matrix to Bourbaki's
+    A = cartan_matrix(build(name).spec)
+    n = len(A)
+    rng = random.Random(name)
+    orders = [list(range(n)), list(range(n))[::-1]] + [rng.sample(range(n), n) for _ in range(2)]
+    for order in orders:
+        P = [[A[i][j] for j in order] for i in order]
+        rs = from_cartan(P)
+        assert rs.cartan == tuple(map(tuple, P)), order
+        nodes = bourbaki_nodes(rs)
+        assert tuple(tuple(P[i][j] for j in nodes) for i in nodes) == cartan_matrix(rs.spec)
+
+
+def test_no_bourbaki_order_fits_a_matrix_of_another_type():
+    import shortroots.cartan as cm
+    from shortroots import IdentityViolation
+
+    with pytest.raises(IdentityViolation, match="^no order of the nodes numbers the Cartan "
+                                                "matrix as B3$"):
+        cm._bourbaki_order(cartan_matrix(RootSystemSpec("C", 3)), RootSystemSpec("B", 3))
+
+
 @pytest.mark.parametrize("name", ["D4", "D5", "E6"])
 def test_dp_updates_do_not_depend_on_the_node_order(name):
     # the q-partition tables add the short roots in Bourbaki's numbering, so
@@ -718,78 +750,42 @@ def test_constructor_refuses_a_length_count_the_walk_does_not_see(monkeypatch):
 
     monkeypatch.setattr(cartan, "_symmetrizers", lambda A: (1,) * len(A))
     with pytest.raises(NotFiniteType, match="normalisation failure for B3"):
-        rootsystem.RootSystem(RootSystemSpec("B", 3), cartan_matrix(RootSystemSpec("B", 3)))
+        rootsystem.RootSystem(RootSystemSpec("B", 3), (0, 1, 2))
 
 
-_CONSTRUCT = """
-import ast, resource, sys, time
-from shortroots.cartan import RootSystemSpec
-from shortroots.rootsystem import RootSystem
-hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-cap = 512 << 20 if hard == resource.RLIM_INFINITY else min(512 << 20, hard)
-resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-spec = RootSystemSpec(sys.argv[1], int(sys.argv[2]))
-start = time.perf_counter()
-try:
-    RootSystem(spec, ast.literal_eval(sys.argv[3]))
-except Exception as e:
-    print(type(e).__name__, time.perf_counter() - start < 1)
-    print(e)
-"""
-
-
-@pytest.mark.parametrize("family,rank,cartan,reason", [
-    ("A", 3, ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), "passes 6"),   # affine A2
-    ("G", 2, ((2, -3), (-3, 2)), "passes 6"),                        # hyperbolic
-    ("B", 2, ((2, -4), (-1, 2)), "passes 6"),                        # affine, twisted A2
-    ("A", 2, ((2, 0), (0, 2)), "reducible"),                         # A1 x A1
-    ("A", 2, ((2, -1), (0, 2)), "zero pattern"),                     # one zero end
-])
-def test_the_constructor_refuses_a_matrix_not_of_finite_type(family, rank, cartan, reason):
-    # the direct constructor, which classify_cartan does not guard: the
-    # closure of an infinite root system would never end, so the child caps
-    # its address space, and such a regression fails at once with MemoryError
-    child = python_child("-c", _CONSTRUCT, family, str(rank), repr(cartan))
-    assert child.stderr == ""
-    kind, message = child.stdout.splitlines()
-    assert kind == "NotFiniteType True"
-    assert reason in message
-
-
-@pytest.mark.parametrize("family,rank,cartan", [
-    ("A", 3, cartan_matrix(RootSystemSpec("A", 2))),   # too small: IndexError in the closure
-    ("A", 2, cartan_matrix(RootSystemSpec("A", 3))),   # too large
-    ("A", 2, ((2, -1), (-1, 2, 0))),                   # ragged: a 6-root A2
-    ("C", 4, cartan_matrix(RootSystemSpec("A", 5))),   # a normalisation failure
-], ids=["A2 as A3", "A3 as A2", "ragged A2", "A5 as C4"])
-def test_the_constructor_refuses_a_matrix_not_of_the_spec_rank(monkeypatch, family, rank, cartan):
+@pytest.mark.parametrize("nodes,error,message", [
+    ((0, 1), ValueError, r"^\(0, 1\) is not an order of the 3 nodes$"),
+    ((0, 1, 2, 3), ValueError, r"^\(0, 1, 2, 3\) is not an order of the 3 nodes$"),
+    ((0, 0, 1), ValueError, r"^\(0, 0, 1\) is not an order of the 3 nodes$"),
+    ((0.0, 1, 2), TypeError, r"^an order of the nodes is a tuple of ints, not \(0\.0, 1, 2\)$"),
+    ((False, True, 2), TypeError, "^an order of the nodes is a tuple of ints, not "
+                                  r"\(False, True, 2\)$"),
+    ([0, 1, 2], TypeError, r"^an order of the nodes is a tuple of ints, not \[0, 1, 2\]$"),
+], ids=["short", "long", "repeated", "float", "bool", "list"])
+def test_the_constructor_refuses_an_order_that_is_not_of_the_nodes(monkeypatch, nodes, error,
+                                                                     message):
     # refused before any work: the symmetrizers are never sought
     import shortroots.cartan as cm
     import shortroots.rootsystem as rootsystem
 
-    monkeypatch.setattr(cm, "_symmetrizers", lambda A: pytest.fail("the matrix was read"))
-    message = f"^{family}{rank} takes a {rank} x {rank} Cartan matrix$"
-    with pytest.raises(NotFiniteType, match=message):
-        rootsystem.RootSystem(RootSystemSpec(family, rank), cartan)
-
-
-@pytest.mark.parametrize("label,matrix", [("B3", "C3"), ("C3", "B3"), ("B4", "F4"), ("A6", "E6"),
-                                          ("D4", "A4"), ("G2", "B2"), ("C7", "B7")])
-def test_the_constructor_refuses_a_spec_its_matrix_contradicts(label, matrix):
-    # B3 on C3's matrix built a system labelled B3 with C3's roots
-    import shortroots.rootsystem as rootsystem
-
-    with pytest.raises(NotFiniteType, match=f"^{label} does not fit its Cartan matrix: "):
-        rootsystem.RootSystem(build(label).spec, build(matrix).cartan)
+    monkeypatch.setattr(cm, "_symmetrizers", lambda A: pytest.fail("the order was used"))
+    with pytest.raises(error, match=message):
+        rootsystem.RootSystem(RootSystemSpec("B", 3), nodes)
 
 
 @pytest.mark.parametrize("label,matrix", [("B2", "C2"), ("C2", "B2"), ("A3", "D3"), ("D3", "A3")])
 def test_the_constructor_takes_an_isomorphic_label(label, matrix):
+    # an order of the nodes of one label gives the other label's matrix,
+    # and its roots
     import shortroots.rootsystem as rootsystem
 
-    rs = rootsystem.RootSystem(build(label).spec, build(matrix).cartan)
-    assert rs.spec == build(label).spec
-    assert [r.coeffs for r in rs.roots] == [r.coeffs for r in build(matrix).roots]
+    spec, want = build(label).spec, build(matrix)
+    systems = [rs for nodes in itertools.permutations(range(spec.rank))
+               if (rs := rootsystem.RootSystem(spec, nodes)).cartan == want.cartan]
+    assert systems
+    for rs in systems:
+        assert rs.spec == spec and bourbaki_nodes(rs) == rs.nodes
+        assert [r.coeffs for r in rs.roots] == [r.coeffs for r in want.roots]
 
 
 @pytest.mark.parametrize("name", ["A3", "B4", "C3", "D4", "F4", "G2"])

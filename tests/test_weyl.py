@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import shortroots.weyl as weyl_module
 from shortroots import (
+    RootSystem,
     build,
     compose,
     coxeter_element,
@@ -117,6 +119,22 @@ def test_coxeter_element_rejects_bad_orderings():
     rs = build("B3")
     with pytest.raises(ValueError):
         coxeter_element(rs, (0, 0, 1))
+
+
+@pytest.mark.parametrize("name,ordering", [
+    ("B3", (0.0, 1.0, 2.0)), ("B3", (False, True, 2)), ("C4", (0.0, 1, 2, 3)),
+])
+def test_coxeter_element_refuses_an_ordering_that_is_not_of_ints(name, ordering):
+    # 0.0 and False equal 0 and hash alike, so a memoised reflection would
+    # answer them; on a fresh system a float died indexing the roots
+    rs = build(name)
+    if name == "B3":
+        coxeter_element(rs)
+    else:
+        rs = RootSystem(rs.spec, rs.nodes)
+    message = f"^an order of the nodes is a tuple of ints, not {re.escape(repr(ordering))}$"
+    with pytest.raises(TypeError, match=message):
+        coxeter_element(rs, ordering)
 
 
 @pytest.mark.parametrize(
@@ -494,4 +512,15 @@ def test_simple_roots_refuse_an_index_outside_the_rank(index):
     with pytest.raises(ValueError, match=message):
         rs.simple_root(index)
     with pytest.raises(ValueError, match=message):
+        simple_reflection(rs, index)
+
+
+@pytest.mark.parametrize("index", [True, 1.0])
+def test_simple_roots_refuse_an_index_that_is_not_an_int(index):
+    # True equals 1, so a range check alone answered simple root 1
+    rs = build("B3")
+    message = f"^a simple root takes an int index, not {index!r}$"
+    with pytest.raises(TypeError, match=message):
+        rs.simple_root(index)
+    with pytest.raises(TypeError, match=message):
         simple_reflection(rs, index)
