@@ -5,7 +5,10 @@ Importing the package runs ``rootsystem``, which every command needs, with
 the ``cartan`` layer and ``errors`` that it imports, and registers every
 other library module and ``checks`` in ``sys.modules`` as a lazy module:
 its body is compiled and run on its first attribute access, so a command
-pays only for the modules it reaches.
+pays only for the modules it reaches.  The Cartan-matrix classifier
+``classify`` is one of them: ``rootsystem`` reaches it only to name a
+given matrix or to invert one.  The CLI's subcommand bodies
+(``cmd_<name>``) are not registered; the CLI imports the one it runs.
 
 The package exports exactly the names in each library module's
 ``__all__``; that list is the one place a public name is declared.  A
@@ -21,8 +24,8 @@ from . import rootsystem  # noqa: F401
 
 __version__ = "0.1.0"
 
-_LIBRARY = ("antichains", "cartan", "config", "errors", "gradedchar", "littleadjoint",
-            "reduction", "rootsystem", "weyl")
+_LIBRARY = ("antichains", "cartan", "classify", "config", "errors", "gradedchar",
+            "littleadjoint", "reduction", "rootsystem", "weyl")
 _owners = {}   # exported name -> name of its module, filled on first use
 
 

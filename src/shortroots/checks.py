@@ -3,7 +3,9 @@ stable check id and runnable against any system.
 
 Each runner returns (status, details) with status one of "pass", "fail"
 or "skipped"; failures carry both computed values (or the violated
-self-check), skips carry the reason.  A library self-check decides its
+self-check), skips carry the reason.  Details are JSON values (str keys;
+ints, strs, bools, None, lists and dicts of them), which ``verify``'s
+text shows as they are.  A library self-check decides its
 own identity: the runner reports its values and compares none again.
 The README catalog describes each id; a test keeps the two in sync.
 """

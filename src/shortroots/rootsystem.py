@@ -12,7 +12,8 @@ that lowers its height (Humphreys, Introduction to Lie Algebras and
 Representation Theory, section 10), so every positive root is reached from a
 simple root by reflections that raise it.  No inverse of the Cartan matrix
 is needed for that; the integer adjugate, which ``lattice_coords`` and
-``root_coords`` read, is computed on a system's first such call.
+``root_coords`` read, is computed on a system's first such call, by the
+elimination in ``classify``.
 ``RootSystem`` also owns the one Weyl-orbit walk, ``RootSystem.descend``:
 down from a dominant point by simple reflections, one length of W per
 layer, optionally kept above a floor.  Freudenthal expands dominant weights
@@ -33,6 +34,10 @@ of G2 at position 1.  ``from_cartan`` names a matrix's type and finds,
 once, the order in which it is Bourbaki's, so it keeps the matrix's node
 order.  In a simply-laced system every root is tagged "short", so that
 the short dominant root coincides with the highest root.
+
+The classifier (``classify``) is imported only inside ``from_cartan``,
+``lattice_coords`` and ``root_coords``: a command that names its systems
+by type and asks for no root-lattice coordinates never compiles it.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from collections import Counter
 from functools import lru_cache
 
 # the constructor calls cm._symmetrizers, and lattice_coords and
-# root_coords call cm._adjugate, through the module, so that a test can
-# substitute either
+# root_coords call classify._adjugate, through the module, so that a test
+# can substitute either
 from . import cartan as cm
 from .cartan import (
     LONG,
@@ -53,14 +58,12 @@ from .cartan import (
     Root,
     RootSystemSpec,
     Weight,
-    _bourbaki_order,
     _dot,
     _node_order,
     _of_rank,
     cartan_matrix,
-    classify_cartan,
 )
-from .errors import IdentityViolation, NotFiniteType, UnsupportedRootSystem
+from .errors import IdentityViolation, UnsupportedRootSystem
 
 __all__ = [
     "RootSystem",
@@ -85,7 +88,9 @@ class RootSystem:
     ``nodes`` orders the nodes, Bourbaki's node k at node ``nodes[k]``, and
     ``cartan`` is ``cartan_matrix(spec)`` re-indexed by it, so every system
     is of finite type and of its named type; ``_node_order`` refuses any
-    other order before any work.  Use :func:`build` or :func:`from_cartan`,
+    other order before any work.  The constructor's own raises are
+    self-checks (IdentityViolation): no such order reaches them unless an
+    internal step is wrong.  Use :func:`build` or :func:`from_cartan`,
     which share one cache, instead of calling the constructor."""
 
     def __init__(self, spec: RootSystemSpec, nodes: tuple[int, ...]):
@@ -121,7 +126,7 @@ class RootSystem:
         self._sq = lengths = tuple(
             [_dot(map(operator.mul, d, c), ac) for c, ac in zip(positives, self._ac)])
         if min(lengths) != 2:
-            raise NotFiniteType(f"normalisation failure for {spec}")
+            raise IdentityViolation(f"normalisation failure for {spec}")
         pos_roots = [Root(c, SHORT if sq == 2 else LONG) for c, sq in zip(positives, lengths)]
         self.roots: tuple[Root, ...] = tuple(pos_roots + [-r for r in pos_roots])
         self.num_positive = len(pos_roots)
@@ -135,18 +140,16 @@ class RootSystem:
 
         heights = [r.height for r in pos_roots]
         if heights.count(heights[-1]) != 1:
-            raise NotFiniteType(f"highest root of {spec} is not unique")
+            raise IdentityViolation(f"highest root of {spec} is not unique")
         self.theta = pos_roots[-1]
         dominant_short = [
             r for i, r in enumerate(pos_roots) if r.is_short and min(self._ac[i]) >= 0
         ]
         if len(dominant_short) != 1:
-            raise NotFiniteType(f"{spec} has {len(dominant_short)} dominant short roots")
+            raise IdentityViolation(f"{spec} has {len(dominant_short)} dominant short roots")
         self.theta_short = dominant_short[0]
 
         self.coxeter_number = self.theta.height + 1
-        if len(self.roots) != n * self.coxeter_number:
-            raise NotFiniteType(f"{spec}: {len(self.roots)} roots != rank * h")
 
         self.rho = Weight((1,) * n)
         self.exponents = exponents_from_heights(heights)
@@ -246,8 +249,10 @@ class RootSystem:
     def lattice_coords(self, weight):
         """Integer root-lattice coordinates of a weight (see as_weight), or
         None when it lies outside the root lattice."""
+        from . import classify
+
         fund = self.as_weight(weight).fund
-        det, adj = self.memo("adjugate", lambda: cm._adjugate(self.cartan))
+        det, adj = self.memo("adjugate", lambda: classify._adjugate(self.cartan))
         out = []
         for row in adj:
             q, rem = divmod(_dot(row, fund), det)
@@ -259,8 +264,10 @@ class RootSystem:
     def root_coords(self, weight: Weight) -> tuple[Fraction, ...]:
         from fractions import Fraction
 
+        from . import classify
+
         fund = self.check_rank(weight.fund)
-        det, adj = self.memo("adjugate", lambda: cm._adjugate(self.cartan))
+        det, adj = self.memo("adjugate", lambda: classify._adjugate(self.cartan))
         return tuple(Fraction(_dot(row, fund), det) for row in adj)
 
     def inner(self, x, y):
@@ -291,11 +298,6 @@ class RootSystem:
         return q
 
     # -- dominance ------------------------------------------------------------
-
-    def dominant_representative(self, weight):
-        """Dominant Weyl conjugate of a weight (see as_weight), as
-        straighten returns it."""
-        return self.straighten(self.as_weight(weight).fund)
 
     def descend(self, fund, floor=None):
         """The Weyl orbit of a dominant int tuple of fundamental coords,
@@ -403,11 +405,10 @@ def from_cartan(matrix) -> RootSystem:
     a system of spec B2 with the short simple root first: an object apart
     from build("C2") and build("B2").  A matrix that build also constructs
     gives build's object.  NotFiniteType for a reducible or non-finite
-    matrix."""
-    specs = classify_cartan(matrix)
-    if len(specs) != 1:
-        raise NotFiniteType(f"Cartan matrix is reducible: {' + '.join(map(str, specs))}")
-    return _cached(specs[0], _bourbaki_order(matrix, specs[0]))
+    matrix.  The classifier is loaded here, on the first call."""
+    from .classify import _type_and_order
+
+    return _cached(*_type_and_order(matrix))
 
 
 def exponents_from_heights(heights) -> tuple[int, ...]:

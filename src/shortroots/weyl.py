@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
-from .cartan import Root, _node_order, classify_cartan
+from .cartan import Root, _node_order
+from .classify import classify_cartan
 from .errors import IdentityViolation
 from .rootsystem import RootSystem, build
 

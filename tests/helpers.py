@@ -122,6 +122,13 @@ def kostant_multiplicity(rs, lam, mu):
 
 
 @lru_cache(maxsize=None)
+def dominant_representative(rs, weight):
+    """Dominant Weyl conjugate of a weight (a Weight or a sequence of
+    fundamental coordinates, read by ``RootSystem.as_weight``) and its
+    sign, as ``RootSystem.straighten`` returns them."""
+    return rs.straighten(rs.as_weight(weight).fund)
+
+
 def _signed_images(rs, fund):
     """(sign(w), w(fund)) for every w in W, by the Fraction matrices."""
     return tuple((sign(rs, w), act_fund(rs, w, fund)) for w in enumerate_group(rs))
@@ -134,7 +141,7 @@ def oracle_support(rs, lam):
     below lam in the root order."""
 
     def in_hull(fund):
-        dom, _ = rs.dominant_representative(fund)
+        dom, _ = dominant_representative(rs, fund)
         rc = rs.lattice_coords(tuple(a - b for a, b in zip(lam, dom)))
         return rc is not None and all(c >= 0 for c in rc)
 
@@ -192,7 +199,7 @@ def nullcone_candidates(rs, qt, degree):
     for k in range(degree + 1):
         for key in qt.levels[k]:
             shifted = decode(qt, rs.rank, key, 1)
-            dom, sign = rs.dominant_representative(shifted)
+            dom, sign = dominant_representative(rs, shifted)
             if sign == 0:
                 continue
             candidates.add(tuple(a - b for a, b in zip(dom, ones)))
@@ -209,7 +216,7 @@ def orbit_accumulation(rs, qt, degree):
     acc = {}
     for k in range(degree + 1):
         for key, count in qt.levels[k].items():
-            dom, sign = rs.dominant_representative(decode(qt, rs.rank, key, 1))
+            dom, sign = dominant_representative(rs, decode(qt, rs.rank, key, 1))
             if sign:
                 coeffs = acc.setdefault(tuple(a - b for a, b in zip(dom, ones)), {})
                 coeffs[k] = coeffs.get(k, 0) + sign * count

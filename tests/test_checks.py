@@ -3,6 +3,8 @@ engine input makes its check fail, at the detail that shows the failure.
 The doctors differ from those of the per-module tests, so each one is a
 further wrong input that its check catches."""
 
+import json
+
 import pytest
 
 import shortroots.antichains as ac
@@ -12,6 +14,7 @@ import shortroots.reduction as red
 import shortroots.weyl as weyl
 from shortroots import RootSystem, build
 from shortroots.checks import CHECK_IDS, run_check
+from shortroots.cli import jsonable
 
 
 def _seed_reduction(rs, changes):
@@ -161,6 +164,8 @@ def test_a_doctored_input_fails_its_check(doctor, monkeypatch):
     status, details = run_check(check_id, rs)
     assert status == "fail"
     assert details[key] == value
+    # verify's text shows a failure's details as they are: JSON values
+    assert json.dumps(details, sort_keys=True) == json.dumps(jsonable(details), sort_keys=True)
 
 
 def test_every_check_id_has_a_doctored_input():

@@ -146,10 +146,10 @@ def test_verify_unknown_check_id(capsys, monkeypatch):
 
 
 def test_verify_refuses_an_unknown_check_id_before_building(capsys, monkeypatch):
-    import shortroots.cli as cli
+    import shortroots.cmd_verify as cmd_verify
 
     built = []
-    monkeypatch.setattr(cli, "build", built.append)
+    monkeypatch.setattr(cmd_verify, "build", built.append)
     code, out, err = run(capsys, "verify", "A100", "--check", "bogus")
     assert (code, out, built) == (2, "", [])
     assert err.startswith("error: unknown check id(s) bogus; valid ids: ")
@@ -465,8 +465,8 @@ def test_package_exports_exactly_the_module_lists():
 
     import shortroots
 
-    library = ["antichains", "cartan", "config", "errors", "gradedchar", "littleadjoint",
-               "reduction", "rootsystem", "weyl"]
+    library = ["antichains", "cartan", "classify", "config", "errors", "gradedchar",
+               "littleadjoint", "reduction", "rootsystem", "weyl"]
     modules = [importlib.import_module(f"shortroots.{mod}") for mod in library]
     owner = {name: mod for mod in modules for name in mod.__all__}
     assert len(owner) == sum(len(mod.__all__) for mod in modules)   # no name declared twice
@@ -500,9 +500,46 @@ def test_every_module_compiles_inside_the_start_up_heap():
     # transient inside the heap interpreter start-up leaves free, so no
     # module's compile raises a child's peak RSS
     src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
-    sizes = {p.name: sum(1 for _ in ast.walk(ast.parse(p.read_text())))
-             for p in sorted(src.glob("*.py"))}
+    sizes = {str(p.relative_to(src)): _ast_nodes(p) for p in sorted(src.rglob("*.py"))}
     assert {name: n for name, n in sizes.items() if n > 3000} == {}
+
+
+def _ast_nodes(path):
+    return sum(1 for _ in ast.walk(ast.parse(Path(path).read_text())))
+
+
+def test_cli_start_up_compiles_inside_its_budget():
+    # a cold child without a bytecode cache compiles every module that
+    # `import shortroots.cli` runs: the package, the CLI's parser and
+    # emitter and the root-system layer, but no classifier and no
+    # subcommand body
+    code = ("import sys, types, shortroots.cli\n"
+            "print(*sorted(m.__file__ for name, m in sys.modules.items()"
+            " if name.partition('.')[0] == 'shortroots' and type(m) is types.ModuleType))")
+    child = python_child("-c", code)
+    assert (child.returncode, child.stderr) == (0, "")
+    files = child.stdout.split()
+    assert "cli.py" in {Path(f).name for f in files}
+    assert sum(map(_ast_nodes, files)) <= 6000
+
+
+def test_no_module_imports_the_cli():
+    # under `python -m shortroots.cli` the CLI is __main__: importing
+    # shortroots.cli again would compile it a second time, as a second module
+    src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
+    importing = []
+    for p in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.ImportFrom):   # a relative import is one of the package
+                base = ".".join(filter(None, ["shortroots" * bool(node.level), node.module]))
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "shortroots.cli" in names:
+                importing.append(p.name)
+    assert importing == []
 
 
 def test_cli_start_up_does_not_load_dataclasses():
@@ -541,18 +578,22 @@ loaded = [m[11:] for m in sys.modules if m.startswith("shortroots.") and m != "s
 print(code, *sorted(m[11:] for m in names))
 print(*sorted(loaded))
 """
-_LIBRARY_AND_CHECKS = ("antichains cartan checks config errors gradedchar littleadjoint reduction"
-                       " rootsystem weyl")
+_LIBRARY_AND_CHECKS = ("antichains cartan checks classify config errors gradedchar littleadjoint"
+                       " reduction rootsystem weyl")
 _RUNS = {
     "": "cartan errors rootsystem",
-    "info C9": "cartan errors littleadjoint reduction rootsystem",
-    "antichains C8": "antichains cartan config errors rootsystem",
-    "nullcone-char G2 --max-degree 4": "cartan config errors gradedchar qtables rootsystem",
-    "verify B7 --check sign-partition": "cartan checks errors littleadjoint rootsystem",
-    "table1": "cartan errors littleadjoint reduction rootsystem",
-    "verify G2": ("antichains cartan checks config errors gradedchar littleadjoint qtables"
-                  " reduction rootsystem weyl"),
+    "info C9": "cartan classify cmd_info errors littleadjoint reduction rootsystem",
+    "info A30": "cartan cmd_info errors rootsystem",
+    "antichains C8": "antichains cartan cmd_antichains config errors rootsystem",
+    "nullcone-char G2 --max-degree 4": ("cartan cmd_nullcone_char config errors gradedchar qtables"
+                                        " rootsystem"),
+    "verify B7 --check sign-partition": "cartan checks cmd_verify errors littleadjoint rootsystem",
+    "table1": "cartan classify cmd_table1 errors littleadjoint reduction rootsystem",
+    "verify G2": ("antichains cartan checks classify cmd_verify config errors gradedchar"
+                  " littleadjoint qtables reduction rootsystem weyl"),
 }
+# the classifier is reached only through from_cartan and the adjugate
+_WITHOUT_CLASSIFIER = ("", "info A30", "antichains C8", "nullcone-char G2 --max-degree 4")
 
 
 @pytest.mark.parametrize("command", list(_RUNS), ids=lambda c: c or "import")
@@ -560,20 +601,27 @@ def test_each_subcommand_runs_only_the_modules_it_calls(command):
     # every library module is registered when the CLI is imported, but a
     # module body runs on first use: a loaded module is a plain ModuleType,
     # a stub keeps the lazy loader's subclass, and reading type() loads
-    # nothing; gradedchar's private table module is imported, not registered
+    # nothing; gradedchar's private table module is imported, not
+    # registered, and a subcommand's body module is imported on dispatch
     child = python_child("-c", _LOADS, *command.split())
     assert child.stderr == ""
     assert child.stdout == f"0 {_LIBRARY_AND_CHECKS}\n{_RUNS[command]}\n"
+    loaded = _RUNS[command].split()
+    assert [m for m in loaded if m.startswith("cmd_")] == (
+        ["cmd_" + command.split()[0].replace("-", "_")] if command else [])
+    assert "classify" not in loaded or command not in _WITHOUT_CLASSIFIER
 
 
 def test_from_import_of_the_cli_leaves_the_library_lazy():
     # the import system asks the package for the attribute cli before it
-    # imports the submodule; that lookup must not load the library modules
+    # imports the submodule; that lookup must not load the library modules,
+    # the classifier among them, nor import any subcommand's body
     code = ("import sys, types\nfrom shortroots import cli\n"
             "print(*sorted(m[11:] for m in sys.modules if m.startswith('shortroots.')"
-            " and type(sys.modules[m]) is types.ModuleType))")
+            " and type(sys.modules[m]) is types.ModuleType))\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('shortroots.cmd_')))")
     child = python_child("-c", code)
-    loaded = "cartan cli errors rootsystem\n"
+    loaded = "cartan cli errors rootsystem\n\n"
     assert (child.returncode, child.stdout, child.stderr) == (0, loaded, "")
 
 
@@ -592,7 +640,7 @@ def test_trace_harness_wraps_the_lazily_loaded_modules():
 
 def test_no_library_self_check_raises_a_bare_assertion_error():
     src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
-    bare = [p.name for p in src.glob("*.py") if "raise AssertionError" in p.read_text()]
+    bare = [p.name for p in src.rglob("*.py") if "raise AssertionError" in p.read_text()]
     assert bare == []
 
 

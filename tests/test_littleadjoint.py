@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from helpers import kostant_multiplicity, oracle_support
+from helpers import dominant_representative, kostant_multiplicity, oracle_support
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -224,7 +224,7 @@ def test_random_weights_of_b2(lam):
     for mu in ws.weights():
         m = ws.multiplicity(mu)
         assert ws.multiplicity(-mu) == m
-        dom, _ = rs.dominant_representative(mu.fund)
+        dom, _ = dominant_representative(rs, mu.fund)
         assert ws.multiplicity(dom) == m
 
 

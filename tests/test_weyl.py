@@ -10,6 +10,7 @@ from helpers import (
     act_fund,
     act_root,
     closure,
+    dominant_representative,
     enumerate_group,
     inversions,
     length,
@@ -327,7 +328,7 @@ def test_weight_action_matches_fraction_oracle(name):
     rs = build(name)
     rho = (1,) * rs.rank
     for w in enumerate_group(rs):
-        assert rs.dominant_representative(act_fund(rs, w, rho)) == (rho, sign(rs, w))
+        assert dominant_representative(rs, act_fund(rs, w, rho)) == (rho, sign(rs, w))
 
 
 @settings(max_examples=60, deadline=None)
