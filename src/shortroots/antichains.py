@@ -11,7 +11,6 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .cartan import bourbaki_nodes
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
 from .rootsystem import RootSystem
@@ -30,7 +29,7 @@ def short_root_poset(rs: RootSystem) -> tuple[int, ...]:
     """The short positive roots under componentwise order, as incomparability
     masks: bit j of mask i is set when j > i and elements i and j are
     incomparable.  The elements are sorted by their coefficients read from
-    Bourbaki's last node to its first (``bourbaki_nodes``), an order that
+    Bourbaki's last node to its first (``RootSystem.nodes``), an order that
     extends the componentwise one and does not depend on the numbering, so
     mask i is the bits above i outside the up-set of i.  Positive roots
     a <= b are joined by positive roots one simple root apart, so the up-set
@@ -39,7 +38,7 @@ def short_root_poset(rs: RootSystem) -> tuple[int, ...]:
     rs.require_two_lengths()
     base = max(rs.theta.coeffs) + 2   # a cover adds 1 to a digit with no carry
     place = [0] * rs.rank
-    for t, node in enumerate(bourbaki_nodes(rs)):
+    for t, node in enumerate(rs.nodes):
         place[node] = base**t
     roots = sorted((sum(map(mul, r.coeffs, place)), r.is_short) for r in rs.positive_roots())
     full = (1 << len(rs.short_positives)) - 1

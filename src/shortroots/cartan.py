@@ -2,10 +2,10 @@
 
 A simple type is a ``RootSystemSpec``; ``cartan_matrix`` gives its
 Bourbaki matrix, which a ``RootSystem`` re-indexes by an order of its nodes
-(``_node_order`` checks one), and ``bourbaki_nodes`` reads a system's
-order.  The symmetrizers of that matrix, found in integers, are here too:
-``RootSystem`` is built on them.  Naming the type of a given matrix, and
-the elimination behind it, live in ``classify``, which no build needs.
+(``_node_order`` checks one) and keeps as ``nodes``.  The symmetrizers
+of that matrix, found in integers, are here too: ``RootSystem`` is built
+on them.  Naming the type of a given matrix, and the elimination behind
+it, live in ``classify``, which no build needs.
 
 Roots are integer coefficient vectors over the simple roots; weights are
 coordinate vectors over the fundamental weights.  Weights are integral,
@@ -26,7 +26,6 @@ __all__ = [
     "RootSystemSpec",
     "Root",
     "Weight",
-    "bourbaki_nodes",
     "cartan_matrix",
 ]
 
@@ -295,9 +294,3 @@ def _symmetrizers(A) -> tuple[int, ...]:
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def bourbaki_nodes(rs) -> tuple[int, ...]:
-    """The simple-root indices of a root system rs in Bourbaki's numbering:
-    its node order, in which rs.cartan re-indexes to cartan_matrix(rs.spec)."""
-    return rs.nodes

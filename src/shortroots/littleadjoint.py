@@ -153,21 +153,22 @@ class DeltaPartition(NamedTuple):
 
 
 def delta_partition(rs: RootSystem, mu: Root) -> DeltaPartition:
+    """The partition for mu, read off its one row of pairings with the
+    positive roots: root k + p is the negative of root k, so it pairs with
+    mu with the opposite sign, and each negative part mirrors a positive
+    one, in the same order."""
     if not isinstance(mu, Root):
         raise ValueError("expected a root of the system")
     row = rs.inner_row(mu)   # rs.index refuses a root of another system or length
-    p = rs.num_positive
-    pos = tuple(zip(row[:p], rs.roots[:p]))
-    neg = tuple(zip(row[p:], rs.roots[p:]))
-    part = DeltaPartition(
-        tuple([r for v, r in pos if v > 0]),
-        tuple([r for v, r in pos if v < 0]),
-        tuple([r for v, r in neg if v > 0]),
-        tuple([r for v, r in neg if v < 0]),
+    roots, p = rs.roots, rs.num_positive
+    agree = [k for k, v in enumerate(row) if v > 0]
+    oppose = [k for k, v in enumerate(row) if v < 0]
+    return DeltaPartition(
+        tuple([roots[k] for k in agree]),
+        tuple([roots[k] for k in oppose]),
+        tuple([roots[k + p] for k in oppose]),
+        tuple([roots[k + p] for k in agree]),
     )
-    if len(part.pos_pos) != len(part.neg_neg) or len(part.pos_neg) != len(part.neg_pos):
-        raise IdentityViolation("sign partition lost its negation symmetry")
-    return part
 
 
 def hw_orbit_dim(rs: RootSystem) -> int:
@@ -176,7 +177,7 @@ def hw_orbit_dim(rs: RootSystem) -> int:
     orthogonal to the short dominant root."""
     rs.require_two_lengths()
     theta_s = rs.theta_short
-    count = sum(1 for v in rs.inner_row(theta_s)[:rs.num_positive] if v > 0)
+    count = sum(1 for v in rs.inner_row(theta_s) if v > 0)
     dim = 1 + count
     if dim != 2 * theta_s.height:
         raise IdentityViolation("orbit dimension disagrees with twice the height")

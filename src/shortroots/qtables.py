@@ -18,7 +18,6 @@ import math
 from itertools import islice
 from operator import itemgetter, mul
 
-from .cartan import bourbaki_nodes
 from .config import current_limits
 from .errors import SizeLimitExceeded
 from .rootsystem import RootSystem
@@ -49,7 +48,7 @@ class _QTables:
         cap = current_limits().max_character_work
         # read in Bourbaki's numbering: on a path diagram the updates do not depend on numbering
         vectors = sorted(map(rs.weight_coords, rs.short_positive_roots()),
-                         key=itemgetter(*bourbaki_nodes(rs)))
+                         key=itemgetter(*rs.nodes))
         refusal = SizeLimitExceeded(
             f"the q-partition tables of {rs.spec} to degree {degree} need more "
             f"than the cap of {cap} DP updates (max_character_work)"

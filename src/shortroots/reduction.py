@@ -72,11 +72,12 @@ def _reduce(rs: RootSystem) -> SimpleReduction:
     )
 
 
-def check_coxeter_power(rs: RootSystem, ordering=None) -> bool:
-    """Whether the h_s-th power of the Coxeter element built from the given
-    ordering lands in the subgroup generated by long-root reflections."""
+def check_coxeter_power(rs: RootSystem, c: tuple[int, ...]) -> bool:
+    """Whether the h_s-th power of the Coxeter element c (built by
+    ``weyl.coxeter_element``) lands in the subgroup generated by long-root
+    reflections; ValueError for a tuple that is not in W."""
     red = simple_reduction(rs)
-    c = weyl.coxeter_element(rs, ordering)
+    weyl._require_element(rs, c)
     power = c
     for _ in range(red.sub_coxeter_number - 1):
         power = weyl.compose(power, c)

@@ -227,15 +227,11 @@ class RootSystem:
     def weight_of(self, root: Root) -> Weight:
         return Weight(self.weight_coords(root))
 
-    def check_rank(self, fund):
-        """fund itself once it has one coordinate per simple root."""
-        return _of_rank(fund, self.rank)
-
     def as_weight(self, value) -> Weight:
         """A Weight, or a sequence of fundamental coordinates, as a Weight
         of this system's rank."""
         w = value if isinstance(value, Weight) else Weight.of(value)
-        self.check_rank(w.fund)
+        _of_rank(w.fund, self.rank)
         return w
 
     def dominant_integral(self, weight) -> tuple[int, ...]:
@@ -266,7 +262,7 @@ class RootSystem:
 
         from . import classify
 
-        fund = self.check_rank(weight.fund)
+        fund = _of_rank(weight.fund, self.rank)
         det, adj = self.memo("adjugate", lambda: classify._adjugate(self.cartan))
         return tuple(Fraction(_dot(row, fund), det) for row in adj)
 
@@ -278,16 +274,16 @@ class RootSystem:
         if isinstance(x, Weight):
             x, y = y, x
         c = self.root_coords(x) if isinstance(x, Weight) else self.roots[self.index(x)].coeffs
-        f = self.check_rank(y.fund) if isinstance(y, Weight) else self.weight_coords(y)
+        f = _of_rank(y.fund, self.rank) if isinstance(y, Weight) else self.weight_coords(y)
         return _dot(map(operator.mul, c, self.symmetrizers), f)
 
     def inner_row(self, root) -> tuple[int, ...]:
-        """(r | root) for every root r, in index order: one row of the
-        integer Gram matrix of the roots, its second half negating its first."""
+        """(r | root) for every positive root r, in index order: one row of
+        the integer Gram matrix of the positive roots.  Root k + p is the
+        negative of root k, so its pairing is the negative of entry k."""
         form = self.form_coords(root)
         mul = operator.mul
-        half = [sum(map(mul, form, ac)) for ac in self._ac]
-        return tuple(half + [-v for v in half])
+        return tuple([sum(map(mul, form, ac)) for ac in self._ac])
 
     def pairing(self, x, root: Root) -> int:
         """Pairing of a root or a Weight x against the coroot of the given

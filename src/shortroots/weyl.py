@@ -9,14 +9,17 @@ their coordinates (``RootSystem.straighten`` up to the dominant chamber,
 ``RootSystem.descend`` down a whole orbit), with no element built.
 No group is listed element by element: the order of a reflection
 subgroup is read off the Cartan types its base names.  Each reflection
-is built here on first use, from the inner products of the roots, and
-kept on its system as one entry, shared by a root and its negative: the
-permutation and an ``operator.itemgetter`` over it.  Every product is
-an index gather through such a getter (``compose`` builds one), so it
-runs in C.  One descent, ``strip_reflections``, strips the reflections
-in a base of a reflection subgroup off an element, which lies in that
-subgroup when the descent leaves the identity; through the long-root
-base it factors W over the subgroup of long reflections."""
+is built here on first use, from the one row of inner products of the
+positive roots with its root; it sends -r to -s(r), so the images of
+the negative roots mirror those of the positive ones.  It is kept on its
+system as one entry, shared by a root and its negative: the permutation
+and an ``operator.itemgetter`` over it.  Every product is an index
+gather through such a getter (``compose`` builds one), so it runs in C.
+A base of a reflection subgroup is named by its root indices.  One
+descent, ``strip_reflections``, strips the reflections in such a base
+off an element, which lies in that subgroup when the descent leaves the
+identity; through the long-root base it factors W over the subgroup of
+long reflections."""
 
 from __future__ import annotations
 
@@ -58,19 +61,22 @@ def identity(rs: RootSystem) -> tuple[int, ...]:
 def _reflection(rs: RootSystem, k: int):
     """The entry of the reflection in root k, built on first use: its
     permutation and an itemgetter over it.  Root k + p is the negative of
-    root k (p positive roots), so it folds onto root k's entry."""
-    k %= len(rs.roots) // 2
+    root k (p positive roots), so it folds onto root k's entry, and only
+    the positive roots are reflected: s(-r) = -s(r) mirrors the rest."""
+    p = len(rs.roots) // 2
+    k %= p
 
     def compute():
         root = rs.roots[k]
-        sq = rs.inner(root, root)
+        row = rs.inner_row(root)   # one pairing per positive root; row[k] = (root | root)
         perm = []
-        for a, (r, v) in enumerate(zip(rs.roots, rs.inner_row(root))):
-            q, rem = divmod(2 * v, sq)   # the pairing of root a against the coroot
+        for a, (r, v) in enumerate(zip(rs.roots, row)):
+            q, rem = divmod(2 * v, row[k])   # the pairing of root a against the coroot
             if rem:
                 raise IdentityViolation("coroot pairing of a root must be integral")
             perm.append(rs.root_index[tuple([c - q * b for c, b in zip(r.coeffs, root.coeffs)])]
                         if q else a)
+        perm += [(b + p) % (2 * p) for b in perm]
         return tuple(perm), itemgetter(*perm)
 
     return rs.memo(("reflection", k), compute)
@@ -199,8 +205,10 @@ def short_parabolic(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
 
 def reflection_subgroup_order(rs: RootSystem, base) -> int:
     """The order of the subgroup generated by the reflections in a base of
-    a root subsystem (the short simple roots, or ``long_root_base``): the
-    product of the Weyl orders of the components that ``classify_cartan``
-    names in the base's pairing matrix, with no element listed."""
-    pairings = [[rs.pairing(a, b) for a in base] for b in base]
+    a root subsystem, given by its root indices as ``strip_reflections``
+    takes it: the product of the Weyl orders of the components that
+    ``classify_cartan`` names in the base's pairing matrix, with no
+    element listed."""
+    roots = [rs.roots[k] for k in base]
+    pairings = [[rs.pairing(a, b) for a in roots] for b in roots]
     return math.prod(build(spec).weyl_order for spec in classify_cartan(pairings))

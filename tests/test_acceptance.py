@@ -149,7 +149,7 @@ def test_criterion_4_coxeter_structure_all_orderings():
                 assert all(len(o) == h for o in orbits), (name, ordering)
                 short_orbits = sum(1 for o in orbits if rs.roots[o[0]].is_short)
                 assert short_orbits == len(rs.short_simple_indices), (name, ordering)
-                assert check_coxeter_power(rs, ordering), (name, ordering)
+                assert check_coxeter_power(rs, c), (name, ordering)
 
     _run(4, 30.0, body)
 

@@ -14,7 +14,6 @@ from shortroots import (
     SizeLimitExceeded,
     UnsupportedRootSystem,
     antichain_report,
-    bourbaki_nodes,
     build,
     count_antichains,
     count_antichains_formula,
@@ -39,7 +38,7 @@ def coeff_leq(a, b):
 def library_order(rs):
     """The short positive roots sorted by their coefficients read from
     Bourbaki's last node to its first."""
-    nodes = bourbaki_nodes(rs)[::-1]
+    nodes = rs.nodes[::-1]
     return sorted(rs.short_positive_roots(), key=lambda r: [r.coeffs[i] for i in nodes])
 
 

@@ -44,9 +44,16 @@ def _zero_weight_once_more(rs, monkeypatch):
               lambda rs, dims: dims._replace(zero_mult=dims.zero_mult + 1))
 
 
-def _second_half_not_negated(rs, monkeypatch):
-    inner_row, p = rs.inner_row, rs.num_positive
-    monkeypatch.setattr(rs, "inner_row", lambda mu: inner_row(mu)[:p] * 2)
+def _first_positive_pairing_negated(rs, monkeypatch):
+    inner_row = rs.inner_row
+
+    def doctored(mu):
+        row = list(inner_row(mu))
+        k = next(k for k, v in enumerate(row) if v > 0)
+        row[k] = -row[k]
+        return tuple(row)
+
+    monkeypatch.setattr(rs, "inner_row", doctored)
 
 
 def _pairing_against_roots(rs, monkeypatch):
@@ -118,9 +125,8 @@ DOCTORS = {
         "semidirect-product", _subgroup_orders_doubled, "product_order", 4 * 384),
     "zero weight once more": (
         "little-adjoint-dims", _zero_weight_once_more, "zero_multiplicity", 4),
-    "second half not negated": (
-        "sign-partition", _second_half_not_negated, "violation",
-        "sign partition lost its negation symmetry"),
+    "first positive pairing negated": (
+        "sign-partition", _first_positive_pairing_negated, "short_dominant_negative_part", 1),
     "pairing against roots": ("hw-orbit-dim", _pairing_against_roots, "from_dual_coxeter", 14),
     "highest root dropped": (
         "dual-coxeter-dual", _highest_root_dropped, "violation",

@@ -72,14 +72,22 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert ids == sorted(ids)
 
 
-def test_verify_skips_oversized_exhaustive_checks(capsys, monkeypatch):
+@pytest.mark.parametrize("name,mode", [("B6", "text"), ("G2", "json")], ids=["B6-text", "G2-json"])
+def test_verify_skips_oversized_exhaustive_checks(capsys, monkeypatch, name, mode):
     # a cap of 0 refuses the first unit of work: the table build, or the
-    # first orbit walk if an earlier command left the tables cached
+    # first orbit walk if an earlier command left the tables cached; the
+    # check builds tables, then walks orbits, so both read the cap
     for module in (qtables, gc):
         monkeypatch.setattr(module, "current_limits", lambda: Limits(max_character_work=0))
-    code, out, _ = run(capsys, "verify", "B6", "--check", "nullcone-hilbert")
+    argv = ["verify", name, "--check", "nullcone-hilbert"] + ["--json"] * (mode == "json")
+    code, out, _ = run(capsys, *argv)
     assert code == 0  # a skip is not a failure
-    assert "SKIP nullcone-hilbert" in out
+    if mode == "json":
+        (check,) = json.loads(out)["checks"]
+        assert check["status"] == "skipped"
+        out = check["details"]["reason"]
+    else:
+        assert "SKIP nullcone-hilbert" in out
     assert "the cap of 0 " in out and "(max_character_work)" in out
 
 
@@ -121,17 +129,6 @@ def test_environment_changes_no_output(capsys, monkeypatch, argv):
         monkeypatch.setenv(name, raw)
         assert run(capsys, *argv) == plain
         monkeypatch.delenv(name)
-
-
-def test_verify_respects_env_cap(capsys, monkeypatch):
-    # the check builds tables, then walks orbits: both read the cap
-    for module in (qtables, gc):
-        monkeypatch.setattr(module, "current_limits", lambda: Limits(max_character_work=0))
-    code, out, _ = run(capsys, "verify", "G2", "--check", "nullcone-hilbert", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["checks"][0]["status"] == "skipped"
-    assert "the cap of 0 " in payload["checks"][0]["details"]["reason"]
 
 
 def test_verify_unknown_check_id(capsys, monkeypatch):

@@ -581,7 +581,7 @@ def test_gradedchar_imports_only_the_root_system_config_and_errors():
         return names
 
     assert imported(gc) == {"cartan", "config", "errors", "qtables", "rootsystem"}
-    assert imported(qtables) == {"cartan", "config", "errors", "rootsystem"}
+    assert imported(qtables) == {"config", "errors", "rootsystem"}
 
 
 def test_only_the_root_system_reads_the_cartan_matrix():

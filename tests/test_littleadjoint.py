@@ -147,6 +147,12 @@ def test_delta_partition_balance_everywhere():
         assert len(part.pos_pos) == len(part.neg_neg)
         assert len(part.pos_neg) == len(part.neg_pos)
         assert sum(map(len, part)) % 2 == 0
+        # the negative parts, read off the positive roots' row, are those
+        # of the inner products of every root, in index order
+        for key, positive, sign in [("neg_pos", False, 1), ("neg_neg", False, -1),
+                                    ("pos_pos", True, 1), ("pos_neg", True, -1)]:
+            assert getattr(part, key) == tuple(
+                r for r in rs.roots if r.is_positive == positive and sign * rs.inner(r, mu) > 0)
 
 
 def test_delta_partition_smallest_case():
@@ -185,6 +191,18 @@ def test_sign_partition_fails_on_a_count_at_a_short_simple_root(monkeypatch):
     assert details == {"short_dominant_height": ht, "short_dominant_negative_part": 0,
                        "simple_index": first, "positive_agreeing": ht - 1,
                        "positive_opposing": ht - 1}
+
+
+def test_sign_partition_reads_one_partition_per_root_it_decides(monkeypatch):
+    # theta_s and the short simple roots: the negative parts mirror the
+    # positive ones by construction, so no other root is partitioned
+    rs = build("C4")
+    asked = []
+    partition = la_module.delta_partition
+    monkeypatch.setattr(la_module, "delta_partition",
+                        lambda rs, mu: asked.append(mu) or partition(rs, mu))
+    assert run_check("sign-partition", rs)[0] == "pass"
+    assert asked == [rs.theta_short] + [rs.simple_root(i) for i in rs.short_simple_indices]
 
 
 def test_hw_orbit_dim():

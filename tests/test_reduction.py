@@ -73,7 +73,7 @@ def test_transition_identities(name, triple):
 def test_coxeter_power_all_orderings(name):
     rs = build(name)
     for ordering in itertools.permutations(range(rs.rank)):
-        assert check_coxeter_power(rs, ordering)
+        assert check_coxeter_power(rs, weyl.coxeter_element(rs, ordering))
 
 
 @pytest.mark.parametrize(
@@ -263,9 +263,9 @@ def test_coxeter_power_is_tested_once_per_distinct_element(monkeypatch):
     tested = []
     power = reduction.check_coxeter_power
 
-    def counting(rs, ordering):
-        tested.append(weyl.coxeter_element(rs, ordering))
-        return power(rs, ordering)
+    def counting(rs, c):
+        tested.append(c)
+        return power(rs, c)
 
     monkeypatch.setattr(reduction, "check_coxeter_power", counting)
     assert checks.run_check("coxeter-power", rs)[0] == "pass"
@@ -313,16 +313,16 @@ def test_coxeter_power_reports_the_first_ordering_of_a_failing_element(monkeypat
     tested = []
     power = reduction.check_coxeter_power
 
-    def failing(rs, ordering):
-        tested.append(ordering)
-        return weyl.coxeter_element(rs, ordering) != bad and power(rs, ordering)
+    def failing(rs, c):
+        tested.append(c)
+        return c != bad and power(rs, c)
 
     monkeypatch.setattr(reduction, "check_coxeter_power", failing)
     status, details = checks.run_check("coxeter-power", rs)
     assert status == "fail"
     assert details["ordering"] == list(first)
-    assert tested[-1] == first
-    assert len({weyl.coxeter_element(rs, o) for o in tested}) == len(tested)
+    assert tested[-1] == bad
+    assert len(set(tested)) == len(tested)
 
 
 def _seed_reduction(rs, change):

@@ -35,11 +35,11 @@ from shortroots import (
     UnsupportedRootSystem,
     Weight,
     antichain_report,
-    bourbaki_nodes,
     build,
     cartan_matrix,
     check_coxeter_power,
     classify_cartan,
+    coxeter_element,
     count_antichains_formula,
     decompose_semidirect,
     delta_partition,
@@ -539,12 +539,12 @@ def test_checks_do_not_depend_on_the_node_order(name):
 def test_bourbaki_nodes_number_the_diagram_as_bourbaki_does(name):
     rs = build(name)
     A = rs.cartan
-    assert bourbaki_nodes(rs) == tuple(range(rs.rank))
+    assert rs.nodes == tuple(range(rs.rank))
     rng = random.Random(name)
     for _ in range(3):
         order = rng.sample(range(rs.rank), rs.rank)
         relabelled = from_cartan([[A[i][j] for j in order] for i in order])
-        nodes = bourbaki_nodes(relabelled)
+        nodes = relabelled.nodes
         assert tuple(tuple(relabelled.cartan[i][j] for j in nodes)
                      for i in nodes) == cartan_matrix(relabelled.spec)
         if rs.is_multiply_laced and relabelled.spec == rs.spec:   # the walk is unique
@@ -570,7 +570,7 @@ def test_from_cartan_derives_the_matrix_it_was_given(name):
         P = [[A[i][j] for j in order] for i in order]
         rs = from_cartan(P)
         assert rs.cartan == tuple(map(tuple, P)), order
-        nodes = bourbaki_nodes(rs)
+        nodes = rs.nodes
         assert tuple(tuple(P[i][j] for j in nodes) for i in nodes) == cartan_matrix(rs.spec)
 
 
@@ -787,16 +787,20 @@ def test_the_constructor_takes_an_isomorphic_label(label, matrix):
                if (rs := rootsystem.RootSystem(spec, nodes)).cartan == want.cartan]
     assert systems
     for rs in systems:
-        assert rs.spec == spec and bourbaki_nodes(rs) == rs.nodes
+        assert rs.spec == spec
+        assert tuple(tuple(rs.cartan[i][j] for j in rs.nodes)
+                     for i in rs.nodes) == cartan_matrix(spec)
         assert [r.coeffs for r in rs.roots] == [r.coeffs for r in want.roots]
 
 
 @pytest.mark.parametrize("name", ["A3", "B4", "C3", "D4", "F4", "G2"])
 def test_inner_row_is_one_inner_product_per_root(name):
+    # one entry per positive root: root k + p pairs as the negative of root k
     rs = build(name)
     for mu in rs.roots:
         row = rs.inner_row(mu)
-        assert row == tuple(rs.inner(rs.roots[k], mu) for k in range(len(rs.roots)))
+        assert row == tuple(rs.inner(rs.roots[k], mu) for k in range(rs.num_positive))
+        assert [-v for v in row] == [rs.inner(-r, mu) for r in rs.positive_roots()]
 
 
 KERNEL_SYSTEMS = (
@@ -1109,7 +1113,7 @@ _TWO_LENGTH_ENTRY_POINTS = {
     "little_adjoint_dims": little_adjoint_dims,
     "hw_orbit_dim": hw_orbit_dim,
     "simple_reduction": simple_reduction,
-    "check_coxeter_power": check_coxeter_power,
+    "check_coxeter_power": lambda rs: check_coxeter_power(rs, coxeter_element(rs)),
     "transition_identities": transition_identities,
     "hyperplane_classes": hyperplane_classes,
     "one_step_strings": one_step_strings,

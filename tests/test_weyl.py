@@ -26,6 +26,7 @@ import shortroots.weyl as weyl_module
 from shortroots import (
     RootSystem,
     build,
+    check_coxeter_power,
     compose,
     coxeter_element,
     coxeter_orbits,
@@ -198,8 +199,8 @@ def test_a_tuple_that_is_not_in_w_is_refused_by_the_long_descent():
             call(rs, tuple(stuck))
 
 
-@pytest.mark.parametrize("call", [decompose_semidirect, is_in_long_subgroup, coxeter_orbits],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("call", [decompose_semidirect, is_in_long_subgroup, coxeter_orbits,
+                                  check_coxeter_power], ids=lambda f: f.__name__)
 def test_a_tuple_of_the_wrong_length_is_refused(call):
     rs = build("C4")
     for w in (identity(rs)[:-1], identity(rs) + (0,)):
@@ -211,8 +212,8 @@ def test_a_tuple_of_the_wrong_length_is_refused(call):
             call(rs, w)
 
 
-@pytest.mark.parametrize("call", [decompose_semidirect, is_in_long_subgroup, coxeter_orbits],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("call", [decompose_semidirect, is_in_long_subgroup, coxeter_orbits,
+                                  check_coxeter_power], ids=lambda f: f.__name__)
 def test_a_tuple_that_is_not_a_permutation_is_refused(call):
     # every entry a root index, but one repeats: (0,) * 32 was answered as
     # its own short factor, and a cycle walk from root 1 would never return
