@@ -9,10 +9,11 @@ it, live in ``classify``, which no build needs.
 
 Roots are integer coefficient vectors over the simple roots; weights are
 coordinate vectors over the fundamental weights.  Weights are integral,
-so a ``Weight`` holds int coordinates.  ``Weight.of`` takes an int as it
-is and loads ``numbers`` only to judge any other coordinate; floats and
-non-integral coordinates are refused, never rounded.  The arithmetic of
-roots and weights against a form is ``RootSystem``'s.
+so a ``Weight`` holds a tuple of ints, which its constructor checks.
+``Weight.of`` takes an int as it is and loads ``numbers`` only to judge
+any other coordinate; floats and non-integral coordinates are refused,
+never rounded.  The arithmetic of roots and weights against a form is
+``RootSystem``'s.
 """
 
 from __future__ import annotations
@@ -169,11 +170,16 @@ def _node_order(order, rank: int):
 
 class Weight(_Value):
     """An integral weight, stored by integer coordinates over the
-    fundamental weights."""
+    fundamental weights.  The constructor takes a tuple of ints only
+    (TypeError for anything else, a float or a bool included);
+    ``Weight.of`` parses other exact coordinates."""
 
     __slots__ = ("fund",)
 
     def __init__(self, fund: tuple[int, ...]):
+        if type(fund) is not tuple or any(type(c) is not int for c in fund):
+            raise TypeError(f"a Weight holds a tuple of int coordinates, not {fund!r}; "
+                            "Weight.of parses other exact coordinates")
         object.__setattr__(self, "fund", fund)
 
     @staticmethod

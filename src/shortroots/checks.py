@@ -86,7 +86,7 @@ def _check_root_counts(rs: RootSystem):
 def _check_semidirect(rs: RootSystem):
     # each base by its root indices, for the orders and the descents
     short_ks = [rs.index(rs.simple_root(i)) for i in rs.short_simple_indices]
-    long_ks = [rs.index(b) for b in weyl.long_root_base(rs)]
+    long_ks = weyl.long_root_base(rs)
     short_gens = weyl.short_parabolic(rs)
     long_gens = weyl.long_subgroup(rs)
     long_order = weyl.reflection_subgroup_order(rs, long_ks)

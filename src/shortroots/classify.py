@@ -10,7 +10,7 @@ whether it is of finite type, and, on ``[A | I]``, the integer adjugate
 that ``RootSystem.lattice_coords`` and ``root_coords`` read.
 
 No build needs this module: ``rootsystem`` imports it only inside
-``from_cartan``, ``lattice_coords`` and ``root_coords``, and ``weyl``,
+``from_cartan`` and ``RootSystem._adjugate``, and ``weyl``,
 which names the types of reflection subgroups, at its top.  So a process
 that names every system by its type, asks for no root-lattice
 coordinates and lists no subgroup never compiles it.

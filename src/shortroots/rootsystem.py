@@ -15,15 +15,17 @@ is needed for that; the integer adjugate, which ``lattice_coords`` and
 ``root_coords`` read, is computed on a system's first such call, by the
 elimination in ``classify``.
 ``RootSystem`` also owns the one Weyl-orbit walk, ``RootSystem.descend``:
-down from a dominant point by simple reflections, one length of W per
-layer, optionally kept above a floor.  Freudenthal expands dominant weights
-into orbits with it, and Kostant's alternating sum runs over it.
+down from a dominant weight by simple reflections, one length of W per
+layer, optionally kept above a floor; like every weight entry point, it
+refuses any other start.  Freudenthal expands dominant weights into
+orbits with it, and Kostant's alternating sum runs over it.
 ``RootSystem.straighten``, the one chamber walk, goes the other way, up to
 the dominant conjugate with its sign; the nullcone character and
-Freudenthal straighten through it.  ``Fraction`` appears only where an
-answer is genuinely rational (``root_coords`` and the inner product of two
-weights), and is imported there, so a process that asks for no rational
-answer never loads ``fractions``.
+Freudenthal straighten through it, one unchecked point at a time.
+``Fraction`` appears only where an answer is genuinely rational
+(``root_coords`` and the inner product of two weights), and is imported
+there, so a process that asks for no rational answer never loads
+``fractions``.
 
 Every system is named by its type and an order of its nodes, and its
 Cartan matrix is Bourbaki's re-indexed by that order.  ``build`` takes a
@@ -35,9 +37,10 @@ once, the order in which it is Bourbaki's, so it keeps the matrix's node
 order.  In a simply-laced system every root is tagged "short", so that
 the short dominant root coincides with the highest root.
 
-The classifier (``classify``) is imported only inside ``from_cartan``,
-``lattice_coords`` and ``root_coords``: a command that names its systems
-by type and asks for no root-lattice coordinates never compiles it.
+The classifier (``classify``) is imported only inside ``from_cartan`` and
+``RootSystem._adjugate``, which ``lattice_coords`` and ``root_coords``
+read: a command that names its systems by type and asks for no
+root-lattice coordinates never compiles it.
 """
 
 from __future__ import annotations
@@ -48,9 +51,9 @@ import re
 from collections import Counter
 from functools import lru_cache
 
-# the constructor calls cm._symmetrizers, and lattice_coords and
-# root_coords call classify._adjugate, through the module, so that a test
-# can substitute either
+# the constructor calls cm._symmetrizers, and RootSystem._adjugate calls
+# classify._adjugate, through the module, so that a test can substitute
+# either
 from . import cartan as cm
 from .cartan import (
     LONG,
@@ -194,9 +197,6 @@ class RootSystem:
     def short_positive_roots(self):
         return [self.roots[i] for i in self.short_positives]
 
-    def long_positive_roots(self):
-        return [self.roots[i] for i in self.long_positives]
-
     @property
     def is_multiply_laced(self) -> bool:
         return bool(self.long_positives)
@@ -242,13 +242,18 @@ class RootSystem:
             raise ValueError(f"{w} is not dominant")
         return w.fund
 
+    def _adjugate(self):
+        """(det A, adj A) for this system's Cartan matrix A, computed on the
+        first call by the elimination in ``classify``, which is loaded here."""
+        from . import classify
+
+        return self.memo("adjugate", lambda: classify._adjugate(self.cartan))
+
     def lattice_coords(self, weight):
         """Integer root-lattice coordinates of a weight (see as_weight), or
         None when it lies outside the root lattice."""
-        from . import classify
-
         fund = self.as_weight(weight).fund
-        det, adj = self.memo("adjugate", lambda: classify._adjugate(self.cartan))
+        det, adj = self._adjugate()
         out = []
         for row in adj:
             q, rem = divmod(_dot(row, fund), det)
@@ -257,13 +262,12 @@ class RootSystem:
             out.append(q)
         return tuple(out)
 
-    def root_coords(self, weight: Weight) -> tuple[Fraction, ...]:
+    def root_coords(self, weight) -> tuple[Fraction, ...]:
+        """Rational root-lattice coordinates of a weight (see as_weight)."""
         from fractions import Fraction
 
-        from . import classify
-
-        fund = _of_rank(weight.fund, self.rank)
-        det, adj = self.memo("adjugate", lambda: classify._adjugate(self.cartan))
+        fund = self.as_weight(weight).fund
+        det, adj = self._adjugate()
         return tuple(Fraction(_dot(row, fund), det) for row in adj)
 
     def inner(self, x, y):
@@ -296,25 +300,26 @@ class RootSystem:
     # -- dominance ------------------------------------------------------------
 
     def descend(self, fund, floor=None):
-        """The Weyl orbit of a dominant int tuple of fundamental coords,
-        walked down from it one layer per length of W: the one orbit walk
-        of the engines.
+        """The Weyl orbit of a dominant weight (see dominant_integral, which
+        refuses any other start), walked down from it one layer per length
+        of W: the one orbit walk of the engines.
 
         A point y steps to s_i(y) = y - y_i * alpha_i wherever y_i > 0, and
         every orbit point is reached so, one length per step (Humphreys,
         Reflection Groups and Coxeter Groups, ch. 1); layer k holds the
         points whose shortest conjugating element has length k.  Each layer
-        is a dict from its points to None, or, given a floor, to the
-        root-lattice coordinates of y - floor (the start's through
-        lattice_coords, so through the adjugate): then only the points with
-        y - floor in the positive root cone are kept, and a point whose
-        step would make a coordinate negative is dropped with everything
-        below it, which is exact since every step goes down."""
+        is a dict from its points to None, or, given a floor (a weight, see
+        as_weight), to the root-lattice coordinates of y - floor (the
+        start's through lattice_coords, so through the adjugate): then only
+        the points with y - floor in the positive root cone are kept, and a
+        point whose step would make a coordinate negative is dropped with
+        everything below it, which is exact since every step goes down."""
+        fund = self.dominant_integral(fund)
         cols = self._cols
         if floor is None:
             layer = {fund: None}
         else:
-            c = self.lattice_coords(tuple([a - b for a, b in zip(fund, floor)]))
+            c = self.lattice_coords(Weight(fund) - self.as_weight(floor))
             if c is None or min(c) < 0:
                 return
             layer = {fund: c}

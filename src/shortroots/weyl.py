@@ -15,11 +15,12 @@ the negative roots mirror those of the positive ones.  It is kept on its
 system as one entry, shared by a root and its negative: the permutation
 and an ``operator.itemgetter`` over it.  Every product is an index
 gather through such a getter (``compose`` builds one), so it runs in C.
-A base of a reflection subgroup is named by its root indices.  One
-descent, ``strip_reflections``, strips the reflections in such a base
-off an element, which lies in that subgroup when the descent leaves the
-identity; through the long-root base it factors W over the subgroup of
-long reflections."""
+A base of a reflection subgroup is named by its root indices, the
+long-root base of ``long_root_base`` included, and no base is held as
+``Root`` values.  One descent, ``strip_reflections``, strips the
+reflections in such a base off an element, which lies in that subgroup
+when the descent leaves the identity; through the long-root base it
+factors W over the subgroup of long reflections."""
 
 from __future__ import annotations
 
@@ -134,12 +135,12 @@ def strip_reflections(rs: RootSystem, w: tuple[int, ...], base):
     """(rest, product of the stripped reflections), whose product is w:
     while w sends a root of base negative, strip the reflection in the
     first such root off the right.  base holds the root indices of a base
-    of a positive root subsystem (the short simple roots, or
-    ``long_root_base``).  If w * r_1 ... r_k is the rest, the product is
-    r_k ... r_1, each r_i being an involution.  Each strip sends one fewer
-    positive root of the subsystem negative, and the rest sends none, so
-    w lies in the subgroup of the base's reflections exactly when the
-    rest is the identity."""
+    of a positive root subsystem: the short simple roots' indices, or
+    ``long_root_base(rs)`` as it is returned.  If w * r_1 ... r_k is the
+    rest, the product is r_k ... r_1, each r_i being an involution.  Each
+    strip sends one fewer positive root of the subsystem negative, and the
+    rest sends none, so w lies in the subgroup of the base's reflections
+    exactly when the rest is the identity."""
     _require_element(rs, w)
     p = rs.num_positive
     steps = [(k, _reflection(rs, k)[1]) for k in base]
@@ -158,21 +159,18 @@ def strip_reflections(rs: RootSystem, w: tuple[int, ...], base):
 # -- the long-root subsystem ---------------------------------------------------
 
 
-def long_root_base(rs: RootSystem):
-    """Indecomposable positive long roots: the simple system of the long
-    subsystem determined by the ambient positive roots."""
-    return tuple(rs.roots[k] for k in _long_base(rs))
-
-
-def _long_base(rs: RootSystem):
-    """The root indices of ``long_root_base``, found on first use."""
+def long_root_base(rs: RootSystem) -> tuple[int, ...]:
+    """The root indices of the indecomposable positive long roots, in index
+    order: the simple system of the long subsystem determined by the
+    ambient positive roots, as ``strip_reflections`` and
+    ``reflection_subgroup_order`` take a base.  Found on first use by
+    scanning ``rs.long_positives``."""
     rs.require_two_lengths()
 
     def compute():
-        longs = rs.long_positive_roots()
-        coeffs = {r.coeffs for r in longs}
-        return tuple(rs.index(r) for r in longs if not any(
-            tuple(a - b for a, b in zip(r.coeffs, s)) in coeffs for s in coeffs))
+        longs = {rs.roots[k].coeffs: k for k in rs.long_positives}
+        return tuple(k for r, k in longs.items() if not any(
+            tuple(a - b for a, b in zip(r, s)) in longs for s in longs))
 
     return rs.memo("long_base", compute)
 
@@ -181,7 +179,7 @@ def decompose_semidirect(rs: RootSystem, w: tuple[int, ...]):
     """Factor w = ws * wl with ws preserving the positive long roots and wl
     a product of long-root reflections: ``strip_reflections`` through the
     long-root base.  The pair is unique."""
-    return strip_reflections(rs, w, _long_base(rs))
+    return strip_reflections(rs, w, long_root_base(rs))
 
 
 def is_in_long_subgroup(rs: RootSystem, w: tuple[int, ...]) -> bool:
@@ -193,7 +191,7 @@ def is_in_long_subgroup(rs: RootSystem, w: tuple[int, ...]) -> bool:
 def long_subgroup(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """Generators of the normal subgroup generated by reflections in long
     roots: the reflections in the long-root base, in its order."""
-    return tuple(_reflection(rs, k)[0] for k in _long_base(rs))
+    return tuple(_reflection(rs, k)[0] for k in long_root_base(rs))
 
 
 def short_parabolic(rs: RootSystem) -> tuple[tuple[int, ...], ...]:

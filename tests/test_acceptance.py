@@ -115,11 +115,10 @@ def test_criterion_3_semidirect_structure_exhaustive():
                 g = simple_reflection(rs, i)
                 gi = g   # a simple reflection is an involution
                 assert compose(g, gi) == identity(rs), name
-                for r in rs.long_positive_roots():
-                    assert compose(compose(g, reflection(rs, r)), gi) in w_l, name
+                for k in rs.long_positives:
+                    assert compose(compose(g, reflection(rs, rs.roots[k])), gi) in w_l, name
             p = rs.num_positive
-            long_pos = [rs.index(r) for r in rs.long_positive_roots()]
-            stable = {w for w in group if all(w[i] < p for i in long_pos)}
+            stable = {w for w in group if all(w[i] < p for i in rs.long_positives)}
             assert stable == set(w_s), name
             pairs = set()
             for w in group:

@@ -732,6 +732,17 @@ def test_descend_is_the_weyl_orbit_by_length(name, lam):
         assert all(shortest[y] == k for k, layer in enumerate(kept) for y in layer)
 
 
+def test_descend_refuses_a_start_off_the_dominant_chamber():
+    # straighten is the unchecked per-point kernel; descend parses its
+    # start, so a non-dominant one is refused, not walked as a one-point
+    # orbit, and a floor of another rank is refused too
+    rs = build("B2")
+    with pytest.raises(ValueError, match="^\\[-1,2\\] is not dominant$"):
+        list(rs.descend((-1, 2)))
+    with pytest.raises(ValueError, match="^weight has the wrong rank$"):
+        list(rs.descend((1, 0), (0, 0, 0)))
+
+
 @pytest.mark.parametrize(
     "name", ["A1", "A5", "B2", "B7", "C3", "C9", "D4", "D7", "E6", "E7", "E8", "F4", "G2"]
 )
@@ -831,7 +842,7 @@ def test_integer_kernel_matches_fraction_oracle(name):
             assert rs.pairing(x, y) == Fraction(2 * v, sq[y])
     weights = [rs.rho, rs.weight_of(rs.theta)] + [fundamental_weight(rs, i) for i in range(rs.rank)]
     for lam in weights:
-        assert rs.root_coords(lam) == oracle_root_coords(rs, lam)
+        assert rs.root_coords(lam) == rs.root_coords(lam.fund) == oracle_root_coords(rs, lam)
         for mu in weights:
             assert rs.inner(lam, mu) == oracle_inner(rs, lam, mu)
             assert type(rs.inner(lam, mu)) is Fraction
@@ -932,6 +943,10 @@ def test_weight_rejects_floats():
         Weight.of([0.1])
     with pytest.raises(TypeError):
         0.5 * Weight.of([1, 2])
+    # the constructor parses nothing: it refuses what Weight.of would convert
+    for fund in [(0.5, 0), (True, 0), (Fraction(2), 0), [1, 0]]:
+        with pytest.raises(TypeError, match="^a Weight holds a tuple of int coordinates, not "):
+            Weight(fund)
 
 
 def test_build_rejects_non_integral_rank():
@@ -1068,6 +1083,7 @@ _F4 = build("F4")
 # default w has the wrong rank
 _WRONG_RANK = {
     "root_coords": lambda rs, w=(1, 0, 0): rs.root_coords(Weight.of(w)),
+    "root_coords-tuple": lambda rs, w=(1, 0, 0): rs.root_coords(w),
     "lattice_coords": lambda rs, w=(1, 0, 0): rs.lattice_coords(w),
     "inner-weight-root": lambda rs, w=(0, 0, 0, 1, 7): rs.inner(Weight.of(w), rs.theta_short),
     "inner-root-weight": lambda rs, w=(0, 0, 0, 1, 7): rs.inner(rs.theta_short, Weight.of(w)),
@@ -1075,6 +1091,7 @@ _WRONG_RANK = {
     "pairing": lambda rs, w=(0, 0, 0, 1, 7): rs.pairing(Weight.of(w), rs.theta_short),
     "dominant_representative": lambda rs, w=(0, 0, 0, -1, 7): dominant_representative(rs, w),
     "dominant_integral": lambda rs, w=(1, 0, 0): rs.dominant_integral(w),
+    "descend": lambda rs, w=(1, 0, 0): list(rs.descend(w)),
     "q_partition-tuple": lambda rs, w=(0, 0, 0, 1, 0): q_partition(rs, w, 3),
     "q_partition-weight": lambda rs, w=(0, 0, 1): q_partition(rs, Weight.of(w), 3),
     "graded_multiplicity-long": lambda rs, w=(0, 0, 0, 1, 0): graded_multiplicity(

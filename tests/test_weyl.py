@@ -155,11 +155,13 @@ def test_coxeter_orbits(name, orbit_count, short_orbits):
 
 def test_long_root_base():
     g2 = build("G2")
-    assert {r.coeffs for r in long_root_base(g2)} == {(0, 1), (3, 1)}
+    assert {g2.roots[k].coeffs for k in long_root_base(g2)} == {(0, 1), (3, 1)}
     b2 = build("B2")
-    assert {r.coeffs for r in long_root_base(b2)} == {(1, 0), (1, 2)}
+    assert {b2.roots[k].coeffs for k in long_root_base(b2)} == {(1, 0), (1, 2)}
     f4 = build("F4")
     assert len(long_root_base(f4)) == 4  # long subsystem has full rank
+    for rs in (g2, b2, f4):
+        assert all(k in rs.long_positives for k in long_root_base(rs))
 
 
 def test_decompose_trivial_cases():
@@ -189,7 +191,7 @@ def test_a_tuple_that_is_not_in_w_is_refused_by_the_long_descent():
     # negative, and a second strip gives the tuple back, so an uncounted
     # descent would never end
     rs = build("C4")
-    b = rs.index(long_root_base(rs)[0])
+    b = long_root_base(rs)[0]
     minus_c = rs.short_positives[0] + rs.num_positive
     stuck = list(identity(rs))
     stuck[b], stuck[minus_c] = minus_c, b
@@ -234,12 +236,11 @@ def test_decompose_exhaustively(name):
     assert len(w_l & w_s) == 1
     pairs = set()
     p = rs.num_positive
-    long_pos = [rs.index(r) for r in rs.long_positive_roots()]
     for w in group:
         ws, wl = decompose_semidirect(rs, w)
         assert compose(ws, wl) == w
         assert ws in w_s and wl in w_l
-        assert all(ws[i] < p for i in long_pos)  # ws keeps long positives positive
+        assert all(ws[i] < p for i in rs.long_positives)  # ws keeps long positives positive
         assert is_in_long_subgroup(rs, w) == (ws == identity(rs))
         pairs.add((ws, wl))
     assert len(pairs) == len(group)
@@ -253,8 +254,8 @@ def test_long_subgroup_is_normal_in_small_groups():
             g = simple_reflection(rs, i)
             gi = g   # a simple reflection is an involution
             assert compose(g, gi) == identity(rs)
-            for r in rs.long_positive_roots():
-                assert compose(compose(g, reflection(rs, r)), gi) in w_l
+            for k in rs.long_positives:
+                assert compose(compose(g, reflection(rs, rs.roots[k])), gi) in w_l
 
 
 def test_stability_characterises_the_short_parabolic():
@@ -262,8 +263,7 @@ def test_stability_characterises_the_short_parabolic():
     group = enumerate_group(rs)
     w_s = closure(rs, short_parabolic(rs))
     p = rs.num_positive
-    long_pos = [rs.index(r) for r in rs.long_positive_roots()]
-    stable = {w for w in group if all(w[i] < p for i in long_pos)}
+    stable = {w for w in group if all(w[i] < p for i in rs.long_positives)}
     assert stable == set(w_s)
 
 
@@ -281,7 +281,6 @@ def test_decompose_sampled_large_rank():
     assert len(w_s) == 2
     rng = random.Random(20120523)
     p = rs.num_positive
-    long_pos = [rs.index(r) for r in rs.long_positive_roots()]
     for _ in range(60):
         w = identity(rs)
         for _ in range(rng.randrange(1, 25)):
@@ -289,7 +288,7 @@ def test_decompose_sampled_large_rank():
         ws, wl = decompose_semidirect(rs, w)
         assert compose(ws, wl) == w
         assert wl in w_l and ws in w_s
-        assert all(ws[i] < p for i in long_pos)
+        assert all(ws[i] < p for i in rs.long_positives)
 
 
 @lru_cache(maxsize=None)
@@ -412,15 +411,26 @@ def test_semidirect_orders_match_the_enumerated_groups(name):
 @pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4"])
 def test_descent_decides_membership_in_each_factor(name):
     rs = build(name)
-    short_base = [rs.simple_root(i) for i in rs.short_simple_indices]
+    short_base = [rs.index(rs.simple_root(i)) for i in rs.short_simple_indices]
     factors = [(short_base, short_parabolic(rs)), (long_root_base(rs), long_subgroup(rs))]
     for base, gens in factors:
         members = closure(rs, gens)
-        ks = [rs.index(b) for b in base]
         for w in enumerate_group(rs):
-            rest, product = strip_reflections(rs, w, ks)
+            rest, product = strip_reflections(rs, w, base)
             assert (rest == identity(rs)) == (w in members)
             assert oracle_compose(rest, product) == w and product in members
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4"])
+def test_the_long_base_is_read_as_it_is_returned(name):
+    # the order and the descent take long_root_base's root indices with no
+    # conversion: the order is the listed group's, and the descent strips
+    # each of its elements down to the identity
+    rs = build(name)
+    base = long_root_base(rs)
+    members = _long_closure(name)
+    assert weyl_module.reflection_subgroup_order(rs, base) == len(members)
+    assert all(strip_reflections(rs, w, base)[0] == identity(rs) for w in members)
 
 
 def test_a_root_and_its_negative_share_one_reflection():
