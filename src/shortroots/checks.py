@@ -221,7 +221,7 @@ def _check_coxeter_power(rs: RootSystem):
 
 def _check_hyperplane_classes(rs: RootSystem):
     classes = red.hyperplane_classes(rs)
-    sub_pos = sum(1 for r in red.simple_reduction(rs).subsystem if r.is_positive)
+    sub_pos = sum(1 for k in red.simple_reduction(rs).subsystem if k < rs.num_positive)
     return "pass", {
         "classes": len(classes.classes),
         "subsystem_positives": sub_pos,

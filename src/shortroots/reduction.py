@@ -2,12 +2,15 @@
 by the short simple roots, its Coxeter data, the transition factor, the
 kernel-hyperplane combinatorics, dimension bookkeeping, the nilpotent
 orbit count read off the reduction's type and the summary rows.  The
-kernel-hyperplane classes are the orbits, up to sign, of the subgroup
-W_l generated by long reflections on the short positive roots, walked
-through W_l's generators ``weyl.long_subgroup``."""
+subsystem is held by root indices, both signs.  The kernel-hyperplane
+classes are the orbits, up to sign, of the subgroup W_l generated by
+long reflections on the short positive roots, walked through W_l's
+generators ``weyl.long_subgroup``; the one-step strings come from one
+pass over the (subsystem root, long root) pairs."""
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from . import weyl
@@ -36,8 +39,7 @@ __all__ = [
 
 
 class SimpleReduction(NamedTuple):
-    short_simple_indices: tuple[int, ...]
-    subsystem: tuple[Root, ...]          # roots supported on the short simples
+    subsystem: tuple[int, ...]   # indices of the roots supported on the short simples
     sub_spec: RootSystemSpec
     sub_coxeter_number: int
     sub_exponents: tuple[int, ...]
@@ -52,7 +54,7 @@ def simple_reduction(rs: RootSystem) -> SimpleReduction:
 def _reduce(rs: RootSystem) -> SimpleReduction:
     pis = rs.short_simple_indices
     pis_set = set(pis)
-    subsystem = tuple(r for r in rs.roots if set(r.support) <= pis_set)
+    subsystem = tuple(k for k, r in enumerate(rs.roots) if set(r.support) <= pis_set)
     try:
         sub = from_cartan([[rs.cartan[i][j] for j in pis] for i in pis])
     except NotFiniteType as exc:
@@ -63,7 +65,6 @@ def _reduce(rs: RootSystem) -> SimpleReduction:
     if rem:
         raise IdentityViolation("the Coxeter number ratio must be an integer")
     return SimpleReduction(
-        short_simple_indices=pis,
         subsystem=subsystem,
         sub_spec=sub.spec,
         sub_coxeter_number=sub.coxeter_number,
@@ -129,12 +130,14 @@ def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
     folds it to k - p.  The positive roots are indexed in (height, coeffs)
     order and each walk starts at the smallest index left, so listing each
     orbit by index, in the order found, sorts the classes and their roots
-    by height."""
-    red = simple_reduction(rs)
+    by height.  Each orbit is checked against the positive subsystem
+    indices as it closes."""
     gens = weyl.long_subgroup(rs)
     p = rs.num_positive
+    sub_pos = {k for k in simple_reduction(rs).subsystem if k < p}
     seen: set[int] = set()
     classes = []
+    reps = []
     for start in rs.short_positives:
         if start in seen:
             continue
@@ -146,17 +149,14 @@ def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
                 if j not in seen:
                     seen.add(j)
                     orbit.append(j)
-        classes.append(tuple(rs.roots[k] for k in sorted(orbit)))
-
-    sub_pos = {r.coeffs for r in red.subsystem if r.is_positive}
-    reps = []
-    for g in classes:
-        inside = [r for r in g if r.coeffs in sub_pos]
+        cls = tuple(rs.roots[k] for k in sorted(orbit))
+        inside = sub_pos.intersection(orbit)
         if len(inside) != 1:
             raise IdentityViolation(
-                f"class {g} holds {len(inside)} subsystem representatives"
+                f"class {cls} holds {len(inside)} subsystem representatives"
             )
-        reps.append(inside[0])
+        classes.append(cls)
+        reps.append(rs.roots[inside.pop()])
     if len(classes) != len(sub_pos):
         raise IdentityViolation("class count disagrees with the subsystem positives")
     return HyperplaneClasses(classes=tuple(classes), representatives=tuple(reps))
@@ -173,24 +173,28 @@ class OneStepEntry(NamedTuple):
 
 
 def one_step_strings(rs: RootSystem) -> dict:
-    """For each short positive root outside the short-simple subsystem, all
-    long roots beta with root - beta inside the subsystem (either sign)."""
-    red = simple_reduction(rs)
-    sub = {r.coeffs: r for r in red.subsystem}
+    """For each short positive root gamma outside the short-simple
+    subsystem, all long roots beta with gamma - beta inside the subsystem
+    (either sign).  One pass over the pairs (beta, mu) of a long root of
+    either sign and a subsystem root keeps mu + beta when it is such a
+    gamma, so each pair is looked up once.  The long roots are walked in
+    (height, coeffs) order, so each entry lists its steps in that order;
+    the entries follow gamma's index."""
+    inside = set(simple_reduction(rs).subsystem)
+    found = {k: [] for k in rs.short_positives if k not in inside}
+    longs = [rs.roots[k] for k in rs.long_positives]
+    longs = sorted(longs + [-beta for beta in longs], key=lambda beta: (beta.height, beta.coeffs))
+    for beta in longs:
+        for m in inside:
+            mu = rs.roots[m]
+            k = rs.root_index.get(tuple(map(operator.add, mu.coeffs, beta.coeffs)))
+            if k in found:
+                found[k].append((beta, mu))
     out = {}
-    for gamma in rs.short_positive_roots():
-        if gamma.coeffs in sub:
-            continue
-        pairs = []
-        for mu in red.subsystem:
-            beta_coeffs = tuple(a - b for a, b in zip(gamma.coeffs, mu.coeffs))
-            k = rs.root_index.get(beta_coeffs)
-            if k is not None and not rs.roots[k].is_short:
-                pairs.append((rs.roots[k], mu))
-        pairs.sort(key=lambda p: (p[0].height, p[0].coeffs))
+    for k, pairs in found.items():
         positive = tuple(b for b, m in pairs if m.is_positive)
         targets = tuple(dict.fromkeys(m if m.is_positive else -m for _, m in pairs))
-        out[gamma] = OneStepEntry(
+        out[rs.roots[k]] = OneStepEntry(
             pairs=tuple(pairs),
             positive_target_steps=positive,
             target_classes=targets,
@@ -214,12 +218,13 @@ def dimension_ledger(rs: RootSystem) -> DimensionLedger:
     dims = little_adjoint_dims(rs)
     k = dims.zero_mult
     module_null = dims.dim - k
-    if module_null != rs.coxeter_number * len(rs.short_simple_indices):
+    shorts = len(rs.short_simple_indices)
+    if module_null != rs.coxeter_number * shorts:
         raise IdentityViolation("module nullcone dimension disagrees with h * #shorts")
-    reduction_dim = len(red.short_simple_indices) + len(red.subsystem)
-    if reduction_dim != (red.sub_coxeter_number + 1) * len(red.short_simple_indices):
+    reduction_dim = shorts + len(red.subsystem)
+    if reduction_dim != (red.sub_coxeter_number + 1) * shorts:
         raise IdentityViolation("reduction dimension disagrees with (h_s+1) * #shorts")
-    reduction_null = reduction_dim - len(red.short_simple_indices)
+    reduction_null = reduction_dim - shorts
     ratio, rem = divmod(module_null, reduction_null)
     if rem or ratio != red.transition_factor:
         raise IdentityViolation("nullcone dimension ratio disagrees with the factor")

@@ -300,6 +300,32 @@ def oracle_inner(rs, x, y):
     return sum(a[i] * d[i] * A[i][j] * b[j] for i in range(n) for j in range(n))
 
 
+def one_step_oracle(rs):
+    """The one-step strings by brute force, as {gamma: [(beta, mu), ...]}:
+    for every short positive root gamma outside the subsystem of roots
+    supported on the short simple roots, and every long root beta of
+    either sign, the pair (beta, gamma - beta) when gamma - beta is a root
+    of that subsystem.  Both gamma and beta run in (height, coeffs)
+    order."""
+    def order(r):
+        return (r.height, r.coeffs)
+
+    shorts = set(rs.short_simple_indices)
+    roots = sorted(rs.roots, key=order)
+    sub = {r.coeffs: r for r in roots
+           if all(i in shorts for i, c in enumerate(r.coeffs) if c)}
+    longs = [r for r in roots if not r.is_short]
+    out = {}
+    for gamma in roots:
+        if gamma.is_short and gamma.height > 0 and gamma.coeffs not in sub:
+            out[gamma] = []
+            for beta in longs:
+                mu = tuple(a - b for a, b in zip(gamma.coeffs, beta.coeffs))
+                if mu in sub:
+                    out[gamma].append((beta, sub[mu]))
+    return out
+
+
 @lru_cache(maxsize=None)
 def oracle_weight_action(rs, w):
     """Matrix of w on fundamental coordinates: A times the root coordinates

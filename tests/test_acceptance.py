@@ -182,8 +182,8 @@ def test_criterion_6_kernel_classes_and_one_step_strings():
             classes = hyperplane_classes(rs)
             assert len(classes.classes) == expected_classes[family](rank), (family, rank)
             red = simple_reduction(rs)
-            sub_pos = {r.coeffs for r in red.subsystem if r.is_positive}
-            assert {r.coeffs for r in classes.representatives} == sub_pos
+            sub_pos = {k for k in red.subsystem if k < rs.num_positive}
+            assert {rs.index(r) for r in classes.representatives} == sub_pos
             strings = one_step_strings(rs)
             for gamma, entry in strings.items():
                 assert entry.pairs, (family, rank, gamma)

@@ -79,7 +79,7 @@ def _transition_factor_one_higher(rs, monkeypatch):
 
 def _theta_short_joins_the_subsystem(rs, monkeypatch):
     _seed_reduction(rs, lambda r: {
-        "subsystem": r.subsystem + (rs.theta_short, -rs.theta_short)})
+        "subsystem": r.subsystem + (rs.index(rs.theta_short), rs.index(-rs.theta_short))})
 
 
 def _two_target_classes_merged(rs, monkeypatch):

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from helpers import closure
+from helpers import closure, one_step_oracle
 
 import shortroots.checks as checks
 import shortroots.reduction as reduction
@@ -45,13 +45,25 @@ def test_simple_reduction(name, sub, h_s, factor):
     assert red.transition_factor * h_s == rs.coxeter_number
 
 
+@pytest.mark.parametrize("name", ["G2", "B3", "C4", "F4", "B6", "C6"])
+def test_subsystem_is_held_by_root_indices(name):
+    rs = build(name)
+    subsystem = simple_reduction(rs).subsystem
+    p = rs.num_positive
+    assert type(subsystem) is tuple and all(type(k) is int for k in subsystem)
+    assert {(k + p) % (2 * p) for k in subsystem} == set(subsystem)
+    shorts = set(rs.short_simple_indices)
+    supported = [k for k, r in enumerate(rs.roots)
+                 if all(i in shorts for i, c in enumerate(r.coeffs) if c)]
+    assert list(subsystem) == supported
+
+
 def test_subsystem_is_a_proper_short_subset():
     for name in ["B3", "C4", "F4", "G2"]:
         rs = build(name)
         red = simple_reduction(rs)
-        shorts = {r.coeffs for r in rs.roots if r.is_short}
-        sub = {r.coeffs for r in red.subsystem}
-        assert sub < shorts
+        shorts = {k for k, r in enumerate(rs.roots) if r.is_short}
+        assert set(red.subsystem) < shorts
 
 
 def test_simple_reduction_rejects_simply_laced():
@@ -90,8 +102,8 @@ def test_hyperplane_class_counts(name, count):
         r.coeffs for r in rs.short_positive_roots()
     )
     red = simple_reduction(rs)
-    sub_pos = {r.coeffs for r in red.subsystem if r.is_positive}
-    assert {r.coeffs for r in classes.representatives} == sub_pos
+    sub_pos = {k for k in red.subsystem if k < rs.num_positive}
+    assert {rs.index(r) for r in classes.representatives} == sub_pos
 
 
 @pytest.mark.parametrize("name", [f"B{n}" for n in range(2, 9)]
@@ -161,14 +173,49 @@ def test_one_step_strings_in_g2():
     assert all(e.sole for e in strings.values())
 
 
-@pytest.mark.parametrize("name", ["B4", "C4", "F4", "G2"])
+@pytest.mark.parametrize("name", ["B4", "C4", "F4", "G2", "B6", "C6", "C8"])
 def test_one_step_strings_nonempty_and_sole(name):
+    # README's convention: the long step is unique for each sign of the target
     strings = one_step_strings(build(name))
     assert strings  # there is always something outside the subsystem
     for entry in strings.values():
         assert entry.pairs
         assert entry.sole
         assert len(entry.positive_target_steps) <= 1
+        assert sum(1 for _, mu in entry.pairs if not mu.is_positive) <= 1
+
+
+@pytest.mark.parametrize("name,nodes",
+                         [(name, None) for name in ["G2", "B3", "C4", "F4", "B6", "C6"]]
+                         + [("C4", (2, 0, 3, 1)), ("F4", (3, 1, 0, 2))])
+def test_one_step_strings_match_the_brute_force(name, nodes):
+    rs = build(name) if nodes is None else RootSystem(build(name).spec, nodes)
+    strings = one_step_strings(rs)
+    oracle = one_step_oracle(rs)
+    assert list(strings) == list(oracle)
+    for gamma, pairs in oracle.items():
+        entry = strings[gamma]
+        assert list(entry.pairs) == pairs
+        assert list(entry.positive_target_steps) == [b for b, mu in pairs if mu.is_positive]
+        targets = list(dict.fromkeys(mu if mu.is_positive else -mu for _, mu in pairs))
+        assert list(entry.target_classes) == targets
+        assert entry.sole == (len(targets) == 1)
+
+
+def test_one_step_strings_look_up_each_subsystem_and_long_pair_once():
+    class CountingIndex(dict):
+        gets = 0
+
+        def get(self, key, default=None):
+            self.gets += 1
+            return super().get(key, default)
+
+    rs = RootSystem(build("C12").spec, build("C12").nodes)
+    simple_reduction(rs)
+    rs.root_index = index = CountingIndex(rs.root_index)
+    one_step_strings(rs)
+    # 132 roots of the A11 subsystem times 24 long roots
+    assert index.gets == 132 * 24 == 3168
 
 
 @pytest.mark.parametrize(
@@ -337,8 +384,8 @@ def _factor_off_by_one(rs):
 
 def _one_subsystem_positive_fewer(rs):
     def change(red):
-        first = next(r for r in red.subsystem if r.is_positive)
-        return red._replace(subsystem=tuple(r for r in red.subsystem if r != first))
+        first = next(k for k in red.subsystem if k < rs.num_positive)
+        return red._replace(subsystem=tuple(k for k in red.subsystem if k != first))
 
     _seed_reduction(rs, change)
 
