@@ -9,11 +9,21 @@ they would break that.  A CLI process ends by ``os._exit`` once its
 stdout and stderr are flushed (``entry``), so no ``atexit`` handler runs
 in it: a coverage run of CLI children needs its own hook.
 
-This module holds the parser, the dispatch and the one emitter.  Each
-subcommand's body is its own module, ``cmd_<name>`` (``cmd_nullcone_char``
-for ``nullcone-char``), imported only once the parser has chosen it; its
-``run(args)`` returns the payload, the text lines and the exit code, and
-``_emit`` writes one or the other.  No module imports this one: under
+This module holds the grammar, its two readers, the dispatch and the
+one emitter.  The grammar is one table, ``_COMMANDS``.  A command line
+spelled out in full (an exact subcommand, exact option names, each value
+as the next token, and the one system where the subcommand takes one)
+is read by ``_plain_args``, which sets what argparse would set.  Every
+other command line (``--help``, an abbreviation such as ``--max-deg``,
+``--opt=value``, ``--``, or a usage error) is read by the argparse parser
+``make_parser`` builds from the same table; argparse writes every help
+text and usage error.  argparse, which loads ``gettext`` and ``locale``,
+is imported only then, so neither importing this module nor running a
+fully spelled command loads it.  Each subcommand's body is its own
+module, ``cmd_<name>`` (``cmd_nullcone_char`` for ``nullcone-char``),
+imported only once the command line is read; its ``run(args)`` returns
+the payload, the text lines and the exit code, and ``_emit`` writes one
+or the other.  No module imports this one: under
 ``python -m shortroots.cli`` it is ``__main__``, and an import of
 ``shortroots.cli`` would compile it a second time.
 
@@ -31,13 +41,12 @@ and a full ``verify`` loads everything.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import importlib
 import io
 import json
 import os
 import sys
+import types
 
 from .errors import IdentityViolation, SizeLimitExceeded
 
@@ -68,38 +77,84 @@ def _emit(payload: dict, as_json: bool, text_lines) -> None:
             print(line)
 
 
-def make_parser() -> argparse.ArgumentParser:
+# The grammar, stated once: each subcommand's help, the keyword arguments
+# of its positional ``system`` (None where it takes none) and its options
+# with their argparse keyword arguments, in the order of the help.  Every
+# option names its default, which ``_plain_args`` sets as argparse does.
+_JSON = {"action": "store_true", "default": False}
+_COMMANDS = {
+    "info": ("constants of one system", {"help": "type and rank, e.g. C4 or G2"},
+             {"--json": _JSON}),
+    "verify": ("run the verification catalog", {}, {
+        "--check": {"action": "append", "default": None, "metavar": "ID",
+                    "help": "restrict to one check id (repeatable)"},
+        "--json": _JSON,
+        "--timings": {"action": "store_true", "default": False,
+                      "help": "include wall time (breaks byte-determinism)"},
+    }),
+    "table1": ("summary table of the four families", None, {"--json": _JSON}),
+    "antichains": ("antichain counts for one system", {}, {"--json": _JSON}),
+    "nullcone-char": ("graded nullcone character", {},
+                      {"--max-degree": {"type": int, "default": 8}, "--json": _JSON}),
+}
+
+
+def make_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="shortroots",
         description="exact root system combinatorics and verification suites",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_info = sub.add_parser("info", help="constants of one system")
-    p_info.add_argument("system", help="type and rank, e.g. C4 or G2")
-    p_info.add_argument("--json", action="store_true")
-
-    p_verify = sub.add_parser("verify", help="run the verification catalog")
-    p_verify.add_argument("system")
-    p_verify.add_argument("--check", action="append", metavar="ID",
-                          help="restrict to one check id (repeatable)")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--timings", action="store_true",
-                          help="include wall time (breaks byte-determinism)")
-
-    p_table = sub.add_parser("table1", help="summary table of the four families")
-    p_table.add_argument("--json", action="store_true")
-
-    p_anti = sub.add_parser("antichains", help="antichain counts for one system")
-    p_anti.add_argument("system")
-    p_anti.add_argument("--json", action="store_true")
-
-    p_null = sub.add_parser("nullcone-char", help="graded nullcone character")
-    p_null.add_argument("system")
-    p_null.add_argument("--max-degree", type=int, default=8)
-    p_null.add_argument("--json", action="store_true")
-
+    for name, (help_text, system, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if system is not None:
+            command.add_argument("system", **system)
+        for option, kwargs in options.items():
+            command.add_argument(option, **kwargs)
     return parser
+
+
+def _plain_args(argv):
+    """The namespace argparse reads from argv, when argv is spelled out in
+    full: an exact subcommand, exact option names, a value after each
+    valued option that does not start with "-" (and that int() reads, for
+    --max-degree), and its one system if it takes one.  Any other argv
+    (help, --, --opt=value, an abbreviation, a negative number, a usage
+    error) gives None, and argparse reads it."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, system, options = _COMMANDS[argv[0]]
+    values = {option: kwargs["default"] for option, kwargs in options.items()}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        kwargs = options.get(token)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            values[token] = True
+            continue
+        value = next(tokens, "-")   # a missing value reads as an option
+        if value.startswith("-"):
+            return None
+        if kwargs.get("action") == "append":
+            values[token] = (values[token] or []) + [value]
+            continue
+        try:
+            values[token] = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+    if len(positionals) != (system is not None):
+        return None
+    args = {option[2:].replace("-", "_"): value for option, value in values.items()}
+    if positionals:
+        args["system"] = positionals[0]
+    return types.SimpleNamespace(command=argv[0], **args)
 
 
 def main(argv=None) -> int:
@@ -117,14 +172,20 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    help_text = io.StringIO()   # argparse drops a write of the help that fails
-    try:
-        with contextlib.redirect_stdout(help_text):
-            args = make_parser().parse_args(argv)
-    except SystemExit as exc:   # --help, or a usage error already on stderr
-        if text := help_text.getvalue():   # an empty write fails too on a full device
-            sys.stdout.write(text)
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        import contextlib
+
+        help_text = io.StringIO()   # argparse drops a write of the help that fails
+        try:
+            with contextlib.redirect_stdout(help_text):
+                args = make_parser().parse_args(argv)
+        except SystemExit as exc:   # --help, or a usage error already on stderr
+            if text := help_text.getvalue():   # an empty write fails too on a full device
+                sys.stdout.write(text)
+            return int(exc.code or 0)
     # the body of subcommand "nullcone-char" is module cmd_nullcone_char
     command = importlib.import_module(f".cmd_{args.command.replace('-', '_')}", __package__)
     try:

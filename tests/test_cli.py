@@ -4,6 +4,7 @@ doc/catalog coverage contract."""
 import ast
 import json
 import os
+import random
 import re
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import shortroots.checks as checks
 import shortroots.gradedchar as gc
 import shortroots.qtables as qtables
 from shortroots import DimensionLedger, Limits, build, dimension_ledger
-from shortroots.cli import jsonable, main
+from shortroots.cli import _COMMANDS, _plain_args, jsonable, main, make_parser
 
 
 def run(capsys, *argv):
@@ -188,6 +189,9 @@ def test_a_full_device_ends_the_cli_with_exit_code_2(unbuffered):
 @pytest.mark.parametrize("argv", [
     "info C4", "verify G2 --check coxeter-orbits --json", "table1", "antichains C5 --json",
     "nullcone-char G2 --max-degree 4", "--help", "verify", "info C1_0",
+    # spellings only argparse reads
+    "nullcone-char G2 --max-deg 3", "nullcone-char G2 --max-degree=3 --json", "table1 extra",
+    "verify G2 -h", "info -- C4",
 ])
 def test_a_cold_cli_child_writes_what_main_writes_in_process(capsys, monkeypatch, argv):
     # the child ends by os._exit: with its stdout buffered into a pipe, any
@@ -196,6 +200,66 @@ def test_a_cold_cli_child_writes_what_main_writes_in_process(capsys, monkeypatch
     monkeypatch.setenv("COLUMNS", "80")
     child = python_child("-m", "shortroots.cli", *argv.split(), env={"PYTHONUNBUFFERED": ""})
     assert (child.returncode, child.stdout, child.stderr) == run(capsys, *argv.split())
+
+
+# tokens whose reading argparse decides: help, the end of options, an
+# attached value, an abbreviation, a negative number, values int() reads
+# loosely, a dash with a space, and a subcommand name as the system
+_EDGE_TOKENS = ["-h", "--", "--max-degree=3", "--max-deg", "--check=x", "-1", "", " 7", "08",
+                "1_0", "-x y", "-x", "y", "info", "verify"]
+
+
+def test_the_plain_reader_agrees_with_argparse():
+    # argparse is the reference: the plain reader either declines an argv
+    # or returns exactly the attributes argparse sets, defaults included
+    options = sorted({option for _, _, opts in _COMMANDS.values() for option in opts})
+    tokens = list(_COMMANDS) + options + ["G2", "C4", "F4", "x", "3", "12", "0"] + _EDGE_TOKENS
+    parser = make_parser()
+    rng = random.Random(46)
+    plain = 0
+    for _ in range(12000):
+        argv = [rng.choice(list(_COMMANDS)) if rng.random() < 0.9 else rng.choice(tokens)]
+        argv += rng.choices(tokens, k=rng.randrange(5))
+        args = _plain_args(argv)
+        if args is not None:
+            plain += 1
+            assert vars(args) == vars(parser.parse_args(argv)), argv
+    assert plain > 500
+    assert vars(_plain_args(["verify", "info", "--check", "", "--check", " 7"])) == {
+        "command": "verify", "system": "info", "check": ["", " 7"], "json": False,
+        "timings": False}
+    assert vars(_plain_args(["nullcone-char", "--max-degree", "1_0", "08"])) == {
+        "command": "nullcone-char", "system": "08", "max_degree": 10, "json": False}
+    assert vars(_plain_args(["verify", "G2"])) == {
+        "command": "verify", "system": "G2", "check": None, "json": False, "timings": False}
+    for argv in ["nullcone-char G2 --max-degree=3", "nullcone-char G2 --max-deg 3",
+                 "nullcone-char G2 --max-degree -1", "nullcone-char G2 --max-degree x",
+                 "nullcone-char G2 --max-degree", "verify G2 --check=x", "verify G2 -h",
+                 "info -- C4", "info C4 --json --", "table1 extra", "info", "info C4 C5", ""]:
+        assert _plain_args(argv.split()) is None, argv
+
+
+_ARGPARSE_MODULES = """
+import contextlib, io, sys
+import shortroots.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = shortroots.cli.main(sys.argv[1:])
+print(code, *[m for m in ("argparse", "gettext", "locale") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("argv", ["nullcone-char G2 --max-degree 4 --json",
+                                  "verify G2 --check root-counts --check table-row", "--help"])
+def test_only_argparse_spellings_load_argparse(argv):
+    # argparse, with the gettext and locale it loads, costs every cold child
+    # a few milliseconds of start-up
+    child = python_child("-c", _ARGPARSE_MODULES, *argv.split())
+    code, *loaded = child.stdout.split()
+    assert (child.returncode, child.stderr, code) == (0, "", "0")
+    if argv == "--help":
+        assert loaded[0] == "argparse"
+    else:
+        assert loaded == []
 
 
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from shortroots.cli import _plain_args
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
@@ -34,6 +36,11 @@ OPS = [argv for spec in workloads.WORKLOADS.values() for argv in spec["ops"]]
 def test_every_operation_has_a_golden():
     assert len(OPS) == 21
     assert sorted(workloads.op_id(argv) for argv in OPS) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_every_operation_is_read_without_argparse(json_flag):
+    assert [argv for argv in OPS if _plain_args(argv + json_flag) is None] == []
 
 
 @pytest.mark.parametrize("argv", OPS, ids=workloads.op_id)
