@@ -7,8 +7,8 @@ straightening loop over the tables gives the whole graded character: it
 walks the deepest table's keys, then the few keys of shallower ones that
 it lacks, gathered once, straightens each point off the walls once,
 however many degrees hold it, by ``RootSystem.straighten``, and adds each
-degree's counts into the rows of their keys' dominant conjugates and
-signs; ``QPoly`` arithmetic folds the signed rows into multiplicities.
+degree's counts, times their keys' signs, into one row per dominant
+conjugate; each row becomes one ``QPoly`` multiplicity.
 Kostant's alternating sum, walked over a Weyl orbit by
 ``RootSystem.descend`` with no group element built, gives single graded
 multiplicities as a second, independent route.
@@ -239,45 +239,44 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     degrees hold it: a point v + rho with a 0 coordinate lies on a wall,
     so it is singular and adds nothing, and every other one goes to
     ``RootSystem.straighten``.  ``owners`` maps the key of each regular
-    point to the row of its dominant conjugate and sign.  Each entry of
-    each degree's table is then added into the row that owns its key, if
-    any, so the sums cost one lookup per table entry, however the keys
-    fall into rows.  The signed rows of each dominant conjugate
-    lambda + rho are summed as ``QPoly`` values into the graded
-    multiplicity of lambda, and weights whose sums cancel to zero are
-    omitted.  No Weyl group is enumerated; the work is capped by the DP
-    tables.  ``work`` records the DP updates and the distinct dominant
-    weights reached (before cancellation)."""
+    point to the row of its dominant conjugate and its sign.  Each entry
+    of each degree's table then adds sign * count into the row that owns
+    its key, if any, so the sums cost one lookup per table entry, however
+    the keys fall into rows.  So each dominant conjugate lambda + rho has
+    one signed row, which becomes the graded multiplicity of lambda as one
+    ``QPoly``, and weights whose rows cancel to zero are omitted.  No
+    Weyl group is enumerated; the work is capped by the DP tables.
+    ``work`` records the DP updates and the distinct dominant weights
+    reached (before cancellation)."""
     rs.require_two_lengths()
     _require_degree(max_degree)
     qt = _dp_build(rs, max_degree)
     levels = qt.levels
     top = levels[-1]
     rest = dict.fromkeys(key for level in levels[:-1] for key in level if key not in top)
-    # (dominant conjugate of v + rho, sign) -> counts of its keys
+    # dominant conjugate of v + rho -> signed counts of its keys, by degree
     rows = defaultdict(lambda: [0] * (max_degree + 1))
-    owners: dict = {}   # key of a regular v -> its row
+    owners: dict = {}   # key of a regular v -> (its dominant conjugate's row, its sign)
     straighten = rs.straighten
     for key, shifted in qt.points(chain(top, rest)):
         if 0 not in shifted:   # else on a wall, so singular
-            hit = straighten(shifted)
-            if hit[1]:
-                owners[key] = rows[hit]
+            dom, sign = straighten(shifted)
+            if sign:
+                owners[key] = rows[dom], sign
     get = owners.get
     for k, level in enumerate(levels):
         for key, count in level.items():
-            row = get(key)
-            if row is not None:
-                row[k] += count
-    signed: dict = {}   # dominant conjugate of v + rho -> its graded multiplicity
-    for (dom, sign), row in rows.items():
-        poly = QPoly({k: sign * count for k, count in enumerate(row)}, max_degree)
-        signed[dom] = signed[dom] + poly if dom in signed else poly
-    entries = {tuple([a - 1 for a in dom]): poly
-               for dom, poly in sorted(signed.items()) if not poly.is_zero}
+            owner = get(key)
+            if owner is not None:
+                owner[0][k] += owner[1] * count
+    entries = {}
+    for dom, row in sorted(rows.items()):
+        poly = QPoly(dict(enumerate(row)), max_degree)
+        if not poly.is_zero:
+            entries[tuple([a - 1 for a in dom])] = poly
     if entries.get((0,) * rs.rank) != QPoly.one(max_degree):
         raise IdentityViolation("the trivial entry of the nullcone character must be 1")
-    work = {"dp_updates": qt.updates, "dominant_points": len(signed)}
+    work = {"dp_updates": qt.updates, "dominant_points": len(rows)}
     return GradedCharacter(rs, entries, max_degree, work)
 
 

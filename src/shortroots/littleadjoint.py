@@ -35,11 +35,11 @@ __all__ = [
 class WeightSystem:
     """All weights of a simple module with their multiplicities: entries
     maps the int tuple of a weight's fundamental coordinates to its
-    multiplicity."""
+    multiplicity.  The highest weight is the caller's: ``freudenthal``
+    takes it, and the system keeps only what the recursion found."""
 
-    def __init__(self, rs: RootSystem, highest: tuple[int, ...], entries: dict):
+    def __init__(self, rs: RootSystem, entries: dict):
         self.rs = rs
-        self.highest = Weight(highest)
         self.entries = entries
 
     def multiplicity(self, weight) -> int:
@@ -112,7 +112,7 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
             raise IdentityViolation("Freudenthal recursion produced a non-multiplicity")
         mults[mu] = q
     entries = {nu: m for mu, m in mults.items() for layer in rs.descend(mu) for nu in layer}
-    return WeightSystem(rs, lam, entries)
+    return WeightSystem(rs, entries)
 
 
 class LittleAdjointDims(NamedTuple):

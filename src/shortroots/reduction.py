@@ -13,10 +13,10 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
+from . import littleadjoint as la
 from . import weyl
 from .cartan import Root, RootSystemSpec
 from .errors import IdentityViolation, NotFiniteType
-from .littleadjoint import little_adjoint_dims
 from .rootsystem import RootSystem, from_cartan
 
 __all__ = [
@@ -215,7 +215,7 @@ def dimension_ledger(rs: RootSystem) -> DimensionLedger:
     """The four dimensions tied together by the transition factor, each from
     an independent count."""
     red = simple_reduction(rs)
-    dims = little_adjoint_dims(rs)
+    dims = la.little_adjoint_dims(rs)
     k = dims.zero_mult
     module_null = dims.dim - k
     shorts = len(rs.short_simple_indices)
@@ -279,7 +279,7 @@ class SummaryRow(NamedTuple):
 
 def summary_row(rs: RootSystem) -> SummaryRow:
     red = simple_reduction(rs)
-    dims = little_adjoint_dims(rs)
+    dims = la.little_adjoint_dims(rs)
     return SummaryRow(
         system=str(rs.spec),
         module_dim=dims.dim,

@@ -8,7 +8,8 @@ W acts on the roots only; weights are moved by simple reflections on
 their coordinates (``RootSystem.straighten`` up to the dominant chamber,
 ``RootSystem.descend`` down a whole orbit), with no element built.
 No group is listed element by element: the order of a reflection
-subgroup is read off the Cartan types its base names.  Each reflection
+subgroup is read off the Cartan types its base names, and ``classify``
+runs only for that.  Each reflection
 is built here on first use, from the one row of inner products of the
 positive roots with its root; it sends -r to -s(r), so the images of
 the negative roots mirror those of the positive ones.  It is kept on its
@@ -27,8 +28,8 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
+from . import classify
 from .cartan import Root, _node_order
-from .classify import classify_cartan
 from .errors import IdentityViolation
 from .rootsystem import RootSystem, build
 
@@ -209,4 +210,4 @@ def reflection_subgroup_order(rs: RootSystem, base) -> int:
     element listed."""
     roots = [rs.roots[k] for k in base]
     pairings = [[rs.pairing(a, b) for a in roots] for b in roots]
-    return math.prod(build(spec).weyl_order for spec in classify_cartan(pairings))
+    return math.prod(build(spec).weyl_order for spec in classify.classify_cartan(pairings))

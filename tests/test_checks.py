@@ -39,9 +39,8 @@ def _subgroup_orders_doubled(rs, monkeypatch):
 
 
 def _zero_weight_once_more(rs, monkeypatch):
-    for module in (la, red):   # reduction holds its own reference
-        _wrap(monkeypatch, module, "little_adjoint_dims",
-              lambda rs, dims: dims._replace(zero_mult=dims.zero_mult + 1))
+    _wrap(monkeypatch, la, "little_adjoint_dims",
+          lambda rs, dims: dims._replace(zero_mult=dims.zero_mult + 1))
 
 
 def _first_positive_pairing_negated(rs, monkeypatch):

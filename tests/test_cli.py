@@ -652,9 +652,13 @@ _RUNS = {
     "table1": "cartan classify cmd_table1 errors littleadjoint reduction rootsystem",
     "verify G2": ("antichains cartan checks classify cmd_verify config errors gradedchar"
                   " littleadjoint qtables reduction rootsystem weyl"),
+    "verify E8": ("antichains cartan checks cmd_verify config errors gradedchar littleadjoint"
+                  " qtables reduction rootsystem weyl"),
 }
-# the classifier is reached only through from_cartan and the adjugate
-_WITHOUT_CLASSIFIER = ("", "info A30", "antichains C8", "nullcone-char G2 --max-degree 4")
+# the classifier is reached only through from_cartan, the adjugate and the
+# order of a reflection subgroup, none of which a single-length verify runs
+_WITHOUT_CLASSIFIER = ("", "info A30", "antichains C8", "nullcone-char G2 --max-degree 4",
+                       "verify E8")
 
 
 @pytest.mark.parametrize("command", list(_RUNS), ids=lambda c: c or "import")
