@@ -12,6 +12,7 @@ The README catalog describes each id; a test keeps the two in sync.
 
 from __future__ import annotations
 
+import math
 import random
 
 from . import antichains as ac
@@ -59,6 +60,11 @@ def _coxeter_sample(rs: RootSystem):
     return rs.memo("coxeter_sample", compute)
 
 
+def _short_base(rs: RootSystem):
+    """The root indices of the short simple roots: the base of W_s."""
+    return [rs.index(rs.simple_root(i)) for i in rs.short_simple_indices]
+
+
 def _fail(details, **values):
     details.update(values)
     return "fail", details
@@ -85,7 +91,7 @@ def _check_root_counts(rs: RootSystem):
 
 def _check_semidirect(rs: RootSystem):
     # each base by its root indices, for the orders and the descents
-    short_ks = [rs.index(rs.simple_root(i)) for i in rs.short_simple_indices]
+    short_ks = _short_base(rs)
     long_ks = weyl.long_root_base(rs)
     short_gens = weyl.short_parabolic(rs)
     long_gens = weyl.long_subgroup(rs)
@@ -207,15 +213,31 @@ def _check_coxeter_orbits(rs: RootSystem):
 
 def _check_coxeter_power(rs: RootSystem):
     reduction = red.simple_reduction(rs)
+    h_s = reduction.sub_coxeter_number
     tested, sample = _coxeter_sample(rs)
     details = {
         "orderings_tested": tested,
-        "sub_coxeter_number": reduction.sub_coxeter_number,
+        "sub_coxeter_number": h_s,
         "transition_factor": reduction.transition_factor,
     }
+    shorts = set(rs.short_simple_indices)
     for c, ordering in sample:
         if not red.check_coxeter_power(rs, c):
             return _fail(details, ordering=list(ordering))
+        # second route: c's short factor is its image in W/W_l = W_s, which
+        # kills the long simple reflections, so it is the Coxeter element of
+        # W_s in c's ordering and has order exactly h_s, the lcm of its cycles
+        ws = weyl.decompose_semidirect(rs, c)[0]
+        short_c = weyl.identity(rs)
+        for i in ordering:
+            if i in shorts:
+                short_c = weyl.compose(short_c, weyl.simple_reflection(rs, i))
+        order = math.lcm(*map(len, weyl.coxeter_orbits(rs, ws)))
+        if order != h_s or ws != short_c:
+            return _fail(details, ordering=list(ordering), image_order=order,
+                         image_is_short_coxeter=ws == short_c)
+    details["image_order"] = h_s
+    details["image_is_short_coxeter"] = True
     return "pass", details
 
 
@@ -300,9 +322,20 @@ def _check_nullcone_hilbert(rs: RootSystem):
     walked = {w: gc.graded_multiplicity(rs, w, zero, degree) for w in report.character.entries}
     details["trivial_multiplicity_is_one"] = walked[zero] == gc.QPoly.one(degree)
     details["alternating_sum_agrees"] = walked == report.character.entries
+    # the degrees whole, past the truncation: a reflection group's degrees
+    # multiply to its order, and their exponents sum to its reflections
+    # (Humphreys, Reflection Groups and Coxeter Groups, 3.9), which are
+    # the kernel classes, one per positive root of the subsystem
+    degrees = gc.invariant_degrees(rs)
+    details["invariant_degrees"] = list(degrees)
+    details["degree_product_is_short_order"] = (
+        math.prod(degrees) == weyl.reflection_subgroup_order(rs, _short_base(rs)))
+    details["degree_sum_is_class_count"] = (
+        sum(degrees) - len(degrees) == len(red.hyperplane_classes(rs).classes))
     # a character of k[N] has multiplicities, so no negative coefficient
     ok = (report.ok and not details["negative_coefficients"]
-          and details["trivial_multiplicity_is_one"] and details["alternating_sum_agrees"])
+          and details["trivial_multiplicity_is_one"] and details["alternating_sum_agrees"]
+          and details["degree_product_is_short_order"] and details["degree_sum_is_class_count"])
     return ("pass" if ok else "fail"), details
 
 

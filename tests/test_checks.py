@@ -4,6 +4,7 @@ The doctors differ from those of the per-module tests, so each one is a
 further wrong input that its check catches."""
 
 import json
+import random
 
 import pytest
 
@@ -72,6 +73,11 @@ def _sub_coxeter_number_one_lower(rs, monkeypatch):
     _seed_reduction(rs, lambda r: {"sub_coxeter_number": r.sub_coxeter_number - 1})
 
 
+def _sub_coxeter_number_doubled(rs, monkeypatch):
+    # c^(2 h_s) still lies in W_l, so only the image order sees it
+    _seed_reduction(rs, lambda r: {"sub_coxeter_number": 2 * r.sub_coxeter_number})
+
+
 def _transition_factor_one_higher(rs, monkeypatch):
     _seed_reduction(rs, lambda r: {"transition_factor": r.transition_factor + 1})
 
@@ -134,6 +140,8 @@ DOCTORS = {
         "coxeter-orbits", _coxeter_element_squared, "orbit_sizes", [4] * 8),
     "sub Coxeter number one lower": (
         "coxeter-power", _sub_coxeter_number_one_lower, "sub_coxeter_number", 3),
+    "sub Coxeter number doubled": (
+        "coxeter-power", _sub_coxeter_number_doubled, "image_order", 4),
     "transition factor one higher": (
         "transition-gap", _transition_factor_one_higher, "violation",
         "transition identities disagree: "
@@ -176,3 +184,60 @@ def test_a_doctored_input_fails_its_check(doctor, monkeypatch):
 def test_every_check_id_has_a_doctored_input():
     # a new check id comes with a doctor that makes it fail
     assert {check_id for check_id, *_ in DOCTORS.values()} == set(CHECK_IDS)
+
+
+@pytest.mark.parametrize("name,degrees", [("C5", (2, 3, 4, 8)), ("C6", (2, 3, 4, 5, 9))])
+def test_wrong_invariant_degrees_fail_past_the_truncation(name, degrees, monkeypatch):
+    # the series stops at degree 4 on these ranks, so it cannot see a wrong
+    # top degree; the degrees' product and exponent sum do
+    assert run_check("nullcone-hilbert", build(name))[0] == "pass"
+    rs = RootSystem(build(name).spec, build(name).nodes)
+    monkeypatch.setattr(gc, "invariant_degrees", lambda rs: degrees)
+    status, details = run_check("nullcone-hilbert", rs)
+    assert status == "fail"
+    assert details["first_mismatch"] is None
+    assert details["invariant_degrees"] == list(degrees)
+    assert details["degree_product_is_short_order"] is False
+    assert details["degree_sum_is_class_count"] is False
+
+
+def _in_bourbaki_numbering(rs, check_id, details):
+    """details with each root coefficient list read back in Bourbaki's
+    numbering (Bourbaki's node k is node rs.nodes[k]); a list of roots is
+    sorted, since its order follows the root index, which ties roots of
+    one height by their coefficients in the system's own numbering."""
+    def back(coeffs):
+        return [coeffs[node] for node in rs.nodes]
+
+    out = dict(details)
+    for key in set(_COORDINATE_KEYS.get(check_id, ())) & set(details):
+        value = details[key]
+        out[key] = back(value) if key == "theta_short_coeffs" else sorted(map(back, value))
+    return out
+
+
+# check id -> its detail keys that hold root coefficients
+_COORDINATE_KEYS = {
+    "hyperplane-classes": ("representatives",),
+    "table-row": ("theta_short_coeffs",),
+    "one-step-strings": ("empty", "multiple_target_classes"),
+}
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C4", "F4", "B6", "C6", "E8"])
+def test_every_check_reads_the_same_on_a_relabelled_system(name):
+    # no check leans on Bourbaki's numbering: on a system built with its
+    # nodes in another order, every result equals the Bourbaki build's once
+    # its root coefficients are read back in Bourbaki's numbering
+    bourbaki = build(name)
+    expected = {cid: (status, _in_bourbaki_numbering(bourbaki, cid, details))
+                for cid in CHECK_IDS for status, details in [run_check(cid, bourbaki)]}
+    rng = random.Random(47)
+    for _ in range(6):
+        nodes = list(range(bourbaki.rank))
+        rng.shuffle(nodes)
+        rs = RootSystem(bourbaki.spec, tuple(nodes))
+        for cid in CHECK_IDS:
+            status, details = run_check(cid, rs)
+            assert (status, _in_bourbaki_numbering(rs, cid, details)) == expected[cid], (
+                cid, nodes)
