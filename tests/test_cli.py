@@ -603,6 +603,19 @@ def test_no_module_imports_the_cli():
     assert importing == []
 
 
+def test_engines_reach_each_other_through_module_objects():
+    # a module-level `from .weyl import x` would run weyl's body at import
+    # and hold a second binding of x, which a test replacing weyl.x would
+    # miss (config's current_limits is bound per module and replaced so)
+    src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
+    engines = {"antichains", "checks", "classify", "gradedchar", "littleadjoint", "reduction",
+               "weyl"}
+    binding = [(p.name, node.module) for p in sorted(src.glob("*.py"))
+               for node in ast.parse(p.read_text()).body   # what runs at import
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in engines]
+    assert binding == []
+
+
 def test_cli_start_up_does_not_load_dataclasses():
     child = python_child("-c", "import shortroots.cli, sys; print('dataclasses' in sys.modules)")
     assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
