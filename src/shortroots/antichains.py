@@ -8,8 +8,8 @@ agree with that count.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import mul
-from typing import NamedTuple
 
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
@@ -111,10 +111,13 @@ def count_antichains_formula_alt(rs: RootSystem) -> int:
     return _exponent_product(2 * len(rs.short_positives) // rs.rank, rs.exponents)
 
 
-class AntichainReport(NamedTuple):
-    brute_force_count: int
-    formula_count: int
-    alt_formula_count: int | None
+class AntichainReport(namedtuple("AntichainReport",
+                                 "brute_force_count formula_count alt_formula_count")):
+    """The antichain count of the short-root poset by the counting pass and
+    by the product formula (ints), and by the alternative formula (an int
+    on length ratio 2, None otherwise)."""
+
+    __slots__ = ()
 
     @property
     def consistent(self) -> bool:

@@ -143,7 +143,7 @@ class Root(_Value):
         return tuple(i for i, c in enumerate(self.coeffs) if c)
 
     def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs), self.length_class)
+        return Root(tuple(map(operator.neg, self.coeffs)), self.length_class)
 
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.coeffs) + ")"
@@ -299,4 +299,4 @@ def _symmetrizers(A) -> tuple[int, ...]:
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))

@@ -13,7 +13,6 @@ The README catalog describes each id; a test keeps the two in sync.
 from __future__ import annotations
 
 import math
-import random
 
 from . import antichains as ac
 from . import gradedchar as gc
@@ -30,12 +29,15 @@ _ORDER_SEED = 20120523
 
 
 def _orderings(rs: RootSystem):
-    """All simple-root orderings for rank <= 4, a fixed-seed sample above."""
-    import itertools
-
+    """All simple-root orderings for rank <= 4, a fixed-seed sample above;
+    each module is imported by the branch that needs it."""
     n = rs.rank
     if n <= 4:
+        import itertools
+
         return list(itertools.permutations(range(n)))
+    import random
+
     rng = random.Random(_ORDER_SEED)
     out = []
     for _ in range(_ORDER_SAMPLE):

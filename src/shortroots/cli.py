@@ -23,12 +23,16 @@ fully spelled command loads it.  Each subcommand's body is its own
 module, ``cmd_<name>`` (``cmd_nullcone_char`` for ``nullcone-char``),
 imported only once the command line is read; its ``run(args)`` returns
 the payload, the text lines and the exit code, and ``_emit`` writes one
-or the other.  No module imports this one: under
+or the other.  JSON is written by the package's writer ``jsonout``,
+imported only by ``--json`` and by ``verify``'s text line of a failed
+check: it gives what ``json.dumps`` gives, and ``json`` would load ``re``
+and ``enum`` into every child.  No module imports this one: under
 ``python -m shortroots.cli`` it is ``__main__``, and an import of
 ``shortroots.cli`` would compile it a second time.
 
 Importing this module loads only ``rootsystem``, ``cartan`` and ``errors``;
-the classifier ``classify`` is not among them.  The engines are lazy
+the classifier ``classify`` is not among them, and of the standard
+library neither ``json``, ``typing``, ``re`` nor ``enum``.  The engines are lazy
 modules of the package, reached through their module objects
 (``gc.hilbert_check``), so each subcommand compiles and runs only the
 modules it calls: ``antichains`` adds ``cmd_antichains``, ``antichains``
@@ -43,7 +47,6 @@ from __future__ import annotations
 
 import importlib
 import io
-import json
 import os
 import sys
 import types
@@ -70,8 +73,10 @@ def jsonable(value):
 
 def _emit(payload: dict, as_json: bool, text_lines) -> None:
     if as_json:
+        from .jsonout import dumps
+
         payload = {"schemaVersion": SCHEMA_VERSION, **payload}
-        print(json.dumps(jsonable(payload), indent=2, sort_keys=True))
+        print(dumps(jsonable(payload), indent=2))
     else:
         for line in text_lines:
             print(line)

@@ -3,7 +3,6 @@ checks, on one system."""
 
 from __future__ import annotations
 
-import json
 import time
 
 from . import checks
@@ -36,7 +35,9 @@ def run(args):
         if r["status"] == "skipped":
             extra = "  (" + r["details"].get("reason", "") + ")"
         elif r["status"] == "fail":
-            extra = "  " + json.dumps(r["details"], sort_keys=True)   # details are JSON values
+            from .jsonout import dumps
+
+            extra = "  " + dumps(r["details"])   # details are JSON values
         if args.timings:
             extra += f"  {r['elapsed_seconds']:.3f}s"
         lines.append(f"{mark} {r['id']}{extra}")

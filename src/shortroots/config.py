@@ -7,17 +7,23 @@ counting pass holds).  No Weyl group is listed element by element, so
 none is capped.  Each engine reads its own cap from
 ``current_limits()`` where the work happens; no call site passes one.
 The caps are fixed: nothing outside the program sets them, and tests
-substitute them by replacing an engine's ``current_limits``.
+substitute them by replacing an engine's ``current_limits``.  ``Limits``
+is a ``collections.namedtuple``, as every result record is, so that no
+module loads ``typing``.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 __all__ = ["Limits", "current_limits"]
 
 
-class Limits(NamedTuple):
-    max_character_work: int = 300_000  # DP updates per table build, orbit points per walk
-    max_antichain_work: int = 500_000  # states the antichain counting pass holds
+class Limits(namedtuple("Limits", "max_character_work max_antichain_work",
+                        defaults=(300_000, 500_000))):
+    """The caps, ints: ``max_character_work`` the DP updates per table
+    build and the orbit points per walk (300 000), ``max_antichain_work``
+    the states the antichain counting pass holds (500 000)."""
+
+    __slots__ = ()
 
 
 def current_limits() -> Limits:

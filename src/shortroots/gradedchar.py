@@ -30,10 +30,9 @@ polynomial.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from itertools import chain
 from operator import sub
-from typing import NamedTuple
 
 from .cartan import Weight
 from .config import current_limits
@@ -280,12 +279,16 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     return GradedCharacter(rs, entries, max_degree, work)
 
 
-class HilbertReport(NamedTuple):
-    ok: bool
-    dimension_series: QPoly      # sum over entries of dim * multiplicity
-    expected_series: QPoly       # complete intersection Hilbert series
-    first_mismatch: int | None
-    character: GradedCharacter
+class HilbertReport(namedtuple("HilbertReport", "ok dimension_series expected_series"
+                               " first_mismatch character")):
+    """A nullcone character against the complete intersection series:
+    ``dimension_series`` (a QPoly) sums dim * multiplicity over the
+    entries, ``expected_series`` (a QPoly) is the complete intersection
+    Hilbert series, ``first_mismatch`` the first degree where they differ
+    (an int, or None), ``ok`` the bool that none does and ``character`` the
+    GradedCharacter read.  The report is true when ``ok`` is."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

@@ -15,7 +15,7 @@ dimension.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .cartan import Root, Weight
 from .errors import IdentityViolation
@@ -115,11 +115,12 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
     return WeightSystem(rs, entries)
 
 
-class LittleAdjointDims(NamedTuple):
-    dim: int
-    zero_mult: int
-    short_count: int
-    weights: WeightSystem   # the Freudenthal weight system the counts came from
+class LittleAdjointDims(namedtuple("LittleAdjointDims", "dim zero_mult short_count weights")):
+    """The short-dominant module's dimension, zero weight multiplicity and
+    number of short roots (ints), and ``weights``, the Freudenthal
+    WeightSystem the counts came from."""
+
+    __slots__ = ()
 
 
 def little_adjoint_dims(rs: RootSystem) -> LittleAdjointDims:
@@ -142,14 +143,12 @@ def _dims(rs: RootSystem) -> LittleAdjointDims:
     return LittleAdjointDims(dim=dim, zero_mult=zero_mult, short_count=short_count, weights=ws)
 
 
-class DeltaPartition(NamedTuple):
+class DeltaPartition(namedtuple("DeltaPartition", "pos_pos pos_neg neg_pos neg_neg")):
     """Roots not orthogonal to a fixed root, split by the sign of the root
-    and the sign of the inner product."""
+    and the sign of the inner product: four tuples of Roots, ``pos_neg``
+    holding the positive roots with a negative inner product."""
 
-    pos_pos: tuple[Root, ...]
-    pos_neg: tuple[Root, ...]
-    neg_pos: tuple[Root, ...]
-    neg_neg: tuple[Root, ...]
+    __slots__ = ()
 
 
 def delta_partition(rs: RootSystem, mu: Root) -> DeltaPartition:

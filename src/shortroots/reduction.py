@@ -11,11 +11,10 @@ pass over the (subsystem root, long root) pairs."""
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import littleadjoint as la
 from . import weyl
-from .cartan import Root, RootSystemSpec
 from .errors import IdentityViolation, NotFiniteType
 from .rootsystem import RootSystem, from_cartan
 
@@ -38,12 +37,14 @@ __all__ = [
 ]
 
 
-class SimpleReduction(NamedTuple):
-    subsystem: tuple[int, ...]   # indices of the roots supported on the short simples
-    sub_spec: RootSystemSpec
-    sub_coxeter_number: int
-    sub_exponents: tuple[int, ...]
-    transition_factor: int
+class SimpleReduction(namedtuple("SimpleReduction", "subsystem sub_spec sub_coxeter_number"
+                                 " sub_exponents transition_factor")):
+    """The subsystem spanned by the short simple roots: ``subsystem`` holds
+    the indices of the roots supported on them, ``sub_spec`` its type (a
+    RootSystemSpec), ``sub_coxeter_number`` and ``sub_exponents`` its
+    Coxeter data, and ``transition_factor`` the int h / h_s."""
+
+    __slots__ = ()
 
 
 def simple_reduction(rs: RootSystem) -> SimpleReduction:
@@ -85,12 +86,12 @@ def check_coxeter_power(rs: RootSystem, c: tuple[int, ...]) -> bool:
     return weyl.is_in_long_subgroup(rs, power)
 
 
-class TransitionIdentities(NamedTuple):
-    """Three independent computations of the same integer."""
+class TransitionIdentities(namedtuple("TransitionIdentities", "factor coxeter_gap height_gap")):
+    """Three independent computations of the same integer: ``factor`` is
+    h / h_s, ``coxeter_gap`` h - ht(theta_s) and ``height_gap``
+    ht(theta) - ht(theta_s) + 1."""
 
-    factor: int            # h / h_s
-    coxeter_gap: int       # h - ht(theta_s)
-    height_gap: int        # ht(theta) - ht(theta_s) + 1
+    __slots__ = ()
 
 
 def transition_identities(rs: RootSystem) -> TransitionIdentities:
@@ -105,15 +106,15 @@ def transition_identities(rs: RootSystem) -> TransitionIdentities:
     return t
 
 
-class HyperplaneClasses(NamedTuple):
+class HyperplaneClasses(namedtuple("HyperplaneClasses", "classes representatives")):
     """Short positive roots grouped by the kernel hyperplane they induce on
     the zero weight space: two short roots agree when they differ, up to
     sign, by a long root, so the classes are the orbits of W_l up to sign;
     they carry exactly one representative inside the short-simple
-    subsystem."""
+    subsystem.  ``classes`` is a tuple of tuples of Roots,
+    ``representatives`` a tuple of Roots, one per class."""
 
-    classes: tuple[tuple[Root, ...], ...]
-    representatives: tuple[Root, ...]
+    __slots__ = ()
 
 
 def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
@@ -162,14 +163,15 @@ def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
     return HyperplaneClasses(classes=tuple(classes), representatives=tuple(reps))
 
 
-class OneStepEntry(NamedTuple):
+class OneStepEntry(namedtuple("OneStepEntry",
+                              "pairs positive_target_steps target_classes sole")):
     """Ways of reaching the short-simple subsystem from one short positive
-    root in a single long-root step."""
+    root in a single long-root step: ``pairs`` holds the (long step,
+    subsystem target) pairs of Roots, ``positive_target_steps`` the steps
+    whose target is positive, ``target_classes`` the distinct targets
+    modulo sign, and ``sole`` is True when there is one target class only."""
 
-    pairs: tuple[tuple[Root, Root], ...]       # (long step, subsystem target)
-    positive_target_steps: tuple[Root, ...]    # steps whose target is positive
-    target_classes: tuple[Root, ...]           # distinct targets modulo sign
-    sole: bool                                 # one target class only
+    __slots__ = ()
 
 
 def one_step_strings(rs: RootSystem) -> dict:
@@ -203,12 +205,14 @@ def one_step_strings(rs: RootSystem) -> dict:
     return out
 
 
-class DimensionLedger(NamedTuple):
-    module_dim: int             # (h+1) * number of short simples
-    module_nullcone_dim: int    # h * number of short simples
-    reduction_dim: int          # (h_s+1) * number of short simples
-    reduction_nullcone_dim: int  # h_s * number of short simples
-    transition_factor: int
+class DimensionLedger(namedtuple("DimensionLedger", "module_dim module_nullcone_dim reduction_dim"
+                                 " reduction_nullcone_dim transition_factor")):
+    """Four dimensions, each an int times the number of short simple
+    roots: ``module_dim`` (h+1), ``module_nullcone_dim`` h,
+    ``reduction_dim`` (h_s+1) and ``reduction_nullcone_dim`` h_s; and
+    ``transition_factor``, the ratio of the two nullcone dimensions."""
+
+    __slots__ = ()
 
 
 def dimension_ledger(rs: RootSystem) -> DimensionLedger:
@@ -266,15 +270,14 @@ _AMBIENT = {
 }
 
 
-class SummaryRow(NamedTuple):
-    system: str
-    module_dim: int
-    theta_short_coeffs: tuple[int, ...]
-    coxeter_number: int
-    sub_type: str
-    sub_coxeter_number: int
-    orbit_count: int
-    ambient_algebra: str   # registry metadata only, never computed from
+class SummaryRow(namedtuple("SummaryRow", "system module_dim theta_short_coeffs coxeter_number"
+                            " sub_type sub_coxeter_number orbit_count ambient_algebra")):
+    """One row of ``table1``: the system's and its reduction's type names
+    (``system``, ``sub_type``), ints and the int tuple
+    ``theta_short_coeffs``, and ``ambient_algebra``, registry metadata
+    only, never computed from."""
+
+    __slots__ = ()
 
 
 def summary_row(rs: RootSystem) -> SummaryRow:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from collections import Counter
 from functools import lru_cache
 
@@ -289,6 +288,17 @@ class RootSystem:
         mul = operator.mul
         return tuple([sum(map(mul, form, ac)) for ac in self._ac])
 
+    def coroot_row(self, root) -> tuple[int, ...]:
+        """<root, r^v> = 2 (r | root) / (r | r) for every positive root r,
+        in index order: ``inner_row`` read against the squared lengths."""
+        out = []
+        for v, sq in zip(self.inner_row(root), self._sq):
+            q, rem = divmod(2 * v, sq)
+            if rem:
+                raise IdentityViolation("coroot pairing of an integral weight must be integral")
+            out.append(q)
+        return tuple(out)
+
     def pairing(self, x, root: Root) -> int:
         """Pairing of a root or a Weight x against the coroot of the given
         root: an int, since x is integral."""
@@ -372,6 +382,9 @@ class RootSystem:
         return tuple(v), sign
 
 
+_FAMILY_LETTERS = frozenset("ABCDEFGabcdefg")
+
+
 @lru_cache(maxsize=None)
 def _cached(spec: RootSystemSpec, nodes) -> RootSystem:
     """The one cache of systems, keyed on (spec, node order)."""
@@ -382,15 +395,18 @@ def build(family, rank: int | None = None) -> RootSystem:
     """Construct (and cache) the root system of the given type.
 
     Accepts build('C', 3), build(RootSystemSpec('C', 3)) or build('C3').
-    A type name is a family letter and a decimal rank, nothing between
-    them, case-insensitive and stripped of surrounding whitespace."""
+    A type name is a family letter A to G and a rank in ASCII decimal
+    digits, nothing between them, case-insensitive and stripped of
+    surrounding whitespace: "C4" and " c4 " are read, "C 4", "C+4",
+    "C1_0" and a rank in non-ASCII digits are not."""
     if isinstance(family, RootSystemSpec):
         spec = family
     elif rank is None:
-        m = re.fullmatch(r"([A-Ga-g])([0-9]+)", str(family).strip())
-        if not m:
+        name = str(family).strip()
+        letter, digits = name[:1], name[1:]
+        if not (letter in _FAMILY_LETTERS and digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse root system type {family!r} (expected e.g. C4, G2)")
-        spec = RootSystemSpec(m.group(1).upper(), int(m.group(2)))
+        spec = RootSystemSpec(letter.upper(), int(digits))
     else:
         spec = RootSystemSpec(str(family).upper(), rank)
     return _cached(spec, tuple(range(spec.rank)))
@@ -436,8 +452,8 @@ def dual_coxeter_of_dual(rs: RootSystem) -> int:
     sigma, the half sum of positive coroots, is the dual system's rho, and
     theta_s, being short, equals its coroot, the dual system's highest root.
     (sigma | theta_s) is half the sum of the pairings of theta_s against
-    the positive coroots."""
-    value, rem = divmod(sum(rs.pairing(rs.theta_short, r) for r in rs.positive_roots()), 2)
+    the positive coroots, one ``coroot_row``."""
+    value, rem = divmod(sum(rs.coroot_row(rs.theta_short)), 2)
     if rem:
         raise IdentityViolation("(sigma | theta_s) must be an integer")
     return 1 + value

@@ -16,6 +16,7 @@ import shortroots.weyl as weyl
 from shortroots import RootSystem, build
 from shortroots.checks import CHECK_IDS, run_check
 from shortroots.cli import jsonable
+from shortroots.jsonout import dumps
 
 
 def _seed_reduction(rs, changes):
@@ -57,12 +58,12 @@ def _first_positive_pairing_negated(rs, monkeypatch):
 
 
 def _pairing_against_roots(rs, monkeypatch):
-    monkeypatch.setattr(rs, "pairing", rs.inner)
+    monkeypatch.setattr(rs, "coroot_row", rs.inner_row)
 
 
 def _highest_root_dropped(rs, monkeypatch):
-    positive = rs.positive_roots
-    monkeypatch.setattr(rs, "positive_roots", lambda: positive()[:-1])
+    coroot_row = rs.coroot_row
+    monkeypatch.setattr(rs, "coroot_row", lambda root: coroot_row(root)[:-1])
 
 
 def _coxeter_element_squared(rs, monkeypatch):
@@ -177,8 +178,10 @@ def test_a_doctored_input_fails_its_check(doctor, monkeypatch):
     status, details = run_check(check_id, rs)
     assert status == "fail"
     assert details[key] == value
-    # verify's text shows a failure's details as they are: JSON values
+    # verify's text shows a failure's details as they are: JSON values,
+    # written by the CLI's writer
     assert json.dumps(details, sort_keys=True) == json.dumps(jsonable(details), sort_keys=True)
+    assert dumps(details) == json.dumps(details, sort_keys=True)
 
 
 def test_every_check_id_has_a_doctored_input():

@@ -546,6 +546,24 @@ def test_no_module_imports_dataclasses():
     assert [p.name for p in sorted(src.glob("*.py")) if importing.search(p.read_text())] == []
 
 
+def test_no_module_imports_json_typing_re_or_enum():
+    # a CLI child loads none of them: the writer is jsonout, the records are
+    # collections.namedtuple and the type name is read without re
+    src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
+    banned = {"json", "typing", "re", "enum"}
+    importing = []
+    for p in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            importing += [(p.name, n) for n in names if n.partition(".")[0] in banned]
+    assert importing == []
+
+
 def test_only_the_table_module_knows_the_packed_key_format():
     # packing a weight, unpacking a key and the format's fields live in
     # qtables; tests/helpers.decode stays an independent oracle of it
@@ -621,22 +639,30 @@ def test_cli_start_up_does_not_load_dataclasses():
     assert (child.returncode, child.stdout, child.stderr) == (0, "False\n", "")
 
 
-_RATIONAL_STACK = """
+_UNLOADED = """
 import contextlib, io, sys
 import shortroots.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = shortroots.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(code, *[m for m in ("fractions", "numbers", "decimal") if m in sys.modules])
+print(code, *[m for m in ("fractions", "numbers", "decimal", "json", "typing", "re", "enum",
+                          "random") if m in sys.modules])
 """
 
 
 @pytest.mark.parametrize("command", ["", "nullcone-char C4 --max-degree 4 --json",
-                                     "verify G2 --json"], ids=lambda c: c or "import")
+                                     "verify G2 --json", "info A30", "antichains C8",
+                                     "table1 --json", "verify G2"], ids=lambda c: c or "import")
 def test_commands_leave_the_rational_stack_unloaded(command):
     # no command asks for a rational answer, so none pays for loading
-    # fractions, numbers and decimal
-    child = python_child("-c", _RATIONAL_STACK, *command.split())
+    # fractions, numbers and decimal; nor does one load json (the CLI has
+    # its own writer), typing, re or enum, or random below rank 5.  A child
+    # started with -S imports no site module, which could load them first
+    child = python_child("-S", "-c", _UNLOADED, *command.split())
     assert (child.returncode, child.stdout, child.stderr) == (0, "0\n", "")
+    child = python_child("-c", _UNLOADED, *command.split())
+    code, *loaded = child.stdout.split()
+    assert (child.returncode, code, child.stderr) == (0, "0", "")
+    assert not {"fractions", "numbers", "decimal"} & set(loaded)
 
 
 _LOADS = """
@@ -667,11 +693,16 @@ _RUNS = {
                   " littleadjoint qtables reduction rootsystem weyl"),
     "verify E8": ("antichains cartan checks cmd_verify config errors gradedchar littleadjoint"
                   " qtables reduction rootsystem weyl"),
+    # --json adds the writer
+    "nullcone-char G2 --max-degree 4 --json": ("cartan cmd_nullcone_char config errors gradedchar"
+                                               " jsonout qtables rootsystem"),
+    "verify E8 --json": ("antichains cartan checks cmd_verify config errors gradedchar jsonout"
+                         " littleadjoint qtables reduction rootsystem weyl"),
 }
 # the classifier is reached only through from_cartan, the adjugate and the
 # order of a reflection subgroup, none of which a single-length verify runs
 _WITHOUT_CLASSIFIER = ("", "info A30", "antichains C8", "nullcone-char G2 --max-degree 4",
-                       "verify E8")
+                       "verify E8", "nullcone-char G2 --max-degree 4 --json", "verify E8 --json")
 
 
 @pytest.mark.parametrize("command", list(_RUNS), ids=lambda c: c or "import")

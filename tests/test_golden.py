@@ -4,6 +4,7 @@ golden output (``perfbench/golden.json``, by the rules of
 not only when the benchmark runs.  The benchmark files are only read."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from shortroots.cli import _plain_args
+from shortroots.cli import SCHEMA_VERSION, _plain_args, jsonable
+from shortroots.errors import SizeLimitExceeded
+from shortroots.jsonout import dumps
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -50,3 +53,19 @@ def test_operation_meets_its_golden(argv):
                           env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
     op = workloads.op_id(argv)
     assert golden.mismatch(argv, proc.returncode, proc.stdout, proc.stderr, GOLDEN[op]) is None
+
+
+@pytest.mark.parametrize("argv", OPS, ids=workloads.op_id)
+def test_the_writer_is_json_dumps_on_every_operations_payload(argv):
+    # what --json prints, and each check's details as verify's text shows a
+    # failure; a refused operation has no payload
+    args = _plain_args(argv + ["--json"])
+    command = importlib.import_module(f"shortroots.cmd_{args.command.replace('-', '_')}")
+    try:
+        payload, _, _ = command.run(args)
+    except SizeLimitExceeded:
+        return
+    value = jsonable({"schemaVersion": SCHEMA_VERSION, **payload})
+    assert dumps(value, indent=2) == json.dumps(value, indent=2, sort_keys=True)
+    for check in payload.get("checks", []):
+        assert dumps(check["details"]) == json.dumps(check["details"], sort_keys=True)

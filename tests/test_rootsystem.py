@@ -232,7 +232,7 @@ def test_dual_coxeter_dual_is_computed_from_sigma(monkeypatch):
     # of sigma, and (rho | theta_s) = 7 for C4 while ht(theta_s) = 6
     rs = build("C4")
     assert run_check("dual-coxeter-dual", rs)[0] == "pass"
-    monkeypatch.setattr(rs, "pairing", rs.inner)
+    monkeypatch.setattr(rs, "coroot_row", rs.inner_row)
     status, details = run_check("dual-coxeter-dual", rs)
     assert status == "fail"
     assert details["value"] == 8 and details["one_plus_short_dominant_height"] == 7
@@ -305,9 +305,12 @@ def test_specs_order_by_family_then_rank():
 
 def test_build_accepts_several_spellings():
     assert build("C3") is build("C", 3) is build(RootSystemSpec("C", 3))
-    assert build("c4") is build(" C4\n") is build("C", 4)
-    # the one type-name grammar, shared with the CLI: letter, digits, nothing else
-    for bad in ["Q", "Z9", "B", "12", "BB2", "", "C1_0", "C 3", "C+3", "C\u0663"]:
+    assert build("c4") is build(" C4\n") is build(" c4 ") is build("C04") is build("C", 4)
+    # the one type-name grammar, shared with the CLI: an ASCII letter A to G,
+    # ASCII decimal digits, nothing else (int() alone would read "1_0",
+    # "+4" and the Arabic-Indic "\u0664"; isdigit alone would read "\u00b2")
+    for bad in ["Q", "Z9", "B", "12", "BB2", "", "C1_0", "C 3", "C+3", "C\u0663", "C\u0664",
+                "C 4", "C+4", "H2", "\uff234", "C\u00b2", "\u00df4", "C-4"]:
         with pytest.raises(ValueError, match="cannot parse root system type"):
             build(bad)
 
