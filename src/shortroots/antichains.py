@@ -6,8 +6,6 @@ antichains exactly.  Two closed product formulas over the exponents must
 agree with that count.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from operator import mul
 

@@ -16,8 +16,6 @@ never rounded.  The arithmetic of roots and weights against a form is
 ``RootSystem``'s.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 
@@ -67,7 +65,7 @@ class _Value:
 
     def _asdict(self) -> dict:
         """The fields by name, as a record gives them: the CLI's JSON
-        encoding of a value."""
+        writer writes a value as this dict."""
         return dict(zip(self.__slots__, self._astuple()))
 
     __eq__ = _by_fields(operator.eq)

@@ -10,8 +10,6 @@ own identity: the runner reports its values and compares none again.
 The README catalog describes each id; a test keeps the two in sync.
 """
 
-from __future__ import annotations
-
 import math
 
 from . import antichains as ac

@@ -16,8 +16,6 @@ that names every system by its type, asks for no root-lattice
 coordinates and lists no subgroup never compiles it.
 """
 
-from __future__ import annotations
-
 from .cartan import RootSystemSpec, _symmetrizers, cartan_matrix
 from .errors import IdentityViolation, NotFiniteType
 

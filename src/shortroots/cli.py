@@ -26,24 +26,24 @@ the payload, the text lines and the exit code, and ``_emit`` writes one
 or the other.  JSON is written by the package's writer ``jsonout``,
 imported only by ``--json`` and by ``verify``'s text line of a failed
 check: it gives what ``json.dumps`` gives, and ``json`` would load ``re``
-and ``enum`` into every child.  No module imports this one: under
+and ``enum`` into every child.  ``_emit`` hands it the payload as the
+command built it; the writer writes the records, value types and
+polynomials in it itself.  No module imports this one: under
 ``python -m shortroots.cli`` it is ``__main__``, and an import of
 ``shortroots.cli`` would compile it a second time.
 
 Importing this module loads only ``rootsystem``, ``cartan`` and ``errors``;
 the classifier ``classify`` is not among them, and of the standard
-library neither ``json``, ``typing``, ``re`` nor ``enum``.  The engines are lazy
-modules of the package, reached through their module objects
-(``gc.hilbert_check``), so each subcommand compiles and runs only the
-modules it calls: ``antichains`` adds ``cmd_antichains``, ``antichains``
-and ``config``, ``nullcone-char`` adds ``cmd_nullcone_char``,
-``gradedchar``, its table module ``qtables`` and ``config``, ``info`` on a
-system with one root length adds ``cmd_info`` alone, ``verify --check
-sign-partition`` adds ``cmd_verify``, ``checks`` and ``littleadjoint``,
-and a full ``verify`` loads everything.
+library neither ``json``, ``typing``, ``re``, ``enum`` nor ``__future__``.
+The engines are lazy modules of the package, reached through their
+module objects (``gc.hilbert_check``), so each subcommand compiles and
+runs only the modules it calls: ``antichains`` adds ``cmd_antichains``,
+``antichains`` and ``config``, ``nullcone-char`` adds
+``cmd_nullcone_char``, ``gradedchar``, its table module ``qtables`` and
+``config``, ``info`` on a system with one root length adds ``cmd_info``
+alone, ``verify --check sign-partition`` adds ``cmd_verify``, ``checks``
+and ``littleadjoint``, and a full ``verify`` loads everything.
 """
-
-from __future__ import annotations
 
 import importlib
 import io
@@ -56,27 +56,12 @@ from .errors import IdentityViolation, SizeLimitExceeded
 SCHEMA_VERSION = 1
 
 
-def jsonable(value):
-    """Exactness-preserving JSON encoding: a value with a ``to_json`` method
-    (a polynomial) encodes itself, and result records and value types
-    (a ``RootSystemSpec``) become maps of their fields."""
-    if hasattr(value, "to_json"):
-        return value.to_json()
-    if hasattr(value, "_asdict"):   # a record is a tuple too: test it first
-        value = value._asdict()
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
-
-
 def _emit(payload: dict, as_json: bool, text_lines) -> None:
     if as_json:
         from .jsonout import dumps
 
         payload = {"schemaVersion": SCHEMA_VERSION, **payload}
-        print(dumps(jsonable(payload), indent=2))
+        print(dumps(payload, indent=2))
     else:
         for line in text_lines:
             print(line)

@@ -1,8 +1,6 @@
 """The ``antichains`` subcommand: the antichains of one system's short
 positive root poset, counted over the poset and by the formulas."""
 
-from __future__ import annotations
-
 from . import antichains as ac
 from .rootsystem import build
 

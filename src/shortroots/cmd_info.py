@@ -1,8 +1,6 @@
 """The ``info`` subcommand: the constants of one system, and on a system
 with two root lengths its little adjoint module and simple reduction."""
 
-from __future__ import annotations
-
 from . import littleadjoint as la
 from . import reduction as red
 from .rootsystem import build, dual_coxeter_of_dual

@@ -1,8 +1,6 @@
 """The ``nullcone-char`` subcommand: the graded nullcone character of one
 system up to a degree, with its Hilbert series check."""
 
-from __future__ import annotations
-
 from . import gradedchar as gc
 from .rootsystem import build
 

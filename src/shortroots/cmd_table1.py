@@ -1,8 +1,6 @@
 """The ``table1`` subcommand: the summary table of the four families with
 two root lengths."""
 
-from __future__ import annotations
-
 from . import reduction as red
 from .rootsystem import build
 

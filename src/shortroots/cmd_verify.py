@@ -1,8 +1,6 @@
 """The ``verify`` subcommand: run the verification catalog, or the named
 checks, on one system."""
 
-from __future__ import annotations
-
 import time
 
 from . import checks

@@ -27,8 +27,6 @@ non-negative int, as must be every degree and coefficient of a
 polynomial.
 """
 
-from __future__ import annotations
-
 import math
 from collections import defaultdict, namedtuple
 from itertools import chain
@@ -93,7 +91,9 @@ class QPoly:
         return sorted(self.coeffs.items())
 
     def to_json(self) -> dict:
-        """Exact JSON form: the truncation and a degree -> coefficient map."""
+        """Exact JSON form: the truncation and a degree -> coefficient map,
+        with the degrees as strings.  The CLI's JSON writer writes a
+        polynomial as this dict."""
         return {"truncation": self.truncation, "coeffs": {str(k): v for k, v in self.terms()}}
 
     def __eq__(self, other):

@@ -1,13 +1,15 @@
-"""The CLI's JSON writer: ``dumps(value)`` is ``json.dumps(value,
-sort_keys=True)`` and ``dumps(value, indent=2)`` is ``json.dumps(value,
-indent=2, sort_keys=True)``, byte for byte, on every value built of dicts
-with str keys, lists, tuples, strs, ints, finite floats, bools and None,
-the values the CLI writes.  Strings are escaped as ``json`` escapes them
-by default: every character outside printable ASCII, and ``"`` and
-``\\``, with the short escapes where JSON has one, ``\\u00XX`` otherwise
-and a surrogate pair beyond the BMP.  Floats read as ``float.__repr__``.
-A dict key of another type, and a value of any other type, is refused
-with ``TypeError``.
+"""The CLI's JSON writer.  On a value built of dicts with str keys, lists,
+tuples, strs, ints, finite floats, bools and None, ``dumps(value)`` is
+``json.dumps(value, sort_keys=True)`` and ``dumps(value, indent=2)`` is
+``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.  At any
+depth it writes the library's values as such values: a polynomial (a
+value with ``to_json``) as that form, and a result record or a value
+type as the dict of its fields, ``_asdict()``.  Strings are escaped as
+``json`` escapes them by default: every character outside printable
+ASCII, and ``"`` and ``\\``, with the short escapes where JSON has one,
+``\\u00XX`` otherwise and a surrogate pair beyond the BMP.  Floats read
+as ``float.__repr__``.  A dict key of another type, and a value of any
+other type, is refused with ``TypeError``.
 
 The CLI writes nothing but these values, so it imports this module in
 place of ``json``, whose decoder loads ``re`` and ``enum``; ``import
@@ -58,26 +60,23 @@ def _encode(value, newline, step):
         return int.__repr__(value)
     if isinstance(value, float):
         return float.__repr__(value)
+    if hasattr(value, "to_json"):   # a polynomial: its exact form, a dict
+        value = value.to_json()
+    elif hasattr(value, "_asdict"):   # a record (a tuple too) or a value type: its fields
+        value = value._asdict()
+    inner = None if newline is None else newline + step
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = None if newline is None else newline + step
-        items = [_encode(item, inner, step) for item in value]
-        return "[" + _join(items, newline, inner) + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = None if newline is None else newline + step
-        items = [_key(k) + ": " + _encode(v, inner, step)
-                 for k, v in sorted(value.items())]
-        return "{" + _join(items, newline, inner) + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _join(items, newline, inner):
+        items, brackets = [_encode(item, inner, step) for item in value], "[]"
+    elif isinstance(value, dict):
+        items = [_key(k) + ": " + _encode(v, inner, step) for k, v in sorted(value.items())]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
     if newline is None:
-        return ", ".join(items)
-    return inner + ("," + inner).join(items) + newline
+        return brackets[0] + ", ".join(items) + brackets[1]
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def _key(key):

@@ -13,8 +13,6 @@ formula, ``rootsystem.weyl_dim``, provides an independent route to the
 dimension.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .cartan import Root, Weight

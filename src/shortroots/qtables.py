@@ -12,8 +12,6 @@ non-negative int.  The module is private to ``gradedchar`` and exports
 no name.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import islice
 from operator import itemgetter, mul

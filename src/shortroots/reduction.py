@@ -8,8 +8,6 @@ long reflections on the short positive roots, walked through W_l's
 generators ``weyl.long_subgroup``; the one-step strings come from one
 pass over the (subsystem root, long root) pairs."""
 
-from __future__ import annotations
-
 import operator
 from collections import namedtuple
 
@@ -106,6 +104,14 @@ def transition_identities(rs: RootSystem) -> TransitionIdentities:
     return t
 
 
+def _in_bourbaki_order(rs: RootSystem, indices) -> list:
+    """Positive root indices sorted alike in any node order: by height, then
+    by the coefficients read in Bourbaki's numbering (Bourbaki's node k is
+    node ``rs.nodes[k]``).  On a Bourbaki build it is index order."""
+    return sorted(indices, key=lambda k: (rs.roots[k].height,
+                                          [rs.roots[k].coeffs[i] for i in rs.nodes]))
+
+
 class HyperplaneClasses(namedtuple("HyperplaneClasses", "classes representatives")):
     """Short positive roots grouped by the kernel hyperplane they induce on
     the zero weight space: two short roots agree when they differ, up to
@@ -128,18 +134,17 @@ def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
     s_{-b}(gamma).  W_l is generated by the reflections in the long-root
     base, so closing under them joins exactly the pairs that differ, up
     to sign, by a long root.  Root k >= p is -(root k - p), so the walk
-    folds it to k - p.  The positive roots are indexed in (height, coeffs)
-    order and each walk starts at the smallest index left, so listing each
-    orbit by index, in the order found, sorts the classes and their roots
-    by height.  Each orbit is checked against the positive subsystem
-    indices as it closes."""
+    folds it to k - p.  Each walk starts at the first root left in
+    ``_in_bourbaki_order``, and each class lists its roots in that order, so
+    the classes and their roots read alike in any node order.  Each orbit
+    is checked against the positive subsystem indices as it closes."""
     gens = weyl.long_subgroup(rs)
     p = rs.num_positive
     sub_pos = {k for k in simple_reduction(rs).subsystem if k < p}
     seen: set[int] = set()
     classes = []
     reps = []
-    for start in rs.short_positives:
+    for start in _in_bourbaki_order(rs, rs.short_positives):
         if start in seen:
             continue
         seen.add(start)
@@ -150,7 +155,7 @@ def hyperplane_classes(rs: RootSystem) -> HyperplaneClasses:
                 if j not in seen:
                     seen.add(j)
                     orbit.append(j)
-        cls = tuple(rs.roots[k] for k in sorted(orbit))
+        cls = tuple(rs.roots[k] for k in _in_bourbaki_order(rs, orbit))
         inside = sub_pos.intersection(orbit)
         if len(inside) != 1:
             raise IdentityViolation(
@@ -179,13 +184,13 @@ def one_step_strings(rs: RootSystem) -> dict:
     subsystem, all long roots beta with gamma - beta inside the subsystem
     (either sign).  One pass over the pairs (beta, mu) of a long root of
     either sign and a subsystem root keeps mu + beta when it is such a
-    gamma, so each pair is looked up once.  The long roots are walked in
-    (height, coeffs) order, so each entry lists its steps in that order;
-    the entries follow gamma's index."""
+    gamma, so each pair is looked up once.  The long roots are walked, and
+    the entries listed, in ``_in_bourbaki_order``, so each entry lists its
+    steps in that order."""
     inside = set(simple_reduction(rs).subsystem)
-    found = {k: [] for k in rs.short_positives if k not in inside}
-    longs = [rs.roots[k] for k in rs.long_positives]
-    longs = sorted(longs + [-beta for beta in longs], key=lambda beta: (beta.height, beta.coeffs))
+    found = {k: [] for k in _in_bourbaki_order(rs, rs.short_positives) if k not in inside}
+    longs = [rs.roots[k] for k in _in_bourbaki_order(rs, rs.long_positives)]
+    longs = [-beta for beta in reversed(longs)] + longs   # -beta is lower the higher beta is
     for beta in longs:
         for m in inside:
             mu = rs.roots[m]

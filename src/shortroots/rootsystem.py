@@ -43,8 +43,6 @@ read: a command that names its systems by type and asks for no
 root-lattice coordinates never compiles it.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from collections import Counter
@@ -261,7 +259,7 @@ class RootSystem:
             out.append(q)
         return tuple(out)
 
-    def root_coords(self, weight) -> tuple[Fraction, ...]:
+    def root_coords(self, weight) -> "tuple[Fraction, ...]":
         """Rational root-lattice coordinates of a weight (see as_weight)."""
         from fractions import Fraction
 

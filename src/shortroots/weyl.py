@@ -23,8 +23,6 @@ reflections in such a base off an element, which lies in that subgroup
 when the descent leaves the identity; through the long-root base it
 factors W over the subgroup of long reflections."""
 
-from __future__ import annotations
-
 import math
 from operator import itemgetter
 

@@ -305,10 +305,11 @@ def one_step_oracle(rs):
     for every short positive root gamma outside the subsystem of roots
     supported on the short simple roots, and every long root beta of
     either sign, the pair (beta, gamma - beta) when gamma - beta is a root
-    of that subsystem.  Both gamma and beta run in (height, coeffs)
-    order."""
+    of that subsystem.  Both gamma and beta run in order of height, then
+    of coefficients read in Bourbaki's numbering (Bourbaki's node k is
+    node rs.nodes[k])."""
     def order(r):
-        return (r.height, r.coeffs)
+        return (r.height, tuple(r.coeffs[node] for node in rs.nodes))
 
     shorts = set(rs.short_simple_indices)
     roots = sorted(rs.roots, key=order)

@@ -14,8 +14,8 @@ from helpers import python_child
 import shortroots.checks as checks
 import shortroots.gradedchar as gc
 import shortroots.qtables as qtables
-from shortroots import DimensionLedger, Limits, build, dimension_ledger
-from shortroots.cli import _COMMANDS, _plain_args, jsonable, main, make_parser
+from shortroots import Limits
+from shortroots.cli import _COMMANDS, _plain_args, main, make_parser
 
 
 def run(capsys, *argv):
@@ -511,16 +511,6 @@ def test_verify_keeps_the_alternating_sum_under_the_weyl_cap(capsys):
     assert "alternating_sum_skipped" not in check["details"]
 
 
-def test_jsonable_writes_a_record_as_a_dict_of_its_fields():
-    ledger = dimension_ledger(build("C4"))
-    out = jsonable(ledger)
-    assert isinstance(out, dict)
-    assert list(out) == list(DimensionLedger._fields)
-    assert out == {"module_dim": 27, "module_nullcone_dim": 24, "reduction_dim": 15,
-                   "reduction_nullcone_dim": 12, "transition_factor": 2}
-    assert jsonable([ledger, (1, 2)]) == [out, [1, 2]]
-
-
 def test_package_exports_exactly_the_module_lists():
     import importlib
 
@@ -548,9 +538,10 @@ def test_no_module_imports_dataclasses():
 
 def test_no_module_imports_json_typing_re_or_enum():
     # a CLI child loads none of them: the writer is jsonout, the records are
-    # collections.namedtuple and the type name is read without re
+    # collections.namedtuple and the type name is read without re; nor
+    # __future__, since no annotation is read and none needs postponing
     src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
-    banned = {"json", "typing", "re", "enum"}
+    banned = {"json", "typing", "re", "enum", "__future__"}
     importing = []
     for p in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(p.read_text())):
@@ -645,7 +636,7 @@ import shortroots.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = shortroots.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(code, *[m for m in ("fractions", "numbers", "decimal", "json", "typing", "re", "enum",
-                          "random") if m in sys.modules])
+                          "random", "__future__") if m in sys.modules])
 """
 
 
@@ -655,8 +646,9 @@ print(code, *[m for m in ("fractions", "numbers", "decimal", "json", "typing", "
 def test_commands_leave_the_rational_stack_unloaded(command):
     # no command asks for a rational answer, so none pays for loading
     # fractions, numbers and decimal; nor does one load json (the CLI has
-    # its own writer), typing, re or enum, or random below rank 5.  A child
-    # started with -S imports no site module, which could load them first
+    # its own writer), typing, re, enum or __future__, or random below rank
+    # 5.  A child started with -S imports no site module, which could load
+    # them first
     child = python_child("-S", "-c", _UNLOADED, *command.split())
     assert (child.returncode, child.stdout, child.stderr) == (0, "0\n", "")
     child = python_child("-c", _UNLOADED, *command.split())

@@ -1,12 +1,15 @@
 """The CLI's JSON writer against ``json.dumps``: both forms the CLI writes,
 byte for byte, on seeded random values and on the edge values of each
-type."""
+type; and the library's records, value types and polynomials, which it
+writes by their fields and their exact form."""
 
 import json
 import random
 
 import pytest
 
+from shortroots import RootSystemSpec, build, dimension_ledger
+from shortroots.gradedchar import QPoly
 from shortroots.jsonout import dumps
 
 # every ASCII character (the two that JSON escapes among them twice), two of
@@ -64,3 +67,22 @@ def test_the_writer_refuses_what_the_cli_never_writes(value):
     # has one, so the writer refuses it as it refuses a type json refuses
     with pytest.raises(TypeError):
         dumps(value)
+
+
+def test_the_writer_writes_a_record_as_a_dict_of_its_fields():
+    # a record, though a tuple, and a value type as the map of their fields;
+    # a polynomial as its exact form; at any depth
+    ledger = dimension_ledger(build("C4"))
+    fields = {"module_dim": 27, "module_nullcone_dim": 24, "reduction_dim": 15,
+              "reduction_nullcone_dim": 12, "transition_factor": 2}
+    assert ledger._asdict() == fields
+    poly = QPoly({0: 1, 2: -3, 10: 5}, 12)
+    form = {"truncation": 12, "coeffs": {"0": 1, "2": -3, "10": 5}}
+    assert poly.to_json() == form
+    for indent in (None, 2):
+        assert dumps(ledger, indent=indent) == json.dumps(fields, indent=indent, sort_keys=True)
+        assert dumps(RootSystemSpec("C", 4), indent=indent) == json.dumps(
+            {"family": "C", "rank": 4}, indent=indent)
+        assert dumps(poly, indent=indent) == json.dumps(form, indent=indent, sort_keys=True)
+        assert dumps([ledger, (1, 2), {"p": [poly]}], indent=indent) == json.dumps(
+            [fields, [1, 2], {"p": [form]}], indent=indent, sort_keys=True)

@@ -141,6 +141,27 @@ def test_hyperplane_classes_need_every_long_generator(monkeypatch, name):
         assert "holds 0 subsystem representatives" in details["violation"]
 
 
+@pytest.mark.parametrize("name,nodes", [("G2", (1, 0)), ("B3", (2, 0, 1)), ("C4", (3, 1, 0, 2)),
+                                        ("F4", (3, 1, 0, 2)), ("B5", (4, 2, 0, 1, 3))])
+def test_classes_and_strings_list_their_roots_alike_in_any_node_order(name, nodes):
+    # read back in Bourbaki's numbering, a relabelled system's classes,
+    # representatives and one-step strings come in the Bourbaki build's
+    # order, not in an order its own numbering breaks ties by
+    rs = RootSystem(build(name).spec, nodes)
+
+    def back(root):
+        return tuple(root.coeffs[node] for node in nodes)
+
+    def read(rs, back):
+        classes = hyperplane_classes(rs)
+        strings = one_step_strings(rs)
+        return ([[back(r) for r in cls] for cls in classes.classes],
+                [back(r) for r in classes.representatives],
+                [(back(g), [(back(b), back(m)) for b, m in e.pairs]) for g, e in strings.items()])
+
+    assert read(rs, back) == read(build(name), lambda root: root.coeffs)
+
+
 def test_one_step_strings_in_type_c():
     rs = build("C3")
     strings = one_step_strings(rs)
