@@ -7,7 +7,8 @@ other library module and ``checks`` in ``sys.modules`` as a lazy module:
 its body is compiled and run on its first attribute access, so a command
 pays only for the modules it reaches.  The Cartan-matrix classifier
 ``classify`` is one of them: ``rootsystem`` reaches it only to name a
-given matrix or to invert one.  The CLI's subcommand bodies
+given matrix or to invert one, and the orbit walks of ``orbits`` run only
+in the engines that walk an orbit.  The CLI's subcommand bodies
 (``cmd_<name>``) are not registered; the CLI imports the one it runs.
 
 The package exports exactly the names in each library module's
@@ -25,7 +26,7 @@ from . import rootsystem  # noqa: F401
 __version__ = "0.1.0"
 
 _LIBRARY = ("antichains", "cartan", "classify", "config", "errors", "gradedchar",
-            "littleadjoint", "reduction", "rootsystem", "weyl")
+            "littleadjoint", "orbits", "reduction", "rootsystem", "weyl")
 _owners = {}   # exported name -> name of its module, filled on first use
 
 

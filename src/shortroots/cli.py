@@ -9,19 +9,20 @@ they would break that.  A CLI process ends by ``os._exit`` once its
 stdout and stderr are flushed (``entry``), so no ``atexit`` handler runs
 in it: a coverage run of CLI children needs its own hook.
 
-This module holds the grammar, its two readers, the dispatch and the
+This module holds the grammar, its plain reader, the dispatch and the
 one emitter.  The grammar is one table, ``_COMMANDS``.  A command line
 spelled out in full (an exact subcommand, exact option names, each value
 as the next token, and the one system where the subcommand takes one)
 is read by ``_plain_args``, which sets what argparse would set.  Every
 other command line (``--help``, an abbreviation such as ``--max-deg``,
-``--opt=value``, ``--``, or a usage error) is read by the argparse parser
-``make_parser`` builds from the same table; argparse writes every help
-text and usage error.  argparse, which loads ``gettext`` and ``locale``,
-is imported only then, so neither importing this module nor running a
-fully spelled command loads it.  Each subcommand's body is its own
-module, ``cmd_<name>`` (``cmd_nullcone_char`` for ``nullcone-char``),
-imported only once the command line is read; its ``run(args)`` returns
+``--opt=value``, ``--``, or a usage error) is read by ``argreader``, whose
+argparse parser is built from the same table, passed in; argparse writes
+every help text and usage error.  ``argreader``, and argparse with the
+``gettext`` and ``locale`` it loads, are imported only then, so neither
+importing this module nor running a fully spelled command compiles or
+loads them.  Each subcommand's body is its own module, ``cmd_<name>``
+(``cmd_nullcone_char`` for ``nullcone-char``), imported only once the
+command line is read; its ``run(args)`` returns
 the payload, the text lines and the exit code, and ``_emit`` writes one
 or the other.  JSON is written by the package's writer ``jsonout``,
 imported only by ``--json`` and by ``verify``'s text line of a failed
@@ -33,20 +34,23 @@ polynomials in it itself.  No module imports this one: under
 ``shortroots.cli`` would compile it a second time.
 
 Importing this module loads only ``rootsystem``, ``cartan`` and ``errors``;
-the classifier ``classify`` is not among them, and of the standard
-library neither ``json``, ``typing``, ``re``, ``enum`` nor ``__future__``.
+the classifier ``classify`` is not among them, nor the orbit walks
+``orbits`` or the caps ``config``, and of the standard library neither
+``json``, ``typing``, ``re``, ``enum`` nor ``__future__``.  Building a
+system loads ``config``, whose ``max_root_work`` caps its root closure.
 The engines are lazy modules of the package, reached through their
 module objects (``gc.hilbert_check``), so each subcommand compiles and
 runs only the modules it calls: ``antichains`` adds ``cmd_antichains``,
 ``antichains`` and ``config``, ``nullcone-char`` adds
-``cmd_nullcone_char``, ``gradedchar``, its table module ``qtables`` and
-``config``, ``info`` on a system with one root length adds ``cmd_info``
-alone, ``verify --check sign-partition`` adds ``cmd_verify``, ``checks``
-and ``littleadjoint``, and a full ``verify`` loads everything.
+``cmd_nullcone_char``, ``gradedchar``, its table module ``qtables``,
+``orbits`` and ``config``, ``info`` on a system with one root length adds
+``cmd_info`` and ``config`` alone, ``verify --check sign-partition`` adds
+``cmd_verify``, ``checks``, ``littleadjoint`` and ``config``, and a full
+``verify`` on a system with two root lengths loads every library
+module.
 """
 
 import importlib
-import io
 import os
 import sys
 import types
@@ -87,23 +91,6 @@ _COMMANDS = {
     "nullcone-char": ("graded nullcone character", {},
                       {"--max-degree": {"type": int, "default": 8}, "--json": _JSON}),
 }
-
-
-def make_parser():
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="shortroots",
-        description="exact root system combinatorics and verification suites",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, system, options) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        if system is not None:
-            command.add_argument("system", **system)
-        for option, kwargs in options.items():
-            command.add_argument(option, **kwargs)
-    return parser
 
 
 def _plain_args(argv):
@@ -166,16 +153,11 @@ def _run(argv) -> int:
         argv = sys.argv[1:]
     args = _plain_args(argv)
     if args is None:
-        import contextlib
+        from .argreader import read
 
-        help_text = io.StringIO()   # argparse drops a write of the help that fails
-        try:
-            with contextlib.redirect_stdout(help_text):
-                args = make_parser().parse_args(argv)
-        except SystemExit as exc:   # --help, or a usage error already on stderr
-            if text := help_text.getvalue():   # an empty write fails too on a full device
-                sys.stdout.write(text)
-            return int(exc.code or 0)
+        args = read(_COMMANDS, argv)
+        if type(args) is int:   # --help, or a usage error: argparse ended the run
+            return args
     # the body of subcommand "nullcone-char" is module cmd_nullcone_char
     command = importlib.import_module(f".cmd_{args.command.replace('-', '_')}", __package__)
     try:

@@ -6,11 +6,11 @@ and the packed keys that index them, belong to ``qtables``.  One
 straightening loop over the tables gives the whole graded character: it
 walks the deepest table's keys, then the few keys of shallower ones that
 it lacks, gathered once, straightens each point off the walls once,
-however many degrees hold it, by ``RootSystem.straighten``, and adds each
+however many degrees hold it, by ``orbits.straighten``, and adds each
 degree's counts, times their keys' signs, into one row per dominant
 conjugate; each row becomes one ``QPoly`` multiplicity.
 Kostant's alternating sum, walked over a Weyl orbit by
-``RootSystem.descend`` with no group element built, gives single graded
+``orbits.descend`` with no group element built, gives single graded
 multiplicities as a second, independent route.
 ``Limits.max_character_work`` caps both: the DP updates of a table build
 (read in ``qtables``) and the orbit points of a walk (read here).
@@ -18,13 +18,14 @@ The full truncated character must reproduce the Hilbert series of a
 complete intersection cut out by the basic invariants, whose degrees
 ``invariant_degrees`` reads off the heights of the short-simple
 subsystem's positive roots; the module dimensions come from
-``rootsystem.weyl_dim``.  So the module loads no engine but
+``orbits.weyl_dim``.  So the module loads no engine but ``orbits``,
 ``rootsystem`` and the ``cartan`` layer under it, besides ``qtables``,
-``config`` and ``errors``.  Every polynomial carries an explicit
-truncation degree; mixing truncations takes the minimum.  Each entry
-point checks its truncation degree once, before any table: a
-non-negative int, as must be every degree and coefficient of a
-polynomial.
+``config`` and ``errors``; it reads ``orbits`` through its module
+object, so importing this module does not load it.  Every polynomial
+carries an explicit truncation degree; mixing truncations takes the
+minimum.  Each entry point checks its truncation degree once, before
+any table: a non-negative int, as must be every degree and coefficient
+of a polynomial.
 """
 
 import math
@@ -32,11 +33,12 @@ from collections import defaultdict, namedtuple
 from itertools import chain
 from operator import sub
 
+from . import orbits
 from .cartan import Weight
 from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded
 from .qtables import _dp_build, _require_degree
-from .rootsystem import RootSystem, exponents_from_heights, weyl_dim
+from .rootsystem import RootSystem, exponents_from_heights
 
 __all__ = [
     "QPoly",
@@ -168,7 +170,7 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     the simple module with highest weight lam in the slice selected by mu.
 
     No element of W is built: the sum is one walk down the orbit of
-    lam + rho, ``RootSystem.descend`` with floor mu + rho, so each layer is
+    lam + rho, ``orbits.descend`` with floor mu + rho, so each layer is
     one length of W and the sign flips between layers.  The walk keeps only
     the points y with y - (mu + rho) in the positive root cone, which is
     exact: P_q vanishes everywhere else.  The tables are built only once
@@ -185,7 +187,7 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     mu_rho = tuple([c + 1 for c in mu])
     qt = acc = None
     sign, visited = 1, 0
-    for layer in rs.descend(tuple([c + 1 for c in lam]), mu_rho):
+    for layer in orbits.descend(rs, tuple([c + 1 for c in lam]), mu_rho):
         if qt is None:   # built only once the sum has a term
             degree = min(max_degree, sum(next(iter(layer.values()))))   # ht(lam - mu)
             qt, acc = _dp_build(rs, degree), [0] * (degree + 1)
@@ -237,7 +239,7 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     chunk at a time, and each point v is straightened once, however many
     degrees hold it: a point v + rho with a 0 coordinate lies on a wall,
     so it is singular and adds nothing, and every other one goes to
-    ``RootSystem.straighten``.  ``owners`` maps the key of each regular
+    ``orbits.straighten``.  ``owners`` maps the key of each regular
     point to the row of its dominant conjugate and its sign.  Each entry
     of each degree's table then adds sign * count into the row that owns
     its key, if any, so the sums cost one lookup per table entry, however
@@ -256,10 +258,10 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     # dominant conjugate of v + rho -> signed counts of its keys, by degree
     rows = defaultdict(lambda: [0] * (max_degree + 1))
     owners: dict = {}   # key of a regular v -> (its dominant conjugate's row, its sign)
-    straighten = rs.straighten
+    straighten = orbits.straighten
     for key, shifted in qt.points(chain(top, rest)):
         if 0 not in shifted:   # else on a wall, so singular
-            dom, sign = straighten(shifted)
+            dom, sign = straighten(rs, shifted)
             if sign:
                 owners[key] = rows[dom], sign
     get = owners.get
@@ -327,7 +329,7 @@ def hilbert_check(rs: RootSystem, max_degree: int) -> HilbertReport:
     char = nullcone_character(rs, max_degree)
     total = QPoly.zero(max_degree)
     for w, poly in char.entries.items():
-        total = total + weyl_dim(rs, w) * poly
+        total = total + orbits.weyl_dim(rs, w) * poly
     module_dim = 2 * len(rs.short_positives) + len(rs.short_simple_indices)
     expected = complete_intersection_series(module_dim, invariant_degrees(rs), max_degree)
     first_bad = next((k for k in range(max_degree + 1) if total.coeff(k) != expected.coeff(k)),

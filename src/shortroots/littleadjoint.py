@@ -8,16 +8,17 @@ by positive-root steps that never leave the chamber (Stembridge, The
 partial order of dominant weights, 1998); each multiplicity reads only
 dominant weights strictly above it, and the whole weight system is the
 union of the Weyl orbits of the dominant weights, each walked down by
-``RootSystem.descend``.  The Weyl dimension
-formula, ``rootsystem.weyl_dim``, provides an independent route to the
-dimension.
+``orbits.descend``.  The Weyl dimension formula, ``orbits.weyl_dim``,
+provides an independent route to the dimension.  ``orbits`` is reached
+through its module object, so importing this module does not load it.
 """
 
 from collections import namedtuple
 
+from . import orbits
 from .cartan import Root, Weight
 from .errors import IdentityViolation
-from .rootsystem import RootSystem, weyl_dim
+from .rootsystem import RootSystem
 
 __all__ = [
     "WeightSystem",
@@ -88,6 +89,7 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
     below = _dominant_below(rs, lam)
     pos_data = [(rs.weight_coords(r), rs.form_coords(r)) for r in rs.positive_roots()]
     mults = {lam: 1}
+    straighten = orbits.straighten
     for level, mu in sorted((sum(c), mu) for mu, c in below.items()):
         if level == 0:
             continue
@@ -98,7 +100,7 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
                 nu = tuple(a + b for a, b in zip(nu, alpha_f))
                 # nu's dominant conjugate lies strictly above mu, so a weight
                 # there already has its multiplicity
-                m = mults.get(rs.straighten(nu)[0])
+                m = mults.get(straighten(rs, nu)[0])
                 if m is None:
                     break
                 # (nu | alpha) in the short-normalised form
@@ -109,7 +111,8 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
         if rem or q <= 0:
             raise IdentityViolation("Freudenthal recursion produced a non-multiplicity")
         mults[mu] = q
-    entries = {nu: m for mu, m in mults.items() for layer in rs.descend(mu) for nu in layer}
+    entries = {nu: m for mu, m in mults.items() for layer in orbits.descend(rs, mu)
+               for nu in layer}
     return WeightSystem(rs, entries)
 
 
@@ -134,7 +137,7 @@ def _dims(rs: RootSystem) -> LittleAdjointDims:
     zero_mult = ws.zero_multiplicity
     short_count = 2 * len(rs.short_positives)
     dim = ws.dimension
-    if dim != weyl_dim(rs, rs.weight_of(rs.theta_short)):
+    if dim != orbits.weyl_dim(rs, rs.weight_of(rs.theta_short)):
         raise IdentityViolation("multiplicity sum disagrees with the dimension formula")
     if dim != short_count + zero_mult:
         raise IdentityViolation("weight count disagrees with the dimension")

@@ -10,18 +10,17 @@ The constructor finds the positive roots by one upward closure from the
 simple roots: a positive root that is not simple has a simple reflection
 that lowers its height (Humphreys, Introduction to Lie Algebras and
 Representation Theory, section 10), so every positive root is reached from a
-simple root by reflections that raise it.  No inverse of the Cartan matrix
-is needed for that; the integer adjugate, which ``lattice_coords`` and
-``root_coords`` read, is computed on a system's first such call, by the
-elimination in ``classify``.
-``RootSystem`` also owns the one Weyl-orbit walk, ``RootSystem.descend``:
-down from a dominant weight by simple reflections, one length of W per
-layer, optionally kept above a floor; like every weight entry point, it
-refuses any other start.  Freudenthal expands dominant weights into
-orbits with it, and Kostant's alternating sum runs over it.
-``RootSystem.straighten``, the one chamber walk, goes the other way, up to
-the dominant conjugate with its sign; the nullcone character and
-Freudenthal straighten through it, one unchecked point at a time.
+simple root by reflections that raise it.  A build writes the rank
+squared coordinates of its Cartan matrix and rank many per root the
+closure finds, and ``Limits.max_root_work`` caps them: a system past the
+cap is refused (``SizeLimitExceeded``) as its closure finds the first
+root too many, and one whose simple roots alone pass it before any matrix
+is built.  No inverse of the Cartan matrix is needed for the closure; the
+integer adjugate, which ``lattice_coords`` and ``root_coords`` read, is
+computed on a system's first such call, by the elimination in
+``classify``.
+The walks over Weyl orbits of weights, and the Weyl dimension formula,
+are in ``orbits``; they read the sparse Cartan columns ``RootSystem.cols``.
 ``Fraction`` appears only where an answer is genuinely rational
 (``root_coords`` and the inner product of two weights), and is imported
 there, so a process that asks for no rational answer never loads
@@ -40,7 +39,8 @@ the short dominant root coincides with the highest root.
 The classifier (``classify``) is imported only inside ``from_cartan`` and
 ``RootSystem._adjugate``, which ``lattice_coords`` and ``root_coords``
 read: a command that names its systems by type and asks for no
-root-lattice coordinates never compiles it.
+root-lattice coordinates never compiles it.  The caps (``config``) are
+read inside the constructor, so importing this module does not load them.
 """
 
 import math
@@ -63,7 +63,7 @@ from .cartan import (
     _of_rank,
     cartan_matrix,
 )
-from .errors import IdentityViolation, UnsupportedRootSystem
+from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
 
 __all__ = [
     "RootSystem",
@@ -71,7 +71,6 @@ __all__ = [
     "from_cartan",
     "dual_coxeter_of_dual",
     "exponents_from_heights",
-    "weyl_dim",
 ]
 
 
@@ -81,9 +80,13 @@ class RootSystem:
 
     Per positive root the constructor stores two integer values, the
     fundamental coordinates A.c and the squared length; with p positive
-    roots, root k + p is the negative of root k.  The form vector D.c (so
-    that (x | root) is the plain dot product of x's fundamental coordinates
-    with D.c) is computed from the coefficients where it is read.  Data
+    roots, root k + p is the negative of root k.  ``cols`` holds A's
+    columns sparsely, column i as the pairs (j, A[j][i]) with A[j][i]
+    nonzero: the simple reflection s_i subtracts y_i times column i from
+    fundamental coordinates y, and that is all the orbit walks of
+    ``orbits`` read of A.  The form vector D.c (so that (x | root) is the
+    plain dot product of x's fundamental coordinates with D.c) is computed
+    from the coefficients where it is read.  Data
     that only some callers need is built lazily through :meth:`memo`.
     ``nodes`` orders the nodes, Bourbaki's node k at node ``nodes[k]``, and
     ``cartan`` is ``cartan_matrix(spec)`` re-indexed by it, so every system
@@ -98,11 +101,21 @@ class RootSystem:
         n = spec.rank
         self.nodes = _node_order(nodes, n)
         self.rank = n
+        # a build writes the n x n matrix, then n coordinates per root its
+        # closure finds, so the closure may find cap // n - n roots; it finds
+        # the n simple roots at least, so a rank past that is refused here
+        from . import config
+
+        cap = config.current_limits().max_root_work
+        most = cap // n - n
+        if most < n:
+            raise _past_the_root_cap(spec, cap)
         bourbaki = cartan_matrix(spec)
         at = sorted(range(n), key=nodes.__getitem__)   # Bourbaki's node at each node
         self.cartan = A = tuple([tuple([bourbaki[i][j] for j in at]) for i in at])
+        del bourbaki   # n * n ints that the closure below need not hold
         self.symmetrizers = d = cm._symmetrizers(A)
-        self._cols = tuple(
+        self.cols = tuple(
             tuple((j, A[j][i]) for j in range(n) if A[j][i]) for i in range(n)
         )
         self._memo: dict = {}
@@ -114,11 +127,13 @@ class RootSystem:
         while todo:
             c, y = todo.pop()
             if c not in fund_of:
+                if len(fund_of) >= most:
+                    raise _past_the_root_cap(spec, cap)
                 fund_of[c] = y
                 for i, step in enumerate(y):
                     if step < 0:
                         z = list(y)
-                        for j, a in self._cols[i]:
+                        for j, a in self.cols[i]:
                             z[j] -= step * a
                         todo.append((c[:i] + (c[i] - step,) + c[i + 1:], tuple(z)))
         positives = sorted(fund_of, key=lambda c: (sum(c), c))
@@ -305,79 +320,10 @@ class RootSystem:
             raise IdentityViolation("coroot pairing of an integral weight must be integral")
         return q
 
-    # -- dominance ------------------------------------------------------------
 
-    def descend(self, fund, floor=None):
-        """The Weyl orbit of a dominant weight (see dominant_integral, which
-        refuses any other start), walked down from it one layer per length
-        of W: the one orbit walk of the engines.
-
-        A point y steps to s_i(y) = y - y_i * alpha_i wherever y_i > 0, and
-        every orbit point is reached so, one length per step (Humphreys,
-        Reflection Groups and Coxeter Groups, ch. 1); layer k holds the
-        points whose shortest conjugating element has length k.  Each layer
-        is a dict from its points to None, or, given a floor (a weight, see
-        as_weight), to the root-lattice coordinates of y - floor (the
-        start's through lattice_coords, so through the adjugate): then only
-        the points with y - floor in the positive root cone are kept, and a
-        point whose step would make a coordinate negative is dropped with
-        everything below it, which is exact since every step goes down."""
-        fund = self.dominant_integral(fund)
-        cols = self._cols
-        if floor is None:
-            layer = {fund: None}
-        else:
-            c = self.lattice_coords(Weight(fund) - self.as_weight(floor))
-            if c is None or min(c) < 0:
-                return
-            layer = {fund: c}
-        while layer:
-            yield layer
-            below = {}
-            for y, c in layer.items():
-                for i, step in enumerate(y):
-                    if step > 0 and (c is None or step <= c[i]):
-                        z = list(y)
-                        for j, a in cols[i]:
-                            z[j] -= step * a
-                        z = tuple(z)
-                        if z not in below:
-                            below[z] = None if c is None else c[:i] + (c[i] - step,) + c[i + 1:]
-            layer = below
-
-    def straighten(self, fund):
-        """Dominant Weyl conjugate of an int tuple of fundamental coords,
-        taken unchecked: the kernel of Freudenthal and of the nullcone
-        character.
-
-        The scan reflects in the first simple root alpha_i whose coordinate
-        c is negative, then starts again from coordinate 0.  Each step adds
-        the positive multiple -c of alpha_i, so the scan ends, and it ends at
-        the unique dominant conjugate; any such scan takes one step per
-        positive coroot on which the point is negative (Humphreys, Reflection
-        Groups and Coxeter Groups, 1.6-1.7), so neither the sign nor the 0
-        of a singular point depends on the scan order.
-
-        Returns (coords, sign) where sign is the determinant (-1)^steps of
-        the conjugating element, or 0 when the weight is singular (fixed by
-        some reflection)."""
-        cols = self._cols
-        n = self.rank
-        v = list(fund)
-        sign = 1
-        i = 0
-        while i < n:
-            c = v[i]
-            if c < 0:
-                for j, a in cols[i]:
-                    v[j] -= c * a
-                sign = -sign
-                i = 0
-            else:
-                i += 1
-        if 0 in v:
-            sign = 0
-        return tuple(v), sign
+def _past_the_root_cap(spec, cap):
+    return SizeLimitExceeded(f"building {spec} writes more than the cap of {cap} coordinates,"
+                             " its Cartan matrix's and rank many per root (max_root_work)")
 
 
 _FAMILY_LETTERS = frozenset("ABCDEFGabcdefg")
@@ -431,18 +377,6 @@ def exponents_from_heights(heights) -> tuple[int, ...]:
     roots: the conjugate partition of their height distribution."""
     counts = Counter(heights).values()
     return tuple(sorted(sum(v >= level for v in counts) for level in range(1, max(counts) + 1)))
-
-
-def weyl_dim(rs: RootSystem, highest) -> int:
-    """Dimension of the simple module with the given highest weight, by the
-    product formula over positive roots."""
-    lam_rho = [d * (x + 1) for d, x in zip(rs.symmetrizers, rs.dominant_integral(highest))]
-    coeffs = [r.coeffs for r in rs.positive_roots()]
-    q, rem = divmod(math.prod([_dot(c, lam_rho) for c in coeffs]),
-                    math.prod([_dot(c, rs.symmetrizers) for c in coeffs]))
-    if rem:
-        raise IdentityViolation("Weyl dimension must be an integer")
-    return q
 
 
 def dual_coxeter_of_dual(rs: RootSystem) -> int:

@@ -40,7 +40,7 @@ from shortroots import (
     summary_row,
     transition_identities,
 )
-from shortroots.rootsystem import weyl_dim
+from shortroots.orbits import weyl_dim
 
 ALL_TWELVE = (
     [("C", n) for n in range(2, 7)] + [("B", n) for n in range(2, 7)]

@@ -11,6 +11,7 @@ import pytest
 import shortroots.antichains as ac
 import shortroots.gradedchar as gc
 import shortroots.littleadjoint as la
+import shortroots.orbits as orbits
 import shortroots.reduction as red
 import shortroots.weyl as weyl
 from shortroots import RootSystem, build
@@ -114,7 +115,7 @@ def _one_walked_entry_changed(rs, monkeypatch):
 
 def _weyl_dim_one_higher(rs, monkeypatch):
     # the first route, the dimension series, off by one module dimension
-    _wrap(monkeypatch, gc, "weyl_dim", lambda rs, dim, highest: dim + 1)
+    _wrap(monkeypatch, orbits, "weyl_dim", lambda rs, dim, highest: dim + 1)
 
 
 def _one_negative_coefficient(rs, monkeypatch):

@@ -15,7 +15,8 @@ import shortroots.checks as checks
 import shortroots.gradedchar as gc
 import shortroots.qtables as qtables
 from shortroots import Limits
-from shortroots.cli import _COMMANDS, _plain_args, main, make_parser
+from shortroots.argreader import make_parser
+from shortroots.cli import _COMMANDS, _plain_args, main
 
 
 def run(capsys, *argv):
@@ -99,7 +100,7 @@ _SEMIDIRECT_SPLITS = {"B6": (23040, 2), "C6": (64, 720), "C8": (256, 40320)}
                          + ["F4", "G2"])
 def test_semidirect_product_passes_on_every_two_length_system(capsys, name):
     # W is never listed, so no cap can skip the check: the caps left bound work
-    assert Limits._fields == ("max_character_work", "max_antichain_work")
+    assert Limits._fields == ("max_character_work", "max_antichain_work", "max_root_work")
     code, out, _ = run(capsys, "verify", name, "--check", "semidirect-product", "--json")
     assert code == 0
     (check,) = json.loads(out)["checks"]
@@ -214,7 +215,7 @@ def test_the_plain_reader_agrees_with_argparse():
     # or returns exactly the attributes argparse sets, defaults included
     options = sorted({option for _, _, opts in _COMMANDS.values() for option in opts})
     tokens = list(_COMMANDS) + options + ["G2", "C4", "F4", "x", "3", "12", "0"] + _EDGE_TOKENS
-    parser = make_parser()
+    parser = make_parser(_COMMANDS)
     rng = random.Random(46)
     plain = 0
     for _ in range(12000):
@@ -244,7 +245,8 @@ import contextlib, io, sys
 import shortroots.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = shortroots.cli.main(sys.argv[1:])
-print(code, *[m for m in ("argparse", "gettext", "locale") if m in sys.modules])
+print(code, *[m for m in ("shortroots.argreader", "argparse", "gettext", "locale")
+              if m in sys.modules])
 """
 
 
@@ -257,7 +259,7 @@ def test_only_argparse_spellings_load_argparse(argv):
     code, *loaded = child.stdout.split()
     assert (child.returncode, child.stderr, code) == (0, "", "0")
     if argv == "--help":
-        assert loaded[0] == "argparse"
+        assert loaded[:2] == ["shortroots.argreader", "argparse"]
     else:
         assert loaded == []
 
@@ -377,6 +379,16 @@ def test_nullcone_char_refuses_large_rank(capsys):
     assert "300000 DP updates" in err
 
 
+@pytest.mark.parametrize("argv", ["info A201", "antichains C160", "info D2000 --json"])
+def test_a_build_past_the_root_cap_is_refused(capsys, argv):
+    # max_root_work answers info A200; the build comes before any command's work
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    system = argv.split()[1]
+    assert err.startswith(f"refused: building {system} writes more than the cap of 4100000 ")
+    assert err.endswith("(max_root_work)\n")
+
+
 def test_nullcone_char_refuses_a_negative_degree(capsys):
     code, out, err = run(capsys, "nullcone-char", "B2", "--max-degree", "-1")
     assert (code, out) == (2, "")
@@ -434,9 +446,9 @@ def test_table1_builds_each_reduction_once(capsys, fresh_systems):
 
 
 def test_verify_reports_a_failed_self_check(capsys, monkeypatch, fresh_systems):
-    import shortroots.littleadjoint as la
+    import shortroots.orbits as orbits
 
-    monkeypatch.setattr(la, "weyl_dim", lambda rs, highest: 0)
+    monkeypatch.setattr(orbits, "weyl_dim", lambda rs, highest: 0)
     code, out, _ = run(capsys, "verify", "G2", "--check", "little-adjoint-dims")
     assert code == 1
     assert "FAIL little-adjoint-dims" in out
@@ -517,7 +529,7 @@ def test_package_exports_exactly_the_module_lists():
     import shortroots
 
     library = ["antichains", "cartan", "classify", "config", "errors", "gradedchar",
-               "littleadjoint", "reduction", "rootsystem", "weyl"]
+               "littleadjoint", "orbits", "reduction", "rootsystem", "weyl"]
     modules = [importlib.import_module(f"shortroots.{mod}") for mod in library]
     owner = {name: mod for mod in modules for name in mod.__all__}
     assert len(owner) == sum(len(mod.__all__) for mod in modules)   # no name declared twice
@@ -580,9 +592,10 @@ def _ast_nodes(path):
 
 def test_cli_start_up_compiles_inside_its_budget():
     # a cold child without a bytecode cache compiles every module that
-    # `import shortroots.cli` runs: the package, the CLI's parser and
-    # emitter and the root-system layer, but no classifier and no
-    # subcommand body
+    # `import shortroots.cli` runs: the package, the CLI's plain reader and
+    # emitter and the root-system layer, but no classifier, no orbit walk,
+    # no argparse reader and no subcommand body (5 242 nodes, 5 791 before
+    # the orbit walks and the argparse reader moved off this path)
     code = ("import sys, types, shortroots.cli\n"
             "print(*sorted(m.__file__ for name, m in sys.modules.items()"
             " if name.partition('.')[0] == 'shortroots' and type(m) is types.ModuleType))")
@@ -590,7 +603,7 @@ def test_cli_start_up_compiles_inside_its_budget():
     assert (child.returncode, child.stderr) == (0, "")
     files = child.stdout.split()
     assert "cli.py" in {Path(f).name for f in files}
-    assert sum(map(_ast_nodes, files)) <= 6000
+    assert sum(map(_ast_nodes, files)) <= 5400
 
 
 def test_no_module_imports_the_cli():
@@ -617,8 +630,8 @@ def test_engines_reach_each_other_through_module_objects():
     # and hold a second binding of x, which a test replacing weyl.x would
     # miss (config's current_limits is bound per module and replaced so)
     src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
-    engines = {"antichains", "checks", "classify", "gradedchar", "littleadjoint", "reduction",
-               "weyl"}
+    engines = {"antichains", "checks", "classify", "gradedchar", "littleadjoint", "orbits",
+               "reduction", "weyl"}
     binding = [(p.name, node.module) for p in sorted(src.glob("*.py"))
                for node in ast.parse(p.read_text()).body   # what runs at import
                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in engines]
@@ -663,7 +676,7 @@ import shortroots.cli
 names = [m for m in sys.modules if m.startswith("shortroots.") and m != "shortroots.cli"]
 stubs = [type(sys.modules[m]) for m in names if type(sys.modules[m]) is not types.ModuleType]
 assert len(set(stubs)) <= 1 and all(issubclass(t, types.ModuleType) for t in stubs)
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = shortroots.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 loaded = [m[11:] for m in sys.modules if m.startswith("shortroots.") and m != "shortroots.cli"
           and type(sys.modules[m]) is types.ModuleType]
@@ -671,26 +684,35 @@ print(code, *sorted(m[11:] for m in names))
 print(*sorted(loaded))
 """
 _LIBRARY_AND_CHECKS = ("antichains cartan checks classify config errors gradedchar littleadjoint"
-                       " reduction rootsystem weyl")
+                       " orbits reduction rootsystem weyl")
+# building a system loads config, whose max_root_work caps the root
+# closure; the orbit walks load with the engines that walk (Freudenthal,
+# the nullcone character), so info on one root length and antichains skip them
 _RUNS = {
     "": "cartan errors rootsystem",
-    "info C9": "cartan classify cmd_info errors littleadjoint reduction rootsystem",
-    "info A30": "cartan cmd_info errors rootsystem",
+    "info C9": "cartan classify cmd_info config errors littleadjoint orbits reduction rootsystem",
+    "info A30": "cartan cmd_info config errors rootsystem",
     "antichains C8": "antichains cartan cmd_antichains config errors rootsystem",
-    "nullcone-char G2 --max-degree 4": ("cartan cmd_nullcone_char config errors gradedchar qtables"
-                                        " rootsystem"),
-    "verify B7 --check sign-partition": "cartan checks cmd_verify errors littleadjoint rootsystem",
-    "table1": "cartan classify cmd_table1 errors littleadjoint reduction rootsystem",
+    "nullcone-char G2 --max-degree 4": ("cartan cmd_nullcone_char config errors gradedchar orbits"
+                                        " qtables rootsystem"),
+    "verify B7 --check sign-partition": ("cartan checks cmd_verify config errors littleadjoint"
+                                         " rootsystem"),
+    "table1": "cartan classify cmd_table1 config errors littleadjoint orbits reduction rootsystem",
     "verify G2": ("antichains cartan checks classify cmd_verify config errors gradedchar"
-                  " littleadjoint qtables reduction rootsystem weyl"),
+                  " littleadjoint orbits qtables reduction rootsystem weyl"),
     "verify E8": ("antichains cartan checks cmd_verify config errors gradedchar littleadjoint"
                   " qtables reduction rootsystem weyl"),
     # --json adds the writer
     "nullcone-char G2 --max-degree 4 --json": ("cartan cmd_nullcone_char config errors gradedchar"
-                                               " jsonout qtables rootsystem"),
+                                               " jsonout orbits qtables rootsystem"),
     "verify E8 --json": ("antichains cartan checks cmd_verify config errors gradedchar jsonout"
                          " littleadjoint qtables reduction rootsystem weyl"),
+    # a spelling only argparse reads adds the argparse reader, and ends here
+    # with the help (exit 0) or a usage error (exit 2), before any system
+    "--help": "argreader cartan errors rootsystem",
+    "verify --chec G2": "argreader cartan errors rootsystem",
 }
+_EXIT_CODES = {"verify --chec G2": 2}   # 0 for every other run
 # the classifier is reached only through from_cartan, the adjugate and the
 # order of a reflection subgroup, none of which a single-length verify runs
 _WITHOUT_CLASSIFIER = ("", "info A30", "antichains C8", "nullcone-char G2 --max-degree 4",
@@ -706,10 +728,12 @@ def test_each_subcommand_runs_only_the_modules_it_calls(command):
     # registered, and a subcommand's body module is imported on dispatch
     child = python_child("-c", _LOADS, *command.split())
     assert child.stderr == ""
-    assert child.stdout == f"0 {_LIBRARY_AND_CHECKS}\n{_RUNS[command]}\n"
+    code = _EXIT_CODES.get(command, 0)
+    assert child.stdout == f"{code} {_LIBRARY_AND_CHECKS}\n{_RUNS[command]}\n"
     loaded = _RUNS[command].split()
+    dispatched = command and "argreader" not in loaded
     assert [m for m in loaded if m.startswith("cmd_")] == (
-        ["cmd_" + command.split()[0].replace("-", "_")] if command else [])
+        ["cmd_" + command.split()[0].replace("-", "_")] if dispatched else [])
     assert "classify" not in loaded or command not in _WITHOUT_CLASSIFIER
 
 
@@ -801,5 +825,5 @@ def test_readme_names_every_cap():
 
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     names = list(config.Limits._fields)
-    assert len(names) == 2
+    assert len(names) == 3
     assert [name for name in names if name not in text] == []

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shortroots.gradedchar as gc
+import shortroots.orbits as orbits
 import shortroots.qtables as qtables
 from shortroots import (
     GradedCharacter,
@@ -42,7 +43,7 @@ from shortroots import (
     q_partition,
     simple_reflection,
 )
-from shortroots.rootsystem import weyl_dim
+from shortroots.orbits import descend, straighten, weyl_dim
 
 
 def qp(coeffs, truncation):
@@ -349,7 +350,7 @@ def test_nullcone_character_rejects_out_of_scope_systems():
 
 def test_character_work_cap_counts_dp_updates():
     assert Limits().max_character_work == 300_000
-    assert len(Limits._fields) == 2
+    assert len(Limits._fields) == 3
     # the counter is a function of (system, degree), not of what is cached
     rs = build("C3")
     deep = nullcone_character(rs, 6).work
@@ -406,14 +407,13 @@ def test_each_key_off_the_walls_is_straightened_once(monkeypatch, name, degree, 
     keys = set().union(*qt.levels)
     assert sum(1 for key in keys if 0 not in decode(qt, rs.rank, key, 1)) == off_the_walls
     seen = []
-    straighten = rs.straighten
-
-    def recording(fund):
-        seen.append(fund)
-        return straighten(fund)
-
-    monkeypatch.setattr(rs, "straighten", recording)
     expected = nullcone_character(build(name), degree).entries
+
+    def recording(system, fund):
+        seen.append(fund)
+        return straighten(system, fund)
+
+    monkeypatch.setattr(orbits, "straighten", recording)
     assert nullcone_character(rs, degree).entries == expected
     assert len(seen) == len(set(seen)) == off_the_walls
 
@@ -554,10 +554,10 @@ def test_straighten_agrees_with_the_orbit_layers(name, order, degree):
     layers = {}   # dominant conjugate -> {orbit point: its layer}
     singular = 0
     for point in points:
-        dom, sign = rs.straighten(point)
+        dom, sign = straighten(rs, point)
         assert min(dom) >= 0, point
         if dom not in layers:
-            layers[dom] = {y: length for length, layer in enumerate(rs.descend(dom))
+            layers[dom] = {y: length for length, layer in enumerate(descend(rs, dom))
                            for y in layer}
         length = layers[dom][point]
         assert sign == (0 if 0 in dom else (-1) ** length), point
@@ -567,7 +567,8 @@ def test_straighten_agrees_with_the_orbit_layers(name, order, degree):
 
 def test_gradedchar_imports_only_the_root_system_config_and_errors():
     # nullcone-char loads no engine module it does not run: gradedchar adds
-    # its table module, and that imports nothing more
+    # its table module, which imports nothing more, and the orbit walks it
+    # straightens through
     def imported(module):
         names = set()
         for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
@@ -580,7 +581,7 @@ def test_gradedchar_imports_only_the_root_system_config_and_errors():
                              if a.name.startswith("shortroots."))
         return names
 
-    assert imported(gc) == {"cartan", "config", "errors", "qtables", "rootsystem"}
+    assert imported(gc) == {"cartan", "config", "errors", "orbits", "qtables", "rootsystem"}
     assert imported(qtables) == {"config", "errors", "rootsystem"}
 
 

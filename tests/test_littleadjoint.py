@@ -19,7 +19,7 @@ from shortroots import (
     little_adjoint_dims,
 )
 from shortroots.checks import run_check
-from shortroots.rootsystem import weyl_dim
+from shortroots.orbits import weyl_dim
 
 
 def test_smallest_adjoint_module():

@@ -29,9 +29,12 @@ from helpers import (
 )
 
 from shortroots import (
+    Limits,
     NotFiniteType,
     Root,
+    RootSystem,
     RootSystemSpec,
+    SizeLimitExceeded,
     UnsupportedRootSystem,
     Weight,
     antichain_report,
@@ -70,7 +73,7 @@ from shortroots import (
 from shortroots import qtables
 from shortroots.checks import CHECK_IDS, run_check
 from shortroots.gradedchar import invariant_degrees
-from shortroots.rootsystem import weyl_dim
+from shortroots.orbits import descend, straighten, weyl_dim
 
 SYSTEMS = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 5),
@@ -694,8 +697,8 @@ def test_dominant_representative():
     assert w == ((1, 1), 1)
     # a Weight is read like a tuple, and the unparsed kernel agrees
     assert dominant_representative(rs, Weight.of((-1, 2))) == (dom, sign)
-    assert rs.straighten((-1, 2)) == (dom, sign)
-    assert rs.straighten((-1, 1)) == (dom0, sign0)
+    assert straighten(rs, (-1, 2)) == (dom, sign)
+    assert straighten(rs, (-1, 1)) == (dom0, sign0)
 
 
 DESCEND_CASES = [
@@ -716,7 +719,7 @@ def test_descend_is_the_weyl_orbit_by_length(name, lam):
     for w in enumerate_group(rs):
         y, k = act_fund(rs, w, lam), length(rs, w)
         shortest[y] = min(shortest.get(y, k), k)
-    layers = list(rs.descend(lam))
+    layers = list(descend(rs, lam))
     assert [set(layer) for layer in layers] == [
         {y for y, k in shortest.items() if k == length} for length in range(len(layers))
     ]
@@ -730,7 +733,7 @@ def test_descend_is_the_weyl_orbit_by_length(name, lam):
             c = rs.lattice_coords(tuple(a - b for a, b in zip(y, floor)))
             if c is not None and min(c) >= 0:
                 expected[y] = c
-        kept = list(rs.descend(lam, floor))
+        kept = list(descend(rs, lam, floor))
         assert {y: c for layer in kept for y, c in layer.items()} == expected
         assert all(shortest[y] == k for k, layer in enumerate(kept) for y in layer)
 
@@ -741,9 +744,9 @@ def test_descend_refuses_a_start_off_the_dominant_chamber():
     # orbit, and a floor of another rank is refused too
     rs = build("B2")
     with pytest.raises(ValueError, match="^\\[-1,2\\] is not dominant$"):
-        list(rs.descend((-1, 2)))
+        list(descend(rs, (-1, 2)))
     with pytest.raises(ValueError, match="^weight has the wrong rank$"):
-        list(rs.descend((1, 0), (0, 0, 0)))
+        list(descend(rs, (1, 0), (0, 0, 0)))
 
 
 @pytest.mark.parametrize(
@@ -751,7 +754,7 @@ def test_descend_refuses_a_start_off_the_dominant_chamber():
 )
 def test_simple_roots_have_one_dominant_conjugate_per_length(name):
     rs = build(name)
-    tops = {rs.straighten(rs.weight_coords(rs.simple_root(i)))[0] for i in range(rs.rank)}
+    tops = {straighten(rs, rs.weight_coords(rs.simple_root(i)))[0] for i in range(rs.rank)}
     assert tops == {rs.weight_coords(rs.theta), rs.weight_coords(rs.theta_short)}
     assert len(tops) == len(set(rs.symmetrizers))
 
@@ -788,6 +791,45 @@ def test_the_constructor_refuses_an_order_that_is_not_of_the_nodes(monkeypatch, 
     monkeypatch.setattr(cm, "_symmetrizers", lambda A: pytest.fail("the order was used"))
     with pytest.raises(error, match=message):
         rootsystem.RootSystem(RootSystemSpec("B", 3), nodes)
+
+
+def _root_cap(monkeypatch, cap):
+    import shortroots.config as config
+
+    monkeypatch.setattr(config, "current_limits", lambda: Limits(max_root_work=cap))
+
+
+@pytest.mark.parametrize("name", ["A5", "B4", "C4", "D5", "E6", "F4", "G2"])
+def test_the_root_cap_counts_the_matrix_and_the_rank_per_root(monkeypatch, name):
+    # a build writes its n x n Cartan matrix and n coordinates per positive
+    # root: a cap of exactly that is met, one less refuses the last root
+    rs = build(name)
+    work = rs.rank * (rs.rank + rs.num_positive)
+    _root_cap(monkeypatch, work)
+    assert RootSystem(rs.spec, rs.nodes).roots == rs.roots
+    _root_cap(monkeypatch, work - 1)
+    with pytest.raises(SizeLimitExceeded, match=rf"^building {name} writes more than the cap of "
+                                                rf"{work - 1} coordinates, .* \(max_root_work\)$"):
+        RootSystem(rs.spec, rs.nodes)
+
+
+def test_a_rank_past_the_root_cap_is_refused_before_any_matrix(monkeypatch):
+    # the closure finds the n simple roots at least, so a cap under 2 n^2
+    # refuses before the n x n matrix is built
+    import shortroots.rootsystem as rootsystem
+
+    monkeypatch.setattr(rootsystem, "cartan_matrix", lambda spec: pytest.fail("a matrix was built"))
+    for rank in (1432, 100_000):
+        with pytest.raises(SizeLimitExceeded, match=rf"^building A{rank} writes more than the cap"):
+            RootSystem(RootSystemSpec("A", rank), tuple(range(rank)))
+    _root_cap(monkeypatch, 2 * 4 * 4 - 1)
+    with pytest.raises(SizeLimitExceeded, match="^building C4 "):
+        RootSystem(RootSystemSpec("C", 4), (0, 1, 2, 3))
+
+
+def test_the_default_root_cap_answers_a200_and_refuses_a201():
+    # A_n has n (n + 1) / 2 positive roots
+    assert 200 * (200 + 200 * 201 // 2) <= Limits().max_root_work < 201 * (201 + 201 * 202 // 2)
 
 
 @pytest.mark.parametrize("label,matrix", [("B2", "C2"), ("C2", "B2"), ("A3", "D3"), ("D3", "A3")])
@@ -981,7 +1023,7 @@ def test_no_module_imports_the_rational_stack_at_module_level():
 
 
 def test_only_the_root_system_builds_simple_root_columns():
-    # every Weyl-orbit walk goes through RootSystem.descend
+    # every Weyl-orbit walk goes through orbits.descend, on RootSystem.cols
     src = Path(__file__).resolve().parents[1] / "src" / "shortroots"
     builders = [p.name for p in sorted(src.glob("*.py"))
                 if "weight_coords(rs.simple_root(" in p.read_text()]
@@ -1094,7 +1136,7 @@ _WRONG_RANK = {
     "pairing": lambda rs, w=(0, 0, 0, 1, 7): rs.pairing(Weight.of(w), rs.theta_short),
     "dominant_representative": lambda rs, w=(0, 0, 0, -1, 7): dominant_representative(rs, w),
     "dominant_integral": lambda rs, w=(1, 0, 0): rs.dominant_integral(w),
-    "descend": lambda rs, w=(1, 0, 0): list(rs.descend(w)),
+    "descend": lambda rs, w=(1, 0, 0): list(descend(rs, w)),
     "q_partition-tuple": lambda rs, w=(0, 0, 0, 1, 0): q_partition(rs, w, 3),
     "q_partition-weight": lambda rs, w=(0, 0, 1): q_partition(rs, Weight.of(w), 3),
     "graded_multiplicity-long": lambda rs, w=(0, 0, 0, 1, 0): graded_multiplicity(
