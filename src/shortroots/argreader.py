@@ -36,14 +36,13 @@ def make_parser(commands):
 
 
 def read(commands, argv):
-    """The namespace argparse reads from argv, or the exit code when
-    argparse ends the run instead: 0 after writing the help to stdout, 2
-    after writing a usage error to stderr."""
+    """The namespace argparse reads from argv.  Where argparse ends the run
+    instead, its SystemExit goes on to the caller: code 0 once the help is
+    written to stdout, 2 after a usage error written to stderr."""
     help_text = io.StringIO()   # argparse drops a write of the help that fails
     try:
         with contextlib.redirect_stdout(help_text):
             return make_parser(commands).parse_args(argv)
-    except SystemExit as exc:
+    finally:
         if text := help_text.getvalue():   # an empty write fails too on a full device
             sys.stdout.write(text)
-        return int(exc.code or 0)

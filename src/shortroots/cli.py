@@ -155,9 +155,10 @@ def _run(argv) -> int:
     if args is None:
         from .argreader import read
 
-        args = read(_COMMANDS, argv)
-        if type(args) is int:   # --help, or a usage error: argparse ended the run
-            return args
+        try:
+            args = read(_COMMANDS, argv)
+        except SystemExit as exc:   # --help, or a usage error already on stderr
+            return int(exc.code or 0)
     # the body of subcommand "nullcone-char" is module cmd_nullcone_char
     command = importlib.import_module(f".cmd_{args.command.replace('-', '_')}", __package__)
     try:

@@ -6,7 +6,7 @@ and the packed keys that index them, belong to ``qtables``.  One
 straightening loop over the tables gives the whole graded character: it
 walks the deepest table's keys, then the few keys of shallower ones that
 it lacks, gathered once, straightens each point off the walls once,
-however many degrees hold it, by ``orbits.straighten``, and adds each
+however many degrees hold it, by ``orbits._straighten``, and adds each
 degree's counts, times their keys' signs, into one row per dominant
 conjugate; each row becomes one ``QPoly`` multiplicity.
 Kostant's alternating sum, walked over a Weyl orbit by
@@ -239,7 +239,7 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     chunk at a time, and each point v is straightened once, however many
     degrees hold it: a point v + rho with a 0 coordinate lies on a wall,
     so it is singular and adds nothing, and every other one goes to
-    ``orbits.straighten``.  ``owners`` maps the key of each regular
+    ``orbits._straighten``.  ``owners`` maps the key of each regular
     point to the row of its dominant conjugate and its sign.  Each entry
     of each degree's table then adds sign * count into the row that owns
     its key, if any, so the sums cost one lookup per table entry, however
@@ -258,7 +258,7 @@ def nullcone_character(rs: RootSystem, max_degree: int) -> GradedCharacter:
     # dominant conjugate of v + rho -> signed counts of its keys, by degree
     rows = defaultdict(lambda: [0] * (max_degree + 1))
     owners: dict = {}   # key of a regular v -> (its dominant conjugate's row, its sign)
-    straighten = orbits.straighten
+    straighten = orbits._straighten
     for key, shifted in qt.points(chain(top, rest)):
         if 0 not in shifted:   # else on a wall, so singular
             dom, sign = straighten(rs, shifted)

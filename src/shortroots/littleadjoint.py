@@ -89,7 +89,7 @@ def freudenthal(rs: RootSystem, highest) -> WeightSystem:
     below = _dominant_below(rs, lam)
     pos_data = [(rs.weight_coords(r), rs.form_coords(r)) for r in rs.positive_roots()]
     mults = {lam: 1}
-    straighten = orbits.straighten
+    straighten = orbits._straighten
     for level, mu in sorted((sum(c), mu) for mu, c in below.items()):
         if level == 0:
             continue

@@ -4,15 +4,21 @@
 dominant weight by simple reflections, one length of W per layer,
 optionally kept above a floor; like every weight entry point, it refuses
 any other start.  Freudenthal expands dominant weights into orbits with
-it, and Kostant's alternating sum runs over it.  ``straighten``, the one
+it, and Kostant's alternating sum runs over it.  ``_straighten``, the one
 chamber walk, goes the other way, up to the dominant conjugate with its
 sign; the nullcone character and Freudenthal straighten through it, one
 unchecked point at a time.  Both read a system's sparse Cartan columns,
 ``RootSystem.cols``, and no group element is built.  ``weyl_dim`` is the
 Weyl dimension formula, the independent route to a module's dimension.
 
+``_straighten`` is private because it runs once per point: the
+benchmark's tracer (``perfbench/traced_cli.py``) wraps every public
+function of the package in a span, so a public kernel would open a span
+per point, while a private one counts in its caller's span, as a method
+does.
+
 The module is registered lazily by the package and reached through its
-module object (``orbits.straighten``), so a command that walks no orbit
+module object (``orbits.descend``), so a command that walks no orbit
 never compiles it: ``info`` on a system with one root length,
 ``antichains`` and ``--help`` do not.
 """
@@ -22,7 +28,7 @@ import math
 from .cartan import Weight, _dot
 from .errors import IdentityViolation
 
-__all__ = ["descend", "straighten", "weyl_dim"]
+__all__ = ["descend", "weyl_dim"]
 
 
 def descend(rs, fund, floor=None):
@@ -64,7 +70,7 @@ def descend(rs, fund, floor=None):
         layer = below
 
 
-def straighten(rs, fund):
+def _straighten(rs, fund):
     """Dominant Weyl conjugate of an int tuple of fundamental coords,
     taken unchecked: the kernel of Freudenthal and of the nullcone
     character.
@@ -81,7 +87,7 @@ def straighten(rs, fund):
     the conjugating element, or 0 when the weight is singular (fixed by
     some reflection)."""
     cols = rs.cols
-    n = len(cols)
+    n = rs.rank
     v = list(fund)
     sign = 1
     i = 0

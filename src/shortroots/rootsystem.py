@@ -14,11 +14,11 @@ simple root by reflections that raise it.  A build writes the rank
 squared coordinates of its Cartan matrix and rank many per root the
 closure finds, and ``Limits.max_root_work`` caps them: a system past the
 cap is refused (``SizeLimitExceeded``) as its closure finds the first
-root too many, and one whose simple roots alone pass it before any matrix
-is built.  No inverse of the Cartan matrix is needed for the closure; the
-integer adjugate, which ``lattice_coords`` and ``root_coords`` read, is
-computed on a system's first such call, by the elimination in
-``classify``.
+root too many, and one of a rank at which no simple type fits is refused
+on its rank alone, before its node order or any matrix is made.  No
+inverse of the Cartan matrix is needed for the closure; the integer
+adjugate, which ``lattice_coords`` and ``root_coords`` read, is computed
+on a system's first such call, by the elimination in ``classify``.
 The walks over Weyl orbits of weights, and the Weyl dimension formula,
 are in ``orbits``; they read the sparse Cartan columns ``RootSystem.cols``.
 ``Fraction`` appears only where an answer is genuinely rational
@@ -98,18 +98,10 @@ class RootSystem:
 
     def __init__(self, spec: RootSystemSpec, nodes: tuple[int, ...]):
         self.spec = spec
+        cap, most = _root_budget(spec)
         n = spec.rank
         self.nodes = _node_order(nodes, n)
         self.rank = n
-        # a build writes the n x n matrix, then n coordinates per root its
-        # closure finds, so the closure may find cap // n - n roots; it finds
-        # the n simple roots at least, so a rank past that is refused here
-        from . import config
-
-        cap = config.current_limits().max_root_work
-        most = cap // n - n
-        if most < n:
-            raise _past_the_root_cap(spec, cap)
         bourbaki = cartan_matrix(spec)
         at = sorted(range(n), key=nodes.__getitem__)   # Bourbaki's node at each node
         self.cartan = A = tuple([tuple([bourbaki[i][j] for j in at]) for i in at])
@@ -321,6 +313,25 @@ class RootSystem:
         return q
 
 
+def _root_budget(spec):
+    """``Limits.max_root_work`` and the number of roots the closure of
+    spec's system may find under it, read from the rank alone.  A build
+    writes the n x n matrix, then n coordinates per root its closure finds,
+    so it may find cap // n - n roots.  A simple type of rank n has
+    nh / 2 positive roots, h its Coxeter number, and h >= n + 1, with
+    equality for A_n alone; so a rank at which even A_n's n (n + 1) / 2
+    pass the cap is refused (SizeLimitExceeded) before any node order,
+    matrix or root is made."""
+    from . import config
+
+    n = spec.rank
+    cap = config.current_limits().max_root_work
+    most = cap // n - n
+    if most < n * (n + 1) // 2:
+        raise _past_the_root_cap(spec, cap)
+    return cap, most
+
+
 def _past_the_root_cap(spec, cap):
     return SizeLimitExceeded(f"building {spec} writes more than the cap of {cap} coordinates,"
                              " its Cartan matrix's and rank many per root (max_root_work)")
@@ -353,6 +364,7 @@ def build(family, rank: int | None = None) -> RootSystem:
         spec = RootSystemSpec(letter.upper(), int(digits))
     else:
         spec = RootSystemSpec(str(family).upper(), rank)
+    _root_budget(spec)   # a rank past the cap is refused before its node order
     return _cached(spec, tuple(range(spec.rank)))
 
 

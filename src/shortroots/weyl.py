@@ -5,7 +5,7 @@ a bare tuple ``w`` of root indices, ``w[k]`` the index of the image of
 root k, with no class around it.  Its length (the inversion count), sign
 and reduced words all follow from that tuple, and no engine reads them.
 W acts on the roots only; weights are moved by simple reflections on
-their coordinates (``orbits.straighten`` up to the dominant chamber,
+their coordinates (``orbits._straighten`` up to the dominant chamber,
 ``orbits.descend`` down a whole orbit), with no element built.
 No group is listed element by element: the order of a reflection
 subgroup is read off the Cartan types its base names, and ``classify``

@@ -14,7 +14,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from shortroots import Root, Weight, simple_reflection, straighten
+from shortroots import Root, Weight, simple_reflection
+from shortroots.orbits import _straighten
 
 # (number of positive roots, Coxeter number, dual Coxeter number, exponents)
 _SPORADIC = {
@@ -125,8 +126,8 @@ def kostant_multiplicity(rs, lam, mu):
 def dominant_representative(rs, weight):
     """Dominant Weyl conjugate of a weight (a Weight or a sequence of
     fundamental coordinates, read by ``RootSystem.as_weight``) and its
-    sign, as ``orbits.straighten`` returns them."""
-    return straighten(rs, rs.as_weight(weight).fund)
+    sign, as ``orbits._straighten`` returns them."""
+    return _straighten(rs, rs.as_weight(weight).fund)
 
 
 def _signed_images(rs, fund):

@@ -594,7 +594,7 @@ def test_cli_start_up_compiles_inside_its_budget():
     # a cold child without a bytecode cache compiles every module that
     # `import shortroots.cli` runs: the package, the CLI's plain reader and
     # emitter and the root-system layer, but no classifier, no orbit walk,
-    # no argparse reader and no subcommand body (5 242 nodes, 5 791 before
+    # no argparse reader and no subcommand body (5 291 nodes, 5 791 before
     # the orbit walks and the argparse reader moved off this path)
     code = ("import sys, types, shortroots.cli\n"
             "print(*sorted(m.__file__ for name, m in sys.modules.items()"
@@ -603,7 +603,7 @@ def test_cli_start_up_compiles_inside_its_budget():
     assert (child.returncode, child.stderr) == (0, "")
     files = child.stdout.split()
     assert "cli.py" in {Path(f).name for f in files}
-    assert sum(map(_ast_nodes, files)) <= 5400
+    assert sum(map(_ast_nodes, files)) <= 5440
 
 
 def test_no_module_imports_the_cli():
@@ -676,7 +676,7 @@ import shortroots.cli
 names = [m for m in sys.modules if m.startswith("shortroots.") and m != "shortroots.cli"]
 stubs = [type(sys.modules[m]) for m in names if type(sys.modules[m]) is not types.ModuleType]
 assert len(set(stubs)) <= 1 and all(issubclass(t, types.ModuleType) for t in stubs)
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()):
     code = shortroots.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
 loaded = [m[11:] for m in sys.modules if m.startswith("shortroots.") and m != "shortroots.cli"
           and type(sys.modules[m]) is types.ModuleType]
@@ -727,8 +727,13 @@ def test_each_subcommand_runs_only_the_modules_it_calls(command):
     # nothing; gradedchar's private table module is imported, not
     # registered, and a subcommand's body module is imported on dispatch
     child = python_child("-c", _LOADS, *command.split())
-    assert child.stderr == ""
     code = _EXIT_CODES.get(command, 0)
+    if code:   # argparse's usage error, and nothing else
+        first, *_, last = child.stderr.splitlines()
+        assert first.startswith("usage: shortroots verify ")
+        assert last.startswith("shortroots verify: error: ")
+    else:
+        assert child.stderr == ""
     assert child.stdout == f"{code} {_LIBRARY_AND_CHECKS}\n{_RUNS[command]}\n"
     loaded = _RUNS[command].split()
     dispatched = command and "argreader" not in loaded

@@ -43,7 +43,7 @@ from shortroots import (
     q_partition,
     simple_reflection,
 )
-from shortroots.orbits import descend, straighten, weyl_dim
+from shortroots.orbits import _straighten, descend, weyl_dim
 
 
 def qp(coeffs, truncation):
@@ -411,9 +411,9 @@ def test_each_key_off_the_walls_is_straightened_once(monkeypatch, name, degree, 
 
     def recording(system, fund):
         seen.append(fund)
-        return straighten(system, fund)
+        return _straighten(system, fund)
 
-    monkeypatch.setattr(orbits, "straighten", recording)
+    monkeypatch.setattr(orbits, "_straighten", recording)
     assert nullcone_character(rs, degree).entries == expected
     assert len(seen) == len(set(seen)) == off_the_walls
 
@@ -554,7 +554,7 @@ def test_straighten_agrees_with_the_orbit_layers(name, order, degree):
     layers = {}   # dominant conjugate -> {orbit point: its layer}
     singular = 0
     for point in points:
-        dom, sign = straighten(rs, point)
+        dom, sign = _straighten(rs, point)
         assert min(dom) >= 0, point
         if dom not in layers:
             layers[dom] = {y: length for length, layer in enumerate(descend(rs, dom))
@@ -568,7 +568,7 @@ def test_straighten_agrees_with_the_orbit_layers(name, order, degree):
 def test_gradedchar_imports_only_the_root_system_config_and_errors():
     # nullcone-char loads no engine module it does not run: gradedchar adds
     # its table module, which imports nothing more, and the orbit walks it
-    # straightens through
+    # straightens and sums through
     def imported(module):
         names = set()
         for node in ast.walk(ast.parse(Path(module.__file__).read_text())):

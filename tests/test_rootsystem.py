@@ -73,7 +73,7 @@ from shortroots import (
 from shortroots import qtables
 from shortroots.checks import CHECK_IDS, run_check
 from shortroots.gradedchar import invariant_degrees
-from shortroots.orbits import descend, straighten, weyl_dim
+from shortroots.orbits import _straighten, descend, weyl_dim
 
 SYSTEMS = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 5),
@@ -697,8 +697,8 @@ def test_dominant_representative():
     assert w == ((1, 1), 1)
     # a Weight is read like a tuple, and the unparsed kernel agrees
     assert dominant_representative(rs, Weight.of((-1, 2))) == (dom, sign)
-    assert straighten(rs, (-1, 2)) == (dom, sign)
-    assert straighten(rs, (-1, 1)) == (dom0, sign0)
+    assert _straighten(rs, (-1, 2)) == (dom, sign)
+    assert _straighten(rs, (-1, 1)) == (dom0, sign0)
 
 
 DESCEND_CASES = [
@@ -754,7 +754,7 @@ def test_descend_refuses_a_start_off_the_dominant_chamber():
 )
 def test_simple_roots_have_one_dominant_conjugate_per_length(name):
     rs = build(name)
-    tops = {straighten(rs, rs.weight_coords(rs.simple_root(i)))[0] for i in range(rs.rank)}
+    tops = {_straighten(rs, rs.weight_coords(rs.simple_root(i)))[0] for i in range(rs.rank)}
     assert tops == {rs.weight_coords(rs.theta), rs.weight_coords(rs.theta_short)}
     assert len(tops) == len(set(rs.symmetrizers))
 
@@ -803,6 +803,7 @@ def _root_cap(monkeypatch, cap):
 def test_the_root_cap_counts_the_matrix_and_the_rank_per_root(monkeypatch, name):
     # a build writes its n x n Cartan matrix and n coordinates per positive
     # root: a cap of exactly that is met, one less refuses the last root
+    # (A5's on its rank alone, since A_n has the fewest roots of its rank)
     rs = build(name)
     work = rs.rank * (rs.rank + rs.num_positive)
     _root_cap(monkeypatch, work)
@@ -814,15 +815,23 @@ def test_the_root_cap_counts_the_matrix_and_the_rank_per_root(monkeypatch, name)
 
 
 def test_a_rank_past_the_root_cap_is_refused_before_any_matrix(monkeypatch):
-    # the closure finds the n simple roots at least, so a cap under 2 n^2
-    # refuses before the n x n matrix is built
+    # no system of rank n has fewer positive roots than A_n's n (n + 1) / 2,
+    # so a cap under n (n + n (n + 1) / 2) refuses on the rank alone, before
+    # the node order or the n x n matrix
     import shortroots.rootsystem as rootsystem
 
+    assert all(build(f, r).num_positive >= r * (r + 1) // 2 for f, r in SYSTEMS)
+
     monkeypatch.setattr(rootsystem, "cartan_matrix", lambda spec: pytest.fail("a matrix was built"))
-    for rank in (1432, 100_000):
+    monkeypatch.setattr(rootsystem, "_node_order", lambda nodes, n: pytest.fail("nodes were read"))
+    for rank in (201, 1432, 100_000):
         with pytest.raises(SizeLimitExceeded, match=rf"^building A{rank} writes more than the cap"):
             RootSystem(RootSystemSpec("A", rank), tuple(range(rank)))
-    _root_cap(monkeypatch, 2 * 4 * 4 - 1)
+    # build lists no node order for a rank in the millions
+    monkeypatch.setattr(rootsystem, "_cached", lambda spec, nodes: pytest.fail("nodes were listed"))
+    with pytest.raises(SizeLimitExceeded, match="^building A3000000 writes more than the cap"):
+        build("A3000000")
+    _root_cap(monkeypatch, 4 * (4 + 10) - 1)
     with pytest.raises(SizeLimitExceeded, match="^building C4 "):
         RootSystem(RootSystemSpec("C", 4), (0, 1, 2, 3))
 
