@@ -3,18 +3,19 @@ modules whose highest weight is the short dominant root.
 
 Importing the package runs ``rootsystem``, which every command needs, with
 the ``cartan`` layer and ``errors`` that it imports, and registers every
-other library module and ``checks`` in ``sys.modules`` as a lazy module:
-its body is compiled and run on its first attribute access, so a command
-pays only for the modules it reaches.  The Cartan-matrix classifier
+other library module, ``checks`` and the caps ``config`` in
+``sys.modules`` as a lazy module: its body is compiled and run on its
+first attribute access, so a command pays only for the modules it
+reaches.  The Cartan-matrix classifier
 ``classify`` is one of them: ``rootsystem`` reaches it only to name a
 given matrix or to invert one, and the orbit walks of ``orbits`` run only
 in the engines that walk an orbit.  The CLI's subcommand bodies
 (``cmd_<name>``) are not registered; the CLI imports the one it runs.
 
 The package exports exactly the names in each library module's
-``__all__``; that list is the one place a public name is declared.  A
-package-level name resolves on first use, which loads every library
-module."""
+``__all__``; that list is the one place a public name is declared, and
+``config``, like ``checks``, exports none.  A package-level name
+resolves on first use, which loads every library module."""
 
 import importlib.util
 import sys
@@ -25,8 +26,8 @@ from . import rootsystem  # noqa: F401
 
 __version__ = "0.1.0"
 
-_LIBRARY = ("antichains", "cartan", "classify", "config", "errors", "gradedchar",
-            "littleadjoint", "orbits", "reduction", "rootsystem", "weyl")
+_LIBRARY = ("antichains", "cartan", "classify", "errors", "gradedchar", "littleadjoint",
+            "orbits", "reduction", "rootsystem", "weyl")
 _owners = {}   # exported name -> name of its module, filled on first use
 
 
@@ -45,7 +46,7 @@ def _register(name):
     globals()[name] = module
 
 
-for _name in _LIBRARY + ("checks",):
+for _name in _LIBRARY + ("checks", "config"):
     _register(_name)
 
 

@@ -2,14 +2,15 @@
 
 A poset is held as one incomparability mask per element, built from the
 root covers with no pair of roots compared; one forward pass counts its
-antichains exactly.  Two closed product formulas over the exponents must
-agree with that count.
+antichains exactly, and is refused past ``config.MAX_ANTICHAIN_WORK``
+states.  Two closed product formulas over the exponents must agree with
+that count.
 """
 
 from collections import namedtuple
 from operator import mul
 
-from .config import current_limits
+from . import config
 from .errors import IdentityViolation, SizeLimitExceeded, UnsupportedRootSystem
 from .rootsystem import RootSystem
 
@@ -57,8 +58,8 @@ def count_antichains(masks) -> int:
     the given incomparability masks (see short_root_poset), in one forward
     pass: each state, the mask of elements still free to join, counts the
     antichains that leave it free, and equal masks merge.  Refused once the
-    states held, summed over the elements, pass max_antichain_work."""
-    cap = current_limits().max_antichain_work
+    states held, summed over the elements, pass ``config.MAX_ANTICHAIN_WORK``."""
+    cap = config.MAX_ANTICHAIN_WORK
     # each count sits in a one-item list, so adding to it hashes the state once
     states, held = {(1 << len(masks)) - 1: [1]}, 0
     for x, after in enumerate(masks):

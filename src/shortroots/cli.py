@@ -37,7 +37,7 @@ Importing this module loads only ``rootsystem``, ``cartan`` and ``errors``;
 the classifier ``classify`` is not among them, nor the orbit walks
 ``orbits`` or the caps ``config``, and of the standard library neither
 ``json``, ``typing``, ``re``, ``enum`` nor ``__future__``.  Building a
-system loads ``config``, whose ``max_root_work`` caps its root closure.
+system loads ``config``, whose ``MAX_ROOT_WORK`` caps its root closure.
 The engines are lazy modules of the package, reached through their
 module objects (``gc.hilbert_check``), so each subcommand compiles and
 runs only the modules it calls: ``antichains`` adds ``cmd_antichains``,

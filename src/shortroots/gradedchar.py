@@ -12,7 +12,7 @@ conjugate; each row becomes one ``QPoly`` multiplicity.
 Kostant's alternating sum, walked over a Weyl orbit by
 ``orbits.descend`` with no group element built, gives single graded
 multiplicities as a second, independent route.
-``Limits.max_character_work`` caps both: the DP updates of a table build
+``config.MAX_CHARACTER_WORK`` caps both: the DP updates of a table build
 (read in ``qtables``) and the orbit points of a walk (read here).
 The full truncated character must reproduce the Hilbert series of a
 complete intersection cut out by the basic invariants, whose degrees
@@ -20,10 +20,10 @@ complete intersection cut out by the basic invariants, whose degrees
 subsystem's positive roots; the module dimensions come from
 ``orbits.weyl_dim``.  So the module loads no engine but ``orbits``,
 ``rootsystem`` and the ``cartan`` layer under it, besides ``qtables``,
-``config`` and ``errors``; it reads ``orbits`` through its module
-object, so importing this module does not load it.  Every polynomial
-carries an explicit truncation degree; mixing truncations takes the
-minimum.  Each entry point checks its truncation degree once, before
+``config`` and ``errors``; it reads ``orbits`` and ``config`` through
+their module objects, so importing this module loads neither.  Every
+polynomial carries an explicit truncation degree; mixing truncations
+takes the minimum.  Each entry point checks its truncation degree once, before
 any table: a non-negative int, as must be every degree and coefficient
 of a polynomial.
 """
@@ -33,9 +33,8 @@ from collections import defaultdict, namedtuple
 from itertools import chain
 from operator import sub
 
-from . import orbits
+from . import config, orbits
 from .cartan import Weight
-from .config import current_limits
 from .errors import IdentityViolation, SizeLimitExceeded
 from .qtables import _dp_build, _require_degree
 from .rootsystem import RootSystem, exponents_from_heights
@@ -180,10 +179,10 @@ def graded_multiplicity(rs: RootSystem, lam, mu, max_degree: int) -> QPoly:
     positive cone, so its expressions have at most that many roots.  Each
     point is looked up in every level; one that cannot hold it gives 0.
     Refuses once the walk has visited more than
-    ``Limits.max_character_work`` orbit points."""
+    ``config.MAX_CHARACTER_WORK`` orbit points."""
     _require_degree(max_degree)
     lam, mu = rs.dominant_integral(lam), rs.dominant_integral(mu)
-    cap = current_limits().max_character_work
+    cap = config.MAX_CHARACTER_WORK
     mu_rho = tuple([c + 1 for c in mu])
     qt = acc = None
     sign, visited = 1, 0

@@ -6,10 +6,12 @@ optionally kept above a floor; like every weight entry point, it refuses
 any other start.  Freudenthal expands dominant weights into orbits with
 it, and Kostant's alternating sum runs over it.  ``_straighten``, the one
 chamber walk, goes the other way, up to the dominant conjugate with its
-sign; the nullcone character and Freudenthal straighten through it, one
-unchecked point at a time.  Both read a system's sparse Cartan columns,
-``RootSystem.cols``, and no group element is built.  ``weyl_dim`` is the
-Weyl dimension formula, the independent route to a module's dimension.
+sign, and resumes its scan after each reflection at the lowest
+coordinate that the reflection changed; the nullcone character and
+Freudenthal straighten through it, one unchecked point at a time.  Both
+read a system's sparse Cartan columns, ``RootSystem.cols``, and no group
+element is built.  ``weyl_dim`` is the Weyl dimension formula, the
+independent route to a module's dimension.
 
 ``_straighten`` is private because it runs once per point: the
 benchmark's tracer (``perfbench/traced_cli.py``) wraps every public
@@ -76,12 +78,14 @@ def _straighten(rs, fund):
     character.
 
     The scan reflects in the first simple root alpha_i whose coordinate
-    c is negative, then starts again from coordinate 0.  Each step adds
-    the positive multiple -c of alpha_i, so the scan ends, and it ends at
-    the unique dominant conjugate; any such scan takes one step per
-    positive coroot on which the point is negative (Humphreys, Reflection
-    Groups and Coxeter Groups, 1.6-1.7), so neither the sign nor the 0
-    of a singular point depends on the scan order.
+    c is negative, then resumes at the lowest coordinate the reflection
+    changed, the first row of ``cols[i]`` (the rows ascend, the diagonal
+    among them): every coordinate below it was non-negative and is left
+    as it was.  Each step adds the positive multiple -c of alpha_i, so the
+    scan ends, and it ends at the unique dominant conjugate; any such scan
+    takes one step per positive coroot on which the point is negative
+    (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7), so neither
+    the sign nor the 0 of a singular point depends on the scan order.
 
     Returns (coords, sign) where sign is the determinant (-1)^steps of
     the conjugating element, or 0 when the weight is singular (fixed by
@@ -97,7 +101,7 @@ def _straighten(rs, fund):
             for j, a in cols[i]:
                 v[j] -= c * a
             sign = -sign
-            i = 0
+            i = cols[i][0][0]
         else:
             i += 1
     if 0 in v:

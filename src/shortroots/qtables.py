@@ -6,7 +6,7 @@ packed int, so adding a root is one int addition; this module is the only
 code that packs a weight, unpacks a key or looks a key up.  ``series``
 reads one weight at every level, and ``points`` unpacks keys into
 coordinate columns a fixed chunk at a time.  The build counts its DP
-updates and refuses past ``Limits.max_character_work``; the tables are
+updates and refuses past ``config.MAX_CHARACTER_WORK``; the tables are
 built once per system and truncation degree, which must be a
 non-negative int.  The module is private to ``gradedchar`` and exports
 no name.
@@ -16,7 +16,7 @@ import math
 from itertools import islice
 from operator import itemgetter, mul
 
-from .config import current_limits
+from . import config
 from .errors import SizeLimitExceeded
 from .rootsystem import RootSystem
 
@@ -27,7 +27,7 @@ class _QTables:
     """The q-partition tables of one system to one truncation degree:
     levels[k] maps a packed weight to the number of k-element multisets of
     short positive roots summing to it, and updates is the number of DP
-    updates the build made.  Refuses past ``Limits.max_character_work``
+    updates the build made.  Refuses past ``config.MAX_CHARACTER_WORK``
     updates, before any table when a lower bound passes it: while the
     r-th of s short roots is added, level k - 1 holds the distinct sums of
     (k - 1)-multisets of r distinct vectors, at least (k - 1)(r - 1) + 1
@@ -43,7 +43,7 @@ class _QTables:
     __slots__ = ("off", "base", "powers", "levels", "updates")
 
     def __init__(self, rs: RootSystem, degree: int):
-        cap = current_limits().max_character_work
+        cap = config.MAX_CHARACTER_WORK
         # read in Bourbaki's numbering: on a path diagram the updates do not depend on numbering
         vectors = sorted(map(rs.weight_coords, rs.short_positive_roots()),
                          key=itemgetter(*rs.nodes))

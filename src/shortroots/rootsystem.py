@@ -12,7 +12,7 @@ that lowers its height (Humphreys, Introduction to Lie Algebras and
 Representation Theory, section 10), so every positive root is reached from a
 simple root by reflections that raise it.  A build writes the rank
 squared coordinates of its Cartan matrix and rank many per root the
-closure finds, and ``Limits.max_root_work`` caps them: a system past the
+closure finds, and ``config.MAX_ROOT_WORK`` caps them: a system past the
 cap is refused (``SizeLimitExceeded``) as its closure finds the first
 root too many, and one of a rank at which no simple type fits is refused
 on its rank alone, before its node order or any matrix is made.  No
@@ -39,8 +39,9 @@ the short dominant root coincides with the highest root.
 The classifier (``classify``) is imported only inside ``from_cartan`` and
 ``RootSystem._adjugate``, which ``lattice_coords`` and ``root_coords``
 read: a command that names its systems by type and asks for no
-root-lattice coordinates never compiles it.  The caps (``config``) are
-read inside the constructor, so importing this module does not load them.
+root-lattice coordinates never compiles it.  The cap is read from
+``config`` by the constructor and ``build``, so importing this module
+does not load ``config``.
 """
 
 import math
@@ -98,7 +99,7 @@ class RootSystem:
 
     def __init__(self, spec: RootSystemSpec, nodes: tuple[int, ...]):
         self.spec = spec
-        cap, most = _root_budget(spec)
+        most = _root_budget(spec)
         n = spec.rank
         self.nodes = _node_order(nodes, n)
         self.rank = n
@@ -120,7 +121,7 @@ class RootSystem:
             c, y = todo.pop()
             if c not in fund_of:
                 if len(fund_of) >= most:
-                    raise _past_the_root_cap(spec, cap)
+                    raise _past_the_root_cap(spec)
                 fund_of[c] = y
                 for i, step in enumerate(y):
                     if step < 0:
@@ -314,27 +315,29 @@ class RootSystem:
 
 
 def _root_budget(spec):
-    """``Limits.max_root_work`` and the number of roots the closure of
-    spec's system may find under it, read from the rank alone.  A build
-    writes the n x n matrix, then n coordinates per root its closure finds,
-    so it may find cap // n - n roots.  A simple type of rank n has
-    nh / 2 positive roots, h its Coxeter number, and h >= n + 1, with
-    equality for A_n alone; so a rank at which even A_n's n (n + 1) / 2
-    pass the cap is refused (SizeLimitExceeded) before any node order,
-    matrix or root is made."""
+    """The number of roots the closure of spec's system may find under
+    ``config.MAX_ROOT_WORK``, read from the rank alone.  A build writes the
+    n x n matrix, then n coordinates per root its closure finds, so it may
+    find cap // n - n roots.  A simple type of rank n has nh / 2 positive
+    roots, h its Coxeter number, and h >= n + 1, with equality for A_n
+    alone; so a rank at which even A_n's n (n + 1) / 2 pass the cap is
+    refused (SizeLimitExceeded) before any node order, matrix or root is
+    made."""
     from . import config
 
     n = spec.rank
-    cap = config.current_limits().max_root_work
-    most = cap // n - n
+    most = config.MAX_ROOT_WORK // n - n
     if most < n * (n + 1) // 2:
-        raise _past_the_root_cap(spec, cap)
-    return cap, most
+        raise _past_the_root_cap(spec)
+    return most
 
 
-def _past_the_root_cap(spec, cap):
-    return SizeLimitExceeded(f"building {spec} writes more than the cap of {cap} coordinates,"
-                             " its Cartan matrix's and rank many per root (max_root_work)")
+def _past_the_root_cap(spec):
+    from . import config
+
+    return SizeLimitExceeded(f"building {spec} writes more than the cap of {config.MAX_ROOT_WORK}"
+                             " coordinates, its Cartan matrix's and rank many per root"
+                             " (max_root_work)")
 
 
 _FAMILY_LETTERS = frozenset("ABCDEFGabcdefg")

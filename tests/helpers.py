@@ -130,6 +130,22 @@ def dominant_representative(rs, weight):
     return _straighten(rs, rs.as_weight(weight).fund)
 
 
+def straighten_from_zero(rs, fund):
+    """The chamber walk with its scan restarted at coordinate 0 after every
+    reflection: ``orbits._straighten``'s (coords, sign) by another scan
+    order, which must not change either."""
+    v, sign, i = list(fund), 1, 0
+    while i < rs.rank:
+        c = v[i]
+        if c < 0:
+            for j, a in rs.cols[i]:
+                v[j] -= c * a
+            sign, i = -sign, 0
+        else:
+            i += 1
+    return tuple(v), 0 if 0 in v else sign
+
+
 def _signed_images(rs, fund):
     """(sign(w), w(fund)) for every w in W, by the Fraction matrices."""
     return tuple((sign(rs, w), act_fund(rs, w, fund)) for w in enumerate_group(rs))

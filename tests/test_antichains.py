@@ -8,9 +8,8 @@ from helpers import all_antichains, comparable, masks_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import shortroots.antichains as antichains_module
+import shortroots.config as config
 from shortroots import (
-    Limits,
     SizeLimitExceeded,
     UnsupportedRootSystem,
     antichain_report,
@@ -76,16 +75,13 @@ def test_count_refuses_past_the_state_cap(monkeypatch):
     assert count_antichains(chain(70)) == 71
     assert count_antichains(antichain_poset(20)) == 2 ** 20
     c17 = short_root_poset(build("C17"))   # 3128 states in all
-    monkeypatch.setattr(antichains_module, "current_limits",
-                        lambda: Limits(max_antichain_work=3128))
+    monkeypatch.setattr(config, "MAX_ANTICHAIN_WORK", 3128)
     assert count_antichains(c17) == count_antichains_formula(build("C17")) == 1166803110
-    monkeypatch.setattr(antichains_module, "current_limits",
-                        lambda: Limits(max_antichain_work=3127))
+    monkeypatch.setattr(config, "MAX_ANTICHAIN_WORK", 3127)
     with pytest.raises(SizeLimitExceeded, match="272 elements.*3127 counting states"):
         count_antichains(c17)
     five = chain(5)   # two states per element, ten in all
-    monkeypatch.setattr(antichains_module, "current_limits",
-                        lambda: Limits(max_antichain_work=4))
+    monkeypatch.setattr(config, "MAX_ANTICHAIN_WORK", 4)
     with pytest.raises(SizeLimitExceeded):
         count_antichains(five)
 

@@ -204,6 +204,43 @@ def test_wrong_invariant_degrees_fail_past_the_truncation(name, degrees, monkeyp
     assert details["degree_sum_is_class_count"] is False
 
 
+def _top_coefficient_one_higher(poly):
+    return poly + gc.QPoly({poly.truncation: 1}, poly.truncation)
+
+
+def _series_top_changed(monkeypatch):
+    original = gc.complete_intersection_series
+    monkeypatch.setattr(gc, "complete_intersection_series",
+                        lambda *args: _top_coefficient_one_higher(original(*args)))
+
+
+def _entry_top_changed(monkeypatch):
+    # the little adjoint module's entry: a non-trivial one on every system
+    original = gc.nullcone_character
+
+    def doctored(rs, degree):
+        char = original(rs, degree)
+        entries = dict(char.entries)
+        theta_s = rs.weight_coords(rs.theta_short)
+        entries[theta_s] = _top_coefficient_one_higher(entries[theta_s])
+        return gc.GradedCharacter(rs, entries, degree, char.work)
+
+    monkeypatch.setattr(gc, "nullcone_character", doctored)
+
+
+@pytest.mark.parametrize("doctor", [_series_top_changed, _entry_top_changed],
+                         ids=["series", "entry"])
+@pytest.mark.parametrize("name,degree", [("G2", 8), ("C4", 4)])
+def test_a_change_at_the_top_degree_fails_nullcone_hilbert(doctor, name, degree, monkeypatch):
+    # only the coefficient at the check's truncation degree changes, so the
+    # series must be compared up to and including that degree to see it
+    rs = build(name)
+    doctor(monkeypatch)
+    assert gc.hilbert_check(rs, degree).first_mismatch == degree
+    status, details = run_check("nullcone-hilbert", rs)
+    assert (status, details["degree"], details["first_mismatch"]) == ("fail", degree, degree)
+
+
 # check id -> its detail keys that hold root coefficients
 _COORDINATE_KEYS = {
     "hyperplane-classes": ("representatives",),

@@ -12,11 +12,13 @@ import pytest
 from helpers import python_child
 
 import shortroots.checks as checks
-import shortroots.gradedchar as gc
-import shortroots.qtables as qtables
-from shortroots import Limits
+import shortroots.config as config
 from shortroots.argreader import make_parser
 from shortroots.cli import _COMMANDS, _plain_args, main
+
+
+def _caps():
+    return sorted(name for name in vars(config) if not name.startswith("__"))
 
 
 def run(capsys, *argv):
@@ -79,8 +81,7 @@ def test_verify_skips_oversized_exhaustive_checks(capsys, monkeypatch, name, mod
     # a cap of 0 refuses the first unit of work: the table build, or the
     # first orbit walk if an earlier command left the tables cached; the
     # check builds tables, then walks orbits, so both read the cap
-    for module in (qtables, gc):
-        monkeypatch.setattr(module, "current_limits", lambda: Limits(max_character_work=0))
+    monkeypatch.setattr(config, "MAX_CHARACTER_WORK", 0)
     argv = ["verify", name, "--check", "nullcone-hilbert"] + ["--json"] * (mode == "json")
     code, out, _ = run(capsys, *argv)
     assert code == 0  # a skip is not a failure
@@ -100,7 +101,7 @@ _SEMIDIRECT_SPLITS = {"B6": (23040, 2), "C6": (64, 720), "C8": (256, 40320)}
                          + ["F4", "G2"])
 def test_semidirect_product_passes_on_every_two_length_system(capsys, name):
     # W is never listed, so no cap can skip the check: the caps left bound work
-    assert Limits._fields == ("max_character_work", "max_antichain_work", "max_root_work")
+    assert _caps() == ["MAX_ANTICHAIN_WORK", "MAX_CHARACTER_WORK", "MAX_ROOT_WORK"]
     code, out, _ = run(capsys, "verify", name, "--check", "semidirect-product", "--json")
     assert code == 0
     (check,) = json.loads(out)["checks"]
@@ -528,8 +529,8 @@ def test_package_exports_exactly_the_module_lists():
 
     import shortroots
 
-    library = ["antichains", "cartan", "classify", "config", "errors", "gradedchar",
-               "littleadjoint", "orbits", "reduction", "rootsystem", "weyl"]
+    library = ["antichains", "cartan", "classify", "errors", "gradedchar", "littleadjoint",
+               "orbits", "reduction", "rootsystem", "weyl"]
     modules = [importlib.import_module(f"shortroots.{mod}") for mod in library]
     owner = {name: mod for mod in modules for name in mod.__all__}
     assert len(owner) == sum(len(mod.__all__) for mod in modules)   # no name declared twice
@@ -594,7 +595,7 @@ def test_cli_start_up_compiles_inside_its_budget():
     # a cold child without a bytecode cache compiles every module that
     # `import shortroots.cli` runs: the package, the CLI's plain reader and
     # emitter and the root-system layer, but no classifier, no orbit walk,
-    # no argparse reader and no subcommand body (5 291 nodes, 5 791 before
+    # no argparse reader and no subcommand body (5 274 nodes, 5 791 before
     # the orbit walks and the argparse reader moved off this path)
     code = ("import sys, types, shortroots.cli\n"
             "print(*sorted(m.__file__ for name, m in sys.modules.items()"
@@ -628,13 +629,14 @@ def test_no_module_imports_the_cli():
 def test_engines_reach_each_other_through_module_objects():
     # a module-level `from .weyl import x` would run weyl's body at import
     # and hold a second binding of x, which a test replacing weyl.x would
-    # miss (config's current_limits is bound per module and replaced so)
+    # miss; so would `from .config import MAX_ROOT_WORK` for a cap that a
+    # test substitutes on config
     src = Path(__file__).resolve().parent.parent / "src" / "shortroots"
-    engines = {"antichains", "checks", "classify", "gradedchar", "littleadjoint", "orbits",
-               "reduction", "weyl"}
+    reached = {"antichains", "checks", "classify", "config", "gradedchar", "littleadjoint",
+               "orbits", "reduction", "weyl"}
     binding = [(p.name, node.module) for p in sorted(src.glob("*.py"))
                for node in ast.parse(p.read_text()).body   # what runs at import
-               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in engines]
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in reached]
     assert binding == []
 
 
@@ -826,9 +828,7 @@ def test_readme_library_tour_prints_what_it_says():
 
 
 def test_readme_names_every_cap():
-    import shortroots.config as config
-
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    names = list(config.Limits._fields)
+    names = _caps()
     assert len(names) == 3
     assert [name for name in names if name not in text] == []

@@ -23,12 +23,12 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shortroots.config as config
 import shortroots.gradedchar as gc
 import shortroots.orbits as orbits
 import shortroots.qtables as qtables
 from shortroots import (
     GradedCharacter,
-    Limits,
     QPoly,
     RootSystem,
     SizeLimitExceeded,
@@ -226,7 +226,7 @@ def test_the_up_front_refusal_spares_a_build_within_the_cap(monkeypatch, name, d
     # bound is exact
     rs = build(name)
     updates = nullcone_character(rs, degree).work["dp_updates"]
-    monkeypatch.setattr(qtables, "current_limits", lambda: Limits(max_character_work=updates))
+    monkeypatch.setattr(config, "MAX_CHARACTER_WORK", updates)
     assert nullcone_character(RootSystem(rs.spec, rs.nodes), degree).work["dp_updates"] == updates
 
 
@@ -300,7 +300,7 @@ def test_graded_multiplicity_validation_and_refusal(monkeypatch):
     # no Weyl-order cap: |W(B6)| = 46080 is answered
     assert graded_multiplicity(build("B6"), Weight.zero(6), Weight.zero(6), 2) == QPoly.one(2)
     # the walk refuses once it has visited more than max_character_work orbit points
-    monkeypatch.setattr(gc, "current_limits", lambda: Limits(max_character_work=1000))
+    monkeypatch.setattr(config, "MAX_CHARACTER_WORK", 1000)
     refusal = "orbit walk of C8 .* 1000 points .*max_character_work"
     with pytest.raises(SizeLimitExceeded, match=refusal):
         graded_multiplicity(build("C8"), Weight.of([2] * 8), Weight.zero(8), 1)
@@ -349,8 +349,9 @@ def test_nullcone_character_rejects_out_of_scope_systems():
 
 
 def test_character_work_cap_counts_dp_updates():
-    assert Limits().max_character_work == 300_000
-    assert len(Limits._fields) == 3
+    assert config.MAX_CHARACTER_WORK == 300_000
+    assert sorted(name for name in vars(config) if name.startswith("MAX_")) == [
+        "MAX_ANTICHAIN_WORK", "MAX_CHARACTER_WORK", "MAX_ROOT_WORK"]
     # the counter is a function of (system, degree), not of what is cached
     rs = build("C3")
     deep = nullcone_character(rs, 6).work

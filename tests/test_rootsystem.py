@@ -7,6 +7,7 @@ import itertools
 import pickle
 import random
 import re
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,10 +27,10 @@ from helpers import (
     oracle_inner,
     oracle_root_coords,
     python_child,
+    straighten_from_zero,
 )
 
 from shortroots import (
-    Limits,
     NotFiniteType,
     Root,
     RootSystem,
@@ -70,7 +71,7 @@ from shortroots import (
     summary_row,
     transition_identities,
 )
-from shortroots import qtables
+from shortroots import config, qtables
 from shortroots.checks import CHECK_IDS, run_check
 from shortroots.gradedchar import invariant_degrees
 from shortroots.orbits import _straighten, descend, weyl_dim
@@ -701,6 +702,57 @@ def test_dominant_representative():
     assert _straighten(rs, (-1, 1)) == (dom0, sign0)
 
 
+def _straightened_systems(name):
+    """build(name) and two relabelled from_cartan builds of it: where the
+    walk resumes after a reflection depends on the node order."""
+    A = build(name).cartan
+    rng = random.Random(name)
+    systems = [build(name)]
+    for _ in range(2):
+        order = rng.sample(range(len(A)), len(A))
+        systems.append(from_cartan([[A[i][j] for j in order] for i in order]))
+    return systems
+
+
+def _random_points(rs, count=150):
+    rng = random.Random(f"{rs.spec}{rs.nodes}")
+    return [tuple(rng.randint(-6, 6) for _ in range(rs.rank)) for _ in range(count)]
+
+
+_STRAIGHTENED = ["B2", "B5", "C3", "C6", "D5", "E6", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", _STRAIGHTENED)
+def test_straighten_agrees_with_the_scan_from_zero(name):
+    for rs in _straightened_systems(name):
+        for point in _random_points(rs):
+            assert _straighten(rs, point) == straighten_from_zero(rs, point), (rs.nodes, point)
+
+
+@pytest.mark.parametrize("name", _STRAIGHTENED)
+def test_straighten_reflects_once_per_negative_positive_coroot(name):
+    # a stand-in system whose columns count the walks over them: the walk
+    # reads a column whole once per reflection.  The sign of <y, alpha^v> is
+    # that of sum_i y_i c_i d_i, for alpha = sum_i c_i alpha_i and d the
+    # symmetrizers
+    reflections = []
+
+    class Column(tuple):
+        def __iter__(self):
+            reflections.append(self)
+            return tuple.__iter__(self)
+
+    for rs in _straightened_systems(name):
+        stand_in = types.SimpleNamespace(rank=rs.rank, cols=tuple(map(Column, rs.cols)))
+        for point in _random_points(rs):
+            negative = sum(sum(y * c * d for y, c, d in zip(point, r.coeffs, rs.symmetrizers)) < 0
+                           for r in rs.positive_roots())
+            reflections.clear()
+            sign = _straighten(stand_in, point)[1]
+            assert len(reflections) == negative, (rs.nodes, point)
+            assert sign in (0, (-1) ** negative)
+
+
 DESCEND_CASES = [
     (name, lam)
     for name in ["A3", "B3", "C4", "D4", "F4", "G2"]
@@ -794,9 +846,7 @@ def test_the_constructor_refuses_an_order_that_is_not_of_the_nodes(monkeypatch, 
 
 
 def _root_cap(monkeypatch, cap):
-    import shortroots.config as config
-
-    monkeypatch.setattr(config, "current_limits", lambda: Limits(max_root_work=cap))
+    monkeypatch.setattr(config, "MAX_ROOT_WORK", cap)
 
 
 @pytest.mark.parametrize("name", ["A5", "B4", "C4", "D5", "E6", "F4", "G2"])
@@ -838,7 +888,7 @@ def test_a_rank_past_the_root_cap_is_refused_before_any_matrix(monkeypatch):
 
 def test_the_default_root_cap_answers_a200_and_refuses_a201():
     # A_n has n (n + 1) / 2 positive roots
-    assert 200 * (200 + 200 * 201 // 2) <= Limits().max_root_work < 201 * (201 + 201 * 202 // 2)
+    assert 200 * (200 + 200 * 201 // 2) <= config.MAX_ROOT_WORK < 201 * (201 + 201 * 202 // 2)
 
 
 @pytest.mark.parametrize("label,matrix", [("B2", "C2"), ("C2", "B2"), ("A3", "D3"), ("D3", "A3")])
@@ -1126,7 +1176,7 @@ def test_no_module_reaches_into_root_system_privates():
 
 
 def test_no_module_reads_the_environment():
-    # every cap is a constant of Limits: no setting reaches the library
+    # every cap is a constant of config: no setting reaches the library
     src = Path(__file__).resolve().parents[1] / "src" / "shortroots"
     reading = re.compile(r"\bos\.(environ|getenv)\b")
     assert [p.name for p in sorted(src.glob("*.py")) if reading.search(p.read_text())] == []
