@@ -136,23 +136,20 @@ def strip_reflections(rs: RootSystem, w: tuple[int, ...], base):
     first such root off the right.  base holds the root indices of a base
     of a positive root subsystem: the short simple roots' indices, or
     ``long_root_base(rs)`` as it is returned.  If w * r_1 ... r_k is the
-    rest, the product is r_k ... r_1, each r_i being an involution.  Each
-    strip sends one fewer positive root of the subsystem negative, and the
-    rest sends none, so w lies in the subgroup of the base's reflections
-    exactly when the rest is the identity."""
+    rest, the product r_k ... r_1 (each r_i an involution) is rest^-1 * w.
+    Each strip sends one fewer positive root of the subsystem negative,
+    and the rest sends none, so w lies in the subgroup of the base's
+    reflections exactly when the rest is the identity, reached in at most
+    as many strips as there are positive roots."""
     _require_element(rs, w)
     p = rs.num_positive
     steps = [(k, _reflection(rs, k)[1]) for k in base]
-    rest, stripped = w, []
-    while (step := next((s for k, s in steps if rest[k] >= p), None)) is not None:
+    rest = w
+    for _ in range(p + 1):
+        if (step := next((s for k, s in steps if rest[k] >= p), None)) is None:
+            return rest, compose(dict(zip(rest, range(len(w)))), w)   # a dict inverts rest
         rest = step(rest)   # rest * r_b for the first base root b sent negative
-        stripped.append(step)
-        if len(stripped) > p:
-            raise ValueError(f"not in W({rs.spec}): more reflection strips than positive roots")
-    product = identity(rs)
-    for step in reversed(stripped):
-        product = step(product)   # product * r
-    return rest, product
+    raise ValueError(f"not in W({rs.spec}): more reflection strips than positive roots")
 
 
 # -- the long-root subsystem ---------------------------------------------------
@@ -162,14 +159,20 @@ def long_root_base(rs: RootSystem) -> tuple[int, ...]:
     """The root indices of the indecomposable positive long roots, in index
     order: the simple system of the long subsystem determined by the
     ambient positive roots, as ``strip_reflections`` and
-    ``reflection_subgroup_order`` take a base.  Found on first use by
-    scanning ``rs.long_positives``."""
+    ``reflection_subgroup_order`` take a base.  Found on first use by one
+    pass over ``rs.long_positives``, which run by height: a long root that
+    is no base root is a lower positive long root plus a base root
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    10.2), so each is tested against the base roots found below it only."""
     rs.require_two_lengths()
 
     def compute():
         longs = {rs.roots[k].coeffs: k for k in rs.long_positives}
-        return tuple(k for r, k in longs.items() if not any(
-            tuple(a - b for a, b in zip(r, s)) in longs for s in longs))
+        base = {}
+        for r, k in longs.items():
+            if not any(tuple(a - b for a, b in zip(r, s)) in longs for s in base):
+                base[r] = k
+        return tuple(base.values())
 
     return rs.memo("long_base", compute)
 

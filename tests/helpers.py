@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from shortroots import Root, Weight, simple_reflection
+from shortroots import Root, Weight, reflection, simple_reflection
 from shortroots.orbits import _straighten
 
 # (number of positive roots, Coxeter number, dual Coxeter number, exponents)
@@ -421,6 +421,37 @@ def order(rs, w):
     while power != e:
         power, k = compose(power, w), k + 1
     return k
+
+
+# The descent and the long-root base as first written, kept as oracles for
+# the library's: every strip listed and replayed, and every pair of long
+# roots compared.
+
+
+def strip_by_replay(rs, w, base):
+    """(rest, product) of the descent through base, with no strip bound:
+    while the rest sends a root of base negative, multiply the reflection
+    in the first such root onto its right and list it; the product is the
+    listed reflections multiplied back up, r_k ... r_1, one index at a
+    time."""
+    p = rs.num_positive
+    rest, stripped = w, []
+    while (b := next((k for k in base if rest[k] >= p), None)) is not None:
+        stripped.append(reflection(rs, rs.roots[b]))
+        rest = compose(rest, stripped[-1])
+    product = tuple(range(len(rs.roots)))
+    for r in reversed(stripped):
+        product = compose(product, r)
+    return rest, product
+
+
+def all_pairs_long_base(rs):
+    """The indices of the positive long roots that are no positive long
+    root plus another, in index order, each root tested against every
+    positive long root."""
+    longs = {rs.roots[k].coeffs: k for k in rs.long_positives}
+    return tuple(k for r, k in longs.items()
+                 if not any(tuple(a - b for a, b in zip(r, s)) in longs for s in longs))
 
 
 # The Weyl group listed element by element, which the library never does:

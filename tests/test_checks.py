@@ -88,6 +88,37 @@ def _theta_short_joins_the_subsystem(rs, monkeypatch):
         "subsystem": r.subsystem + (rs.index(rs.theta_short), rs.index(-rs.theta_short))})
 
 
+def _theta_joins_the_subsystem(rs, monkeypatch):
+    # a long root in no class of short roots: each class still holds one
+    # representative, but there is one subsystem positive too many
+    _seed_reduction(rs, lambda r: {"subsystem": r.subsystem + (rs.index(rs.theta),)})
+
+
+def _coxeter_number_one_higher(rs, monkeypatch):
+    rs.coxeter_number += 1
+
+
+def _short_block_doubly_laced(rs, monkeypatch):
+    # the short simple roots' block of the Cartan matrix names C3, not A3,
+    # so the reduction's type has more roots than the subsystem it spans
+    cartan = [list(row) for row in rs.cartan]
+    cartan[1][2] = -2
+    rs.cartan = tuple(map(tuple, cartan))
+
+
+def _long_pairings_one_higher(rs, monkeypatch):
+    # every pairing against a long root but its square one higher: odd
+    # against a squared length of 4, so a long reflection meets a coroot
+    # pairing that is no integer
+    inner_row = rs.inner_row
+
+    def doctored(root):
+        row, k = inner_row(root), rs.index(root)
+        return row if root.is_short else tuple(v + (j != k) for j, v in enumerate(row))
+
+    monkeypatch.setattr(rs, "inner_row", doctored)
+
+
 def _two_target_classes_merged(rs, monkeypatch):
     def merge(rs, strings):
         (gamma, entry), (_, other) = list(strings.items())[:2]
@@ -154,6 +185,21 @@ DOCTORS = {
         "hyperplane-classes", _theta_short_joins_the_subsystem, "violation",
         "class (Root(coeffs=(1, 0, 0, 0), length_class='short'), "
         "Root(coeffs=(1, 2, 2, 1), length_class='short')) holds 2 subsystem representatives"),
+    "theta joins the subsystem": (
+        "hyperplane-classes", _theta_joins_the_subsystem, "violation",
+        "class count disagrees with the subsystem positives"),
+    "theta_s joins the subsystem, ledger": (
+        "dimension-ledger", _theta_short_joins_the_subsystem, "violation",
+        "reduction dimension disagrees with (h_s+1) * #shorts"),
+    "Coxeter number one higher": (
+        "transition-gap", _coxeter_number_one_higher, "violation",
+        "the Coxeter number ratio must be an integer"),
+    "short block doubly laced": (
+        "table-row", _short_block_doubly_laced, "violation",
+        "subsystem root count disagrees with its type"),
+    "long pairings one higher": (
+        "semidirect-product", _long_pairings_one_higher, "violation",
+        "coroot pairing of a root must be integral"),
     "two target classes merged": (
         "one-step-strings", _two_target_classes_merged, "multiple_target_classes", [[0, 0, 1, 1]]),
     "orbit count one higher": ("table-row", _orbit_count_one_higher, "computed", {

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     act_fund,
     act_root,
+    all_pairs_long_base,
     closure,
     dominant_representative,
     enumerate_group,
@@ -17,6 +18,7 @@ from helpers import (
     order,
     reduced_word,
     sign,
+    strip_by_replay,
 )
 from helpers import compose as oracle_compose
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from shortroots import (
     coxeter_element,
     coxeter_orbits,
     decompose_semidirect,
+    from_cartan,
     identity,
     is_in_long_subgroup,
     long_root_base,
@@ -40,7 +43,7 @@ from shortroots import (
     simple_reflection,
     strip_reflections,
 )
-from shortroots.checks import run_check
+from shortroots.checks import _coxeter_sample, run_check
 
 
 def test_reflection_is_an_involution():
@@ -431,6 +434,69 @@ def test_the_long_base_is_read_as_it_is_returned(name):
     members = _long_closure(name)
     assert weyl_module.reflection_subgroup_order(rs, base) == len(members)
     assert all(strip_reflections(rs, w, base)[0] == identity(rs) for w in members)
+
+
+# -- the descent and the long-root base against the oracles of helpers ---------
+
+
+def _agrees_with_the_oracles(rs, elements):
+    """The long-root base against all pairs, and each element's descent
+    through the short base and through the long base against the
+    replaying strip."""
+    assert long_root_base(rs) == all_pairs_long_base(rs)
+    bases = ([rs.index(rs.simple_root(i)) for i in rs.short_simple_indices],
+             long_root_base(rs))
+    for w in elements:
+        for base in bases:
+            assert strip_reflections(rs, w, base) == strip_by_replay(rs, w, base)
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4"])
+def test_the_descent_agrees_with_the_replay_on_every_element(name):
+    rs = build(name)
+    _agrees_with_the_oracles(rs, enumerate_group(rs))
+
+
+@pytest.mark.parametrize("name", ["B6", "C6", "B12", "C10"])
+def test_the_descent_agrees_with_the_replay_on_the_coxeter_sample(name):
+    rs = build(name)
+    _agrees_with_the_oracles(rs, [c for c, _ in _coxeter_sample(rs)[1]])
+
+
+@pytest.mark.parametrize("name", ["G2", "B4", "C4", "F4", "B7", "C7"])
+def test_the_descent_agrees_with_the_replay_on_a_relabelled_matrix(name):
+    # from_cartan of a reordered Cartan matrix: the positive roots still
+    # run by height, in another numbering of the nodes
+    bourbaki = build(name)
+    order = list(range(bourbaki.rank))
+    random.Random(52).shuffle(order)
+    order = order if order != sorted(order) else order[::-1]
+    rs = from_cartan([[bourbaki.cartan[i][j] for j in order] for i in order])
+    assert rs.nodes != bourbaki.nodes
+    _agrees_with_the_oracles(rs, [c for c, _ in _coxeter_sample(rs)[1]])
+    # the same long roots, read back in Bourbaki's numbering
+    assert ({tuple(rs.roots[k].coeffs[node] for node in rs.nodes) for k in long_root_base(rs)}
+            == {bourbaki.roots[k].coeffs for k in long_root_base(bourbaki)})
+
+
+@pytest.mark.parametrize("name", ["A3", "G2", "B3", "C4"])
+def test_the_longest_element_takes_one_strip_per_positive_root(name):
+    # the whole simple system is a base of the root system itself, and the
+    # longest element sends every positive root negative: its descent takes
+    # p strips, the most a member can need, which the strip bound must allow
+    rs = build(name)
+    simple = [rs.index(rs.simple_root(i)) for i in range(rs.rank)]
+    w0 = max(enumerate_group(rs), key=lambda w: length(rs, w))
+    assert length(rs, w0) == rs.num_positive
+    assert strip_reflections(rs, w0, simple) == (identity(rs), w0)
+    assert strip_by_replay(rs, w0, simple) == (identity(rs), w0)
+
+
+@pytest.mark.parametrize("name", ["B20", "C20", "B30", "C30"])
+def test_the_long_root_base_agrees_with_all_pairs_at_large_rank(name):
+    rs = build(name)
+    assert long_root_base(rs) == all_pairs_long_base(rs)
+    assert len(long_root_base(rs)) == rs.rank
 
 
 def test_a_root_and_its_negative_share_one_reflection():
