@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from shortroots import Root, Weight, reflection, simple_reflection
+from shortroots import Root, Weight, simple_reflection
 from shortroots.orbits import _straighten
 
 # (number of positive roots, Coxeter number, dual Coxeter number, exponents)
@@ -423,26 +423,8 @@ def order(rs, w):
     return k
 
 
-# The descent and the long-root base as first written, kept as oracles for
-# the library's: every strip listed and replayed, and every pair of long
-# roots compared.
-
-
-def strip_by_replay(rs, w, base):
-    """(rest, product) of the descent through base, with no strip bound:
-    while the rest sends a root of base negative, multiply the reflection
-    in the first such root onto its right and list it; the product is the
-    listed reflections multiplied back up, r_k ... r_1, one index at a
-    time."""
-    p = rs.num_positive
-    rest, stripped = w, []
-    while (b := next((k for k in base if rest[k] >= p), None)) is not None:
-        stripped.append(reflection(rs, rs.roots[b]))
-        rest = compose(rest, stripped[-1])
-    product = tuple(range(len(rs.roots)))
-    for r in reversed(stripped):
-        product = compose(product, r)
-    return rest, product
+# The long-root base as first written, kept as the oracle for the library's:
+# every pair of long roots compared.
 
 
 def all_pairs_long_base(rs):

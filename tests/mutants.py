@@ -1,7 +1,7 @@
 """Mutation survey of the library: how many one-token changes to a module
 the test suite kills.
 
-    python tests/mutants.py weyl reduction --sites 12 --seed 1 --workdir DIR
+    python tests/mutants.py weyl reduction --sites 12 --seed 1
 
 Each mutant makes one change at one site of a module:
 - a comparison flipped (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``);
@@ -9,11 +9,11 @@ Each mutant makes one change at one site of a module:
 - 1 added to an int constant.
 
 The sites of each module are listed from its syntax tree and a seeded
-sample of them is taken.  The repository is copied once into the work
+sample of them is taken.  The repository is copied once into a temporary
 directory, and each mutant is written into that copy only, so the tree it
 came from is never changed.  The suite runs on the copy with ``-x``, the
 module's own test file first; a failing run kills the mutant and so does a
-run past the timeout (a mutant that never ends).  A survivor that is
+run past ``TIMEOUT`` seconds (a mutant that never ends).  A survivor that is
 listed in ``EQUIVALENT`` changes no result, for the reason given there;
 any other survivor is real and wants a test, and the script exits 1 while
 one is left.  Pytest does not collect this file, and a full survey costs
@@ -31,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+TIMEOUT = 90  # seconds per run of the suite
 
 _FLIPS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
           ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
@@ -90,7 +91,7 @@ def mutate(path: Path, site) -> bytes:
     return b"".join(lines)
 
 
-def run_tests(copy: Path, module: str, timeout: float) -> str:
+def run_tests(copy: Path, module: str) -> str:
     """'killed', 'timeout' or 'survived': the suite on the copy with -x, the
     module's own test file first (pytest collects a file once)."""
     own = copy / "tests" / f"test_{module}.py"
@@ -99,14 +100,14 @@ def run_tests(copy: Path, module: str, timeout: float) -> str:
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args, "tests"],
-            cwd=copy, env=env, timeout=timeout,
+            cwd=copy, env=env, timeout=TIMEOUT,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "survived" if done.returncode == 0 else "killed"
 
 
-def survey(modules, count, seed, workdir, timeout):
+def survey(modules, count, seed, workdir):
     copy = Path(workdir) / "repo"
     shutil.copytree(REPO, copy, ignore=shutil.ignore_patterns(
         ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
@@ -122,7 +123,7 @@ def survey(modules, count, seed, workdir, timeout):
             text = original.splitlines()[line - 1].decode().strip()
             path.write_bytes(mutate(path, site))
             try:
-                verdict = run_tests(copy, module, timeout)
+                verdict = run_tests(copy, module)
             finally:
                 path.write_bytes(original)
             reason = EQUIVALENT.get((path.name, text, before, after))
@@ -144,12 +145,9 @@ def main(argv=None):
     parser.add_argument("modules", nargs="+", help="module names under src/shortroots")
     parser.add_argument("--sites", type=int, default=12, help="sites sampled per module")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workdir", help="where the copy goes (default: a new temporary"
-                                          " directory, removed afterwards)")
-    parser.add_argument("--timeout", type=float, default=90, help="seconds per run of the suite")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        real = survey(args.modules, args.sites, args.seed, args.workdir or tmp, args.timeout)
+        real = survey(args.modules, args.sites, args.seed, tmp)
     return 1 if real else 0
 
 
