@@ -123,8 +123,8 @@ def _check_semidirect(rs: RootSystem):
     e = weyl.identity(rs)
     for w, _ in _coxeter_sample(rs)[1]:
         ws, wl = weyl.decompose_semidirect(rs, w)
-        if not (weyl.strip_reflections(rs, ws, short_ks)[0] == e
-                and weyl.strip_reflections(rs, wl, long_ks)[0] == e
+        if not (weyl.strip_reflections(rs, ws, short_ks) == e
+                and weyl.strip_reflections(rs, wl, long_ks) == e
                 and weyl.compose(ws, wl) == w):
             return _fail(details, roundtrip="violated")
     # W = W_s W_l with W_s and W_l meeting trivially: one factor pair per element
@@ -224,10 +224,11 @@ def _check_coxeter_power(rs: RootSystem):
     for c, ordering in sample:
         if not red.check_coxeter_power(rs, c):
             return _fail(details, ordering=list(ordering))
-        # second route: c's short factor is its image in W/W_l = W_s, which
-        # kills the long simple reflections, so it is the Coxeter element of
-        # W_s in c's ordering and has order exactly h_s, the lcm of its cycles
-        ws = weyl.decompose_semidirect(rs, c)[0]
+        # second route: c's short factor, the rest of its descent through the
+        # long-root base, is its image in W/W_l = W_s, which kills the long
+        # simple reflections, so it is the Coxeter element of W_s in c's
+        # ordering and has order exactly h_s, the lcm of its cycles
+        ws = weyl.strip_reflections(rs, c, weyl.long_root_base(rs))
         short_c = weyl.identity(rs)
         for i in ordering:
             if i in shorts:

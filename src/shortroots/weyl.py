@@ -19,12 +19,15 @@ gather through such a getter (``compose`` builds one), so it runs in C.
 A base of a reflection subgroup is named by its root indices, the
 long-root base of ``long_root_base`` included, and no base is held as
 ``Root`` values.  One descent, ``strip_reflections``, strips the
-reflections in such a base off an element, which lies in that subgroup
-when the descent leaves the identity; through the long-root base it
-factors W over the subgroup of long reflections."""
+reflections in such a base off an element and returns the rest alone: the
+element lies in that subgroup exactly when the rest is the identity, so
+membership builds no product.  Through the long-root base the rest is the
+short factor of W over the subgroup of long reflections, and
+``decompose_semidirect`` alone reads the long factor back as
+rest^-1 * w."""
 
 import math
-from operator import itemgetter
+from operator import countOf, itemgetter
 
 from . import classify
 from .cartan import Root, _node_order
@@ -102,6 +105,11 @@ def coxeter_element(rs: RootSystem, ordering=None) -> tuple[int, ...]:
 
 
 def _require_element(rs: RootSystem, w: tuple[int, ...]) -> None:
+    """The one check of a Weyl element from a caller: TypeError unless w
+    is a tuple of ints (a list, a float or a bool included), ValueError
+    unless it permutes the root indices."""
+    if type(w) is not tuple or countOf(map(type, w), int) != len(w):   # one pass in C
+        raise TypeError(f"a Weyl element is a tuple of int root indices, not {w!r}")
     n = len(rs.roots)
     if len(w) != n:
         raise ValueError(f"not in W({rs.spec}): {len(w)} entries for {n} roots")
@@ -130,24 +138,39 @@ def coxeter_orbits(rs: RootSystem, c: tuple[int, ...]):
     return orbits
 
 
+def _positive_index(rs: RootSystem, k: int) -> int:
+    """k itself once it is the int index of a positive root: the one check
+    of a base entry.  TypeError for any other type, a bool or a float
+    included; ValueError outside 0 to p - 1, where a negative index would
+    fold onto a reflection whose root the descent never tests."""
+    if type(k) is not int:
+        raise TypeError(f"a base takes int root indices, not {k!r}")
+    p = len(rs.roots) // 2
+    if not 0 <= k < p:
+        raise ValueError(f"a base takes positive roots of {rs.spec}, whose indices run "
+                         f"from 0 to {p - 1}, not {k}")
+    return k
+
+
 def strip_reflections(rs: RootSystem, w: tuple[int, ...], base):
-    """(rest, product of the stripped reflections), whose product is w:
-    while w sends a root of base negative, strip the reflection in the
-    first such root off the right.  base holds the root indices of a base
-    of a positive root subsystem: the short simple roots' indices, or
-    ``long_root_base(rs)`` as it is returned.  If w * r_1 ... r_k is the
-    rest, the product r_k ... r_1 (each r_i an involution) is rest^-1 * w.
-    Each strip sends one fewer positive root of the subsystem negative,
-    and the rest sends none, so w lies in the subgroup of the base's
-    reflections exactly when the rest is the identity, reached in at most
-    as many strips as there are positive roots."""
+    """The rest of w after its descent through base: while w sends a root
+    of base negative, strip the reflection in the first such root off the
+    right.  base holds the root indices of a base of a positive root
+    subsystem: the short simple roots' indices, or ``long_root_base(rs)``
+    as it is returned; each entry is checked before any strip.  Each strip
+    sends one fewer positive root of the subsystem negative, and the rest
+    sends none, so w lies in the subgroup of the base's reflections exactly
+    when the rest is the identity, reached in at most as many strips as
+    there are positive roots.  The stripped reflections are not kept:
+    their product, in that subgroup, is rest^-1 * w, which only
+    ``decompose_semidirect`` forms."""
     _require_element(rs, w)
     p = rs.num_positive
-    steps = [(k, _reflection(rs, k)[1]) for k in base]
+    steps = [(k, _reflection(rs, _positive_index(rs, k))[1]) for k in base]
     rest = w
     for _ in range(p + 1):
         if (step := next((s for k, s in steps if rest[k] >= p), None)) is None:
-            return rest, compose(dict(zip(rest, range(len(w)))), w)   # a dict inverts rest
+            return rest
         rest = step(rest)   # rest * r_b for the first base root b sent negative
     raise ValueError(f"not in W({rs.spec}): more reflection strips than positive roots")
 
@@ -179,15 +202,18 @@ def long_root_base(rs: RootSystem) -> tuple[int, ...]:
 
 def decompose_semidirect(rs: RootSystem, w: tuple[int, ...]):
     """Factor w = ws * wl with ws preserving the positive long roots and wl
-    a product of long-root reflections: ``strip_reflections`` through the
-    long-root base.  The pair is unique."""
-    return strip_reflections(rs, w, long_root_base(rs))
+    a product of long-root reflections: ws is the rest of
+    ``strip_reflections`` through the long-root base, and wl = ws^-1 * w
+    the product of the reflections it stripped.  The pair is unique."""
+    ws = strip_reflections(rs, w, long_root_base(rs))
+    return ws, compose(dict(zip(ws, range(len(ws)))), w)   # a dict inverts ws
 
 
 def is_in_long_subgroup(rs: RootSystem, w: tuple[int, ...]) -> bool:
     """Whether w lies in the subgroup generated by long-root reflections:
-    whether the short factor of ``decompose_semidirect`` is the identity."""
-    return decompose_semidirect(rs, w)[0] == identity(rs)
+    whether ``strip_reflections`` through the long-root base leaves the
+    identity, with no product formed."""
+    return strip_reflections(rs, w, long_root_base(rs)) == identity(rs)
 
 
 def long_subgroup(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
@@ -209,6 +235,6 @@ def reflection_subgroup_order(rs: RootSystem, base) -> int:
     takes it: the product of the Weyl orders of the components that
     ``classify_cartan`` names in the base's pairing matrix, with no
     element listed."""
-    roots = [rs.roots[k] for k in base]
+    roots = [rs.roots[_positive_index(rs, k)] for k in base]
     pairings = [[rs.pairing(a, b) for a in roots] for b in roots]
     return math.prod(build(spec).weyl_order for spec in classify.classify_cartan(pairings))

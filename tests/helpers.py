@@ -378,6 +378,14 @@ def compose(p, q):
     return tuple(p[j] for j in q)
 
 
+def inverse(p):
+    """The inverse permutation, one index at a time."""
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
+
+
 def act_root(rs, w, root):
     """The image of a root under the Weyl element w."""
     return rs.roots[w[rs.index(root)]]

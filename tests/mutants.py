@@ -46,6 +46,8 @@ EQUIVALENT = {
     ("weyl.py", "for _ in range(p + 1):", "1", "2"):
         "a refusal comes one strip later with the same message; only a tuple outside W"
         " whose descent stops after exactly p + 1 strips would be answered instead",
+    ("reduction.py", "for part in range(1, n + 1):", "1", "2"):
+        "the extra part n + 1 exceeds every total up to n, so its inner loop never runs",
 }
 
 def sites(path: Path):

@@ -13,6 +13,7 @@ from helpers import (
     closure,
     dominant_representative,
     enumerate_group,
+    inverse,
     inversions,
     length,
     order,
@@ -38,6 +39,7 @@ from shortroots import (
     long_root_base,
     long_subgroup,
     reflection,
+    reflection_subgroup_order,
     short_parabolic,
     simple_reflection,
     strip_reflections,
@@ -228,6 +230,39 @@ def test_a_tuple_that_is_not_a_permutation_is_refused(call):
             call(rs, w)
 
 
+@pytest.mark.parametrize("call", [decompose_semidirect, is_in_long_subgroup, coxeter_orbits,
+                                  check_coxeter_power], ids=lambda f: f.__name__)
+def test_an_element_that_is_not_a_tuple_of_ints_is_refused(call):
+    # a list of the identity was answered as no member of W_l, where the
+    # tuple is one; a tuple of floats or of a bool equal to a member was
+    # answered as that member
+    rs = build("C3")
+    e = identity(rs)
+    for w in (list(e), tuple(map(float, reflection(rs, rs.theta))), (0, True) + e[2:]):
+        message = f"^a Weyl element is a tuple of int root indices, not {re.escape(repr(w))}$"
+        with pytest.raises(TypeError, match=message):
+            call(rs, w)
+
+
+@pytest.mark.parametrize("entry", [-1, 9, 17, True, 1.0])
+def test_a_base_entry_that_is_no_positive_root_index_is_refused(entry):
+    # -1 stripped by the reflection in theta (root p - 1) while the descent
+    # tested root 17, a negative root; [-1] had subgroup order 2.  The first
+    # base entry, simple root 0, would strip s_0 at once: the whole base is
+    # checked before any strip
+    rs = build("C3")
+    base = [rs.index(rs.simple_root(0)), entry]
+    if type(entry) is int:
+        error = ValueError
+        message = f"^a base takes positive roots of C3, whose indices run from 0 to 8, not {entry}$"
+    else:
+        error, message = TypeError, f"^a base takes int root indices, not {entry!r}$"
+    with pytest.raises(error, match=message):
+        strip_reflections(rs, simple_reflection(rs, 0), base)
+    with pytest.raises(error, match=message):
+        reflection_subgroup_order(rs, base)
+
+
 @pytest.mark.parametrize("name", ["G2", "B2", "B3", "C3", "C4", "F4"])
 def test_decompose_exhaustively(name):
     rs = build(name)
@@ -374,10 +409,7 @@ def test_powers_inverse_and_identity_agree_with_the_oracle(name):
     sample = list(group[:: max(1, len(group) // 40)])
     sample += [coxeter_element(rs, o) for o in itertools.permutations(range(rs.rank))]
     for w in sample:
-        inv = [0] * len(w)
-        for i, j in enumerate(w):
-            inv[j] = i
-        inv = tuple(inv)
+        inv = inverse(w)
         assert compose(w, inv) == compose(inv, w) == e
         for base in (w, inv):
             power = oracle = e
@@ -418,9 +450,11 @@ def test_descent_decides_membership_in_each_factor(name):
     for base, gens in factors:
         members = closure(rs, gens)
         for w in enumerate_group(rs):
-            rest, product = strip_reflections(rs, w, base)
+            rest = strip_reflections(rs, w, base)
             assert (rest == identity(rs)) == (w in members)
-            assert oracle_compose(rest, product) == w and product in members
+            # the stripped reflections' product, read back as rest^-1 * w
+            product = oracle_compose(inverse(rest), w)
+            assert product in members and strip_reflections(rs, product, base) == identity(rs)
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4"])
@@ -432,21 +466,23 @@ def test_the_long_base_is_read_as_it_is_returned(name):
     base = long_root_base(rs)
     members = _long_closure(name)
     assert weyl_module.reflection_subgroup_order(rs, base) == len(members)
-    assert all(strip_reflections(rs, w, base)[0] == identity(rs) for w in members)
+    assert all(strip_reflections(rs, w, base) == identity(rs) for w in members)
 
 
 # -- the descent on large and relabelled systems, the long base against all pairs
 
 
 def _factors_the_coxeter_sample(rs):
-    """Each Coxeter element of the sample, through the short base and the
-    long base: rest * product == w, and the product is a member, which its
-    own descent leaves whole."""
+    """Each Coxeter element w of the sample, through the short base and the
+    long base: the rest sends no base root negative, and rest^-1 * w, the
+    product of the stripped reflections, is a member, whose own descent
+    leaves the identity."""
+    p = rs.num_positive
     for base in (_short_base(rs), long_root_base(rs)):
         for w, _ in _coxeter_sample(rs)[1]:
-            rest, product = strip_reflections(rs, w, base)
-            assert oracle_compose(rest, product) == w
-            assert strip_reflections(rs, product, base) == (identity(rs), product)
+            rest = strip_reflections(rs, w, base)
+            assert all(rest[k] < p for k in base)
+            assert strip_reflections(rs, oracle_compose(inverse(rest), w), base) == identity(rs)
 
 
 @pytest.mark.parametrize("name", ["B6", "C6", "B12", "C10"])
@@ -454,21 +490,44 @@ def test_descent_factors_the_coxeter_sample(name):
     _factors_the_coxeter_sample(build(name))
 
 
-@pytest.mark.parametrize("name", ["G2", "B4", "C4", "F4", "B7", "C7"])
-def test_descent_factors_the_coxeter_sample_of_a_relabelled_matrix(name):
-    # from_cartan of a reordered Cartan matrix: the positive roots still
-    # run by height, in another numbering of the nodes
+def _relabelled(name):
+    """from_cartan of name's Cartan matrix with its nodes reordered: the
+    positive roots still run by height, in another numbering of the nodes."""
     bourbaki = build(name)
     order = list(range(bourbaki.rank))
     random.Random(52).shuffle(order)
     order = order if order != sorted(order) else order[::-1]
-    rs = from_cartan([[bourbaki.cartan[i][j] for j in order] for i in order])
+    return from_cartan([[bourbaki.cartan[i][j] for j in order] for i in order])
+
+
+RELABELLED = ["G2", "B4", "C4", "F4", "B7", "C7"]
+
+
+@pytest.mark.parametrize("name", RELABELLED)
+def test_descent_factors_the_coxeter_sample_of_a_relabelled_matrix(name):
+    bourbaki = build(name)
+    rs = _relabelled(name)
     assert rs.nodes != bourbaki.nodes
     _factors_the_coxeter_sample(rs)
     assert long_root_base(rs) == all_pairs_long_base(rs)
     # the same long roots, read back in Bourbaki's numbering
     assert ({tuple(rs.roots[k].coeffs[node] for node in rs.nodes) for k in long_root_base(rs)}
             == {bourbaki.roots[k].coeffs for k in long_root_base(bourbaki)})
+
+
+@pytest.mark.parametrize("name,relabel", [(name, False) for name in ["B6", "C6", "B12", "C10"]]
+                         + [(name, True) for name in RELABELLED])
+def test_membership_agrees_with_the_short_factor(name, relabel):
+    # is_in_long_subgroup strips through the long base itself, and
+    # decompose_semidirect reads its product back: two code paths, asked of
+    # each Coxeter element and of its two factors, so both answers occur
+    rs = _relabelled(name) if relabel else build(name)
+    answers = set()
+    for w, _ in _coxeter_sample(rs)[1]:
+        for v in (w, *decompose_semidirect(rs, w)):
+            answers.add(member := is_in_long_subgroup(rs, v))
+            assert member == (decompose_semidirect(rs, v)[0] == identity(rs))
+    assert answers == {False, True}
 
 
 @pytest.mark.parametrize("name", ["A3", "G2", "B3", "C4"])
@@ -480,7 +539,7 @@ def test_the_longest_element_takes_one_strip_per_positive_root(name):
     simple = [rs.index(rs.simple_root(i)) for i in range(rs.rank)]
     w0 = max(enumerate_group(rs), key=lambda w: length(rs, w))
     assert length(rs, w0) == rs.num_positive
-    assert strip_reflections(rs, w0, simple) == (identity(rs), w0)
+    assert strip_reflections(rs, w0, simple) == identity(rs)   # so the product is w0
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "C3", "F4", "B20", "C20", "B30", "C30"])
@@ -503,30 +562,21 @@ def test_a_root_and_its_negative_share_one_reflection():
     ids=["all-in-short-factor", "swapped-factors"],
 )
 def test_semidirect_check_rejects_wrong_factors(monkeypatch, wrong):
-    # membership in W_l reads the factorisation, so a wrong one fails the
-    # first step that reads it: normality
+    # membership in W_l strips with no factorisation, so the normality step
+    # passes and a wrong one fails the one step that reads it: the round trip
     rs = build("C4")
     assert run_check("semidirect-product", rs)[0] == "pass"
     monkeypatch.setattr(weyl_module, "decompose_semidirect", wrong)
     status, details = run_check("semidirect-product", rs)
     assert status == "fail"
-    assert details["normality"] == "violated"
-    assert "roundtrip" not in details
+    assert details["normal"] is True
+    assert details["roundtrip"] == "violated"
 
 
-def _wrong_outside_the_long_subgroup(wrong):
-    """A factorisation that is right on W_l, where the normality step reads
-    it, and is wrong(rs, w, ws, wl) on every other w."""
-    def factors(rs, w):
-        ws, wl = decompose_semidirect(rs, w)
-        return (ws, wl) if ws == identity(rs) else wrong(rs, w, ws, wl)
-    return factors
-
-
-# outside W_l: the factors swapped; a long reflection r moved across, so
-# that only the short factor (ws r) leaves its subgroup; all of w in the
-# long factor, so that only that one does; the long factor dropped, so
-# that only the product is wrong
+# each from the right factors ws, wl of w: the factors swapped; a long
+# reflection r moved across, so that only the short factor (ws r) leaves
+# its subgroup; all of w in the long factor, so that only that one does;
+# the long factor dropped, so that only the product is wrong
 _WRONG_ROUND_TRIPS = {
     "swapped": lambda rs, w, ws, wl: (wl, ws),
     "short-factor": lambda rs, w, ws, wl: (compose(ws, long_subgroup(rs)[0]),
@@ -557,7 +607,8 @@ _SEMIDIRECT_STEPS = [
          {"normality": "violated", "generator": 0}),
     ] + [
         (lambda monkeypatch, rs, wrong=wrong: monkeypatch.setattr(
-            weyl_module, "decompose_semidirect", _wrong_outside_the_long_subgroup(wrong)),
+            weyl_module, "decompose_semidirect",
+            lambda rs, w: wrong(rs, w, *decompose_semidirect(rs, w))),
          {"roundtrip": "violated"})
         for wrong in _WRONG_ROUND_TRIPS.values()
     ],
